@@ -26,20 +26,25 @@ bench:
 # BENCH_BASELINE.json; >20% slower in ns/op fails, and benchmarks with a
 # recorded allocs/op fail on allocation growth (BenchmarkTraceOverhead is
 # pinned at 0 allocs so tracing can never leak into the disabled hot
-# path). Refresh the baseline after a deliberate change with:
+# path, BenchmarkStoreAppend at 0 so a series append through a resolved
+# handle stays allocation-free). Refresh the baseline after a deliberate
+# change with:
 #   make benchcmp BENCHCMP_FLAGS=-update
-BENCHCMP_BENCHES = BenchmarkBOSuggest$$|BenchmarkGPFitPredict$$|BenchmarkGPAppend$$|BenchmarkPredictBatch$$|BenchmarkTraceOverhead$$|BenchmarkFleetTick$$|BenchmarkFleetTick10k$$|BenchmarkLibraryNearest$$|BenchmarkExposition10k$$|BenchmarkJournalDecode$$|BenchmarkPolicyStepBO$$|BenchmarkPolicyStepDS2$$|BenchmarkPolicyStepDRS$$|BenchmarkSnapshot10k$$
+BENCHCMP_BENCHES = BenchmarkBOSuggest$$|BenchmarkGPFitPredict$$|BenchmarkGPAppend$$|BenchmarkPredictBatch$$|BenchmarkTraceOverhead$$|BenchmarkFleetTick$$|BenchmarkFleetTick10k$$|BenchmarkLibraryNearest$$|BenchmarkExposition10k$$|BenchmarkStoreAppend$$|BenchmarkEngineTickStore$$|BenchmarkJournalDecode$$|BenchmarkPolicyStepBO$$|BenchmarkPolicyStepDS2$$|BenchmarkPolicyStepDRS$$|BenchmarkSnapshot10k$$
 benchcmp:
 	$(GO) test -run '^$$' -bench '$(BENCHCMP_BENCHES)' -benchmem -count 3 . \
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_BASELINE.json $(BENCHCMP_FLAGS)
 
-# CPU and heap profiles of the fleet hot path (override PROFILE_BENCH to
-# profile something else): writes fleet_cpu.prof / fleet_mem.prof and
-# prints each profile's top-10 — the first stop when a benchcmp gate
-# trips (docs/fleet.md).
+# CPU and heap profiles of the fleet hot path: writes fleet_cpu.prof /
+# fleet_mem.prof and prints each profile's top-10 — the first stop when
+# a benchcmp gate trips (docs/fleet.md). Override PROFILE_BENCH to
+# profile something else, and PROFILE_BENCHTIME for benchmarks whose op
+# is far shorter than a fleet round, e.g. one store-attached engine tick:
+#   make profile PROFILE_BENCH='BenchmarkEngineTickStore$$' PROFILE_BENCHTIME=2000000x
 PROFILE_BENCH = BenchmarkFleetTick10k$$
+PROFILE_BENCHTIME = 500x
 profile:
-	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)' -benchtime 500x \
+	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)' -benchtime $(PROFILE_BENCHTIME) \
 		-cpuprofile fleet_cpu.prof -memprofile fleet_mem.prof .
 	$(GO) tool pprof -top -nodecount 10 fleet_cpu.prof
 	$(GO) tool pprof -top -nodecount 10 -sample_index=alloc_space fleet_mem.prof

@@ -234,6 +234,45 @@ func BenchmarkSimulatorTick(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineTickStore is BenchmarkSimulatorTick with a metrics
+// store attached, the way metricsd and `autrascale -jobs` run every
+// engine: one tick plus its 16 series appends (4 job-level, 3 per
+// operator) through the engine's resolved handles. The benchcmp gate
+// holds the monitoring overhead a tick pays; `make profile
+// PROFILE_BENCH=BenchmarkEngineTickStore$$` profiles it.
+func BenchmarkEngineTickStore(b *testing.B) {
+	e, err := workloads.NewEngine(workloads.WordCount(), workloads.EngineOptions{
+		Seed:               3,
+		InitialParallelism: dataflow.ParallelismVector{3, 4, 12, 10},
+		Store:              metrics.NewStore(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.Run(2 * metrics.RetentionPoints) // handles resolved, every series at its retention cap
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Tick()
+	}
+}
+
+// BenchmarkStoreAppend measures one sample through a resolved series
+// handle: the out-of-order check and a slot write under the series lock.
+// The benchcmp gate pins it at 0 allocs/op — the only allocations are a
+// new chunk per 128 samples until the retention cap, none after.
+func BenchmarkStoreAppend(b *testing.B) {
+	h := metrics.NewStore().Series(metrics.MetricTrueProcessingRate,
+		map[string]string{"job": "wordcount-01", "operator": "Count"})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := h.Append(float64(i), 29700); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGPAppend measures folding one observation into a fitted
 // surrogate via the incremental Cholesky extension (O(n²) per point vs a
 // full refactorization). The model is reset once it doubles so the

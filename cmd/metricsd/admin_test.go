@@ -255,6 +255,52 @@ func TestAdminJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestAdminRemoveThenResubmitSameName is the admin cycle that used to
+// kill the daemon: remove a job that has ticked, submit a new job under
+// the same name, keep rounding. The removed job's series must leave
+// /metrics and the new job's must start on its own engine clock.
+func TestAdminRemoveThenResubmitSameName(t *testing.T) {
+	srv := adminFleetServer(t, serverConfig{})
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+	scrape := func() string {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	const series = `taskmanager_job_throughput{job="wordcount-02"}`
+
+	srv.fleet.RunUntil(600)
+	if !strings.Contains(scrape(), series) {
+		t.Fatal("wordcount-02 not exposed before removal")
+	}
+	resp := post(t, ts.URL+"/api/v1/jobs/remove", `{"name": "wordcount-02"}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("remove: status %d", resp.StatusCode)
+	}
+	if out := scrape(); strings.Contains(out, `job="wordcount-02"`) {
+		t.Fatalf("removed job still on /metrics:\n%s", out)
+	}
+	resp = post(t, ts.URL+"/api/v1/jobs", `{"name": "wordcount-02", "workload": "wordcount", "rate_rps": 250000}`)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resubmit: status %d: %s", resp.StatusCode, body)
+	}
+	srv.fleet.RunUntil(srv.fleet.Now() + 300) // out-of-order panic here before the fix
+	if !strings.Contains(scrape(), series) {
+		t.Fatal("resubmitted job not exposed")
+	}
+}
+
 // TestAdminSnapshotRoundTrip proves the API's snapshots are the real
 // thing: GET streams a decodable snapshot, POST lands one on disk, and
 // both restore into a working fleet.

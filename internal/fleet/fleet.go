@@ -582,8 +582,8 @@ func (f *Fleet) Drain(name string) error {
 	return nil
 }
 
-// Remove deletes a job outright, freeing its capacity. Unlike Drain it
-// publishes nothing.
+// Remove deletes a job outright, freeing its capacity and releasing its
+// telemetry from the store. Unlike Drain it publishes nothing.
 func (f *Fleet) Remove(name string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -603,7 +603,11 @@ func (f *Fleet) Remove(name string) error {
 		}
 	}
 	j.tracer.Flush()
-	if f.inst != nil {
+	if st := f.cfg.Store; st != nil {
+		// Release the job's series and instruments: /metrics stops
+		// exposing it, and a later job of the same name starts fresh
+		// series at its own t=0 instead of appending behind this one's.
+		st.DropTagged("job", name)
 		f.inst.removed.Inc()
 	}
 	return nil

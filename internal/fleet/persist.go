@@ -197,6 +197,15 @@ func Restore(st *persist.FleetState, opts RestoreOptions) (*Fleet, error) {
 		f.shared[sl.Signature] = lib
 	}
 
+	if opts.Store != nil {
+		// Restored engines restart their clocks at zero: whatever the
+		// store still holds for these jobs is replaced, not appended to.
+		names := make([]string, len(st.Jobs))
+		for i := range st.Jobs {
+			names[i] = st.Jobs[i].Name
+		}
+		opts.Store.DropTagged("job", names...)
+	}
 	for i := range st.Jobs {
 		if err := f.restoreJob(&st.Jobs[i], i); err != nil {
 			return nil, err

@@ -102,6 +102,7 @@ type Engine struct {
 	cluster *cluster.Cluster
 	topic   *kafka.Topic
 	store   *metrics.Store
+	met     engineMetrics
 	tracer  *trace.Tracer
 	jobName string
 	rng     *stat.RNG
@@ -134,6 +135,20 @@ type Engine struct {
 	// Window accumulators since the last Reconfigure/ResetWindow.
 	win windowAccum
 }
+
+// engineMetrics caches the engine's store handles. Each is resolved on
+// first use — the series on the first recorded tick, a counter on the
+// first rescale or retry, so a store lists only what has happened — and
+// then appended to or incremented directly: no tag map, no registry
+// lookup on the tick path.
+type engineMetrics struct {
+	throughput, latency, eventLatency, lag *metrics.Series
+	ops                                    []operatorSeries
+	rescales, retries                      *metrics.Counter
+}
+
+// operatorSeries are one operator's per-tick series.
+type operatorSeries struct{ trueRate, observed, input *metrics.Series }
 
 type windowAccum struct {
 	ticks          int
@@ -340,9 +355,7 @@ func (e *Engine) SetParallelism(p dataflow.ParallelismVector) error {
 		}
 		// Attempt failed: count the retry, back off in simulated time,
 		// and try again — unless the budget or the deadline is spent.
-		if e.store != nil {
-			e.store.Counter("rescale_retries", map[string]string{"job": e.jobName}).Inc()
-		}
+		e.count(&e.met.retries, "rescale_retries")
 		exhausted := attempt >= e.rescaleMaxAttempts || e.nowSec+backoff > deadline
 		if e.tracer.Enabled() {
 			sp := e.tracer.StartSpan("flink.rescale_attempt")
@@ -403,9 +416,7 @@ func (e *Engine) applyRescale(p dataflow.ParallelismVector, attempt int) {
 			},
 		})
 	}
-	if e.store != nil {
-		e.store.Counter("flink.rescales", map[string]string{"job": e.jobName}).Inc()
-	}
+	e.count(&e.met.rescales, "flink.rescales")
 	e.par = p.Clone()
 	e.restartUntil = e.nowSec + down
 	e.restarts++
@@ -730,20 +741,55 @@ func (e *Engine) recordMetrics(trueRates, observed []float64, throughput, procLa
 	if e.store == nil {
 		return
 	}
+	m := &e.met
+	if m.ops == nil {
+		e.resolveSeries()
+	}
+	m.throughput.MustAppend(e.nowSec, throughput)
+	m.latency.MustAppend(e.nowSec, procLat)
+	m.eventLatency.MustAppend(e.nowSec, eventLat)
+	m.lag.MustAppend(e.nowSec, e.topic.Lag())
+	for i := range m.ops {
+		op := &m.ops[i]
+		op.trueRate.MustAppend(e.nowSec, trueRates[i])
+		op.observed.MustAppend(e.nowSec, observed[i])
+		op.input.MustAppend(e.nowSec, e.lastLambda[i])
+	}
+}
+
+// resolveSeries resolves the per-tick series handles (job-level and one
+// triple per operator).
+func (e *Engine) resolveSeries() {
+	m := &e.met
 	jobTags := map[string]string{"job": e.jobName}
-	e.store.MustRecord(metrics.MetricThroughput, jobTags, e.nowSec, throughput)
-	e.store.MustRecord(metrics.MetricLatencyMS, jobTags, e.nowSec, procLat)
-	e.store.MustRecord(metrics.MetricEventTimeLatencyMS, jobTags, e.nowSec, eventLat)
-	e.store.MustRecord(metrics.MetricKafkaLag, jobTags, e.nowSec, e.topic.Lag())
-	for i := 0; i < e.graph.NumOperators(); i++ {
+	m.throughput = e.store.Series(metrics.MetricThroughput, jobTags)
+	m.latency = e.store.Series(metrics.MetricLatencyMS, jobTags)
+	m.eventLatency = e.store.Series(metrics.MetricEventTimeLatencyMS, jobTags)
+	m.lag = e.store.Series(metrics.MetricKafkaLag, jobTags)
+	m.ops = make([]operatorSeries, e.graph.NumOperators())
+	for i := range m.ops {
 		opTags := map[string]string{
 			"job":      e.jobName,
 			"operator": e.graph.Operator(i).Name,
 		}
-		e.store.MustRecord(metrics.MetricTrueProcessingRate, opTags, e.nowSec, trueRates[i])
-		e.store.MustRecord(metrics.MetricObservedRate, opTags, e.nowSec, observed[i])
-		e.store.MustRecord(metrics.MetricInputRate, opTags, e.nowSec, e.lastLambda[i])
+		m.ops[i] = operatorSeries{
+			trueRate: e.store.Series(metrics.MetricTrueProcessingRate, opTags),
+			observed: e.store.Series(metrics.MetricObservedRate, opTags),
+			input:    e.store.Series(metrics.MetricInputRate, opTags),
+		}
 	}
+}
+
+// count increments the job-tagged counter cached in slot, resolving it
+// on first use; a no-op without a store.
+func (e *Engine) count(slot **metrics.Counter, name string) {
+	if e.store == nil {
+		return
+	}
+	if *slot == nil {
+		*slot = e.store.Counter(name, map[string]string{"job": e.jobName})
+	}
+	(*slot).Inc()
 }
 
 // Run advances the simulation by the given number of seconds.

@@ -3,9 +3,9 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // WriteExposition renders the latest sample of every series in the
@@ -16,74 +16,141 @@ import (
 // Example output line:
 //
 //	taskmanager_job_task_trueProcessingRate{job="wc",operator="Count"} 29700 1234000
+//
+// A scrape walks the cached exposition order and appends each entry's
+// pre-rendered `name{labels} ` prefix plus its current value to one
+// pooled buffer, flushed to w in blocks: no per-line lookup, label
+// formatting or allocation.
 func (s *Store) WriteExposition(w io.Writer) error {
-	s.mu.RLock()
-	keys := make([]SeriesKey, 0, len(s.series))
-	for k := range s.series {
-		keys = append(keys, k)
-	}
-	s.mu.RUnlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Name != keys[j].Name {
-			return keys[i].Name < keys[j].Name
-		}
-		return keys[i].Tags < keys[j].Tags
-	})
-	for _, k := range keys {
-		s.mu.RLock()
-		pts := s.series[k]
-		var last Point
-		ok := len(pts) > 0
-		if ok {
-			last = pts[len(pts)-1]
-		}
-		s.mu.RUnlock()
+	bp := expoBufPool.Get().(*[]byte)
+	e := expoWriter{w: w, buf: (*bp)[:0]}
+	defer func() {
+		*bp = e.buf[:0]
+		expoBufPool.Put(bp)
+	}()
+	order := s.ordered()
+	for _, sr := range order.series {
+		last, ok := sr.Latest()
 		if !ok {
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "%s%s %g %d\n",
-			sanitizeMetricName(k.Name), formatLabels(k.Tags),
-			last.Value, int64(last.TimeSec*1000)); err != nil {
-			return err
-		}
+		e.buf = append(e.buf, sr.prefix...)
+		e.buf = strconv.AppendFloat(e.buf, last.Value, 'g', -1, 64)
+		e.buf = append(e.buf, ' ')
+		e.buf = strconv.AppendInt(e.buf, int64(last.TimeSec*1000), 10)
+		e.buf = append(e.buf, '\n')
+		e.flushIfFull()
 	}
-	return s.writeInstruments(w)
+	// Counters (as `name_total`) and histograms (Prometheus
+	// `name_bucket{le=...}` / `_sum` / `_count` triplets) follow the
+	// series gauges.
+	for _, c := range order.counters {
+		e.buf = append(e.buf, c.line...)
+		e.buf = strconv.AppendFloat(e.buf, c.c.Value(), 'g', -1, 64)
+		e.buf = append(e.buf, '\n')
+		e.flushIfFull()
+	}
+	for _, h := range order.histograms {
+		e.buf = h.appendExposition(e.buf)
+		e.flushIfFull()
+	}
+	return e.flush()
 }
 
-// writeInstruments renders registered counters (as `name_total`) and
-// histograms (Prometheus `name_bucket{le=...}` / `_sum` / `_count`
-// triplets) after the series gauges.
-func (s *Store) writeInstruments(w io.Writer) error {
-	for _, p := range sortedInstruments[*Counter](&s.counters) {
-		if _, err := fmt.Fprintf(w, "%s_total%s %g\n",
-			sanitizeMetricName(p.key.Name), formatLabels(p.key.Tags), p.val.Value()); err != nil {
-			return err
+// render fills in the exposition prefixes of the entries that joined
+// since prev (the previous order, nil on the first build) was rendered,
+// so resolving a handle never pays for text only a scrape needs. The
+// caller holds the store's write lock and publishes o afterwards;
+// scrapers read the prefixes only through a published order.
+func (o *expositionOrder) render(prev *expositionOrder) {
+	for _, sr := range o.series {
+		if sr.prefix == "" {
+			sr.prefix = sanitizeMetricName(sr.key.Name) + formatLabels(sr.key.Tags) + " "
 		}
 	}
-	for _, p := range sortedInstruments[*Histogram](&s.histograms) {
-		k := p.key
-		snap := p.val.Snapshot()
-		name := sanitizeMetricName(k.Name)
-		for j, bound := range snap.Bounds {
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-				name, formatLabelsExtra(k.Tags, "le", formatBound(bound)),
-				snap.CumulativeCounts[j]); err != nil {
-				return err
-			}
+	// Counter prefixes carry over from prev; both lists are sorted by key.
+	var old []counterEntry
+	if prev != nil {
+		old = prev.counters
+	}
+	for i := range o.counters {
+		e := &o.counters[i]
+		for len(old) > 0 && keyLess(old[0].key, e.key) {
+			old = old[1:]
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			name, formatLabelsExtra(k.Tags, "le", "+Inf"),
-			snap.CumulativeCounts[len(snap.CumulativeCounts)-1]); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", name, formatLabels(k.Tags), snap.Sum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_count%s %d\n", name, formatLabels(k.Tags), snap.Count); err != nil {
-			return err
+		if len(old) > 0 && old[0].key == e.key {
+			e.line = old[0].line
+		} else {
+			e.line = sanitizeMetricName(e.key.Name) + "_total" + formatLabels(e.key.Tags) + " "
 		}
 	}
-	return nil
+	for _, h := range o.histograms {
+		if h.bucketLines != nil {
+			continue
+		}
+		name, labels := sanitizeMetricName(h.key.Name), formatLabels(h.key.Tags)
+		// `{tags,le="` or `{le="`: a bucket's label set up to its bound.
+		leOpen := `{le="`
+		if labels != "" {
+			leOpen = labels[:len(labels)-1] + `,le="`
+		}
+		for _, bound := range h.bounds {
+			h.bucketLines = append(h.bucketLines, name+"_bucket"+leOpen+formatBound(bound)+`"} `)
+		}
+		h.bucketLines = append(h.bucketLines, name+"_bucket"+leOpen+`+Inf"} `)
+		h.sumLine = name + "_sum" + labels + " "
+		h.countLine = name + "_count" + labels + " "
+	}
+}
+
+// appendExposition renders the histogram's bucket, sum and count lines.
+func (h *Histogram) appendExposition(buf []byte) []byte {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var cumulative uint64
+	for i, c := range h.counts {
+		cumulative += c
+		buf = append(buf, h.bucketLines[i]...)
+		buf = strconv.AppendUint(buf, cumulative, 10)
+		buf = append(buf, '\n')
+	}
+	buf = append(buf, h.sumLine...)
+	buf = strconv.AppendFloat(buf, h.sum, 'g', -1, 64)
+	buf = append(buf, '\n')
+	buf = append(buf, h.countLine...)
+	buf = strconv.AppendUint(buf, h.samples, 10)
+	return append(buf, '\n')
+}
+
+// expoBlockBytes is how much rendered text a scrape buffers between
+// writes to the scraper.
+const expoBlockBytes = 32 << 10
+
+var expoBufPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, expoBlockBytes+4096)
+	return &b
+}}
+
+// expoWriter accumulates exposition text and hands it to w in blocks;
+// after the first write error it drops everything and flush reports it.
+type expoWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func (e *expoWriter) flushIfFull() {
+	if len(e.buf) >= expoBlockBytes {
+		e.flush()
+	}
+}
+
+func (e *expoWriter) flush() error {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+	return e.err
 }
 
 // formatBound renders a bucket upper bound the way Prometheus does
@@ -131,15 +198,4 @@ func formatLabels(encoded string) string {
 		return ""
 	}
 	return "{" + strings.Join(labels, ",") + "}"
-}
-
-// formatLabelsExtra renders the tag labels plus one extra pair (used for
-// histogram `le` labels, which are not part of the canonical tag set).
-func formatLabelsExtra(encoded, key, value string) string {
-	extra := fmt.Sprintf("%s=%q", key, value)
-	base := formatLabels(encoded)
-	if base == "" {
-		return "{" + extra + "}"
-	}
-	return base[:len(base)-1] + "," + extra + "}"
 }

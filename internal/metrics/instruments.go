@@ -17,6 +17,13 @@ import (
 
 // Counter is a monotonically increasing count. Safe for concurrent use;
 // Inc/Add are lock-free.
+//
+// A Counter is deliberately just its eight bytes: controllers create
+// them by the dozen per job, and a pointer-free 8-byte object costs the
+// allocator and the GC next to nothing (growing it to carry its own
+// exposition text made fleet.Submit with a store 25% slower). Its name
+// lives in the registry key and its rendered prefix in the exposition
+// order.
 type Counter struct {
 	bits atomic.Uint64 // float64 bits
 }
@@ -51,13 +58,20 @@ type Histogram struct {
 	counts  []uint64  // len(bounds)+1; last is the +Inf bucket
 	sum     float64
 	samples uint64
+
+	key SeriesKey
+	// Exposition prefixes (expositionOrder.render): one
+	// `name_bucket{labels,le="b"} ` per entry of counts, then the `_sum`
+	// and `_count` lines'.
+	bucketLines        []string
+	sumLine, countLine string
 }
 
 // newHistogram copies and sorts the bounds.
-func newHistogram(bounds []float64) *Histogram {
+func newHistogram(key SeriesKey, bounds []float64) *Histogram {
 	b := append([]float64(nil), bounds...)
 	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
+	return &Histogram{key: key, bounds: b, counts: make([]uint64, len(b)+1)}
 }
 
 // Observe records one sample.
@@ -98,20 +112,17 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return snap
 }
 
-// instrumentKey identifies a counter or histogram: name + canonical tags.
-type instrumentKey struct {
-	Name string
-	Tags string
-}
-
 // Counter returns (creating on first use) the counter with the given
 // name and tags. Existing instruments resolve with a lock-free read.
 func (s *Store) Counter(name string, tags map[string]string) *Counter {
-	key := instrumentKey{Name: name, Tags: EncodeTags(tags)}
+	key := SeriesKey{Name: name, Tags: EncodeTags(tags)}
 	if c, ok := s.counters.Load(key); ok {
 		return c.(*Counter)
 	}
-	c, _ := s.counters.LoadOrStore(key, &Counter{})
+	c, loaded := s.counters.LoadOrStore(key, &Counter{})
+	if !loaded {
+		s.invalidateOrder()
+	}
 	return c.(*Counter)
 }
 
@@ -121,32 +132,13 @@ func (s *Store) Counter(name string, tags map[string]string) *Counter {
 // instrument unchanged. Existing instruments resolve with a lock-free
 // read.
 func (s *Store) Histogram(name string, tags map[string]string, bounds []float64) *Histogram {
-	key := instrumentKey{Name: name, Tags: EncodeTags(tags)}
+	key := SeriesKey{Name: name, Tags: EncodeTags(tags)}
 	if h, ok := s.histograms.Load(key); ok {
 		return h.(*Histogram)
 	}
-	h, _ := s.histograms.LoadOrStore(key, newHistogram(bounds))
+	h, loaded := s.histograms.LoadOrStore(key, newHistogram(key, bounds))
+	if !loaded {
+		s.invalidateOrder()
+	}
 	return h.(*Histogram)
-}
-
-// instPair is one (key, instrument) entry collected for exposition.
-type instPair[V any] struct {
-	key instrumentKey
-	val V
-}
-
-// sortedInstruments snapshots a registry sorted by (name, tags).
-func sortedInstruments[V any](m *sync.Map) []instPair[V] {
-	var out []instPair[V]
-	m.Range(func(k, v any) bool {
-		out = append(out, instPair[V]{key: k.(instrumentKey), val: v.(V)})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].key.Name != out[j].key.Name {
-			return out[i].key.Name < out[j].key.Name
-		}
-		return out[i].key.Tags < out[j].key.Tags
-	})
-	return out
 }

@@ -8,7 +8,6 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -20,7 +19,8 @@ type Point struct {
 	Value   float64
 }
 
-// SeriesKey identifies a series: a metric name plus sorted tag pairs.
+// SeriesKey identifies a series (or a counter or histogram): a metric
+// name plus sorted tag pairs.
 type SeriesKey struct {
 	Name string
 	Tags string // canonical "k1=v1,k2=v2" encoding
@@ -28,8 +28,13 @@ type SeriesKey struct {
 
 // EncodeTags canonicalizes a tag map.
 func EncodeTags(tags map[string]string) string {
-	if len(tags) == 0 {
+	switch len(tags) {
+	case 0:
 		return ""
+	case 1: // the common {"job": name}: nothing to sort or join
+		for k, v := range tags {
+			return k + "=" + v
+		}
 	}
 	keys := make([]string, 0, len(tags))
 	for k := range tags {
@@ -47,71 +52,144 @@ func EncodeTags(tags map[string]string) string {
 // series it registers counter/histogram instruments (see instruments.go)
 // so one exposition pass covers both.
 //
-// The instrument registries are sync.Maps: instruments are created once
-// and then looked up on every controller decision, so the steady-state
-// path is a lock-free read with no mutex for fleet workers to contend
-// on. Hot paths should still cache the returned *Counter/*Histogram
-// handle — the lookup is cheap, but EncodeTags is not free.
+// Everything the store hands out follows one rule: resolve once, append
+// many. Series, Counter and Histogram each return a handle; resolving
+// one encodes the tags and consults a registry, using one is a per-handle
+// lock or atomic with no allocation. Hot paths cache the handle —
+// Record/MustRecord and the name+tags readers below are the same
+// operations with the resolution paid on every call.
 type Store struct {
 	mu     sync.RWMutex
-	series map[SeriesKey][]Point
+	series map[SeriesKey]*Series
+	// order caches everything registered, in exposition order; stale
+	// until first built and whenever something was added or dropped
+	// since.
+	order *expositionOrder
+	stale bool
 
-	counters   sync.Map // instrumentKey -> *Counter
-	histograms sync.Map // instrumentKey -> *Histogram
+	counters   sync.Map // SeriesKey -> *Counter
+	histograms sync.Map // SeriesKey -> *Histogram
+}
+
+// expositionOrder is the store's contents sorted by (name, tags) — what
+// a scrape walks and what the by-name readers search. A published value
+// is never mutated, so readers use it unlocked.
+type expositionOrder struct {
+	series     []*Series
+	counters   []counterEntry
+	histograms []*Histogram
+}
+
+// counterEntry lists one counter with its rendered `name_total{labels} `
+// exposition prefix (see Counter for why it is not on the Counter).
+type counterEntry struct {
+	key  SeriesKey
+	line string
+	c    *Counter
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{series: map[SeriesKey][]Point{}}
+	return &Store{series: map[SeriesKey]*Series{}, stale: true}
+}
+
+// Series returns (creating on first use) the handle of the series with
+// the given name and tags.
+func (s *Store) Series(name string, tags map[string]string) *Series {
+	key := SeriesKey{Name: name, Tags: EncodeTags(tags)}
+	if sr := s.lookup(key); sr != nil {
+		return sr
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sr := s.series[key]
+	if sr == nil {
+		sr = &Series{key: key}
+		s.series[key] = sr
+		s.stale = true
+	}
+	return sr
+}
+
+// lookup returns the series stored under key, or nil.
+func (s *Store) lookup(key SeriesKey) *Series {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.series[key]
+}
+
+// invalidateOrder marks the cached exposition order stale. The caller
+// has already made its registry change visible, so the next ordered()
+// rebuild sees it.
+func (s *Store) invalidateOrder() {
+	s.mu.Lock()
+	s.stale = true
+	s.mu.Unlock()
+}
+
+// ordered returns the exposition order, rebuilding it if the store's
+// contents changed since the last call.
+func (s *Store) ordered() *expositionOrder {
+	s.mu.RLock()
+	o, stale := s.order, s.stale
+	s.mu.RUnlock()
+	if !stale {
+		return o
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stale {
+		o = &expositionOrder{series: make([]*Series, 0, len(s.series))}
+		for _, sr := range s.series {
+			o.series = append(o.series, sr)
+		}
+		s.counters.Range(func(k, c any) bool {
+			o.counters = append(o.counters, counterEntry{key: k.(SeriesKey), c: c.(*Counter)})
+			return true
+		})
+		s.histograms.Range(func(_, h any) bool {
+			o.histograms = append(o.histograms, h.(*Histogram))
+			return true
+		})
+		sort.Slice(o.series, func(i, j int) bool { return keyLess(o.series[i].key, o.series[j].key) })
+		sort.Slice(o.counters, func(i, j int) bool { return keyLess(o.counters[i].key, o.counters[j].key) })
+		sort.Slice(o.histograms, func(i, j int) bool { return keyLess(o.histograms[i].key, o.histograms[j].key) })
+		o.render(s.order)
+		s.order, s.stale = o, false
+	}
+	return s.order
+}
+
+// keyLess orders (name, tags) pairs the way the exposition lists them.
+func keyLess(a, b SeriesKey) bool {
+	if a.Name != b.Name {
+		return a.Name < b.Name
+	}
+	return a.Tags < b.Tags
 }
 
 // Record appends a sample. Samples are expected in non-decreasing time
 // order per series (the simulator guarantees this); out-of-order samples
 // are rejected with an error.
 func (s *Store) Record(name string, tags map[string]string, t, v float64) error {
-	key := SeriesKey{Name: name, Tags: EncodeTags(tags)}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pts := s.series[key]
-	if n := len(pts); n > 0 && pts[n-1].TimeSec > t {
-		return fmt.Errorf("metrics: out-of-order sample for %s@%s: %v after %v",
-			name, key.Tags, t, pts[n-1].TimeSec)
-	}
-	s.series[key] = append(pts, Point{TimeSec: t, Value: v})
-	return nil
+	return s.Series(name, tags).Append(t, v)
 }
 
 // MustRecord is Record but panics on error (simulator-internal writes are
 // ordered by construction).
 func (s *Store) MustRecord(name string, tags map[string]string, t, v float64) {
-	if err := s.Record(name, tags, t, v); err != nil {
-		panic(err)
-	}
+	s.Series(name, tags).MustAppend(t, v)
 }
 
 // Latest returns the most recent sample of the series, or false.
 func (s *Store) Latest(name string, tags map[string]string) (Point, bool) {
-	key := SeriesKey{Name: name, Tags: EncodeTags(tags)}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	pts := s.series[key]
-	if len(pts) == 0 {
-		return Point{}, false
-	}
-	return pts[len(pts)-1], true
+	return s.lookup(SeriesKey{Name: name, Tags: EncodeTags(tags)}).Latest()
 }
 
-// Window returns the samples with TimeSec in [from, to].
+// Window returns the retained samples with TimeSec in [from, to] (see
+// RetentionPoints for how far back a series reaches).
 func (s *Store) Window(name string, tags map[string]string, from, to float64) []Point {
-	key := SeriesKey{Name: name, Tags: EncodeTags(tags)}
-	s.mu.RLock()
-	pts := s.series[key]
-	s.mu.RUnlock()
-	lo := sort.Search(len(pts), func(i int) bool { return pts[i].TimeSec >= from })
-	hi := sort.Search(len(pts), func(i int) bool { return pts[i].TimeSec > to })
-	out := make([]Point, hi-lo)
-	copy(out, pts[lo:hi])
-	return out
+	return s.WindowByKey(SeriesKey{Name: name, Tags: EncodeTags(tags)}, from, to)
 }
 
 // WindowMean returns the mean value over [from, to] and the sample count.
@@ -129,69 +207,37 @@ func (s *Store) WindowMean(name string, tags map[string]string, from, to float64
 
 // SeriesNames returns the distinct metric names currently stored.
 func (s *Store) SeriesNames() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	set := map[string]bool{}
-	for k := range s.series {
-		set[k.Name] = true
+	var out []string
+	for _, sr := range s.ordered().series {
+		if n := len(out); n == 0 || out[n-1] != sr.key.Name {
+			out = append(out, sr.key.Name)
+		}
 	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
 	return out
 }
 
 // SeriesMatching returns the keys whose name equals name and whose tags
-// contain all of the filter pairs.
+// contain all of the filter pairs, ordered by tags. It searches the
+// exposition order for the name, so the cost is the series of that name,
+// not every series in the store.
 func (s *Store) SeriesMatching(name string, filter map[string]string) []SeriesKey {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	list := s.ordered().series
+	first := sort.Search(len(list), func(i int) bool { return list[i].key.Name >= name })
 	var out []SeriesKey
-	for k := range s.series {
-		if k.Name != name {
-			continue
+	for _, sr := range list[first:] {
+		if sr.key.Name != name {
+			break
 		}
-		if matchesTags(k.Tags, filter) {
-			out = append(out, k)
+		if sr.matches(filter) {
+			out = append(out, sr.key)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tags < out[j].Tags })
 	return out
-}
-
-func matchesTags(encoded string, filter map[string]string) bool {
-	if len(filter) == 0 {
-		return true
-	}
-	have := map[string]string{}
-	if encoded != "" {
-		for _, part := range strings.Split(encoded, ",") {
-			kv := strings.SplitN(part, "=", 2)
-			if len(kv) == 2 {
-				have[kv[0]] = kv[1]
-			}
-		}
-	}
-	for k, v := range filter {
-		if have[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // WindowByKey returns samples for an exact series key in [from, to].
 func (s *Store) WindowByKey(key SeriesKey, from, to float64) []Point {
-	s.mu.RLock()
-	pts := s.series[key]
-	s.mu.RUnlock()
-	lo := sort.Search(len(pts), func(i int) bool { return pts[i].TimeSec >= from })
-	hi := sort.Search(len(pts), func(i int) bool { return pts[i].TimeSec > to })
-	out := make([]Point, hi-lo)
-	copy(out, pts[lo:hi])
-	return out
+	return s.lookup(key).Window(from, to)
 }
 
 // Len returns the number of stored series.
@@ -201,13 +247,15 @@ func (s *Store) Len() int {
 	return len(s.series)
 }
 
-// Clear drops all series and instruments.
+// Clear drops all series and instruments. Handles resolved earlier are
+// detached, exactly as after DropTagged.
 func (s *Store) Clear() {
 	s.mu.Lock()
-	s.series = map[SeriesKey][]Point{}
+	s.series = map[SeriesKey]*Series{}
 	s.mu.Unlock()
 	clearSyncMap(&s.counters)
 	clearSyncMap(&s.histograms)
+	s.invalidateOrder()
 }
 
 // clearSyncMap drops every key (sync.Map.Clear needs go1.23; the module
@@ -217,6 +265,56 @@ func clearSyncMap(m *sync.Map) {
 		m.Delete(k)
 		return true
 	})
+}
+
+// DropTagged removes every series, counter and histogram whose tag key
+// carries one of the given values — how a fleet releases a removed job's
+// telemetry (key "job") — and returns how many it dropped. It scans
+// everything registered, which suits an admin operation, not a hot path.
+// Handles resolved earlier are detached: using one still succeeds, but
+// nothing it holds is exposed or found by name again, and resolving the
+// same name and tags afterwards starts a fresh series or instrument.
+func (s *Store) DropTagged(key string, values ...string) int {
+	want := make(map[string]bool, len(values))
+	for _, v := range values {
+		want[v] = true
+	}
+	drop := func(tags string) bool {
+		v, ok := tagValue(tags, key)
+		return ok && want[v]
+	}
+	dropped := 0
+	s.mu.Lock()
+	for k := range s.series {
+		if drop(k.Tags) {
+			delete(s.series, k)
+			dropped++
+		}
+	}
+	s.mu.Unlock()
+	for _, m := range []*sync.Map{&s.counters, &s.histograms} {
+		m.Range(func(k, _ any) bool {
+			if drop(k.(SeriesKey).Tags) {
+				m.Delete(k)
+				dropped++
+			}
+			return true
+		})
+	}
+	s.invalidateOrder()
+	return dropped
+}
+
+// tagValue extracts one tag from the canonical "k1=v1,k2=v2" encoding.
+func tagValue(encoded, key string) (string, bool) {
+	for encoded != "" {
+		var part string
+		part, encoded, _ = strings.Cut(encoded, ",")
+		if k, v, ok := strings.Cut(part, "="); ok && k == key {
+			return v, true
+		}
+	}
+	return "", false
 }
 
 // Canonical metric names (Flink-style paths as exposed in the paper §V-E).
