@@ -27,10 +27,12 @@ bench:
 # recorded allocs/op fail on allocation growth (BenchmarkTraceOverhead is
 # pinned at 0 allocs so tracing can never leak into the disabled hot
 # path, BenchmarkStoreAppend at 0 so a series append through a resolved
-# handle stays allocation-free). Refresh the baseline after a deliberate
-# change with:
+# handle stays allocation-free, BenchmarkSimulatorTick and
+# BenchmarkEngineTickStore at 0 so the simulator tick every policy
+# window and trial stands on never allocates, bare or store-attached).
+# Refresh the baseline after a deliberate change with:
 #   make benchcmp BENCHCMP_FLAGS=-update
-BENCHCMP_BENCHES = BenchmarkBOSuggest$$|BenchmarkGPFitPredict$$|BenchmarkGPAppend$$|BenchmarkPredictBatch$$|BenchmarkTraceOverhead$$|BenchmarkFleetTick$$|BenchmarkFleetTick10k$$|BenchmarkLibraryNearest$$|BenchmarkExposition10k$$|BenchmarkStoreAppend$$|BenchmarkEngineTickStore$$|BenchmarkJournalDecode$$|BenchmarkPolicyStepBO$$|BenchmarkPolicyStepDS2$$|BenchmarkPolicyStepDRS$$|BenchmarkSnapshot10k$$
+BENCHCMP_BENCHES = BenchmarkBOSuggest$$|BenchmarkGPFitPredict$$|BenchmarkGPAppend$$|BenchmarkPredictBatch$$|BenchmarkTraceOverhead$$|BenchmarkFleetTick$$|BenchmarkFleetTick10k$$|BenchmarkLibraryNearest$$|BenchmarkExposition10k$$|BenchmarkStoreAppend$$|BenchmarkSimulatorTick$$|BenchmarkEngineTickStore$$|BenchmarkJournalDecode$$|BenchmarkPolicyStepBO$$|BenchmarkPolicyStepDS2$$|BenchmarkPolicyStepDRS$$|BenchmarkSnapshot10k$$
 benchcmp:
 	$(GO) test -run '^$$' -bench '$(BENCHCMP_BENCHES)' -benchmem -count 3 . \
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_BASELINE.json $(BENCHCMP_FLAGS)

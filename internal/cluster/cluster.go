@@ -31,6 +31,9 @@ type Machine struct {
 type Cluster struct {
 	machines []Machine
 	down     map[int]bool
+	// upCores caches the cores of the machines currently up — read on
+	// every simulated tick, changed only by SetMachineDown.
+	upCores int
 	// InterferenceGamma is the exponent of the oversubscription penalty:
 	// per-instance speed scales by (cores/instances)^gamma when a machine
 	// hosts more busy instances than cores. gamma in [0.5, 1.5]; higher
@@ -69,12 +72,14 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.BackgroundLoad < 0 || cfg.BackgroundLoad >= 1 {
 		return nil, errors.New("cluster: BackgroundLoad must be in [0, 1)")
 	}
-	return &Cluster{
+	c := &Cluster{
 		machines:          append([]Machine(nil), cfg.Machines...),
 		down:              map[int]bool{},
 		InterferenceGamma: gamma,
 		BackgroundLoad:    cfg.BackgroundLoad,
-	}, nil
+	}
+	c.upCores = c.TotalCores()
+	return c, nil
 }
 
 // PaperTestbed returns the paper's evaluation cluster: three Dell R730xd
@@ -113,15 +118,7 @@ func (c *Cluster) TotalCores() int {
 }
 
 // UpCores returns the cores of machines currently up.
-func (c *Cluster) UpCores() int {
-	var s int
-	for i, m := range c.machines {
-		if !c.down[i] {
-			s += m.Cores
-		}
-	}
-	return s
-}
+func (c *Cluster) UpCores() int { return c.upCores }
 
 // EffectiveCores returns the cores available to job instances after
 // background load, on the machines currently up. A failed machine's
@@ -138,7 +135,14 @@ func (c *Cluster) SetMachineDown(name string, down bool) error {
 			if down && c.downCount() == len(c.machines)-1 && !c.down[i] {
 				return errors.New("cluster: cannot fail the last machine")
 			}
-			c.down[i] = down
+			if c.down[i] != down {
+				c.down[i] = down
+				if down {
+					c.upCores -= m.Cores
+				} else {
+					c.upCores += m.Cores
+				}
+			}
 			return nil
 		}
 	}

@@ -170,6 +170,17 @@ func TestMachineFailure(t *testing.T) {
 	if c.EffectiveCores() != 8 {
 		t.Fatalf("EffectiveCores = %v", c.EffectiveCores())
 	}
+	// The up-core count is cached: repeating a transition must not count
+	// the machine twice.
+	if err := c.SetMachineDown("m1", true); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetMachineDown("m2", false); err != nil {
+		t.Fatal(err)
+	}
+	if c.UpCores() != 8 {
+		t.Fatalf("UpCores after repeated transitions = %d, want 8", c.UpCores())
+	}
 	// TotalCores and MaxParallelism stay stable (slots fail over).
 	if c.TotalCores() != 12 || c.MaxParallelism() != 12 {
 		t.Fatal("static totals must not change")

@@ -403,7 +403,7 @@ func (c *Controller) Step() (Event, error) {
 	ev := Event{
 		TimeSec:       e.Now(),
 		RateRPS:       m.InputRateRPS,
-		Par:           m.Par.Clone(),
+		Par:           m.Par, // Measure already copied it out of the engine
 		ProcLatencyMS: m.ProcLatencyMS,
 		ThroughputRPS: m.ThroughputRPS,
 		LagRecords:    m.LagRecords,

@@ -48,6 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -661,7 +662,7 @@ func (f *Fleet) Round() {
 	f.due, f.reinsert = due, reinsert[:0]
 	// The wheel pops in due-time order; the barrier below needs
 	// submission order.
-	sort.Slice(due, func(a, b int) bool { return due[a].seq < due[b].seq })
+	slices.SortFunc(due, func(a, b *job) int { return a.seq - b.seq })
 
 	// Shard the due jobs across the pool: workers pull indices from an
 	// atomic cursor, so a job is owned by exactly one worker for the

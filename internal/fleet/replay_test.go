@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -408,5 +409,37 @@ func TestRestoreCorruptSnapshot(t *testing.T) {
 	}
 	if _, err := Restore(nil, RestoreOptions{}); err == nil {
 		t.Fatal("nil snapshot restored")
+	}
+}
+
+// A snapshot whose parallelism vector does not cover the job's graph —
+// well-formed, checksummed, just wrong — fails the restore, naming the
+// job. It must not build a fleet that panics in a round worker on the
+// job's first tick.
+func TestRestoreWrongLengthParallelism(t *testing.T) {
+	f, err := New(Config{TotalCores: 128, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"intact", "mangled"} {
+		if err := f.Submit(replayJob(t, name, 320e3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.RunUntil(300)
+	st, _ := snapshotThroughBytes(t, f)
+	good := st.Jobs[1].Parallelism
+	for _, par := range [][]int{good[:len(good)-1], append(append([]int(nil), good...), 1), {}} {
+		bad := *st
+		bad.Jobs = append([]persist.JobState(nil), st.Jobs...)
+		bad.Jobs[1].Parallelism = par
+		fl, err := Restore(&bad, RestoreOptions{})
+		if err == nil || fl != nil {
+			t.Fatalf("parallelism %v: restored=%t err=%v, want no fleet and an error", par, fl != nil, err)
+		}
+		want := fmt.Sprintf("parallelism has %d entries, graph has %d operators", len(par), len(good))
+		if msg := err.Error(); !strings.Contains(msg, `"mangled"`) || !strings.Contains(msg, want) {
+			t.Fatalf("parallelism %v: err = %q, want the job name and %q", par, msg, want)
+		}
 	}
 }

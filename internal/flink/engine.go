@@ -117,23 +117,65 @@ type Engine struct {
 	rescaleDeadlineSec float64
 
 	par          dataflow.ParallelismVector
-	arrivalFac   []float64 // records arriving at op i per source record
 	nowSec       float64
 	restartUntil float64
 	restarts     int
 
-	// Per-tick state (recomputed every Tick, kept for Measure).
-	lastThroughput   float64
-	lastProcLatency  float64
-	lastEventLatency float64
-	lastTrueRates    []float64 // per-instance, per operator
-	lastObserved     []float64
-	lastLambda       []float64
-	lastUtil         []float64
-	lastCPUUsed      float64
+	// plan holds, per operator, every quantity Tick needs that changes
+	// only with the parallelism; compile rebuilds it on a rescale.
+	plan      []opPlan
+	memUsedMB float64
+
+	// The last live tick: job throughput, and per operator the rates and
+	// the utilization next tick's CPU demand is weighted by. Tick writes
+	// these in place.
+	lastThroughput float64
+	last           []opRates
+	lastUtil       []float64
 
 	// Window accumulators since the last Reconfigure/ResetWindow.
 	win windowAccum
+	// sampleBuf is the storage every window's latency samples start in,
+	// allocated by the first sampled tick; a window longer than
+	// sampleBufCap ticks grows onto the heap and lets go of the overflow
+	// at the next reset.
+	sampleBuf []float64
+}
+
+// sampleBufCap is the sample capacity an engine keeps across windows:
+// one default policy window (60 one-second ticks), rounded up. What an
+// engine retains is sized by its graph and this constant, never by the
+// longest window it has measured — a fleet of 10k engines would
+// otherwise each keep their longest trial window alive.
+const sampleBufCap = 64
+
+// opPlan is one operator compiled against the active parallelism k. The
+// graph is immutable after Validate, so a plan is stale only after a
+// rescale; machine failures change the cluster's capacity, which Tick
+// reads from the cluster every tick.
+//
+// Each field is a sub-expression the model evaluates as a unit, hoisted
+// unchanged, so a run is bit-identical to one recomputing them per tick.
+type opPlan struct {
+	k             float64 // parallelism
+	arrivalFac    float64 // records arriving at the operator per source record
+	baseRate      float64 // BaseRatePerInstance / (1 + σ·(k−1) + κ·k·(k−1))
+	extCapRPS     float64 // ExternalCapRPS; 0 means uncapped
+	extCapPerInst float64 // ExternalCapRPS / k
+	cpuCores      float64 // k · CPUPerInstance
+	fixedLatMS    float64
+	queueScaleMS  float64
+	maxCongestion float64 // with the default of 25 applied
+	stateLatMS    float64 // StateCostMS / k
+	commLatMS     float64 // CommCostPerParallelism · k
+}
+
+// opRates are one operator's per-tick rates: the values of the last live
+// tick in Engine.last, their sums over the window in windowAccum.ops.
+type opRates struct {
+	trueRate float64 // per instance, busy-time based
+	observed float64 // per instance, including waiting
+	lambda   float64 // total arrival rate
 }
 
 // engineMetrics caches the engine's store handles. Each is resolved on
@@ -156,9 +198,7 @@ type windowAccum struct {
 	procLatency    float64
 	eventLatency   float64
 	cpuUsed        float64
-	trueRates      []float64
-	observed       []float64
-	lambda         []float64
+	ops            []opRates
 	latencySamples []float64
 }
 
@@ -223,7 +263,7 @@ func New(cfg Config) (*Engine, error) {
 	if par == nil {
 		par = dataflow.Uniform(n, 1)
 	}
-	if err := par.Validate(cfg.Cluster.MaxParallelism()); err != nil {
+	if err := checkParallelism(par, cfg.Graph, cfg.Cluster); err != nil {
 		return nil, err
 	}
 	attempts := cfg.RescaleMaxAttempts
@@ -254,10 +294,52 @@ func New(cfg Config) (*Engine, error) {
 		rescaleBackoffSec:  backoff,
 		rescaleDeadlineSec: deadline,
 		par:                par.Clone(),
+		plan:               make([]opPlan, n),
+		last:               make([]opRates, n),
+		lastUtil:           make([]float64, n),
 	}
-	e.arrivalFac = arrivalFactors(cfg.Graph)
+	e.win.ops = make([]opRates, n)
+	for i, a := range arrivalFactors(cfg.Graph) {
+		e.plan[i].arrivalFac = a
+	}
+	e.compile()
 	e.resetWindow()
 	return e, nil
+}
+
+// checkParallelism requires one entry per operator — the compiled plan
+// indexes the vector, so a short one must fail here, not in Tick — each
+// within the cluster's ceiling.
+func checkParallelism(p dataflow.ParallelismVector, g *dataflow.Graph, c *cluster.Cluster) error {
+	if n := g.NumOperators(); len(p) != n {
+		return fmt.Errorf("flink: parallelism has %d entries, graph has %d operators", len(p), n)
+	}
+	return p.Validate(c.MaxParallelism())
+}
+
+// compile rebuilds the plan for the active parallelism. arrivalFac
+// depends on the graph alone and is set once, in New.
+func (e *Engine) compile() {
+	e.memUsedMB = 0
+	for i := range e.plan {
+		p := e.graph.Operator(i).Profile
+		k := float64(e.par[i])
+		pl := &e.plan[i]
+		pl.k = k
+		pl.baseRate = p.BaseRatePerInstance / (1 + p.SyncCost*(k-1) + p.CrossCost*k*(k-1))
+		pl.extCapRPS = p.ExternalCapRPS
+		pl.extCapPerInst = p.ExternalCapRPS / k
+		pl.cpuCores = k * p.CPUPerInstance
+		pl.fixedLatMS = p.FixedLatencyMS
+		pl.queueScaleMS = p.QueueScaleMS
+		pl.maxCongestion = p.MaxCongestion
+		if pl.maxCongestion == 0 {
+			pl.maxCongestion = 25
+		}
+		pl.stateLatMS = p.StateCostMS / k
+		pl.commLatMS = p.CommCostPerParallelism * k
+		e.memUsedMB += k * p.MemPerInstanceMB
+	}
 }
 
 // arrivalFactors computes a_i: records arriving at operator i per source
@@ -336,11 +418,7 @@ func (e *Engine) Parallelism() dataflow.ParallelismVector { return e.par.Clone()
 // rescale_retries counter and, when tracing, emits a
 // flink.rescale_attempt span.
 func (e *Engine) SetParallelism(p dataflow.ParallelismVector) error {
-	if len(p) != e.graph.NumOperators() {
-		return fmt.Errorf("flink: parallelism has %d entries, graph has %d operators",
-			len(p), e.graph.NumOperators())
-	}
-	if err := p.Validate(e.cluster.MaxParallelism()); err != nil {
+	if err := checkParallelism(p, e.graph, e.cluster); err != nil {
 		return err
 	}
 	if p.Equal(e.par) {
@@ -417,19 +495,19 @@ func (e *Engine) applyRescale(p dataflow.ParallelismVector, attempt int) {
 		})
 	}
 	e.count(&e.met.rescales, "flink.rescales")
-	e.par = p.Clone()
+	copy(e.par, p)
+	e.compile()
 	e.restartUntil = e.nowSec + down
 	e.restarts++
 	e.resetWindow()
 }
 
+// resetWindow zeroes the accumulators in place; the samples restart in
+// the engine's own buffer (see sampleBufCap).
 func (e *Engine) resetWindow() {
-	n := e.graph.NumOperators()
-	e.win = windowAccum{
-		trueRates: make([]float64, n),
-		observed:  make([]float64, n),
-		lambda:    make([]float64, n),
-	}
+	ops := e.win.ops
+	clear(ops)
+	e.win = windowAccum{ops: ops, latencySamples: e.sampleBuf}
 }
 
 // ResetWindow clears the measurement accumulators without reconfiguring —
@@ -451,51 +529,18 @@ func (e *Engine) noiseFactor() float64 {
 	return f
 }
 
-// perInstanceRate returns the true per-instance processing rate of
-// operator i under the current configuration and cluster interference
-// factor, in op-input records/s, without measurement noise.
-func (e *Engine) perInstanceRate(i int, interference float64) float64 {
-	op := e.graph.Operator(i)
-	k := float64(e.par[i])
-	p := op.Profile
-	usl := 1 + p.SyncCost*(k-1) + p.CrossCost*k*(k-1)
-	rate := p.BaseRatePerInstance / usl * interference
-	if p.ExternalCapRPS > 0 {
-		total := rate * k
-		if total > p.ExternalCapRPS {
-			rate = p.ExternalCapRPS / k
-		}
-	}
-	return rate
-}
-
-// cpuDemand is the CPU demand (core-equivalents) the configuration places
-// on the cluster, weighted by each operator's utilization from the
-// previous tick: a busy instance burns its full CPUPerInstance, an idle
-// one only its polling floor (~10%). Before the first measurement the
-// conservative assumption is fully-busy. Utilization lags one tick, which
-// acts as a damped fixed-point iteration for the circular
-// demand→interference→capacity→utilization dependency.
-func (e *Engine) cpuDemand() float64 {
-	const idleFloor = 0.1
-	var d float64
-	for i := 0; i < e.graph.NumOperators(); i++ {
-		u := 1.0
-		if len(e.lastUtil) == e.graph.NumOperators() && e.lastThroughput > 0 {
-			u = e.lastUtil[i]
-			if u < idleFloor {
-				u = idleFloor
-			}
-			if u > 1 {
-				u = 1
-			}
-		}
-		d += float64(e.par[i]) * e.graph.Operator(i).Profile.CPUPerInstance * u
-	}
-	return d
-}
-
-// Tick advances the simulation by one step.
+// Tick advances the simulation by one step. It reads the compiled plan
+// and writes into engine-owned buffers, so it allocates nothing — live or
+// down, with or without a store or an injector.
+//
+// Two rules keep a run bit-identical to the straightforward model that
+// recomputes everything from the graph each tick (the test-only
+// reference in reference_test.go): floating-point expressions keep their
+// evaluation order — a plan field only ever replaces a sub-expression
+// that was already evaluated as a unit — and every RNG draw stays where
+// it was: one rate-noise normal per operator in index order, one latency
+// normal, one log-normal sample; none on a down tick, no sample on a
+// dropped tick.
 func (e *Engine) Tick() {
 	if e.chaos.Enabled() {
 		e.applyChaosSchedules()
@@ -504,7 +549,6 @@ func (e *Engine) Tick() {
 	e.topic.Produce(e.nowSec, dt)
 	e.nowSec += dt
 
-	n := e.graph.NumOperators()
 	if e.nowSec <= e.restartUntil {
 		// Job is down for savepoint/restart: nothing is consumed, lag
 		// grows, no metrics are recorded (the paper ignores metrics
@@ -513,18 +557,41 @@ func (e *Engine) Tick() {
 		return
 	}
 
-	interference := e.cluster.InterferenceFactor(e.cpuDemand())
+	// CPU demand (core-equivalents) the configuration places on the
+	// cluster, weighted by each operator's utilization from the previous
+	// tick: a busy instance burns its full CPUPerInstance, an idle one
+	// only its polling floor (~10%). Coming out of a restart (or before
+	// the first tick) the conservative assumption is fully-busy.
+	// Utilization lags one tick, which acts as a damped fixed-point
+	// iteration for the circular demand→interference→capacity→utilization
+	// dependency.
+	plan, last, util := e.plan, e.last, e.lastUtil
+	warm := e.lastThroughput > 0
+	var demand float64
+	for i := range plan {
+		u := 1.0
+		if warm {
+			u = clampUtil(util[i])
+		}
+		demand += plan[i].cpuCores * u
+	}
+	interference := e.cluster.InterferenceFactor(demand)
 
 	// Capacity per operator in op-input records/s, and the job bottleneck
 	// expressed in source records/s.
-	trueRates := make([]float64, n) // per instance
 	capSource := math.Inf(1)
-	for i := 0; i < n; i++ {
-		r := e.perInstanceRate(i, interference) * e.noiseFactor()
-		trueRates[i] = r
-		total := r * float64(e.par[i])
-		if e.arrivalFac[i] > 0 {
-			if c := total / e.arrivalFac[i]; c < capSource {
+	for i := range plan {
+		pl := &plan[i]
+		// True per-instance rate: the USL curve scaled by interference,
+		// with the operator's total rate capped by its external system.
+		r := pl.baseRate * interference
+		if pl.extCapRPS > 0 && r*pl.k > pl.extCapRPS {
+			r = pl.extCapPerInst
+		}
+		r *= e.noiseFactor()
+		last[i].trueRate = r
+		if pl.arrivalFac > 0 {
+			if c := r * pl.k / pl.arrivalFac; c < capSource {
 				capSource = c
 			}
 		}
@@ -534,23 +601,49 @@ func (e *Engine) Tick() {
 	pulled := e.topic.Consume(capSource * dt)
 	throughput := pulled / dt
 
-	// Arrivals, utilizations, latency.
-	lambda := make([]float64, n)
-	observed := make([]float64, n)
-	util := make([]float64, n)
-	var procLatency float64
-	for i := 0; i < n; i++ {
-		lambda[i] = throughput * e.arrivalFac[i]
-		totalCap := trueRates[i] * float64(e.par[i])
-		processed := lambda[i]
+	// Arrivals, utilizations, latency, cores in use.
+	var procLatency, cpuUsed float64
+	for i := range plan {
+		pl, op := &plan[i], &last[i]
+		lambda := throughput * pl.arrivalFac
+		totalCap := op.trueRate * pl.k
+		processed := lambda
 		if processed > totalCap {
 			processed = totalCap
 		}
-		observed[i] = processed / float64(e.par[i])
+		u := 0.0
 		if totalCap > 0 {
-			util[i] = lambda[i] / totalCap
+			u = lambda / totalCap
 		}
-		procLatency += e.operatorLatencyMS(i, trueRates[i], util[i])
+		op.lambda = lambda
+		op.observed = processed / pl.k
+		util[i] = u
+
+		// Latency: fixed + service + queueing + state + communication.
+		lat := pl.fixedLatMS
+		if op.trueRate > 0 {
+			lat += 1000 / op.trueRate // service time of one record
+		}
+		if pl.queueScaleMS > 0 && u > 0 {
+			// Credit-based backpressure bounds standing queues, so the
+			// M/M/1-style congestion factor saturates at the operator's
+			// buffer budget instead of diverging.
+			f := pl.maxCongestion
+			if u < 1 {
+				f = u / (1 - u)
+				if f > pl.maxCongestion {
+					f = pl.maxCongestion
+				}
+			}
+			lat += pl.queueScaleMS * f
+		}
+		lat += pl.stateLatMS
+		lat += pl.commLatMS
+		procLatency += lat
+
+		// Busy instances burn their full CPUPerInstance scaled by
+		// utilization, idle slots still poll.
+		cpuUsed += pl.cpuCores * clampUtil(u)
 	}
 	if e.rateNoise > 0 {
 		procLatency *= e.noiseFactor()
@@ -563,17 +656,7 @@ func (e *Engine) Tick() {
 	} else {
 		eventLatency += pending * 1000
 	}
-
-	cpuUsed := e.cpuUsed(util)
-
 	e.lastThroughput = throughput
-	e.lastProcLatency = procLatency
-	e.lastEventLatency = eventLatency
-	e.lastTrueRates = trueRates
-	e.lastObserved = observed
-	e.lastLambda = lambda
-	e.lastUtil = util
-	e.lastCPUUsed = cpuUsed
 
 	// Accumulate window stats. Fault injection may drop the tick from
 	// the measurement window (reporter outage) or corrupt the measured
@@ -592,19 +675,41 @@ func (e *Engine) Tick() {
 	w.procLatency += procLatency * corrupt
 	w.eventLatency += eventLatency * corrupt
 	w.cpuUsed += cpuUsed
-	for i := 0; i < n; i++ {
-		w.trueRates[i] += trueRates[i] * corrupt
-		w.observed[i] += observed[i] * corrupt
-		w.lambda[i] += lambda[i] * corrupt
+	for i := range last {
+		sum, op := &w.ops[i], &last[i]
+		sum.trueRate += op.trueRate * corrupt
+		sum.observed += op.observed * corrupt
+		sum.lambda += op.lambda * corrupt
 	}
 	// One per-record latency sample per tick keeps distributions cheap.
 	sample := procLatency * corrupt
 	if e.rateNoise > 0 {
 		sample *= e.rng.LogNormal(0, 0.2)
 	}
+	if w.latencySamples == nil {
+		// First sampled tick: building or restoring an engine that has
+		// not run yet costs no sample storage.
+		e.sampleBuf = make([]float64, 0, sampleBufCap)
+		w.latencySamples = e.sampleBuf
+	}
 	w.latencySamples = append(w.latencySamples, sample)
 
-	e.recordMetrics(trueRates, observed, throughput, procLatency, eventLatency)
+	if e.store != nil {
+		e.recordMetrics(throughput, procLatency, eventLatency)
+	}
+}
+
+// clampUtil bounds a utilization to [idle polling floor, fully busy] for
+// CPU accounting.
+func clampUtil(u float64) float64 {
+	const idleFloor = 0.1
+	if u < idleFloor {
+		return idleFloor
+	}
+	if u > 1 {
+		return 1
+	}
+	return u
 }
 
 // applyChaosSchedules fires the injector's scheduled faults that are
@@ -674,73 +779,11 @@ func (e *Engine) chaosVictim(down bool) string {
 	return ""
 }
 
-// operatorLatencyMS returns the latency contribution of operator i:
-// fixed + service + queueing + communication cost.
-func (e *Engine) operatorLatencyMS(i int, perInstRate, util float64) float64 {
-	p := e.graph.Operator(i).Profile
-	lat := p.FixedLatencyMS
-	if perInstRate > 0 {
-		lat += 1000 / perInstRate // service time of one record
-	}
-	if p.QueueScaleMS > 0 && util > 0 {
-		// Credit-based backpressure bounds standing queues, so the
-		// M/M/1-style congestion factor saturates at the operator's
-		// buffer budget instead of diverging.
-		maxCongestion := p.MaxCongestion
-		if maxCongestion == 0 {
-			maxCongestion = 25
-		}
-		u := util
-		if u > 1 {
-			u = 1
-		}
-		f := maxCongestion
-		if u < 1 {
-			f = u / (1 - u)
-			if f > maxCongestion {
-				f = maxCongestion
-			}
-		}
-		lat += p.QueueScaleMS * f
-	}
-	if p.StateCostMS > 0 {
-		lat += p.StateCostMS / float64(e.par[i])
-	}
-	lat += p.CommCostPerParallelism * float64(e.par[i])
-	return lat
-}
-
-// cpuUsed estimates cores in use: busy instances burn their full
-// CPUPerInstance scaled by utilization, idle slots still poll (~10%).
-func (e *Engine) cpuUsed(util []float64) float64 {
-	var used float64
-	for i := 0; i < e.graph.NumOperators(); i++ {
-		p := e.graph.Operator(i).Profile
-		u := util[i]
-		if u < 0.1 {
-			u = 0.1
-		}
-		if u > 1 {
-			u = 1
-		}
-		used += float64(e.par[i]) * p.CPUPerInstance * u
-	}
-	return used
-}
-
 // MemUsedMB returns the managed memory held by the current slots.
-func (e *Engine) MemUsedMB() float64 {
-	var mem float64
-	for i := 0; i < e.graph.NumOperators(); i++ {
-		mem += float64(e.par[i]) * e.graph.Operator(i).Profile.MemPerInstanceMB
-	}
-	return mem
-}
+func (e *Engine) MemUsedMB() float64 { return e.memUsedMB }
 
-func (e *Engine) recordMetrics(trueRates, observed []float64, throughput, procLat, eventLat float64) {
-	if e.store == nil {
-		return
-	}
+// recordMetrics appends the tick just computed to the store's series.
+func (e *Engine) recordMetrics(throughput, procLat, eventLat float64) {
 	m := &e.met
 	if m.ops == nil {
 		e.resolveSeries()
@@ -750,10 +793,10 @@ func (e *Engine) recordMetrics(trueRates, observed []float64, throughput, procLa
 	m.eventLatency.MustAppend(e.nowSec, eventLat)
 	m.lag.MustAppend(e.nowSec, e.topic.Lag())
 	for i := range m.ops {
-		op := &m.ops[i]
-		op.trueRate.MustAppend(e.nowSec, trueRates[i])
-		op.observed.MustAppend(e.nowSec, observed[i])
-		op.input.MustAppend(e.nowSec, e.lastLambda[i])
+		op, v := &m.ops[i], &e.last[i]
+		op.trueRate.MustAppend(e.nowSec, v.trueRate)
+		op.observed.MustAppend(e.nowSec, v.observed)
+		op.input.MustAppend(e.nowSec, v.lambda)
 	}
 }
 
@@ -801,9 +844,10 @@ func (e *Engine) Run(seconds float64) {
 }
 
 // Measure aggregates the accumulated window into a Measurement. It does
-// not reset the window.
+// not reset the window. The result owns its slices: later ticks, resets
+// and rescales never change a Measurement already handed out.
 func (e *Engine) Measure() Measurement {
-	n := e.graph.NumOperators()
+	n := len(e.plan)
 	m := Measurement{
 		Par:                     e.par.Clone(),
 		InputRateRPS:            e.topic.InputRateAt(e.nowSec),
@@ -811,7 +855,7 @@ func (e *Engine) Measure() Measurement {
 		TrueRatePerInstance:     make([]float64, n),
 		ObservedRatePerInstance: make([]float64, n),
 		LambdaRPS:               make([]float64, n),
-		MemUsedMB:               e.MemUsedMB(),
+		MemUsedMB:               e.memUsedMB,
 	}
 	w := &e.win
 	if w.ticks == 0 {
@@ -823,10 +867,11 @@ func (e *Engine) Measure() Measurement {
 	m.ProcLatencyMS = w.procLatency / t
 	m.EventLatMS = w.eventLatency / t
 	m.CPUUsedCores = w.cpuUsed / t
-	for i := 0; i < n; i++ {
-		m.TrueRatePerInstance[i] = w.trueRates[i] / t
-		m.ObservedRatePerInstance[i] = w.observed[i] / t
-		m.LambdaRPS[i] = w.lambda[i] / t
+	for i := range w.ops {
+		sum := &w.ops[i]
+		m.TrueRatePerInstance[i] = sum.trueRate / t
+		m.ObservedRatePerInstance[i] = sum.observed / t
+		m.LambdaRPS[i] = sum.lambda / t
 	}
 	m.LatencySamples = append([]float64(nil), w.latencySamples...)
 	return m

@@ -1,7 +1,9 @@
 package flink
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -90,6 +92,16 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Graph: testGraph(t), Cluster: testCluster(t), Topic: topic,
 		InitialParallelism: dataflow.ParallelismVector{0, 1, 1}}); err == nil {
 		t.Fatal("expected error for parallelism 0")
+	}
+	// So is one that does not cover the graph: the compiled plan indexes
+	// it per operator, so a short vector would otherwise build and then
+	// panic on the first Tick.
+	for _, par := range []dataflow.ParallelismVector{{2, 2}, {2, 2, 2, 2}, {}} {
+		_, err := New(Config{Graph: testGraph(t), Cluster: testCluster(t), Topic: topic, InitialParallelism: par})
+		want := fmt.Sprintf("parallelism has %d entries, graph has 3 operators", len(par))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("InitialParallelism %v: err = %v, want %q", par, err, want)
+		}
 	}
 }
 
