@@ -13,7 +13,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/metrics/ ./internal/jobs/ ./internal/core/ ./internal/bo/ ./internal/gp/ ./internal/mat/ ./internal/transfer/ ./internal/flink/ ./internal/trace/ ./internal/chaos/ ./internal/fleet/ ./internal/slo/ ./internal/policy/ ./internal/experiments/ ./internal/persist/
+	$(GO) test -race ./internal/metrics/ ./internal/core/ ./internal/bo/ ./internal/gp/ ./internal/mat/ ./internal/transfer/ ./internal/flink/ ./internal/trace/ ./internal/chaos/ ./internal/fleet/ ./internal/slo/ ./internal/policy/ ./internal/experiments/ ./internal/persist/
 
 cover:
 	$(GO) test -cover ./...
@@ -51,38 +51,36 @@ profile:
 	$(GO) tool pprof -top -nodecount 10 fleet_cpu.prof
 	$(GO) tool pprof -top -nodecount 10 -sample_index=alloc_space fleet_mem.prof
 
-# Chaos gate: the fault-injection, property/metamorphic, and golden-trace
-# layers (docs/chaos.md), then a short controller soak under the heavy
-# fault profile across a fixed seed matrix — every seed is printed, so a
-# failing soak is reproduced by re-running examples/chaos_soak with it.
+# Chaos gate: a short controller soak under the heavy fault profile
+# across a fixed seed matrix — every seed is printed, so a failing soak
+# is reproduced by re-running examples/chaos_soak with it. The
+# fault-injection, property/metamorphic, and golden-trace tests
+# (docs/chaos.md) run once, under `make test`.
 CHAOS_SEEDS = 1 7 42
 chaos:
-	$(GO) test ./internal/chaos/
-	$(GO) test -run 'Chaos|Rescale|Stall|WindowDrop|MachineKill' ./internal/flink/ ./internal/core/
-	$(GO) test -run 'Property|Metamorphic|Golden|Threshold' ./internal/mat/ ./internal/gp/ ./internal/core/ ./internal/bo/
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "== chaos soak: heavy profile, seed $$seed =="; \
 		$(GO) run ./examples/chaos_soak -profile heavy -hours 1 -seed $$seed | tail -n 5 || exit 1; \
 	done
 
-# Fleet gate: the control-plane unit and golden tests, then a 64-job
-# same-seed soak under the light fault profile across a seed matrix —
-# each soak runs the fleet twice in-process (-verify) and fails unless
-# the per-job decision sequences are identical (docs/fleet.md).
+# Fleet gate: a 64-job same-seed soak under the light fault profile
+# across a seed matrix — each soak runs the fleet twice in-process
+# (-verify) and fails unless the per-job decision sequences are identical
+# (docs/fleet.md). The control-plane unit and golden tests run once,
+# under `make test`.
 FLEET_SEEDS = 1 7 42
 fleet:
-	$(GO) test ./internal/fleet/
 	@for seed in $(FLEET_SEEDS); do \
 		echo "== fleet soak: 64 jobs, light profile, seed $$seed =="; \
 		$(GO) run ./examples/fleet_scaling -jobs 64 -hours 1 -profile light -seed $$seed -verify | tail -n 3 || exit 1; \
 	done
 
-# Audit gate: the journal analytics layers (decoder, attribution, diff,
-# golden journal), then the journal determinism proof — the same seeded
-# fleet run at two worker counts must produce journals `flightctl diff`
-# calls identical after corr canonicalization (docs/observability.md).
+# Audit gate: the journal determinism proof — the same seeded fleet run
+# at two worker counts must produce journals `flightctl diff` calls
+# identical after corr canonicalization (docs/observability.md). The
+# journal analytics tests (decoder, attribution, diff, golden journal)
+# run once, under `make test`.
 audit:
-	$(GO) test ./internal/audit/ ./cmd/flightctl/
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	for w in 1 5; do \
 		echo "== audit journal: 6 jobs, light profile, seed 42, workers $$w =="; \
@@ -91,15 +89,14 @@ audit:
 	done && \
 	$(GO) run ./cmd/flightctl diff "$$dir/w1.jsonl" "$$dir/w5.jsonl"
 
-# Tournament gate: the policy plug-in layer's registry/adapter property
-# tests and the tournament determinism + golden tests, then the small
-# policy×schedule×chaos grid across a fixed seed matrix — three
-# contenders, two schedules, two chaos profiles per seed, each cell a
-# full controller run; any cell whose controller dies exits non-zero
-# (docs/policies.md).
+# Tournament gate: the small policy×schedule×chaos grid across a fixed
+# seed matrix — three contenders, two schedules, two chaos profiles per
+# seed, each cell a full controller run; any cell whose controller dies
+# exits non-zero (docs/policies.md). The registry/adapter property tests
+# and the tournament determinism + golden tests run once, under
+# `make test`.
 TOURNAMENT_SEEDS = 1 7 42
 tournament:
-	$(GO) test ./internal/policy/... ./internal/experiments/
 	@for seed in $(TOURNAMENT_SEEDS); do \
 		echo "== tournament: small grid, seed $$seed =="; \
 		$(GO) run ./cmd/experiments -seed $$seed -workers 4 \
@@ -113,11 +110,10 @@ tournament:
 # cadence last landed); the fleet is then restored twice from that
 # checkpoint and replayed to the same absolute time, and the two flight
 # journals must be `flightctl diff`-identical — restore is deterministic
-# from the snapshot bytes alone, under machine kills and all.
+# from the snapshot bytes alone, under machine kills and all. The
+# persist, restore and admin-API tests run once, under `make test`.
 REPLAY_SEEDS = 1 7 42
 replay:
-	$(GO) test ./internal/persist/
-	$(GO) test -run 'Replay|Restore|Persist|Checkpoint|Snapshot|Admin' ./internal/fleet/ ./cmd/metricsd/
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	for seed in $(REPLAY_SEEDS); do \
 		echo "== replay: 6 jobs, heavy profile, seed $$seed =="; \
@@ -130,11 +126,13 @@ replay:
 		$(GO) run ./cmd/flightctl diff "$$dir/a.jsonl" "$$dir/b.jsonl" || exit 1; \
 	done
 
-# The full pre-merge gate: static checks, unit tests (which include the
-# chaos, property, metamorphic, and golden layers), the race detector on
-# the concurrency-bearing packages, the benchmark baseline, the seeded
-# chaos soak matrix, the fleet determinism soak, the journal audit gate,
-# the policy tournament matrix, and the crash-replay durability gate.
+# The full pre-merge gate: static checks, every package's tests exactly
+# once (`test`: the chaos, property, metamorphic, golden, fleet, audit,
+# policy and persist layers included), the race detector on the
+# concurrency-bearing packages, the benchmark baseline, and then the
+# gates, each running only its seeded soak or diff: the chaos soak
+# matrix, the fleet determinism soak, the journal audit diff, the policy
+# tournament matrix, and the crash-replay durability diff.
 check: vet test race benchcmp chaos fleet audit tournament replay
 
 # Reproduce every table and figure of the paper's evaluation.

@@ -332,9 +332,6 @@ type (
 // ---- SLO tracking and the flight recorder (internal/slo, internal/trace) ----
 
 type (
-	// SLOConfig parameterizes a per-job SLO tracker (burn-rate windows
-	// and thresholds); set it on ControllerConfig.SLO.
-	SLOConfig = slo.Config
 	// SLOHealth is a tracker's point-in-time burn-rate report.
 	SLOHealth = slo.Health
 	// SLOState classifies a job: healthy, degraded, or burning.

@@ -88,9 +88,9 @@ func main() {
 	)
 	flag.Parse()
 
-	spec, ok := findWorkload(*workload)
+	spec, ok := workloads.ByName(*workload)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "autrascale: unknown workload %q\n", *workload)
+		fmt.Fprintf(os.Stderr, "autrascale: unknown workload %q (have %v)\n", *workload, workloads.Names())
 		os.Exit(2)
 	}
 	if *rate <= 0 {
@@ -201,18 +201,6 @@ func printChaosCounters(store *metrics.Store, job string) {
 	fmt.Printf("\nchaos outcome: rescale_retries_total %.0f, degraded_decisions_total %.0f\n",
 		store.Counter("rescale_retries", tags).Value(),
 		store.Counter("degraded_decisions", tags).Value())
-}
-
-func findWorkload(name string) (workloads.Spec, bool) {
-	for _, s := range workloads.All() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	if name == "wordcount-case" {
-		return workloads.WordCountCaseStudy(), true
-	}
-	return workloads.Spec{}, false
 }
 
 func runOnce(engine *flink.Engine, spec workloads.Spec, rate, latency float64, seed uint64, explain bool) {

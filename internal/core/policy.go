@@ -13,7 +13,7 @@ type PlanTrigger string
 // Plan triggers.
 const (
 	// TriggerRateChange fires on a sustained input-rate shift (the
-	// smoothed rate moved more than RateChangeFraction).
+	// smoothed rate moved more than rateChangeFraction).
 	TriggerRateChange PlanTrigger = "rate-change"
 	// TriggerQoS fires when the measured window violates the latency or
 	// throughput targets at an otherwise steady rate.
@@ -70,7 +70,7 @@ type PlanResult struct {
 //     replay byte-for-byte on the same seed.
 //
 // The built-in contenders live under internal/policy: the paper's
-// BO/transfer planner (policy/bo, the default), the DS2 linear rule
+// BO/transfer planner (core.BOPolicy, the default), the DS2 linear rule
 // (policy/ds2), and the DRS queueing model (policy/drs).
 type Policy interface {
 	// Name identifies the policy in tournament tables and journals.

@@ -11,25 +11,18 @@ import (
 	"autrascale/internal/transfer"
 )
 
-// BOConfig parameterizes the paper's BO/transfer policy — the same knobs
-// ControllerConfig carries, minus the MAPE-loop plumbing the controller
-// keeps for itself. A controller built with a nil Policy assembles a
-// BOPolicy from its own configuration, so the two construction paths are
-// interchangeable (the differential golden tests prove it).
+// BOConfig parameterizes the paper's BO/transfer policy. A controller
+// built with a nil Policy assembles a BOPolicy from the same five values
+// of its own configuration, so the two construction paths are
+// interchangeable (the differential golden tests prove it). α, w, ξ, M
+// and the trial windows take Algorithm1Config's defaults — that config is
+// where the paper defines them and where experiments vary them.
 type BOConfig struct {
 	// TargetLatencyMS is the latency requirement l_t (required).
 	TargetLatencyMS float64
-	// Alpha, OverAllocationW, Xi, BootstrapM, MaxIterations: see
-	// Algorithm1Config (zero values take that config's defaults).
-	Alpha           float64
-	OverAllocationW float64
-	Xi              float64
-	BootstrapM      int
-	MaxIterations   int
-	// PolicyIntervalSec/PolicyRunningSec size the per-trial warmup and
-	// measurement windows (defaults 60/120, matching the controller).
-	PolicyIntervalSec float64
-	PolicyRunningSec  float64
+	// MaxIterations bounds each algorithm invocation (0: Algorithm1Config's
+	// default).
+	MaxIterations int
 	// Seed drives the BO optimizer's stochastic choices.
 	Seed uint64
 	// Library preloads benefit models; nil starts empty. The controller
@@ -38,22 +31,6 @@ type BOConfig struct {
 	Library *transfer.ModelLibrary
 	// Tracer threads through every algorithm invocation (nil disables).
 	Tracer *trace.Tracer
-}
-
-func (c *BOConfig) defaults() error {
-	if c.TargetLatencyMS <= 0 {
-		return errors.New("core: BO policy needs TargetLatencyMS > 0")
-	}
-	if c.PolicyIntervalSec <= 0 {
-		c.PolicyIntervalSec = 60
-	}
-	if c.PolicyRunningSec <= 0 {
-		c.PolicyRunningSec = 2 * c.PolicyIntervalSec
-	}
-	if c.Library == nil {
-		c.Library = transfer.NewModelLibrary()
-	}
-	return nil
 }
 
 // BOPolicy is the paper's planner behind the Policy interface: Eq. 3
@@ -71,8 +48,11 @@ type BOPolicy struct {
 
 // NewBOPolicy validates the configuration and builds the policy.
 func NewBOPolicy(cfg BOConfig) (*BOPolicy, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
+	if cfg.TargetLatencyMS <= 0 {
+		return nil, errors.New("core: BO policy needs TargetLatencyMS > 0")
+	}
+	if cfg.Library == nil {
+		cfg.Library = transfer.NewModelLibrary()
 	}
 	return &BOPolicy{cfg: cfg, library: cfg.Library}, nil
 }
@@ -110,8 +90,6 @@ func (p *BOPolicy) planRateChange(e *flink.Engine, req PlanRequest) (PlanResult,
 	rep := DecisionReport{TimeSec: req.TimeSec, RateRPS: rate}
 	tr, err := OptimizeThroughput(e, ThroughputOptions{
 		TargetRate: rate,
-		WarmupSec:  p.cfg.PolicyIntervalSec / 2,
-		MeasureSec: p.cfg.PolicyRunningSec,
 		Tracer:     p.cfg.Tracer,
 	})
 	if err != nil {
@@ -189,13 +167,7 @@ func (p *BOPolicy) algorithm1Config(rate float64) Algorithm1Config {
 	return Algorithm1Config{
 		TargetRate:      rate,
 		TargetLatencyMS: p.cfg.TargetLatencyMS,
-		Alpha:           p.cfg.Alpha,
-		OverAllocationW: p.cfg.OverAllocationW,
-		Xi:              p.cfg.Xi,
-		BootstrapM:      p.cfg.BootstrapM,
 		MaxIterations:   p.cfg.MaxIterations,
-		WarmupSec:       p.cfg.PolicyIntervalSec / 2,
-		MeasureSec:      p.cfg.PolicyRunningSec,
 		Seed:            p.cfg.Seed,
 		Tracer:          p.cfg.Tracer,
 	}

@@ -29,7 +29,8 @@ type ThroughputOptions struct {
 	// in practice, Fig. 5a).
 	MaxIterations int
 	// WarmupSec/MeasureSec define the policy-running window per
-	// iteration (defaults 30/120 simulated seconds).
+	// iteration (defaults TrialWarmupSec/TrialMeasureSec: 30/120
+	// simulated seconds).
 	WarmupSec, MeasureSec float64
 	// Tracer records one span per Eq. 3 iteration plus the history
 	// review outcome. nil disables tracing.
@@ -50,10 +51,10 @@ func (o *ThroughputOptions) defaults(e *flink.Engine) error {
 		o.MaxIterations = 8
 	}
 	if o.WarmupSec <= 0 {
-		o.WarmupSec = 30
+		o.WarmupSec = TrialWarmupSec
 	}
 	if o.MeasureSec <= 0 {
-		o.MeasureSec = 120
+		o.MeasureSec = TrialMeasureSec
 	}
 	return nil
 }

@@ -125,8 +125,9 @@ func persistJob(j *job) persist.JobState {
 	return js
 }
 
-// libraryState serializes a model library as training data, mirroring
-// transfer.ModelLibrary.Save's skip semantics for opaque models.
+// libraryState serializes a model library as training data. Models that
+// expose none are skipped; their rates are returned so the snapshot
+// records exactly which models a restore will be missing.
 func libraryState(lib *transfer.ModelLibrary) (models []persist.ModelState, skipped []float64) {
 	for _, e := range lib.Entries() {
 		td, ok := e.Model.(transfer.TrainingData)

@@ -32,7 +32,7 @@ func TestFleetPerJobPolicy(t *testing.T) {
 	}
 	ds2Job := testJob(t, "ds2-job", 1500)
 	ds2Job.Policy = func(env PolicyEnv) (core.Policy, error) {
-		return policyds2.New(policyds2.Config{Online: true})
+		return policyds2.New(policyds2.Config{Online: true}), nil
 	}
 	if err := f.Submit(ds2Job); err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"autrascale/internal/kafka"
 	"autrascale/internal/persist"
 	"autrascale/internal/trace"
+	"autrascale/internal/transfer"
 	"autrascale/internal/workloads"
 )
 
@@ -441,5 +442,33 @@ func TestRestoreWrongLengthParallelism(t *testing.T) {
 		if msg := err.Error(); !strings.Contains(msg, `"mangled"`) || !strings.Contains(msg, want) {
 			t.Fatalf("parallelism %v: err = %q, want the job name and %q", par, msg, want)
 		}
+	}
+}
+
+// opaqueModel predicts but exposes no training data.
+type opaqueModel struct{}
+
+func (opaqueModel) PredictMean([]float64) float64 { return 1 }
+
+// A model that exposes no training data cannot be refitted on restore:
+// the snapshot must leave it out and name its rate, not drop it silently.
+func TestLibraryStateSkipsOpaqueModels(t *testing.T) {
+	snap, err := transfer.NewSnapshot([][]float64{{1}, {2}, {3}}, []float64{0.3, 0.2, 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := transfer.NewModelLibrary()
+	if err := lib.Put(500, opaqueModel{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.Put(1000, snap); err != nil {
+		t.Fatal(err)
+	}
+	models, skipped := libraryState(lib)
+	if len(skipped) != 1 || skipped[0] != 500 {
+		t.Fatalf("skipped = %v, want the opaque model's rate [500]", skipped)
+	}
+	if len(models) != 1 || models[0].RateRPS != 1000 || len(models[0].Inputs) != 3 {
+		t.Fatalf("models = %+v, want the one persistable model at 1000 rps", models)
 	}
 }

@@ -25,32 +25,10 @@ import (
 type Config struct {
 	// Variant selects the rate metric feeding the queueing model.
 	Variant basedrs.Variant
-	// PMax caps per-operator parallelism; 0 defaults to the engine
-	// cluster's ceiling at plan time.
-	PMax int
 	// TargetLatencyMS is the latency requirement (required).
 	TargetLatencyMS float64
 	// MaxIterations bounds the plan loop per trigger (default 8).
 	MaxIterations int
-	// WarmupSec/MeasureSec size the per-iteration measurement window
-	// (defaults 30/120 simulated seconds).
-	WarmupSec, MeasureSec float64
-}
-
-func (c *Config) defaults() error {
-	if c.TargetLatencyMS <= 0 {
-		return errors.New("policy/drs: TargetLatencyMS must be > 0")
-	}
-	if c.MaxIterations <= 0 {
-		c.MaxIterations = 8
-	}
-	if c.WarmupSec <= 0 {
-		c.WarmupSec = 30
-	}
-	if c.MeasureSec <= 0 {
-		c.MeasureSec = 120
-	}
-	return nil
 }
 
 // Policy implements core.Policy with the DRS queueing model.
@@ -60,8 +38,11 @@ type Policy struct {
 
 // New validates the configuration and builds the adapter.
 func New(cfg Config) (*Policy, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
+	if cfg.TargetLatencyMS <= 0 {
+		return nil, errors.New("policy/drs: TargetLatencyMS must be > 0")
+	}
+	if cfg.MaxIterations <= 0 {
+		cfg.MaxIterations = 8
 	}
 	return &Policy{cfg: cfg}, nil
 }
@@ -78,10 +59,7 @@ func (p *Policy) Name() string {
 // until the measured latency meets the target, the model reaches a
 // fixed point it cannot escape, or the iteration budget runs out.
 func (p *Policy) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, error) {
-	pmax := p.cfg.PMax
-	if pmax <= 0 {
-		pmax = e.Cluster().MaxParallelism()
-	}
+	pmax := e.Cluster().MaxParallelism()
 	model, err := basedrs.NewPolicy(p.cfg.Variant, pmax, req.RateRPS, p.cfg.TargetLatencyMS)
 	if err != nil {
 		return core.PlanResult{}, err
@@ -124,7 +102,7 @@ func (p *Policy) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, e
 		}
 		rescales++
 		chosen = next.Clone()
-		m = e.MeasureSteady(p.cfg.WarmupSec, p.cfg.MeasureSec)
+		m = e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec)
 		if m.ProcLatencyMS <= p.cfg.TargetLatencyMS {
 			break
 		}

@@ -11,12 +11,11 @@
 //     out — the mode DS2's paper evaluates, paying simulated time for
 //     each intermediate measurement;
 //   - online: apply the rule once per trigger and let the controller's
-//     next monitoring window judge it, mirroring RunOnline's
-//     one-shot-per-interval deployment loop.
+//     next monitoring window judge it — DS2's one-shot-per-interval
+//     deployment loop.
 package ds2
 
 import (
-	"errors"
 	"fmt"
 
 	baseds2 "autrascale/internal/baselines/ds2"
@@ -26,43 +25,10 @@ import (
 
 // Config parameterizes the adapter.
 type Config struct {
-	// PMax caps per-operator parallelism; 0 defaults to the engine
-	// cluster's ceiling at plan time.
-	PMax int
-	// TargetUtilization is the sizing headroom u in the linear rule
-	// (default 1.0 — the pure paper rule).
-	TargetUtilization float64
-	// Epsilon is the relative throughput slack (default 0.02).
-	Epsilon float64
 	// MaxIterations bounds the offline loop per trigger (default 8).
 	MaxIterations int
-	// WarmupSec/MeasureSec size the offline loop's per-iteration
-	// measurement window (defaults 30/120 simulated seconds).
-	WarmupSec, MeasureSec float64
 	// Online applies the rule once per trigger instead of iterating.
 	Online bool
-}
-
-func (c *Config) defaults() error {
-	if c.PMax < 0 {
-		return errors.New("policy/ds2: PMax must be >= 0")
-	}
-	if c.TargetUtilization <= 0 || c.TargetUtilization > 1 {
-		c.TargetUtilization = 1
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.02
-	}
-	if c.MaxIterations <= 0 {
-		c.MaxIterations = 8
-	}
-	if c.WarmupSec <= 0 {
-		c.WarmupSec = 30
-	}
-	if c.MeasureSec <= 0 {
-		c.MeasureSec = 120
-	}
-	return nil
 }
 
 // Policy implements core.Policy with the DS2 linear rule.
@@ -70,12 +36,12 @@ type Policy struct {
 	cfg Config
 }
 
-// New validates the configuration and builds the adapter.
-func New(cfg Config) (*Policy, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
+// New builds the adapter.
+func New(cfg Config) *Policy {
+	if cfg.MaxIterations <= 0 {
+		cfg.MaxIterations = 8
 	}
-	return &Policy{cfg: cfg}, nil
+	return &Policy{cfg: cfg}
 }
 
 // Name implements core.Policy.
@@ -91,15 +57,14 @@ func (p *Policy) Name() string {
 // QoS triggers take the same path — the rule either prescribes a new
 // configuration or it has nothing to offer.
 func (p *Policy) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, error) {
-	pmax := p.cfg.PMax
-	if pmax <= 0 {
-		pmax = e.Cluster().MaxParallelism()
-	}
+	// The pure paper rule (utilization 1), capped at the cluster's
+	// ceiling, with NewPolicy's 2% throughput slack. Built as a literal
+	// because a zero-rate trigger must size to the floor, not error.
 	rule := &baseds2.Policy{
-		PMax:              pmax,
+		PMax:              e.Cluster().MaxParallelism(),
 		TargetRate:        req.RateRPS,
-		Epsilon:           p.cfg.Epsilon,
-		TargetUtilization: p.cfg.TargetUtilization,
+		Epsilon:           0.02,
+		TargetUtilization: 1,
 	}
 	m := req.Window
 	chosen := m.Par.Clone()
@@ -121,7 +86,7 @@ func (p *Policy) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, e
 		if p.cfg.Online {
 			break // one shot; the next monitoring window judges it
 		}
-		m = e.MeasureSteady(p.cfg.WarmupSec, p.cfg.MeasureSec)
+		m = e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec)
 		if rule.TargetMet(m.ThroughputRPS) {
 			break
 		}

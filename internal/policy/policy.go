@@ -12,7 +12,6 @@ import (
 
 	"autrascale/internal/baselines/drs"
 	"autrascale/internal/core"
-	policybo "autrascale/internal/policy/bo"
 	policydrs "autrascale/internal/policy/drs"
 	policyds2 "autrascale/internal/policy/ds2"
 	"autrascale/internal/trace"
@@ -26,18 +25,11 @@ import (
 type Env struct {
 	// TargetLatencyMS is the job's latency requirement l_t.
 	TargetLatencyMS float64
-	// PMax caps per-operator parallelism; 0 lets the policy default to
-	// the cluster's ceiling at plan time.
-	PMax int
 	// Seed drives any stochastic choices (BO's optimizer).
 	Seed uint64
 	// MaxIterations bounds a policy's per-trigger planning loop; 0 takes
 	// each policy's default.
 	MaxIterations int
-	// IntervalSec/RunningSec size per-trial warmup and measurement
-	// windows (0: policy defaults).
-	IntervalSec float64
-	RunningSec  float64
 	// Library is the transfer-model library BO should adopt (nil: fresh).
 	Library *transfer.ModelLibrary
 	// Tracer threads through planning spans (nil disables).
@@ -47,48 +39,32 @@ type Env struct {
 // builders maps contender names to constructors.
 var builders = map[string]func(Env) (core.Policy, error){
 	"bo": func(env Env) (core.Policy, error) {
-		return policybo.New(policybo.Config{
-			TargetLatencyMS:   env.TargetLatencyMS,
-			MaxIterations:     env.MaxIterations,
-			PolicyIntervalSec: env.IntervalSec,
-			PolicyRunningSec:  env.RunningSec,
-			Seed:              env.Seed,
-			Library:           env.Library,
-			Tracer:            env.Tracer,
+		return core.NewBOPolicy(core.BOConfig{
+			TargetLatencyMS: env.TargetLatencyMS,
+			MaxIterations:   env.MaxIterations,
+			Seed:            env.Seed,
+			Library:         env.Library,
+			Tracer:          env.Tracer,
 		})
 	},
 	"ds2": func(env Env) (core.Policy, error) {
-		return policyds2.New(policyds2.Config{
-			PMax:          env.PMax,
-			MaxIterations: env.MaxIterations,
-			WarmupSec:     env.IntervalSec,
-			MeasureSec:    env.RunningSec,
-		})
+		return policyds2.New(policyds2.Config{MaxIterations: env.MaxIterations}), nil
 	},
 	"ds2-online": func(env Env) (core.Policy, error) {
-		return policyds2.New(policyds2.Config{
-			PMax:   env.PMax,
-			Online: true,
-		})
+		return policyds2.New(policyds2.Config{Online: true}), nil
 	},
 	"drs-true": func(env Env) (core.Policy, error) {
 		return policydrs.New(policydrs.Config{
 			Variant:         drs.VariantTrueRate,
-			PMax:            env.PMax,
 			TargetLatencyMS: env.TargetLatencyMS,
 			MaxIterations:   env.MaxIterations,
-			WarmupSec:       env.IntervalSec,
-			MeasureSec:      env.RunningSec,
 		})
 	},
 	"drs-observed": func(env Env) (core.Policy, error) {
 		return policydrs.New(policydrs.Config{
 			Variant:         drs.VariantObservedRate,
-			PMax:            env.PMax,
 			TargetLatencyMS: env.TargetLatencyMS,
 			MaxIterations:   env.MaxIterations,
-			WarmupSec:       env.IntervalSec,
-			MeasureSec:      env.RunningSec,
 		})
 	},
 }

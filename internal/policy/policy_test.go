@@ -11,7 +11,9 @@ import (
 	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
 	"autrascale/internal/kafka"
+	"autrascale/internal/metrics"
 	"autrascale/internal/stat"
+	"autrascale/internal/workloads"
 )
 
 func TestRegistry(t *testing.T) {
@@ -221,6 +223,47 @@ func TestDS2FixedPointOnRandomDAGs(t *testing.T) {
 		}
 		if res.Report.Trials != 0 {
 			t.Fatalf("trial %d: settled rule still rescaled %d time(s)", trial, res.Report.Trials)
+		}
+	}
+}
+
+// Plug-in policy decisions are counted under action="policy", and their
+// loop counts stay out of the BO-only iteration and margin histograms.
+func TestPolicyDecisionsCounted(t *testing.T) {
+	store := metrics.NewStore()
+	spec := workloads.WordCount()
+	e, err := workloads.NewEngine(spec, workloads.EngineOptions{Seed: 11, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := Build("ds2", Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := core.NewController(e, core.ControllerConfig{
+		TargetLatencyMS: spec.TargetLatencyMS,
+		Seed:            11,
+		Policy:          pol,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctl.Run(1800); err != nil {
+		t.Fatal(err)
+	}
+	if len(ctl.Decisions()) == 0 {
+		t.Fatal("DS2 never planned; the test needs at least one decision")
+	}
+	job := e.JobName()
+	counted := store.Counter("autrascale.decisions",
+		map[string]string{"job": job, "action": string(core.ActionPolicy)}).Value()
+	if want := float64(len(ctl.Decisions())); counted != want {
+		t.Fatalf(`autrascale.decisions{action="policy"} = %v, want %v`, counted, want)
+	}
+	tags := map[string]string{"job": job}
+	for _, name := range []string{"autrascale.bo.iterations", "autrascale.decision.margin"} {
+		if n := store.Histogram(name, tags, nil).Snapshot().Count; n != 0 {
+			t.Fatalf("%s holds %d observations from a non-BO policy", name, n)
 		}
 	}
 }

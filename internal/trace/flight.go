@@ -27,10 +27,9 @@ import (
 )
 
 // DefaultHistoryCap is the shared bound on retained decision history:
-// it is the default for core.ControllerConfig.DecisionHistory (each
-// controller keeps this many DecisionReports) and the sizing unit for
-// the flight recorder (DefaultFlightCapacity records across the whole
-// process). Both evict oldest-first when full.
+// each core.Controller keeps this many DecisionReports, and it is the
+// sizing unit for the flight recorder (DefaultFlightCapacity records
+// across the whole process). Both evict oldest-first when full.
 const DefaultHistoryCap = 128
 
 // DefaultFlightCapacity is the default flight-recorder ring size:

@@ -1,7 +1,6 @@
 package transfer
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 )
@@ -13,7 +12,7 @@ func (c constPredictor) PredictMean([]float64) float64 { return float64(c) }
 
 // The fleet shares one ModelLibrary across controller workers: models are
 // published from worker goroutines while submissions call Nearest for
-// warm starts. This test drives Put/Get/Nearest/Len/Rates/Save from many
+// warm starts. This test drives Put/Get/Nearest/Len/Rates/Entries from many
 // goroutines at once; `go test -race ./internal/transfer/` must stay
 // clean (make race runs it).
 func TestModelLibraryConcurrentPutNearest(t *testing.T) {
@@ -50,11 +49,7 @@ func TestModelLibraryConcurrentPutNearest(t *testing.T) {
 				lib.Get(rate)
 				lib.Len()
 				lib.Rates()
-				var buf bytes.Buffer
-				if _, err := lib.Save(&buf); err != nil {
-					t.Errorf("Save: %v", err)
-					return
-				}
+				lib.Entries()
 			}
 		}(r)
 	}

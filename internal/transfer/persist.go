@@ -1,10 +1,7 @@
 package transfer
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 
 	"autrascale/internal/gp"
 )
@@ -12,21 +9,10 @@ import (
 // Persistence: a controller restart must not lose the benefit models the
 // paper's Plan stage accumulated (§IV: "the accuracy of the model will
 // gradually increase as the training data increases during the job
-// runs"). Models are persisted as their training data — (inputs, targets)
-// per rate — and refitted on load; that keeps the format tiny, stable,
-// and independent of GP internals.
-
-// libraryDoc is the serialized form of a ModelLibrary.
-type libraryDoc struct {
-	Version int        `json:"version"`
-	Models  []modelDoc `json:"models"`
-}
-
-type modelDoc struct {
-	RateRPS float64     `json:"rate_rps"`
-	Inputs  [][]float64 `json:"inputs"`
-	Targets []float64   `json:"targets"`
-}
+// runs"). Models persist as their training data — (inputs, targets) per
+// rate — and are refitted on load; that keeps the format tiny, stable,
+// and independent of GP internals. The on-disk format itself is the
+// fleet snapshot's (internal/persist); this file is the model side of it.
 
 // TrainingData is implemented by models that can expose their training
 // set for persistence. gp.Regressor-backed entries qualify via Snapshot.
@@ -63,49 +49,3 @@ func (s *Snapshot) PredictMean(x []float64) float64 { return s.model.PredictMean
 
 // TrainingData implements TrainingData.
 func (s *Snapshot) TrainingData() ([][]float64, []float64) { return s.xs, s.ys }
-
-// Save writes the library's persistable entries as JSON. Entries whose
-// models do not expose training data are dropped from the output; their
-// rate keys are returned (ascending) so callers can log exactly which
-// models a later restore will be missing instead of discovering a bare
-// count.
-func (l *ModelLibrary) Save(w io.Writer) (skipped []float64, err error) {
-	doc := libraryDoc{Version: 1}
-	// The COW snapshot is immutable, so no lock is needed: this serializes
-	// a consistent point-in-time view even while writers keep publishing.
-	for _, e := range l.snapshot() {
-		td, ok := e.Model.(TrainingData)
-		if !ok {
-			skipped = append(skipped, e.RateRPS)
-			continue
-		}
-		xs, ys := td.TrainingData()
-		doc.Models = append(doc.Models, modelDoc{RateRPS: e.RateRPS, Inputs: xs, Targets: ys})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return skipped, enc.Encode(doc)
-}
-
-// LoadLibrary reads a library previously written by Save, refitting each
-// model from its training data.
-func LoadLibrary(r io.Reader) (*ModelLibrary, error) {
-	var doc libraryDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("transfer: decode library: %w", err)
-	}
-	if doc.Version != 1 {
-		return nil, fmt.Errorf("transfer: unsupported library version %d", doc.Version)
-	}
-	lib := NewModelLibrary()
-	for _, m := range doc.Models {
-		snap, err := NewSnapshot(m.Inputs, m.Targets)
-		if err != nil {
-			return nil, fmt.Errorf("transfer: refit model at %v rps: %w", m.RateRPS, err)
-		}
-		if err := lib.Put(m.RateRPS, snap); err != nil {
-			return nil, err
-		}
-	}
-	return lib, nil
-}

@@ -1,9 +1,7 @@
 package transfer
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"autrascale/internal/gp"
@@ -44,83 +42,10 @@ func TestSnapshotPredicts(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	lib := NewModelLibrary()
-	if err := lib.Put(1000, sampleSnapshot(t, 0.1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := lib.Put(2000, sampleSnapshot(t, 0.05)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	skipped, err := lib.Save(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(skipped) != 0 {
-		t.Fatalf("skipped = %v", skipped)
-	}
-
-	loaded, err := LoadLibrary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 2 {
-		t.Fatalf("loaded %d models", loaded.Len())
-	}
-	rates := loaded.Rates()
-	if rates[0] != 1000 || rates[1] != 2000 {
-		t.Fatalf("rates = %v", rates)
-	}
-	// Predictions survive the round trip (refit on identical data).
-	orig, _ := lib.Get(1000)
-	re, _ := loaded.Get(1000)
-	for _, k := range []float64{2, 5, 8} {
-		a := orig.PredictMean([]float64{k})
-		b := re.PredictMean([]float64{k})
-		if math.Abs(a-b) > 1e-9 {
-			t.Fatalf("prediction drifted at %v: %v vs %v", k, a, b)
-		}
-	}
-}
-
-func TestSaveSkipsOpaqueModels(t *testing.T) {
-	lib := NewModelLibrary()
-	_ = lib.Put(500, fnPredictor(func(x []float64) float64 { return 1 })) // no training data
-	_ = lib.Put(1000, sampleSnapshot(t, 0.1))
-	var buf bytes.Buffer
-	skipped, err := lib.Save(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(skipped) != 1 || skipped[0] != 500 {
-		t.Fatalf("skipped = %v, want the opaque model's rate [500]", skipped)
-	}
-	loaded, err := LoadLibrary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 1 {
-		t.Fatalf("loaded %d, want the one persistable model", loaded.Len())
-	}
-}
-
-func TestLoadLibraryErrors(t *testing.T) {
-	if _, err := LoadLibrary(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage should error")
-	}
-	if _, err := LoadLibrary(strings.NewReader(`{"version": 99}`)); err == nil {
-		t.Fatal("unknown version should error")
-	}
-	bad := `{"version":1,"models":[{"rate_rps":100,"inputs":[],"targets":[]}]}`
-	if _, err := LoadLibrary(strings.NewReader(bad)); err == nil {
-		t.Fatal("empty training data should error")
-	}
-}
-
 // A gp.Regressor stored directly in the library (what the controller
-// does) is persistable because it exposes its training data.
-func TestSaveControllerStyleRegressor(t *testing.T) {
+// does) exposes its training data, and refitting that data through
+// NewSnapshot — the restore path — reproduces its predictions.
+func TestSnapshotRefitsRegressor(t *testing.T) {
 	var xs [][]float64
 	var ys []float64
 	for k := 1.0; k <= 8; k++ {
@@ -131,27 +56,16 @@ func TestSaveControllerStyleRegressor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib := NewModelLibrary()
-	if err := lib.Put(4242, model); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	skipped, err := lib.Save(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(skipped) != 0 {
+	var stored Predictor = model
+	td, ok := stored.(TrainingData)
+	if !ok {
 		t.Fatal("gp.Regressor should be persistable")
 	}
-	loaded, err := LoadLibrary(&buf)
+	refit, err := NewSnapshot(td.TrainingData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := loaded.Get(4242)
-	if !ok {
-		t.Fatal("model missing after load")
-	}
-	if d := math.Abs(got.PredictMean([]float64{4}) - model.PredictMean([]float64{4})); d > 1e-9 {
+	if d := math.Abs(refit.PredictMean([]float64{4}) - model.PredictMean([]float64{4})); d > 1e-9 {
 		t.Fatalf("prediction drift %v", d)
 	}
 }

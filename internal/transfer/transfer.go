@@ -85,7 +85,7 @@ type Entry struct {
 // worker goroutines while submissions read it for warm starts.
 //
 // The store is copy-on-write: an atomic pointer to an immutable slice
-// sorted by rate. Readers (Nearest, Get, Rates, Entries, Save) never take
+// sorted by rate. Readers (Nearest, Get, Rates, Entries) never take
 // a lock — they load the current snapshot and binary-search it — so a
 // fleet's warm-start lookups scale with reader count instead of
 // serializing on a mutex. Writers clone the slice under a small mutex
