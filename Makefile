@@ -2,6 +2,11 @@
 
 GO ?= go
 
+# The seed matrix every seeded gate below walks (chaos, fleet, tournament,
+# replay); each gate prints the seed it is on, so a failure is reproduced
+# with SEEDS=<that seed>.
+SEEDS ?= 1 7 42
+
 .PHONY: all build test race cover bench benchcmp profile chaos fleet audit tournament replay check experiments summary fmt vet clean
 
 all: build test
@@ -13,7 +18,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/metrics/ ./internal/core/ ./internal/bo/ ./internal/gp/ ./internal/mat/ ./internal/transfer/ ./internal/flink/ ./internal/trace/ ./internal/chaos/ ./internal/fleet/ ./internal/slo/ ./internal/policy/ ./internal/experiments/ ./internal/persist/
+	$(GO) test -race ./internal/metrics/ ./internal/core/ ./internal/bo/ ./internal/gp/ ./internal/mat/ ./internal/transfer/ ./internal/flink/ ./internal/trace/ ./internal/chaos/ ./internal/fleet/ ./internal/slo/ ./internal/policy/... ./internal/experiments/ ./internal/persist/ ./internal/audit/ ./cmd/metricsd/
 
 cover:
 	$(GO) test -cover ./...
@@ -56,9 +61,8 @@ profile:
 # is reproduced by re-running examples/chaos_soak with it. The
 # fault-injection, property/metamorphic, and golden-trace tests
 # (docs/chaos.md) run once, under `make test`.
-CHAOS_SEEDS = 1 7 42
 chaos:
-	@for seed in $(CHAOS_SEEDS); do \
+	@for seed in $(SEEDS); do \
 		echo "== chaos soak: heavy profile, seed $$seed =="; \
 		$(GO) run ./examples/chaos_soak -profile heavy -hours 1 -seed $$seed | tail -n 5 || exit 1; \
 	done
@@ -68,9 +72,8 @@ chaos:
 # (-verify) and fails unless the per-job decision sequences are identical
 # (docs/fleet.md). The control-plane unit and golden tests run once,
 # under `make test`.
-FLEET_SEEDS = 1 7 42
 fleet:
-	@for seed in $(FLEET_SEEDS); do \
+	@for seed in $(SEEDS); do \
 		echo "== fleet soak: 64 jobs, light profile, seed $$seed =="; \
 		$(GO) run ./examples/fleet_scaling -jobs 64 -hours 1 -profile light -seed $$seed -verify | tail -n 3 || exit 1; \
 	done
@@ -95,9 +98,8 @@ audit:
 # exits non-zero (docs/policies.md). The registry/adapter property tests
 # and the tournament determinism + golden tests run once, under
 # `make test`.
-TOURNAMENT_SEEDS = 1 7 42
 tournament:
-	@for seed in $(TOURNAMENT_SEEDS); do \
+	@for seed in $(SEEDS); do \
 		echo "== tournament: small grid, seed $$seed =="; \
 		$(GO) run ./cmd/experiments -seed $$seed -workers 4 \
 			-policies bo,ds2-online,drs-true -schedules step,flash-crowd \
@@ -112,10 +114,9 @@ tournament:
 # journals must be `flightctl diff`-identical — restore is deterministic
 # from the snapshot bytes alone, under machine kills and all. The
 # persist, restore and admin-API tests run once, under `make test`.
-REPLAY_SEEDS = 1 7 42
 replay:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	for seed in $(REPLAY_SEEDS); do \
+	for seed in $(SEEDS); do \
 		echo "== replay: 6 jobs, heavy profile, seed $$seed =="; \
 		$(GO) run ./cmd/autrascale -jobs 6 -duration 2400 -chaos heavy -seed $$seed \
 			-checkpoint "$$dir/ckpt.json" -checkpoint-every 10 | tail -n 1 || exit 1; \

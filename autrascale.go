@@ -33,13 +33,12 @@
 //
 // The package is a facade: implementation lives in internal/ packages
 // (internal/core for the algorithms, internal/flink for the simulator,
-// internal/gp + internal/bo for the learning stack, internal/baselines
-// for DS2/DRS, internal/experiments for the paper's tables and figures).
+// internal/gp + internal/bo for the learning stack, internal/policy/ds2
+// and internal/policy/drs for the baselines, internal/experiments for
+// the paper's tables and figures).
 package autrascale
 
 import (
-	"autrascale/internal/baselines/drs"
-	"autrascale/internal/baselines/ds2"
 	"autrascale/internal/bo"
 	"autrascale/internal/chaos"
 	"autrascale/internal/cluster"
@@ -51,6 +50,8 @@ import (
 	"autrascale/internal/gp"
 	"autrascale/internal/kafka"
 	"autrascale/internal/metrics"
+	"autrascale/internal/policy/drs"
+	"autrascale/internal/policy/ds2"
 	"autrascale/internal/slo"
 	"autrascale/internal/trace"
 	"autrascale/internal/transfer"
@@ -274,7 +275,7 @@ func ExpectedImprovement(mean, std, fBest, xi float64) float64 {
 	return bo.ExpectedImprovement(mean, std, fBest, xi)
 }
 
-// ---- Baselines (internal/baselines) ----
+// ---- Baselines (internal/policy/ds2, internal/policy/drs) ----
 
 type (
 	// DS2Policy is the DS2 (OSDI'18) linear-rule baseline.

@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"strings"
 
-	"autrascale/internal/core"
 	"autrascale/internal/fleet"
 	"autrascale/internal/persist"
 	"autrascale/internal/policy"
@@ -126,27 +125,13 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		MaxIterations:   req.MaxIterations,
 		Signature:       req.Signature,
 	}
-	if name := req.Policy; name != "" && name != "bo" {
-		found := false
-		for _, known := range policy.Names() {
-			if known == name {
-				found = true
-			}
-		}
-		if !found {
-			http.Error(w, fmt.Sprintf("unknown policy %q (have %v)", name, policy.Names()),
-				http.StatusBadRequest)
+	if req.Policy != "" {
+		build, err := policy.Lookup(req.Policy)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		spec.Policy = func(env fleet.PolicyEnv) (core.Policy, error) {
-			return policy.Build(name, policy.Env{
-				TargetLatencyMS: env.TargetLatencyMS,
-				Seed:            env.Seed,
-				MaxIterations:   env.MaxIterations,
-				Library:         env.Library,
-				Tracer:          env.Tracer,
-			})
-		}
+		spec.Policy = build
 	}
 	if err := s.fleet.Submit(spec); err != nil {
 		status := http.StatusBadRequest

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -10,9 +11,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"autrascale/internal/fleet"
 	"autrascale/internal/persist"
+	"autrascale/internal/policy"
 )
 
 // adminFleetServer builds a 2-job fleet-mode server for admin API tests.
@@ -217,9 +220,18 @@ func TestAdminJobLifecycle(t *testing.T) {
 		{"over capacity", `{"name": "big", "workload": "wordcount", "machines": 100}`, http.StatusConflict},
 	} {
 		resp := post(t, ts.URL+"/api/v1/jobs", tc.body)
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("submit %s: status %d, want %d", tc.label, resp.StatusCode, tc.want)
+		}
+		if tc.label == "unknown policy" {
+			// The 400 body is the registry's own message, as everywhere a
+			// policy name is resolved.
+			_, want := policy.Lookup("nope")
+			if got := strings.TrimSpace(string(body)); got != want.Error() {
+				t.Errorf("submit unknown policy: body %q, want %q", got, want)
+			}
 		}
 	}
 
@@ -440,5 +452,49 @@ func TestServerCheckpointerWiring(t *testing.T) {
 	}
 	if len(st.Jobs) != 2 {
 		t.Fatalf("checkpoint: %d jobs, want 2", len(st.Jobs))
+	}
+}
+
+// TestShutdownLandsLastCheckpoint runs the daemon's own serve loop and
+// cancels it as SIGTERM would. The cadence is far longer than the run, so
+// no periodic checkpoint ever fires: the file can only come from the
+// shutdown's Checkpointer.Close, and it must hold the fleet's terminal
+// clock — docs/durability.md's "the last snapshot always lands".
+func TestShutdownLandsLastCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "final.json")
+	srv := adminFleetServer(t, serverConfig{SnapshotPath: path, CheckpointEvery: 1 << 30})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- srv.run(ctx, "127.0.0.1:0", time.Microsecond) }()
+
+	deadline := time.Now().Add(30 * time.Second)
+	for srv.fleet.Now() < 600 {
+		if time.Now().After(deadline) {
+			t.Fatalf("drive loop reached only t=%.0fs", srv.fleet.Now())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := os.Stat(path); err == nil {
+		t.Fatal("a checkpoint landed before shutdown; the test would not isolate Close")
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not return after cancel")
+	}
+
+	st, err := persist.ReadFile(path)
+	if err != nil {
+		t.Fatalf("final checkpoint: %v", err)
+	}
+	if now := srv.fleet.Now(); st.NowSec != now || len(st.Jobs) != 2 {
+		t.Fatalf("final checkpoint at t=%.0fs with %d jobs, want the fleet's last t=%.0fs with 2",
+			st.NowSec, len(st.Jobs), now)
 	}
 }

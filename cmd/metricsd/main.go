@@ -44,14 +44,20 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"os/signal"
 	"strconv"
 	"sync"
+	"syscall"
 	"time"
 
 	"autrascale/internal/audit"
@@ -274,7 +280,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	go srv.drive(*tick)
 
 	switch {
 	case *restore != "":
@@ -285,15 +290,76 @@ func main() {
 	default:
 		log.Printf("metricsd: %s on %s (latency target %.0f ms)", spec.Name, *addr, *latency)
 	}
-	log.Fatal(http.ListenAndServe(*addr, srv.routes()))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err = srv.run(ctx, *addr, *tick)
+	stop()
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("metricsd: shut down")
+}
+
+// shutdownGrace bounds how long a shutdown waits for in-flight requests
+// before it moves on to the final checkpoint.
+const shutdownGrace = 5 * time.Second
+
+// run binds addr, drives the simulation and serves until ctx is cancelled
+// (SIGINT/SIGTERM in main), then shuts down in the order that lands the
+// last snapshot: the drive loop stops, so no round is in flight; the HTTP
+// server drains its requests; and the checkpointer's Close writes the
+// final synchronous checkpoint of the fleet's terminal state. A daemon
+// that cannot bind returns before it drives or writes anything, so a
+// second instance started by mistake never overwrites the first one's
+// snapshot.
+func (s *server) run(ctx context.Context, addr string, tick time.Duration) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	driveCtx, stopDrive := context.WithCancel(ctx)
+	defer stopDrive()
+	driven := make(chan struct{})
+	go func() {
+		defer close(driven)
+		s.drive(driveCtx, tick)
+	}()
+	httpSrv := &http.Server{Handler: s.routes()}
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(ln) }()
+
+	select {
+	case err = <-served: // the listener died under us; still shut down in order
+	case <-ctx.Done():
+	}
+	stopDrive()
+	<-driven
+	if err == nil {
+		shutCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		err = httpSrv.Shutdown(shutCtx)
+		cancel()
+	}
+	if s.checkpointer != nil {
+		err = errors.Join(err, s.checkpointer.Close())
+	}
+	return err
+}
+
+// sleep waits d or until ctx is cancelled, whichever is first.
+func sleep(ctx context.Context, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+	}
 }
 
 // drive advances the controller continuously, one MAPE step at a time,
-// pacing simulated seconds against wall time. In fleet mode it advances
-// the whole fleet one round at a time instead.
-func (s *server) drive(tick time.Duration) {
+// pacing simulated seconds against wall time, until ctx is cancelled. In
+// fleet mode it advances the whole fleet one round at a time instead.
+func (s *server) drive(ctx context.Context, tick time.Duration) {
 	if s.fleet != nil {
-		for {
+		for ctx.Err() == nil {
 			before := s.fleet.Now()
 			s.fleet.Round()
 			if s.checkpointer != nil {
@@ -302,10 +368,11 @@ func (s *server) drive(tick time.Duration) {
 					log.Printf("metricsd: checkpoint error: %v", err)
 				}
 			}
-			time.Sleep(time.Duration(s.fleet.Now()-before) * tick)
+			sleep(ctx, time.Duration(s.fleet.Now()-before)*tick)
 		}
+		return
 	}
-	for {
+	for ctx.Err() == nil {
 		s.mu.Lock()
 		before := s.engine.Now()
 		_, err := s.ctl.Step()
@@ -318,7 +385,7 @@ func (s *server) drive(tick time.Duration) {
 			log.Printf("metricsd: controller error: %v", err)
 			return
 		}
-		time.Sleep(time.Duration(advanced) * tick)
+		sleep(ctx, time.Duration(advanced)*tick)
 	}
 }
 

@@ -79,6 +79,30 @@ type Policy interface {
 	Plan(e *flink.Engine, req PlanRequest) (PlanResult, error)
 }
 
+// PolicyEnv is the planner environment: the five per-job inputs every
+// policy constructor draws from — the targets the job was admitted with
+// plus the controller plumbing. It is the one declaration of them beside
+// ControllerConfig: BOConfig, policy.Env and fleet.PolicyEnv are aliases,
+// so a registry builder, a fleet job's builder and NewBOPolicy all take
+// the same value. Builders ignore fields their policy has no use for —
+// DS2 never reads TargetLatencyMS, and only BO touches the library.
+type PolicyEnv struct {
+	// TargetLatencyMS is the job's latency requirement l_t (BO and DRS
+	// require it).
+	TargetLatencyMS float64
+	// MaxIterations bounds a policy's per-trigger planning loop (0: each
+	// policy's default — Algorithm1Config's for BO).
+	MaxIterations int
+	// Seed drives any stochastic choices (BO's optimizer).
+	Seed uint64
+	// Library preloads benefit models; nil starts empty. The controller
+	// adopts the BO policy's library, so fleet model publication and warm
+	// starts see exactly what the policy learned.
+	Library *transfer.ModelLibrary
+	// Tracer threads through every planning span (nil disables).
+	Tracer *trace.Tracer
+}
+
 // libraryProvider is implemented by policies that maintain a transfer
 // model library (the BO policy); the controller adopts it so the fleet's
 // model publication and warm-start machinery keep working.

@@ -7,31 +7,17 @@ import (
 
 	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
-	"autrascale/internal/trace"
 	"autrascale/internal/transfer"
 )
 
-// BOConfig parameterizes the paper's BO/transfer policy. A controller
-// built with a nil Policy assembles a BOPolicy from the same five values
-// of its own configuration, so the two construction paths are
-// interchangeable (the differential golden tests prove it). α, w, ξ, M
-// and the trial windows take Algorithm1Config's defaults — that config is
-// where the paper defines them and where experiments vary them.
-type BOConfig struct {
-	// TargetLatencyMS is the latency requirement l_t (required).
-	TargetLatencyMS float64
-	// MaxIterations bounds each algorithm invocation (0: Algorithm1Config's
-	// default).
-	MaxIterations int
-	// Seed drives the BO optimizer's stochastic choices.
-	Seed uint64
-	// Library preloads benefit models; nil starts empty. The controller
-	// adopts this library, so fleet model publication and warm starts see
-	// exactly what the policy learned.
-	Library *transfer.ModelLibrary
-	// Tracer threads through every algorithm invocation (nil disables).
-	Tracer *trace.Tracer
-}
+// BOConfig is the planner environment read as the BO/transfer policy's
+// configuration. A controller built with a nil Policy assembles a
+// BOPolicy from the same five values of its own configuration, so the two
+// construction paths are interchangeable (the differential golden tests
+// prove it). α, w, ξ, M and the trial windows take Algorithm1Config's
+// defaults — that config is where the paper defines them and where
+// experiments vary them.
+type BOConfig = PolicyEnv
 
 // BOPolicy is the paper's planner behind the Policy interface: Eq. 3
 // throughput optimization for the base configuration, then Algorithm 2

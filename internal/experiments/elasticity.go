@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"autrascale/internal/baselines/drs"
 	"autrascale/internal/core"
 	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
 	"autrascale/internal/kafka"
+	"autrascale/internal/policy/drs"
 	"autrascale/internal/workloads"
 )
 

@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"autrascale/internal/baselines/ds2"
 	"autrascale/internal/core"
 	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
 	"autrascale/internal/kafka"
+	"autrascale/internal/policy/ds2"
 	"autrascale/internal/stat"
 	"autrascale/internal/workloads"
 )

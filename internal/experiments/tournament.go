@@ -206,7 +206,7 @@ func RunTournament(opts TournamentOptions) (*TournamentResult, error) {
 		}
 	}
 	for _, name := range opts.Policies {
-		if _, err := policy.Build(name, policy.Env{TargetLatencyMS: spec.TargetLatencyMS}); err != nil {
+		if _, err := policy.Lookup(name); err != nil {
 			return nil, err
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"autrascale/internal/policy"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -28,8 +30,9 @@ func TestTournamentValidation(t *testing.T) {
 	if _, err := RunTournament(TournamentOptions{Workload: "no-such"}); err == nil {
 		t.Fatal("unknown workload should error")
 	}
-	if _, err := RunTournament(TournamentOptions{Policies: []string{"no-such"}}); err == nil {
-		t.Fatal("unknown policy should error")
+	_, want := policy.Lookup("no-such")
+	if _, err := RunTournament(TournamentOptions{Policies: []string{"no-such"}}); err == nil || err.Error() != want.Error() {
+		t.Fatalf("unknown policy: err = %v, want the registry's %q", err, want)
 	}
 	if _, err := RunTournament(TournamentOptions{Schedules: []string{"no-such"}}); err == nil {
 		t.Fatal("unknown schedule should error")

@@ -56,6 +56,7 @@ import (
 	"autrascale/internal/chaos"
 	"autrascale/internal/cluster"
 	"autrascale/internal/core"
+	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
 	"autrascale/internal/kafka"
 	"autrascale/internal/metrics"
@@ -153,31 +154,13 @@ type JobSpec struct {
 // PolicyBuilder constructs a job's scaling policy at admission.
 type PolicyBuilder func(PolicyEnv) (core.Policy, error)
 
-// PolicyEnv is what a policy builder sees at admission: the job's
-// targets plus the controller plumbing the fleet wires up (per-job seed,
-// warm-started library, buffered tracer).
-type PolicyEnv struct {
-	// Job is the admitted job's name.
-	Job string
-	// TargetLatencyMS is the job's QoS target after defaulting.
-	TargetLatencyMS float64
-	// Seed is the job's derived seed.
-	Seed uint64
-	// MaxIterations is the per-session planning bound after defaulting.
-	MaxIterations int
-	// Library is the job's (possibly warm-started) private model library.
-	Library *transfer.ModelLibrary
-	// Tracer is the job's buffered trace conduit.
-	Tracer *trace.Tracer
-}
+// PolicyEnv is what a policy builder sees at admission (core.PolicyEnv):
+// the job's targets after defaulting plus the controller plumbing the
+// fleet wires up — per-job seed, warm-started library, buffered tracer.
+type PolicyEnv = core.PolicyEnv
 
-func (s *JobSpec) defaults() error {
-	if s.Name == "" {
-		return errors.New("fleet: job needs a name")
-	}
-	if s.Workload.BuildGraph == nil {
-		return fmt.Errorf("fleet: job %q has no workload graph", s.Name)
-	}
+// defaults fills the fields a submission left zero.
+func (s *JobSpec) defaults() {
 	if s.RateRPS <= 0 {
 		s.RateRPS = s.Workload.DefaultRateRPS
 	}
@@ -201,6 +184,30 @@ func (s *JobSpec) defaults() error {
 	}
 	if s.Signature == "" {
 		s.Signature = s.Workload.Name
+	}
+}
+
+// validate is the one check of a complete spec, run by Submit after
+// defaults and by Restore on the snapshot's values as they are: a
+// snapshot carries post-default values, so there a non-positive field is
+// corruption to report, not a zero to fill. Fields are named as the
+// snapshot and the admin API spell them.
+func (s *JobSpec) validate() error {
+	switch {
+	case s.Name == "":
+		return errors.New("job needs a name")
+	case s.Workload.BuildGraph == nil:
+		return fmt.Errorf("job %q has no workload graph", s.Name)
+	case s.Machines <= 0:
+		return fmt.Errorf("machines must be > 0, got %d", s.Machines)
+	case s.CoresPerMachine <= 0:
+		return fmt.Errorf("cores_per_machine must be > 0, got %d", s.CoresPerMachine)
+	case s.MemPerMachineMB <= 0:
+		return fmt.Errorf("mem_per_machine_mb must be > 0, got %d", s.MemPerMachineMB)
+	case s.MaxIterations <= 0:
+		return fmt.Errorf("max_iterations must be > 0, got %d", s.MaxIterations)
+	case !(s.TargetLatencyMS > 0): // NaN fails too
+		return fmt.Errorf("target_latency_ms must be > 0, got %v", s.TargetLatencyMS)
 	}
 	return nil
 }
@@ -376,8 +383,9 @@ func (f *Fleet) Now() float64 {
 // warm start from the shared model library when a signature match
 // exists. The job starts participating at the next Round.
 func (f *Fleet) Submit(spec JobSpec) error {
-	if err := spec.defaults(); err != nil {
-		return err
+	spec.defaults()
+	if err := spec.validate(); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -392,20 +400,60 @@ func (f *Fleet) Submit(spec JobSpec) error {
 		sp.SetInt("cores_used", f.usedCores)
 		sp.SetInt("cores_total", f.cfg.TotalCores)
 	}
-
-	if _, exists := f.jobs[spec.Name]; exists {
+	if err := f.admissible(&spec); err != nil {
 		sp.SetBool("granted", false)
-		return fmt.Errorf("%w: %q", ErrDuplicateJob, spec.Name)
-	}
-	if f.usedCores+spec.cores() > f.cfg.TotalCores {
-		sp.SetBool("granted", false)
-		if f.inst != nil {
+		if f.inst != nil && errors.Is(err, ErrAdmissionRejected) {
 			f.inst.rejected.Inc()
 		}
+		return err
+	}
+
+	seed := deriveSeed(f.cfg.Seed, spec.Name)
+	lib, warmRate, warm := f.warmStartLibrary(spec)
+	j, err := f.build(spec, seed, lib, nil)
+	if err != nil {
+		return fmt.Errorf("fleet: job %q: %w", spec.Name, err)
+	}
+	j.offsetSec = f.nowSec
+	j.warmStarted, j.warmSourceRate = warm, warmRate
+	if warm {
+		// The preloaded model is already in the shared library — do not
+		// publish it back at the next barrier.
+		j.published[warmRate] = true
+	}
+	f.register(j)
+	if f.inst != nil {
+		f.inst.submitted.Inc()
+	}
+	sp.SetBool("granted", true)
+	sp.SetBool("warm_started", warm)
+	return nil
+}
+
+// admissible is the admission check Submit and Restore share: the name is
+// free and the demand fits what is left of the core budget. The spec is
+// validated, so both factors are positive; dividing instead of
+// multiplying keeps a hostile snapshot's huge factors from overflowing
+// their way past the budget.
+func (f *Fleet) admissible(spec *JobSpec) error {
+	if _, exists := f.jobs[spec.Name]; exists {
+		return fmt.Errorf("%w: %q", ErrDuplicateJob, spec.Name)
+	}
+	if spec.Machines > (f.cfg.TotalCores-f.usedCores)/spec.CoresPerMachine {
 		return fmt.Errorf("%w: job %q needs %d cores, %d of %d in use",
 			ErrAdmissionRejected, spec.Name, spec.cores(), f.usedCores, f.cfg.TotalCores)
 	}
+	return nil
+}
 
+// build assembles a job's runtime — dedicated cluster, chaos injector,
+// buffered trace conduit, engine, policy, controller, in the seeded
+// order every golden pins — and is the only place the fleet constructs
+// any of them. Submit passes a derived seed, the warm-start library and
+// nil (the workload's initial parallelism); Restore passes the
+// snapshot's. The job comes back running, with its time origin, history
+// and lifecycle state for the caller to fill in before register.
+func (f *Fleet) build(spec JobSpec, seed uint64, lib *transfer.ModelLibrary, par dataflow.ParallelismVector) (*job, error) {
 	machines := make([]cluster.Machine, spec.Machines)
 	for i := range machines {
 		machines[i] = cluster.Machine{
@@ -416,91 +464,84 @@ func (f *Fleet) Submit(spec JobSpec) error {
 	}
 	cl, err := cluster.New(cluster.Config{Machines: machines})
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	seed := deriveSeed(f.cfg.Seed, spec.Name)
 	var injector *chaos.Injector
 	if f.cfg.Chaos.Enabled() {
 		injector = chaos.New(f.cfg.Chaos, seed)
 	}
-
-	lib, warmRate, warm := f.warmStartLibrary(spec)
-
 	// The job's engine and controller emit through a buffered conduit:
 	// spans accumulate locally while a pool worker steps the job and are
 	// flushed to the shared ring in one batch at the round barrier.
 	jobTracer := f.cfg.Tracer.Buffered()
 	engine, err := workloads.NewEngine(spec.Workload, workloads.EngineOptions{
-		JobName:  spec.Name,
-		Schedule: spec.Schedule,
-		Seed:     seed,
-		Cluster:  cl,
-		Store:    f.cfg.Store,
-		Tracer:   jobTracer,
-		Chaos:    injector,
+		JobName:            spec.Name,
+		Schedule:           spec.Schedule,
+		InitialParallelism: par,
+		Seed:               seed,
+		Cluster:            cl,
+		Store:              f.cfg.Store,
+		Tracer:             jobTracer,
+		Chaos:              injector,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var pol core.Policy
-	if spec.Policy != nil {
-		pol, err = spec.Policy(PolicyEnv{
-			Job:             spec.Name,
-			TargetLatencyMS: spec.TargetLatencyMS,
-			Seed:            seed,
-			MaxIterations:   spec.MaxIterations,
-			Library:         lib,
-			Tracer:          jobTracer,
-		})
-		if err != nil {
-			return fmt.Errorf("fleet: job %q policy: %w", spec.Name, err)
-		}
-	}
-	ctl, err := core.NewController(engine, core.ControllerConfig{
+	env := PolicyEnv{
 		TargetLatencyMS: spec.TargetLatencyMS,
 		MaxIterations:   spec.MaxIterations,
 		Seed:            seed,
 		Library:         lib,
 		Tracer:          jobTracer,
+	}
+	var pol core.Policy
+	if spec.Policy != nil {
+		if pol, err = spec.Policy(env); err != nil {
+			return nil, fmt.Errorf("policy: %w", err)
+		}
+	}
+	ctl, err := core.NewController(engine, core.ControllerConfig{
+		TargetLatencyMS: env.TargetLatencyMS,
+		MaxIterations:   env.MaxIterations,
+		Seed:            env.Seed,
+		Library:         env.Library,
+		Tracer:          env.Tracer,
 		Policy:          pol,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
+	return &job{
+		spec:      spec,
+		seed:      seed,
+		engine:    engine,
+		ctl:       ctl,
+		state:     StateRunning,
+		tracer:    jobTracer,
+		published: map[float64]bool{},
+	}, nil
+}
 
-	j := &job{
-		spec:           spec,
-		seed:           seed,
-		seq:            f.submitSeq,
-		engine:         engine,
-		ctl:            ctl,
-		state:          StateRunning,
-		tracer:         jobTracer,
-		offsetSec:      f.nowSec,
-		warmStarted:    warm,
-		warmSourceRate: warmRate,
-		published:      map[float64]bool{},
-	}
+// register puts a built job in the next submission slot: the name map,
+// the barrier order, the core budget, the health aggregate and — unless
+// it is quarantined, which holds capacity and stays inspectable but is
+// never stepped again — the wheel. Caller holds f.mu.
+func (f *Fleet) register(j *job) {
+	j.seq = f.submitSeq
 	f.submitSeq++
-	if warm {
-		// The preloaded model is already in the shared library — do not
-		// publish it back at the next barrier.
-		j.published[warmRate] = true
-	}
-	f.jobs[spec.Name] = j
-	f.order = append(f.order, spec.Name)
-	f.usedCores += spec.cores()
+	f.jobs[j.spec.Name] = j
+	f.order = append(f.order, j.spec.Name)
+	f.usedCores += j.spec.cores()
 	f.healthAdmit(j)
-	// The engine clock starts at 0, so the job is due at the next round.
-	f.wheel.push(wheelEntry{key: j.offsetSec + j.engine.Now(), seq: j.seq, job: j})
-	j.tracer.Flush() // construction-time spans
-	if f.inst != nil {
-		f.inst.submitted.Inc()
+	if j.state == StateQuarantined {
+		f.healthQuarantine(j)
+	} else {
+		// A fresh engine's clock is at 0, so the job is due at its time
+		// origin: the next round for a submission, the persisted due time
+		// for a restore.
+		f.wheel.push(wheelEntry{key: j.offsetSec + j.engine.Now(), seq: j.seq, job: j})
 	}
-	sp.SetBool("granted", true)
-	sp.SetBool("warm_started", warm)
-	return nil
+	j.tracer.Flush() // construction-time spans
 }
 
 // warmStartLibrary builds the controller library a submission starts
@@ -840,11 +881,7 @@ func (f *Fleet) JobNames() []string {
 func (f *Fleet) SharedModelRates() map[string][]float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make(map[string][]float64, len(f.shared))
-	for sig, lib := range f.shared {
-		out[sig] = lib.Rates()
-	}
-	return out
+	return f.SharedModelRatesLocked()
 }
 
 // StaggeredJobs builds n copies of a workload with input rates spread

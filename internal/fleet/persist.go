@@ -18,8 +18,6 @@ import (
 	"sort"
 
 	"autrascale/internal/chaos"
-	"autrascale/internal/cluster"
-	"autrascale/internal/core"
 	"autrascale/internal/dataflow"
 	"autrascale/internal/metrics"
 	"autrascale/internal/persist"
@@ -208,168 +206,106 @@ func Restore(st *persist.FleetState, opts RestoreOptions) (*Fleet, error) {
 		opts.Store.DropTagged("job", names...)
 	}
 	for i := range st.Jobs {
-		if err := f.restoreJob(&st.Jobs[i], i); err != nil {
+		if err := f.restoreJob(&st.Jobs[i]); err != nil {
 			return nil, err
 		}
 	}
-	f.submitSeq = len(st.Jobs)
 	return f, nil
 }
 
-// restoreJob rebuilds one job in its persisted submission slot. Caller
-// owns f exclusively (restore runs before the fleet is shared).
-func (f *Fleet) restoreJob(js *persist.JobState, seq int) error {
+// restoreJob readmits one job into the next submission slot: the same
+// validate → admissible → build → register path as Submit, fed from the
+// snapshot instead of defaults and derivations, plus the position only a
+// snapshot knows. Caller owns f exclusively (restore runs before the
+// fleet is shared).
+func (f *Fleet) restoreJob(js *persist.JobState) error {
 	fail := func(err error) error {
 		return fmt.Errorf("fleet: restore job %q: %w", js.Name, err)
 	}
-	if _, exists := f.jobs[js.Name]; exists {
-		return fail(ErrDuplicateJob)
-	}
-	var state State
-	switch State(js.State) {
-	case StateRunning, StateQuarantined:
-		state = State(js.State)
-	default:
+	state := State(js.State)
+	if state != StateRunning && state != StateQuarantined {
 		return fail(fmt.Errorf("unknown job state %q", js.State))
 	}
-	workload, ok := workloads.ByName(js.Workload)
-	if !ok {
-		return fail(fmt.Errorf("unknown workload %q (have %v)", js.Workload, workloads.Names()))
-	}
-	schedule, err := persist.BuildSchedule(js.Schedule)
+	spec, err := restoreSpec(js)
 	if err != nil {
 		return fail(err)
 	}
-	if f.usedCores+js.Machines*js.CoresPerMachine > f.cfg.TotalCores {
-		return fail(fmt.Errorf("%w: %d cores demanded beyond the snapshot's own budget of %d",
-			ErrAdmissionRejected, js.Machines*js.CoresPerMachine, f.cfg.TotalCores))
-	}
-
-	machines := make([]cluster.Machine, js.Machines)
-	for i := range machines {
-		machines[i] = cluster.Machine{
-			Name:  fmt.Sprintf("%s-m%d", js.Name, i+1),
-			Cores: js.CoresPerMachine,
-			MemMB: js.MemPerMachineMB,
-		}
-	}
-	cl, err := cluster.New(cluster.Config{Machines: machines})
-	if err != nil {
+	if err := spec.validate(); err != nil {
 		return fail(err)
 	}
-	var injector *chaos.Injector
-	if f.cfg.Chaos.Enabled() {
-		injector = chaos.New(f.cfg.Chaos, js.Seed)
+	if err := f.admissible(&spec); err != nil {
+		return fail(err)
 	}
-
 	lib, err := restoreLibrary(js.Library)
 	if err != nil {
 		return fail(err)
 	}
-	jobTracer := f.cfg.Tracer.Buffered()
-
-	par := make(dataflow.ParallelismVector, len(js.Parallelism))
-	copy(par, js.Parallelism)
-	engine, err := workloads.NewEngine(workload, workloads.EngineOptions{
-		JobName:            js.Name,
-		Schedule:           schedule,
-		InitialParallelism: par,
-		Seed:               js.Seed,
-		Cluster:            cl,
-		Store:              f.cfg.Store,
-		Tracer:             jobTracer,
-		Chaos:              injector,
-	})
+	// Non-nil even when empty: a snapshot without a parallelism vector is
+	// an error for the engine to name, not a request for the default.
+	par := append(dataflow.ParallelismVector{}, js.Parallelism...)
+	j, err := f.build(spec, js.Seed, lib, par)
 	if err != nil {
 		return fail(err)
 	}
-	engine.RestoreRNGState(js.RNGState)
-	engine.RestoreRestarts(js.Restarts)
-
-	// The policy comes back through the registry. "bo" (and the legacy
-	// empty name) takes the controller's nil-policy default so the
-	// restored library is adopted exactly as at submission; a quarantined
-	// job's policy is never stepped again, so it too takes the inert
-	// default rather than failing the whole restore on a name the
-	// registry may have dropped.
-	var pol core.Policy
-	if name := js.Controller.PolicyName; name != "" && name != "bo" && state == StateRunning {
-		pol, err = policy.Build(name, policy.Env{
-			TargetLatencyMS: js.TargetLatencyMS,
-			Seed:            js.Seed,
-			MaxIterations:   js.MaxIterations,
-			Library:         lib,
-			Tracer:          jobTracer,
-		})
-		if err != nil {
-			return fail(err)
-		}
-	}
-	ctl, err := core.NewController(engine, core.ControllerConfig{
-		TargetLatencyMS: js.TargetLatencyMS,
-		MaxIterations:   js.MaxIterations,
-		Seed:            js.Seed,
-		Library:         lib,
-		Tracer:          jobTracer,
-		Policy:          pol,
-	})
-	if err != nil {
-		return fail(err)
-	}
+	j.engine.RestoreRNGState(js.RNGState)
+	j.engine.RestoreRestarts(js.Restarts)
 	// SLO timestamps were captured in the old engine clock; the rebuilt
 	// engine restarts at zero.
 	ctlState := js.Controller
 	ctlState.SLO = ctlState.SLO.Shifted(-js.EngineNowSec)
-	ctl.RestoreState(ctlState)
+	j.ctl.RestoreState(ctlState)
 
-	j := &job{
-		spec: JobSpec{
-			Name:            js.Name,
-			Workload:        workload,
-			Schedule:        schedule,
-			RateRPS:         js.RateRPS,
-			TargetLatencyMS: js.TargetLatencyMS,
-			Machines:        js.Machines,
-			CoresPerMachine: js.CoresPerMachine,
-			MemPerMachineMB: js.MemPerMachineMB,
-			MaxIterations:   js.MaxIterations,
-			Signature:       js.Signature,
-		},
-		seed:   js.Seed,
-		seq:    seq,
-		engine: engine,
-		ctl:    ctl,
-		state:  state,
-		tracer: jobTracer,
-		// The rebuilt engine's clock restarts at zero, so the job's time
-		// origin moves to its persisted due time; the schedule's ShiftSec
-		// keeps the input rate a function of the original timeline.
-		offsetSec:      js.DueAtSec,
-		steps:          js.Steps,
-		warmStarted:    js.WarmStarted,
-		warmSourceRate: js.WarmSourceRate,
-		published:      make(map[float64]bool, len(js.PublishedRates)),
-	}
+	j.state = state
 	if js.Error != "" {
 		j.err = errors.New(js.Error)
 	}
+	// The rebuilt engine's clock restarts at zero, so the job's time
+	// origin moves to its persisted due time; the schedule's ShiftSec
+	// keeps the input rate a function of the original timeline.
+	j.offsetSec = js.DueAtSec
+	j.steps = js.Steps
+	j.warmStarted, j.warmSourceRate = js.WarmStarted, js.WarmSourceRate
 	for _, rate := range js.PublishedRates {
 		j.published[rate] = true
 	}
-
-	f.jobs[js.Name] = j
-	f.order = append(f.order, js.Name)
-	f.usedCores += j.spec.cores()
-	f.healthAdmit(j)
-	if state == StateQuarantined {
-		// Quarantined jobs hold capacity and stay inspectable but never
-		// re-enter the wheel.
-		f.healthQuarantine(j)
-	} else {
-		f.wheel.push(wheelEntry{key: js.DueAtSec, seq: seq, job: j})
-	}
-	j.tracer.Flush()
+	f.register(j)
 	return nil
+}
+
+// restoreSpec resolves a persisted job back into the spec it was
+// admitted with: workload and policy through their registries, the
+// schedule from its descriptor, every other field as captured.
+func restoreSpec(js *persist.JobState) (JobSpec, error) {
+	spec := JobSpec{
+		Name:            js.Name,
+		RateRPS:         js.RateRPS,
+		TargetLatencyMS: js.TargetLatencyMS,
+		Machines:        js.Machines,
+		CoresPerMachine: js.CoresPerMachine,
+		MemPerMachineMB: js.MemPerMachineMB,
+		MaxIterations:   js.MaxIterations,
+		Signature:       js.Signature,
+	}
+	var ok bool
+	if spec.Workload, ok = workloads.ByName(js.Workload); !ok {
+		return spec, fmt.Errorf("unknown workload %q (have %v)", js.Workload, workloads.Names())
+	}
+	var err error
+	if spec.Schedule, err = persist.BuildSchedule(js.Schedule); err != nil {
+		return spec, err
+	}
+	// The legacy empty name takes the controller's default planner. So
+	// does a quarantined job: its policy is never stepped again, and an
+	// inert default beats failing the whole restore on a name the
+	// registry may have dropped.
+	if name := js.Controller.PolicyName; name != "" && State(js.State) == StateRunning {
+		build, err := policy.Lookup(name)
+		if err != nil {
+			return spec, err
+		}
+		spec.Policy = build
+	}
+	return spec, nil
 }
 
 // restoreLibrary refits a library from persisted training data.

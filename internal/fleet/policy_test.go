@@ -7,7 +7,7 @@ import (
 
 	"autrascale/internal/core"
 	"autrascale/internal/flink"
-	policyds2 "autrascale/internal/policy/ds2"
+	"autrascale/internal/policy/ds2"
 )
 
 // failingPolicy dies on its first plan with a non-rescale error — the
@@ -32,7 +32,7 @@ func TestFleetPerJobPolicy(t *testing.T) {
 	}
 	ds2Job := testJob(t, "ds2-job", 1500)
 	ds2Job.Policy = func(env PolicyEnv) (core.Policy, error) {
-		return policyds2.New(policyds2.Config{Online: true}), nil
+		return ds2.New(ds2.Config{Online: true}), nil
 	}
 	if err := f.Submit(ds2Job); err != nil {
 		t.Fatal(err)

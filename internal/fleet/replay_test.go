@@ -12,6 +12,7 @@ import (
 	"autrascale/internal/core"
 	"autrascale/internal/kafka"
 	"autrascale/internal/persist"
+	"autrascale/internal/policy"
 	"autrascale/internal/trace"
 	"autrascale/internal/transfer"
 	"autrascale/internal/workloads"
@@ -33,7 +34,7 @@ func replayJob(t *testing.T, name string, rate float64) JobSpec {
 // snapshotThroughBytes round-trips a fleet's state through the real
 // on-disk format, so every restore in these tests exercises the
 // envelope, checksum, and JSON payload — not just in-memory structs.
-func snapshotThroughBytes(t *testing.T, f *Fleet) (*persist.FleetState, []byte) {
+func snapshotThroughBytes(t testing.TB, f *Fleet) (*persist.FleetState, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := persist.Encode(&buf, f.PersistState()); err != nil {
@@ -405,11 +406,62 @@ func TestRestoreCorruptSnapshot(t *testing.T) {
 	}
 	unknown.Jobs[0].Workload = st.Jobs[0].Workload
 	unknown.Jobs[0].Controller.PolicyName = "no-such-policy"
-	if fl, err := Restore(&unknown, RestoreOptions{}); err == nil || fl != nil {
-		t.Fatalf("unknown policy: fleet=%v err=%v, want nil fleet + error", fl, err)
+	_, lookupErr := policy.Lookup("no-such-policy")
+	fl, err := Restore(&unknown, RestoreOptions{})
+	if want := `fleet: restore job "solo": ` + lookupErr.Error(); fl != nil || err == nil || err.Error() != want {
+		t.Fatalf("unknown policy: fleet=%v err=%v, want nil fleet and %q", fl, err, want)
 	}
 	if _, err := Restore(nil, RestoreOptions{}); err == nil {
 		t.Fatal("nil snapshot restored")
+	}
+}
+
+// Restore runs the spec validation Submit runs. A snapshot carries
+// post-default values, so a field Submit would have defaulted is
+// corruption here: the restore names the job and the field and returns
+// no fleet — it neither fills the value in nor panics sizing a cluster
+// with it (machines: -1 used to end in makeslice).
+func TestRestoreRejectsInvalidSpec(t *testing.T) {
+	f, err := New(Config{TotalCores: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Submit(replayJob(t, "solo", 320e3)); err != nil {
+		t.Fatal(err)
+	}
+	f.RunUntil(300)
+	st, _ := snapshotThroughBytes(t, f)
+
+	for _, tc := range []struct {
+		field  string
+		mutate func(*persist.JobState)
+	}{
+		{"machines", func(js *persist.JobState) { js.Machines = -1 }},
+		{"machines", func(js *persist.JobState) { js.Machines = 0 }},
+		{"cores_per_machine", func(js *persist.JobState) { js.CoresPerMachine = 0 }},
+		{"mem_per_machine_mb", func(js *persist.JobState) { js.MemPerMachineMB = -65536 }},
+		{"max_iterations", func(js *persist.JobState) { js.MaxIterations = 0 }},
+		{"target_latency_ms", func(js *persist.JobState) { js.TargetLatencyMS = 0 }},
+		{"needs a name", func(js *persist.JobState) { js.Name = "" }},
+		// Factors whose product overflows to 0 must not slip past the budget.
+		{"admission rejected", func(js *persist.JobState) { js.Machines, js.CoresPerMachine = 1<<62, 4 }},
+	} {
+		bad := *st
+		bad.Jobs = append([]persist.JobState(nil), st.Jobs...)
+		tc.mutate(&bad.Jobs[0])
+		fl, err := Restore(&bad, RestoreOptions{})
+		if err == nil || fl != nil {
+			t.Fatalf("%s: restored=%t err=%v, want no fleet and an error", tc.field, fl != nil, err)
+		}
+		prefix := fmt.Sprintf("fleet: restore job %q: ", bad.Jobs[0].Name)
+		if msg := err.Error(); !strings.HasPrefix(msg, prefix) || !strings.Contains(msg, tc.field) {
+			t.Fatalf("err = %q, want prefix %q naming %q", msg, prefix, tc.field)
+		}
+	}
+	// The untouched snapshot still restores: the table failed on its
+	// mutations, not on the fixture.
+	if _, err := Restore(st, RestoreOptions{}); err != nil {
+		t.Fatal(err)
 	}
 }
 

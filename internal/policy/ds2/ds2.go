@@ -1,110 +1,183 @@
-// Package ds2 adapts the DS2 baseline (internal/baselines/ds2) to the
-// core.Policy interface, making the linear rule a tournament contender
-// that runs under the same controller, chaos profile, and trace surface
-// as the paper's planner.
+// Package ds2 reproduces DS2 (Kalavri et al., OSDI 2018), the
+// state-of-the-art dataflow auto-scaler AuTraScale compares against.
 //
-// Two variants:
+// DS2 instruments operators for their *true* processing/output rates and
+// computes, in one shot per iteration, the parallelism each operator
+// needs for the job to sustain the source rate, assuming performance
+// scales linearly with instances:
 //
-//   - offline (the default): on every trigger, iterate DS2's
-//     measure→rule→reconfigure loop until the rule reaches its fixed
-//     point, the throughput target is met, or the iteration budget runs
-//     out — the mode DS2's paper evaluates, paying simulated time for
-//     each intermediate measurement;
-//   - online: apply the rule once per trigger and let the controller's
-//     next monitoring window judge it — DS2's one-shot-per-interval
-//     deployment loop.
+//	k_i = ceil(lambda_i / v̄_i)
+//
+// where lambda_i is the arrival rate operator i would see at the target
+// source rate and v̄_i its measured per-instance true rate. The paper's
+// criticism (and AuTraScale's Eq. 3 extension) is twofold: the linear
+// assumption ignores interference, and when an external bottleneck caps
+// an operator's rate DS2 keeps prescribing ever-larger parallelism and
+// never converges — it has no same-configuration termination rule.
+//
+// The package holds both halves of the contender: Policy is the rule and
+// Run its offline loop (the paper's Fig. 8 baseline); Adapter puts the
+// same rule behind core.Policy for the registry, the fleet and the
+// tournament.
 package ds2
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
-	baseds2 "autrascale/internal/baselines/ds2"
-	"autrascale/internal/core"
+	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
 )
 
-// Config parameterizes the adapter.
-type Config struct {
-	// MaxIterations bounds the offline loop per trigger (default 8).
-	MaxIterations int
-	// Online applies the rule once per trigger instead of iterating.
-	Online bool
-}
-
-// Policy implements core.Policy with the DS2 linear rule.
+// Policy computes DS2 scaling decisions.
 type Policy struct {
-	cfg Config
+	// PMax caps each operator's parallelism (the resource ceiling).
+	PMax int
+	// TargetRate is the source rate (records/s) the job must sustain.
+	TargetRate float64
+	// Epsilon is the relative slack for declaring the throughput target
+	// met (default 0.02).
+	Epsilon float64
+	// TargetUtilization is the deployment headroom u applied to the
+	// linear rule: k_i = ceil(lambda_i / (u·v̄_i)). 1.0 (the default)
+	// is the pure paper rule; production deployments commonly size for
+	// u ≈ 0.8–0.9 to keep clear of backpressure, which is the setting
+	// the Fig. 8 comparison uses.
+	TargetUtilization float64
 }
 
-// New builds the adapter.
-func New(cfg Config) *Policy {
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = 8
+// NewPolicy validates and builds a Policy.
+func NewPolicy(pmax int, targetRate float64) (*Policy, error) {
+	if pmax < 1 {
+		return nil, errors.New("ds2: PMax must be >= 1")
 	}
-	return &Policy{cfg: cfg}
+	if targetRate <= 0 {
+		return nil, errors.New("ds2: target rate must be > 0")
+	}
+	return &Policy{PMax: pmax, TargetRate: targetRate, Epsilon: 0.02, TargetUtilization: 1.0}, nil
 }
 
-// Name implements core.Policy.
-func (p *Policy) Name() string {
-	if p.cfg.Online {
-		return "ds2-online"
+// Step computes DS2's next configuration from a measurement: it projects
+// arrival rates through the DAG at the target source rate and sizes each
+// operator by the linear rule. Measured true rates of zero (an operator
+// that saw no data) fall back to keeping the current parallelism.
+func (p *Policy) Step(g *dataflow.Graph, m flink.Measurement) (dataflow.ParallelismVector, error) {
+	n := g.NumOperators()
+	if len(m.TrueRatePerInstance) != n || len(m.Par) != n {
+		return nil, fmt.Errorf("ds2: measurement has %d operators, graph has %d",
+			len(m.TrueRatePerInstance), n)
 	}
-	return "ds2"
-}
-
-// Plan implements core.Policy: size every operator by the linear rule
-// for the trigger's rate. DS2 has no latency model, so rate-change and
-// QoS triggers take the same path — the rule either prescribes a new
-// configuration or it has nothing to offer.
-func (p *Policy) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, error) {
-	// The pure paper rule (utilization 1), capped at the cluster's
-	// ceiling, with NewPolicy's 2% throughput slack. Built as a literal
-	// because a zero-rate trigger must size to the floor, not error.
-	rule := &baseds2.Policy{
-		PMax:              e.Cluster().MaxParallelism(),
-		TargetRate:        req.RateRPS,
-		Epsilon:           0.02,
-		TargetUtilization: 1,
+	next := make(dataflow.ParallelismVector, n)
+	// proj[i] accumulates the projected arrival rate at operator i when
+	// the source runs at the target rate.
+	proj := make([]float64, n)
+	for _, src := range g.Sources() {
+		proj[src] = p.TargetRate
 	}
-	m := req.Window
-	chosen := m.Par.Clone()
-	iters, rescales := 0, 0
-	for iters < p.cfg.MaxIterations {
-		next, err := rule.Step(e.Graph(), m)
-		if err != nil {
-			return core.PlanResult{}, err
+	u := p.TargetUtilization
+	if u <= 0 || u > 1 {
+		u = 1
+	}
+	for _, i := range g.TopoOrder() {
+		v := m.TrueRatePerInstance[i]
+		if v <= 0 {
+			next[i] = m.Par[i]
+		} else {
+			k := int(math.Ceil(proj[i] / (u * v)))
+			if k < 1 {
+				k = 1
+			}
+			if k > p.PMax {
+				k = p.PMax
+			}
+			next[i] = k
 		}
-		iters++
-		if next.Equal(m.Par) {
-			break // the rule's fixed point: more iterations change nothing
+		out := proj[i] * g.Operator(i).Selectivity
+		for _, s := range g.Successors(i) {
+			proj[s] += out
+		}
+	}
+	return next, nil
+}
+
+// TargetMet reports whether the measured throughput sustains the target
+// rate within Epsilon.
+func (p *Policy) TargetMet(throughput float64) bool {
+	return throughput >= p.TargetRate*(1-p.Epsilon)
+}
+
+// Result summarizes an offline DS2 run.
+type Result struct {
+	Final      dataflow.ParallelismVector
+	Iterations int
+	Converged  bool // throughput target reached
+	History    []IterationRecord
+}
+
+// IterationRecord captures one reconfigure-run-measure cycle.
+type IterationRecord struct {
+	Par           dataflow.ParallelismVector
+	ThroughputRPS float64
+	ProcLatencyMS float64
+	CPUUsedCores  float64
+	MemUsedMB     float64
+}
+
+// RunOptions controls Run.
+type RunOptions struct {
+	// MaxIterations bounds the loop; DS2 itself has no same-config
+	// termination, so a runaway external bottleneck hits this bound
+	// (default 10).
+	MaxIterations int
+	// WarmupSec/MeasureSec define the policy running window per
+	// iteration (defaults 30/120 simulated seconds).
+	WarmupSec, MeasureSec float64
+}
+
+func (o *RunOptions) defaults() {
+	if o.MaxIterations <= 0 {
+		o.MaxIterations = 10
+	}
+	if o.WarmupSec <= 0 {
+		o.WarmupSec = 30
+	}
+	if o.MeasureSec <= 0 {
+		o.MeasureSec = 120
+	}
+}
+
+// Run executes DS2 in offline mode against the engine: measure, compute,
+// reconfigure, repeat until the throughput target is met or the iteration
+// budget is exhausted (DS2's missing termination rule, §III-C).
+func (p *Policy) Run(e *flink.Engine, opts RunOptions) (Result, error) {
+	opts.defaults()
+	var res Result
+	m := e.MeasureSteady(opts.WarmupSec, opts.MeasureSec)
+	for iter := 0; iter < opts.MaxIterations; iter++ {
+		res.History = append(res.History, IterationRecord{
+			Par:           m.Par.Clone(),
+			ThroughputRPS: m.ThroughputRPS,
+			ProcLatencyMS: m.ProcLatencyMS,
+			CPUUsedCores:  m.CPUUsedCores,
+			MemUsedMB:     m.MemUsedMB,
+		})
+		res.Iterations = iter + 1
+		if p.TargetMet(m.ThroughputRPS) {
+			res.Converged = true
+			res.Final = m.Par.Clone()
+			return res, nil
+		}
+		next, err := p.Step(e.Graph(), m)
+		if err != nil {
+			return res, err
 		}
 		if err := e.SetParallelism(next); err != nil {
-			return core.PlanResult{}, err // ErrRescaleFailed → controller degrades
+			return res, err
 		}
-		rescales++
-		chosen = next.Clone()
-		if p.cfg.Online {
-			break // one shot; the next monitoring window judges it
-		}
-		m = e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec)
-		if rule.TargetMet(m.ThroughputRPS) {
-			break
-		}
+		m = e.MeasureSteady(opts.WarmupSec, opts.MeasureSec)
 	}
-	req.Span.SetStr("policy", p.Name())
-	req.Span.SetInt("policy_iterations", iters)
-	req.Span.SetInt("policy_rescales", rescales)
-	rep := core.DecisionReport{
-		TimeSec: req.TimeSec,
-		Action:  core.ActionPolicy,
-		Reason: fmt.Sprintf("%s: linear rule for %.0f rps (%d iteration(s), %d rescale(s), trigger %s)",
-			p.Name(), req.RateRPS, iters, rescales, req.Trigger),
-		RateRPS:    req.RateRPS,
-		Chosen:     chosen,
-		LatencyMS:  m.ProcLatencyMS,
-		Met:        !p.cfg.Online && rule.TargetMet(m.ThroughputRPS),
-		Iterations: iters,
-		Trials:     rescales,
-	}
-	return core.PlanResult{Par: chosen, Report: rep}, nil
+	res.Final = m.Par.Clone()
+	res.Converged = p.TargetMet(m.ThroughputRPS)
+	return res, nil
 }

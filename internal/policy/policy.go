@@ -1,72 +1,48 @@
 // Package policy is the registry of scaling-policy contenders: the
 // paper's BO/transfer planner and the DS2/DRS baselines, each behind the
 // core.Policy interface so one controller, one chaos profile, one
-// trace/flight surface, and one SLO tracker drive them all. The
-// tournament (internal/experiments) and the fleet's per-job policy
-// builders resolve contenders by name through Build.
+// trace/flight surface, and one SLO tracker drive them all. Everything
+// that turns a contender's name into a policy — the tournament, the admin
+// API, a snapshot restore — resolves it through Lookup; the builder it
+// returns is assignable to fleet.JobSpec.Policy as is.
 package policy
 
 import (
 	"fmt"
 	"sort"
 
-	"autrascale/internal/baselines/drs"
 	"autrascale/internal/core"
-	policydrs "autrascale/internal/policy/drs"
-	policyds2 "autrascale/internal/policy/ds2"
-	"autrascale/internal/trace"
-	"autrascale/internal/transfer"
+	"autrascale/internal/policy/drs"
+	"autrascale/internal/policy/ds2"
 )
 
-// Env is the per-job context a policy builder sees: the targets the job
-// was admitted with plus the controller plumbing (tracer, shared model
-// library, seed). Builders ignore fields their policy has no use for —
-// DS2 never reads TargetLatencyMS, and only BO touches the library.
-type Env struct {
-	// TargetLatencyMS is the job's latency requirement l_t.
-	TargetLatencyMS float64
-	// Seed drives any stochastic choices (BO's optimizer).
-	Seed uint64
-	// MaxIterations bounds a policy's per-trigger planning loop; 0 takes
-	// each policy's default.
-	MaxIterations int
-	// Library is the transfer-model library BO should adopt (nil: fresh).
-	Library *transfer.ModelLibrary
-	// Tracer threads through planning spans (nil disables).
-	Tracer *trace.Tracer
-}
+// Env is the planner environment a builder sees (core.PolicyEnv): the
+// targets the job was admitted with plus the controller plumbing.
+type Env = core.PolicyEnv
 
 // builders maps contender names to constructors.
 var builders = map[string]func(Env) (core.Policy, error){
 	"bo": func(env Env) (core.Policy, error) {
-		return core.NewBOPolicy(core.BOConfig{
-			TargetLatencyMS: env.TargetLatencyMS,
-			MaxIterations:   env.MaxIterations,
-			Seed:            env.Seed,
-			Library:         env.Library,
-			Tracer:          env.Tracer,
-		})
+		return core.NewBOPolicy(env)
 	},
 	"ds2": func(env Env) (core.Policy, error) {
-		return policyds2.New(policyds2.Config{MaxIterations: env.MaxIterations}), nil
+		return ds2.New(ds2.Config{MaxIterations: env.MaxIterations}), nil
 	},
 	"ds2-online": func(env Env) (core.Policy, error) {
-		return policyds2.New(policyds2.Config{Online: true}), nil
+		return ds2.New(ds2.Config{Online: true}), nil
 	},
-	"drs-true": func(env Env) (core.Policy, error) {
-		return policydrs.New(policydrs.Config{
-			Variant:         drs.VariantTrueRate,
+	"drs-true":     drsBuilder(drs.VariantTrueRate),
+	"drs-observed": drsBuilder(drs.VariantObservedRate),
+}
+
+func drsBuilder(v drs.Variant) func(Env) (core.Policy, error) {
+	return func(env Env) (core.Policy, error) {
+		return drs.New(drs.Config{
+			Variant:         v,
 			TargetLatencyMS: env.TargetLatencyMS,
 			MaxIterations:   env.MaxIterations,
 		})
-	},
-	"drs-observed": func(env Env) (core.Policy, error) {
-		return policydrs.New(policydrs.Config{
-			Variant:         drs.VariantObservedRate,
-			TargetLatencyMS: env.TargetLatencyMS,
-			MaxIterations:   env.MaxIterations,
-		})
-	},
+	}
 }
 
 // Names lists the registered contenders, sorted for stable iteration
@@ -80,11 +56,22 @@ func Names() []string {
 	return out
 }
 
-// Build constructs the named policy for the environment.
-func Build(name string, env Env) (core.Policy, error) {
+// Lookup resolves a contender's name to its builder. An unknown name is
+// the same error wherever it is typed — a tournament axis, an admin
+// request, a snapshot.
+func Lookup(name string) (func(Env) (core.Policy, error), error) {
 	b, ok := builders[name]
 	if !ok {
-		return nil, fmt.Errorf("policy: unknown policy %q (have %v)", name, Names())
+		return nil, fmt.Errorf("unknown policy %q (have %v)", name, Names())
+	}
+	return b, nil
+}
+
+// Build constructs the named policy for the environment.
+func Build(name string, env Env) (core.Policy, error) {
+	b, err := Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return b(env)
 }

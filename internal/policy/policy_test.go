@@ -25,9 +25,6 @@ func TestRegistry(t *testing.T) {
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("Names() = %v, want %v", names, want)
 	}
-	if _, err := Build("nope", Env{}); err == nil {
-		t.Fatal("unknown policy should error")
-	}
 	for _, name := range names {
 		pol, err := Build(name, Env{TargetLatencyMS: 200, Seed: 3})
 		if err != nil {
@@ -47,6 +44,34 @@ func TestRegistry(t *testing.T) {
 		if _, err := Build(name, Env{}); err != nil {
 			t.Fatalf("Build(%q) without TargetLatencyMS: %v", name, err)
 		}
+	}
+}
+
+// Lookup is the one way a name becomes a builder: every registered name
+// resolves to a builder whose policy reports that name back, and an
+// unknown name is one message — the text the restore, admin-API and
+// tournament tests compare their own errors against.
+func TestLookup(t *testing.T) {
+	for _, name := range Names() {
+		build, err := Lookup(name)
+		if err != nil {
+			t.Fatalf("Lookup(%q): %v", name, err)
+		}
+		pol, err := build(Env{TargetLatencyMS: 200, Seed: 3})
+		if err != nil {
+			t.Fatalf("Lookup(%q) builder: %v", name, err)
+		}
+		if pol.Name() != name {
+			t.Fatalf("Lookup(%q) builds %q — registry names must round-trip", name, pol.Name())
+		}
+	}
+	const want = `unknown policy "nope" (have [bo drs-observed drs-true ds2 ds2-online])`
+	build, err := Lookup("nope")
+	if build != nil || err == nil || err.Error() != want {
+		t.Fatalf("Lookup(nope) = builder %t, err %v; want no builder and %q", build != nil, err, want)
+	}
+	if _, berr := Build("nope", Env{}); berr == nil || berr.Error() != want {
+		t.Fatalf("Build(nope) = %v, want Lookup's error %q", berr, want)
 	}
 }
 
