@@ -37,8 +37,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if res.Model == nil {
 		t.Fatal("no benefit model")
 	}
-	var bm autrascale.BenefitModel = res.Model
-	if v := bm.PredictMean(res.Best.Par.Floats()); v <= 0 {
+	if v := res.Model.PredictMean(res.Best.Par.Floats()); v <= 0 {
 		t.Fatalf("model prediction = %v", v)
 	}
 }
@@ -82,16 +81,6 @@ func TestFacadeCustomJob(t *testing.T) {
 func TestFacadeHelpers(t *testing.T) {
 	if autrascale.UniformParallelism(3, 2).Total() != 6 {
 		t.Fatal("UniformParallelism wrong")
-	}
-	if autrascale.ExpectedImprovement(1, 0, 0, 0.01) != 0 {
-		t.Fatal("EI with zero std should be 0")
-	}
-	if len(autrascale.AllWorkloads()) != 4 {
-		t.Fatal("AllWorkloads should list 4 specs")
-	}
-	sched := autrascale.IncreasingRate(100, 50, 60)
-	if sched.RateAt(61) != 150 {
-		t.Fatal("IncreasingRate wrong")
 	}
 	if autrascale.NewMetricsStore().Len() != 0 {
 		t.Fatal("fresh store should be empty")

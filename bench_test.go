@@ -355,22 +355,8 @@ func BenchmarkPredictBatch(b *testing.B) {
 }
 
 // BenchmarkBOSuggest measures one full suggestion (refit + candidate pool
-// + EI maximization) at realistic observation counts, with the default
-// (GOMAXPROCS-wide) acquisition sweep.
-func BenchmarkBOSuggest(b *testing.B) { benchBOSuggest(b, 0) }
-
-// BenchmarkBOSuggestSerial pins the sweep to one worker; comparing it
-// against BenchmarkBOSuggestParallel isolates the parallel speedup. The
-// two must also produce identical suggestions (see
-// TestSuggestSerialParallelIdentical).
-func BenchmarkBOSuggestSerial(b *testing.B) { benchBOSuggest(b, 1) }
-
-// BenchmarkBOSuggestParallel is the GOMAXPROCS-wide sweep, named
-// explicitly for side-by-side comparison with the serial variant.
-func BenchmarkBOSuggestParallel(b *testing.B) { benchBOSuggest(b, 0) }
-
-func benchBOSuggest(b *testing.B, workers int) {
-	b.Helper()
+// + EI maximization) at realistic observation counts.
+func BenchmarkBOSuggest(b *testing.B) {
 	space, err := bo.NewSpace(dataflow.ParallelismVector{3, 4, 12, 10}, 60)
 	if err != nil {
 		b.Fatal(err)
@@ -379,7 +365,7 @@ func benchBOSuggest(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		opt, err := bo.NewOptimizer(bo.OptimizerConfig{Space: space, Seed: uint64(i), SweepWorkers: workers})
+		opt, err := bo.NewOptimizer(bo.OptimizerConfig{Space: space, Seed: uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}

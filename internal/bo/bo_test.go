@@ -1,6 +1,7 @@
 package bo
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -253,9 +254,6 @@ func TestOptimizerValidation(t *testing.T) {
 		t.Fatal("empty space should error")
 	}
 	s := mustSpace(t, dataflow.ParallelismVector{1, 1}, 8)
-	if _, err := NewOptimizer(OptimizerConfig{Space: s, Xi: -1}); err == nil {
-		t.Fatal("negative xi should error")
-	}
 	o, err := NewOptimizer(OptimizerConfig{Space: s})
 	if err != nil {
 		t.Fatal(err)
@@ -351,15 +349,6 @@ func TestOptimizerPredict(t *testing.T) {
 	}
 }
 
-func TestUpperConfidenceBound(t *testing.T) {
-	if got := UpperConfidenceBound(1, 0.5, 2); got != 2 {
-		t.Fatalf("UCB = %v, want 2", got)
-	}
-	if got := UpperConfidenceBound(1, -3, 2); got != 1 {
-		t.Fatalf("negative std should clamp: %v", got)
-	}
-}
-
 func TestSuggestAcqModes(t *testing.T) {
 	s := mustSpace(t, dataflow.ParallelismVector{1, 1}, 10)
 	o, err := NewOptimizer(OptimizerConfig{Space: s, Seed: 21})
@@ -371,33 +360,73 @@ func TestSuggestAcqModes(t *testing.T) {
 		dy := float64(p[1] - 7)
 		return 1 - 0.02*(dx*dx+dy*dy)
 	}
+	evaluated := map[string]bool{}
 	for _, p := range []dataflow.ParallelismVector{{1, 1}, {10, 10}, {5, 5}, {2, 8}} {
 		if err := o.Add(Observation{Par: p, Score: score(p)}); err != nil {
 			t.Fatal(err)
 		}
+		evaluated[p.Key()] = true
 	}
-	for _, acq := range []Acquisition{AcqEI, AcqUCB, AcqMean} {
-		p, err := o.SuggestAcq(acq)
+	for _, exploit := range []bool{false, true} {
+		p, err := o.SuggestWith(exploit)
 		if err != nil {
-			t.Fatalf("acq %d: %v", acq, err)
+			t.Fatalf("exploit %v: %v", exploit, err)
 		}
-		if !s.Contains(p) {
-			t.Fatalf("acq %d suggested out-of-space %v", acq, p)
+		if !s.Contains(p) || evaluated[p.Key()] {
+			t.Fatalf("exploit %v suggested out-of-space or evaluated %v", exploit, p)
 		}
-	}
-	// UCB optimization loop also converges on the toy peak.
-	for i := 0; i < 20; i++ {
-		p, err := o.SuggestAcq(AcqUCB)
-		if err != nil {
-			t.Fatal(err)
+		want := AcqEI
+		if exploit {
+			want = AcqMean
 		}
-		if err := o.Add(Observation{Par: p, Score: score(p)}); err != nil {
-			t.Fatal(err)
+		if st, ok := o.LastSuggestion(); !ok || st.Acquisition != want || !st.Par.Equal(p) {
+			t.Fatalf("exploit %v: LastSuggestion = %+v (ok=%v)", exploit, st, ok)
 		}
 	}
-	best, _ := o.Best()
-	if best.Score < 0.95 {
-		t.Fatalf("UCB loop best = %v (%v), want near (3,7)", best.Score, best.Par)
+}
+
+// In both modes Suggest never returns an evaluated real point, right up
+// to and across the point where the space runs out — where it returns
+// ErrSpaceExhausted, and keeps returning it.
+func TestSuggestExhaustsSpace(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		base   dataflow.ParallelismVector
+		pmax   int
+		points int
+	}{
+		{"1-point", dataflow.ParallelismVector{4, 4}, 4, 1},
+		{"4-point", dataflow.ParallelismVector{1, 1}, 2, 4},
+	} {
+		for _, exploit := range []bool{false, true} {
+			s := mustSpace(t, tc.base, tc.pmax)
+			o, err := NewOptimizer(OptimizerConfig{Space: s, Seed: 5, Exploit: exploit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[string]bool{tc.base.Key(): true}
+			if err := o.Add(Observation{Par: tc.base, Score: 1}); err != nil {
+				t.Fatal(err)
+			}
+			for len(seen) < tc.points {
+				p, err := o.Suggest()
+				if err != nil {
+					t.Fatalf("%s exploit %v: %d of %d points tried: %v", tc.name, exploit, len(seen), tc.points, err)
+				}
+				if !s.Contains(p) || seen[p.Key()] {
+					t.Fatalf("%s exploit %v: suggested %v (evaluated: %v)", tc.name, exploit, p, seen)
+				}
+				seen[p.Key()] = true
+				if err := o.Add(Observation{Par: p, Score: 1 / float64(p.Total())}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 2; i++ {
+				if p, err := o.Suggest(); !errors.Is(err, ErrSpaceExhausted) {
+					t.Fatalf("%s exploit %v: exhausted space suggested %v, err %v", tc.name, exploit, p, err)
+				}
+			}
+		}
 	}
 }
 
@@ -432,14 +461,17 @@ func TestPickNearTie(t *testing.T) {
 	if got := pickNearTie([]float64{0, 0, 0}, []float64{1, 5, 3}, []bool{true, true, true}); got != 1 {
 		t.Fatalf("zero-EI tie = %d, want cheapest 1", got)
 	}
-	// Negative values (UCB with negative means) keep a sane band below
-	// the maximum rather than selecting everything.
+	// Negative values keep a sane band below the maximum rather than
+	// selecting everything.
 	if got := pickNearTie([]float64{-1.0, -0.5, -3.0}, []float64{9, 1, 9}, []bool{true, true, true}); got != 1 {
 		t.Fatalf("negative-value band = %d, want 1", got)
 	}
 }
 
-func TestSuggestSerialParallelIdentical(t *testing.T) {
+// Same seed + same observation sequence ⇒ identical suggestion, in EI and
+// mean mode, below and above the trust-region threshold: the goldens and
+// the `flightctl diff` gates stand on this.
+func TestSuggestDeterministic(t *testing.T) {
 	s := mustSpace(t, dataflow.ParallelismVector{2, 1, 3}, 40)
 	score := func(p dataflow.ParallelismVector) float64 {
 		v := 0.0
@@ -450,39 +482,35 @@ func TestSuggestSerialParallelIdentical(t *testing.T) {
 		return 1 + v
 	}
 	for _, seed := range []uint64{1, 42, 999} {
-		serial, err := NewOptimizer(OptimizerConfig{Space: s, Seed: seed, SweepWorkers: 1})
+		a, err := NewOptimizer(OptimizerConfig{Space: s, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := NewOptimizer(OptimizerConfig{Space: s, Seed: seed, SweepWorkers: 4})
+		b, err := NewOptimizer(OptimizerConfig{Space: s, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := stat.NewRNG(seed)
-		// Below and above the trust-region threshold, and across all
-		// acquisition modes, the suggestion must be bit-identical for any
-		// worker count: candidates are scored independently and reduced in
-		// index order.
-		for i := 0; i < 16; i++ {
+		for i := 0; i < trustAfter+4; i++ {
 			p := s.RandomPoint(rng)
 			ob := Observation{Par: p, Score: score(p)}
-			if err := serial.Add(ob); err != nil {
+			if err := a.Add(ob); err != nil {
 				t.Fatal(err)
 			}
-			if err := par.Add(ob); err != nil {
+			if err := b.Add(ob); err != nil {
 				t.Fatal(err)
 			}
 			if i < 4 {
 				continue // too few points to be interesting
 			}
-			for _, acq := range []Acquisition{AcqEI, AcqUCB, AcqMean} {
-				ps, err1 := serial.SuggestAcq(acq)
-				pp, err2 := par.SuggestAcq(acq)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("seed %d obs %d acq %d: serial err %v, parallel err %v", seed, i, acq, err1, err2)
+			for _, exploit := range []bool{false, true} {
+				pa, err1 := a.SuggestWith(exploit)
+				pb, err2 := b.SuggestWith(exploit)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("seed %d obs %d exploit %v: %v / %v", seed, i, exploit, err1, err2)
 				}
-				if err1 == nil && !ps.Equal(pp) {
-					t.Fatalf("seed %d obs %d acq %d: serial %v != parallel %v", seed, i, acq, ps, pp)
+				if !pa.Equal(pb) {
+					t.Fatalf("seed %d obs %d exploit %v: %v != %v", seed, i, exploit, pa, pb)
 				}
 			}
 		}

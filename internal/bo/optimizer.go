@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
-	"sync"
 
 	"autrascale/internal/dataflow"
 	"autrascale/internal/gp"
@@ -34,32 +32,21 @@ func ExpectedImprovement(mean, std, fBest, xi float64) float64 {
 	return ei
 }
 
-// UpperConfidenceBound is the GP-UCB acquisition value μ(x) + β·σ(x),
-// an alternative to EI (the paper evaluates EI; UCB is provided for the
-// acquisition ablation and downstream experimentation). β trades off
-// exploration; common values are 1–3.
-func UpperConfidenceBound(mean, std, beta float64) float64 {
-	if std < 0 {
-		std = 0
-	}
-	return mean + beta*std
-}
+// eiXi is the EI exploration parameter ξ of Eq. 5–7.
+const eiXi = 0.01
 
-// Acquisition selects the acquisition function Suggest maximizes.
-type Acquisition int
-
-// Acquisition functions.
+// Acquisition labels for SuggestionStats.Acquisition.
 const (
 	// AcqEI is expected improvement with ξ (the paper's choice, Eq. 5–7).
-	AcqEI Acquisition = iota
-	// AcqUCB is the upper confidence bound μ + β·σ.
-	AcqUCB
+	AcqEI = "ei"
 	// AcqMean is pure exploitation of the posterior mean.
-	AcqMean
+	AcqMean = "mean"
 )
 
-// ucbBeta is the exploration weight SuggestAcq uses for AcqUCB.
-const ucbBeta = 2.0
+// ErrSpaceExhausted is returned by Suggest when every configuration it
+// could propose has already been evaluated for real — a termination
+// condition for the caller's loop, not a failure.
+var ErrSpaceExhausted = errors.New("bo: no unevaluated candidates remain")
 
 // Observation is one evaluated configuration.
 type Observation struct {
@@ -75,10 +62,8 @@ type Observation struct {
 // the lattice.
 type Optimizer struct {
 	space   Space
-	xi      float64
 	exploit bool
 	rng     *stat.RNG
-	workers int
 	tracer  *trace.Tracer
 
 	obs   []Observation
@@ -97,8 +82,6 @@ type Optimizer struct {
 // OptimizerConfig configures NewOptimizer.
 type OptimizerConfig struct {
 	Space Space
-	// Xi is the EI exploration parameter (default 0.01).
-	Xi float64
 	// Seed drives the candidate sampling.
 	Seed uint64
 	// Exploit makes Suggest return the posterior-mean maximizer instead
@@ -107,11 +90,6 @@ type OptimizerConfig struct {
 	// the posterior variance that EI feeds on is not meaningful — the
 	// transferred mean surface is the signal to follow.
 	Exploit bool
-	// SweepWorkers caps the goroutines scoring acquisition candidates
-	// (0 = GOMAXPROCS, 1 = fully serial). The suggestion is bit-identical
-	// for any worker count: candidates are scored independently and
-	// reduced in index order.
-	SweepWorkers int
 	// Tracer records a span per suggestion (pool size, chosen candidate,
 	// its posterior and acquisition value). nil disables tracing at zero
 	// cost on the Suggest hot path.
@@ -131,19 +109,10 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 	if cfg.Space.Dim() == 0 {
 		return nil, errors.New("bo: empty space")
 	}
-	xi := cfg.Xi
-	if xi == 0 {
-		xi = 0.01
-	}
-	if xi < 0 {
-		return nil, errors.New("bo: negative xi")
-	}
 	return &Optimizer{
 		space:   cfg.Space,
-		xi:      xi,
 		exploit: cfg.Exploit,
 		rng:     stat.NewRNG(cfg.Seed ^ 0x51ab_c0ff_ee12_3457),
-		workers: cfg.SweepWorkers,
 		tracer:  cfg.Tracer,
 		index:   map[string]int{},
 	}, nil
@@ -158,11 +127,12 @@ type SuggestionStats struct {
 	Par dataflow.ParallelismVector
 	// Mean/Std are the GP posterior at Par when it was chosen.
 	Mean, Std float64
-	// AcqValue is the acquisition value at Par (EI or UCB; posterior mean
-	// when the suggestion came from pure exploitation).
+	// AcqValue is the acquisition value at Par (EI; posterior mean when
+	// the suggestion came from pure exploitation).
 	AcqValue float64
-	// Acquisition is the function the suggestion maximized.
-	Acquisition Acquisition
+	// Acquisition is the function the suggestion maximized (AcqEI or
+	// AcqMean).
+	Acquisition string
 	// FBest is the incumbent score the acquisition improved upon.
 	FBest float64
 	// PoolSize/Eligible count scored candidates and those not yet
@@ -236,8 +206,8 @@ func (o *Optimizer) Add(ob Observation) error {
 	return nil
 }
 
-// Best returns the best observation, preferring real samples; it returns
-// false when there are none.
+// Best returns the highest-scoring observation, real or estimated; it
+// returns false when there are none.
 func (o *Optimizer) Best() (Observation, bool) {
 	if len(o.obs) == 0 {
 		return Observation{}, false
@@ -284,24 +254,10 @@ func (o *Optimizer) Predict(p dataflow.ParallelismVector) (mean, std float64, er
 	return o.model.PredictStd(p.Floats())
 }
 
-// Suggest proposes the next configuration to evaluate: the EI-maximizing
-// lattice point over a candidate pool of random points, neighbors of the
-// best observation, and the bootstrap anchors. Already-evaluated real
-// points are excluded. When every candidate has zero EI the best
-// posterior-mean unevaluated point is returned (pure exploitation).
+// Suggest proposes the next configuration to evaluate in the optimizer's
+// configured mode (OptimizerConfig.Exploit).
 func (o *Optimizer) Suggest() (dataflow.ParallelismVector, error) {
 	return o.SuggestWith(o.exploit)
-}
-
-// SuggestWith proposes the next configuration using either the EI
-// acquisition (exploit=false) or pure posterior-mean exploitation
-// (exploit=true). Callers that alternate acquisition modes per iteration
-// (Algorithm 1 mixes exploration with exploitation) use this directly.
-func (o *Optimizer) SuggestWith(exploit bool) (dataflow.ParallelismVector, error) {
-	if exploit {
-		return o.SuggestAcq(AcqMean)
-	}
-	return o.SuggestAcq(AcqEI)
 }
 
 // resourceTerm is the analytic resource half of the scoring function
@@ -321,8 +277,7 @@ const tieBand = 0.1
 
 // trustAfter is the number of real observations after which the candidate
 // pool contracts to a trust region around the incumbent and the base
-// corner (see candidatePool), and the incumbent-start hill climb is
-// dropped (the contracted pool already blankets that neighborhood).
+// corner (see candidatePool).
 const trustAfter = 12
 
 // pickNearTie selects the suggestion among scored candidates: the argmax
@@ -334,8 +289,8 @@ const trustAfter = 12
 // Anchoring the band to the global maximum (two passes) rather than to a
 // running best avoids the degenerate streaming cases: there is an
 // explicit "no candidate yet" state, a zero maximum makes every zero-EI
-// candidate a tie (resolved by cost), and negative acquisition values
-// (UCB with negative means) keep a sane band below the max.
+// candidate a tie (resolved by cost), and negative values keep a sane
+// band below the max.
 func pickNearTie(acqVals, resources []float64, eligible []bool) int {
 	maxV := math.Inf(-1)
 	found := false
@@ -369,14 +324,6 @@ func pickNearTie(acqVals, resources []float64, eligible []bool) int {
 	return best
 }
 
-// sweepWorkers resolves the worker count for candidate scoring.
-func (o *Optimizer) sweepWorkers() int {
-	if o.workers > 0 {
-		return o.workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // posterior is a memoized GP prediction; std is NaN when only the mean
 // was computed.
 type posterior struct{ mean, std float64 }
@@ -395,79 +342,45 @@ func appendKey(b []byte, p dataflow.ParallelismVector) []byte {
 }
 
 // scoreCandidates fills acqVals[i], means[i], stds[i] for each encoded
-// candidate xs[i], sharding the pool across workers. The factorization is
-// read-only during the sweep and each worker owns a disjoint index range
-// plus its own gp.Workspace (the serial path reuses the caller's ws to
-// keep its kernel cache warm), so scoring is embarrassingly parallel and
-// the values — and therefore the suggestion — are bit-identical for any
-// worker count.
-func (o *Optimizer) scoreCandidates(ws *gp.Workspace, xs [][]float64, acqVals, means, stds []float64, acq Acquisition, fBest float64) {
-	scoreRange := func(ws *gp.Workspace, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			mean, v, err := o.model.PredictWS(ws, xs[i])
-			if err != nil {
-				acqVals[i] = math.Inf(-1)
-				means[i] = math.Inf(-1)
-				stds[i] = 0
-				continue
-			}
-			means[i] = mean
-			std := math.Sqrt(v)
-			stds[i] = std
-			if acq == AcqUCB {
-				acqVals[i] = UpperConfidenceBound(mean, std, ucbBeta)
-			} else {
-				acqVals[i] = ExpectedImprovement(mean, std, fBest, o.xi)
-			}
+// candidate xs[i], reusing the caller's ws to keep its kernel cache warm.
+func (o *Optimizer) scoreCandidates(ws *gp.Workspace, xs [][]float64, acqVals, means, stds []float64, fBest float64) {
+	for i, x := range xs {
+		mean, v, err := o.model.PredictWS(ws, x)
+		if err != nil {
+			acqVals[i] = math.Inf(-1)
+			means[i] = math.Inf(-1)
+			stds[i] = 0
+			continue
 		}
+		means[i] = mean
+		std := math.Sqrt(v)
+		stds[i] = std
+		acqVals[i] = ExpectedImprovement(mean, std, fBest, eiXi)
 	}
-	workers := o.sweepWorkers()
-	const minPerWorker = 16
-	if workers > len(xs)/minPerWorker {
-		workers = len(xs) / minPerWorker
-	}
-	if workers <= 1 {
-		scoreRange(ws, 0, len(xs))
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(xs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			wws := gp.GetWorkspace()
-			scoreRange(wws, lo, hi)
-			gp.PutWorkspace(wws)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
-// SuggestAcq proposes the next configuration maximizing the chosen
-// acquisition function over the candidate pool (with hill-climb
-// refinement). AcqUCB uses β = 2.
+// SuggestWith proposes the next configuration to evaluate: the maximizer
+// of EI (exploit=false) or of the posterior mean (exploit=true) over a
+// candidate pool of random points, neighbors of the best observation and
+// near-base samples, refined by hill climbs. Already-evaluated real
+// points are excluded; with none left it returns ErrSpaceExhausted. When
+// every candidate has zero EI the best posterior-mean unevaluated point is
+// returned. Callers that alternate modes per iteration (Algorithm 1 mixes
+// exploitation with exploration) use this directly.
 //
-// The pool is encoded once into a contiguous float buffer, scored in
-// parallel (see scoreCandidates), and reduced deterministically; the
-// leading EI and posterior-mean candidates are then refined by three
-// concurrent hill climbs whose results re-enter the same deterministic
-// selection.
-func (o *Optimizer) SuggestAcq(acq Acquisition) (dataflow.ParallelismVector, error) {
-	exploit := acq == AcqMean
+// The pool is encoded once into a contiguous float buffer and scored;
+// the leading EI and posterior-mean candidates are then refined by hill
+// climbs whose results re-enter the same selection.
+func (o *Optimizer) SuggestWith(exploit bool) (dataflow.ParallelismVector, error) {
 	if err := o.refit(); err != nil {
 		return nil, err
 	}
 	best, _ := o.Best()
 	fBest := best.Score
+	acq := AcqEI
+	if exploit {
+		acq = AcqMean
+	}
 
 	// All per-suggestion buffers come from the shared scratch pool (the
 	// fleet arena): a warm scratch makes the whole sweep-and-climb path
@@ -491,8 +404,8 @@ func (o *Optimizer) SuggestAcq(acq Acquisition) (dataflow.ParallelismVector, err
 	n := len(candidates)
 	sc.enc = floatsFor(sc.enc, n*dim, 0)
 	enc := sc.enc
-	if cap(sc.xs) < n+3 {
-		sc.xs = make([][]float64, 0, n+3)
+	if cap(sc.xs) < n {
+		sc.xs = make([][]float64, 0, n)
 	}
 	xs := sc.xs[:0]
 	for i, c := range candidates {
@@ -503,28 +416,28 @@ func (o *Optimizer) SuggestAcq(acq Acquisition) (dataflow.ParallelismVector, err
 		xs = append(xs, x)
 	}
 	sc.xs = xs
-	sc.acqVals = floatsFor(sc.acqVals, n, 3)
-	sc.means = floatsFor(sc.means, n, 3)
-	sc.stds = floatsFor(sc.stds, n, 3)
-	sc.resources = floatsFor(sc.resources, n, 3)
-	sc.eligible = boolsFor(sc.eligible, n, 3)
+	sc.acqVals = floatsFor(sc.acqVals, n, 2)
+	sc.means = floatsFor(sc.means, n, 2)
+	sc.stds = floatsFor(sc.stds, n, 2)
+	sc.resources = floatsFor(sc.resources, n, 2)
+	sc.eligible = boolsFor(sc.eligible, n, 2)
 	acqVals, means, stds := sc.acqVals, sc.means, sc.stds
 	resources, eligible := sc.resources, sc.eligible
 	for i, c := range candidates {
 		resources[i] = o.resourceTerm(c)
 		eligible[i] = !evaluated[candKeys[i]]
 	}
-	// sws serves every serial stage of this suggestion — sweep, climbs,
+	// sws serves every stage of this suggestion — sweep, climbs,
 	// climb-result scoring — so its memoized kernel values stay warm.
 	sws := gp.GetWorkspace()
 	defer gp.PutWorkspace(sws)
-	o.scoreCandidates(sws, xs, acqVals, means, stds, acq, fBest)
+	o.scoreCandidates(sws, xs, acqVals, means, stds, fBest)
 	// The hill climbs below revisit pool points heavily (their starts and
-	// neighborhoods came from the pool); share the sweep's posteriors with
-	// them as a read-only memo.
-	shared := sc.shared
+	// neighborhoods came from the pool); seed their memo with the sweep's
+	// posteriors.
+	memo := sc.memo
 	for i := range candidates {
-		shared[candKeys[i]] = posterior{means[i], stds[i]}
+		memo[candKeys[i]] = posterior{means[i], stds[i]}
 	}
 
 	bestIdx := pickNearTie(acqVals, resources, eligible)
@@ -532,118 +445,60 @@ func (o *Optimizer) SuggestAcq(acq Acquisition) (dataflow.ParallelismVector, err
 
 	// Refine the leading candidates by hill-climbing their objective over
 	// the lattice (stronger acquisition optimization than pool scanning
-	// alone; narrow score ridges need it). The climbs are independent —
-	// their starts are fixed by the pool sweep — so they run concurrently,
-	// and their results re-enter the deterministic selection in fixed
-	// order.
-	type climbSpec struct {
-		start dataflow.ParallelismVector
-		useEI bool
-	}
-	var specs []climbSpec
-	if bestIdx >= 0 {
-		specs = append(specs, climbSpec{candidates[bestIdx], true})
-	}
-	if meanIdx >= 0 {
-		specs = append(specs, climbSpec{candidates[meanIdx], false})
-	}
-	// The incumbent-start mean climb only pays off while the pool is still
-	// global: once it has contracted to the trust region, the incumbent's
-	// neighborhood is densely sampled and the climb from meanIdx covers the
-	// same basin.
-	if best.Par != nil && o.NumReal() < trustAfter &&
-		!(meanIdx >= 0 && best.Par.Equal(candidates[meanIdx])) {
-		specs = append(specs, climbSpec{best.Par, false})
-	}
-	results := make([]dataflow.ParallelismVector, len(specs))
-	// newClimber wraps a workspace with a memo on top of shared. The serial
-	// path reuses a single climber across all climbs and writes straight
-	// into shared (one map, one probe); the parallel path gives each climb
-	// its own overlay map so shared stays read-only under concurrency.
-	// Memoized posteriors are the values the model would recompute, so both
-	// paths pick identical suggestions.
-	newClimber := func(ws *gp.Workspace, local map[string]posterior, overlay bool) func(int) {
-		buf := make([]float64, dim)
-		ckb := make([]byte, 0, 4*dim)
-		predict := func(p dataflow.ParallelismVector, needStd bool) posterior {
-			ckb = appendKey(ckb[:0], p)
-			if pr, ok := local[string(ckb)]; ok && (!needStd || !math.IsNaN(pr.std)) {
-				return pr
-			}
-			if overlay {
-				if pr, ok := shared[string(ckb)]; ok && (!needStd || !math.IsNaN(pr.std)) {
-					return pr
-				}
-			}
-			for d, k := range p {
-				buf[d] = float64(k)
-			}
-			var pr posterior
-			if needStd {
-				mean, v, err := o.model.PredictWS(ws, buf)
-				if err != nil {
-					return posterior{math.Inf(-1), 0}
-				}
-				pr = posterior{mean, math.Sqrt(v)}
-			} else {
-				mean, err := o.model.PredictMeanWS(ws, buf)
-				if err != nil {
-					return posterior{math.Inf(-1), math.NaN()}
-				}
-				pr = posterior{mean, math.NaN()}
-			}
-			local[string(ckb)] = pr
+	// alone; narrow score ridges need it): one climb on EI from the pool's
+	// EI leader, one on the posterior mean from its mean leader. Their
+	// results re-enter the same selection. Both climbs predict through one
+	// workspace and one memo; memoized posteriors are the values the model
+	// would recompute.
+	buf := make([]float64, dim)
+	ckb := make([]byte, 0, 4*dim)
+	predict := func(p dataflow.ParallelismVector, needStd bool) posterior {
+		ckb = appendKey(ckb[:0], p)
+		if pr, ok := memo[string(ckb)]; ok && (!needStd || !math.IsNaN(pr.std)) {
 			return pr
 		}
-		return func(i int) {
-			spec := specs[i]
-			obj := func(p dataflow.ParallelismVector) float64 {
-				if !spec.useEI {
-					return predict(p, false).mean
-				}
-				pr := predict(p, true)
-				if acq == AcqUCB {
-					return UpperConfidenceBound(pr.mean, pr.std, ucbBeta)
-				}
-				return ExpectedImprovement(pr.mean, pr.std, fBest, o.xi)
+		for d, k := range p {
+			buf[d] = float64(k)
+		}
+		var pr posterior
+		if needStd {
+			mean, v, err := o.model.PredictWS(sws, buf)
+			if err != nil {
+				return posterior{math.Inf(-1), 0}
 			}
-			results[i] = o.hillClimb(spec.start, obj, evaluated)
+			pr = posterior{mean, math.Sqrt(v)}
+		} else {
+			mean, err := o.model.PredictMeanWS(sws, buf)
+			if err != nil {
+				return posterior{math.Inf(-1), math.NaN()}
+			}
+			pr = posterior{mean, math.NaN()}
 		}
+		memo[string(ckb)] = pr
+		return pr
 	}
-	if o.sweepWorkers() <= 1 || len(specs) <= 1 {
-		climb := newClimber(sws, shared, false)
-		for i := range specs {
-			climb(i)
+	results := make([]dataflow.ParallelismVector, 0, 2)
+	if bestIdx >= 0 {
+		ei := func(p dataflow.ParallelismVector) float64 {
+			pr := predict(p, true)
+			return ExpectedImprovement(pr.mean, pr.std, fBest, eiXi)
 		}
-	} else {
-		var wg sync.WaitGroup
-		for i := range specs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				cws := gp.GetWorkspace()
-				newClimber(cws, map[string]posterior{}, true)(i)
-				gp.PutWorkspace(cws)
-			}(i)
-		}
-		wg.Wait()
+		results = append(results, o.hillClimb(candidates[bestIdx], ei, evaluated))
 	}
-	// Score the climb results serially (a handful of points) and re-run
-	// the selection over the extended arrays.
+	if meanIdx >= 0 {
+		mean := func(p dataflow.ParallelismVector) float64 { return predict(p, false).mean }
+		results = append(results, o.hillClimb(candidates[meanIdx], mean, evaluated))
+	}
+	// Score the climb results (a handful of points) and re-run the
+	// selection over the extended arrays.
 	for _, p := range results {
-		x := p.Floats()
-		mean, v, err := o.model.PredictWS(sws, x)
+		mean, v, err := o.model.PredictWS(sws, p.Floats())
 		if err != nil {
 			continue
 		}
 		std := math.Sqrt(v)
-		av := ExpectedImprovement(mean, std, fBest, o.xi)
-		if acq == AcqUCB {
-			av = UpperConfidenceBound(mean, std, ucbBeta)
-		}
 		candidates = append(candidates, p)
-		xs = append(xs, x)
-		acqVals = append(acqVals, av)
+		acqVals = append(acqVals, ExpectedImprovement(mean, std, fBest, eiXi))
 		means = append(means, mean)
 		stds = append(stds, std)
 		resources = append(resources, o.resourceTerm(p))
@@ -684,7 +539,7 @@ func (o *Optimizer) SuggestAcq(acq Acquisition) (dataflow.ParallelismVector, err
 			sp := o.tracer.StartSpan("bo.suggest")
 			sp.SetStr("par", par.String())
 			sp.SetStr("reason", reason)
-			sp.SetStr("acquisition", acq.String())
+			sp.SetStr("acquisition", acq)
 			sp.SetInt("pool", len(candidates))
 			sp.SetInt("eligible", nEligible)
 			sp.SetInt("observations", len(o.obs))
@@ -702,7 +557,7 @@ func (o *Optimizer) SuggestAcq(acq Acquisition) (dataflow.ParallelismVector, err
 	}
 	if bestIdx < 0 {
 		if meanIdx < 0 {
-			return nil, errors.New("bo: no unevaluated candidates remain")
+			return nil, ErrSpaceExhausted
 		}
 		return finish(meanIdx, reasonFallbackMean)
 	}
@@ -723,20 +578,6 @@ const (
 	// the best posterior-mean unevaluated point was returned.
 	reasonFallbackMean = "fallback-mean"
 )
-
-// String names the acquisition function for traces and reports.
-func (a Acquisition) String() string {
-	switch a {
-	case AcqEI:
-		return "ei"
-	case AcqUCB:
-		return "ucb"
-	case AcqMean:
-		return "mean"
-	default:
-		return "unknown"
-	}
-}
 
 // argmaxEligible returns the first index maximizing vals among eligible
 // entries, or −1 if none.
@@ -806,7 +647,7 @@ func (o *Optimizer) hillClimb(p dataflow.ParallelismVector, objective func(dataf
 // (TuRBO-style), trading global exploration for convergence.
 //
 // The returned keys slice holds each candidate's canonical Key(), interned
-// once by the dedup pass — SuggestAcq reuses the strings for its
+// once by the dedup pass — SuggestWith reuses the strings for its
 // evaluated-point and posterior-memo maps instead of re-encoding. Pool
 // and keys storage live in sc (recycled per suggestion), and the random
 // and near-base samples are carved from sc.backing, so a warm scratch
@@ -885,16 +726,6 @@ func (o *Optimizer) candidatePool(sc *suggestScratch, incumbent dataflow.Paralle
 			for _, n := range o.space.Neighbors(incumbent, step) {
 				add(n)
 			}
-		}
-		// Interpolations between the incumbent and the base corner: the
-		// resource term of the score always improves toward base, so the
-		// line segment is a high-value direction to probe.
-		for _, frac := range []float64{0.25, 0.5, 0.75} {
-			p := make(dataflow.ParallelismVector, len(incumbent))
-			for i := range p {
-				p[i] = o.space.Base[i] + int(frac*float64(incumbent[i]-o.space.Base[i])+0.5)
-			}
-			add(o.space.Clamp(p))
 		}
 	}
 	add(o.space.Base.Clone())

@@ -6,7 +6,7 @@ import (
 	"autrascale/internal/dataflow"
 )
 
-// A fleet of controllers calls SuggestAcq thousands of times per tick
+// A fleet of controllers calls SuggestWith thousands of times per tick
 // wave, and every call used to rebuild the same candidate-pool buffers:
 // the encoded float matrix, the acquisition/mean/std/resource arrays,
 // the evaluated-point and posterior-memo maps, and the backing array the
@@ -27,7 +27,7 @@ type suggestScratch struct {
 	resources  []float64
 	eligible   []bool
 	evaluated  map[string]bool
-	shared     map[string]posterior
+	memo       map[string]posterior
 	candidates []dataflow.ParallelismVector
 	candKeys   []string
 	seen       map[string]bool
@@ -37,7 +37,7 @@ type suggestScratch struct {
 var suggestScratchPool = sync.Pool{New: func() any {
 	return &suggestScratch{
 		evaluated: make(map[string]bool, 64),
-		shared:    make(map[string]posterior, 256),
+		memo:      make(map[string]posterior, 256),
 		seen:      make(map[string]bool, 256),
 	}
 }}
@@ -54,7 +54,7 @@ func (sc *suggestScratch) release() {
 	sc.resources = sc.resources[:0]
 	sc.eligible = sc.eligible[:0]
 	clear(sc.evaluated)
-	clear(sc.shared)
+	clear(sc.memo)
 	sc.candidates = sc.candidates[:0]
 	sc.candKeys = sc.candKeys[:0]
 	clear(sc.seen)

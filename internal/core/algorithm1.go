@@ -11,30 +11,22 @@ import (
 	"autrascale/internal/trace"
 )
 
-// Algorithm1Config parameterizes RunAlgorithm1 (paper Algorithm 1).
+// Algorithm1Config parameterizes RunAlgorithm1 (paper Algorithm 1). The
+// score weight α, EI's ξ, the trial window and P_max (always the cluster
+// ceiling) are constants: no caller ever varied them.
 type Algorithm1Config struct {
 	// TargetRate v_c (records/s); used to verify throughput is held.
 	TargetRate float64
 	// TargetLatencyMS is l_t.
 	TargetLatencyMS float64
-	// Alpha weighs latency vs. resources in the scoring function
-	// (default 0.5).
-	Alpha float64
 	// OverAllocationW is the user tolerance w of Eq. 8/9 (default 0.25,
 	// which with α = 0.5 gives the paper's benefit threshold 0.9).
 	OverAllocationW float64
-	// Xi is the EI exploration parameter (default 0.01).
-	Xi float64
 	// BootstrapM is the number of uniform bootstrap samples M
 	// (default 5).
 	BootstrapM int
 	// MaxIterations bounds the BO loop after bootstrapping (default 25).
 	MaxIterations int
-	// PMax caps per-operator parallelism (default: cluster ceiling).
-	PMax int
-	// WarmupSec/MeasureSec define the policy-running window (defaults
-	// TrialWarmupSec/TrialMeasureSec: 30/120).
-	WarmupSec, MeasureSec float64
 	// Seed drives BO candidate sampling.
 	Seed uint64
 	// SkipBootstrap starts the BO loop from pre-seeded observations
@@ -46,15 +38,9 @@ type Algorithm1Config struct {
 	Tracer *trace.Tracer
 }
 
-func (c *Algorithm1Config) defaults(e *flink.Engine) error {
+func (c *Algorithm1Config) defaults() error {
 	if c.TargetRate <= 0 || c.TargetLatencyMS <= 0 {
 		return errors.New("core: TargetRate and TargetLatencyMS must be > 0")
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.5
-	}
-	if c.Alpha < 0 || c.Alpha > 1 {
-		return errors.New("core: Alpha must be in [0, 1]")
 	}
 	if c.OverAllocationW == 0 {
 		c.OverAllocationW = 0.25
@@ -62,23 +48,11 @@ func (c *Algorithm1Config) defaults(e *flink.Engine) error {
 	if c.OverAllocationW < 0 {
 		return errors.New("core: OverAllocationW must be >= 0")
 	}
-	if c.Xi == 0 {
-		c.Xi = 0.01
-	}
 	if c.BootstrapM <= 0 {
 		c.BootstrapM = 5
 	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 25
-	}
-	if c.PMax <= 0 {
-		c.PMax = e.Cluster().MaxParallelism()
-	}
-	if c.WarmupSec <= 0 {
-		c.WarmupSec = TrialWarmupSec
-	}
-	if c.MeasureSec <= 0 {
-		c.MeasureSec = TrialMeasureSec
 	}
 	return nil
 }
@@ -113,6 +87,10 @@ type Algorithm1Result struct {
 	// Met reports whether the termination condition of Eq. 9 fired
 	// (latency met and benefit score above the threshold).
 	Met bool
+	// Exhausted reports that the loop ended because every configuration
+	// of the search space had been tried (bo.ErrSpaceExhausted) — a small
+	// space under a large MaxIterations, not a failure.
+	Exhausted bool
 	// Threshold is the Eq. 9 benefit threshold that applied.
 	Threshold float64
 	// Iterations counts BO iterations (excluding bootstrap runs).
@@ -137,22 +115,18 @@ type Algorithm1Result struct {
 // via seedObs; combined with SkipBootstrap they realize the transfer
 // warm start.
 func RunAlgorithm1(e *flink.Engine, base dataflow.ParallelismVector, cfg Algorithm1Config, seedObs ...bo.Observation) (*Algorithm1Result, error) {
-	if err := cfg.defaults(e); err != nil {
+	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
 	if len(base) != e.Graph().NumOperators() {
 		return nil, fmt.Errorf("core: base has %d entries, graph has %d operators",
 			len(base), e.Graph().NumOperators())
 	}
-	space, err := bo.NewSpace(base, cfg.PMax)
+	space, scorer, err := searchProblem(e, base, cfg.TargetLatencyMS)
 	if err != nil {
 		return nil, err
 	}
-	scorer, err := bo.NewScorer(cfg.Alpha, cfg.TargetLatencyMS, base)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := bo.NewOptimizer(bo.OptimizerConfig{Space: space, Xi: cfg.Xi, Seed: cfg.Seed, Tracer: cfg.Tracer})
+	opt, err := bo.NewOptimizer(bo.OptimizerConfig{Space: space, Seed: cfg.Seed, Tracer: cfg.Tracer})
 	if err != nil {
 		return nil, err
 	}
@@ -176,25 +150,12 @@ func RunAlgorithm1(e *flink.Engine, base dataflow.ParallelismVector, cfg Algorit
 	}
 
 	evaluate := func(p dataflow.ParallelismVector, phase TrialPhase) (Trial, error) {
-		if err := e.SetParallelism(p); err != nil {
+		tr, err := runTrial(e, scorer, p, phase)
+		if err != nil {
 			return Trial{}, err
 		}
-		// Each trial is judged at steady state for the current input
-		// rate, not while draining backlog inherited from earlier trials.
-		m := e.MeasureSteady(cfg.WarmupSec, cfg.MeasureSec)
-		score := scorer.Score(m.ProcLatencyMS, p)
-		tr := Trial{
-			Phase:         phase,
-			Par:           p.Clone(),
-			Score:         score,
-			ProcLatencyMS: m.ProcLatencyMS,
-			ThroughputRPS: m.ThroughputRPS,
-			LatencyMet:    scorer.LatencyMet(m.ProcLatencyMS),
-			CPUUsedCores:  m.CPUUsedCores,
-			MemUsedMB:     m.MemUsedMB,
-		}
 		res.Trials = append(res.Trials, tr)
-		if err := opt.Add(bo.Observation{Par: p, Score: score}); err != nil {
+		if err := opt.Add(bo.Observation{Par: p, Score: tr.Score}); err != nil {
 			return Trial{}, err
 		}
 		return tr, nil
@@ -222,12 +183,16 @@ func RunAlgorithm1(e *flink.Engine, base dataflow.ParallelismVector, cfg Algorit
 		}
 	}
 
-	// BO loop. Acquisition alternates EI exploration with pure
-	// posterior-mean exploitation: EI covers the space, exploitation
-	// drives the iterate onto the feasible score maximum near the base
-	// corner.
+	// BO loop. Acquisition mixes two posterior-mean exploitation steps
+	// with one EI exploration step: exploitation drives the iterate onto
+	// the feasible score maximum near the base corner, EI covers the
+	// space.
 	for !res.Met && res.Iterations < cfg.MaxIterations {
 		p, err := opt.SuggestWith(res.Iterations%3 != 2)
+		if errors.Is(err, bo.ErrSpaceExhausted) {
+			res.Exhausted = true
+			break
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -249,8 +214,11 @@ func RunAlgorithm1(e *flink.Engine, base dataflow.ParallelismVector, cfg Algorit
 	res.Best = selectBest(res.Trials)
 	if cfg.Tracer.Enabled() {
 		reason := "max-iterations"
-		if res.Met {
+		switch {
+		case res.Met:
 			reason = "eq9-met"
+		case res.Exhausted:
+			reason = "space-exhausted"
 		}
 		sp.SetStr("termination", reason)
 		sp.SetInt("bootstrap_runs", res.BootstrapRuns)
@@ -269,6 +237,38 @@ func RunAlgorithm1(e *flink.Engine, base dataflow.ParallelismVector, cfg Algorit
 	}
 	res.Model = fitFinalModel(res.Trials, seedObs)
 	return res, nil
+}
+
+// searchProblem builds what Algorithms 1 and 2 share at one input rate:
+// the search space [base, P_max] and the Eq. 4 scorer.
+func searchProblem(e *flink.Engine, base dataflow.ParallelismVector, targetLatencyMS float64) (bo.Space, bo.Scorer, error) {
+	space, err := bo.NewSpace(base, e.Cluster().MaxParallelism())
+	if err != nil {
+		return bo.Space{}, bo.Scorer{}, err
+	}
+	scorer, err := bo.NewScorer(scoreAlpha, targetLatencyMS, base)
+	return space, scorer, err
+}
+
+// runTrial runs configuration p for one policy-running window and scores
+// it — the one way Algorithms 1 and 2 evaluate a configuration for real.
+func runTrial(e *flink.Engine, scorer bo.Scorer, p dataflow.ParallelismVector, phase TrialPhase) (Trial, error) {
+	if err := e.SetParallelism(p); err != nil {
+		return Trial{}, err
+	}
+	// Each trial is judged at steady state for the current input rate,
+	// not while draining backlog inherited from earlier trials.
+	m := e.MeasureSteady(TrialWarmupSec, TrialMeasureSec)
+	return Trial{
+		Phase:         phase,
+		Par:           p.Clone(),
+		Score:         scorer.Score(m.ProcLatencyMS, p),
+		ProcLatencyMS: m.ProcLatencyMS,
+		ThroughputRPS: m.ThroughputRPS,
+		LatencyMet:    scorer.LatencyMet(m.ProcLatencyMS),
+		CPUUsedCores:  m.CPUUsedCores,
+		MemUsedMB:     m.MemUsedMB,
+	}, nil
 }
 
 // selectBest prefers latency-meeting trials by score; with none, the best
@@ -311,7 +311,7 @@ func iterationReport(iter int, tr Trial, threshold float64, opt *bo.Optimizer, t
 		it.PosteriorMean = st.Mean
 		it.PosteriorStd = st.Std
 		it.AcqValue = st.AcqValue
-		it.Acquisition = st.Acquisition.String()
+		it.Acquisition = st.Acquisition
 		it.Selection = st.Reason
 	}
 	return it

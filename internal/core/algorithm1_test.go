@@ -47,11 +47,6 @@ func TestRunAlgorithm1Validation(t *testing.T) {
 		t.Fatal("wrong base length should error")
 	}
 	bad := cfg
-	bad.Alpha = 2
-	if _, err := RunAlgorithm1(e, dataflow.ParallelismVector{1, 1, 1}, bad); err == nil {
-		t.Fatal("alpha > 1 should error")
-	}
-	bad = cfg
 	bad.OverAllocationW = -1
 	if _, err := RunAlgorithm1(e, dataflow.ParallelismVector{1, 1, 1}, bad); err == nil {
 		t.Fatal("negative w should error")

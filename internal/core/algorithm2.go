@@ -49,14 +49,10 @@ func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transf
 	if prev == nil {
 		return nil, errors.New("core: Algorithm 2 needs a previous model; run Algorithm 1 first")
 	}
-	if err := cfg.Algorithm1Config.defaults(e); err != nil {
+	if err := cfg.Algorithm1Config.defaults(); err != nil {
 		return nil, err
 	}
-	space, err := bo.NewSpace(base, cfg.PMax)
-	if err != nil {
-		return nil, err
-	}
-	scorer, err := bo.NewScorer(cfg.Alpha, cfg.TargetLatencyMS, base)
+	space, scorer, err := searchProblem(e, base, cfg.TargetLatencyMS)
 	if err != nil {
 		return nil, err
 	}
@@ -84,31 +80,20 @@ func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transf
 
 	var realSamples []transfer.Sample
 
-	runReal := func(p dataflow.ParallelismVector, phase TrialPhase) (Trial, error) {
-		if err := e.SetParallelism(p); err != nil {
+	runReal := func(p dataflow.ParallelismVector) (Trial, error) {
+		tr, err := runTrial(e, scorer, p, PhaseBO)
+		if err != nil {
 			return Trial{}, err
 		}
-		m := e.MeasureSteady(cfg.WarmupSec, cfg.MeasureSec)
-		score := scorer.Score(m.ProcLatencyMS, p)
-		tr := Trial{
-			Phase:         phase,
-			Par:           p.Clone(),
-			Score:         score,
-			ProcLatencyMS: m.ProcLatencyMS,
-			ThroughputRPS: m.ThroughputRPS,
-			LatencyMet:    scorer.LatencyMet(m.ProcLatencyMS),
-			CPUUsedCores:  m.CPUUsedCores,
-			MemUsedMB:     m.MemUsedMB,
-		}
 		res.Trials = append(res.Trials, tr)
-		realSamples = append(realSamples, transfer.Sample{X: p.Floats(), Y: score})
+		realSamples = append(realSamples, transfer.Sample{X: p.Floats(), Y: tr.Score})
 		out.RealRuns++
 		return tr, nil
 	}
 
 	// Line 1 equivalent: one real sample at the base configuration seeds
 	// the residual model.
-	tr, err := runReal(base, PhaseBO)
+	tr, err := runReal(base)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +114,7 @@ func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transf
 		// Lines 6–13: estimate the bootstrap set instead of running it.
 		// Exploit mode: the estimated samples make EI's posterior
 		// variance meaningless, so follow the transferred mean surface.
-		opt, err := bo.NewOptimizer(bo.OptimizerConfig{Space: space, Xi: cfg.Xi, Seed: cfg.Seed, Exploit: true, Tracer: cfg.Tracer})
+		opt, err := bo.NewOptimizer(bo.OptimizerConfig{Space: space, Seed: cfg.Seed, Exploit: true, Tracer: cfg.Tracer})
 		if err != nil {
 			return nil, err
 		}
@@ -147,10 +132,14 @@ func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transf
 		}
 		// Line 14: one Algorithm-1 suggestion, executed for real.
 		p, err := opt.Suggest()
+		if errors.Is(err, bo.ErrSpaceExhausted) {
+			res.Exhausted = true
+			break
+		}
 		if err != nil {
 			return nil, err
 		}
-		tr, err := runReal(p, PhaseBO)
+		tr, err := runReal(p)
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +156,7 @@ func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transf
 
 	// Lines 17–19: enough real samples — continue with Algorithm 1 on
 	// real data only.
-	if !res.Met && res.Iterations < cfg.MaxIterations {
+	if !res.Met && !res.Exhausted && res.Iterations < cfg.MaxIterations {
 		out.SwitchedToA1 = true
 		seeds := make([]bo.Observation, 0, len(realSamples))
 		for _, s := range realSamples {
@@ -189,6 +178,7 @@ func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transf
 		res.Iterations += a1res.Iterations
 		out.RealRuns += a1res.Iterations
 		res.Met = a1res.Met
+		res.Exhausted = a1res.Exhausted
 	}
 
 	res.Best = selectBest(res.Trials)
@@ -197,6 +187,9 @@ func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transf
 		sp.SetInt("estimated_samples", out.EstimatedSamples)
 		sp.SetBool("switched_to_a1", out.SwitchedToA1)
 		sp.SetBool("met", res.Met)
+		if res.Exhausted {
+			sp.SetStr("termination", "space-exhausted")
+		}
 		sp.SetStr("best", res.Best.Par.String())
 		sp.SetFloat("best_score", res.Best.Score)
 		sp.SetFloat("eq9_margin", res.Best.Score-res.Threshold)

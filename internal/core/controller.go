@@ -38,8 +38,9 @@ type ControllerConfig struct {
 	Policy Policy
 }
 
-// The MAPE loop's timing and retention. No caller ever varied these, so
-// they are constants, not configuration.
+// The MAPE loop's timing and retention, and the planner parameters every
+// caller left at the paper's value. No caller ever varied these, so they
+// are constants, not configuration.
 const (
 	// policyIntervalSec is how often the controller wakes up (simulated
 	// seconds).
@@ -52,6 +53,10 @@ const (
 	// multiple of the policy interval).
 	TrialWarmupSec  = policyIntervalSec / 2
 	TrialMeasureSec = 2 * policyIntervalSec
+	// scoreAlpha is α of the scoring function (Eq. 4): latency and
+	// resources weigh equally, which with w = 0.25 gives the paper's
+	// benefit threshold 0.9.
+	scoreAlpha = 0.5
 	// rateChangeFraction is the relative input-rate change that triggers
 	// re-planning.
 	rateChangeFraction = 0.1

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"autrascale/internal/cluster"
 	"autrascale/internal/flink"
 	"autrascale/internal/kafka"
 	"autrascale/internal/transfer"
+	"autrascale/internal/workloads"
 )
 
 func controllerEngine(t testing.TB, sched kafka.RateSchedule) *flink.Engine {
@@ -208,5 +210,40 @@ func TestControllerWithRestoredLibrary(t *testing.T) {
 	}
 	if ev.Action != ActionAlgorithm2 {
 		t.Fatalf("restored library should enable transfer on first plan, got %v (%s)", ev.Action, ev.Reason)
+	}
+}
+
+// A job whose rate saturates the cluster has a search space smaller than
+// the iteration budget (WordCount at 100× its default rate: base
+// (60, 60, 60, 48) under P_max 60 is 13 points against 25 iterations).
+// Running out of configurations ends the search on the best trial; it
+// must not fail the step, which would quarantine the job forever.
+func TestControllerPlansInExhaustedSpace(t *testing.T) {
+	spec := workloads.WordCount()
+	e, err := workloads.NewEngine(spec, workloads.EngineOptions{
+		Schedule: kafka.ConstantRate(100 * spec.DefaultRateRPS), Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := NewController(e, ControllerConfig{TargetLatencyMS: spec.TargetLatencyMS, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := ctl.Step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	reports := ctl.Decisions()
+	if len(reports) == 0 {
+		t.Fatal("no decision recorded")
+	}
+	first := reports[0]
+	if first.Action != ActionAlgorithm1 || !first.Exhausted || first.Met || first.Chosen == nil {
+		t.Fatalf("first decision = %+v, want an Algorithm 1 plan ended by space exhaustion", first)
+	}
+	if !strings.Contains(first.Explain(), "space-exhausted") {
+		t.Fatalf("Explain does not name the termination:\n%s", first.Explain())
 	}
 }

@@ -24,7 +24,7 @@ type IterationReport struct {
 	PosteriorMean float64 `json:"posterior_mean"`
 	PosteriorStd  float64 `json:"posterior_std"`
 	AcqValue      float64 `json:"acq_value"`
-	// Acquisition names the acquisition function ("ei", "ucb", "mean");
+	// Acquisition names the acquisition function ("ei", "mean");
 	// Selection the optimizer's selection path ("acq-max",
 	// "exploit-mean", "fallback-mean").
 	Acquisition string `json:"acquisition,omitempty"`
@@ -60,6 +60,7 @@ type DecisionReport struct {
 	LatencyMS     float64                    `json:"latency_ms"`
 	LatencyMet    bool                       `json:"latency_met"`
 	Met           bool                       `json:"met"`
+	Exhausted     bool                       `json:"space_exhausted,omitempty"`
 	Iterations    int                        `json:"bo_iterations"`
 	BootstrapRuns int                        `json:"bootstrap_runs"`
 	Trials        int                        `json:"trials"`
@@ -84,6 +85,7 @@ func (r *DecisionReport) FillFromAlgorithm1(res *Algorithm1Result) {
 	r.LatencyMS = res.Best.ProcLatencyMS
 	r.LatencyMet = res.Best.LatencyMet
 	r.Met = res.Met
+	r.Exhausted = res.Exhausted
 	r.Iterations = res.Iterations
 	r.BootstrapRuns = res.BootstrapRuns
 	r.Trials = len(res.Trials)
@@ -130,8 +132,11 @@ func (r DecisionReport) Explain() string {
 			r.Chosen, r.Chosen.Total(), r.Score, r.Threshold, r.Margin)
 		fmt.Fprintf(&b, "  QoS: latency %.0f ms (met=%v)\n", r.LatencyMS, r.LatencyMet)
 		term := "budget exhausted before Eq. 9 fired"
-		if r.Met {
+		switch {
+		case r.Met:
 			term = "Eq. 9 satisfied (latency met, score above bound)"
+		case r.Exhausted:
+			term = "space-exhausted: every configuration was tried before Eq. 9 fired"
 		}
 		fmt.Fprintf(&b, "  search: %d bootstrap run(s) + %d BO iteration(s); %s\n",
 			r.BootstrapRuns, r.Iterations, term)

@@ -92,12 +92,8 @@ func (r *AblationResult) runTransferAblation(seed uint64) error {
 	if err != nil {
 		return err
 	}
-	unified, err := core.NewUnifiedModel(core.UnifiedModelConfig{
-		NumOperators: spec.BuildGraph().NumOperators()})
-	if err != nil {
-		return err
-	}
-	if err := unified.ObserveTrials(a1Old.Trials, oldRate); err != nil {
+	unified := newUnifiedModel(spec.BuildGraph().NumOperators())
+	if err := unified.observeTrials(a1Old.Trials, oldRate); err != nil {
 		return err
 	}
 
@@ -154,7 +150,7 @@ func (r *AblationResult) runTransferAblation(seed uint64) error {
 	if err != nil {
 		return err
 	}
-	a2u, err := core.RunAlgorithm2(e, base, unified.At(newRate), core.Algorithm2Config{Algorithm1Config: cfg})
+	a2u, err := core.RunAlgorithm2(e, base, unified.at(newRate), core.Algorithm2Config{Algorithm1Config: cfg})
 	if err != nil {
 		return err
 	}

@@ -1,61 +1,21 @@
 package mat
 
-import (
-	"math"
-	"runtime"
-	"sync"
-)
+import "math"
 
-// Mul returns a·b. For matrices with many rows the row loop is sharded
-// across GOMAXPROCS workers; each worker owns a disjoint row range of the
-// output, so no synchronization on the data is needed.
+// Mul returns a·b.
 func Mul(a, b *Matrix) *Matrix {
 	if a.cols != b.rows {
 		panic("mat: Mul shape mismatch")
 	}
 	out := NewMatrix(a.rows, b.cols)
-	mulRange := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.data[i*a.cols : (i+1)*a.cols]
-			orow := out.data[i*out.cols : (i+1)*out.cols]
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b.data[k*b.cols : (k+1)*b.cols]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
+	for i := 0; i < a.rows; i++ {
+		orow := out.data[i*out.cols : (i+1)*out.cols]
+		for k, av := range a.data[i*a.cols : (i+1)*a.cols] {
+			for j, bv := range b.data[k*b.cols : (k+1)*b.cols] {
+				orow[j] += av * bv
 			}
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	const minRowsPerWorker = 64
-	if workers <= 1 || a.rows < 2*minRowsPerWorker {
-		mulRange(0, a.rows)
-		return out
-	}
-	if workers > a.rows/minRowsPerWorker {
-		workers = a.rows / minRowsPerWorker
-	}
-	var wg sync.WaitGroup
-	chunk := (a.rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > a.rows {
-			hi = a.rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			mulRange(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 	return out
 }
 
@@ -88,27 +48,6 @@ func Sub(x, y []float64) []float64 {
 	return out
 }
 
-// AddVec returns x + y as a new slice.
-func AddVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("mat: AddVec length mismatch")
-	}
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = v + y[i]
-	}
-	return out
-}
-
-// ScaleVec returns s·x as a new slice.
-func ScaleVec(s float64, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = s * v
-	}
-	return out
-}
-
 // CopyVec returns a copy of x.
 func CopyVec(x []float64) []float64 {
 	out := make([]float64, len(x))
@@ -127,9 +66,4 @@ func SqDist(x, y []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// AlmostEqual reports |a-b| <= tol, treating NaN as unequal.
-func AlmostEqual(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol
 }
