@@ -559,8 +559,8 @@ func (s *server) handleFleet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealth serves the SLO burn-rate view: the fleet's incremental
-// aggregate in fleet mode (O(TopBurnK), never a walk of the jobs), or
-// the single job's tracker report otherwise.
+// aggregate in fleet mode (O(its top-K burn ranking), never a walk of
+// the jobs), or the single job's tracker report otherwise.
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.fleet != nil {
 		writeJSON(w, s.fleet.HealthSnapshot())

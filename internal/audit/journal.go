@@ -267,11 +267,6 @@ func attrFloat(attrs map[string]any, key string) (float64, bool) {
 	return 0, false
 }
 
-func attrInt(attrs map[string]any, key string) (int, bool) {
-	f, ok := attrFloat(attrs, key)
-	return int(f), ok
-}
-
 func attrBool(attrs map[string]any, key string) bool {
 	if v, ok := attrs[key].(bool); ok {
 		return v

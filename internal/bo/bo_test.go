@@ -218,16 +218,16 @@ func TestThreshold(t *testing.T) {
 
 func TestExpectedImprovement(t *testing.T) {
 	// Zero std → zero EI (Eq. 5 case σ(x)=0).
-	if ei := ExpectedImprovement(10, 0, 5, 0.01); ei != 0 {
+	if ei := expectedImprovement(10, 0, 5, 0.01); ei != 0 {
 		t.Fatalf("EI with σ=0 should be 0, got %v", ei)
 	}
 	// Mean far above best → EI ≈ mean − best − xi.
-	ei := ExpectedImprovement(10, 0.1, 5, 0.01)
+	ei := expectedImprovement(10, 0.1, 5, 0.01)
 	if math.Abs(ei-4.99) > 0.01 {
 		t.Fatalf("EI = %v, want ~4.99", ei)
 	}
 	// Mean far below best with tiny std → EI ≈ 0.
-	if ei := ExpectedImprovement(0, 0.1, 5, 0.01); ei > 1e-6 {
+	if ei := expectedImprovement(0, 0.1, 5, 0.01); ei > 1e-6 {
 		t.Fatalf("hopeless EI = %v", ei)
 	}
 }
@@ -240,12 +240,25 @@ func TestEIProperties(t *testing.T) {
 		best := r.Float64()*10 - 5
 		s1 := r.Float64() * 2
 		s2 := s1 + r.Float64()*2 + 1e-9
-		e1 := ExpectedImprovement(mean, s1, best, 0.01)
-		e2 := ExpectedImprovement(mean, s2, best, 0.01)
+		e1 := expectedImprovement(mean, s1, best, 0.01)
+		e2 := expectedImprovement(mean, s2, best, 0.01)
 		return e1 >= 0 && e2 >= e1-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkEISweep measures an acquisition sweep over a candidate pool.
+func BenchmarkEISweep(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		var s float64
+		for m := 0.0; m < 1; m += 0.001 {
+			s += expectedImprovement(m, 0.1, 0.8, 0.01)
+		}
+		if s < 0 {
+			b.Fatal("impossible")
+		}
 	}
 }
 
@@ -375,9 +388,9 @@ func TestSuggestAcqModes(t *testing.T) {
 		if !s.Contains(p) || evaluated[p.Key()] {
 			t.Fatalf("exploit %v suggested out-of-space or evaluated %v", exploit, p)
 		}
-		want := AcqEI
+		want := acqEI
 		if exploit {
-			want = AcqMean
+			want = acqMean
 		}
 		if st, ok := o.LastSuggestion(); !ok || st.Acquisition != want || !st.Par.Equal(p) {
 			t.Fatalf("exploit %v: LastSuggestion = %+v (ok=%v)", exploit, st, ok)

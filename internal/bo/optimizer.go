@@ -12,14 +12,14 @@ import (
 	"autrascale/internal/trace"
 )
 
-// ExpectedImprovement computes the EI acquisition value (paper Eq. 5–7)
+// expectedImprovement computes the EI acquisition value (paper Eq. 5–7)
 // at a point with GP posterior (mean, std), given the best observed value
 // fBest and exploration parameter xi:
 //
 //	K  = μ(x) − f(x⁺) − ξ
 //	Z  = K/σ(x)            (0 when σ = 0)
 //	EI = K·Φ(Z) + σ·φ(Z)   (0 when σ = 0)
-func ExpectedImprovement(mean, std, fBest, xi float64) float64 {
+func expectedImprovement(mean, std, fBest, xi float64) float64 {
 	if std <= 0 {
 		return 0
 	}
@@ -37,10 +37,10 @@ const eiXi = 0.01
 
 // Acquisition labels for SuggestionStats.Acquisition.
 const (
-	// AcqEI is expected improvement with ξ (the paper's choice, Eq. 5–7).
-	AcqEI = "ei"
-	// AcqMean is pure exploitation of the posterior mean.
-	AcqMean = "mean"
+	// acqEI is expected improvement with ξ (the paper's choice, Eq. 5–7).
+	acqEI = "ei"
+	// acqMean is pure exploitation of the posterior mean.
+	acqMean = "mean"
 )
 
 // ErrSpaceExhausted is returned by Suggest when every configuration it
@@ -130,8 +130,8 @@ type SuggestionStats struct {
 	// AcqValue is the acquisition value at Par (EI; posterior mean when
 	// the suggestion came from pure exploitation).
 	AcqValue float64
-	// Acquisition is the function the suggestion maximized (AcqEI or
-	// AcqMean).
+	// Acquisition is the function the suggestion maximized: "ei"
+	// (expected improvement) or "mean" (pure exploitation).
 	Acquisition string
 	// FBest is the incumbent score the acquisition improved upon.
 	FBest float64
@@ -355,7 +355,7 @@ func (o *Optimizer) scoreCandidates(ws *gp.Workspace, xs [][]float64, acqVals, m
 		means[i] = mean
 		std := math.Sqrt(v)
 		stds[i] = std
-		acqVals[i] = ExpectedImprovement(mean, std, fBest, eiXi)
+		acqVals[i] = expectedImprovement(mean, std, fBest, eiXi)
 	}
 }
 
@@ -377,9 +377,9 @@ func (o *Optimizer) SuggestWith(exploit bool) (dataflow.ParallelismVector, error
 	}
 	best, _ := o.Best()
 	fBest := best.Score
-	acq := AcqEI
+	acq := acqEI
 	if exploit {
-		acq = AcqMean
+		acq = acqMean
 	}
 
 	// All per-suggestion buffers come from the shared scratch pool (the
@@ -481,7 +481,7 @@ func (o *Optimizer) SuggestWith(exploit bool) (dataflow.ParallelismVector, error
 	if bestIdx >= 0 {
 		ei := func(p dataflow.ParallelismVector) float64 {
 			pr := predict(p, true)
-			return ExpectedImprovement(pr.mean, pr.std, fBest, eiXi)
+			return expectedImprovement(pr.mean, pr.std, fBest, eiXi)
 		}
 		results = append(results, o.hillClimb(candidates[bestIdx], ei, evaluated))
 	}
@@ -498,7 +498,7 @@ func (o *Optimizer) SuggestWith(exploit bool) (dataflow.ParallelismVector, error
 		}
 		std := math.Sqrt(v)
 		candidates = append(candidates, p)
-		acqVals = append(acqVals, ExpectedImprovement(mean, std, fBest, eiXi))
+		acqVals = append(acqVals, expectedImprovement(mean, std, fBest, eiXi))
 		means = append(means, mean)
 		stds = append(stds, std)
 		resources = append(resources, o.resourceTerm(p))

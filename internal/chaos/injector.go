@@ -89,18 +89,13 @@ type Profile struct {
 
 	// Stalls are partition-stall windows for the source topic.
 	Stalls []StallWindow
-
-	// PauseProb/PauseSec inject per-record service pauses (GC-style
-	// stalls) into the eventsim validation simulator.
-	PauseProb float64
-	PauseSec  float64
 }
 
 // Enabled reports whether the profile injects any fault at all.
 func (p Profile) Enabled() bool {
 	return p.RescaleFailProb > 0 || p.RescaleDelayProb > 0 ||
 		p.WindowDropProb > 0 || p.WindowCorruptProb > 0 ||
-		len(p.MachineEvents) > 0 || len(p.Stalls) > 0 || p.PauseProb > 0
+		len(p.MachineEvents) > 0 || len(p.Stalls) > 0
 }
 
 // None returns the empty profile.
@@ -274,16 +269,4 @@ func (in *Injector) DueMachineEvents(nowSec float64) []MachineEvent {
 		in.nextEvent++
 	}
 	return due
-}
-
-// PauseSec returns a per-record service pause for the eventsim
-// validation simulator (0 when disabled or not firing).
-func (in *Injector) PauseSec() float64 {
-	if in == nil || in.profile.PauseProb <= 0 {
-		return 0
-	}
-	if in.rng.Float64() < in.profile.PauseProb {
-		return in.profile.PauseSec
-	}
-	return 0
 }

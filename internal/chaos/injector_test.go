@@ -47,7 +47,7 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 	if in.Enabled() {
 		t.Fatal("nil injector should be disabled")
 	}
-	if in.FailRescale() || in.RescaleDelaySec() != 0 || in.PauseSec() != 0 {
+	if in.FailRescale() || in.RescaleDelaySec() != 0 {
 		t.Fatal("nil injector should inject nothing")
 	}
 	if drop, f := in.WindowFault(); drop || f != 1 {

@@ -102,9 +102,6 @@ func PaperTestbed() *Cluster {
 	return c
 }
 
-// NumMachines returns the machine count.
-func (c *Cluster) NumMachines() int { return len(c.machines) }
-
 // Machine returns machine i.
 func (c *Cluster) Machine(i int) Machine { return c.machines[i] }
 
@@ -173,16 +170,6 @@ func (c *Cluster) machineNames(down bool) []string {
 	return names
 }
 
-// MachineDown reports whether the named machine is failed.
-func (c *Cluster) MachineDown(name string) bool {
-	for i, m := range c.machines {
-		if m.Name == name {
-			return c.down[i]
-		}
-	}
-	return false
-}
-
 func (c *Cluster) downCount() int {
 	n := 0
 	for _, d := range c.down {
@@ -191,15 +178,6 @@ func (c *Cluster) downCount() int {
 		}
 	}
 	return n
-}
-
-// TotalMemMB returns total memory.
-func (c *Cluster) TotalMemMB() int {
-	var s int
-	for _, m := range c.machines {
-		s += m.MemMB
-	}
-	return s
 }
 
 // MaxParallelism returns the per-operator parallelism ceiling P_max the
@@ -216,64 +194,4 @@ func (c *Cluster) InterferenceFactor(demand float64) float64 {
 		return 1
 	}
 	return math.Pow(cap/demand, c.InterferenceGamma)
-}
-
-// Placement maps each operator instance onto a machine. The simulator
-// only needs aggregate per-machine instance counts, so Placement stores
-// counts rather than individual slot assignments.
-type Placement struct {
-	// PerMachine[m] is the number of instances placed on machine m.
-	PerMachine []int
-}
-
-// PlaceRoundRobin distributes `total` instances across machines
-// round-robin weighted by core count — the balanced placement YARN's
-// spread policy approximates.
-func (c *Cluster) PlaceRoundRobin(total int) Placement {
-	p := Placement{PerMachine: make([]int, len(c.machines))}
-	if total <= 0 {
-		return p
-	}
-	// Weighted largest-remainder apportionment by cores.
-	cores := c.TotalCores()
-	assigned := 0
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	rems := make([]rem, len(c.machines))
-	for i, m := range c.machines {
-		exact := float64(total) * float64(m.Cores) / float64(cores)
-		base := int(exact)
-		p.PerMachine[i] = base
-		assigned += base
-		rems[i] = rem{idx: i, frac: exact - float64(base)}
-	}
-	// Hand out the remainder to the largest fractional parts
-	// (stable order: machine index breaks ties deterministically).
-	for assigned < total {
-		best := -1
-		for i := range rems {
-			if best == -1 || rems[i].frac > rems[best].frac {
-				best = i
-			}
-		}
-		p.PerMachine[rems[best].idx]++
-		rems[best].frac = -1
-		assigned++
-	}
-	return p
-}
-
-// Oversubscription returns the maximum per-machine ratio of placed
-// instances to cores for the placement (>= 0; > 1 means contention).
-func (c *Cluster) Oversubscription(p Placement) float64 {
-	var worst float64
-	for i, n := range p.PerMachine {
-		r := float64(n) / (float64(c.machines[i].Cores) * (1 - c.BackgroundLoad))
-		if r > worst {
-			worst = r
-		}
-	}
-	return worst
 }

@@ -50,14 +50,11 @@ func TestDefaults(t *testing.T) {
 
 func TestTotals(t *testing.T) {
 	c := twoMachines(t)
-	if c.NumMachines() != 2 {
-		t.Fatalf("NumMachines = %d", c.NumMachines())
+	if n := len(c.UpMachineNames()); n != 2 {
+		t.Fatalf("%d machines up, want 2", n)
 	}
 	if c.TotalCores() != 12 {
 		t.Fatalf("TotalCores = %d", c.TotalCores())
-	}
-	if c.TotalMemMB() != 24576 {
-		t.Fatalf("TotalMemMB = %d", c.TotalMemMB())
 	}
 	if c.MaxParallelism() != 12 {
 		t.Fatalf("MaxParallelism = %d", c.MaxParallelism())
@@ -75,8 +72,8 @@ func TestPaperTestbed(t *testing.T) {
 	if c.TotalCores() != 60 {
 		t.Fatalf("paper testbed cores = %d, want 60", c.TotalCores())
 	}
-	if c.NumMachines() != 3 {
-		t.Fatalf("paper testbed machines = %d", c.NumMachines())
+	if n := len(c.UpMachineNames()); n != 3 {
+		t.Fatalf("paper testbed machines = %d", n)
 	}
 }
 
@@ -109,60 +106,16 @@ func TestInterferenceMonotone(t *testing.T) {
 	}
 }
 
-func TestPlaceRoundRobinConserves(t *testing.T) {
-	c := twoMachines(t)
-	f := func(seed uint64) bool {
-		r := stat.NewRNG(seed)
-		total := r.Intn(100)
-		p := c.PlaceRoundRobin(total)
-		var sum int
-		for _, n := range p.PerMachine {
-			if n < 0 {
-				return false
-			}
-			sum += n
-		}
-		return sum == total
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPlaceRoundRobinWeighted(t *testing.T) {
-	c := twoMachines(t) // 4 + 8 cores
-	p := c.PlaceRoundRobin(12)
-	if p.PerMachine[0] != 4 || p.PerMachine[1] != 8 {
-		t.Fatalf("placement = %v, want [4 8]", p.PerMachine)
-	}
-	empty := c.PlaceRoundRobin(0)
-	if empty.PerMachine[0] != 0 || empty.PerMachine[1] != 0 {
-		t.Fatalf("empty placement = %v", empty.PerMachine)
-	}
-}
-
-func TestOversubscription(t *testing.T) {
-	c := twoMachines(t)
-	p := c.PlaceRoundRobin(12)
-	if got := c.Oversubscription(p); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("exact fit oversubscription = %v, want 1", got)
-	}
-	p2 := c.PlaceRoundRobin(24)
-	if got := c.Oversubscription(p2); got <= 1 {
-		t.Fatalf("2x fit oversubscription = %v, want > 1", got)
-	}
-}
-
 func TestMachineFailure(t *testing.T) {
 	c := twoMachines(t) // 4 + 8 cores
-	if c.MachineDown("m1") {
-		t.Fatal("fresh machine should be up")
+	if len(c.DownMachineNames()) != 0 {
+		t.Fatal("fresh machines should be up")
 	}
 	if err := c.SetMachineDown("m1", true); err != nil {
 		t.Fatal(err)
 	}
-	if !c.MachineDown("m1") {
-		t.Fatal("m1 should be down")
+	if down := c.DownMachineNames(); len(down) != 1 || down[0] != "m1" {
+		t.Fatalf("down machines = %v, want [m1]", down)
 	}
 	if c.UpCores() != 8 {
 		t.Fatalf("UpCores = %d, want 8", c.UpCores())
@@ -202,7 +155,7 @@ func TestMachineFailure(t *testing.T) {
 	if err := c.SetMachineDown("ghost", true); err == nil {
 		t.Fatal("unknown machine should error")
 	}
-	if c.MachineDown("ghost") {
-		t.Fatal("unknown machine cannot be down")
+	if down := c.DownMachineNames(); len(down) != 0 {
+		t.Fatalf("down machines = %v after recovery and an unknown name", down)
 	}
 }

@@ -179,31 +179,9 @@ func (g *Graph) NumOperators() int { return len(g.operators) }
 // Operator returns the operator at index i.
 func (g *Graph) Operator(i int) Operator { return g.operators[i] }
 
-// OperatorIndex returns the index of the named operator, or -1.
-func (g *Graph) OperatorIndex(name string) int {
-	i, ok := g.index[name]
-	if !ok {
-		return -1
-	}
-	return i
-}
-
 // Successors returns the indexes of the successors of operator i.
 func (g *Graph) Successors(i int) []int {
 	return append([]int(nil), g.edges[i]...)
-}
-
-// Predecessors returns the indexes of operators with an edge into i.
-func (g *Graph) Predecessors(i int) []int {
-	var out []int
-	for from, succs := range g.edges {
-		for _, s := range succs {
-			if s == i {
-				out = append(out, from)
-			}
-		}
-	}
-	return out
 }
 
 // Sources returns indexes of operators with no predecessors.

@@ -42,11 +42,8 @@ func TestGraphBuildAndValidate(t *testing.T) {
 	if g.NumOperators() != 3 {
 		t.Fatalf("NumOperators = %d", g.NumOperators())
 	}
-	if got := g.OperatorIndex("map"); got != 1 {
-		t.Fatalf("OperatorIndex(map) = %d", got)
-	}
-	if got := g.OperatorIndex("nope"); got != -1 {
-		t.Fatalf("OperatorIndex(nope) = %d", got)
+	if got := g.Operator(1).Name; got != "map" {
+		t.Fatalf("Operator(1) = %q", got)
 	}
 	if s := g.Sources(); len(s) != 1 || s[0] != 0 {
 		t.Fatalf("Sources = %v", s)
@@ -54,8 +51,8 @@ func TestGraphBuildAndValidate(t *testing.T) {
 	if succ := g.Successors(0); len(succ) != 1 || succ[0] != 1 {
 		t.Fatalf("Successors(0) = %v", succ)
 	}
-	if pred := g.Predecessors(2); len(pred) != 1 || pred[0] != 1 {
-		t.Fatalf("Predecessors(2) = %v", pred)
+	if succ := g.Successors(1); len(succ) != 1 || succ[0] != 2 {
+		t.Fatalf("Successors(1) = %v", succ)
 	}
 	if !strings.Contains(g.String(), "src") {
 		t.Fatal("String should include operator names")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strings"
 	"sync"
 
 	"autrascale/internal/chaos"
@@ -42,13 +41,13 @@ type TournamentOptions struct {
 	MaxIterations int
 }
 
-// ScheduleNames lists the tournament's workload shapes in grid order.
-func ScheduleNames() []string {
+// scheduleNames lists the tournament's workload shapes in grid order.
+func scheduleNames() []string {
 	return []string{"step", "diurnal", "flash-crowd", "sawtooth"}
 }
 
-// ChaosNames lists the tournament's fault profiles in grid order.
-func ChaosNames() []string {
+// chaosNames lists the tournament's fault profiles in grid order.
+func chaosNames() []string {
 	return []string{"none", "light", "heavy"}
 }
 
@@ -60,10 +59,10 @@ func (o *TournamentOptions) defaults() error {
 		o.Policies = policy.Names()
 	}
 	if len(o.Schedules) == 0 {
-		o.Schedules = ScheduleNames()
+		o.Schedules = scheduleNames()
 	}
 	if len(o.Chaos) == 0 {
-		o.Chaos = ChaosNames()
+		o.Chaos = chaosNames()
 	}
 	if o.DurationSec <= 0 {
 		o.DurationSec = 7200
@@ -124,7 +123,7 @@ func tournamentSchedule(name string, rate, durationSec float64) (kafka.RateSched
 			PeriodSec: durationSec / 3,
 		}, nil
 	default:
-		return nil, fmt.Errorf("experiments: unknown schedule %q (have %v)", name, ScheduleNames())
+		return nil, fmt.Errorf("experiments: unknown schedule %q (have %v)", name, scheduleNames())
 	}
 }
 
@@ -394,18 +393,4 @@ func (r *TournamentResult) Render() []Table {
 			c.LagIntegral, c.Rescales, c.CoreSec, c.FinalPar, c.Err)
 	}
 	return []Table{s, g}
-}
-
-// Summary renders a compact, formatting-stable digest for golden files:
-// the ranked policy order plus integer-ish per-policy aggregates.
-func (r *TournamentResult) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "workload=%s seed=%d duration=%.0f cells=%d\n",
-		r.Workload, r.Seed, r.DurationSec, len(r.Cells))
-	for _, st := range r.Standings {
-		fmt.Fprintf(&b, "%d. %s cells=%d fail=%d viol=%d lag=%.0f rescales=%d cores=%.0f\n",
-			st.Rank, st.Policy, st.Cells, st.Failures, st.Violations,
-			st.LagIntegral, st.Rescales, st.CoreSec)
-	}
-	return b.String()
 }

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"autrascale/internal/policy"
@@ -119,4 +121,19 @@ func TestTournamentGoldenSummary(t *testing.T) {
 		t.Fatalf("tournament summary drifted from golden (bless with -update if intentional):\n got:\n%s\n want:\n%s",
 			got, string(blob))
 	}
+}
+
+// Summary renders the compact, formatting-stable digest the tournament
+// golden (TestTournamentGoldenSummary) pins: the ranked policy order plus
+// integer-ish per-policy aggregates.
+func (r *TournamentResult) Summary() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "workload=%s seed=%d duration=%.0f cells=%d\n",
+		r.Workload, r.Seed, r.DurationSec, len(r.Cells))
+	for _, st := range r.Standings {
+		fmt.Fprintf(&b, "%d. %s cells=%d fail=%d viol=%d lag=%.0f rescales=%d cores=%.0f\n",
+			st.Rank, st.Policy, st.Cells, st.Failures, st.Violations,
+			st.LagIntegral, st.Rescales, st.CoreSec)
+	}
+	return b.String()
 }

@@ -40,8 +40,8 @@ func classOf(s slo.State) healthClass {
 	}
 }
 
-// TopBurnK bounds the burn-rate ranking the aggregate maintains.
-const TopBurnK = 8
+// topBurnK bounds the burn-rate ranking the aggregate maintains.
+const topBurnK = 8
 
 // BurnRank is one entry of the fleet's worst-burn ranking.
 type BurnRank struct {
@@ -87,11 +87,11 @@ func burnLess(a, b burnEntry) bool {
 	return a.name < b.name
 }
 
-// burnTop is a bounded, sorted top-K set. K is small (TopBurnK), so
+// burnTop is a bounded, sorted top-K set. K is small (topBurnK), so
 // linear insertion beats heap bookkeeping and keeps the order fully
 // deterministic.
 type burnTop struct {
-	entries []burnEntry // ≤ TopBurnK, sorted by burnLess
+	entries []burnEntry // ≤ topBurnK, sorted by burnLess
 }
 
 // update re-ranks name at the given burn, displacing the weakest entry
@@ -100,14 +100,14 @@ func (t *burnTop) update(name string, burn float64) {
 	t.remove(name)
 	e := burnEntry{name: name, burn: burn}
 	i := sort.Search(len(t.entries), func(i int) bool { return burnLess(e, t.entries[i]) })
-	if i >= TopBurnK {
+	if i >= topBurnK {
 		return
 	}
 	t.entries = append(t.entries, burnEntry{})
 	copy(t.entries[i+1:], t.entries[i:])
 	t.entries[i] = e
-	if len(t.entries) > TopBurnK {
-		t.entries = t.entries[:TopBurnK]
+	if len(t.entries) > topBurnK {
+		t.entries = t.entries[:topBurnK]
 	}
 }
 
@@ -167,7 +167,7 @@ func (f *Fleet) healthRemove(j *job) {
 }
 
 // healthLocked materializes the public view. Caller holds f.mu. Copies
-// at most TopBurnK entries — never O(jobs).
+// at most topBurnK entries — never O(jobs).
 func (f *Fleet) healthLocked() FleetHealth {
 	h := FleetHealth{
 		Jobs:        len(f.order),
@@ -186,7 +186,7 @@ func (f *Fleet) healthLocked() FleetHealth {
 	return h
 }
 
-// HealthSnapshot returns the fleet's aggregate health. O(TopBurnK), not
+// HealthSnapshot returns the fleet's aggregate health. O(topBurnK), not
 // O(jobs): the counts and ranking are maintained incrementally at the
 // round barrier.
 func (f *Fleet) HealthSnapshot() FleetHealth {

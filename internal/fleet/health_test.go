@@ -13,8 +13,8 @@ func TestBurnTopBoundedAndSorted(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		top.update(fmt.Sprintf("job-%02d", i), float64(i))
 	}
-	if len(top.entries) != TopBurnK {
-		t.Fatalf("ranking holds %d entries, want %d", len(top.entries), TopBurnK)
+	if len(top.entries) != topBurnK {
+		t.Fatalf("ranking holds %d entries, want %d", len(top.entries), topBurnK)
 	}
 	for i, e := range top.entries {
 		if want := float64(19 - i); e.burn != want {
@@ -42,7 +42,7 @@ func TestBurnTopBoundedAndSorted(t *testing.T) {
 		t.Fatalf("tie-break order wrong: %+v", tie.entries)
 	}
 	top.remove("job-18")
-	if len(top.entries) != TopBurnK-1 || seen["job-18"] && top.entries[0].name == "job-18" {
+	if len(top.entries) != topBurnK-1 || seen["job-18"] && top.entries[0].name == "job-18" {
 		t.Fatalf("remove failed: %+v", top.entries)
 	}
 }

@@ -50,7 +50,7 @@ type JobStatus struct {
 
 // Snapshot captures the fleet's summary state. Safe to call while rounds
 // run — it takes the fleet lock, so it always observes a round boundary.
-// Cost is O(signatures + TopBurnK), independent of the job count: the
+// Cost is O(signatures + topBurnK), independent of the job count: the
 // health section reads the incremental aggregate, not the jobs.
 func (f *Fleet) Snapshot() Status {
 	f.mu.Lock()

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,6 +17,17 @@ func exposition(t *testing.T, st *metrics.Store) string {
 		t.Fatal(err)
 	}
 	return buf.String()
+}
+
+// linesOf returns the exposition lines containing label.
+func linesOf(exposition, label string) []string {
+	var out []string
+	for _, l := range strings.Split(exposition, "\n") {
+		if strings.Contains(l, label) {
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 // Remove releases the job's series and instruments: /metrics stops
@@ -35,24 +47,26 @@ func TestRemoveReleasesTelemetryAndNameIsReusable(t *testing.T) {
 		}
 	}
 	f.RunUntil(1200)
-	if out := exposition(t, store); !strings.Contains(out, `{job="a"}`) || !strings.Contains(out, `job="a",operator="mid"`) {
+	out := exposition(t, store)
+	if !strings.Contains(out, `{job="a"}`) || !strings.Contains(out, `job="a",operator="mid"`) {
 		t.Fatalf("job a not exposed before removal:\n%s", out)
 	}
-	keeperSeries := len(store.SeriesMatching(metrics.MetricTrueProcessingRate, map[string]string{"job": "keeper"}))
+	keeperLines := linesOf(out, `job="keeper"`)
 	before, _ := store.Latest(metrics.MetricThroughput, map[string]string{"job": "a"})
 
 	if err := f.Remove("a"); err != nil {
 		t.Fatal(err)
 	}
-	out := exposition(t, store)
+	out = exposition(t, store)
 	if strings.Contains(out, `job="a"`) {
 		t.Fatalf("removed job still exposed:\n%s", out)
 	}
 	if !strings.Contains(out, `{job="keeper"}`) || !strings.Contains(out, "autrascale_fleet_jobs_removed_total 1") {
 		t.Fatalf("removal dropped telemetry it does not own:\n%s", out)
 	}
-	if got := len(store.SeriesMatching(metrics.MetricTrueProcessingRate, map[string]string{"job": "keeper"})); got != keeperSeries {
-		t.Fatalf("keeper has %d rate series after the removal, had %d", got, keeperSeries)
+	if got := linesOf(out, `job="keeper"`); !slices.Equal(got, keeperLines) {
+		t.Fatalf("keeper's exposition changed with the removal:\n%s\nwas:\n%s",
+			strings.Join(got, "\n"), strings.Join(keeperLines, "\n"))
 	}
 
 	if err := f.Submit(testJob(t, "a", 1400)); err != nil {

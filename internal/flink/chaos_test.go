@@ -2,6 +2,7 @@ package flink
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"autrascale/internal/chaos"
@@ -129,20 +130,18 @@ func TestScheduledMachineKillDeterministicVictim(t *testing.T) {
 		{AtSec: 30, Down: false}, // recovers m1
 	}}
 	e, _ := chaosEngine(t, profile, 9, nil)
+	down := func() string { return strings.Join(e.Cluster().DownMachineNames(), ",") }
 	e.Run(15)
-	if !e.Cluster().MachineDown("m1") {
-		t.Fatal("victim selection must pick m1, the first up machine in sorted order")
-	}
-	if e.Cluster().MachineDown("m2") {
-		t.Fatal("m2 should still be up")
+	if down() != "m1" {
+		t.Fatalf("down = [%s]: victim selection must pick m1 alone, the first up machine in sorted order", down())
 	}
 	e.Run(10)
-	if e.Cluster().MachineDown("m2") {
-		t.Fatal("the last machine must never be killed")
+	if down() != "m1" {
+		t.Fatalf("down = [%s]: the last machine must never be killed", down())
 	}
 	e.Run(10)
-	if e.Cluster().MachineDown("m1") {
-		t.Fatal("scheduled recovery must bring m1 back")
+	if down() != "" {
+		t.Fatalf("down = [%s]: scheduled recovery must bring m1 back", down())
 	}
 }
 

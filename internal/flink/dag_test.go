@@ -37,6 +37,16 @@ func diamondGraph(t testing.TB, leftSel, rightSel float64) *dataflow.Graph {
 	return g
 }
 
+// operatorIndex returns the index of the named operator of g, or -1.
+func operatorIndex(g *dataflow.Graph, name string) int {
+	for i := 0; i < g.NumOperators(); i++ {
+		if g.Operator(i).Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestDiamondArrivalRates(t *testing.T) {
 	// With selectivities 0.5 and 0.25, the join sees 0.75x the source
 	// rate; both branches see the full source rate.
@@ -54,9 +64,9 @@ func TestDiamondArrivalRates(t *testing.T) {
 	if math.Abs(m.ThroughputRPS-1000) > 1 {
 		t.Fatalf("throughput = %v", m.ThroughputRPS)
 	}
-	left := g.OperatorIndex("left")
-	right := g.OperatorIndex("right")
-	join := g.OperatorIndex("join")
+	left := operatorIndex(g, "left")
+	right := operatorIndex(g, "right")
+	join := operatorIndex(g, "join")
 	if math.Abs(m.LambdaRPS[left]-1000) > 1 || math.Abs(m.LambdaRPS[right]-1000) > 1 {
 		t.Fatalf("branch lambdas = %v / %v, want 1000 each", m.LambdaRPS[left], m.LambdaRPS[right])
 	}

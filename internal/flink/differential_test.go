@@ -317,23 +317,32 @@ func runDifferential(t *testing.T, c diffCase, seed uint64, noise, faults bool, 
 		t.Error("generated DAG never ran with a zero-arrival operator beside live ones")
 	}
 
-	// What the ticks recorded: same series, same points.
-	names := engStore.SeriesNames()
-	if len(names) == 0 || engStore.Len() != refStore.Len() {
-		t.Fatalf("engine store has %d series, reference %d", engStore.Len(), refStore.Len())
+	// What the ticks recorded: the engine's job-level and per-operator
+	// series and nothing else, point for point.
+	var series []metrics.SeriesKey
+	jobTags := "job=" + eng.JobName()
+	for _, name := range []string{metrics.MetricThroughput, metrics.MetricLatencyMS, metrics.MetricEventTimeLatencyMS, metrics.MetricKafkaLag} {
+		series = append(series, metrics.SeriesKey{Name: name, Tags: jobTags})
 	}
-	for _, name := range names {
-		for _, key := range engStore.SeriesMatching(name, nil) {
-			got := engStore.WindowByKey(key, 0, math.Inf(1))
-			want := refStore.WindowByKey(key, 0, math.Inf(1))
-			if len(got) != len(want) {
-				t.Fatalf("series %v: %d points, reference %d", key, len(got), len(want))
-			}
-			for i := range got {
-				at := fmt.Sprintf("series %v point %d", key, i)
-				bits(t, at, "TimeSec", got[i].TimeSec, want[i].TimeSec)
-				bits(t, at, "Value", got[i].Value, want[i].Value)
-			}
+	for i := 0; i < n; i++ {
+		tags := jobTags + ",operator=" + eng.Graph().Operator(i).Name
+		for _, name := range []string{metrics.MetricTrueProcessingRate, metrics.MetricObservedRate, metrics.MetricInputRate} {
+			series = append(series, metrics.SeriesKey{Name: name, Tags: tags})
+		}
+	}
+	if engStore.Len() != len(series) || refStore.Len() != len(series) {
+		t.Fatalf("engine store has %d series, reference %d, want the engine's %d", engStore.Len(), refStore.Len(), len(series))
+	}
+	for _, key := range series {
+		got := engStore.WindowByKey(key, 0, math.Inf(1))
+		want := refStore.WindowByKey(key, 0, math.Inf(1))
+		if len(got) == 0 || len(got) != len(want) {
+			t.Fatalf("series %v: %d points, reference %d", key, len(got), len(want))
+		}
+		for i := range got {
+			at := fmt.Sprintf("series %v point %d", key, i)
+			bits(t, at, "TimeSec", got[i].TimeSec, want[i].TimeSec)
+			bits(t, at, "Value", got[i].Value, want[i].Value)
 		}
 	}
 }
@@ -392,7 +401,7 @@ func TestTickAllocatesNothing(t *testing.T) {
 	})
 	t.Run("store at the retention cap", func(t *testing.T) {
 		e := newEngine(t, workloads.EngineOptions{Store: metrics.NewStore()})
-		e.Run(2 * metrics.RetentionPoints)
+		e.Run(2048) // twice the store's 1024-sample series retention
 		if got := tickAllocs(e); got != 0 {
 			t.Fatalf("store-attached tick: %v allocs, want 0", got)
 		}

@@ -5,14 +5,15 @@ import (
 	"testing"
 	"testing/quick"
 
+	"autrascale/internal/mat"
 	"autrascale/internal/stat"
 )
 
 func TestKernelBasics(t *testing.T) {
 	kernels := []Kernel{
 		Matern52{Variance: 2, LengthScale: 1.5},
-		Matern32{Variance: 2, LengthScale: 1.5},
-		RBF{Variance: 2, LengthScale: 1.5},
+		matern32{Variance: 2, LengthScale: 1.5},
+		rbf{Variance: 2, LengthScale: 1.5},
 	}
 	x := []float64{1, 2}
 	y := []float64{3, -1}
@@ -44,8 +45,8 @@ func TestKernelMonotoneDecay(t *testing.T) {
 		d2 := d1 + r.Float64()*5 + 1e-9
 		for _, k := range []Kernel{
 			Matern52{Variance: 1, LengthScale: 1},
-			Matern32{Variance: 1, LengthScale: 1},
-			RBF{Variance: 1, LengthScale: 1},
+			matern32{Variance: 1, LengthScale: 1},
+			rbf{Variance: 1, LengthScale: 1},
 		} {
 			near := k.Eval([]float64{0}, []float64{d1})
 			far := k.Eval([]float64{0}, []float64{d2})
@@ -85,7 +86,7 @@ func TestNewPanicsOnBadNoise(t *testing.T) {
 			t.Fatal("expected panic for noise <= 0")
 		}
 	}()
-	New(RBF{Variance: 1, LengthScale: 1}, 0)
+	New(rbf{Variance: 1, LengthScale: 1}, 0)
 }
 
 // Property: the posterior interpolates training points (low noise) and has
@@ -160,7 +161,7 @@ func TestPredictionAccuracyOnSmooth(t *testing.T) {
 }
 
 func TestPredictStd(t *testing.T) {
-	r := New(RBF{Variance: 4, LengthScale: 1}, 1e-6)
+	r := New(rbf{Variance: 4, LengthScale: 1}, 1e-6)
 	if err := r.Fit([][]float64{{0}}, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestPredictStd(t *testing.T) {
 }
 
 func TestLogMarginalLikelihood(t *testing.T) {
-	r := New(RBF{Variance: 1, LengthScale: 1}, 1e-4)
+	r := New(rbf{Variance: 1, LengthScale: 1}, 1e-4)
 	if _, err := r.LogMarginalLikelihood(); err != ErrNoData {
 		t.Fatal("LML before fit should error")
 	}
@@ -188,7 +189,7 @@ func TestLogMarginalLikelihood(t *testing.T) {
 		t.Fatalf("LML = %v, err = %v", lml, err)
 	}
 	// A wildly mis-scaled kernel should have lower LML.
-	bad := New(RBF{Variance: 1e6, LengthScale: 1e-4}, 1e-4)
+	bad := New(rbf{Variance: 1e6, LengthScale: 1e-4}, 1e-4)
 	if err := bad.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +245,8 @@ func TestFitAutoFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("family %d: %v", fam, err)
 		}
-		if r.NumData() != 4 {
-			t.Fatalf("family %d: NumData = %d", fam, r.NumData())
+		if len(r.xs) != 4 {
+			t.Fatalf("family %d: %d training points", fam, len(r.xs))
 		}
 	}
 }
@@ -343,7 +344,7 @@ func TestAppendMatchesFullFit(t *testing.T) {
 				return false
 			}
 		}
-		if inc.NumData() != full.NumData() {
+		if len(inc.xs) != len(full.xs) {
 			return false
 		}
 		for trial := 0; trial < 5; trial++ {
@@ -380,14 +381,14 @@ func TestAppendValidation(t *testing.T) {
 	if err := r.Append([]float64{1, 2}, 3); err == nil {
 		t.Fatal("dimension mismatch should error")
 	}
-	if r.NumData() != 2 {
-		t.Fatalf("failed Append changed NumData to %d", r.NumData())
+	if len(r.xs) != 2 {
+		t.Fatalf("failed Append changed the training set to %d points", len(r.xs))
 	}
 	if err := r.Append([]float64{2}, 3); err != nil {
 		t.Fatal(err)
 	}
-	if r.NumData() != 3 {
-		t.Fatalf("NumData = %d, want 3", r.NumData())
+	if len(r.xs) != 3 {
+		t.Fatalf("%d training points, want 3", len(r.xs))
 	}
 }
 
@@ -444,7 +445,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 }
 
 func TestPredictBatchValidation(t *testing.T) {
-	r := New(RBF{Variance: 1, LengthScale: 1}, 1e-4)
+	r := New(rbf{Variance: 1, LengthScale: 1}, 1e-4)
 	var ws Workspace
 	if err := r.PredictBatch(&ws, [][]float64{{1}}, []float64{0}, nil); err != ErrNoData {
 		t.Fatalf("unfitted PredictBatch err = %v", err)
@@ -486,4 +487,18 @@ func TestFitAutoMatchesDirectFit(t *testing.T) {
 			t.Fatalf("FitAuto model diverges from direct fit: (%v,%v) vs (%v,%v)", m1, v1, m2, v2)
 		}
 	}
+}
+
+// LogMarginalLikelihood is the reference for the fitted model's
+// log p(y | X, θ) that FitAuto's hyperparameter search scores inline:
+//
+//	−½ yᵀK⁻¹y − ½ log|K| − (n/2)·log 2π
+func (r *Regressor) LogMarginalLikelihood() (float64, error) {
+	if r.chol == nil {
+		return 0, ErrNoData
+	}
+	n := float64(len(r.ys))
+	fit := -0.5 * mat.Dot(r.cy, r.alpha)
+	complexity := -0.5 * r.chol.LogDet()
+	return fit + complexity - 0.5*n*math.Log(2*math.Pi), nil
 }

@@ -18,12 +18,12 @@ const (
 )
 
 // makeKernel constructs a kernel of the family with the given parameters.
-func (f KernelFamily) makeKernel(variance, lengthScale float64) RadialKernel {
+func (f KernelFamily) makeKernel(variance, lengthScale float64) radialKernel {
 	switch f {
 	case FamilyMatern32:
-		return Matern32{Variance: variance, LengthScale: lengthScale}
+		return matern32{Variance: variance, LengthScale: lengthScale}
 	case FamilyRBF:
-		return RBF{Variance: variance, LengthScale: lengthScale}
+		return rbf{Variance: variance, LengthScale: lengthScale}
 	default:
 		return Matern52{Variance: variance, LengthScale: lengthScale}
 	}
@@ -98,7 +98,7 @@ func FitAuto(xs [][]float64, ys []float64, opts FitOptions) (*Regressor, error) 
 	}
 
 	var (
-		bestKern   RadialKernel
+		bestKern   radialKernel
 		bestChol   *mat.Cholesky
 		bestAlpha  []float64
 		bestJitter float64

@@ -24,12 +24,12 @@ type Kernel interface {
 	String() string
 }
 
-// RadialKernel is a stationary kernel whose value depends only on the
+// radialKernel is a stationary kernel whose value depends only on the
 // squared distance ‖x−y‖². All built-in kernels implement it; gram and the
 // hyperparameter grid search use it to evaluate many kernels over one
 // precomputed distance matrix instead of recomputing pairwise distances
 // per hyperparameter candidate.
-type RadialKernel interface {
+type radialKernel interface {
 	Kernel
 	// EvalDist2 returns k(x, y) for ‖x−y‖² = d2.
 	EvalDist2(d2 float64) float64
@@ -61,47 +61,47 @@ func (k Matern52) String() string {
 	return fmt.Sprintf("Matern52(var=%.4g, len=%.4g)", k.Variance, k.LengthScale)
 }
 
-// Matern32 is the Matérn covariance with ν = 3/2:
+// matern32 is the Matérn covariance with ν = 3/2:
 //
 //	k(r) = σ²·(1 + √3 r/ℓ)·exp(−√3 r/ℓ)
-type Matern32 struct {
+type matern32 struct {
 	Variance    float64
 	LengthScale float64
 }
 
 // Eval returns the Matérn-3/2 covariance between x and y.
-func (k Matern32) Eval(x, y []float64) float64 {
+func (k matern32) Eval(x, y []float64) float64 {
 	return k.EvalDist2(mat.SqDist(x, y))
 }
 
 // EvalDist2 returns the covariance at squared distance d2.
-func (k Matern32) EvalDist2(d2 float64) float64 {
+func (k matern32) EvalDist2(d2 float64) float64 {
 	r := math.Sqrt(d2) / k.LengthScale
 	s := math.Sqrt(3) * r
 	return k.Variance * (1 + s) * math.Exp(-s)
 }
 
-func (k Matern32) String() string {
+func (k matern32) String() string {
 	return fmt.Sprintf("Matern32(var=%.4g, len=%.4g)", k.Variance, k.LengthScale)
 }
 
-// RBF is the squared-exponential covariance k(r) = σ²·exp(−r²/(2ℓ²)).
-type RBF struct {
+// rbf is the RBF (squared-exponential) covariance k(r) = σ²·exp(−r²/(2ℓ²)).
+type rbf struct {
 	Variance    float64
 	LengthScale float64
 }
 
 // Eval returns the RBF covariance between x and y.
-func (k RBF) Eval(x, y []float64) float64 {
+func (k rbf) Eval(x, y []float64) float64 {
 	return k.EvalDist2(mat.SqDist(x, y))
 }
 
 // EvalDist2 returns the covariance at squared distance d2.
-func (k RBF) EvalDist2(d2 float64) float64 {
+func (k rbf) EvalDist2(d2 float64) float64 {
 	return k.Variance * math.Exp(-d2/(2*k.LengthScale*k.LengthScale))
 }
 
-func (k RBF) String() string {
+func (k rbf) String() string {
 	return fmt.Sprintf("RBF(var=%.4g, len=%.4g)", k.Variance, k.LengthScale)
 }
 
@@ -125,9 +125,9 @@ func gramLower(k Kernel, xs [][]float64, noise float64) *mat.Matrix {
 	switch kk := k.(type) {
 	case Matern52:
 		fill(func(x, y []float64) float64 { return kk.EvalDist2(mat.SqDist(x, y)) })
-	case Matern32:
+	case matern32:
 		fill(func(x, y []float64) float64 { return kk.EvalDist2(mat.SqDist(x, y)) })
-	case RBF:
+	case rbf:
 		fill(func(x, y []float64) float64 { return kk.EvalDist2(mat.SqDist(x, y)) })
 	default:
 		fill(k.Eval)
@@ -140,7 +140,7 @@ func gramLower(k Kernel, xs [][]float64, noise float64) *mat.Matrix {
 // squared-distance matrix, reusing g's storage across hyperparameter
 // candidates. Like gramLower, the output feeds only lower-triangle
 // consumers.
-func gramFromDist2(g *mat.Matrix, k RadialKernel, d2 *mat.Matrix, noise float64) {
+func gramFromDist2(g *mat.Matrix, k radialKernel, d2 *mat.Matrix, noise float64) {
 	n := d2.Rows()
 	fill := func(eval func(float64) float64) {
 		for i := 0; i < n; i++ {
@@ -155,9 +155,9 @@ func gramFromDist2(g *mat.Matrix, k RadialKernel, d2 *mat.Matrix, noise float64)
 	switch kk := k.(type) {
 	case Matern52:
 		fill(kk.EvalDist2)
-	case Matern32:
+	case matern32:
 		fill(kk.EvalDist2)
-	case RBF:
+	case rbf:
 		fill(kk.EvalDist2)
 	default:
 		fill(k.EvalDist2)
@@ -193,11 +193,11 @@ func crossCovInto(dst []float64, k Kernel, x []float64, xs [][]float64) []float6
 		for i, xi := range xs {
 			dst[i] = kk.EvalDist2(mat.SqDist(x, xi))
 		}
-	case Matern32:
+	case matern32:
 		for i, xi := range xs {
 			dst[i] = kk.EvalDist2(mat.SqDist(x, xi))
 		}
-	case RBF:
+	case rbf:
 		for i, xi := range xs {
 			dst[i] = kk.EvalDist2(mat.SqDist(x, xi))
 		}

@@ -48,9 +48,6 @@ func (r *Regressor) Kernel() Kernel { return r.kernel }
 // Noise returns the observation noise variance.
 func (r *Regressor) Noise() float64 { return r.noise }
 
-// NumData returns the number of training points.
-func (r *Regressor) NumData() int { return len(r.xs) }
-
 // Fit trains the GP on (xs, ys). Inputs are copied. All xs must share one
 // dimensionality, and len(xs) must equal len(ys).
 func (r *Regressor) Fit(xs [][]float64, ys []float64) error {
@@ -248,17 +245,4 @@ func (r *Regressor) TrainingData() (xs [][]float64, ys []float64) {
 		xs[i] = mat.CopyVec(x)
 	}
 	return xs, mat.CopyVec(r.ys)
-}
-
-// LogMarginalLikelihood returns log p(y | X, θ) for the fitted model:
-//
-//	−½ yᵀK⁻¹y − ½ log|K| − (n/2)·log 2π
-func (r *Regressor) LogMarginalLikelihood() (float64, error) {
-	if r.chol == nil {
-		return 0, ErrNoData
-	}
-	n := float64(len(r.ys))
-	fit := -0.5 * mat.Dot(r.cy, r.alpha)
-	complexity := -0.5 * r.chol.LogDet()
-	return fit + complexity - 0.5*n*math.Log(2*math.Pi), nil
 }

@@ -143,18 +143,9 @@ func (t *Topic) SetStalledFraction(f float64) {
 	t.stalled = f
 }
 
-// StalledFraction returns the fraction of partitions currently stalled.
-func (t *Topic) StalledFraction() float64 { return t.stalled }
-
 // Lag returns the records produced but not yet consumed (Kafka's
 // records-lag-max aggregated over partitions).
 func (t *Topic) Lag() float64 { return t.produced - t.consumed }
-
-// Produced returns the cumulative producer count.
-func (t *Topic) Produced() float64 { return t.produced }
-
-// Consumed returns the cumulative consumer count.
-func (t *Topic) Consumed() float64 { return t.consumed }
 
 // InputRateAt reports the scheduled input rate at time sec.
 func (t *Topic) InputRateAt(sec float64) float64 { return t.schedule.RateAt(sec) }

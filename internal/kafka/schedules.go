@@ -1,9 +1,7 @@
 package kafka
 
 import (
-	"errors"
 	"math"
-	"sort"
 
 	"autrascale/internal/stat"
 )
@@ -28,63 +26,6 @@ func (s SinusoidalRate) RateAt(sec float64) float64 {
 		return 0
 	}
 	return r
-}
-
-// TracePoint is one sample of a recorded rate trace.
-type TracePoint struct {
-	AtSec float64
-	Rate  float64
-}
-
-// TraceSchedule replays a recorded rate trace with linear interpolation
-// between samples; before the first sample it holds the first rate, after
-// the last it holds the last (or loops when Loop is set).
-type TraceSchedule struct {
-	points []TracePoint
-	loop   bool
-	span   float64
-}
-
-// NewTraceSchedule builds a schedule from trace samples. Samples are
-// sorted by time; at least one is required, times must be >= 0 and rates
-// >= 0.
-func NewTraceSchedule(points []TracePoint, loop bool) (*TraceSchedule, error) {
-	if len(points) == 0 {
-		return nil, errors.New("kafka: trace needs at least one point")
-	}
-	ps := append([]TracePoint(nil), points...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].AtSec < ps[j].AtSec })
-	for _, p := range ps {
-		if p.AtSec < 0 || p.Rate < 0 {
-			return nil, errors.New("kafka: trace points must be non-negative")
-		}
-	}
-	return &TraceSchedule{points: ps, loop: loop, span: ps[len(ps)-1].AtSec}, nil
-}
-
-// RateAt returns the interpolated trace rate at sec.
-func (t *TraceSchedule) RateAt(sec float64) float64 {
-	ps := t.points
-	if sec <= ps[0].AtSec {
-		return ps[0].Rate
-	}
-	if sec >= t.span {
-		if !t.loop || t.span == 0 {
-			return ps[len(ps)-1].Rate
-		}
-		sec = math.Mod(sec, t.span)
-		if sec <= ps[0].AtSec {
-			return ps[0].Rate
-		}
-	}
-	// Binary search for the segment containing sec.
-	i := sort.Search(len(ps), func(i int) bool { return ps[i].AtSec >= sec })
-	lo, hi := ps[i-1], ps[i]
-	if hi.AtSec == lo.AtSec {
-		return hi.Rate
-	}
-	frac := (sec - lo.AtSec) / (hi.AtSec - lo.AtSec)
-	return lo.Rate + frac*(hi.Rate-lo.Rate)
 }
 
 // DiurnalRate models a day/night workload with a sharper-than-sinusoid

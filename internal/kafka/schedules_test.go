@@ -45,55 +45,6 @@ func TestSinusoidalBounds(t *testing.T) {
 	}
 }
 
-func TestTraceScheduleValidation(t *testing.T) {
-	if _, err := NewTraceSchedule(nil, false); err == nil {
-		t.Fatal("empty trace should error")
-	}
-	if _, err := NewTraceSchedule([]TracePoint{{AtSec: -1, Rate: 1}}, false); err == nil {
-		t.Fatal("negative time should error")
-	}
-	if _, err := NewTraceSchedule([]TracePoint{{AtSec: 0, Rate: -1}}, false); err == nil {
-		t.Fatal("negative rate should error")
-	}
-}
-
-func TestTraceScheduleInterpolation(t *testing.T) {
-	tr, err := NewTraceSchedule([]TracePoint{
-		{AtSec: 100, Rate: 200}, {AtSec: 0, Rate: 100}, {AtSec: 200, Rate: 100},
-	}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ sec, want float64 }{
-		{-10, 100}, {0, 100}, {50, 150}, {100, 200}, {150, 150}, {200, 100}, {1e6, 100},
-	}
-	for _, c := range cases {
-		if got := tr.RateAt(c.sec); math.Abs(got-c.want) > 1e-9 {
-			t.Fatalf("RateAt(%v) = %v, want %v", c.sec, got, c.want)
-		}
-	}
-}
-
-func TestTraceScheduleLoop(t *testing.T) {
-	tr, err := NewTraceSchedule([]TracePoint{
-		{AtSec: 0, Rate: 100}, {AtSec: 100, Rate: 300},
-	}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.RateAt(150); math.Abs(got-200) > 1e-9 {
-		t.Fatalf("looped RateAt(150) = %v, want 200 (as t=50)", got)
-	}
-	// Single-point trace never divides by zero even when looping.
-	one, err := NewTraceSchedule([]TracePoint{{AtSec: 0, Rate: 42}}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.RateAt(999) != 42 {
-		t.Fatal("single-point loop should hold the rate")
-	}
-}
-
 func TestDiurnalRate(t *testing.T) {
 	d := DiurnalRate{NightRate: 500, PeakRate: 2000, PeriodSec: 86400, PeakAtSec: 43200, Sharpness: 4}
 	if got := d.RateAt(43200); math.Abs(got-2000) > 1e-9 {
@@ -201,6 +152,17 @@ func TestSawtoothBounds(t *testing.T) {
 	}
 }
 
+// conserves produces for 300 s while consuming 900 records a second and
+// reports whether the topic's lag is what was produced minus consumed.
+func conserves(topic *Topic) bool {
+	produced, consumed := 0.0, 0.0
+	for sec := 0.0; sec < 300; sec++ {
+		produced += topic.Produce(sec, 1)
+		consumed += topic.Consume(900)
+	}
+	return math.Abs(produced-consumed-topic.Lag()) <= 1e-6
+}
+
 // Topics driven by the new schedules conserve flow like any other.
 func TestTopicWithNewSchedules(t *testing.T) {
 	schedules := map[string]RateSchedule{
@@ -213,13 +175,7 @@ func TestTopicWithNewSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sec := 0.0
-		for i := 0; i < 300; i++ {
-			topic.Produce(sec, 1)
-			sec++
-			topic.Consume(900)
-		}
-		if math.Abs(topic.Produced()-topic.Consumed()-topic.Lag()) > 1e-6 {
+		if !conserves(topic) {
 			t.Fatalf("%s: conservation violated", name)
 		}
 	}
@@ -258,13 +214,7 @@ func TestTopicWithSinusoid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sec := 0.0
-	for i := 0; i < 300; i++ {
-		topic.Produce(sec, 1)
-		sec++
-		topic.Consume(900)
-	}
-	if math.Abs(topic.Produced()-topic.Consumed()-topic.Lag()) > 1e-6 {
+	if !conserves(topic) {
 		t.Fatal("conservation violated")
 	}
 }

@@ -33,17 +33,6 @@ func (c *Cholesky) row(i int) []float64 {
 	return c.data[off : off+i+1]
 }
 
-// NewCholesky factors the symmetric positive definite matrix a. Only the
-// lower triangle of a is read. It returns ErrNotPositiveDefinite when a
-// pivot is non-positive.
-func NewCholesky(a *Matrix) (*Cholesky, error) {
-	c := &Cholesky{}
-	if err := c.Factor(a, 0); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // Factor refactors c in place as the Cholesky factor of a + jitter·I,
 // reusing c's buffers (grown as needed) — the hyperparameter grid search
 // factors dozens of same-sized candidates and keeps only one, so the
@@ -167,15 +156,6 @@ func (c *Cholesky) Clone() *Cholesky {
 	return &Cholesky{data: data, inv: inv, n: c.n}
 }
 
-// L returns a copy of the lower-triangular factor as a dense matrix.
-func (c *Cholesky) L() *Matrix {
-	m := NewMatrix(c.n, c.n)
-	for i := 0; i < c.n; i++ {
-		copy(m.RawRow(i)[:i+1], c.row(i))
-	}
-	return m
-}
-
 // SolveVec solves A·x = b using the factorization (forward then backward
 // substitution).
 func (c *Cholesky) SolveVec(b []float64) []float64 {
@@ -200,12 +180,6 @@ func (c *Cholesky) SolveVecInto(dst, b []float64) []float64 {
 		dst[i] = s * c.inv[i]
 	}
 	return dst
-}
-
-// SolveLowerVec solves L·y = b (exported for GP predictive variance, which
-// needs only the forward substitution).
-func (c *Cholesky) SolveLowerVec(b []float64) []float64 {
-	return c.SolveLowerVecInto(make([]float64, c.n), b)
 }
 
 // SolveLowerVecInto solves L·y = b into dst without allocating. dst must
@@ -233,22 +207,4 @@ func (c *Cholesky) LogDet() float64 {
 		s += math.Log(c.data[i*(i+1)/2+i])
 	}
 	return 2 * s
-}
-
-// Reconstruct returns L·Lᵀ, useful for verification.
-func (c *Cholesky) Reconstruct() *Matrix {
-	out := NewMatrix(c.n, c.n)
-	for i := 0; i < c.n; i++ {
-		li := c.row(i)
-		for j := 0; j <= i; j++ {
-			lj := c.row(j)
-			var s float64
-			for k := 0; k <= j; k++ {
-				s += li[k] * lj[k]
-			}
-			out.Set(i, j, s)
-			out.Set(j, i, s)
-		}
-	}
-	return out
 }

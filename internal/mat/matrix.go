@@ -1,6 +1,7 @@
 // Package mat provides the dense linear algebra needed by the Gaussian
 // process and Bayesian optimization layers: vectors, row-major matrices,
-// Cholesky factorization, triangular solves, and a parallel matrix multiply.
+// and an incrementally extensible Cholesky factorization with its
+// triangular solves.
 //
 // The package is deliberately small and self-contained (stdlib only). All
 // operations are on float64. Matrices are row-major and sized at
@@ -11,7 +12,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -27,25 +27,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("mat: invalid dimensions %dx%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// NewMatrixFrom builds a rows x cols matrix from data (copied, row-major).
-func NewMatrixFrom(rows, cols int, data []float64) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("mat: data length %d != %d*%d", len(data), rows, cols))
-	}
-	m := NewMatrix(rows, cols)
-	copy(m.data, data)
-	return m
-}
-
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }
 
 // Rows returns the number of rows.
@@ -78,16 +59,6 @@ func (m *Matrix) check(i, j int) {
 	}
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range", i))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // RawRow returns row i without copying. The caller must not hold the slice
 // across mutations of the matrix.
 func (m *Matrix) RawRow(i int) []float64 {
@@ -99,19 +70,7 @@ func (m *Matrix) RawRow(i int) []float64 {
 
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
-	return NewMatrixFrom(m.rows, m.cols, m.data)
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			t.data[j*t.cols+i] = v
-		}
-	}
-	return t
+	return &Matrix{rows: m.rows, cols: m.cols, data: append([]float64(nil), m.data...)}
 }
 
 // Scale multiplies every element by s in place and returns m.
@@ -120,62 +79,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 		m.data[i] *= s
 	}
 	return m
-}
-
-// AddMat returns m + other as a new matrix.
-func (m *Matrix) AddMat(other *Matrix) *Matrix {
-	if m.rows != other.rows || m.cols != other.cols {
-		panic("mat: AddMat shape mismatch")
-	}
-	out := m.Clone()
-	for i, v := range other.data {
-		out.data[i] += v
-	}
-	return out
-}
-
-// AddDiag adds v to every diagonal element in place and returns m.
-func (m *Matrix) AddDiag(v float64) *Matrix {
-	n := m.rows
-	if m.cols < n {
-		n = m.cols
-	}
-	for i := 0; i < n; i++ {
-		m.data[i*m.cols+i] += v
-	}
-	return m
-}
-
-// MulVec returns m * x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.cols {
-		panic(fmt.Sprintf("mat: MulVec length %d != cols %d", len(x), m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// MaxAbsDiff returns the largest absolute elementwise difference between m
-// and other.
-func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
-	if m.rows != other.rows || m.cols != other.cols {
-		panic("mat: MaxAbsDiff shape mismatch")
-	}
-	var d float64
-	for i, v := range m.data {
-		if a := math.Abs(v - other.data[i]); a > d {
-			d = a
-		}
-	}
-	return d
 }
 
 // String renders the matrix for debugging.
@@ -191,19 +94,4 @@ func (m *Matrix) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// IsSymmetric reports whether m is square and symmetric within tol.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }

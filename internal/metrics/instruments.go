@@ -115,7 +115,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // Counter returns (creating on first use) the counter with the given
 // name and tags. Existing instruments resolve with a lock-free read.
 func (s *Store) Counter(name string, tags map[string]string) *Counter {
-	key := SeriesKey{Name: name, Tags: EncodeTags(tags)}
+	key := SeriesKey{Name: name, Tags: encodeTags(tags)}
 	if c, ok := s.counters.Load(key); ok {
 		return c.(*Counter)
 	}
@@ -132,7 +132,7 @@ func (s *Store) Counter(name string, tags map[string]string) *Counter {
 // instrument unchanged. Existing instruments resolve with a lock-free
 // read.
 func (s *Store) Histogram(name string, tags map[string]string, bounds []float64) *Histogram {
-	key := SeriesKey{Name: name, Tags: EncodeTags(tags)}
+	key := SeriesKey{Name: name, Tags: encodeTags(tags)}
 	if h, ok := s.histograms.Load(key); ok {
 		return h.(*Histogram)
 	}

@@ -115,12 +115,3 @@ func TestHistogramNoTags(t *testing.T) {
 		t.Errorf("untagged histogram rendered wrong:\n%s", b.String())
 	}
 }
-
-func TestClearDropsInstruments(t *testing.T) {
-	s := NewStore()
-	s.Counter("c", nil).Inc()
-	s.Clear()
-	if got := s.Counter("c", nil).Value(); got != 0 {
-		t.Fatalf("counter survived Clear with value %g", got)
-	}
-}

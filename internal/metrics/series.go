@@ -18,11 +18,11 @@ const (
 	chunkPoints = 128
 	maxChunks   = 8
 
-	// RetentionPoints is the most samples one series retains. A series
-	// that has wrapped holds between RetentionPoints-chunkPoints+1 and
-	// RetentionPoints of its newest samples; Window and WindowMean see
-	// only those, and Latest is unaffected.
-	RetentionPoints = chunkPoints * maxChunks
+	// retentionPoints is the most samples one series retains. A series
+	// that has wrapped holds between retentionPoints-chunkPoints+1 and
+	// retentionPoints of its newest samples; Window sees only those, and
+	// Latest is unaffected.
+	retentionPoints = chunkPoints * maxChunks
 )
 
 // Series is the resolve-once handle of one series: Store.Series pays the
@@ -30,8 +30,8 @@ const (
 // a slot write — no allocation beyond a new chunk every chunkPoints
 // samples until the retention cap, none after. Safe for concurrent use.
 //
-// A handle whose series was dropped from the store (Clear, DropTagged)
-// is detached: Append and the readers keep working on the points it
+// A handle whose series was dropped from the store (DropTagged) is
+// detached: Append and the readers keep working on the points it
 // holds, but the store no longer exposes or finds them.
 type Series struct {
 	key SeriesKey
@@ -43,17 +43,6 @@ type Series struct {
 	// chunks holds the retained points oldest first; every chunk but the
 	// last is full (chunkPoints long).
 	chunks [][]Point
-}
-
-// matches reports whether the series carries every filter pair (a filter
-// value of "" also matches an absent tag).
-func (sr *Series) matches(filter map[string]string) bool {
-	for k, want := range filter {
-		if have, _ := tagValue(sr.key.Tags, k); have != want {
-			return false
-		}
-	}
-	return true
 }
 
 // Append adds a sample. Samples are expected in non-decreasing time

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,9 +17,13 @@ import (
 // fmt verbs. WriteExposition must stay byte-identical to it.
 func referenceExposition(s *Store, names []string) string {
 	var keys []SeriesKey
-	for _, n := range names {
-		keys = append(keys, s.SeriesMatching(n, nil)...)
+	s.mu.RLock()
+	for k := range s.series {
+		if slices.Contains(names, k.Name) {
+			keys = append(keys, k)
+		}
 	}
+	s.mu.RUnlock()
 	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
 	var b strings.Builder
 	for _, k := range keys {
@@ -206,37 +210,34 @@ func checkRun(t *testing.T, pts []Point, first, last int) {
 func TestRetention(t *testing.T) {
 	t.Run("exactly at cap keeps everything", func(t *testing.T) {
 		h := NewStore().Series("m", nil)
-		fill(t, h, RetentionPoints)
-		checkRun(t, h.Window(0, math.Inf(1)), 0, RetentionPoints-1)
+		fill(t, h, retentionPoints)
+		checkRun(t, h.Window(0, math.Inf(1)), 0, retentionPoints-1)
 	})
 	t.Run("one past cap recycles the oldest chunk", func(t *testing.T) {
 		h := NewStore().Series("m", nil)
-		fill(t, h, RetentionPoints+1)
-		checkRun(t, h.Window(0, math.Inf(1)), chunkPoints, RetentionPoints)
-		if p, ok := h.Latest(); !ok || p.TimeSec != RetentionPoints {
+		fill(t, h, retentionPoints+1)
+		checkRun(t, h.Window(0, math.Inf(1)), chunkPoints, retentionPoints)
+		if p, ok := h.Latest(); !ok || p.TimeSec != retentionPoints {
 			t.Fatalf("Latest after wrap = %v, %v", p, ok)
 		}
 	})
 	t.Run("window straddling the evicted boundary", func(t *testing.T) {
 		s := NewStore()
 		h := s.Series("m", nil)
-		fill(t, h, RetentionPoints+1) // samples 0..chunkPoints-1 are gone
+		fill(t, h, retentionPoints+1) // samples 0..chunkPoints-1 are gone
 		checkRun(t, h.Window(chunkPoints-10, chunkPoints+10), chunkPoints, chunkPoints+10)
 		if pts := h.Window(0, chunkPoints-1); len(pts) != 0 {
 			t.Fatalf("evicted range returned %d points", len(pts))
 		}
-		mean, n := s.WindowMean("m", nil, 0, chunkPoints+1)
-		if n != 2 || mean != chunkPoints+0.5 {
-			t.Fatalf("WindowMean over the boundary = %g over %d samples", mean, n)
-		}
+		checkRun(t, s.Window("m", nil, 0, chunkPoints+1), chunkPoints, chunkPoints+1)
 	})
 	t.Run("many wraps stay bounded and ordered", func(t *testing.T) {
 		h := NewStore().Series("m", nil)
-		const n = 5*RetentionPoints + chunkPoints/2
+		const n = 5*retentionPoints + chunkPoints/2
 		fill(t, h, n)
 		pts := h.Window(0, math.Inf(1))
-		if len(pts) > RetentionPoints || len(pts) <= RetentionPoints-chunkPoints {
-			t.Fatalf("retained %d points, want within (%d, %d]", len(pts), RetentionPoints-chunkPoints, RetentionPoints)
+		if len(pts) > retentionPoints || len(pts) <= retentionPoints-chunkPoints {
+			t.Fatalf("retained %d points, want within (%d, %d]", len(pts), retentionPoints-chunkPoints, retentionPoints)
 		}
 		checkRun(t, pts, n-len(pts), n-1)
 		// Windows that cross chunk seams come back contiguous.
@@ -247,9 +248,9 @@ func TestRetention(t *testing.T) {
 	})
 	t.Run("steady state allocates nothing", func(t *testing.T) {
 		h := NewStore().Series("m", nil)
-		fill(t, h, RetentionPoints)
-		next := float64(RetentionPoints)
-		if avg := testing.AllocsPerRun(4*RetentionPoints, func() {
+		fill(t, h, retentionPoints)
+		next := float64(retentionPoints)
+		if avg := testing.AllocsPerRun(4*retentionPoints, func() {
 			if err := h.Append(next, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -260,12 +261,11 @@ func TestRetention(t *testing.T) {
 	})
 }
 
-// A handle outlives Clear and DropTagged detached: appends succeed and
+// A handle outlives DropTagged detached: appends succeed and
 // read back through the handle, but the store neither exposes nor finds
 // the points, and re-resolving the name starts a fresh series.
 func TestDetachedHandles(t *testing.T) {
 	for name, detach := range map[string]func(*Store){
-		"Clear":      func(s *Store) { s.Clear() },
 		"DropTagged": func(s *Store) { s.DropTagged("job", "a") },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -339,51 +339,13 @@ func TestDropTagged(t *testing.T) {
 			t.Fatalf("DropTagged removed %q:\n%s", want, out)
 		}
 	}
-	if got := s.SeriesMatching("lat", nil); len(got) != 2 {
-		t.Fatalf("SeriesMatching after drop = %v", got)
+	for job, want := range map[string]bool{"a": false, "ab": true, "b": true} {
+		if _, ok := s.Latest("lat", map[string]string{"job": job}); ok != want {
+			t.Fatalf("after the drop, job %s's series found = %v", job, ok)
+		}
 	}
 	if n := s.DropTagged("job"); n != 0 {
 		t.Fatalf("no values dropped %d", n)
-	}
-}
-
-// SeriesMatching matches on the tags parsed at resolution and keeps the
-// by-tags output order, whatever order series were created in.
-func TestSeriesMatchingOrderAndFilter(t *testing.T) {
-	s := NewStore()
-	for _, op := range []string{"sink", "map", "count"} {
-		for _, job := range []string{"wc-2", "wc-1"} {
-			s.MustRecord("rate", map[string]string{"job": job, "operator": op}, 0, 1)
-		}
-	}
-	s.MustRecord("rate", map[string]string{"job": "wc-1"}, 0, 1)
-	s.MustRecord("rate.other", map[string]string{"job": "wc-1", "operator": "map"}, 0, 1)
-	s.MustRecord("a.rate", map[string]string{"job": "wc-1", "operator": "map"}, 0, 1)
-
-	tagsOf := func(keys []SeriesKey) []string {
-		var out []string
-		for _, k := range keys {
-			if k.Name != "rate" {
-				t.Fatalf("matched %q", k.Name)
-			}
-			out = append(out, k.Tags)
-		}
-		return out
-	}
-	got := tagsOf(s.SeriesMatching("rate", map[string]string{"job": "wc-1"}))
-	want := []string{"job=wc-1", "job=wc-1,operator=count", "job=wc-1,operator=map", "job=wc-1,operator=sink"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SeriesMatching = %v, want %v", got, want)
-	}
-	got = tagsOf(s.SeriesMatching("rate", map[string]string{"operator": "map", "job": "wc-2"}))
-	if want := []string{"job=wc-2,operator=map"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("two-tag filter = %v, want %v", got, want)
-	}
-	if got := s.SeriesMatching("rate", map[string]string{"job": "wc"}); got != nil {
-		t.Fatalf("prefix of a tag value matched: %v", got)
-	}
-	if want := []string{"a.rate", "rate", "rate.other"}; !reflect.DeepEqual(s.SeriesNames(), want) {
-		t.Fatalf("SeriesNames = %v, want %v", s.SeriesNames(), want)
 	}
 }
 
@@ -391,7 +353,7 @@ func TestSeriesMatchingOrderAndFilter(t *testing.T) {
 // and drops; run under -race (make race).
 func TestConcurrentAppendScrapeCreateDrop(t *testing.T) {
 	s := NewStore()
-	const writers, samples = 4, 3 * RetentionPoints
+	const writers, samples = 4, 3 * retentionPoints
 	stop := make(chan struct{})
 	var readers, writersWG sync.WaitGroup
 
@@ -424,7 +386,7 @@ func TestConcurrentAppendScrapeCreateDrop(t *testing.T) {
 				}
 			}
 		}
-		s.SeriesMatching("m", map[string]string{"job": "1"})
+		s.Latest("m", map[string]string{"job": "1"})
 	})
 	churn := 0
 	read(func() {

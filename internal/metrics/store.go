@@ -1,7 +1,6 @@
 // Package metrics is the in-memory substitute for the paper's InfluxDB
 // deployment: a tagged time-series store with windowed queries, plus the
-// Metric Aggregator of the paper's Analyze stage, which rolls per-instance
-// series up to per-operator totals and averages.
+// counter and histogram instruments and their Prometheus text exposition.
 //
 // Series names follow the Flink metric path convention the paper cites,
 // e.g. "taskmanager.job.task.trueProcessingRate".
@@ -26,8 +25,8 @@ type SeriesKey struct {
 	Tags string // canonical "k1=v1,k2=v2" encoding
 }
 
-// EncodeTags canonicalizes a tag map.
-func EncodeTags(tags map[string]string) string {
+// encodeTags canonicalizes a tag map.
+func encodeTags(tags map[string]string) string {
 	switch len(tags) {
 	case 0:
 		return ""
@@ -56,8 +55,8 @@ func EncodeTags(tags map[string]string) string {
 // many. Series, Counter and Histogram each return a handle; resolving
 // one encodes the tags and consults a registry, using one is a per-handle
 // lock or atomic with no allocation. Hot paths cache the handle —
-// Record/MustRecord and the name+tags readers below are the same
-// operations with the resolution paid on every call.
+// MustRecord and the name+tags readers below are the same operations
+// with the resolution paid on every call.
 type Store struct {
 	mu     sync.RWMutex
 	series map[SeriesKey]*Series
@@ -96,7 +95,7 @@ func NewStore() *Store {
 // Series returns (creating on first use) the handle of the series with
 // the given name and tags.
 func (s *Store) Series(name string, tags map[string]string) *Series {
-	key := SeriesKey{Name: name, Tags: EncodeTags(tags)}
+	key := SeriesKey{Name: name, Tags: encodeTags(tags)}
 	if sr := s.lookup(key); sr != nil {
 		return sr
 	}
@@ -168,71 +167,21 @@ func keyLess(a, b SeriesKey) bool {
 	return a.Tags < b.Tags
 }
 
-// Record appends a sample. Samples are expected in non-decreasing time
-// order per series (the simulator guarantees this); out-of-order samples
-// are rejected with an error.
-func (s *Store) Record(name string, tags map[string]string, t, v float64) error {
-	return s.Series(name, tags).Append(t, v)
-}
-
-// MustRecord is Record but panics on error (simulator-internal writes are
-// ordered by construction).
+// MustRecord appends a sample to the named series and panics if it is
+// out of order (simulator-internal writes are ordered by construction).
 func (s *Store) MustRecord(name string, tags map[string]string, t, v float64) {
 	s.Series(name, tags).MustAppend(t, v)
 }
 
 // Latest returns the most recent sample of the series, or false.
 func (s *Store) Latest(name string, tags map[string]string) (Point, bool) {
-	return s.lookup(SeriesKey{Name: name, Tags: EncodeTags(tags)}).Latest()
+	return s.lookup(SeriesKey{Name: name, Tags: encodeTags(tags)}).Latest()
 }
 
 // Window returns the retained samples with TimeSec in [from, to] (see
-// RetentionPoints for how far back a series reaches).
+// retentionPoints for how far back a series reaches).
 func (s *Store) Window(name string, tags map[string]string, from, to float64) []Point {
-	return s.WindowByKey(SeriesKey{Name: name, Tags: EncodeTags(tags)}, from, to)
-}
-
-// WindowMean returns the mean value over [from, to] and the sample count.
-func (s *Store) WindowMean(name string, tags map[string]string, from, to float64) (float64, int) {
-	pts := s.Window(name, tags, from, to)
-	if len(pts) == 0 {
-		return 0, 0
-	}
-	var sum float64
-	for _, p := range pts {
-		sum += p.Value
-	}
-	return sum / float64(len(pts)), len(pts)
-}
-
-// SeriesNames returns the distinct metric names currently stored.
-func (s *Store) SeriesNames() []string {
-	var out []string
-	for _, sr := range s.ordered().series {
-		if n := len(out); n == 0 || out[n-1] != sr.key.Name {
-			out = append(out, sr.key.Name)
-		}
-	}
-	return out
-}
-
-// SeriesMatching returns the keys whose name equals name and whose tags
-// contain all of the filter pairs, ordered by tags. It searches the
-// exposition order for the name, so the cost is the series of that name,
-// not every series in the store.
-func (s *Store) SeriesMatching(name string, filter map[string]string) []SeriesKey {
-	list := s.ordered().series
-	first := sort.Search(len(list), func(i int) bool { return list[i].key.Name >= name })
-	var out []SeriesKey
-	for _, sr := range list[first:] {
-		if sr.key.Name != name {
-			break
-		}
-		if sr.matches(filter) {
-			out = append(out, sr.key)
-		}
-	}
-	return out
+	return s.WindowByKey(SeriesKey{Name: name, Tags: encodeTags(tags)}, from, to)
 }
 
 // WindowByKey returns samples for an exact series key in [from, to].
@@ -245,26 +194,6 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.series)
-}
-
-// Clear drops all series and instruments. Handles resolved earlier are
-// detached, exactly as after DropTagged.
-func (s *Store) Clear() {
-	s.mu.Lock()
-	s.series = map[SeriesKey]*Series{}
-	s.mu.Unlock()
-	clearSyncMap(&s.counters)
-	clearSyncMap(&s.histograms)
-	s.invalidateOrder()
-}
-
-// clearSyncMap drops every key (sync.Map.Clear needs go1.23; the module
-// targets go1.22).
-func clearSyncMap(m *sync.Map) {
-	m.Range(func(k, _ any) bool {
-		m.Delete(k)
-		return true
-	})
 }
 
 // DropTagged removes every series, counter and histogram whose tag key
@@ -322,10 +251,8 @@ const (
 	MetricTrueProcessingRate = "taskmanager.job.task.trueProcessingRate"
 	MetricObservedRate       = "taskmanager.job.task.observedProcessingRate"
 	MetricInputRate          = "taskmanager.job.task.numRecordsInPerSecond"
-	MetricOutputRate         = "taskmanager.job.task.numRecordsOutPerSecond"
 	MetricLatencyMS          = "taskmanager.job.latency"
 	MetricEventTimeLatencyMS = "taskmanager.job.eventTimeLatency"
 	MetricThroughput         = "taskmanager.job.throughput"
 	MetricKafkaLag           = "kafka.consumer.recordsLag"
-	MetricBusyFraction       = "taskmanager.job.task.busyTimeMsPerSecond"
 )

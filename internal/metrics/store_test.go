@@ -10,13 +10,29 @@ import (
 	"autrascale/internal/stat"
 )
 
+// Record is the name+tags append path the handle path is checked
+// against (TestHandlePathMatchesRecordPath): it resolves the series on
+// every call.
+func (s *Store) Record(name string, tags map[string]string, t, v float64) error {
+	return s.Series(name, tags).Append(t, v)
+}
+
+// meanOf is the mean of the points' values.
+func meanOf(pts []Point) float64 {
+	var sum float64
+	for _, p := range pts {
+		sum += p.Value
+	}
+	return sum / float64(len(pts))
+}
+
 func TestEncodeTags(t *testing.T) {
-	if EncodeTags(nil) != "" {
+	if encodeTags(nil) != "" {
 		t.Fatal("nil tags should encode empty")
 	}
-	got := EncodeTags(map[string]string{"b": "2", "a": "1"})
+	got := encodeTags(map[string]string{"b": "2", "a": "1"})
 	if got != "a=1,b=2" {
-		t.Fatalf("EncodeTags = %q", got)
+		t.Fatalf("encodeTags = %q", got)
 	}
 }
 
@@ -61,48 +77,37 @@ func TestWindowQueries(t *testing.T) {
 	if len(w) != 4 || w[0].TimeSec != 2 || w[3].TimeSec != 5 {
 		t.Fatalf("Window = %v", w)
 	}
-	mean, n := s.WindowMean("m", nil, 2, 5)
-	if n != 4 || math.Abs(mean-35) > 1e-9 {
-		t.Fatalf("WindowMean = %v, %d", mean, n)
+	if math.Abs(meanOf(w)-35) > 1e-9 {
+		t.Fatalf("window mean = %v", meanOf(w))
 	}
-	if mean, n := s.WindowMean("m", nil, 100, 200); n != 0 || mean != 0 {
-		t.Fatal("empty window should be (0, 0)")
+	if w := s.Window("m", nil, 100, 200); len(w) != 0 {
+		t.Fatalf("window past the data = %v", w)
 	}
 }
 
 func TestSeriesDiscovery(t *testing.T) {
 	s := NewStore()
-	s.MustRecord("rate", map[string]string{"job": "wc", "operator": "map", "instance": "0"}, 0, 1)
-	s.MustRecord("rate", map[string]string{"job": "wc", "operator": "map", "instance": "1"}, 0, 2)
-	s.MustRecord("rate", map[string]string{"job": "wc", "operator": "sink", "instance": "0"}, 0, 3)
+	tags := []map[string]string{
+		{"job": "wc", "operator": "map", "instance": "0"},
+		{"job": "wc", "operator": "map", "instance": "1"},
+		{"job": "wc", "operator": "sink", "instance": "0"},
+	}
+	for i, tg := range tags {
+		s.MustRecord("rate", tg, 0, float64(i+1))
+	}
 	s.MustRecord("lat", map[string]string{"job": "wc"}, 0, 4)
-
-	names := s.SeriesNames()
-	if len(names) != 2 || names[0] != "lat" || names[1] != "rate" {
-		t.Fatalf("SeriesNames = %v", names)
-	}
-	keys := s.SeriesMatching("rate", map[string]string{"operator": "map"})
-	if len(keys) != 2 {
-		t.Fatalf("SeriesMatching = %v", keys)
-	}
-	all := s.SeriesMatching("rate", nil)
-	if len(all) != 3 {
-		t.Fatalf("SeriesMatching(nil) = %v", all)
-	}
-	none := s.SeriesMatching("rate", map[string]string{"operator": "nope"})
-	if len(none) != 0 {
-		t.Fatalf("expected no matches, got %v", none)
-	}
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	pts := s.WindowByKey(keys[0], 0, 10)
-	if len(pts) != 1 {
-		t.Fatalf("WindowByKey = %v", pts)
+	// A series is found by its exact name and tags, in any tag order.
+	for i, tg := range tags {
+		pts := s.WindowByKey(SeriesKey{Name: "rate", Tags: encodeTags(tg)}, 0, 10)
+		if len(pts) != 1 || pts[0].Value != float64(i+1) {
+			t.Fatalf("series %v = %v", tg, pts)
+		}
 	}
-	s.Clear()
-	if s.Len() != 0 {
-		t.Fatal("Clear failed")
+	if pts := s.Window("rate", map[string]string{"job": "wc", "operator": "map"}, 0, 10); len(pts) != 0 {
+		t.Fatalf("a tag subset matched %v", pts)
 	}
 }
 
@@ -131,7 +136,8 @@ func TestConcurrentRecord(t *testing.T) {
 	}
 }
 
-// Property: WindowMean over the full range equals the mean of all writes.
+// Property: the full-range window holds every write, so its mean equals
+// the mean of all writes.
 func TestWindowMeanProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := stat.NewRNG(seed)
@@ -143,45 +149,61 @@ func TestWindowMeanProperty(t *testing.T) {
 			sum += v
 			s.MustRecord("m", nil, float64(i), v)
 		}
-		mean, cnt := s.WindowMean("m", nil, 0, float64(n))
-		return cnt == n && math.Abs(mean-sum/float64(n)) < 1e-9
+		w := s.Window("m", nil, 0, float64(n))
+		return len(w) == n && math.Abs(meanOf(w)-sum/float64(n)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestAggregator(t *testing.T) {
+// A job-level series (tagged job=..., no operator tag) is read back by
+// its exact tags: window and latest sample.
+func TestJobMeanAndLatest(t *testing.T) {
 	s := NewStore()
-	agg := NewAggregator(s)
-	// Two instances of "map" with rates 100 and 200; one "sink" at 50.
-	for tick := 0; tick < 5; tick++ {
-		ts := float64(tick)
-		s.MustRecord(MetricTrueProcessingRate, map[string]string{"job": "wc", "operator": "map", "instance": "0"}, ts, 100)
-		s.MustRecord(MetricTrueProcessingRate, map[string]string{"job": "wc", "operator": "map", "instance": "1"}, ts, 200)
-		s.MustRecord(MetricTrueProcessingRate, map[string]string{"job": "wc", "operator": "sink", "instance": "0"}, ts, 50)
-		s.MustRecord(MetricLatencyMS, map[string]string{"job": "wc"}, ts, 80+ts)
+	job := map[string]string{"job": "wc"}
+	s.MustRecord(MetricTrueProcessingRate, map[string]string{"job": "wc", "operator": "Count"}, 0, 10)
+	s.MustRecord(MetricLatencyMS, job, 0, 50)
+	s.MustRecord(MetricLatencyMS, job, 1, 70)
+	w := s.Window(MetricLatencyMS, job, 0, 1)
+	if math.Abs(meanOf(w)-60) > 1e-12 || len(w) != 2 {
+		t.Fatalf("job window = %v, want mean 60 over 2 samples", w)
 	}
-	if total := agg.OperatorTotal(MetricTrueProcessingRate, "wc", "map", 0, 4); math.Abs(total-300) > 1e-9 {
-		t.Fatalf("OperatorTotal = %v, want 300", total)
+	if w := s.Window(MetricLatencyMS, map[string]string{"job": "nojob"}, 0, 1); len(w) != 0 {
+		t.Fatalf("missing-job window = %v", w)
 	}
-	mean, n := agg.OperatorMean(MetricTrueProcessingRate, "wc", "map", 0, 4)
-	if n != 2 || math.Abs(mean-150) > 1e-9 {
-		t.Fatalf("OperatorMean = %v, %d", mean, n)
+	p, ok := s.Latest(MetricLatencyMS, job)
+	if !ok || p.Value != 70 || p.TimeSec != 1 {
+		t.Fatalf("Latest = (%+v, %v), want value 70 at t=1", p, ok)
 	}
-	if mean, n := agg.OperatorMean(MetricTrueProcessingRate, "wc", "missing", 0, 4); n != 0 || mean != 0 {
-		t.Fatal("missing operator should be (0, 0)")
+	if _, ok := s.Latest(MetricLatencyMS, map[string]string{"job": "nojob"}); ok {
+		t.Fatal("Latest found a sample for a missing job")
 	}
-	jm, n := agg.JobMean(MetricLatencyMS, "wc", 0, 4)
-	if n != 5 || math.Abs(jm-82) > 1e-9 {
-		t.Fatalf("JobMean = %v, %d", jm, n)
+}
+
+// Latest by job tags must match only the exact job-level series:
+// per-operator series of several operators for the same metric name must
+// not shadow it.
+func TestJobLatestWithMultipleOperatorSeries(t *testing.T) {
+	s := NewStore()
+	job := map[string]string{"job": "wc"}
+	op := func(name string) map[string]string { return map[string]string{"job": "wc", "operator": name} }
+	s.MustRecord(MetricInputRate, op("Source"), 5, 111)
+	s.MustRecord(MetricInputRate, op("Count"), 6, 222)
+	s.MustRecord(MetricInputRate, op("Sink"), 7, 333)
+
+	// No job-level series exists yet: Latest must not pick an
+	// operator-tagged one.
+	if p, ok := s.Latest(MetricInputRate, job); ok {
+		t.Fatalf("Latest matched an operator series: %+v", p)
 	}
-	p, ok := agg.JobLatest(MetricLatencyMS, "wc")
-	if !ok || p.Value != 84 {
-		t.Fatalf("JobLatest = %v, %v", p, ok)
-	}
-	// Window past the data is empty → totals are zero.
-	if total := agg.OperatorTotal(MetricTrueProcessingRate, "wc", "map", 50, 60); total != 0 {
-		t.Fatalf("stale window total = %v", total)
+
+	// Once the job-level series exists, it wins regardless of newer
+	// operator samples.
+	s.MustRecord(MetricInputRate, job, 8, 999)
+	s.MustRecord(MetricInputRate, op("Count"), 9, 444)
+	p, ok := s.Latest(MetricInputRate, job)
+	if !ok || p.Value != 999 {
+		t.Fatalf("Latest = (%+v, %v), want the job-level 999", p, ok)
 	}
 }

@@ -46,8 +46,9 @@ import (
 	"path/filepath"
 )
 
-// Version is the snapshot format version this build reads and writes.
-const Version = 1
+// formatVersion is the snapshot format version this build reads and
+// writes.
+const formatVersion = 1
 
 // Sentinel errors of the snapshot reader.
 var (
@@ -91,7 +92,7 @@ func Encode(w io.Writer, st *FleetState) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	if err := enc.Encode(envelope{
-		Version: Version,
+		Version: formatVersion,
 		SHA256:  sum,
 		Payload: payload,
 	}); err != nil {
@@ -110,8 +111,8 @@ func Decode(r io.Reader) (*FleetState, error) {
 	if err := dec.Decode(&env); err != nil {
 		return nil, fmt.Errorf("persist: decode snapshot envelope: %w", err)
 	}
-	if env.Version != Version {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, env.Version, Version)
+	if env.Version != formatVersion {
+		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, env.Version, formatVersion)
 	}
 	sum, err := checksum(env.Payload)
 	if err != nil {

@@ -31,7 +31,7 @@ func sampleState() *FleetState {
 			CoresPerMachine: 16,
 			MemPerMachineMB: 65536,
 			MaxIterations:   10,
-			Schedule:        ScheduleState{Kind: ScheduleKindConstant, RateRPS: 150e3, ShiftSec: 1740},
+			Schedule:        ScheduleState{Kind: scheduleKindConstant, RateRPS: 150e3, ShiftSec: 1740},
 			State:           "running",
 			SubmittedAtSec:  0,
 			EngineNowSec:    1740,
@@ -189,7 +189,7 @@ func TestScheduleFallbackDegradesToConstant(t *testing.T) {
 	if exact {
 		t.Fatal("opaque schedule described exactly")
 	}
-	if !st.Degraded || st.Kind != ScheduleKindConstant {
+	if !st.Degraded || st.Kind != scheduleKindConstant {
 		t.Fatalf("fallback = %+v, want degraded constant", st)
 	}
 	rebuilt, err := BuildSchedule(st)

@@ -13,20 +13,21 @@ import (
 // timeline; ShiftSec records the job clock at capture so the rebuilt
 // schedule answers RateAt(t) with the original RateAt(t + ShiftSec).
 //
-// Schedules outside the supported set (recorded traces, jittered
-// wrappers of them, test doubles) degrade to a constant at the rate
-// observed at capture time; Describe reports the degradation so callers
-// can log it instead of silently flattening a workload.
+// Schedules outside the supported set (caller-supplied RateSchedule
+// implementations, jittered wrappers of them, test doubles) degrade to a
+// constant at the rate observed at capture time; Describe reports the
+// degradation so callers can log it instead of silently flattening a
+// workload.
 
 // Schedule kinds.
 const (
-	ScheduleKindConstant   = "constant"
-	ScheduleKindStep       = "step"
-	ScheduleKindSinusoidal = "sinusoidal"
-	ScheduleKindDiurnal    = "diurnal"
-	ScheduleKindFlashCrowd = "flash-crowd"
-	ScheduleKindSawtooth   = "sawtooth"
-	ScheduleKindNoisy      = "noisy"
+	scheduleKindConstant   = "constant"
+	scheduleKindStep       = "step"
+	scheduleKindSinusoidal = "sinusoidal"
+	scheduleKindDiurnal    = "diurnal"
+	scheduleKindFlashCrowd = "flash-crowd"
+	scheduleKindSawtooth   = "sawtooth"
+	scheduleKindNoisy      = "noisy"
 )
 
 // ScheduleState is a rate schedule's serialized descriptor. Kind selects
@@ -87,7 +88,7 @@ func DescribeSchedule(s kafka.RateSchedule, nowSec float64) (st ScheduleState, e
 	st.ShiftSec += nowSec
 	if !exact {
 		st = ScheduleState{
-			Kind:     ScheduleKindConstant,
+			Kind:     scheduleKindConstant,
 			RateRPS:  s.RateAt(nowSec),
 			ShiftSec: nowSec,
 			Degraded: true,
@@ -99,34 +100,34 @@ func DescribeSchedule(s kafka.RateSchedule, nowSec float64) (st ScheduleState, e
 func describe(s kafka.RateSchedule) (ScheduleState, bool) {
 	switch v := s.(type) {
 	case kafka.ConstantRate:
-		return ScheduleState{Kind: ScheduleKindConstant, RateRPS: float64(v)}, true
+		return ScheduleState{Kind: scheduleKindConstant, RateRPS: float64(v)}, true
 	case kafka.StepSchedule:
 		steps := make([]ScheduleStep, len(v.Steps))
 		for i, step := range v.Steps {
 			steps[i] = ScheduleStep{FromSec: step.FromSec, Rate: step.Rate}
 		}
-		return ScheduleState{Kind: ScheduleKindStep, Steps: steps}, true
+		return ScheduleState{Kind: scheduleKindStep, Steps: steps}, true
 	case kafka.SinusoidalRate:
 		return ScheduleState{
-			Kind: ScheduleKindSinusoidal,
+			Kind: scheduleKindSinusoidal,
 			Mean: v.Mean, Amplitude: v.Amplitude,
 			PeriodSec: v.PeriodSec, PhaseSec: v.PhaseSec,
 		}, true
 	case kafka.DiurnalRate:
 		return ScheduleState{
-			Kind:      ScheduleKindDiurnal,
+			Kind:      scheduleKindDiurnal,
 			NightRate: v.NightRate, PeakRate: v.PeakRate,
 			PeriodSec: v.PeriodSec, PeakAtSec: v.PeakAtSec, Sharpness: v.Sharpness,
 		}, true
 	case kafka.FlashCrowdRate:
 		return ScheduleState{
-			Kind:     ScheduleKindFlashCrowd,
+			Kind:     scheduleKindFlashCrowd,
 			BaseRate: v.BaseRate, PeakRate: v.PeakRate, StartSec: v.StartSec,
 			RampSec: v.RampSec, HoldSec: v.HoldSec, DecayTauSec: v.DecayTauSec,
 		}, true
 	case kafka.SawtoothRate:
 		return ScheduleState{
-			Kind:    ScheduleKindSawtooth,
+			Kind:    scheduleKindSawtooth,
 			MinRate: v.MinRate, MaxRate: v.MaxRate,
 			PeriodSec: v.PeriodSec, PhaseSec: v.PhaseSec,
 		}, true
@@ -135,7 +136,7 @@ func describe(s kafka.RateSchedule) (ScheduleState, bool) {
 		if !exact {
 			return ScheduleState{}, false
 		}
-		return ScheduleState{Kind: ScheduleKindNoisy, Sigma: v.Sigma, Seed: v.Seed, Base: &base}, true
+		return ScheduleState{Kind: scheduleKindNoisy, Sigma: v.Sigma, Seed: v.Seed, Base: &base}, true
 	case shiftedSchedule:
 		st, exact := describe(v.base)
 		if !exact {
@@ -172,35 +173,35 @@ func BuildSchedule(st ScheduleState) (kafka.RateSchedule, error) {
 
 func build(st ScheduleState) (kafka.RateSchedule, error) {
 	switch st.Kind {
-	case ScheduleKindConstant:
+	case scheduleKindConstant:
 		return kafka.ConstantRate(st.RateRPS), nil
-	case ScheduleKindStep:
+	case scheduleKindStep:
 		steps := make([]kafka.Step, len(st.Steps))
 		for i, s := range st.Steps {
 			steps[i] = kafka.Step{FromSec: s.FromSec, Rate: s.Rate}
 		}
 		return kafka.StepSchedule{Steps: steps}, nil
-	case ScheduleKindSinusoidal:
+	case scheduleKindSinusoidal:
 		return kafka.SinusoidalRate{
 			Mean: st.Mean, Amplitude: st.Amplitude,
 			PeriodSec: st.PeriodSec, PhaseSec: st.PhaseSec,
 		}, nil
-	case ScheduleKindDiurnal:
+	case scheduleKindDiurnal:
 		return kafka.DiurnalRate{
 			NightRate: st.NightRate, PeakRate: st.PeakRate,
 			PeriodSec: st.PeriodSec, PeakAtSec: st.PeakAtSec, Sharpness: st.Sharpness,
 		}, nil
-	case ScheduleKindFlashCrowd:
+	case scheduleKindFlashCrowd:
 		return kafka.FlashCrowdRate{
 			BaseRate: st.BaseRate, PeakRate: st.PeakRate, StartSec: st.StartSec,
 			RampSec: st.RampSec, HoldSec: st.HoldSec, DecayTauSec: st.DecayTauSec,
 		}, nil
-	case ScheduleKindSawtooth:
+	case scheduleKindSawtooth:
 		return kafka.SawtoothRate{
 			MinRate: st.MinRate, MaxRate: st.MaxRate,
 			PeriodSec: st.PeriodSec, PhaseSec: st.PhaseSec,
 		}, nil
-	case ScheduleKindNoisy:
+	case scheduleKindNoisy:
 		if st.Base == nil {
 			return nil, fmt.Errorf("persist: noisy schedule without a base")
 		}

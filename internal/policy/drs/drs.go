@@ -110,10 +110,10 @@ func arrivals(g *dataflow.Graph, target float64) []float64 {
 	return proj
 }
 
-// PredictLatencyMS evaluates the Jackson-network latency model for a
+// predictLatencyMS evaluates the Jackson-network latency model for a
 // candidate configuration: Σ_i (service time + M/M/c wait), in ms.
 // Unstable stations yield +Inf.
-func PredictLatencyMS(lambdas, mus []float64, par dataflow.ParallelismVector) float64 {
+func predictLatencyMS(lambdas, mus []float64, par dataflow.ParallelismVector) float64 {
 	var total float64
 	for i := range lambdas {
 		mu := mus[i]
@@ -140,7 +140,7 @@ func (p *Policy) Recommend(g *dataflow.Graph, m flink.Measurement) (dataflow.Par
 	}
 	lambdas := arrivals(g, p.TargetRate)
 	return p.allocate(lambdas, mus, m.Par, 0, func(par dataflow.ParallelismVector) float64 {
-		return PredictLatencyMS(lambdas, mus, par)
+		return predictLatencyMS(lambdas, mus, par)
 	}), nil
 }
 

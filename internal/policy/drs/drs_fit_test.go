@@ -119,7 +119,7 @@ func TestRecommendGreedyReachesTarget(t *testing.T) {
 	if rec.Total() <= 3 {
 		t.Fatalf("greedy never engaged: %v", rec)
 	}
-	pred := PredictLatencyMS(lambdas, m.TrueRatePerInstance, rec)
+	pred := predictLatencyMS(lambdas, m.TrueRatePerInstance, rec)
 	if math.IsInf(pred, 1) {
 		t.Fatalf("recommended config is unstable: %v", rec)
 	}

@@ -75,21 +75,21 @@ func TestVariantString(t *testing.T) {
 func TestPredictLatency(t *testing.T) {
 	lambdas := []float64{100, 100}
 	mus := []float64{200, 150}
-	lat := PredictLatencyMS(lambdas, mus, dataflow.ParallelismVector{1, 1})
+	lat := predictLatencyMS(lambdas, mus, dataflow.ParallelismVector{1, 1})
 	if lat <= 0 || math.IsInf(lat, 0) {
-		t.Fatalf("PredictLatencyMS = %v", lat)
+		t.Fatalf("predictLatencyMS = %v", lat)
 	}
 	// More servers → lower predicted latency.
-	lat2 := PredictLatencyMS(lambdas, mus, dataflow.ParallelismVector{2, 2})
+	lat2 := predictLatencyMS(lambdas, mus, dataflow.ParallelismVector{2, 2})
 	if lat2 >= lat {
 		t.Fatalf("more servers should predict lower latency: %v vs %v", lat2, lat)
 	}
 	// Unstable station → +Inf.
-	if !math.IsInf(PredictLatencyMS([]float64{300}, []float64{100}, dataflow.ParallelismVector{1}), 1) {
+	if !math.IsInf(predictLatencyMS([]float64{300}, []float64{100}, dataflow.ParallelismVector{1}), 1) {
 		t.Fatal("unstable should be +Inf")
 	}
 	// Zero service rate is skipped rather than crashing.
-	if v := PredictLatencyMS([]float64{0}, []float64{0}, dataflow.ParallelismVector{1}); v != 0 {
+	if v := predictLatencyMS([]float64{0}, []float64{0}, dataflow.ParallelismVector{1}); v != 0 {
 		t.Fatalf("zero-mu station should contribute 0, got %v", v)
 	}
 }

@@ -1,7 +1,7 @@
-// Package queueing implements the classical queueing-theory formulas the
-// DRS baseline builds on (paper §VI "Queuing theory model"): M/M/1 and
-// M/M/c waiting times (Erlang C), the Kingman GI/G/1 approximation, and
-// open Jackson networks for end-to-end latency of a DAG of stations.
+// Package queueing implements the M/M/c (Erlang C) formulas the DRS
+// baseline builds on (paper §VI "Queuing theory model"): the expected
+// sojourn time of a station with c parallel exponential servers, and its
+// utilisation.
 //
 // DRS models each operator as an M/M/c station and predicts the total
 // expected sojourn time of a record through the network; its controller
@@ -16,41 +16,18 @@ import (
 	"math"
 )
 
-// ErrUnstable is returned when arrival rate >= service capacity, i.e. the
+// errUnstable is returned when arrival rate >= service capacity, i.e. the
 // queue grows without bound.
-var ErrUnstable = errors.New("queueing: utilization >= 1 (unstable system)")
+var errUnstable = errors.New("queueing: utilization >= 1 (unstable system)")
 
-// MM1Wait returns the expected waiting time (excluding service) in an
-// M/M/1 queue with arrival rate lambda and service rate mu, in the same
-// time unit as 1/mu.
-func MM1Wait(lambda, mu float64) (float64, error) {
-	if lambda < 0 || mu <= 0 {
-		return 0, errors.New("queueing: need lambda >= 0 and mu > 0")
-	}
-	rho := lambda / mu
-	if rho >= 1 {
-		return 0, ErrUnstable
-	}
-	return rho / (mu - lambda), nil
-}
-
-// MM1Sojourn returns expected time in system (wait + service) for M/M/1.
-func MM1Sojourn(lambda, mu float64) (float64, error) {
-	w, err := MM1Wait(lambda, mu)
-	if err != nil {
-		return 0, err
-	}
-	return w + 1/mu, nil
-}
-
-// ErlangC returns the probability an arriving customer must wait in an
+// erlangC returns the probability an arriving customer must wait in an
 // M/M/c queue with offered load a = lambda/mu and c servers.
-func ErlangC(c int, a float64) (float64, error) {
+func erlangC(c int, a float64) (float64, error) {
 	if c <= 0 || a < 0 {
 		return 0, errors.New("queueing: need c > 0 and a >= 0")
 	}
 	if a >= float64(c) {
-		return 0, ErrUnstable
+		return 0, errUnstable
 	}
 	// Compute via the numerically stable iterative Erlang B recursion:
 	// B(0) = 1; B(k) = a·B(k−1) / (k + a·B(k−1)); then
@@ -63,87 +40,29 @@ func ErlangC(c int, a float64) (float64, error) {
 	return b / (1 - rho*(1-b)), nil
 }
 
-// MMcWait returns the expected waiting time in queue for M/M/c with
+// mmcWait returns the expected waiting time in queue for M/M/c with
 // arrival rate lambda and per-server service rate mu.
-func MMcWait(lambda, mu float64, c int) (float64, error) {
+func mmcWait(lambda, mu float64, c int) (float64, error) {
 	if mu <= 0 {
 		return 0, errors.New("queueing: mu must be > 0")
 	}
 	a := lambda / mu
-	pc, err := ErlangC(c, a)
+	pc, err := erlangC(c, a)
 	if err != nil {
 		return 0, err
 	}
 	return pc / (float64(c)*mu - lambda), nil
 }
 
-// MMcSojourn returns the expected time in system for M/M/c.
+// MMcSojourn returns the expected time in system (wait + service) for
+// M/M/c with arrival rate lambda and per-server service rate mu, in the
+// same time unit as 1/mu.
 func MMcSojourn(lambda, mu float64, c int) (float64, error) {
-	w, err := MMcWait(lambda, mu, c)
+	w, err := mmcWait(lambda, mu, c)
 	if err != nil {
 		return 0, err
 	}
 	return w + 1/mu, nil
-}
-
-// KingmanWait approximates the GI/G/1 waiting time with arrival rate
-// lambda, service rate mu, and squared coefficients of variation ca2
-// (inter-arrival) and cs2 (service):
-//
-//	W ≈ (ρ/(1−ρ)) · ((ca² + cs²)/2) · (1/μ)
-func KingmanWait(lambda, mu, ca2, cs2 float64) (float64, error) {
-	if lambda < 0 || mu <= 0 || ca2 < 0 || cs2 < 0 {
-		return 0, errors.New("queueing: invalid Kingman parameters")
-	}
-	rho := lambda / mu
-	if rho >= 1 {
-		return 0, ErrUnstable
-	}
-	return rho / (1 - rho) * (ca2 + cs2) / 2 / mu, nil
-}
-
-// Station is one node of a Jackson network: c parallel exponential servers
-// with per-server rate mu.
-type Station struct {
-	Servers int
-	Mu      float64
-}
-
-// JacksonSojourn returns the expected end-to-end sojourn time of a record
-// visiting every station once (tandem Jackson network), given external
-// arrival rate lambdas[i] at each station. By Jackson's theorem each
-// station behaves as an independent M/M/c queue.
-func JacksonSojourn(stations []Station, lambdas []float64) (float64, error) {
-	if len(stations) != len(lambdas) {
-		return 0, errors.New("queueing: stations/lambdas length mismatch")
-	}
-	var total float64
-	for i, st := range stations {
-		s, err := MMcSojourn(lambdas[i], st.Mu, st.Servers)
-		if err != nil {
-			return 0, err
-		}
-		total += s
-	}
-	return total, nil
-}
-
-// MinServersForWait returns the smallest server count c such that the
-// M/M/c expected wait is <= targetWait, searching up to maxServers.
-// It returns maxServers+1 when no feasible count exists.
-func MinServersForWait(lambda, mu, targetWait float64, maxServers int) int {
-	for c := 1; c <= maxServers; c++ {
-		w, err := MMcWait(lambda, mu, c)
-		if err == nil && w <= targetWait {
-			return c
-		}
-	}
-	return maxServers + 1
-}
-
-// StableUtilization reports whether lambda/(c·mu) < 1.
-func StableUtilization(lambda, mu float64, c int) bool {
-	return c > 0 && mu > 0 && lambda < float64(c)*mu
 }
 
 // Rho returns the utilization lambda/(c·mu), or +Inf for zero capacity.

@@ -8,67 +8,73 @@ import (
 	"autrascale/internal/stat"
 )
 
+// M/M/1 is M/M/c with one server.
 func TestMM1Known(t *testing.T) {
 	// lambda=1, mu=2: W = rho/(mu-lambda) = 0.5/1 = 0.5, T = 1.
-	w, err := MM1Wait(1, 2)
+	w, err := mmcWait(1, 2, 1)
 	if err != nil || math.Abs(w-0.5) > 1e-12 {
-		t.Fatalf("MM1Wait = %v, %v", w, err)
+		t.Fatalf("mmcWait = %v, %v", w, err)
 	}
-	s, err := MM1Sojourn(1, 2)
+	s, err := MMcSojourn(1, 2, 1)
 	if err != nil || math.Abs(s-1) > 1e-12 {
-		t.Fatalf("MM1Sojourn = %v, %v", s, err)
+		t.Fatalf("MMcSojourn = %v, %v", s, err)
 	}
 }
 
 func TestMM1Errors(t *testing.T) {
-	if _, err := MM1Wait(2, 2); err != ErrUnstable {
+	if _, err := mmcWait(2, 2, 1); err != errUnstable {
 		t.Fatalf("rho=1 err = %v", err)
 	}
-	if _, err := MM1Wait(-1, 2); err == nil {
+	if _, err := mmcWait(-1, 2, 1); err == nil {
 		t.Fatal("negative lambda should error")
 	}
-	if _, err := MM1Wait(1, 0); err == nil {
+	if _, err := mmcWait(1, 0, 1); err == nil {
 		t.Fatal("zero mu should error")
 	}
-	if _, err := MM1Sojourn(3, 2); err != ErrUnstable {
+	if _, err := MMcSojourn(3, 2, 1); err != errUnstable {
 		t.Fatal("unstable sojourn should error")
 	}
 }
 
 func TestErlangCKnown(t *testing.T) {
-	// Classic value: c=2, a=1 → C = 1/3.
-	c, err := ErlangC(2, 1)
-	if err != nil || math.Abs(c-1.0/3.0) > 1e-12 {
-		t.Fatalf("ErlangC(2,1) = %v, %v", c, err)
-	}
-	// c=1 reduces to rho.
-	c1, err := ErlangC(1, 0.7)
-	if err != nil || math.Abs(c1-0.7) > 1e-12 {
-		t.Fatalf("ErlangC(1,0.7) = %v, want 0.7", c1)
+	for _, tc := range []struct {
+		c       int
+		a, want float64
+	}{
+		{2, 1, 1.0 / 3.0}, // classic value
+		{1, 0.7, 0.7},     // c=1 reduces to rho
+		// The M/M/3 case TestMMcWaitMatchesErlangC simulates:
+		// (a³/3!)·(3/(3−a)) / (Σ_{k<3} aᵏ/k! + (a³/3!)·(3/(3−a))) = 15.625/22.25.
+		{3, 2.5, 125.0 / 178.0},
+	} {
+		got, err := erlangC(tc.c, tc.a)
+		if err != nil || math.Abs(got-tc.want) > 1e-12 {
+			t.Fatalf("erlangC(%d, %v) = %v, %v; want %v", tc.c, tc.a, got, err, tc.want)
+		}
 	}
 }
 
 func TestErlangCErrors(t *testing.T) {
-	if _, err := ErlangC(0, 1); err == nil {
+	if _, err := erlangC(0, 1); err == nil {
 		t.Fatal("c=0 should error")
 	}
-	if _, err := ErlangC(2, 2); err != ErrUnstable {
+	if _, err := erlangC(2, 2); err != errUnstable {
 		t.Fatal("a >= c should be unstable")
 	}
-	if _, err := ErlangC(2, -1); err == nil {
+	if _, err := erlangC(2, -1); err == nil {
 		t.Fatal("negative load should error")
 	}
 }
 
-// Property: ErlangC is in [0, 1] and increases with offered load.
+// Property: erlangC is in [0, 1] and increases with offered load.
 func TestErlangCProperties(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := stat.NewRNG(seed)
 		c := 1 + r.Intn(20)
 		a1 := r.Float64() * float64(c) * 0.9
 		a2 := a1 + r.Float64()*(float64(c)*0.99-a1)
-		p1, err1 := ErlangC(c, a1)
-		p2, err2 := ErlangC(c, a2)
+		p1, err1 := erlangC(c, a1)
+		p2, err2 := erlangC(c, a2)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -80,20 +86,20 @@ func TestErlangCProperties(t *testing.T) {
 }
 
 func TestMMcMatchesMM1(t *testing.T) {
-	w1, _ := MM1Wait(0.8, 1)
-	wc, err := MMcWait(0.8, 1, 1)
-	if err != nil || math.Abs(w1-wc) > 1e-12 {
-		t.Fatalf("M/M/1 vs M/M/c(1): %v vs %v", w1, wc)
+	// The M/M/1 closed form: W = rho/(mu − lambda) = 0.8/0.2.
+	wc, err := mmcWait(0.8, 1, 1)
+	if err != nil || math.Abs(wc-4) > 1e-12 {
+		t.Fatalf("M/M/c(1) wait = %v, %v; want the M/M/1 value 4", wc, err)
 	}
 }
 
 func TestMMcPoolingReducesWait(t *testing.T) {
 	// Same utilization, more servers → shorter wait (pooling effect).
-	w2, err := MMcWait(1.6, 1, 2)
+	w2, err := mmcWait(1.6, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w4, err := MMcWait(3.2, 1, 4)
+	w4, err := mmcWait(3.2, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,85 +109,25 @@ func TestMMcPoolingReducesWait(t *testing.T) {
 }
 
 func TestMMcSojournIncludesService(t *testing.T) {
-	w, _ := MMcWait(1, 2, 2)
+	w, _ := mmcWait(1, 2, 2)
 	s, err := MMcSojourn(1, 2, 2)
 	if err != nil || math.Abs(s-(w+0.5)) > 1e-12 {
 		t.Fatalf("sojourn = %v, want wait+service", s)
 	}
-	if _, err := MMcSojourn(10, 1, 2); err != ErrUnstable {
+	if _, err := MMcSojourn(10, 1, 2); err != errUnstable {
 		t.Fatal("unstable M/M/c should error")
 	}
-	if _, err := MMcWait(1, 0, 2); err == nil {
+	if _, err := mmcWait(1, 0, 2); err == nil {
 		t.Fatal("zero mu should error")
 	}
 }
 
-func TestKingman(t *testing.T) {
-	// With ca2=cs2=1 Kingman equals the exact M/M/1 wait.
-	exact, _ := MM1Wait(0.8, 1)
-	approx, err := KingmanWait(0.8, 1, 1, 1)
-	if err != nil || math.Abs(exact-approx) > 1e-12 {
-		t.Fatalf("Kingman = %v, want %v", approx, exact)
-	}
-	// Lower variability → shorter wait.
-	low, _ := KingmanWait(0.8, 1, 0.2, 0.2)
-	if low >= approx {
-		t.Fatal("lower variability should shorten the wait")
-	}
-	if _, err := KingmanWait(1, 1, 1, 1); err != ErrUnstable {
-		t.Fatal("rho=1 should be unstable")
-	}
-	if _, err := KingmanWait(0.5, 1, -1, 1); err == nil {
-		t.Fatal("negative ca2 should error")
-	}
-}
-
-func TestJacksonSojourn(t *testing.T) {
-	stations := []Station{{Servers: 1, Mu: 2}, {Servers: 2, Mu: 1}}
-	lambdas := []float64{1, 1}
-	total, err := JacksonSojourn(stations, lambdas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0, _ := MMcSojourn(1, 2, 1)
-	s1, _ := MMcSojourn(1, 1, 2)
-	if math.Abs(total-(s0+s1)) > 1e-12 {
-		t.Fatalf("Jackson = %v, want %v", total, s0+s1)
-	}
-	if _, err := JacksonSojourn(stations, []float64{1}); err == nil {
-		t.Fatal("length mismatch should error")
-	}
-	if _, err := JacksonSojourn([]Station{{Servers: 1, Mu: 1}}, []float64{2}); err != ErrUnstable {
-		t.Fatal("unstable station should propagate")
-	}
-}
-
-func TestMinServersForWait(t *testing.T) {
-	// lambda=5, mu=1: need at least 6 servers for stability.
-	c := MinServersForWait(5, 1, 0.5, 20)
-	if c < 6 || c > 8 {
-		t.Fatalf("MinServersForWait = %d, want small and >= 6", c)
-	}
-	// Verify the returned count actually meets the target and c−1 does not.
-	w, err := MMcWait(5, 1, c)
-	if err != nil || w > 0.5 {
-		t.Fatalf("wait at c=%d is %v", c, w)
-	}
-	if wPrev, err := MMcWait(5, 1, c-1); err == nil && wPrev <= 0.5 {
-		t.Fatalf("c−1=%d already meets target (%v); not minimal", c-1, wPrev)
-	}
-	// Infeasible: returns maxServers+1.
-	if got := MinServersForWait(100, 1, 0.1, 5); got != 6 {
-		t.Fatalf("infeasible should return max+1, got %d", got)
-	}
-}
-
 func TestStableUtilizationAndRho(t *testing.T) {
-	if !StableUtilization(1, 1, 2) || StableUtilization(2, 1, 2) {
-		t.Fatal("StableUtilization wrong")
-	}
 	if Rho(1, 1, 2) != 0.5 {
 		t.Fatalf("Rho = %v", Rho(1, 1, 2))
+	}
+	if Rho(2, 1, 2) < 1 {
+		t.Fatal("rho = 1 is not a stable utilization")
 	}
 	if !math.IsInf(Rho(1, 0, 2), 1) {
 		t.Fatal("zero capacity should be +Inf")

@@ -1,8 +1,7 @@
 // Package stat provides the statistical primitives the rest of the system
 // relies on: a reproducible PRNG, the standard normal distribution (PDF,
-// CDF, quantile), common sampling distributions for workload generation
-// (exponential, Poisson, log-normal, Zipf), and descriptive statistics
-// (mean, variance, percentiles, histograms).
+// CDF), the normal and log-normal sampling the simulator draws from, an
+// EWMA, and the mean and percentiles.
 //
 // Everything is deterministic given a seed so simulations and experiments
 // reproduce exactly.
@@ -12,7 +11,7 @@ import "math"
 
 // RNG is a small, fast, reproducible pseudo-random generator based on
 // SplitMix64. It is not safe for concurrent use; give each goroutine its
-// own RNG (see Split).
+// own RNG.
 type RNG struct {
 	state uint64
 }
@@ -57,12 +56,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.next() % uint64(n))
 }
 
-// Split derives an independent child generator; useful to hand each
-// simulated component its own stream without sharing state.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.next())
-}
-
 // Normal returns a standard normal sample (Box–Muller, one value per call).
 func (r *RNG) Normal() float64 {
 	// Guard against log(0).
@@ -80,88 +73,7 @@ func (r *RNG) NormalMS(mean, std float64) float64 {
 	return mean + std*r.Normal()
 }
 
-// Exp returns an exponential sample with the given rate (mean 1/rate).
-func (r *RNG) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("stat: Exp with non-positive rate")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / rate
-}
-
-// Poisson returns a Poisson sample with the given mean. For large means it
-// uses the normal approximation; for small means, Knuth's product method.
-func (r *RNG) Poisson(mean float64) int {
-	if mean < 0 {
-		panic("stat: Poisson with negative mean")
-	}
-	if mean == 0 {
-		return 0
-	}
-	if mean > 64 {
-		v := r.NormalMS(mean, math.Sqrt(mean))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // LogNormal returns exp(N(mu, sigma)).
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.NormalMS(mu, sigma))
-}
-
-// Zipf samples from {0, ..., n-1} with probability proportional to
-// 1/(i+1)^s, via inverse-CDF over precomputed weights for small n. For the
-// simulator's word distributions n is small, so O(n) per sample is fine.
-type Zipf struct {
-	cdf []float64
-	rng *RNG
-}
-
-// NewZipf builds a Zipf sampler over n items with exponent s > 0.
-func NewZipf(rng *RNG, n int, s float64) *Zipf {
-	if n <= 0 || s <= 0 {
-		panic("stat: NewZipf requires n > 0 and s > 0")
-	}
-	cdf := make([]float64, n)
-	var total float64
-	for i := 0; i < n; i++ {
-		total += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = total
-	}
-	for i := range cdf {
-		cdf[i] /= total
-	}
-	return &Zipf{cdf: cdf, rng: rng}
-}
-
-// Next returns the next Zipf sample in [0, n).
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

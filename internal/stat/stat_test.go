@@ -3,7 +3,6 @@ package stat
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -46,15 +45,6 @@ func TestRNGIntn(t *testing.T) {
 	r.Intn(0)
 }
 
-func TestRNGSplitIndependent(t *testing.T) {
-	r := NewRNG(3)
-	c1 := r.Split()
-	c2 := r.Split()
-	if c1.Uint64() == c2.Uint64() {
-		t.Fatal("split children should differ")
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	r := NewRNG(4)
 	n := 50000
@@ -62,43 +52,16 @@ func TestNormalMoments(t *testing.T) {
 	for i := range xs {
 		xs[i] = r.Normal()
 	}
-	if m := Mean(xs); math.Abs(m) > 0.03 {
+	m := Mean(xs)
+	if math.Abs(m) > 0.03 {
 		t.Fatalf("normal mean = %v, want ~0", m)
 	}
-	if s := StdDev(xs); math.Abs(s-1) > 0.03 {
+	var ss float64
+	for _, x := range xs {
+		ss += (x - m) * (x - m)
+	}
+	if s := math.Sqrt(ss / float64(n-1)); math.Abs(s-1) > 0.03 {
 		t.Fatalf("normal std = %v, want ~1", s)
-	}
-}
-
-func TestExpMean(t *testing.T) {
-	r := NewRNG(5)
-	n := 50000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := r.Exp(2)
-		if v < 0 {
-			t.Fatalf("Exp produced negative %v", v)
-		}
-		sum += v
-	}
-	if m := sum / float64(n); math.Abs(m-0.5) > 0.02 {
-		t.Fatalf("Exp(2) mean = %v, want ~0.5", m)
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	r := NewRNG(6)
-	for _, mean := range []float64{0, 0.5, 4, 30, 200} {
-		n := 20000
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += float64(r.Poisson(mean))
-		}
-		got := sum / float64(n)
-		tol := 0.05*mean + 0.05
-		if math.Abs(got-mean) > tol {
-			t.Fatalf("Poisson(%v) mean = %v", mean, got)
-		}
 	}
 }
 
@@ -108,18 +71,6 @@ func TestLogNormalPositive(t *testing.T) {
 		if r.LogNormal(0, 1) <= 0 {
 			t.Fatal("LogNormal must be positive")
 		}
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	r := NewRNG(8)
-	z := NewZipf(r, 100, 1.1)
-	counts := make([]int, 100)
-	for i := 0; i < 20000; i++ {
-		counts[z.Next()]++
-	}
-	if counts[0] <= counts[50] {
-		t.Fatalf("Zipf should favor low ranks: c0=%d c50=%d", counts[0], counts[50])
 	}
 }
 
@@ -135,44 +86,10 @@ func TestNormPDFCDFKnown(t *testing.T) {
 	}
 }
 
-// Property: NormQuantile inverts NormCDF.
-func TestNormQuantileInvertsCDF(t *testing.T) {
-	f := func(raw float64) bool {
-		p := math.Mod(math.Abs(raw), 0.98) + 0.01 // p in (0.01, 0.99)
-		x := NormQuantile(p)
-		return math.Abs(NormCDF(x)-p) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNormQuantileTails(t *testing.T) {
-	if !math.IsInf(NormQuantile(0), -1) || !math.IsInf(NormQuantile(1), 1) {
-		t.Fatal("quantile at 0/1 should be ±Inf")
-	}
-	if !math.IsNaN(NormQuantile(-0.5)) {
-		t.Fatal("quantile outside [0,1] should be NaN")
-	}
-	// Extreme but valid tails should still roughly invert.
-	for _, p := range []float64{1e-6, 0.001, 0.999, 1 - 1e-6} {
-		x := NormQuantile(p)
-		if math.Abs(NormCDF(x)-p) > 1e-8 {
-			t.Fatalf("tail p=%v: CDF(Q(p)) = %v", p, NormCDF(x))
-		}
-	}
-}
-
 func TestSummaryStats(t *testing.T) {
 	xs := []float64{4, 1, 3, 2, 5}
 	if Mean(xs) != 3 {
 		t.Fatalf("Mean = %v", Mean(xs))
-	}
-	if Variance(xs) != 2.5 {
-		t.Fatalf("Variance = %v", Variance(xs))
-	}
-	if Min(xs) != 1 || Max(xs) != 5 {
-		t.Fatal("Min/Max wrong")
 	}
 	if Percentile(xs, 50) != 3 {
 		t.Fatalf("P50 = %v", Percentile(xs, 50))
@@ -180,28 +97,18 @@ func TestSummaryStats(t *testing.T) {
 	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 5 {
 		t.Fatal("P0/P100 wrong")
 	}
-	s := Summarize(xs)
-	if s.N != 5 || s.P50 != 3 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("Summary.String empty")
-	}
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Fatal("Mean/Variance of empty should be 0")
-	}
-	if (Summarize(nil) != Summary{}) {
-		t.Fatal("Summarize(nil) should be zero")
+	if Mean(nil) != 0 {
+		t.Fatal("Mean of empty should be 0")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Min(nil) should panic")
+			t.Fatal("Percentile(nil) should panic")
 		}
 	}()
-	Min(nil)
+	Percentile(nil, 50)
 }
 
 func TestPercentileInterpolation(t *testing.T) {
@@ -211,55 +118,5 @@ func TestPercentileInterpolation(t *testing.T) {
 	}
 	if got := Percentile([]float64{7}, 90); got != 7 {
 		t.Fatalf("single-element percentile = %v", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Observe(float64(i) + 0.5)
-	}
-	h.Observe(-5) // clamps to first bin
-	h.Observe(99) // clamps to last bin
-	if h.Total() != 12 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Counts[0] != 2 || h.Counts[9] != 2 {
-		t.Fatalf("clamping failed: %v", h.Counts)
-	}
-	if c := h.BinCenter(0); c != 0.5 {
-		t.Fatalf("BinCenter(0) = %v", c)
-	}
-	q := h.Quantile(0.5)
-	if q < 3 || q > 7 {
-		t.Fatalf("median = %v, want ~5", q)
-	}
-	if h.Quantile(0) > h.Quantile(1) {
-		t.Fatal("quantiles must be monotone")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for empty-histogram quantile")
-		}
-	}()
-	NewHistogram(0, 1, 4).Quantile(0.5)
-}
-
-// Property: histogram quantile is within the observed range.
-func TestHistogramQuantileRange(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := NewRNG(seed)
-		h := NewHistogram(0, 100, 20)
-		for i := 0; i < 100; i++ {
-			h.Observe(r.Float64() * 100)
-		}
-		q := h.Quantile(r.Float64())
-		return q >= 0 && q <= 100
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

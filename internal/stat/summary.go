@@ -1,7 +1,6 @@
 package stat
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -16,52 +15,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance of xs (0 for n < 2).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the minimum of xs; it panics on empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stat: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs; it panics on empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stat: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Percentile returns the p-th percentile (p in [0, 100]) of xs using linear
@@ -89,102 +42,4 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N                  int
-	Mean, Std          float64
-	Min, Max           float64
-	P50, P90, P95, P99 float64
-}
-
-// Summarize computes a Summary of xs. An empty input yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:    len(xs),
-		Mean: Mean(xs),
-		Std:  StdDev(xs),
-		Min:  Min(xs),
-		Max:  Max(xs),
-		P50:  Percentile(xs, 50),
-		P90:  Percentile(xs, 90),
-		P95:  Percentile(xs, 95),
-		P99:  Percentile(xs, 99),
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3g std=%.3g min=%.3g p50=%.3g p90=%.3g p99=%.3g max=%.3g",
-		s.N, s.Mean, s.Std, s.Min, s.P50, s.P90, s.P99, s.Max)
-}
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi); values outside
-// the range are clamped into the first/last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with bins buckets over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stat: NewHistogram requires bins > 0 and hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(x float64) {
-	bins := len(h.Counts)
-	idx := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Quantile returns the approximate q-quantile (q in [0,1]) of the observed
-// values, assuming uniform density inside each bin. It panics with no
-// observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		panic("stat: Quantile of empty histogram")
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.total)
-	var cum float64
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		next := cum + float64(c)
-		if next >= target && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.Lo + w*(float64(i)+frac)
-		}
-		cum = next
-	}
-	return h.Hi
 }

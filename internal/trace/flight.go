@@ -28,14 +28,14 @@ import (
 
 // DefaultHistoryCap is the shared bound on retained decision history:
 // each core.Controller keeps this many DecisionReports, and it is the
-// sizing unit for the flight recorder (DefaultFlightCapacity records
+// sizing unit for the flight recorder (defaultFlightCapacity records
 // across the whole process). Both evict oldest-first when full.
 const DefaultHistoryCap = 128
 
-// DefaultFlightCapacity is the default flight-recorder ring size:
+// defaultFlightCapacity is the default flight-recorder ring size:
 // 32 history units, enough for ~10 fleet jobs' full decision journals
 // or one job's multi-day run.
-const DefaultFlightCapacity = 32 * DefaultHistoryCap
+const defaultFlightCapacity = 32 * DefaultHistoryCap
 
 // Record is one flight-recorder event. Kind names form the small
 // stable vocabulary enumerated in journal.go (KindDecision,
@@ -73,10 +73,10 @@ type FlightRecorder struct {
 }
 
 // NewFlightRecorder returns a recorder retaining the most recent
-// capacity records (DefaultFlightCapacity when capacity <= 0).
+// capacity records (defaultFlightCapacity when capacity <= 0).
 func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
-		capacity = DefaultFlightCapacity
+		capacity = defaultFlightCapacity
 	}
 	return &FlightRecorder{buf: make([]Record, 0, capacity)}
 }

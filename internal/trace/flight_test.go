@@ -173,19 +173,19 @@ func TestFlightWriteJSONL(t *testing.T) {
 	}
 }
 
-// The shared cap contract: DefaultFlightCapacity derives from the same
+// The shared cap contract: defaultFlightCapacity derives from the same
 // DefaultHistoryCap that bounds controller decision history.
 func TestSharedHistoryCap(t *testing.T) {
-	if DefaultFlightCapacity != 32*DefaultHistoryCap {
-		t.Fatalf("DefaultFlightCapacity %d != 32 × DefaultHistoryCap %d",
-			DefaultFlightCapacity, DefaultHistoryCap)
+	if defaultFlightCapacity != 32*DefaultHistoryCap {
+		t.Fatalf("defaultFlightCapacity %d != 32 × DefaultHistoryCap %d",
+			defaultFlightCapacity, DefaultHistoryCap)
 	}
 	fl := NewFlightRecorder(0)
-	for i := 0; i < DefaultFlightCapacity+10; i++ {
+	for i := 0; i < defaultFlightCapacity+10; i++ {
 		fl.append([]Record{{Kind: "decision"}})
 	}
-	if fl.Len() != DefaultFlightCapacity {
-		t.Fatalf("default ring retains %d, want %d", fl.Len(), DefaultFlightCapacity)
+	if fl.Len() != defaultFlightCapacity {
+		t.Fatalf("default ring retains %d, want %d", fl.Len(), defaultFlightCapacity)
 	}
 }
 

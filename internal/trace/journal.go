@@ -52,14 +52,6 @@ func (k RecordKind) Known() bool {
 	return false
 }
 
-// KnownKinds returns the journal vocabulary in emission-site order.
-func KnownKinds() []RecordKind {
-	return []RecordKind{
-		KindDecision, KindBOIteration, KindRescaleAttempt, KindRescale,
-		KindChaosMachine, KindQuarantine, KindSLOState,
-	}
-}
-
 // maxJournalLineBytes bounds one journal line; a record is a handful of
 // short attrs, so 4 MiB means "corrupt input", not "big record".
 const maxJournalLineBytes = 4 * 1024 * 1024

@@ -9,9 +9,12 @@ import (
 )
 
 func TestKnownKinds(t *testing.T) {
-	for _, k := range KnownKinds() {
+	for _, k := range []RecordKind{
+		KindDecision, KindBOIteration, KindRescaleAttempt, KindRescale,
+		KindChaosMachine, KindQuarantine, KindSLOState,
+	} {
 		if !k.Known() {
-			t.Fatalf("KnownKinds entry %q not Known()", k)
+			t.Fatalf("journal kind %q not Known()", k)
 		}
 	}
 	for _, k := range []RecordKind{"", "decisions", "mape.step", "chaos"} {
