@@ -7,7 +7,7 @@ GO ?= go
 # with SEEDS=<that seed>.
 SEEDS ?= 1 7 42
 
-.PHONY: all build test race cover bench benchcmp profile chaos fleet audit tournament replay check experiments summary fmt vet clean
+.PHONY: all build test race cover bench profile chaos fleet audit tournament replay check experiments summary fmt vet clean
 
 all: build test
 
@@ -26,25 +26,9 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Micro-benchmarks the numerical core must not regress on. Each benchmark
-# runs 3 times and the per-benchmark minimum is compared against
-# BENCH_BASELINE.json; >20% slower in ns/op fails, and benchmarks with a
-# recorded allocs/op fail on allocation growth (BenchmarkTraceOverhead is
-# pinned at 0 allocs so tracing can never leak into the disabled hot
-# path, BenchmarkStoreAppend at 0 so a series append through a resolved
-# handle stays allocation-free, BenchmarkSimulatorTick and
-# BenchmarkEngineTickStore at 0 so the simulator tick every policy
-# window and trial stands on never allocates, bare or store-attached).
-# Refresh the baseline after a deliberate change with:
-#   make benchcmp BENCHCMP_FLAGS=-update
-BENCHCMP_BENCHES = BenchmarkBOSuggest$$|BenchmarkGPFitPredict$$|BenchmarkGPAppend$$|BenchmarkPredictBatch$$|BenchmarkTraceOverhead$$|BenchmarkFleetTick$$|BenchmarkFleetTick10k$$|BenchmarkLibraryNearest$$|BenchmarkExposition10k$$|BenchmarkStoreAppend$$|BenchmarkSimulatorTick$$|BenchmarkEngineTickStore$$|BenchmarkJournalDecode$$|BenchmarkPolicyStepBO$$|BenchmarkPolicyStepDS2$$|BenchmarkPolicyStepDRS$$|BenchmarkSnapshot10k$$
-benchcmp:
-	$(GO) test -run '^$$' -bench '$(BENCHCMP_BENCHES)' -benchmem -count 3 . \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_BASELINE.json $(BENCHCMP_FLAGS)
-
 # CPU and heap profiles of the fleet hot path: writes fleet_cpu.prof /
 # fleet_mem.prof and prints each profile's top-10 — the first stop when
-# a benchcmp gate trips (docs/fleet.md). Override PROFILE_BENCH to
+# a ledger layer regresses (docs/fleet.md). Override PROFILE_BENCH to
 # profile something else, and PROFILE_BENCHTIME for benchmarks whose op
 # is far shorter than a fleet round, e.g. one store-attached engine tick:
 #   make profile PROFILE_BENCH='BenchmarkEngineTickStore$$' PROFILE_BENCHTIME=2000000x
@@ -129,12 +113,13 @@ replay:
 
 # The full pre-merge gate: static checks, every package's tests exactly
 # once (`test`: the chaos, property, metamorphic, golden, fleet, audit,
-# policy and persist layers included), the race detector on the
-# concurrency-bearing packages, the benchmark baseline, and then the
-# gates, each running only its seeded soak or diff: the chaos soak
-# matrix, the fleet determinism soak, the journal audit diff, the policy
-# tournament matrix, and the crash-replay durability diff.
-check: vet test race benchcmp chaos fleet audit tournament replay
+# policy and persist layers and the allocation contracts included), the
+# race detector on the concurrency-bearing packages, and then the gates,
+# each running only its seeded soak or diff: the chaos soak matrix, the
+# fleet determinism soak, the journal audit diff, the policy tournament
+# matrix, and the crash-replay durability diff. Timings are judged only
+# by `go run ./bench compare` over interleaved parent/change pairs.
+check: vet test race chaos fleet audit tournament replay
 
 # Reproduce every table and figure of the paper's evaluation.
 experiments:

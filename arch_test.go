@@ -3,17 +3,20 @@ package autrascale_test
 import (
 	"go/ast"
 	"path"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 // architectureRules says, per kind of construct, which packages (or
-// single files) of non-test code may contain it. bench/, the harness that
-// measures everything, is exempt. Today's truth is the table: widening a
-// row is a design decision for review, not an edit to make a test pass.
+// single files) of non-test code may contain it; a row with tests set
+// covers _test.go files too. bench/, the harness that measures
+// everything, is exempt. Today's truth is the table: widening a row is a
+// design decision for review, not an edit to make a test pass.
 var architectureRules = []struct {
 	what    string
+	tests   bool
 	allowed func(file string) bool
 	find    func(f *ast.File) []ast.Node
 }{
@@ -41,12 +44,24 @@ var architectureRules = []struct {
 		allowed: notIn("internal/core"),
 		find:    imports("autrascale/internal/fleet", "autrascale/internal/persist"),
 	},
+	{
+		// ROADMAP renumbers its items at every re-anchor, so a number
+		// soon names another item: cite an item by its title.
+		what:    "cites a ROADMAP item by number",
+		tests:   true,
+		allowed: in(), // nowhere
+		find:    comments(regexp.MustCompile(`ROADMAP\s+(items?\s+)?[#§]?\d`)),
+	},
 }
 
 func TestArchitectureRules(t *testing.T) {
-	src := nonTestFiles(t)
+	src := sourceFiles(t)
 	for _, rule := range architectureRules {
-		for _, gf := range src.files {
+		files := src.files
+		if rule.tests {
+			files = append(files[:len(files):len(files)], src.tests...)
+		}
+		for _, gf := range files {
 			if gf.dir == "bench" || strings.HasPrefix(gf.dir, "bench/") || rule.allowed(gf.path) {
 				continue
 			}
@@ -100,6 +115,21 @@ func calls(pkg string, names ...string) func(*ast.File) []ast.Node {
 			}
 			return true
 		})
+		return found
+	}
+}
+
+// comments finds the comments matching re.
+func comments(re *regexp.Regexp) func(*ast.File) []ast.Node {
+	return func(f *ast.File) []ast.Node {
+		var found []ast.Node
+		for _, g := range f.Comments {
+			for _, c := range g.List {
+				if re.MatchString(c.Text) {
+					found = append(found, c)
+				}
+			}
+		}
 		return found
 	}
 }

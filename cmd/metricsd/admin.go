@@ -4,9 +4,10 @@ package main
 // trigger/download, and library inspection over HTTP. Every route
 // validates the method first (405 + Allow on a mismatch, even outside
 // fleet mode) and mutating routes decode strict JSON (unknown fields and
-// malformed bodies are 400) — the admin surface fails loudly before it
-// touches the fleet. All routes except the method check require fleet
-// mode (404 otherwise): single-job metricsd has no lifecycle to manage.
+// malformed bodies are 400, bodies over maxAdminBody are 413) — the admin
+// surface fails loudly before it touches the fleet. All routes except the
+// method check require fleet mode (404 otherwise): single-job metricsd
+// has no lifecycle to manage.
 
 import (
 	"encoding/json"
@@ -54,13 +55,22 @@ func (s *server) requireFleet(w http.ResponseWriter) bool {
 	return true
 }
 
+// maxAdminBody bounds a mutating request's body. The largest legitimate
+// one, a job spec, is a few hundred bytes.
+const maxAdminBody = 1 << 20
+
 // decodeJSON strictly decodes a mutating request's body: malformed JSON,
-// unknown fields, or trailing garbage are a 400.
+// unknown fields, or trailing garbage are a 400, and a body over
+// maxAdminBody is a 413 — decoding stops at the limit.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAdminBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request body: "+err.Error(), status)
 		return false
 	}
 	if dec.More() {

@@ -158,6 +158,28 @@ func TestAdminBadJSON(t *testing.T) {
 	}
 }
 
+// TestAdminOversizeBody drives every mutating route with a well-formed
+// body just over maxAdminBody: each answers 413 without decoding it, so
+// no oversized name reaches the fleet as a job, a metrics tag or a
+// journal field.
+func TestAdminOversizeBody(t *testing.T) {
+	srv := adminFleetServer(t, serverConfig{})
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+
+	body := `{"name": "` + strings.Repeat("x", maxAdminBody) + `", "workload": "wordcount"}`
+	for _, route := range []string{"/api/v1/jobs", "/api/v1/jobs/drain", "/api/v1/jobs/remove"} {
+		resp := post(t, ts.URL+route, body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", route, len(body), resp.StatusCode)
+		}
+	}
+	if _, total := srv.fleet.JobsPage(0, 0); total != 2 {
+		t.Fatalf("fleet holds %d jobs after oversized submits, want the 2 it started with", total)
+	}
+}
+
 // TestAdminJobLifecycle exercises the happy path and the error statuses:
 // submit (with policy selection), duplicate 409, unknown workload/policy
 // 400, drain, remove, unknown name 404.

@@ -303,6 +303,15 @@ func main() {
 // before it moves on to the final checkpoint.
 const shutdownGrace = 5 * time.Second
 
+// Server timeouts: a client gets readHeaderTimeout to send its request
+// headers and a keep-alive connection is closed after idleTimeout without
+// a request. There is deliberately no write timeout: /debug/fleet and
+// /debug/pprof/profile legitimately stream for longer.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // run binds addr, drives the simulation and serves until ctx is cancelled
 // (SIGINT/SIGTERM in main), then shuts down in the order that lands the
 // last snapshot: the drive loop stops, so no round is in flight; the HTTP
@@ -323,7 +332,11 @@ func (s *server) run(ctx context.Context, addr string, tick time.Duration) error
 		defer close(driven)
 		s.drive(driveCtx, tick)
 	}()
-	httpSrv := &http.Server{Handler: s.routes()}
+	httpSrv := &http.Server{
+		Handler:           s.routes(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	served := make(chan error, 1)
 	go func() { served <- httpSrv.Serve(ln) }()
 

@@ -2,8 +2,7 @@ package audit
 
 // The SLO audit report: burn-state transitions per job, aggregated from
 // the journal's slo.state records into a ranked table — the fleet-wide
-// "who burned their budget, when, and for how long" view the
-// policy-tournament work (ROADMAP item 3) will rank candidates by.
+// "who burned their budget, when, and for how long" view.
 
 import (
 	"fmt"

@@ -133,11 +133,6 @@ type SuggestionStats struct {
 	// Acquisition is the function the suggestion maximized: "ei"
 	// (expected improvement) or "mean" (pure exploitation).
 	Acquisition string
-	// FBest is the incumbent score the acquisition improved upon.
-	FBest float64
-	// PoolSize/Eligible count scored candidates and those not yet
-	// evaluated (climb results included).
-	PoolSize, Eligible int
 	// Reason labels the selection path: "acq-max", "exploit-mean",
 	// "fallback-mean" (every candidate had zero acquisition value).
 	Reason string
@@ -513,12 +508,6 @@ func (o *Optimizer) SuggestWith(exploit bool) (dataflow.ParallelismVector, error
 	// scratch, which the deferred release hands back for reuse.
 	finish := func(idx int, reason string) (dataflow.ParallelismVector, error) {
 		par := candidates[idx].Clone()
-		nEligible := 0
-		for _, e := range eligible {
-			if e {
-				nEligible++
-			}
-		}
 		av := acqVals[idx]
 		if reason != reasonAcqMax {
 			av = means[idx]
@@ -529,13 +518,16 @@ func (o *Optimizer) SuggestWith(exploit bool) (dataflow.ParallelismVector, error
 			Std:         stds[idx],
 			AcqValue:    av,
 			Acquisition: acq,
-			FBest:       fBest,
-			PoolSize:    len(candidates),
-			Eligible:    nEligible,
 			Reason:      reason,
 		}
 		o.haveStats = true
 		if o.tracer.Enabled() {
+			nEligible := 0
+			for _, e := range eligible {
+				if e {
+					nEligible++
+				}
+			}
 			sp := o.tracer.StartSpan("bo.suggest")
 			sp.SetStr("par", par.String())
 			sp.SetStr("reason", reason)

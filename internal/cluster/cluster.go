@@ -21,7 +21,6 @@ import (
 type Machine struct {
 	Name  string
 	Cores int
-	MemMB int
 }
 
 // Cluster is a set of machines plus the interference parameters.
@@ -89,9 +88,9 @@ func New(cfg Config) (*Cluster, error) {
 func PaperTestbed() *Cluster {
 	c, err := New(Config{
 		Machines: []Machine{
-			{Name: "r730xd-1", Cores: 20, MemMB: 262144},
-			{Name: "r730xd-2", Cores: 20, MemMB: 262144},
-			{Name: "r730xd-3", Cores: 20, MemMB: 262144},
+			{Name: "r730xd-1", Cores: 20},
+			{Name: "r730xd-2", Cores: 20},
+			{Name: "r730xd-3", Cores: 20},
 		},
 		InterferenceGamma: 1.0,
 		BackgroundLoad:    0.05,

@@ -12,8 +12,8 @@ func twoMachines(t *testing.T) *Cluster {
 	t.Helper()
 	c, err := New(Config{
 		Machines: []Machine{
-			{Name: "m1", Cores: 4, MemMB: 8192},
-			{Name: "m2", Cores: 8, MemMB: 16384},
+			{Name: "m1", Cores: 4},
+			{Name: "m2", Cores: 8},
 		},
 		InterferenceGamma: 1,
 	})

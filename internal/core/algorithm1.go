@@ -57,18 +57,8 @@ func (c *Algorithm1Config) defaults() error {
 	return nil
 }
 
-// TrialPhase labels how a configuration was evaluated.
-type TrialPhase string
-
-// Phases of Algorithm 1.
-const (
-	PhaseBootstrap TrialPhase = "bootstrap"
-	PhaseBO        TrialPhase = "bo"
-)
-
 // Trial is one evaluated configuration with its QoS outcome.
 type Trial struct {
-	Phase         TrialPhase
 	Par           dataflow.ParallelismVector
 	Score         float64
 	ProcLatencyMS float64
@@ -149,8 +139,8 @@ func RunAlgorithm1(e *flink.Engine, base dataflow.ParallelismVector, cfg Algorit
 		sp.SetBool("skip_bootstrap", cfg.SkipBootstrap)
 	}
 
-	evaluate := func(p dataflow.ParallelismVector, phase TrialPhase) (Trial, error) {
-		tr, err := runTrial(e, scorer, p, phase)
+	evaluate := func(p dataflow.ParallelismVector) (Trial, error) {
+		tr, err := runTrial(e, scorer, p)
 		if err != nil {
 			return Trial{}, err
 		}
@@ -176,7 +166,7 @@ func RunAlgorithm1(e *flink.Engine, base dataflow.ParallelismVector, cfg Algorit
 			return nil, err
 		}
 		for _, p := range set {
-			if _, err := evaluate(p, PhaseBootstrap); err != nil {
+			if _, err := evaluate(p); err != nil {
 				return nil, err
 			}
 			res.BootstrapRuns++
@@ -196,7 +186,7 @@ func RunAlgorithm1(e *flink.Engine, base dataflow.ParallelismVector, cfg Algorit
 		if err != nil {
 			return nil, err
 		}
-		tr, err := evaluate(p, PhaseBO)
+		tr, err := evaluate(p)
 		if err != nil {
 			return nil, err
 		}
@@ -252,7 +242,7 @@ func searchProblem(e *flink.Engine, base dataflow.ParallelismVector, targetLaten
 
 // runTrial runs configuration p for one policy-running window and scores
 // it — the one way Algorithms 1 and 2 evaluate a configuration for real.
-func runTrial(e *flink.Engine, scorer bo.Scorer, p dataflow.ParallelismVector, phase TrialPhase) (Trial, error) {
+func runTrial(e *flink.Engine, scorer bo.Scorer, p dataflow.ParallelismVector) (Trial, error) {
 	if err := e.SetParallelism(p); err != nil {
 		return Trial{}, err
 	}
@@ -260,7 +250,6 @@ func runTrial(e *flink.Engine, scorer bo.Scorer, p dataflow.ParallelismVector, p
 	// not while draining backlog inherited from earlier trials.
 	m := e.MeasureSteady(TrialWarmupSec, TrialMeasureSec)
 	return Trial{
-		Phase:         phase,
 		Par:           p.Clone(),
 		Score:         scorer.Score(m.ProcLatencyMS, p),
 		ProcLatencyMS: m.ProcLatencyMS,

@@ -81,7 +81,7 @@ func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transf
 	var realSamples []transfer.Sample
 
 	runReal := func(p dataflow.ParallelismVector) (Trial, error) {
-		tr, err := runTrial(e, scorer, p, PhaseBO)
+		tr, err := runTrial(e, scorer, p)
 		if err != nil {
 			return Trial{}, err
 		}

@@ -12,7 +12,7 @@ import (
 func engineAtRate(t testing.TB, rate float64, seed uint64) *flink.Engine {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{Machines: []cluster.Machine{
-		{Name: "m1", Cores: 32, MemMB: 65536}, {Name: "m2", Cores: 32, MemMB: 65536},
+		{Name: "m1", Cores: 32}, {Name: "m2", Cores: 32},
 	}})
 	if err != nil {
 		t.Fatal(err)

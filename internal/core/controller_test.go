@@ -14,7 +14,7 @@ import (
 func controllerEngine(t testing.TB, sched kafka.RateSchedule) *flink.Engine {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{Machines: []cluster.Machine{
-		{Name: "m1", Cores: 32, MemMB: 65536}, {Name: "m2", Cores: 32, MemMB: 65536},
+		{Name: "m1", Cores: 32}, {Name: "m2", Cores: 32},
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ func TestAlgorithm1SurvivesRateSpikeMidRun(t *testing.T) {
 		{FromSec: 2000, Rate: 2600}, // spikes during the BO loop
 	}}
 	c, err := cluster.New(cluster.Config{Machines: []cluster.Machine{
-		{Name: "m1", Cores: 32, MemMB: 65536}, {Name: "m2", Cores: 32, MemMB: 65536}}})
+		{Name: "m1", Cores: 32}, {Name: "m2", Cores: 32}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestAlgorithm1SurvivesRateSpikeMidRun(t *testing.T) {
 // must terminate via PMax clamping + the repeat rule, not loop.
 func TestOptimizeThroughputAtResourceCeiling(t *testing.T) {
 	small, err := cluster.New(cluster.Config{Machines: []cluster.Machine{
-		{Name: "tiny", Cores: 6, MemMB: 8192}}})
+		{Name: "tiny", Cores: 6}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +133,9 @@ func TestMachineKillVictimSelectionDeterministic(t *testing.T) {
 		// Machines declared out of sorted order on purpose: selection
 		// must go by sorted name, not declaration or map order.
 		c, err := cluster.New(cluster.Config{Machines: []cluster.Machine{
-			{Name: "m3", Cores: 16, MemMB: 32768},
-			{Name: "m1", Cores: 16, MemMB: 32768},
-			{Name: "m2", Cores: 16, MemMB: 32768},
+			{Name: "m3", Cores: 16},
+			{Name: "m1", Cores: 16},
+			{Name: "m2", Cores: 16},
 		}})
 		if err != nil {
 			t.Fatal(err)

@@ -64,7 +64,7 @@ func TestControllerSLOBurnsUnderViolation(t *testing.T) {
 // with the mape.step span's id.
 func TestControllerFlightChain(t *testing.T) {
 	c, err := cluster.New(cluster.Config{Machines: []cluster.Machine{
-		{Name: "m1", Cores: 32, MemMB: 65536}, {Name: "m2", Cores: 32, MemMB: 65536},
+		{Name: "m1", Cores: 32}, {Name: "m2", Cores: 32},
 	}})
 	if err != nil {
 		t.Fatal(err)

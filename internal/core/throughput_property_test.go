@@ -71,8 +71,8 @@ func TestOptimizeThroughputPropertyRandomDAGs(t *testing.T) {
 			rng := stat.NewRNG(uint64(9000 + trial))
 			g := randomDAG(t, rng)
 			cl, err := cluster.New(cluster.Config{Machines: []cluster.Machine{
-				{Name: "p1", Cores: 8, MemMB: 16384},
-				{Name: "p2", Cores: 8, MemMB: 16384},
+				{Name: "p1", Cores: 8},
+				{Name: "p2", Cores: 8},
 			}})
 			if err != nil {
 				t.Fatal(err)

@@ -37,7 +37,7 @@ func chain(t testing.TB, rates [3]float64, capSink float64) *dataflow.Graph {
 func engineFor(t testing.TB, g *dataflow.Graph, rate float64) *flink.Engine {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{Machines: []cluster.Machine{
-		{Name: "m1", Cores: 32, MemMB: 65536}, {Name: "m2", Cores: 32, MemMB: 65536},
+		{Name: "m1", Cores: 32}, {Name: "m2", Cores: 32},
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -39,7 +39,6 @@ type ElasticityJob struct {
 	Workload        string
 	TargetRPS       float64
 	TargetLatencyMS float64
-	Initial         dataflow.ParallelismVector
 	Methods         []MethodResult
 }
 
@@ -103,7 +102,6 @@ func RunElasticity(scenario Scenario, opts ElasticityOptions) (*ElasticityResult
 			Workload:        job.spec.Name,
 			TargetRPS:       job.targetRPS,
 			TargetLatencyMS: job.spec.TargetLatencyMS,
-			Initial:         initial.Clone(),
 		}
 		newEngine := func(seedOffset uint64) (*flink.Engine, error) {
 			return workloads.NewEngine(job.spec, workloads.EngineOptions{

@@ -29,8 +29,6 @@ type Fig8Method struct {
 // Fig8Query is one Nexmark query's comparison.
 type Fig8Query struct {
 	Query           string
-	OldRateRPS      float64
-	NewRateRPS      float64
 	TargetLatencyMS float64
 	Methods         []Fig8Method
 }
@@ -66,8 +64,6 @@ func RunFig8(opts Fig8Options) (*Fig8Result, error) {
 		seed := opts.Seed + uint64(ci)*100
 		q := Fig8Query{
 			Query:           c.spec.Name,
-			OldRateRPS:      c.oldRate,
-			NewRateRPS:      c.spec.DefaultRateRPS,
 			TargetLatencyMS: c.spec.TargetLatencyMS,
 		}
 

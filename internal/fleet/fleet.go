@@ -136,7 +136,9 @@ type JobSpec struct {
 	// admission checks against TotalCores.
 	Machines        int
 	CoresPerMachine int
-	// MemPerMachineMB sizes each machine's memory (default 65536).
+	// MemPerMachineMB is each machine's memory (default 65536). The
+	// simulator models no memory limit; the value travels with the job
+	// through snapshots and the admin API.
 	MemPerMachineMB int
 	// MaxIterations bounds each BO planning session (default 10 — fleet
 	// jobs should not monopolize simulated time).
@@ -459,7 +461,6 @@ func (f *Fleet) build(spec JobSpec, seed uint64, lib *transfer.ModelLibrary, par
 		machines[i] = cluster.Machine{
 			Name:  fmt.Sprintf("%s-m%d", spec.Name, i+1),
 			Cores: spec.CoresPerMachine,
-			MemMB: spec.MemPerMachineMB,
 		}
 	}
 	cl, err := cluster.New(cluster.Config{Machines: machines})

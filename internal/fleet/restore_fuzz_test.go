@@ -38,7 +38,7 @@ func restoreOK(t testing.TB, st *persist.FleetState) *Fleet {
 	return f
 }
 
-// snapshot ∘ restore ∘ snapshot is a byte fixpoint (ROADMAP 4(b)): a job
+// snapshot ∘ restore ∘ snapshot is a byte fixpoint: a job
 // captures identically whichever entry point built it. The first hop —
 // from jobs Submit built to jobs Restore built — moves exactly the
 // documented clock re-origin (docs/durability.md): the rebuilt engine

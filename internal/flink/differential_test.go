@@ -122,9 +122,9 @@ func generatedCase(seed uint64) diffCase {
 		cluster: func() *cluster.Cluster {
 			c, err := cluster.New(cluster.Config{
 				Machines: []cluster.Machine{
-					{Name: "m1", Cores: 8, MemMB: 32768},
-					{Name: "m2", Cores: 6, MemMB: 32768},
-					{Name: "m3", Cores: 10, MemMB: 32768},
+					{Name: "m1", Cores: 8},
+					{Name: "m2", Cores: 6},
+					{Name: "m3", Cores: 10},
 				},
 				InterferenceGamma: 0.8,
 				BackgroundLoad:    0.1,

@@ -44,7 +44,7 @@ func testGraph(t testing.TB) *dataflow.Graph {
 func testCluster(t testing.TB) *cluster.Cluster {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{
-		Machines: []cluster.Machine{{Name: "m1", Cores: 16, MemMB: 32768}, {Name: "m2", Cores: 16, MemMB: 32768}},
+		Machines: []cluster.Machine{{Name: "m1", Cores: 16}, {Name: "m2", Cores: 16}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -85,13 +85,11 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // HistogramSnapshot is a consistent copy of a histogram's state.
-// CumulativeCounts[i] counts observations <= Bounds[i]; the final entry
-// (the +Inf bucket) equals Count.
+// CumulativeCounts[i] counts observations <= the i-th sorted bound; the
+// final entry (the +Inf bucket) counts every observation.
 type HistogramSnapshot struct {
-	Bounds           []float64
 	CumulativeCounts []uint64
 	Sum              float64
-	Count            uint64
 }
 
 // Snapshot returns the cumulative view WriteExposition renders.
@@ -99,10 +97,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	snap := HistogramSnapshot{
-		Bounds:           append([]float64(nil), h.bounds...),
 		CumulativeCounts: make([]uint64, len(h.counts)),
 		Sum:              h.sum,
-		Count:            h.samples,
 	}
 	var cum uint64
 	for i, c := range h.counts {

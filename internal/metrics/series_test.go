@@ -49,8 +49,9 @@ func referenceExposition(s *Store, names []string) string {
 		fmt.Fprintf(&b, "%s_total%s %g\n", sanitizeMetricName(k.Name), formatLabels(k.Tags), c.(*Counter).Value())
 	}
 	for _, k := range instrumentKeys(&s.histograms) {
-		h, _ := s.histograms.Load(k)
-		snap := h.(*Histogram).Snapshot()
+		v, _ := s.histograms.Load(k)
+		h := v.(*Histogram)
+		snap := h.Snapshot()
 		name, labels := sanitizeMetricName(k.Name), formatLabels(k.Tags)
 		le := func(bound string) string {
 			if labels == "" {
@@ -58,12 +59,12 @@ func referenceExposition(s *Store, names []string) string {
 			}
 			return fmt.Sprintf("%s,le=%q}", labels[:len(labels)-1], bound)
 		}
-		for j, bound := range snap.Bounds {
+		for j, bound := range h.bounds {
 			fmt.Fprintf(&b, "%s_bucket%s %d\n", name, le(formatBound(bound)), snap.CumulativeCounts[j])
 		}
-		fmt.Fprintf(&b, "%s_bucket%s %d\n", name, le("+Inf"), snap.Count)
+		fmt.Fprintf(&b, "%s_bucket%s %d\n", name, le("+Inf"), h.samples)
 		fmt.Fprintf(&b, "%s_sum%s %g\n", name, labels, snap.Sum)
-		fmt.Fprintf(&b, "%s_count%s %d\n", name, labels, snap.Count)
+		fmt.Fprintf(&b, "%s_count%s %d\n", name, labels, h.samples)
 	}
 	return b.String()
 }

@@ -280,7 +280,6 @@ type IterationRecord struct {
 	Par           dataflow.ParallelismVector
 	ThroughputRPS float64
 	ProcLatencyMS float64
-	PredictedMS   float64
 	CPUUsedCores  float64
 	MemUsedMB     float64
 }
@@ -326,7 +325,6 @@ func (p *Policy) Run(e *flink.Engine, opts RunOptions) (Result, error) {
 			Par:           m.Par.Clone(),
 			ThroughputRPS: m.ThroughputRPS,
 			ProcLatencyMS: m.ProcLatencyMS,
-			PredictedMS:   fit.predict(lambdas, mus, m.Par),
 			CPUUsedCores:  m.CPUUsedCores,
 			MemUsedMB:     m.MemUsedMB,
 		})

@@ -34,7 +34,7 @@ func chainGraph(t testing.TB) *dataflow.Graph {
 func newEngine(t testing.TB, g *dataflow.Graph, rate float64, par dataflow.ParallelismVector) *flink.Engine {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{Machines: []cluster.Machine{
-		{Name: "m1", Cores: 32, MemMB: 65536}, {Name: "m2", Cores: 32, MemMB: 65536},
+		{Name: "m1", Cores: 32}, {Name: "m2", Cores: 32},
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -111,7 +111,6 @@ func (p *Policy) TargetMet(throughput float64) bool {
 type Result struct {
 	Final      dataflow.ParallelismVector
 	Iterations int
-	Converged  bool // throughput target reached
 	History    []IterationRecord
 }
 
@@ -164,7 +163,6 @@ func (p *Policy) Run(e *flink.Engine, opts RunOptions) (Result, error) {
 		})
 		res.Iterations = iter + 1
 		if p.TargetMet(m.ThroughputRPS) {
-			res.Converged = true
 			res.Final = m.Par.Clone()
 			return res, nil
 		}
@@ -178,6 +176,5 @@ func (p *Policy) Run(e *flink.Engine, opts RunOptions) (Result, error) {
 		m = e.MeasureSteady(opts.WarmupSec, opts.MeasureSec)
 	}
 	res.Final = m.Par.Clone()
-	res.Converged = p.TargetMet(m.ThroughputRPS)
 	return res, nil
 }

@@ -128,8 +128,8 @@ func propEngine(t *testing.T, trial int) (*flink.Engine, float64) {
 	rng := stat.NewRNG(uint64(4000 + trial))
 	g := randomDAG(t, rng)
 	cl, err := cluster.New(cluster.Config{Machines: []cluster.Machine{
-		{Name: "p1", Cores: 8, MemMB: 16384},
-		{Name: "p2", Cores: 8, MemMB: 16384},
+		{Name: "p1", Cores: 8},
+		{Name: "p2", Cores: 8},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +287,8 @@ func TestPolicyDecisionsCounted(t *testing.T) {
 	}
 	tags := map[string]string{"job": job}
 	for _, name := range []string{"autrascale.bo.iterations", "autrascale.decision.margin"} {
-		if n := store.Histogram(name, tags, nil).Snapshot().Count; n != 0 {
+		cum := store.Histogram(name, tags, nil).Snapshot().CumulativeCounts
+		if n := cum[len(cum)-1]; n != 0 {
 			t.Fatalf("%s holds %d observations from a non-BO policy", name, n)
 		}
 	}

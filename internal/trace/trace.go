@@ -25,8 +25,10 @@
 //		sp.SetStr("par", p.String())
 //	}
 //
-// BenchmarkTraceOverhead (repo root) locks this in: the disabled-path
-// calls on the Suggest loop run at 0 allocs/op, gated by benchcmp.
+// TestDisabledPathZeroAlloc locks this in: the disabled-path calls on
+// the Suggest loop run at 0 allocs/op. BenchmarkTraceOverhead (repo
+// root) times them, and the ledger's trace.overhead_share watches the
+// enabled path end to end.
 //
 // # Concurrency
 //

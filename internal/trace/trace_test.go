@@ -83,8 +83,8 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.Reset()
 }
 
-// TestDisabledPathZeroAlloc is the unit-level version of the repo-root
-// BenchmarkTraceOverhead gate: the disabled tracer must not allocate.
+// TestDisabledPathZeroAlloc holds the allocation contract of the
+// repo-root BenchmarkTraceOverhead: the disabled tracer must not allocate.
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(100, func() {

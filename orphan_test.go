@@ -21,12 +21,12 @@ const module = "autrascale/"
 // it or give it a caller.
 var unearned = map[string]string{}
 
-// unearnedExports lists exported identifiers ("internal/pkg.Name" or
-// "internal/pkg.Type.Method") allowed without a non-test user, each with
-// the test that compares against it.
+// unearnedExports lists exported identifiers ("internal/pkg.Name",
+// "internal/pkg.Type.Method" or "internal/pkg.Type.Field") allowed
+// without a non-test user, each with the test that compares against it.
 var unearnedExports = map[string]string{}
 
-// goFile is one parsed non-test Go file of the module.
+// goFile is one parsed Go file of the module, comments included.
 type goFile struct {
 	path string // slash path from the module root
 	dir  string // its package directory
@@ -35,7 +35,8 @@ type goFile struct {
 
 type moduleSource struct {
 	fset  *token.FileSet
-	files []goFile
+	files []goFile // non-test files
+	tests []goFile // _test.go files
 }
 
 var parseModule = sync.OnceValues(func() (moduleSource, error) {
@@ -50,23 +51,27 @@ var parseModule = sync.OnceValues(func() (moduleSource, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(src.fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(src.fset, path, nil, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			return err
 		}
 		path = filepath.ToSlash(path)
-		src.files = append(src.files, goFile{path: path, dir: filepath.Dir(path), f: f})
+		gf := goFile{path: path, dir: filepath.Dir(path), f: f}
+		if strings.HasSuffix(path, "_test.go") {
+			src.tests = append(src.tests, gf)
+		} else {
+			src.files = append(src.files, gf)
+		}
 		return nil
 	})
 	return src, err
 })
 
-// nonTestFiles parses every non-test Go file of the module, once per
-// test binary.
-func nonTestFiles(t *testing.T) moduleSource {
+// sourceFiles parses every Go file of the module, once per test binary.
+func sourceFiles(t *testing.T) moduleSource {
 	t.Helper()
 	src, err := parseModule()
 	if err != nil {
@@ -103,7 +108,7 @@ func importNames(f *ast.File) map[string]string {
 func TestNoOrphanInternalPackages(t *testing.T) {
 	packages := map[string]bool{}              // internal dirs holding non-test Go
 	importedBy := map[string]map[string]bool{} // package dir → importing dirs
-	for _, gf := range nonTestFiles(t).files {
+	for _, gf := range sourceFiles(t).files {
 		if strings.HasPrefix(gf.dir, "internal/") {
 			packages[gf.dir] = true
 		}
@@ -144,7 +149,7 @@ func TestNoOrphanInternalPackages(t *testing.T) {
 // (see unearnedIdents); none is kept alive by tests or for a future
 // consumer.
 func TestNoUnearnedExports(t *testing.T) {
-	src := nonTestFiles(t)
+	src := sourceFiles(t)
 	flagged := map[string]bool{}
 	for _, id := range unearnedIdents(src.files) {
 		k := id.key()
@@ -174,9 +179,10 @@ var stdMethods = map[string]bool{
 }
 
 // exportedIdent is one exported top-level declaration under internal/:
-// a function, type, const or var, or a method of an exported type.
+// a function, type, const or var, or a method or struct field of an
+// exported type.
 type exportedIdent struct {
-	pkg, name string // name is "Type.Method" for a method
+	pkg, name string // name is "Type.Method" for a method, "Type.Field" for a field
 	isFunc    bool
 	pos       token.Pos
 	decl      []ast.Node     // the declaration proper: signature, type, value
@@ -195,29 +201,47 @@ func (id *exportedIdent) key() string { return id.pkg + "." + id.name }
 //     own package, or a const or var of an earned type;
 //   - it is an Err* sentinel that an earned function returns;
 //   - it is a method of an earned type, and some non-test code selects
-//     its name or it implements a standard-library interface.
+//     its name or it implements a standard-library interface;
+//   - it is a field ("Type.Field") of an earned struct type, and some
+//     non-test code reads its name through a selector (an assignment
+//     target is written, not read, and a composite-literal key is not a
+//     selector) or the struct is a JSON wire type: one with a json tag.
 func unearnedIdents(files []goFile) []*exportedIdent {
 	idents := map[string]*exportedIdent{} // key → declaration
 	methods := map[string][]string{}      // type key → its method keys
+	fields := map[string][]string{}       // type key → its exported field keys
+	wire := map[string]bool{}             // type keys of JSON wire structs
 	values := map[string][]string{}       // type key → keys of the consts and vars of that type
 	named := map[string]bool{}            // keys named outside their package
-	selected := map[string]bool{}         // names selected on a value (not a package) anywhere
+	selected := map[string]bool{}         // names read through a selector on a value (not a package) anywhere
 	for _, gf := range files {
 		imports := importNames(gf.f)
+		written := map[*ast.SelectorExpr]bool{}
 		ast.Inspect(gf.f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if x, ok := sel.X.(*ast.Ident); ok {
-				if p, ok := imports[x.Name]; ok { // a qualified identifier
-					if dir, ok := strings.CutPrefix(p, module); ok && dir != gf.dir {
-						named[dir+"."+sel.Sel.Name] = true
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					if sel, ok := l.(*ast.SelectorExpr); ok {
+						written[sel] = true
 					}
-					return false
+				}
+			case *ast.IncDecStmt:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok {
+					written[sel] = true
+				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok {
+					if p, ok := imports[x.Name]; ok { // a qualified identifier
+						if dir, ok := strings.CutPrefix(p, module); ok && dir != gf.dir {
+							named[dir+"."+n.Sel.Name] = true
+						}
+						return false
+					}
+				}
+				if !written[n] {
+					selected[n.Sel.Name] = true
 				}
 			}
-			selected[sel.Sel.Name] = true
 			return true
 		})
 		if !strings.HasPrefix(gf.dir, "internal/") {
@@ -249,8 +273,25 @@ func unearnedIdents(files []goFile) []*exportedIdent {
 				for _, s := range d.Specs {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
-						if s.Name.IsExported() {
-							declare(&exportedIdent{name: s.Name.Name, pos: s.Pos(), decl: []ast.Node{s}})
+						if !s.Name.IsExported() {
+							continue
+						}
+						declare(&exportedIdent{name: s.Name.Name, pos: s.Pos(), decl: []ast.Node{s}})
+						st, ok := s.Type.(*ast.StructType)
+						if !ok {
+							continue
+						}
+						typeKey := gf.dir + "." + s.Name.Name
+						for _, fld := range st.Fields.List {
+							if fld.Tag != nil && strings.Contains(fld.Tag.Value, `json:"`) {
+								wire[typeKey] = true
+							}
+							for _, n := range fld.Names {
+								if n.IsExported() {
+									declare(&exportedIdent{name: s.Name.Name + "." + n.Name, pos: n.Pos()})
+									fields[typeKey] = append(fields[typeKey], gf.dir+"."+s.Name.Name+"."+n.Name)
+								}
+							}
 						}
 					case *ast.ValueSpec:
 						if s.Type != nil || len(s.Values) > 0 {
@@ -313,6 +354,11 @@ func unearnedIdents(files []goFile) []*exportedIdent {
 			for _, m := range methods[id.key()] {
 				if name := m[strings.LastIndex(m, ".")+1:]; selected[name] || stdMethods[name] {
 					earn(m)
+				}
+			}
+			for _, f := range fields[id.key()] {
+				if selected[f[strings.LastIndex(f, ".")+1:]] || wire[id.key()] {
+					earn(f)
 				}
 			}
 		}
