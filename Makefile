@@ -32,6 +32,8 @@ bench:
 # profile something else, and PROFILE_BENCHTIME for benchmarks whose op
 # is far shorter than a fleet round, e.g. one store-attached engine tick:
 #   make profile PROFILE_BENCH='BenchmarkEngineTickStore$$' PROFILE_BENCHTIME=2000000x
+# or one decode + restore of the 10,000-job snapshot (the read side):
+#   make profile PROFILE_BENCH='BenchmarkRestore10k$$' PROFILE_BENCHTIME=3x
 PROFILE_BENCH = BenchmarkFleetTick10k$$
 PROFILE_BENCHTIME = 500x
 profile:

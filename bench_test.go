@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -549,6 +550,16 @@ func fleet10kSetup() (*fleet.Fleet, error) {
 	return fl, nil
 }
 
+// fleet10kFixture returns the shared 10,000-job fleet, building it on
+// first use.
+func fleet10kFixture(b *testing.B) *fleet.Fleet {
+	fleet10k.once.Do(func() { fleet10k.fl, fleet10k.err = fleet10kSetup() })
+	if fleet10k.err != nil {
+		b.Fatal(fleet10k.err)
+	}
+	return fleet10k.fl
+}
+
 // BenchmarkFleetTick10k measures one scheduler round of a 10,000-job
 // fleet in the idle-heavy steady state: the tick is 1% of the policy
 // interval, so ~100 jobs are due and ~9,900 are not. The tick must stay
@@ -556,11 +567,7 @@ func fleet10kSetup() (*fleet.Fleet, error) {
 // every job, and the barrier visits only the jobs that stepped.
 // fleet-steady-10k watches its time end to end.
 func BenchmarkFleetTick10k(b *testing.B) {
-	fleet10k.once.Do(func() { fleet10k.fl, fleet10k.err = fleet10kSetup() })
-	if fleet10k.err != nil {
-		b.Fatal(fleet10k.err)
-	}
-	fl := fleet10k.fl
+	fl := fleet10kFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fl.Round()
@@ -755,11 +762,7 @@ func BenchmarkPolicyStepDRS(b *testing.B) { benchRuns(b, policyStepRuns("drs-tru
 // churns a fleet-sized JSON payload, and the grown heap would tax every
 // benchmark that runs behind it in the same process.
 func BenchmarkSnapshot10k(b *testing.B) {
-	fleet10k.once.Do(func() { fleet10k.fl, fleet10k.err = fleet10kSetup() })
-	if fleet10k.err != nil {
-		b.Fatal(fleet10k.err)
-	}
-	fl := fleet10k.fl
+	fl := fleet10kFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := fl.PersistState()
@@ -768,6 +771,34 @@ func BenchmarkSnapshot10k(b *testing.B) {
 		}
 		if len(st.Jobs) != 10000 {
 			b.Fatalf("snapshot holds %d jobs, want 10000", len(st.Jobs))
+		}
+	}
+}
+
+// BenchmarkRestore10k measures the read side of that snapshot: Decode of
+// the encoded 10,000-job fleet (verify the checksum, decode the payload)
+// plus fleet.Restore (refit every library model, rebuild every job). It
+// is the restore a crashed daemon pays, and snapshot-cycle-10k's
+// restore_s watches it end to end. Declared after BenchmarkSnapshot10k
+// for the same reason.
+func BenchmarkRestore10k(b *testing.B) {
+	var blob bytes.Buffer
+	if err := persist.Encode(&blob, fleet10kFixture(b).PersistState()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := persist.Decode(bytes.NewReader(blob.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		fl, err := fleet.Restore(st, fleet.RestoreOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := fl.Snapshot().Jobs; n != 10000 {
+			b.Fatalf("restored %d jobs, want 10000", n)
 		}
 	}
 }
@@ -853,6 +884,36 @@ func TestAllocationContracts(t *testing.T) {
 				t.Errorf("%v allocs/op, contract is <= %v", got, c.max)
 			}
 		})
+	}
+}
+
+// TestRestoreLibraryAllocatesLinearly restores a shared library of
+// 10,000 one-point models and holds the bytes allocated to a linear
+// budget: refitting one such model allocates ~830 B, and storing the
+// library must add O(1) per model. A copy-on-write Put per model would
+// allocate 24 B × n²/2, ~1.2 GB here.
+func TestRestoreLibraryAllocatesLinearly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the program's")
+	}
+	const n, perModel = 10000, 4 << 10
+	models := make([]persist.ModelState, n)
+	for i := range models {
+		models[i] = persist.ModelState{RateRPS: float64(1000 + i), Inputs: [][]float64{{float64(i % 7)}}, Targets: []float64{0.5}}
+	}
+	st := &persist.FleetState{TotalCores: 1, RoundSec: 60, Shared: []persist.SharedLibraryState{{Signature: "wordcount", Models: models}}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fl, err := fleet.Restore(st, fleet.RestoreOptions{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(fl.SharedModelRates()["wordcount"]); got != n {
+		t.Fatalf("restored %d models, want %d", got, n)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > n*perModel {
+		t.Errorf("restoring %d models allocated %d B, budget %d B (%d B per model)", n, got, n*perModel, perModel)
 	}
 }
 

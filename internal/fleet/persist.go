@@ -15,6 +15,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"autrascale/internal/chaos"
@@ -46,6 +47,9 @@ func (f *Fleet) PersistState() *persist.FleetState {
 		Seed:       f.cfg.Seed,
 		Chaos:      f.cfg.Chaos.Name,
 	}
+	// Sized up front: a JobState is ~700 B, and the capture holds f.mu.
+	// Grow keeps an empty fleet's lists nil, so they still encode as null.
+	st.Jobs = slices.Grow(st.Jobs, len(f.order))
 	for _, name := range f.order {
 		j := f.jobs[name]
 		if j.state == StateDrained {
@@ -53,6 +57,7 @@ func (f *Fleet) PersistState() *persist.FleetState {
 		}
 		st.Jobs = append(st.Jobs, persistJob(j))
 	}
+	st.Shared = slices.Grow(st.Shared, len(f.shared))
 	for _, sig := range sortedSignatures(f.SharedModelRatesLocked()) {
 		models, skipped := libraryState(f.shared[sig])
 		st.Shared = append(st.Shared, persist.SharedLibraryState{
@@ -308,17 +313,20 @@ func restoreSpec(js *persist.JobState) (JobSpec, error) {
 	return spec, nil
 }
 
-// restoreLibrary refits a library from persisted training data.
+// restoreLibrary refits a library from persisted training data, then
+// stores every model in one write.
 func restoreLibrary(models []persist.ModelState) (*transfer.ModelLibrary, error) {
-	lib := transfer.NewModelLibrary()
-	for _, m := range models {
+	entries := make([]transfer.Entry, len(models))
+	for i, m := range models {
 		snap, err := transfer.NewSnapshot(m.Inputs, m.Targets)
 		if err != nil {
 			return nil, fmt.Errorf("refit model at %v rps: %w", m.RateRPS, err)
 		}
-		if err := lib.Put(m.RateRPS, snap); err != nil {
-			return nil, err
-		}
+		entries[i] = transfer.Entry{RateRPS: m.RateRPS, Model: snap}
+	}
+	lib := transfer.NewModelLibrary()
+	if err := lib.PutAll(entries); err != nil {
+		return nil, err
 	}
 	return lib, nil
 }

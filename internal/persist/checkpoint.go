@@ -68,10 +68,12 @@ func (c *Checkpointer) Tick() {
 		return
 	}
 	c.inflight = true
+	// Counted before the lock drops: a Close that runs during the capture
+	// below must wait for this write, or it would land over Close's.
+	c.wg.Add(1)
 	c.mu.Unlock()
 
 	st := c.capture()
-	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
 		err := WriteFile(c.path, st)

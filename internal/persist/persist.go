@@ -11,12 +11,13 @@
 //
 // # Format
 //
-// A snapshot file is a JSON envelope:
+// A snapshot file is a one-line JSON envelope:
 //
-//	{"version": 1, "sha256": "<hex>", "payload": {…FleetState…}}
+//	{"version":1,"sha256":"<hex>","payload":{…FleetState…}}
 //
-// The checksum covers the exact payload bytes, so truncation, bit rot,
-// and hand editing all surface as a clean ErrChecksum — never a
+// The checksum covers the payload's compact form — the bytes Encode
+// writes — so a re-indented copy still verifies, while truncation, bit
+// rot, and hand editing all surface as a clean ErrChecksum — never a
 // half-restored fleet. The version is bumped on any incompatible
 // payload change; readers reject versions they do not understand
 // (ErrVersion) instead of guessing.
@@ -67,36 +68,37 @@ type envelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
+// sha256Hex is the envelope's rendering of a digest.
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
 // checksum hashes a payload's *compact* JSON form, so the stored hash is
-// stable under re-indentation (the envelope encoder pretty-prints the
-// embedded payload) while still catching any value-level corruption.
+// stable under re-indentation while still catching any value-level
+// corruption.
 func checksum(payload []byte) (string, error) {
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, payload); err != nil {
 		return "", fmt.Errorf("persist: compact payload: %w", err)
 	}
-	sum := sha256.Sum256(compact.Bytes())
-	return hex.EncodeToString(sum[:]), nil
+	return sha256Hex(compact.Bytes()), nil
 }
 
-// Encode writes the state to w as a versioned, checksummed snapshot.
+// Encode writes the state to w as a versioned, checksummed snapshot, in
+// one line. json.Marshal's output is already compact, so it is hashed and
+// written as is: the envelope is spelled out around it rather than
+// re-encoded, which would compact the payload a second time.
 func Encode(w io.Writer, st *FleetState) error {
 	payload, err := json.Marshal(st)
 	if err != nil {
 		return fmt.Errorf("persist: marshal payload: %w", err)
 	}
-	sum, err := checksum(payload)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(envelope{
-		Version: formatVersion,
-		SHA256:  sum,
-		Payload: payload,
-	}); err != nil {
-		return fmt.Errorf("persist: encode snapshot: %w", err)
+	head := fmt.Sprintf(`{"version":%d,"sha256":%q,"payload":`, formatVersion, sha256Hex(payload))
+	for _, b := range [][]byte{[]byte(head), payload, []byte("}\n")} {
+		if _, err := w.Write(b); err != nil {
+			return fmt.Errorf("persist: encode snapshot: %w", err)
+		}
 	}
 	return nil
 }
@@ -106,20 +108,30 @@ func Encode(w io.Writer, st *FleetState) error {
 // decode; a corrupted one fails the checksum — either way the caller
 // gets an error and no partial state.
 func Decode(r io.Reader) (*FleetState, error) {
+	// io.Copy, not io.ReadAll: a bytes.Reader is copied in one exactly
+	// sized write, and any other reader grows the buffer by doubling.
+	var data bytes.Buffer
+	if _, err := io.Copy(&data, r); err != nil {
+		return nil, fmt.Errorf("persist: read snapshot: %w", err)
+	}
 	var env envelope
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&env); err != nil {
+	if err := json.Unmarshal(data.Bytes(), &env); err != nil {
 		return nil, fmt.Errorf("persist: decode snapshot envelope: %w", err)
 	}
 	if env.Version != formatVersion {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, env.Version, formatVersion)
 	}
-	sum, err := checksum(env.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if sum != env.SHA256 {
-		return nil, ErrChecksum
+	// Encode writes the payload compact, so its bytes hash as they are;
+	// only a re-indented copy (or a file from an indenting writer) pays
+	// for compacting first.
+	if sha256Hex(env.Payload) != env.SHA256 {
+		sum, err := checksum(env.Payload)
+		if err != nil {
+			return nil, err
+		}
+		if sum != env.SHA256 {
+			return nil, ErrChecksum
+		}
 	}
 	var st FleetState
 	if err := json.Unmarshal(env.Payload, &st); err != nil {
@@ -158,10 +170,9 @@ func WriteFile(path string, st *FleetState) error {
 
 // ReadFile loads and verifies a snapshot from path.
 func ReadFile(path string) (*FleetState, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("persist: open snapshot: %w", err)
 	}
-	defer f.Close()
-	return Decode(f)
+	return Decode(bytes.NewReader(data))
 }

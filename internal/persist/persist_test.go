@@ -8,7 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"autrascale/internal/kafka"
 )
@@ -85,7 +87,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	raw := buf.Bytes()
 
 	// Flip one byte inside the payload (find a digit to perturb safely).
-	corrupted := bytes.Replace(raw, []byte(`"rounds": 30`), []byte(`"rounds": 31`), 1)
+	corrupted := bytes.Replace(raw, []byte(`"rounds":30`), []byte(`"rounds":31`), 1)
 	if bytes.Equal(corrupted, raw) {
 		t.Fatal("corruption target not found")
 	}
@@ -96,6 +98,38 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	// Truncation never yields a state either.
 	if _, err := Decode(bytes.NewReader(raw[:len(raw)/2])); err == nil {
 		t.Fatal("truncated snapshot decoded")
+	}
+}
+
+// The checksum is over the compact payload, so a re-indented snapshot —
+// the form earlier builds wrote to disk — still verifies and decodes to
+// the same state, and corrupting it is still ErrChecksum.
+func TestDecodeIndentedSnapshot(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, sampleState()); err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, buf.Bytes(), "", " "); err != nil {
+		t.Fatal(err)
+	}
+	raw := indented.Bytes()
+
+	got, err := Decode(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(sampleState())
+	if back, _ := json.Marshal(got); !bytes.Equal(back, want) {
+		t.Fatalf("indented snapshot decoded to\n%s\nwant\n%s", back, want)
+	}
+
+	corrupted := bytes.Replace(raw, []byte(`"rounds": 30`), []byte(`"rounds": 31`), 1)
+	if bytes.Equal(corrupted, raw) {
+		t.Fatal("corruption target not found")
+	}
+	if _, err := Decode(bytes.NewReader(corrupted)); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("corrupted indented payload: err = %v, want ErrChecksum", err)
 	}
 }
 
@@ -240,6 +274,51 @@ func TestCheckpointerCadenceAndClose(t *testing.T) {
 	}
 	// Ticks after Close are ignored.
 	cp.Tick()
+}
+
+// A Close that runs while a tick is still capturing waits for that tick's
+// background write, so the write cannot land over Close's final
+// checkpoint after Close has returned.
+func TestCheckpointerCloseWaitsForTickWrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	capturing, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	capture := func() *FleetState {
+		st := sampleState()
+		st.Rounds = int(calls.Add(1))
+		if st.Rounds == 1 {
+			close(capturing)
+			<-release
+		}
+		return st
+	}
+	cp, err := NewCheckpointer(path, 1, capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go cp.Tick()
+	<-capturing
+	closed := make(chan error)
+	go func() { closed <- cp.Close() }()
+	// A correct Close cannot return before release, whatever the timing;
+	// the grace only gives one that does not wait the time to show it.
+	select {
+	case err := <-closed:
+		close(release)
+		t.Fatalf("Close returned (err %v) while the tick's write was still pending", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	st, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rounds != 2 {
+		t.Fatalf("file holds capture %d, want Close's capture 2", st.Rounds)
+	}
 }
 
 func TestCheckpointerValidation(t *testing.T) {

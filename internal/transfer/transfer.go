@@ -14,8 +14,10 @@
 package transfer
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -120,27 +122,69 @@ func searchRate(entries []Entry, rateRPS float64) int {
 // switches atomically: concurrent readers see either the old or the new
 // library, never a partial write.
 func (l *ModelLibrary) Put(rateRPS float64, model Predictor) error {
-	if rateRPS <= 0 {
-		return errors.New("transfer: rate must be > 0")
+	return l.PutAll([]Entry{{RateRPS: rateRPS, Model: model}})
+}
+
+// PutAll stores (or replaces) every entry in one write, leaving the
+// library exactly as the same sequence of Puts would — a later entry wins
+// over an earlier one at the same rate — but copying the stored slice
+// once instead of once per entry, so filling a library of n models costs
+// O(n log n), not O(n²). Every entry is validated first: on error the
+// library is unchanged. The caller's slice is never modified or retained.
+func (l *ModelLibrary) PutAll(entries []Entry) error {
+	for _, e := range entries {
+		if e.RateRPS <= 0 {
+			return errors.New("transfer: rate must be > 0")
+		}
+		if e.Model == nil {
+			return errors.New("transfer: nil model")
+		}
 	}
-	if model == nil {
-		return errors.New("transfer: nil model")
+	if !strictlyAscending(entries) {
+		sorted := slices.Clone(entries)
+		slices.SortStableFunc(sorted, func(a, b Entry) int { return cmp.Compare(a.RateRPS, b.RateRPS) })
+		// Keep the last entry of each run of equal rates.
+		entries = sorted[:0]
+		for i, e := range sorted {
+			if i+1 == len(sorted) || sorted[i+1].RateRPS != e.RateRPS {
+				entries = append(entries, e)
+			}
+		}
 	}
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
-	cur := l.snapshot()
-	i := searchRate(cur, rateRPS)
-	next := make([]Entry, len(cur), len(cur)+1)
-	copy(next, cur)
-	if i < len(cur) && cur[i].RateRPS == rateRPS {
-		next[i].Model = model
-	} else {
-		next = append(next, Entry{})
-		copy(next[i+1:], next[i:])
-		next[i] = Entry{RateRPS: rateRPS, Model: model}
-	}
+	next := merge(l.snapshot(), entries)
 	l.entries.Store(&next)
 	return nil
+}
+
+// strictlyAscending reports whether entries are sorted by rate with no
+// rate repeated — already in the stored form.
+func strictlyAscending(entries []Entry) bool {
+	for i := 1; i < len(entries); i++ {
+		if entries[i-1].RateRPS >= entries[i].RateRPS {
+			return false
+		}
+	}
+	return true
+}
+
+// merge returns a new slice holding cur and add, both strictly ascending
+// by rate; at a rate both hold, add's entry wins. Runs of cur between two
+// added rates are copied whole.
+func merge(cur, add []Entry) []Entry {
+	next := make([]Entry, 0, len(cur)+len(add))
+	i := 0
+	for _, e := range add {
+		k := i + searchRate(cur[i:], e.RateRPS)
+		next = append(next, cur[i:k]...)
+		i = k
+		if i < len(cur) && cur[i].RateRPS == e.RateRPS {
+			i++
+		}
+		next = append(next, e)
+	}
+	return append(next, cur[i:]...)
 }
 
 // Len returns the number of stored models.

@@ -2,6 +2,7 @@ package transfer
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -186,6 +187,61 @@ func TestNearestProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tagModel is a Predictor that compares equal only to itself.
+type tagModel int
+
+func (m tagModel) PredictMean([]float64) float64 { return float64(m) }
+
+// Property: PutAll leaves the library exactly as the same sequence of
+// Puts does — over random rates with duplicates, in any order, on top of
+// whatever the library held — and an invalid entry anywhere in the batch
+// is an error that leaves the library untouched.
+func TestPutAllMatchesPuts(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := stat.NewRNG(seed)
+		rate := func() float64 { return float64(1+r.Intn(12)) * 1000 }
+		bulk, seq := NewModelLibrary(), NewModelLibrary()
+		for i := r.Intn(6); i > 0; i-- {
+			e := Entry{RateRPS: rate(), Model: tagModel(-i)}
+			if bulk.Put(e.RateRPS, e.Model) != nil || seq.Put(e.RateRPS, e.Model) != nil {
+				return false
+			}
+		}
+		batch := make([]Entry, r.Intn(20))
+		for i := range batch {
+			batch[i] = Entry{RateRPS: rate(), Model: tagModel(i)}
+		}
+		orig := slices.Clone(batch)
+		if bulk.PutAll(batch) != nil || !slices.Equal(batch, orig) {
+			return false
+		}
+		for _, e := range batch {
+			if seq.Put(e.RateRPS, e.Model) != nil {
+				return false
+			}
+		}
+		if !slices.Equal(bulk.Entries(), seq.Entries()) {
+			return false
+		}
+
+		before := bulk.Entries()
+		bad := append(slices.Clone(batch), Entry{RateRPS: rate(), Model: tagModel(99)})
+		i := r.Intn(len(bad))
+		switch r.Intn(3) {
+		case 0:
+			bad[i].RateRPS = 0
+		case 1:
+			bad[i].RateRPS = -bad[i].RateRPS
+		default:
+			bad[i].Model = nil
+		}
+		return bulk.PutAll(bad) != nil && slices.Equal(bulk.Entries(), before)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
