@@ -9,6 +9,7 @@ import (
 	"autrascale/internal/flink"
 	"autrascale/internal/gp"
 	"autrascale/internal/trace"
+	"autrascale/internal/transfer"
 )
 
 // Algorithm1Config parameterizes RunAlgorithm1 (paper Algorithm 1). The
@@ -350,7 +351,7 @@ func fitFinalModel(trials []Trial, seeds []bo.Observation) *gp.Regressor {
 	if len(xs) == 0 {
 		return nil
 	}
-	model, err := gp.FitAuto(xs, ys, gp.FitOptions{Family: gp.FamilyMatern52})
+	model, err := transfer.Fit(xs, ys)
 	if err != nil {
 		return nil
 	}

@@ -163,7 +163,7 @@ func TestControllerEventHistoryBounded(t *testing.T) {
 }
 
 // refitLibrary rebuilds a library the way fleet.Restore does: every
-// entry's training data refitted through transfer.NewSnapshot.
+// entry's training data refitted through transfer.Fit.
 func refitLibrary(t *testing.T, lib *transfer.ModelLibrary) *transfer.ModelLibrary {
 	t.Helper()
 	out := transfer.NewModelLibrary()
@@ -172,11 +172,11 @@ func refitLibrary(t *testing.T, lib *transfer.ModelLibrary) *transfer.ModelLibra
 		if !ok {
 			t.Fatalf("model at %v rps exposes no training data", e.RateRPS)
 		}
-		snap, err := transfer.NewSnapshot(td.TrainingData())
+		model, err := transfer.Fit(td.TrainingData())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := out.Put(e.RateRPS, snap); err != nil {
+		if err := out.Put(e.RateRPS, model); err != nil {
 			t.Fatal(err)
 		}
 	}

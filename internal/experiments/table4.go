@@ -121,7 +121,7 @@ func measureOverhead(n int, opts Table4Options) (Table4Row, error) {
 				xs[i] = ob.Par.Floats()
 				ys[i] = ob.Score
 			}
-			fitted, err = gp.FitAuto(xs, ys, gp.FitOptions{Family: gp.FamilyMatern52})
+			fitted, err = transfer.Fit(xs, ys)
 			if err != nil {
 				return Table4Row{}, err
 			}

@@ -25,13 +25,13 @@
 //     the next round barrier — the fleet keeps ticking everyone else.
 //
 //   - Cross-job warm start: at every round barrier each job's newly
-//     fitted benefit models are snapshotted into a fleet-level
+//     fitted benefit models are published into a fleet-level
 //     transfer.ModelLibrary keyed by workload signature. A submission
-//     whose signature already has models near its rate gets a private
-//     refit of the nearest one preloaded into its controller library, so
-//     its first planning session runs Algorithm 2 (transfer) instead of
-//     Algorithm 1 — "Learning from the Past" across jobs, not just
-//     rates.
+//     whose signature already has models near its rate gets the nearest
+//     one preloaded into its controller library — shared by pointer,
+//     since stored models are immutable — so its first planning session
+//     runs Algorithm 2 (transfer) instead of Algorithm 1 — "Learning from
+//     the Past" across jobs, not just rates.
 //
 // # Determinism
 //
@@ -546,9 +546,11 @@ func (f *Fleet) register(j *job) {
 }
 
 // warmStartLibrary builds the controller library a submission starts
-// with: empty for a cold start, or preloaded with a private refit of the
-// nearest same-signature model from the shared library. The refit keeps
-// jobs from sharing mutable GP state.
+// with: empty for a cold start, or preloaded with the nearest
+// same-signature model from the shared library — the same pointer, since
+// stored models are immutable. Signature is free text, so a donor is only
+// taken when its input dimension is the job's operator count; any other
+// donor would be transferred onto the wrong configuration space.
 func (f *Fleet) warmStartLibrary(spec JobSpec) (lib *transfer.ModelLibrary, rate float64, ok bool) {
 	lib = transfer.NewModelLibrary()
 	shared := f.shared[spec.Signature]
@@ -565,16 +567,11 @@ func (f *Fleet) warmStartLibrary(spec JobSpec) (lib *transfer.ModelLibrary, rate
 		sp.SetFloat("target_rate", spec.initialRate())
 		sp.SetInt("library_models", shared.Len())
 	}
-	if !found {
+	if !found || inputDim(entry.Model) != spec.Workload.BuildGraph().NumOperators() {
 		sp.SetBool("ok", false)
 		return lib, 0, false
 	}
-	snap, err := refitSnapshot(entry.Model)
-	if err != nil {
-		sp.SetBool("ok", false)
-		return lib, 0, false
-	}
-	if err := lib.Put(entry.RateRPS, snap); err != nil {
+	if err := lib.Put(entry.RateRPS, entry.Model); err != nil {
 		sp.SetBool("ok", false)
 		return lib, 0, false
 	}
@@ -588,14 +585,18 @@ func (f *Fleet) warmStartLibrary(spec JobSpec) (lib *transfer.ModelLibrary, rate
 	return lib, entry.RateRPS, true
 }
 
-// refitSnapshot rebuilds a model from its training data so the caller
-// owns an independent copy.
-func refitSnapshot(m transfer.Predictor) (*transfer.Snapshot, error) {
+// inputDim is a model's input dimension, read from its training data: 0
+// when it exposes none, so such a model is never a warm-start donor.
+func inputDim(m transfer.Predictor) int {
 	td, ok := m.(transfer.TrainingData)
 	if !ok {
-		return nil, errors.New("fleet: model exposes no training data")
+		return 0
 	}
-	return transfer.NewSnapshot(td.TrainingData())
+	xs, _ := td.TrainingData()
+	if len(xs) == 0 {
+		return 0
+	}
+	return len(xs[0])
 }
 
 // Drain retires a job gracefully: its benefit models are published to
@@ -811,10 +812,11 @@ func (f *Fleet) stepJob(j *job) int {
 	return n
 }
 
-// publishModels snapshots the job's newly fitted benefit models into the
-// fleet's shared library for its signature. Called under the fleet lock,
-// in submission order. Iterating the library's immutable snapshot keeps
-// the steady-state no-op case (everything already published) free of
+// publishModels puts the job's newly fitted benefit models — the same
+// pointers, since stored models are immutable — into the fleet's shared
+// library for its signature. Called under the fleet lock, in submission
+// order. Iterating the library's immutable snapshot keeps the
+// steady-state no-op case (everything already published) free of
 // allocation.
 func (f *Fleet) publishModels(j *job) {
 	for _, e := range j.ctl.Library().Entries() {
@@ -822,17 +824,13 @@ func (f *Fleet) publishModels(j *job) {
 		if j.published[rate] {
 			continue
 		}
-		j.published[rate] = true // never retried: a failed refit stays failed
-		snap, err := refitSnapshot(e.Model)
-		if err != nil {
-			continue
-		}
+		j.published[rate] = true
 		lib := f.shared[j.spec.Signature]
 		if lib == nil {
 			lib = transfer.NewModelLibrary()
 			f.shared[j.spec.Signature] = lib
 		}
-		if err := lib.Put(rate, snap); err != nil {
+		if err := lib.Put(rate, e.Model); err != nil {
 			continue
 		}
 		if f.inst != nil {
@@ -882,7 +880,11 @@ func (f *Fleet) JobNames() []string {
 func (f *Fleet) SharedModelRates() map[string][]float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.SharedModelRatesLocked()
+	out := make(map[string][]float64, len(f.shared))
+	for sig, lib := range f.shared {
+		out[sig] = lib.Rates()
+	}
+	return out
 }
 
 // StaggeredJobs builds n copies of a workload with input rates spread
@@ -909,9 +911,9 @@ func StaggeredJobs(spec workloads.Spec, n int, baseRate float64) []JobSpec {
 	return jobs
 }
 
-// sortedSignatures returns the shared library's signatures in sorted
-// order (deterministic rendering).
-func sortedSignatures(m map[string][]float64) []string {
+// sortedSignatures returns a signature-keyed map's keys in sorted order
+// (deterministic rendering and capture).
+func sortedSignatures[V any](m map[string]V) []string {
 	sigs := make([]string, 0, len(m))
 	for s := range m {
 		sigs = append(sigs, s)

@@ -33,8 +33,10 @@ import (
 // and walks the libraries' immutable COW snapshots — engines' mutable
 // microstate (backlog, machine health) is deliberately excluded, so the
 // copy is cheap enough to run between rounds (see persist.Checkpointer).
-// Drained jobs are omitted: their models already live in the shared
-// libraries and their capacity is free.
+// Model training data is not copied at all: the returned state shares it
+// with the live fleet's immutable models, so it must be treated as
+// read-only. Drained jobs are omitted: their models already live in the
+// shared libraries and their capacity is free.
 func (f *Fleet) PersistState() *persist.FleetState {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -58,7 +60,7 @@ func (f *Fleet) PersistState() *persist.FleetState {
 		st.Jobs = append(st.Jobs, persistJob(j))
 	}
 	st.Shared = slices.Grow(st.Shared, len(f.shared))
-	for _, sig := range sortedSignatures(f.SharedModelRatesLocked()) {
+	for _, sig := range sortedSignatures(f.shared) {
 		models, skipped := libraryState(f.shared[sig])
 		st.Shared = append(st.Shared, persist.SharedLibraryState{
 			Signature:    sig,
@@ -67,16 +69,6 @@ func (f *Fleet) PersistState() *persist.FleetState {
 		})
 	}
 	return st
-}
-
-// SharedModelRatesLocked is SharedModelRates without the lock — for
-// callers already under f.mu.
-func (f *Fleet) SharedModelRatesLocked() map[string][]float64 {
-	out := make(map[string][]float64, len(f.shared))
-	for sig, lib := range f.shared {
-		out[sig] = lib.Rates()
-	}
-	return out
 }
 
 // persistJob captures one live job. Caller holds f.mu; the job is not
@@ -252,6 +244,14 @@ func (f *Fleet) restoreJob(js *persist.JobState) error {
 	if err != nil {
 		return fail(err)
 	}
+	// A model of any other shape would crash the job's first Algorithm 2.
+	// Fit succeeded, so every model has inputs, all of one dimension.
+	ops := j.engine.Graph().NumOperators()
+	for _, m := range js.Library {
+		if d := len(m.Inputs[0]); d != ops {
+			return fail(fmt.Errorf("model at %v rps has %d inputs, workload has %d operators", m.RateRPS, d, ops))
+		}
+	}
 	j.engine.RestoreRNGState(js.RNGState)
 	j.engine.RestoreRestarts(js.Restarts)
 	// SLO timestamps were captured in the old engine clock; the rebuilt
@@ -318,11 +318,11 @@ func restoreSpec(js *persist.JobState) (JobSpec, error) {
 func restoreLibrary(models []persist.ModelState) (*transfer.ModelLibrary, error) {
 	entries := make([]transfer.Entry, len(models))
 	for i, m := range models {
-		snap, err := transfer.NewSnapshot(m.Inputs, m.Targets)
+		model, err := transfer.Fit(m.Inputs, m.Targets)
 		if err != nil {
 			return nil, fmt.Errorf("refit model at %v rps: %w", m.RateRPS, err)
 		}
-		entries[i] = transfer.Entry{RateRPS: m.RateRPS, Model: snap}
+		entries[i] = transfer.Entry{RateRPS: m.RateRPS, Model: model}
 	}
 	lib := transfer.NewModelLibrary()
 	if err := lib.PutAll(entries); err != nil {

@@ -505,7 +505,7 @@ func (opaqueModel) PredictMean([]float64) float64 { return 1 }
 // A model that exposes no training data cannot be refitted on restore:
 // the snapshot must leave it out and name its rate, not drop it silently.
 func TestLibraryStateSkipsOpaqueModels(t *testing.T) {
-	snap, err := transfer.NewSnapshot([][]float64{{1}, {2}, {3}}, []float64{0.3, 0.2, 0.1})
+	model, err := transfer.Fit([][]float64{{1}, {2}, {3}}, []float64{0.3, 0.2, 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestLibraryStateSkipsOpaqueModels(t *testing.T) {
 	if err := lib.Put(500, opaqueModel{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := lib.Put(1000, snap); err != nil {
+	if err := lib.Put(1000, model); err != nil {
 		t.Fatal(err)
 	}
 	models, skipped := libraryState(lib)

@@ -92,6 +92,7 @@ func FuzzRestore(f *testing.F) {
 		func(st *persist.FleetState) { st.Jobs[2].Workload = "no-such-workload" },
 		func(st *persist.FleetState) { st.Jobs[3].Name = st.Jobs[0].Name },
 		func(st *persist.FleetState) { st.TotalCores = 5*32 + 31 },
+		func(st *persist.FleetState) { dropLastInput(&st.Jobs[4].Library[0]) },
 	} {
 		f.Add(mutateSnapshot(f, real, edit))
 	}

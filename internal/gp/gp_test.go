@@ -2,6 +2,7 @@ package gp
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -305,11 +306,23 @@ func TestTrainingDataRoundTrip(t *testing.T) {
 			t.Fatalf("input %d = %v", i, gx[i])
 		}
 	}
-	// Mutating the copies must not affect the model.
-	gx[0][0] = 999
-	gy[0] = 999
-	if m := r.PredictMean([]float64{0}); math.Abs(m-5) > 0.01 {
-		t.Fatalf("model corrupted by mutation: %v", m)
+	// The data is a view, not a copy, and Append never changes a view
+	// taken before it. The second Append writes into the spare capacity
+	// the first one grew, right past the view's capped length.
+	if err := r.Append([]float64{3}, 8); err != nil {
+		t.Fatal(err)
+	}
+	vx, vy := r.TrainingData()
+	wantX := [][]float64{{0}, {1}, {2}, {3}}
+	wantY := []float64{5, 7, 6, 8}
+	if err := r.Append([]float64{4}, 9); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(vx, wantX) || !reflect.DeepEqual(vy, wantY) || cap(vx) != 4 || cap(vy) != 4 {
+		t.Fatalf("view changed under Append: %v %v (cap %d/%d)", vx, vy, cap(vx), cap(vy))
+	}
+	if ax, ay := r.TrainingData(); len(ax) != 5 || ay[4] != 9 {
+		t.Fatalf("fresh view after Append = %d points, targets %v", len(ax), ay)
 	}
 }
 
@@ -431,6 +444,12 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	for i := range queries {
 		if meansOnly[i] != means[i] {
 			t.Fatalf("mean-only batch[%d] = %v, want %v", i, meansOnly[i], means[i])
+		}
+	}
+	// PredictMean skips the variance solve too, bit for bit.
+	for i, q := range queries {
+		if got := r.PredictMean(q); math.Float64bits(got) != math.Float64bits(means[i]) {
+			t.Fatalf("PredictMean(%v) = %v, Predict mean = %v", q, got, means[i])
 		}
 	}
 	// Steady-state batch prediction must not allocate.

@@ -223,7 +223,8 @@ func (r *Regressor) Predict(x []float64) (mean, variance float64, err error) {
 
 // PredictMean returns just the posterior mean at x (0 when unfitted).
 func (r *Regressor) PredictMean(x []float64) float64 {
-	m, _, err := r.Predict(x)
+	var ws Workspace
+	m, err := r.PredictMeanWS(&ws, x)
 	if err != nil {
 		return 0
 	}
@@ -236,13 +237,12 @@ func (r *Regressor) PredictStd(x []float64) (mean, std float64, err error) {
 	return m, math.Sqrt(v), err
 }
 
-// TrainingData returns copies of the fitted inputs and targets — enough to
-// refit an equivalent model, which is how the transfer package persists
-// benefit models.
+// TrainingData returns the fitted inputs and targets — enough to refit an
+// equivalent model, which is how the transfer package persists benefit
+// models. The slices are views of the model's own data, read-only by
+// contract, and copy nothing: Fit replaces the data and Append only
+// writes past the view's capped length, so a view never changes.
 func (r *Regressor) TrainingData() (xs [][]float64, ys []float64) {
-	xs = make([][]float64, len(r.xs))
-	for i, x := range r.xs {
-		xs[i] = mat.CopyVec(x)
-	}
-	return xs, mat.CopyVec(r.ys)
+	n := len(r.xs)
+	return r.xs[:n:n], r.ys[:n:n]
 }

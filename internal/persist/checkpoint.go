@@ -31,8 +31,9 @@ type Checkpointer struct {
 }
 
 // NewCheckpointer builds a checkpointer writing to path every interval
-// ticks (minimum 1). capture must return a self-contained state — it is
-// serialized concurrently with further fleet rounds.
+// ticks (minimum 1). capture must return a state no later round mutates —
+// it is serialized concurrently with further fleet rounds. It may share
+// immutable data, such as model training data, with the live fleet.
 func NewCheckpointer(path string, interval int, capture func() *FleetState) (*Checkpointer, error) {
 	if path == "" {
 		return nil, errors.New("persist: checkpointer needs a path")

@@ -3,69 +3,65 @@ package transfer
 import (
 	"math"
 	"testing"
-
-	"autrascale/internal/gp"
 )
 
-func sampleSnapshot(t *testing.T, slope float64) *Snapshot {
-	t.Helper()
-	var xs [][]float64
-	var ys []float64
-	for k := 1.0; k <= 10; k++ {
-		xs = append(xs, []float64{k})
-		ys = append(ys, slope*k)
-	}
-	s, err := NewSnapshot(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func TestNewSnapshotValidation(t *testing.T) {
-	if _, err := NewSnapshot(nil, nil); err == nil {
+func TestFitValidation(t *testing.T) {
+	if _, err := Fit(nil, nil); err == nil {
 		t.Fatal("empty data should error")
 	}
-	if _, err := NewSnapshot([][]float64{{1}}, []float64{1, 2}); err == nil {
+	if _, err := Fit([][]float64{{1}}, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch should error")
 	}
 }
 
-func TestSnapshotPredicts(t *testing.T) {
-	s := sampleSnapshot(t, 0.1)
-	if got := s.PredictMean([]float64{5}); math.Abs(got-0.5) > 0.05 {
+func TestFitPredicts(t *testing.T) {
+	var xs [][]float64
+	var ys []float64
+	for k := 1.0; k <= 10; k++ {
+		xs = append(xs, []float64{k})
+		ys = append(ys, 0.1*k)
+	}
+	m, err := Fit(xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.PredictMean([]float64{5}); math.Abs(got-0.5) > 0.05 {
 		t.Fatalf("PredictMean(5) = %v, want ~0.5", got)
 	}
-	xs, ys := s.TrainingData()
-	if len(xs) != 10 || len(ys) != 10 {
+	gx, gy := m.TrainingData()
+	if len(gx) != 10 || len(gy) != 10 {
 		t.Fatal("training data lost")
 	}
 }
 
-// A gp.Regressor stored directly in the library (what the controller
-// does) exposes its training data, and refitting that data through
-// NewSnapshot — the restore path — reproduces its predictions.
-func TestSnapshotRefitsRegressor(t *testing.T) {
+// A fitted model stored in a library (what the controller does) exposes
+// its training data, and refitting that data through Fit — the restore
+// path — reproduces its predictions bit for bit. That is what lets one
+// fitted model be shared by pointer instead of refitted per reader.
+func TestFitRefitIsBitIdentical(t *testing.T) {
 	var xs [][]float64
 	var ys []float64
 	for k := 1.0; k <= 8; k++ {
-		xs = append(xs, []float64{k})
+		xs = append(xs, []float64{k, 9 - k})
 		ys = append(ys, 1/k)
 	}
-	model, err := gp.FitAuto(xs, ys, gp.FitOptions{Family: gp.FamilyMatern52})
+	model, err := Fit(xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var stored Predictor = model
 	td, ok := stored.(TrainingData)
 	if !ok {
-		t.Fatal("gp.Regressor should be persistable")
+		t.Fatal("a fitted model should be persistable")
 	}
-	refit, err := NewSnapshot(td.TrainingData())
+	refit, err := Fit(td.TrainingData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := math.Abs(refit.PredictMean([]float64{4}) - model.PredictMean([]float64{4})); d > 1e-9 {
-		t.Fatalf("prediction drift %v", d)
+	for a := 0.5; a <= 9; a += 0.75 {
+		x := []float64{a, 10 - a*1.1}
+		if got, want := refit.PredictMean(x), model.PredictMean(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("refit predicts %v at %v, original %v", got, x, want)
+		}
 	}
 }

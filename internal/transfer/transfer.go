@@ -62,7 +62,7 @@ func FitResidual(prev Predictor, samples []Sample) (*ResidualModel, error) {
 		xs[i] = append([]float64(nil), s.X...)
 		ys[i] = s.Y - prev.PredictMean(s.X)
 	}
-	res, err := gp.FitAuto(xs, ys, gp.FitOptions{Family: gp.FamilyMatern52})
+	res, err := Fit(xs, ys)
 	if err != nil {
 		return nil, fmt.Errorf("transfer: residual fit: %w", err)
 	}
@@ -93,9 +93,9 @@ type Entry struct {
 // serializing on a mutex. Writers clone the slice under a small mutex
 // that only other writers contend on.
 //
-// The stored Predictor values themselves are not synchronized by the
-// library; callers that share a model across jobs must hand each job its
-// own copy (e.g. refit from TrainingData).
+// Stored models are immutable and safe to share: nothing mutates a model
+// once it is in a library, and prediction only reads it, so one model may
+// sit in many libraries at once and serve concurrent readers.
 type ModelLibrary struct {
 	writeMu sync.Mutex              // serializes writers; readers never take it
 	entries atomic.Pointer[[]Entry] // immutable, sorted by RateRPS ascending
