@@ -2,12 +2,7 @@
 
 GO ?= go
 
-# The seed matrix every seeded gate below walks (chaos, fleet, tournament,
-# replay); each gate prints the seed it is on, so a failure is reproduced
-# with SEEDS=<that seed>.
-SEEDS ?= 1 7 42
-
-.PHONY: all build test race cover bench profile chaos fleet audit tournament replay check experiments summary fmt vet clean
+.PHONY: all build test race cover bench profile check experiments summary fmt vet clean
 
 all: build test
 
@@ -42,86 +37,12 @@ profile:
 	$(GO) tool pprof -top -nodecount 10 fleet_cpu.prof
 	$(GO) tool pprof -top -nodecount 10 -sample_index=alloc_space fleet_mem.prof
 
-# Chaos gate: a short controller soak under the heavy fault profile
-# across a fixed seed matrix — every seed is printed, so a failing soak
-# is reproduced by re-running examples/chaos_soak with it. The
-# fault-injection, property/metamorphic, and golden-trace tests
-# (docs/chaos.md) run once, under `make test`.
-chaos:
-	@for seed in $(SEEDS); do \
-		echo "== chaos soak: heavy profile, seed $$seed =="; \
-		$(GO) run ./examples/chaos_soak -profile heavy -hours 1 -seed $$seed | tail -n 5 || exit 1; \
-	done
-
-# Fleet gate: a 64-job same-seed soak under the light fault profile
-# across a seed matrix — each soak runs the fleet twice in-process
-# (-verify) and fails unless the per-job decision sequences are identical
-# (docs/fleet.md). The control-plane unit and golden tests run once,
-# under `make test`.
-fleet:
-	@for seed in $(SEEDS); do \
-		echo "== fleet soak: 64 jobs, light profile, seed $$seed =="; \
-		$(GO) run ./examples/fleet_scaling -jobs 64 -hours 1 -profile light -seed $$seed -verify | tail -n 3 || exit 1; \
-	done
-
-# Audit gate: the journal determinism proof — the same seeded fleet run
-# at two worker counts must produce journals `flightctl diff` calls
-# identical after corr canonicalization (docs/observability.md). The
-# journal analytics tests (decoder, attribution, diff, golden journal)
-# run once, under `make test`.
-audit:
-	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	for w in 1 5; do \
-		echo "== audit journal: 6 jobs, light profile, seed 42, workers $$w =="; \
-		$(GO) run ./cmd/autrascale -jobs 6 -duration 3600 -chaos light -seed 42 \
-			-workers $$w -flight "$$dir/w$$w.jsonl" | tail -n 1 || exit 1; \
-	done && \
-	$(GO) run ./cmd/flightctl diff "$$dir/w1.jsonl" "$$dir/w5.jsonl"
-
-# Tournament gate: the small policy×schedule×chaos grid across a fixed
-# seed matrix — three contenders, two schedules, two chaos profiles per
-# seed, each cell a full controller run; any cell whose controller dies
-# exits non-zero (docs/policies.md). The registry/adapter property tests
-# and the tournament determinism + golden tests run once, under
-# `make test`.
-tournament:
-	@for seed in $(SEEDS); do \
-		echo "== tournament: small grid, seed $$seed =="; \
-		$(GO) run ./cmd/experiments -seed $$seed -workers 4 \
-			-policies bo,ds2-online,drs-true -schedules step,flash-crowd \
-			-chaos none,light -duration 1800 tournament || exit 1; \
-	done
-
-# Replay gate: the durability proof (docs/durability.md). Per seed, a
-# heavy-chaos fleet soak runs with periodic checkpointing and is
-# abandoned mid-flight ("crash" — the checkpoint on disk is whatever the
-# cadence last landed); the fleet is then restored twice from that
-# checkpoint and replayed to the same absolute time, and the two flight
-# journals must be `flightctl diff`-identical — restore is deterministic
-# from the snapshot bytes alone, under machine kills and all. The
-# persist, restore and admin-API tests run once, under `make test`.
-replay:
-	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	for seed in $(SEEDS); do \
-		echo "== replay: 6 jobs, heavy profile, seed $$seed =="; \
-		$(GO) run ./cmd/autrascale -jobs 6 -duration 2400 -chaos heavy -seed $$seed \
-			-checkpoint "$$dir/ckpt.json" -checkpoint-every 10 | tail -n 1 || exit 1; \
-		for run in a b; do \
-			$(GO) run ./cmd/autrascale -restore "$$dir/ckpt.json" -duration 7200 \
-				-flight "$$dir/$$run.jsonl" | tail -n 1 || exit 1; \
-		done; \
-		$(GO) run ./cmd/flightctl diff "$$dir/a.jsonl" "$$dir/b.jsonl" || exit 1; \
-	done
-
 # The full pre-merge gate: static checks, every package's tests exactly
-# once (`test`: the chaos, property, metamorphic, golden, fleet, audit,
-# policy and persist layers and the allocation contracts included), the
-# race detector on the concurrency-bearing packages, and then the gates,
-# each running only its seeded soak or diff: the chaos soak matrix, the
-# fleet determinism soak, the journal audit diff, the policy tournament
-# matrix, and the crash-replay durability diff. Timings are judged only
-# by `go run ./bench compare` over interleaved parent/change pairs.
-check: vet test race chaos fleet audit tournament replay
+# once (`test`: the seeded chaos, fleet, journal, tournament and replay
+# gates and the allocation contracts included), and the race detector on
+# the concurrency-bearing packages. Timings are judged only by
+# `go run ./bench compare` over interleaved parent/change pairs.
+check: vet test race
 
 # Reproduce every table and figure of the paper's evaluation.
 experiments:

@@ -40,14 +40,11 @@
 package autrascale
 
 import (
-	"autrascale/internal/chaos"
 	"autrascale/internal/cluster"
 	"autrascale/internal/core"
 	"autrascale/internal/dataflow"
-	"autrascale/internal/fleet"
 	"autrascale/internal/flink"
 	"autrascale/internal/kafka"
-	"autrascale/internal/metrics"
 	"autrascale/internal/policy/drs"
 	"autrascale/internal/workloads"
 )
@@ -113,32 +110,10 @@ type (
 	Engine = flink.Engine
 	// EngineConfig configures a bare engine (NewCustomEngine).
 	EngineConfig = flink.Config
-	// MetricsStore is the in-memory time-series database.
-	MetricsStore = metrics.Store
 )
 
 // NewCustomEngine assembles a simulator from explicit parts.
 func NewCustomEngine(cfg EngineConfig) (*Engine, error) { return flink.New(cfg) }
-
-// NewMetricsStore returns an empty time-series store.
-func NewMetricsStore() *MetricsStore { return metrics.NewStore() }
-
-// ---- Fault injection (internal/chaos) ----
-
-type (
-	// ChaosInjector makes seeded, reproducible fault decisions.
-	ChaosInjector = chaos.Injector
-	// ChaosProfile describes which faults to inject and how hard.
-	ChaosProfile = chaos.Profile
-)
-
-// NewChaosInjector builds a fault injector reproducible from seed.
-func NewChaosInjector(profile ChaosProfile, seed uint64) *ChaosInjector {
-	return chaos.New(profile, seed)
-}
-
-// ChaosProfileByName resolves "none", "light" or "heavy".
-func ChaosProfileByName(name string) (ChaosProfile, error) { return chaos.ByName(name) }
 
 // ---- Workloads (internal/workloads) ----
 
@@ -214,25 +189,4 @@ const (
 // NewDRSPolicy builds a DRS baseline policy.
 func NewDRSPolicy(v DRSVariant, pmax int, targetRate, targetLatencyMS float64) (*DRSPolicy, error) {
 	return drs.NewPolicy(v, pmax, targetRate, targetLatencyMS)
-}
-
-// ---- Fleet control plane (internal/fleet) ----
-
-type (
-	// Fleet runs many AuTraScale jobs under one sharded scheduler with
-	// cross-job model transfer (see docs/fleet.md).
-	Fleet = fleet.Fleet
-	// FleetConfig parameterizes NewFleet.
-	FleetConfig = fleet.Config
-	// FleetJobSpec describes one job submission.
-	FleetJobSpec = fleet.JobSpec
-)
-
-// NewFleet builds an empty multi-job control plane.
-func NewFleet(cfg FleetConfig) (*Fleet, error) { return fleet.New(cfg) }
-
-// StaggeredFleetJobs builds n staggered-rate copies of a workload — the
-// canonical fleet submission set.
-func StaggeredFleetJobs(spec WorkloadSpec, n int, baseRate float64) []FleetJobSpec {
-	return fleet.StaggeredJobs(spec, n, baseRate)
 }

@@ -82,7 +82,4 @@ func TestFacadeHelpers(t *testing.T) {
 	if autrascale.UniformParallelism(3, 2).Total() != 6 {
 		t.Fatal("UniformParallelism wrong")
 	}
-	if autrascale.NewMetricsStore().Len() != 0 {
-		t.Fatal("fresh store should be empty")
-	}
 }

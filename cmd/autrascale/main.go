@@ -40,7 +40,7 @@
 // docs/observability.md for the record schema, and `flightctl` to
 // analyze the journal). A journal that fails to write exits nonzero, so
 // scripts never diff a truncated file. -workers resizes the fleet
-// scheduler's pool; it changes wall-clock speed only, and `make audit`
+// scheduler's pool; it changes wall-clock speed only, and TestCLIGates
 // proves the journal is worker-count independent.
 //
 // With -checkpoint PATH a fleet run persists a durable snapshot every
@@ -48,13 +48,17 @@
 // file), plus a final one on clean exit. -restore PATH boots the fleet
 // from such a snapshot instead of submitting jobs; -duration is then the
 // absolute simulated time to run until, so two restores of the same
-// snapshot replay the same timeline (`make replay` diffs their flight
-// journals to prove it — see docs/durability.md).
+// snapshot replay the same timeline (TestCLIGates diffs their flight
+// journals to prove it — see docs/durability.md). -checkpoint and
+// -workers are fleet flags: without -jobs or -restore they are a usage
+// error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"autrascale/internal/chaos"
@@ -68,30 +72,41 @@ import (
 	"autrascale/internal/workloads"
 )
 
-func main() {
-	var (
-		workload = flag.String("workload", "wordcount",
-			"workload: wordcount, yahoo, nexmark-q5, nexmark-q11")
-		rate      = flag.Float64("rate", 0, "input rate in records/s (default: the workload's)")
-		latency   = flag.Float64("latency", 0, "target latency in ms (default: the workload's)")
-		duration  = flag.Float64("duration", 3600, "controller mode: simulated seconds to run")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		mode      = flag.String("mode", "once", "once | controller")
-		explain   = flag.Bool("explain", false, "print a 'why this configuration' report per decision")
-		chaosProf = flag.String("chaos", "none", "fault-injection profile: none | light | heavy")
-		jobs      = flag.Int("jobs", 0, "fleet mode: run N staggered-rate copies of the workload")
-		workers   = flag.Int("workers", 0, "fleet mode: scheduler worker pool size (0: default; never affects decisions)")
-		flightOut = flag.String("flight", "", "write the flight recorder journal to this file as JSONL")
-		ckptPath  = flag.String("checkpoint", "", "fleet mode: persist a snapshot to this file")
-		ckptEvery = flag.Int("checkpoint-every", 10, "checkpoint every N rounds (with -checkpoint)")
-		restore   = flag.String("restore", "", "boot the fleet from a snapshot file; -duration becomes the absolute time to run until")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run executes the command args describe, writes its report to stdout
+// and errors to stderr, and returns the exit code: 2 on a usage error, 1
+// on a failed run.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("autrascale", flag.ContinueOnError)
+	workload := fs.String("workload", "wordcount",
+		"workload: wordcount, yahoo, nexmark-q5, nexmark-q11")
+	rate := fs.Float64("rate", 0, "input rate in records/s (default: the workload's)")
+	latency := fs.Float64("latency", 0, "target latency in ms (default: the workload's)")
+	duration := fs.Float64("duration", 3600, "controller mode: simulated seconds to run")
+	seed := fs.Uint64("seed", 1, "random seed")
+	mode := fs.String("mode", "once", "once | controller")
+	explain := fs.Bool("explain", false, "print a 'why this configuration' report per decision")
+	chaosProf := fs.String("chaos", "none", "fault-injection profile: none | light | heavy")
+	jobs := fs.Int("jobs", 0, "fleet mode: run N staggered-rate copies of the workload")
+	workers := fs.Int("workers", 0, "fleet mode: scheduler worker pool size (0: default; never affects decisions)")
+	flightOut := fs.String("flight", "", "write the flight recorder journal to this file as JSONL")
+	ckptPath := fs.String("checkpoint", "", "fleet mode: persist a snapshot to this file")
+	ckptEvery := fs.Int("checkpoint-every", 10, "checkpoint every N rounds (with -checkpoint)")
+	restore := fs.String("restore", "", "boot the fleet from a snapshot file; -duration becomes the absolute time to run until")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(os.Stderr, "autrascale: "+format+"\n", a...)
+		return 2
+	}
 
 	spec, ok := workloads.ByName(*workload)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "autrascale: unknown workload %q (have %v)\n", *workload, workloads.Names())
-		os.Exit(2)
+		return usage("unknown workload %q (have %v)", *workload, workloads.Names())
 	}
 	if *rate <= 0 {
 		*rate = spec.DefaultRateRPS
@@ -102,8 +117,18 @@ func main() {
 
 	profile, err := chaos.ByName(*chaosProf)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "autrascale: %v\n", err)
-		os.Exit(2)
+		return usage("%v", err)
+	}
+	fleetMode := *jobs > 0 || *restore != ""
+	if !fleetMode && *mode != "once" && *mode != "controller" {
+		return usage("unknown mode %q", *mode)
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range []string{"checkpoint", "workers"} {
+		if set[name] && !fleetMode {
+			return usage("-%s needs fleet mode (-jobs N or -restore PATH)", name)
+		}
 	}
 
 	// -flight: attach a flight recorder to a tracer shared by the
@@ -115,61 +140,65 @@ func main() {
 		tracer.AttachFlight(trace.NewFlightRecorder(0))
 	}
 
-	if *restore != "" {
-		runRestored(*restore, *workers, *duration, *ckptPath, *ckptEvery, tracer)
-		if err := dumpFlight(tracer, *flightOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *jobs > 0 {
-		runFleet(spec, *jobs, *workers, *rate, *latency, *duration, *seed, profile, tracer,
+	switch {
+	case *restore != "":
+		err = runRestored(stdout, *restore, *workers, *duration, *ckptPath, *ckptEvery, tracer)
+	case *jobs > 0:
+		err = runFleet(stdout, spec, *jobs, *workers, *rate, *latency, *duration, *seed, profile, tracer,
 			*ckptPath, *ckptEvery)
-		if err := dumpFlight(tracer, *flightOut); err != nil {
-			fatal(err)
-		}
-		return
+	default:
+		err = runJob(stdout, spec, *mode, *rate, *latency, *duration, *seed, *explain, profile, tracer)
 	}
+	if err == nil {
+		err = dumpFlight(stdout, tracer, *flightOut)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "autrascale: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// runJob runs one job in the given mode, then reports its chaos
+// counters when a fault profile is on.
+func runJob(w io.Writer, spec workloads.Spec, mode string, rate, latency, duration float64,
+	seed uint64, explain bool, profile chaos.Profile, tracer *trace.Tracer) error {
 	var injector *chaos.Injector
 	var store *metrics.Store
 	if profile.Enabled() {
-		injector = chaos.New(profile, *seed)
+		injector = chaos.New(profile, seed)
 		store = metrics.NewStore()
-		fmt.Printf("chaos profile %q enabled (seed %d — reuse it to reproduce this run)\n",
-			profile.Name, *seed)
+		fmt.Fprintf(w, "chaos profile %q enabled (seed %d — reuse it to reproduce this run)\n",
+			profile.Name, seed)
 	}
 
 	engine, err := workloads.NewEngine(spec, workloads.EngineOptions{
-		Schedule: kafka.ConstantRate(*rate),
-		Seed:     *seed,
+		Schedule: kafka.ConstantRate(rate),
+		Seed:     seed,
 		Chaos:    injector,
 		Store:    store,
 		Tracer:   tracer,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	switch *mode {
-	case "once":
-		runOnce(engine, spec, *rate, *latency, *seed, *explain)
-	case "controller":
-		runController(engine, *latency, *duration, *seed, *explain, tracer)
-	default:
-		fmt.Fprintf(os.Stderr, "autrascale: unknown mode %q\n", *mode)
-		os.Exit(2)
+	if mode == "once" {
+		err = runOnce(w, engine, spec, rate, latency, seed, explain)
+	} else {
+		err = runController(w, engine, latency, duration, seed, explain, tracer)
 	}
-	printChaosCounters(store, engine.JobName())
-	if err := dumpFlight(tracer, *flightOut); err != nil {
-		fatal(err)
+	if err != nil {
+		return err
 	}
+	printChaosCounters(w, store, engine.JobName())
+	return nil
 }
 
 // dumpFlight writes the flight recorder's journal to path as JSONL. Any
 // failure — create, write, or close — is returned so the process exits
-// nonzero instead of pretending the journal landed: `make audit` and
-// every scripted consumer trusts the exit code before diffing.
-func dumpFlight(tracer *trace.Tracer, path string) error {
+// nonzero instead of pretending the journal landed: every scripted
+// consumer trusts the exit code before diffing.
+func dumpFlight(w io.Writer, tracer *trace.Tracer, path string) error {
 	if tracer == nil || path == "" {
 		return nil
 	}
@@ -185,7 +214,7 @@ func dumpFlight(tracer *trace.Tracer, path string) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("flight journal %s: %w", path, err)
 	}
-	fmt.Printf("flight recorder: %d records written to %s (%d dropped by the ring)\n",
+	fmt.Fprintf(w, "flight recorder: %d records written to %s (%d dropped by the ring)\n",
 		fl.Len(), path, fl.Dropped())
 	return nil
 }
@@ -193,25 +222,26 @@ func dumpFlight(tracer *trace.Tracer, path string) error {
 // printChaosCounters reports the fault-handling counters after a chaos
 // run: retries and degraded decisions (the _total suffix matches the
 // Prometheus exposition names).
-func printChaosCounters(store *metrics.Store, job string) {
+func printChaosCounters(w io.Writer, store *metrics.Store, job string) {
 	if store == nil {
 		return
 	}
 	tags := map[string]string{"job": job}
-	fmt.Printf("\nchaos outcome: rescale_retries_total %.0f, degraded_decisions_total %.0f\n",
+	fmt.Fprintf(w, "\nchaos outcome: rescale_retries_total %.0f, degraded_decisions_total %.0f\n",
 		store.Counter("rescale_retries", tags).Value(),
 		store.Counter("degraded_decisions", tags).Value())
 }
 
-func runOnce(engine *flink.Engine, spec workloads.Spec, rate, latency float64, seed uint64, explain bool) {
-	fmt.Printf("workload %s: target %.0f records/s, latency <= %.0f ms\n",
+func runOnce(w io.Writer, engine *flink.Engine, spec workloads.Spec, rate, latency float64,
+	seed uint64, explain bool) error {
+	fmt.Fprintf(w, "workload %s: target %.0f records/s, latency <= %.0f ms\n",
 		spec.Name, rate, latency)
 
 	tr, err := core.OptimizeThroughput(engine, core.ThroughputOptions{TargetRate: rate})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("throughput optimization: k' = %v (%.0f records/s, %d iterations, reached=%v)\n",
+	fmt.Fprintf(w, "throughput optimization: k' = %v (%.0f records/s, %d iterations, reached=%v)\n",
 		tr.Base, tr.BestThroughputRPS, tr.Iterations, tr.ReachedTarget)
 
 	res, err := core.RunAlgorithm1(engine, tr.Base, core.Algorithm1Config{
@@ -220,15 +250,15 @@ func runOnce(engine *flink.Engine, spec workloads.Spec, rate, latency float64, s
 		Seed:            seed,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("algorithm 1: %d bootstrap runs + %d BO iterations (terminated=%v, threshold %.3f)\n",
+	fmt.Fprintf(w, "algorithm 1: %d bootstrap runs + %d BO iterations (terminated=%v, threshold %.3f)\n",
 		res.BootstrapRuns, res.Iterations, res.Met, res.Threshold)
-	fmt.Printf("recommended configuration: %v (total %d slots)\n",
+	fmt.Fprintf(w, "recommended configuration: %v (total %d slots)\n",
 		res.Best.Par, res.Best.Par.Total())
-	fmt.Printf("  latency   %.0f ms (met=%v)\n", res.Best.ProcLatencyMS, res.Best.LatencyMet)
-	fmt.Printf("  throughput %.0f records/s\n", res.Best.ThroughputRPS)
-	fmt.Printf("  score     %.3f\n", res.Best.Score)
+	fmt.Fprintf(w, "  latency   %.0f ms (met=%v)\n", res.Best.ProcLatencyMS, res.Best.LatencyMet)
+	fmt.Fprintf(w, "  throughput %.0f records/s\n", res.Best.ThroughputRPS)
+	fmt.Fprintf(w, "  score     %.3f\n", res.Best.Score)
 
 	if explain {
 		rep := core.DecisionReport{
@@ -242,43 +272,45 @@ func runOnce(engine *flink.Engine, spec workloads.Spec, rate, latency float64, s
 			TerminatedByRepeat: tr.TerminatedByRepeat,
 		}
 		rep.FillFromAlgorithm1(res)
-		fmt.Print("\n" + rep.Explain())
+		fmt.Fprint(w, "\n"+rep.Explain())
 	}
+	return nil
 }
 
-func runController(engine *flink.Engine, latency, duration float64, seed uint64,
-	explain bool, tracer *trace.Tracer) {
+func runController(w io.Writer, engine *flink.Engine, latency, duration float64, seed uint64,
+	explain bool, tracer *trace.Tracer) error {
 	ctl, err := core.NewController(engine, core.ControllerConfig{
 		TargetLatencyMS: latency,
 		Seed:            seed,
 		Tracer:          tracer,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	events, err := ctl.Run(duration)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("%-9s %-12s %-22s %-12s %-12s %s\n",
+	fmt.Fprintf(w, "%-9s %-12s %-22s %-12s %-12s %s\n",
 		"t(s)", "action", "parallelism", "latency(ms)", "thr(rps)", "reason")
 	for _, ev := range events {
-		fmt.Printf("%-9.0f %-12s %-22s %-12.0f %-12.0f %s\n",
+		fmt.Fprintf(w, "%-9.0f %-12s %-22s %-12.0f %-12.0f %s\n",
 			ev.TimeSec, ev.Action, ev.Par.String(), ev.ProcLatencyMS, ev.ThroughputRPS, ev.Reason)
 	}
 	if explain {
-		fmt.Println()
+		fmt.Fprintln(w)
 		for _, rep := range ctl.Decisions() {
-			fmt.Print(rep.Explain())
+			fmt.Fprint(w, rep.Explain())
 		}
 	}
+	return nil
 }
 
 // runFleet drives the multi-job control plane: half the jobs submitted
 // cold at t=0, the other half joining at duration/2 to demonstrate
 // cross-job warm starts, then a per-job summary table.
-func runFleet(spec workloads.Spec, jobs, workers int, rate, latency, duration float64,
-	seed uint64, profile chaos.Profile, tracer *trace.Tracer, ckptPath string, ckptEvery int) {
+func runFleet(w io.Writer, spec workloads.Spec, jobs, workers int, rate, latency, duration float64,
+	seed uint64, profile chaos.Profile, tracer *trace.Tracer, ckptPath string, ckptEvery int) error {
 	store := metrics.NewStore()
 	fl, err := fleet.New(fleet.Config{
 		TotalCores: jobs * 32, // StaggeredJobs default: 2 machines × 16 cores each
@@ -289,46 +321,51 @@ func runFleet(spec workloads.Spec, jobs, workers int, rate, latency, duration fl
 		Tracer:     tracer,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if profile.Enabled() {
-		fmt.Printf("chaos profile %q enabled (seed %d — reuse it to reproduce this run)\n",
+		fmt.Fprintf(w, "chaos profile %q enabled (seed %d — reuse it to reproduce this run)\n",
 			profile.Name, seed)
 	}
 	specs := fleet.StaggeredJobs(spec, jobs, rate)
 	for i := range specs {
 		specs[i].TargetLatencyMS = latency
 	}
-	cp := newCheckpointer(ckptPath, ckptEvery, fl)
+	cp, err := newCheckpointer(ckptPath, ckptEvery, fl)
+	if err != nil {
+		return err
+	}
 	firstWave := (jobs + 1) / 2
 	for _, js := range specs[:firstWave] {
 		if err := fl.Submit(js); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	runRounds(fl, duration/2, cp)
 	for _, js := range specs[firstWave:] {
 		if err := fl.Submit(js); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	runRounds(fl, duration, cp)
-	closeCheckpointer(cp, ckptPath)
+	if err := closeCheckpointer(w, cp, ckptPath); err != nil {
+		return err
+	}
 
 	st := fl.Snapshot()
-	fmt.Printf("fleet: %d jobs, %d/%d cores, %d rounds, %d warm starts, %d models shared\n",
+	fmt.Fprintf(w, "fleet: %d jobs, %d/%d cores, %d rounds, %d warm starts, %d models shared\n",
 		st.Jobs, st.UsedCores, st.TotalCores, st.Rounds,
 		int(store.Counter("autrascale.fleet.warmstarts", nil).Value()),
 		int(store.Counter("autrascale.fleet.models_published", nil).Value()))
-	fmt.Printf("health: %d healthy, %d degraded, %d burning, %d quarantined\n",
+	fmt.Fprintf(w, "health: %d healthy, %d degraded, %d burning, %d quarantined\n",
 		st.Health.Healthy, st.Health.Degraded, st.Health.Burning, st.Health.Quarantined)
-	fmt.Printf("%-16s %-12s %-10s %-8s %-11s %-12s %s\n",
+	fmt.Fprintf(w, "%-16s %-12s %-10s %-8s %-11s %-12s %s\n",
 		"job", "state", "rate(rps)", "slots", "decisions", "first-plan", "trials")
 	jobStatuses, _ := fl.JobsPage(0, 0)
 	for _, js := range jobStatuses {
 		decisions, err := fl.Decisions(js.Name)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		firstPlan, trials := "-", "-"
 		if len(decisions) > 0 {
@@ -343,66 +380,73 @@ func runFleet(spec workloads.Spec, jobs, workers int, rate, latency, duration fl
 		if js.Error != "" {
 			state += " (" + js.Error + ")"
 		}
-		fmt.Printf("%-16s %-12s %-10.0f %-8d %-11d %-12s %s\n",
+		fmt.Fprintf(w, "%-16s %-12s %-10.0f %-8d %-11d %-12s %s\n",
 			js.Name, state, jobRate(specs, js.Name), js.Parallelism, len(decisions), firstPlan, trials)
 	}
+	return nil
 }
 
 // runRestored boots a fleet from a durable snapshot and replays it until
 // the absolute simulated time untilSec. Restore is deterministic given
 // the snapshot bytes, so two invocations against the same file emit
-// identical flight journals (`make replay` relies on exactly that).
-func runRestored(path string, workers int, untilSec float64, ckptPath string, ckptEvery int,
-	tracer *trace.Tracer) {
+// identical flight journals (TestCLIGates relies on exactly that).
+func runRestored(w io.Writer, path string, workers int, untilSec float64, ckptPath string, ckptEvery int,
+	tracer *trace.Tracer) error {
 	st, err := persist.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	store := metrics.NewStore()
 	fl, err := fleet.Restore(st, fleet.RestoreOptions{Workers: workers, Store: store, Tracer: tracer})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	chaosName := st.Chaos
 	if chaosName == "" {
 		chaosName = "none"
 	}
-	fmt.Printf("restored fleet from %s: %d jobs at t=%.0fs (chaos %q, seed %d)\n",
+	fmt.Fprintf(w, "restored fleet from %s: %d jobs at t=%.0fs (chaos %q, seed %d)\n",
 		path, len(st.Jobs), st.NowSec, chaosName, st.Seed)
 	// Models the capture-time Save skipped (opaque, undertrained) are
 	// gone for good — name their rates so the loss is visible, not silent.
 	for _, sh := range st.Shared {
 		if len(sh.SkippedRates) > 0 {
-			fmt.Printf("  shared library %q: models skipped at capture for rates %v\n",
+			fmt.Fprintf(w, "  shared library %q: models skipped at capture for rates %v\n",
 				sh.Signature, sh.SkippedRates)
 		}
 	}
 	for _, js := range st.Jobs {
 		if len(js.LibrarySkipped) > 0 {
-			fmt.Printf("  job %q: private models skipped at capture for rates %v\n",
+			fmt.Fprintf(w, "  job %q: private models skipped at capture for rates %v\n",
 				js.Name, js.LibrarySkipped)
 		}
 	}
 
-	cp := newCheckpointer(ckptPath, ckptEvery, fl)
+	cp, err := newCheckpointer(ckptPath, ckptEvery, fl)
+	if err != nil {
+		return err
+	}
 	runRounds(fl, untilSec, cp)
-	closeCheckpointer(cp, ckptPath)
+	if err := closeCheckpointer(w, cp, ckptPath); err != nil {
+		return err
+	}
 
 	snap := fl.Snapshot()
-	fmt.Printf("fleet: %d jobs, %d/%d cores, %d rounds (t=%.0fs)\n",
+	fmt.Fprintf(w, "fleet: %d jobs, %d/%d cores, %d rounds (t=%.0fs)\n",
 		snap.Jobs, snap.UsedCores, snap.TotalCores, snap.Rounds, snap.NowSec)
-	fmt.Printf("health: %d healthy, %d degraded, %d burning, %d quarantined\n",
+	fmt.Fprintf(w, "health: %d healthy, %d degraded, %d burning, %d quarantined\n",
 		snap.Health.Healthy, snap.Health.Degraded, snap.Health.Burning, snap.Health.Quarantined)
-	fmt.Printf("%-16s %-12s %-8s %-10s %s\n", "job", "state", "slots", "decisions", "steps")
+	fmt.Fprintf(w, "%-16s %-12s %-8s %-10s %s\n", "job", "state", "slots", "decisions", "steps")
 	jobStatuses, _ := fl.JobsPage(0, 0)
 	for _, js := range jobStatuses {
 		state := string(js.State)
 		if js.Error != "" {
 			state += " (" + js.Error + ")"
 		}
-		fmt.Printf("%-16s %-12s %-8d %-10d %d\n",
+		fmt.Fprintf(w, "%-16s %-12s %-8d %-10d %d\n",
 			js.Name, state, js.Parallelism, js.Decisions, js.Steps)
 	}
+	return nil
 }
 
 // runRounds advances the fleet to untilSec one round at a time, giving
@@ -419,29 +463,26 @@ func runRounds(fl *fleet.Fleet, untilSec float64, cp *persist.Checkpointer) {
 
 // newCheckpointer wires periodic snapshots into a fleet run; nil when
 // -checkpoint was not given.
-func newCheckpointer(path string, every int, fl *fleet.Fleet) *persist.Checkpointer {
+func newCheckpointer(path string, every int, fl *fleet.Fleet) (*persist.Checkpointer, error) {
 	if path == "" {
-		return nil
+		return nil, nil
 	}
-	cp, err := persist.NewCheckpointer(path, every, fl.PersistState)
-	if err != nil {
-		fatal(err)
-	}
-	return cp
+	return persist.NewCheckpointer(path, every, fl.PersistState)
 }
 
-// closeCheckpointer flushes the final checkpoint; a failed write is
-// fatal so scripts never restore from a file the run could not land.
-func closeCheckpointer(cp *persist.Checkpointer, path string) {
+// closeCheckpointer flushes the final checkpoint; a failed write is an
+// error so scripts never restore from a file the run could not land.
+func closeCheckpointer(w io.Writer, cp *persist.Checkpointer, path string) error {
 	if cp == nil {
-		return
+		return nil
 	}
 	if err := cp.Close(); err != nil {
-		fatal(err)
+		return err
 	}
 	written, skipped := cp.Stats()
-	fmt.Printf("checkpoints: %d written to %s (%d skipped behind slow writes)\n",
+	fmt.Fprintf(w, "checkpoints: %d written to %s (%d skipped behind slow writes)\n",
 		written, path, skipped)
+	return nil
 }
 
 // jobRate looks a job's configured rate back up from the submitted specs.
@@ -452,9 +493,4 @@ func jobRate(specs []fleet.JobSpec, name string) float64 {
 		}
 	}
 	return 0
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "autrascale: %v\n", err)
-	os.Exit(1)
 }

@@ -126,7 +126,7 @@ func run(args []string, stdout io.Writer) int {
 				return nil, err
 			}
 			// A cell whose controller died is a gate failure, not a
-			// footnote: make tournament must go red on it.
+			// footnote: TestTournamentGate must go red on it.
 			for _, c := range res.Cells {
 				if c.Err != "" {
 					return nil, fmt.Errorf("cell %s/%s/%s: %s", c.Policy, c.Schedule, c.Chaos, c.Err)

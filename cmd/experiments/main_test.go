@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"regexp"
 	"strings"
@@ -45,6 +46,21 @@ func TestExperimentOutputGolden(t *testing.T) {
 			t.Fatalf("%s drifted from the command at line %d (bless with -update if intentional):\n got: %q\nwant: %q",
 				outputGolden, i+1, g, w)
 		}
+	}
+}
+
+// The tournament gate: the small policy×schedule×chaos grid exits 0 on
+// every seed of the matrix, and any cell whose controller dies fails it.
+func TestTournamentGate(t *testing.T) {
+	for _, seed := range []string{"1", "7", "42"} {
+		t.Run("seed="+seed, func(t *testing.T) {
+			args := []string{"-seed", seed, "-workers", "4",
+				"-policies", "bo,ds2-online,drs-true", "-schedules", "step,flash-crowd",
+				"-chaos", "none,light", "-duration", "1800", "tournament"}
+			if code := run(args, io.Discard); code != 0 {
+				t.Fatalf("experiments %s exited %d", strings.Join(args, " "), code)
+			}
+		})
 	}
 }
 

@@ -12,8 +12,8 @@
 //
 // A missing file argument (or "-") reads the journal from stdin, so
 // `curl .../debug/flight | flightctl summary` works. diff exits 1 when
-// the journals diverge, 0 when identical, 2 on usage or read errors —
-// the `make audit` determinism gate scripts against that contract.
+// the journals diverge, 0 when identical, 2 on usage or read errors, so
+// a script can gate on two journals' determinism.
 //
 // Correlation ids are span ids minted from a process-global sequence
 // and are the one worker-count-dependent artifact of a seeded run;

@@ -10,7 +10,7 @@
 // retry-with-backoff rescale, the controller's graceful degradation —
 // is validated against seeded fault schedules from this package. Any
 // change to Eq. 3 / Algorithm 1 / Algorithm 2 must survive the same
-// schedules (see make chaos and docs/chaos.md).
+// schedules (see core.TestControllerChaosHeavySoak and docs/chaos.md).
 //
 // # Reproducibility contract
 //

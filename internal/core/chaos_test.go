@@ -21,16 +21,16 @@ func acceptProfile() chaos.Profile {
 }
 
 // chaosControllerRun drives the quickstart WordCount job through one
-// simulated hour of the MAPE loop under the acceptance chaos profile and
-// returns the full decision record.
-func chaosControllerRun(t *testing.T, seed uint64) ([]Event, []DecisionReport, *metrics.Store) {
+// simulated hour of the MAPE loop under a chaos profile and returns the
+// full decision record.
+func chaosControllerRun(t *testing.T, profile chaos.Profile, seed uint64) ([]Event, []DecisionReport, *metrics.Store) {
 	t.Helper()
 	spec := workloads.WordCount()
 	store := metrics.NewStore()
 	e, err := workloads.NewEngine(spec, workloads.EngineOptions{
 		Seed:  seed,
 		Store: store,
-		Chaos: chaos.New(acceptProfile(), seed),
+		Chaos: chaos.New(profile, seed),
 		// Two attempts per rescale so a double failure (p = 0.09) is
 		// likely somewhere in a planning session's many trials — the
 		// degraded path must fire, not just the retry path.
@@ -62,7 +62,7 @@ func chaosControllerRun(t *testing.T, seed uint64) ([]Event, []DecisionReport, *
 // reproduces the identical decision sequence.
 func TestControllerChaosAcceptance(t *testing.T) {
 	const seed = 1
-	events, decisions, store := chaosControllerRun(t, seed)
+	events, decisions, store := chaosControllerRun(t, acceptProfile(), seed)
 
 	if len(events) == 0 {
 		t.Fatal("controller produced no events — it wedged")
@@ -118,12 +118,33 @@ func TestControllerChaosAcceptance(t *testing.T) {
 	}
 
 	// Reproducibility: the same seed yields the identical sequence.
-	events2, decisions2, _ := chaosControllerRun(t, seed)
+	events2, decisions2, _ := chaosControllerRun(t, acceptProfile(), seed)
 	if a, b := eventSignature(events), eventSignature(events2); a != b {
 		t.Fatalf("same seed, different event sequences:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
 	}
 	if a, b := decisionSignature(decisions), decisionSignature(decisions2); a != b {
 		t.Fatalf("same seed, different decision sequences:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
+	}
+}
+
+// The chaos gate: under the heavy profile (rescale failures and delays,
+// window drops and corruption, a machine kill, a partition stall) the
+// controller rides through the hour on every seed of the matrix,
+// retrying failed rescales on the way, and still decides after the
+// profile's last scheduled fault (the machine's recovery at 2400 s).
+// Planning sessions span most of the hour here, so the last decision
+// lands at 2420, 2820 and 2455 s.
+func TestControllerChaosHeavySoak(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 42} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			events, _, store := chaosControllerRun(t, chaos.Heavy(), seed)
+			if len(events) == 0 || events[len(events)-1].TimeSec < 2400 {
+				t.Fatalf("controller stopped deciding before the faults ended (%d events)", len(events))
+			}
+			if store.Counter("rescale_retries", map[string]string{"job": "wordcount"}).Value() == 0 {
+				t.Fatal("the heavy profile's rescale failures must produce retries")
+			}
+		})
 	}
 }
 

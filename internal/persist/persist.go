@@ -31,8 +31,8 @@
 // machines start healthy with the chaos schedule re-derived from the
 // profile name. Restore is therefore a deterministic function of the
 // snapshot bytes: two fleets restored from the same file replay
-// identical decision sequences (the crash-replay gate in `make replay`
-// proves it with flightctl diff).
+// identical decision sequences (the replay cells of cmd/autrascale's
+// TestCLIGates prove it with audit.Diff).
 package persist
 
 import (

@@ -86,6 +86,15 @@ func sourceFiles(t *testing.T) moduleSource {
 	return src
 }
 
+// moduleDir maps an import path of this module to its directory from
+// the module root: "." for the root facade.
+func moduleDir(p string) (string, bool) {
+	if p+"/" == module {
+		return ".", true
+	}
+	return strings.CutPrefix(p, module)
+}
+
 // importNames maps the name each import of f is known by to its path.
 func importNames(f *ast.File) map[string]string {
 	names := map[string]string{}
@@ -113,7 +122,7 @@ func TestNoOrphanInternalPackages(t *testing.T) {
 			packages[gf.dir] = true
 		}
 		for _, p := range importNames(gf.f) {
-			dir, ok := strings.CutPrefix(p, module)
+			dir, ok := moduleDir(p)
 			if !ok {
 				continue
 			}
@@ -145,9 +154,10 @@ func TestNoOrphanInternalPackages(t *testing.T) {
 	}
 }
 
-// Every exported identifier under internal/ is earned by a non-test user
-// (see unearnedIdents); none is kept alive by tests or for a future
-// consumer.
+// Every exported identifier under internal/ and of the root facade is
+// earned by a non-test user (see unearnedIdents); none is kept alive by
+// tests or for a future consumer. The facade's only non-test importers
+// are the programs under examples/, so it cannot regrow dead aliases.
 func TestNoUnearnedExports(t *testing.T) {
 	src := sourceFiles(t)
 	flagged := map[string]bool{}
@@ -192,8 +202,9 @@ type exportedIdent struct {
 func (id *exportedIdent) key() string { return id.pkg + "." + id.name }
 
 // unearnedIdents returns the exported identifiers declared in non-test
-// code under internal/ that are not earned, sorted by key. An identifier
-// is earned when any one of these holds:
+// code under internal/ or in the root facade (package dir ".") that are
+// not earned, sorted by key. An identifier is earned when any one of
+// these holds:
 //   - non-test code outside its package names it (the root facade, cmd/,
 //     examples/ and bench/ all count);
 //   - it is a type, const or var named in the declaration (a signature,
@@ -232,7 +243,7 @@ func unearnedIdents(files []goFile) []*exportedIdent {
 			case *ast.SelectorExpr:
 				if x, ok := n.X.(*ast.Ident); ok {
 					if p, ok := imports[x.Name]; ok { // a qualified identifier
-						if dir, ok := strings.CutPrefix(p, module); ok && dir != gf.dir {
+						if dir, ok := moduleDir(p); ok && dir != gf.dir {
 							named[dir+"."+n.Sel.Name] = true
 						}
 						return false
@@ -244,7 +255,7 @@ func unearnedIdents(files []goFile) []*exportedIdent {
 			}
 			return true
 		})
-		if !strings.HasPrefix(gf.dir, "internal/") {
+		if gf.dir != "." && !strings.HasPrefix(gf.dir, "internal/") {
 			continue
 		}
 		declare := func(id *exportedIdent) {
