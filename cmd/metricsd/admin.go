@@ -2,12 +2,10 @@ package main
 
 // The versioned admin API (/api/v1/...): job lifecycle, snapshot
 // trigger/download, and library inspection over HTTP. Every route
-// validates the method first (405 + Allow on a mismatch, even outside
-// fleet mode) and mutating routes decode strict JSON (unknown fields and
-// malformed bodies are 400, bodies over maxAdminBody are 413) — the admin
-// surface fails loudly before it touches the fleet. All routes except the
-// method check require fleet mode (404 otherwise): single-job metricsd
-// has no lifecycle to manage.
+// validates the method first (405 + Allow on a mismatch) and mutating
+// routes decode strict JSON (unknown fields and malformed bodies are 400,
+// bodies over maxAdminBody are 413) — the admin surface fails loudly
+// before it touches the fleet.
 
 import (
 	"encoding/json"
@@ -32,8 +30,8 @@ func (s *server) adminRoutes(mux *http.ServeMux) {
 }
 
 // allowMethod enforces the route's method set: a mismatch answers 405
-// with the Allow header and reports false. Checked before anything else
-// — including fleet mode — so clients always learn the right verb.
+// with the Allow header and reports false. Checked before anything else,
+// so clients always learn the right verb.
 func allowMethod(w http.ResponseWriter, r *http.Request, methods ...string) bool {
 	for _, m := range methods {
 		if r.Method == m {
@@ -44,15 +42,6 @@ func allowMethod(w http.ResponseWriter, r *http.Request, methods ...string) bool
 	http.Error(w, fmt.Sprintf("method %s not allowed (allow: %s)", r.Method, strings.Join(methods, ", ")),
 		http.StatusMethodNotAllowed)
 	return false
-}
-
-// requireFleet gates the admin surface on fleet mode.
-func (s *server) requireFleet(w http.ResponseWriter) bool {
-	if s.fleet == nil {
-		http.Error(w, "fleet mode disabled (run with -jobs N or -restore)", http.StatusNotFound)
-		return false
-	}
-	return true
 }
 
 // maxAdminBody bounds a mutating request's body. The largest legitimate
@@ -100,9 +89,6 @@ type jobSubmitRequest struct {
 // handleJobs lists live jobs (GET) or submits one (POST).
 func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if !allowMethod(w, r, http.MethodGet, http.MethodPost) {
-		return
-	}
-	if !s.requireFleet(w) {
 		return
 	}
 	if r.Method == http.MethodGet {
@@ -164,24 +150,18 @@ type jobNameRequest struct {
 // handleJobDrain retires a job gracefully (models published, capacity
 // freed).
 func (s *server) handleJobDrain(w http.ResponseWriter, r *http.Request) {
-	s.jobLifecycle(w, r, "drained", s.fleetDrain)
+	s.jobLifecycle(w, r, "drained", s.fleet.Drain)
 }
 
 // handleJobRemove deletes a job outright.
 func (s *server) handleJobRemove(w http.ResponseWriter, r *http.Request) {
-	s.jobLifecycle(w, r, "removed", s.fleetRemove)
+	s.jobLifecycle(w, r, "removed", s.fleet.Remove)
 }
-
-func (s *server) fleetDrain(name string) error  { return s.fleet.Drain(name) }
-func (s *server) fleetRemove(name string) error { return s.fleet.Remove(name) }
 
 // jobLifecycle is the shared drain/remove handler: POST-only, strict
 // body, 404 for names the fleet does not hold.
 func (s *server) jobLifecycle(w http.ResponseWriter, r *http.Request, verb string, op func(string) error) {
 	if !allowMethod(w, r, http.MethodPost) {
-		return
-	}
-	if !s.requireFleet(w) {
 		return
 	}
 	var req jobNameRequest
@@ -208,9 +188,6 @@ func (s *server) jobLifecycle(w http.ResponseWriter, r *http.Request, verb strin
 // checksummed format, so the download restores anywhere).
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !allowMethod(w, r, http.MethodGet, http.MethodPost) {
-		return
-	}
-	if !s.requireFleet(w) {
 		return
 	}
 	st := s.fleet.PersistState()
@@ -242,9 +219,6 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // rates models exist for.
 func (s *server) handleLibrary(w http.ResponseWriter, r *http.Request) {
 	if !allowMethod(w, r, http.MethodGet) {
-		return
-	}
-	if !s.requireFleet(w) {
 		return
 	}
 	writeJSON(w, s.fleet.SharedModelRates())

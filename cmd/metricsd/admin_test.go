@@ -18,39 +18,11 @@ import (
 	"autrascale/internal/policy"
 )
 
-// adminFleetServer builds a 2-job fleet-mode server for admin API tests.
-func adminFleetServer(t *testing.T, cfg serverConfig) *server {
-	t.Helper()
-	if cfg.Workload == "" {
-		cfg.Workload = "wordcount"
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 7
-	}
-	if cfg.Jobs == 0 && cfg.Restore == "" {
-		cfg.Jobs = 2
-	}
-	srv, _, err := newServer(cfg)
-	if err != nil {
-		t.Fatalf("newServer: %v", err)
-	}
-	return srv
-}
-
-func post(t *testing.T, url, body string) *http.Response {
-	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
-	}
-	return resp
-}
-
 // TestAdminMethodValidation drives every /api/v1 route with every wrong
 // method: each must answer 405 with an Allow header naming the right
-// verbs — before any fleet-mode or body validation runs.
+// verbs — before any body validation runs.
 func TestAdminMethodValidation(t *testing.T) {
-	srv := adminFleetServer(t, serverConfig{})
+	srv := testServer(t, serverConfig{})
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
 
@@ -96,45 +68,10 @@ func TestAdminMethodValidation(t *testing.T) {
 	}
 }
 
-// TestAdminMethodCheckPrecedesFleetGate proves the 405 wins even when
-// fleet mode is off: clients always learn the right verb, and only then
-// the 404.
-func TestAdminMethodCheckPrecedesFleetGate(t *testing.T) {
-	srv, _, err := newServer(serverConfig{Workload: "wordcount", Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.routes())
-	defer ts.Close()
-
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/jobs", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("DELETE in single-job mode: status %d, want 405", resp.StatusCode)
-	}
-
-	// Right method, no fleet: now the 404 shows.
-	resp, err = http.Get(ts.URL + "/api/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /api/v1/jobs in single-job mode: status %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestAdminBadJSON drives every mutating route with malformed bodies:
 // broken JSON, unknown fields, and trailing garbage are all 400.
 func TestAdminBadJSON(t *testing.T) {
-	srv := adminFleetServer(t, serverConfig{})
+	srv := testServer(t, serverConfig{})
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
 
@@ -163,7 +100,7 @@ func TestAdminBadJSON(t *testing.T) {
 // no oversized name reaches the fleet as a job, a metrics tag or a
 // journal field.
 func TestAdminOversizeBody(t *testing.T) {
-	srv := adminFleetServer(t, serverConfig{})
+	srv := testServer(t, serverConfig{})
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
 
@@ -184,7 +121,7 @@ func TestAdminOversizeBody(t *testing.T) {
 // submit (with policy selection), duplicate 409, unknown workload/policy
 // 400, drain, remove, unknown name 404.
 func TestAdminJobLifecycle(t *testing.T) {
-	srv := adminFleetServer(t, serverConfig{})
+	srv := testServer(t, serverConfig{})
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
 
@@ -294,7 +231,7 @@ func TestAdminJobLifecycle(t *testing.T) {
 // the same name, keep rounding. The removed job's series must leave
 // /metrics and the new job's must start on its own engine clock.
 func TestAdminRemoveThenResubmitSameName(t *testing.T) {
-	srv := adminFleetServer(t, serverConfig{})
+	srv := testServer(t, serverConfig{})
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
 	scrape := func() string {
@@ -341,7 +278,7 @@ func TestAdminRemoveThenResubmitSameName(t *testing.T) {
 func TestAdminSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt.json")
-	srv := adminFleetServer(t, serverConfig{SnapshotPath: path})
+	srv := testServer(t, serverConfig{SnapshotPath: path})
 	srv.fleet.RunUntil(300)
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
@@ -407,7 +344,7 @@ func TestAdminSnapshotRoundTrip(t *testing.T) {
 // TestAdminSnapshotPOSTWithoutPath answers 409 when no -snapshot path is
 // configured — the trigger has nowhere to write.
 func TestAdminSnapshotPOSTWithoutPath(t *testing.T) {
-	srv := adminFleetServer(t, serverConfig{})
+	srv := testServer(t, serverConfig{})
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
 
@@ -424,16 +361,13 @@ func TestAdminSnapshotPOSTWithoutPath(t *testing.T) {
 func TestServerRestoreBoot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "boot.json")
-	seedSrv := adminFleetServer(t, serverConfig{})
+	seedSrv := testServer(t, serverConfig{})
 	seedSrv.fleet.RunUntil(300)
 	if err := persist.WriteFile(path, seedSrv.fleet.PersistState()); err != nil {
 		t.Fatal(err)
 	}
 
-	srv := adminFleetServer(t, serverConfig{Restore: path})
-	if srv.fleet == nil {
-		t.Fatal("restore boot: no fleet")
-	}
+	srv := testServer(t, serverConfig{Restore: path})
 	if got := len(srv.fleet.JobNames()); got != 2 {
 		t.Fatalf("restore boot: %d jobs, want 2", got)
 	}
@@ -457,7 +391,7 @@ func TestServerRestoreBoot(t *testing.T) {
 func TestServerCheckpointerWiring(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "auto.json")
-	srv := adminFleetServer(t, serverConfig{SnapshotPath: path, CheckpointEvery: 2})
+	srv := testServer(t, serverConfig{SnapshotPath: path, CheckpointEvery: 2})
 	if srv.checkpointer == nil {
 		t.Fatal("no checkpointer despite SnapshotPath+CheckpointEvery")
 	}
@@ -484,12 +418,12 @@ func TestServerCheckpointerWiring(t *testing.T) {
 // clock — docs/durability.md's "the last snapshot always lands".
 func TestShutdownLandsLastCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "final.json")
-	srv := adminFleetServer(t, serverConfig{SnapshotPath: path, CheckpointEvery: 1 << 30})
+	srv := testServer(t, serverConfig{SnapshotPath: path, CheckpointEvery: 1 << 30})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- srv.run(ctx, "127.0.0.1:0", time.Microsecond) }()
+	go func() { done <- srv.serve(ctx, "127.0.0.1:0", time.Microsecond) }()
 
 	deadline := time.Now().Add(30 * time.Second)
 	for srv.fleet.Now() < 600 {

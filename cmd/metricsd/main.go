@@ -1,24 +1,24 @@
-// Command metricsd runs a workload simulation under the AuTraScale
-// controller and serves its metrics over HTTP — the Monitor stage of the
-// paper's MAPE loop made scrapeable:
+// Command metricsd runs a fleet of workload simulations under the
+// AuTraScale controller and serves its metrics over HTTP — the Monitor
+// stage of the paper's MAPE loop made scrapeable:
 //
 //	/metrics          Prometheus text exposition: every simulator series
 //	                  plus controller counters/histograms and the daemon's
 //	                  own runtime metrics (autrascale.runtime.*)
-//	/status           JSON snapshot (current parallelism, rates, events)
-//	/debug/decisions  JSON decision reports (why each configuration won)
-//	/debug/fleet      fleet mode: summary + paginated per-job listing
+//	/status           JSON fleet summary (clock, capacity, health, models)
+//	/debug/decisions  JSON decision reports of one job (?job=NAME, ?n=K):
+//	                  why each configuration won
+//	/debug/fleet      summary + paginated per-job listing
 //	                  (?offset=&limit=, streamed)
-//	/debug/health     SLO burn-rate health: the fleet aggregate (fleet
-//	                  mode) or the single job's tracker report
+//	/debug/health     SLO burn-rate health: the fleet aggregate
 //	/debug/flight     the flight recorder's journal as JSONL (?n=K)
 //	/debug/audit      decision attribution over the live ring: each
 //	                  decision's causal chain, summarized (?job=NAME)
-//	/debug/trace      recent spans from the decision-path tracer
+//	/debug/trace      recent spans from the decision-path tracer (?n=K)
 //	/debug/pprof/     standard Go profiling endpoints
 //	/healthz          liveness
 //
-// Fleet mode also serves the versioned admin API (see docs/durability.md):
+// and the versioned admin API (see docs/durability.md):
 //
 //	/api/v1/jobs         GET list, POST submit a declarative job spec
 //	/api/v1/jobs/drain   POST {"name": JOB} graceful retirement
@@ -27,13 +27,11 @@
 //	                     GET download one (restorable via -restore)
 //	/api/v1/library      GET shared warm-start libraries by signature
 //
-// The simulation advances in real time (one simulated second per
-// -tick-interval), so a scraper watches the controller converge live.
-//
-// With -jobs N the daemon runs a whole fleet instead of a single job: N
-// staggered-rate copies of the workload under one sharded scheduler with
-// cross-job model transfer (see docs/fleet.md). /debug/fleet serves the
-// fleet snapshot and /debug/decisions takes ?job=NAME.
+// The fleet is -jobs staggered-rate copies of the workload (default 1,
+// each on 2 machines × 16 cores) under one sharded scheduler with
+// cross-job model transfer (see docs/fleet.md), or whatever -restore's
+// snapshot holds. It advances in real time (one simulated second per
+// -tick-interval), so a scraper watches the controllers converge live.
 //
 // Usage:
 //
@@ -56,16 +54,11 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"sync"
 	"syscall"
 	"time"
 
 	"autrascale/internal/audit"
-	"autrascale/internal/core"
-	"autrascale/internal/dataflow"
 	"autrascale/internal/fleet"
-	"autrascale/internal/flink"
-	"autrascale/internal/kafka"
 	"autrascale/internal/metrics"
 	"autrascale/internal/persist"
 	"autrascale/internal/trace"
@@ -73,16 +66,10 @@ import (
 )
 
 type server struct {
-	mu     sync.Mutex
-	engine *flink.Engine
-	ctl    *core.Controller
+	fleet  *fleet.Fleet
 	store  *metrics.Store
 	tracer *trace.Tracer
 	flight *trace.FlightRecorder
-	err    error
-	// fleet is set in -jobs mode; engine/ctl are nil then (the fleet owns
-	// its jobs' engines and controllers, and has its own lock).
-	fleet *fleet.Fleet
 	// snapshotPath is where POST /api/v1/snapshot and periodic
 	// checkpoints land (empty: the POST answers 409 Conflict).
 	snapshotPath string
@@ -94,22 +81,19 @@ type server struct {
 // serverConfig parameterizes newServer so tests can build one without
 // flags.
 type serverConfig struct {
-	Workload      string
+	Workload string
+	// LatencyMS is every submitted job's target (0: the workload's).
 	LatencyMS     float64
 	Seed          uint64
 	TraceCapacity int
 	// FlightCap sizes the flight recorder's record ring (default: the
 	// recorder's own default).
 	FlightCap int
-	NoNoise   bool
-	// Schedule overrides the workload's constant default rate (tests use
-	// a step schedule to exercise the transfer path).
-	Schedule kafka.RateSchedule
-	// Jobs > 0 switches to fleet mode: that many staggered-rate copies of
-	// the workload under one scheduler with cross-job model transfer.
+	// Jobs is how many staggered-rate copies of the workload the fleet
+	// starts with (at least 1).
 	Jobs int
 	// Restore boots the daemon from a fleet snapshot instead of
-	// submitting fresh jobs (implies fleet mode; Jobs is ignored).
+	// submitting fresh jobs (Jobs is ignored).
 	Restore string
 	// SnapshotPath is where POST /api/v1/snapshot and periodic
 	// checkpoints write.
@@ -119,18 +103,15 @@ type serverConfig struct {
 	CheckpointEvery int
 }
 
-// newServer assembles the simulator, controller, tracer, and store. It
+// newServer assembles the fleet, tracer, flight recorder and store. It
 // does not start the drive loop or listen — callers (main, tests) decide.
 func newServer(cfg serverConfig) (*server, workloads.Spec, error) {
 	spec, found := workloads.ByName(cfg.Workload)
 	if !found {
 		return nil, spec, fmt.Errorf("metricsd: unknown workload %q", cfg.Workload)
 	}
-	if cfg.LatencyMS <= 0 {
-		cfg.LatencyMS = spec.TargetLatencyMS
-	}
-	if cfg.TraceCapacity <= 0 {
-		cfg.TraceCapacity = trace.DefaultCapacity
+	if cfg.Restore == "" && cfg.Jobs < 1 {
+		return nil, spec, fmt.Errorf("metricsd: -jobs must be at least 1, got %d", cfg.Jobs)
 	}
 
 	store := metrics.NewStore()
@@ -138,13 +119,13 @@ func newServer(cfg serverConfig) (*server, workloads.Spec, error) {
 	flight := trace.NewFlightRecorder(cfg.FlightCap)
 	tracer.AttachFlight(flight)
 
+	var fl *fleet.Fleet
 	if cfg.Restore != "" {
 		st, err := persist.ReadFile(cfg.Restore)
 		if err != nil {
 			return nil, spec, fmt.Errorf("metricsd: %w", err)
 		}
-		fl, err := fleet.Restore(st, fleet.RestoreOptions{Store: store, Tracer: tracer})
-		if err != nil {
+		if fl, err = fleet.Restore(st, fleet.RestoreOptions{Store: store, Tracer: tracer}); err != nil {
 			return nil, spec, fmt.Errorf("metricsd: %w", err)
 		}
 		// Models the capture-time Save skipped are gone for good — name
@@ -161,12 +142,9 @@ func newServer(cfg serverConfig) (*server, workloads.Spec, error) {
 					js.Name, js.LibrarySkipped)
 			}
 		}
-		srv, err := fleetServer(cfg, fl, store, tracer, flight)
-		return srv, spec, err
-	}
-
-	if cfg.Jobs > 0 {
-		fl, err := fleet.New(fleet.Config{
+	} else {
+		var err error
+		fl, err = fleet.New(fleet.Config{
 			TotalCores: cfg.Jobs * 32, // StaggeredJobs default: 2 machines × 16 cores each
 			Seed:       cfg.Seed,
 			Store:      store,
@@ -181,37 +159,8 @@ func newServer(cfg serverConfig) (*server, workloads.Spec, error) {
 				return nil, spec, err
 			}
 		}
-		srv, err := fleetServer(cfg, fl, store, tracer, flight)
-		return srv, spec, err
 	}
 
-	engine, err := workloads.NewEngine(spec, workloads.EngineOptions{
-		Store:    store,
-		Seed:     cfg.Seed,
-		NoNoise:  cfg.NoNoise,
-		Tracer:   tracer,
-		Schedule: cfg.Schedule,
-	})
-	if err != nil {
-		return nil, spec, err
-	}
-	ctl, err := core.NewController(engine, core.ControllerConfig{
-		TargetLatencyMS: cfg.LatencyMS,
-		MaxIterations:   10,
-		Seed:            cfg.Seed,
-		Tracer:          tracer,
-	})
-	if err != nil {
-		return nil, spec, err
-	}
-	return &server{engine: engine, ctl: ctl, store: store, tracer: tracer, flight: flight}, spec, nil
-}
-
-// fleetServer finishes assembling a fleet-mode server: durability wiring
-// (snapshot path, periodic checkpointer) is shared by the fresh-submit
-// and restore paths.
-func fleetServer(cfg serverConfig, fl *fleet.Fleet, store *metrics.Store,
-	tracer *trace.Tracer, flight *trace.FlightRecorder) (*server, error) {
 	srv := &server{
 		fleet: fl, store: store, tracer: tracer, flight: flight,
 		snapshotPath: cfg.SnapshotPath,
@@ -219,11 +168,11 @@ func fleetServer(cfg serverConfig, fl *fleet.Fleet, store *metrics.Store,
 	if cfg.SnapshotPath != "" && cfg.CheckpointEvery > 0 {
 		cp, err := persist.NewCheckpointer(cfg.SnapshotPath, cfg.CheckpointEvery, fl.PersistState)
 		if err != nil {
-			return nil, err
+			return nil, spec, err
 		}
 		srv.checkpointer = cp
 	}
-	return srv, nil
+	return srv, spec, nil
 }
 
 // routes builds the HTTP mux. Factored out so tests can hit the handlers
@@ -251,20 +200,30 @@ func (s *server) routes() *http.ServeMux {
 }
 
 func main() {
+	if err := run(os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("metricsd: shut down")
+}
+
+// run parses the flags, builds the server and serves until SIGINT or
+// SIGTERM. A configuration error returns before anything is bound.
+func run(args []string) error {
+	fs := flag.NewFlagSet("metricsd", flag.ExitOnError)
 	var (
-		addr      = flag.String("addr", ":9090", "listen address")
-		workload  = flag.String("workload", "wordcount", "workload: wordcount, yahoo, nexmark-q5, nexmark-q11")
-		latency   = flag.Float64("latency", 0, "target latency ms (default: the workload's)")
-		tick      = flag.Duration("tick-interval", 10*time.Millisecond, "wall time per simulated second")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		traceCap  = flag.Int("trace-capacity", trace.DefaultCapacity, "span ring-buffer capacity")
-		flightCap = flag.Int("flight-cap", 0, "flight recorder ring capacity (0: default)")
-		jobs      = flag.Int("jobs", 0, "fleet mode: run N staggered-rate copies of the workload")
-		restore   = flag.String("restore", "", "boot from a fleet snapshot file (implies fleet mode)")
-		snapshot  = flag.String("snapshot", "", "path for POST /api/v1/snapshot and periodic checkpoints")
-		ckptEvery = flag.Int("checkpoint-every", 0, "checkpoint the fleet to -snapshot every N rounds (0: on demand only)")
+		addr      = fs.String("addr", ":9090", "listen address")
+		workload  = fs.String("workload", "wordcount", "workload: wordcount, yahoo, nexmark-q5, nexmark-q11")
+		latency   = fs.Float64("latency", 0, "target latency ms (default: the workload's)")
+		tick      = fs.Duration("tick-interval", 10*time.Millisecond, "wall time per simulated second")
+		seed      = fs.Uint64("seed", 1, "random seed")
+		traceCap  = fs.Int("trace-capacity", trace.DefaultCapacity, "span ring-buffer capacity")
+		flightCap = fs.Int("flight-cap", 0, "flight recorder ring capacity (0: default)")
+		jobs      = fs.Int("jobs", 1, "run N staggered-rate copies of the workload (at least 1)")
+		restore   = fs.String("restore", "", "boot from a fleet snapshot file (-jobs is ignored)")
+		snapshot  = fs.String("snapshot", "", "path for POST /api/v1/snapshot and periodic checkpoints")
+		ckptEvery = fs.Int("checkpoint-every", 0, "checkpoint the fleet to -snapshot every N rounds (0: on demand only)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	srv, spec, err := newServer(serverConfig{
 		Workload:        *workload,
@@ -278,25 +237,17 @@ func main() {
 		CheckpointEvery: *ckptEvery,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-
-	switch {
-	case *restore != "":
+	if *restore != "" {
 		log.Printf("metricsd: fleet restored from %s on %s (%d jobs, t=%.0fs)",
 			*restore, *addr, len(srv.fleet.JobNames()), srv.fleet.Now())
-	case *jobs > 0:
+	} else {
 		log.Printf("metricsd: fleet of %d %s jobs on %s", *jobs, spec.Name, *addr)
-	default:
-		log.Printf("metricsd: %s on %s (latency target %.0f ms)", spec.Name, *addr, *latency)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	err = srv.run(ctx, *addr, *tick)
-	stop()
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("metricsd: shut down")
+	defer stop()
+	return srv.serve(ctx, *addr, *tick)
 }
 
 // shutdownGrace bounds how long a shutdown waits for in-flight requests
@@ -312,15 +263,15 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
-// run binds addr, drives the simulation and serves until ctx is cancelled
-// (SIGINT/SIGTERM in main), then shuts down in the order that lands the
-// last snapshot: the drive loop stops, so no round is in flight; the HTTP
-// server drains its requests; and the checkpointer's Close writes the
-// final synchronous checkpoint of the fleet's terminal state. A daemon
-// that cannot bind returns before it drives or writes anything, so a
-// second instance started by mistake never overwrites the first one's
-// snapshot.
-func (s *server) run(ctx context.Context, addr string, tick time.Duration) error {
+// serve binds addr, drives the simulation and serves until ctx is
+// cancelled (SIGINT/SIGTERM in run), then shuts down in the order that
+// lands the last snapshot: the drive loop stops, so no round is in
+// flight; the HTTP server drains its requests; and the checkpointer's
+// Close writes the final synchronous checkpoint of the fleet's terminal
+// state. A daemon that cannot bind returns before it drives or writes
+// anything, so a second instance started by mistake never overwrites the
+// first one's snapshot.
+func (s *server) serve(ctx context.Context, addr string, tick time.Duration) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -367,44 +318,23 @@ func sleep(ctx context.Context, d time.Duration) {
 	}
 }
 
-// drive advances the controller continuously, one MAPE step at a time,
-// pacing simulated seconds against wall time, until ctx is cancelled. In
-// fleet mode it advances the whole fleet one round at a time instead.
+// drive advances the fleet one round at a time, pacing simulated seconds
+// against wall time, until ctx is cancelled.
 func (s *server) drive(ctx context.Context, tick time.Duration) {
-	if s.fleet != nil {
-		for ctx.Err() == nil {
-			before := s.fleet.Now()
-			s.fleet.Round()
-			if s.checkpointer != nil {
-				s.checkpointer.Tick()
-				if err := s.checkpointer.Err(); err != nil {
-					log.Printf("metricsd: checkpoint error: %v", err)
-				}
-			}
-			sleep(ctx, time.Duration(s.fleet.Now()-before)*tick)
-		}
-		return
-	}
 	for ctx.Err() == nil {
-		s.mu.Lock()
-		before := s.engine.Now()
-		_, err := s.ctl.Step()
-		advanced := s.engine.Now() - before
-		if err != nil {
-			s.err = err
+		before := s.fleet.Now()
+		s.fleet.Round()
+		if s.checkpointer != nil {
+			s.checkpointer.Tick()
+			if err := s.checkpointer.Err(); err != nil {
+				log.Printf("metricsd: checkpoint error: %v", err)
+			}
 		}
-		s.mu.Unlock()
-		if err != nil {
-			log.Printf("metricsd: controller error: %v", err)
-			return
-		}
-		sleep(ctx, time.Duration(advanced)*tick)
+		sleep(ctx, time.Duration(s.fleet.Now()-before)*tick)
 	}
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	if err := s.store.WriteExposition(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -416,85 +346,46 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// statusSnapshot is the fully-materialized /status payload. Every field
-// is copied out of the simulation under the mutex; encoding happens
-// outside the critical section so a slow scraper cannot stall the tick
-// loop.
-type statusSnapshot struct {
-	SimulatedSec float64                    `json:"simulated_sec"`
-	Parallelism  dataflow.ParallelismVector `json:"parallelism"`
-	Restarts     int                        `json:"restarts"`
-	LagRecords   float64                    `json:"lag_records"`
-	Throughput   float64                    `json:"throughput"`
-	LatencyMS    float64                    `json:"latency_ms"`
-	Events       []core.Event               `json:"events"`
-	ModelRates   []float64                  `json:"model_rates"`
-	Error        string                     `json:"error,omitempty"`
+// handleStatus serves the fleet summary.
+func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, s.fleet.Snapshot())
 }
 
-func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if s.fleet != nil {
-		writeJSON(w, s.fleet.Snapshot())
+// handleDecisions serves one job's retained decision reports — the full
+// "why this configuration" record per replan/step, newest last. ?job=NAME
+// selects the job; ?n=K limits the response to the last K reports.
+func (s *server) handleDecisions(w http.ResponseWriter, r *http.Request) {
+	n, ok := intParam(w, r, "n")
+	if !ok {
 		return
 	}
-	s.mu.Lock()
-	m := s.engine.Measure()
-	snap := statusSnapshot{
-		SimulatedSec: s.engine.Now(),
-		Parallelism:  s.engine.Parallelism(),
-		Restarts:     s.engine.Restarts(),
-		LagRecords:   s.engine.Topic().Lag(),
-		Throughput:   m.ThroughputRPS,
-		LatencyMS:    m.ProcLatencyMS,
-		Events:       s.ctl.Events(),
-		ModelRates:   s.ctl.Library().Rates(),
+	job := r.URL.Query().Get("job")
+	if job == "" {
+		w.WriteHeader(http.StatusBadRequest)
+		writeJSON(w, struct {
+			Error string   `json:"error"`
+			Jobs  []string `json:"jobs"`
+		}{Error: "select a job with ?job=NAME", Jobs: s.fleet.JobNames()})
+		return
 	}
-	if s.err != nil {
-		snap.Error = s.err.Error()
+	reports, err := s.fleet.Decisions(job)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return
 	}
-	s.mu.Unlock()
-	writeJSON(w, snap)
-}
-
-// handleDecisions serves the controller's retained decision reports —
-// the full "why this configuration" record per replan/step, newest last.
-// ?n=K limits the response to the last K reports. In fleet mode the job
-// is selected with ?job=NAME.
-func (s *server) handleDecisions(w http.ResponseWriter, r *http.Request) {
-	var reports []core.DecisionReport
-	if s.fleet != nil {
-		job := r.URL.Query().Get("job")
-		if job == "" {
-			w.WriteHeader(http.StatusBadRequest)
-			writeJSON(w, struct {
-				Error string   `json:"error"`
-				Jobs  []string `json:"jobs"`
-			}{Error: "fleet mode: select a job with ?job=NAME", Jobs: s.fleet.JobNames()})
-			return
-		}
-		var err error
-		if reports, err = s.fleet.Decisions(job); err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-	} else {
-		s.mu.Lock()
-		reports = s.ctl.Decisions()
-		s.mu.Unlock()
-	}
-	if n, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && n >= 0 && n < len(reports) {
+	if n > 0 && n < len(reports) {
 		reports = reports[len(reports)-n:]
 	}
 	writeJSON(w, reports)
 }
 
-// intParam parses a non-negative integer query parameter. Malformed,
-// negative, or overflowing values get a 400 — never a panic or a silent
-// full dump. An absent parameter yields def.
-func intParam(w http.ResponseWriter, r *http.Request, name string, def int) (int, bool) {
+// intParam parses a non-negative integer query parameter, where 0 (or
+// an absent parameter) means "all". Malformed, negative, or overflowing
+// values get a 400 — never a panic or a silent full dump.
+func intParam(w http.ResponseWriter, r *http.Request, name string) (int, bool) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
-		return def, true
+		return 0, true
 	}
 	v, err := strconv.Atoi(raw)
 	if err != nil || v < 0 {
@@ -515,15 +406,11 @@ const fleetPageChunk = 256
 // ?offset=&limit= select the page (defaults: the whole listing,
 // streamed); invalid values are rejected with 400.
 func (s *server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	if s.fleet == nil {
-		http.Error(w, "fleet mode disabled (run with -jobs N)", http.StatusNotFound)
-		return
-	}
-	offset, ok := intParam(w, r, "offset", 0)
+	offset, ok := intParam(w, r, "offset")
 	if !ok {
 		return
 	}
-	limit, ok := intParam(w, r, "limit", 0)
+	limit, ok := intParam(w, r, "limit")
 	if !ok {
 		return
 	}
@@ -572,25 +459,17 @@ func (s *server) handleFleet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealth serves the SLO burn-rate view: the fleet's incremental
-// aggregate in fleet mode (O(its top-K burn ranking), never a walk of
-// the jobs), or the single job's tracker report otherwise.
+// aggregate (O(its top-K burn ranking), never a walk of the jobs).
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if s.fleet != nil {
-		writeJSON(w, s.fleet.HealthSnapshot())
-		return
-	}
-	s.mu.Lock()
-	h := s.ctl.SLOHealth()
-	s.mu.Unlock()
-	writeJSON(w, h)
+	writeJSON(w, s.fleet.HealthSnapshot())
 }
 
 // handleFlight dumps the flight recorder's journal as JSONL, oldest
 // first. ?n=K keeps only the most recent K records.
 func (s *server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if n, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && n > 0 {
-		limit = n
+	limit, ok := intParam(w, r, "n")
+	if !ok {
+		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	if err := s.flight.WriteJSONL(w, limit); err != nil {
@@ -628,11 +507,10 @@ func (s *server) handleAudit(w http.ResponseWriter, r *http.Request) {
 // handleTrace serves the most recent spans from the ring buffer
 // (oldest-first). ?n=K limits the response to the last K spans.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if n, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && n > 0 {
-		limit = n
+	limit, ok := intParam(w, r, "n")
+	if !ok {
+		return
 	}
-	// The tracer has its own lock; the simulation mutex is not needed.
 	spans := s.tracer.Snapshot(limit)
 	writeJSON(w, struct {
 		Dropped uint64       `json:"dropped"`

@@ -1,56 +1,78 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"autrascale/internal/core"
-	"autrascale/internal/kafka"
 	"autrascale/internal/trace"
 )
 
-// stepServer builds a server on the wordcount workload with a step
-// schedule (so both Algorithm 1 and the transfer path fire) and drives
-// the controller synchronously — no drive goroutine, no listener.
-func stepServer(t *testing.T) *server {
+// testServer builds a wordcount server (seed 7, 2 jobs unless cfg says
+// otherwise). Tests advance it synchronously with srv.fleet.Round() — no
+// drive goroutine, no listener.
+func testServer(t *testing.T, cfg serverConfig) *server {
 	t.Helper()
-	srv, _, err := newServer(serverConfig{
-		Workload: "wordcount",
-		Seed:     7,
-		NoNoise:  true,
-		Schedule: kafka.StepSchedule{Steps: []kafka.Step{
-			{FromSec: 0, Rate: 150e3},
-			{FromSec: 1200, Rate: 200e3},
-		}},
-	})
+	if cfg.Workload == "" {
+		cfg.Workload = "wordcount"
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 7
+	}
+	if cfg.Jobs == 0 && cfg.Restore == "" {
+		cfg.Jobs = 2
+	}
+	srv, _, err := newServer(cfg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("newServer: %v", err)
 	}
 	return srv
 }
 
-// stepUntilTransfer advances the controller past the rate change so the
-// decision log holds both an algorithm1 and an algorithm2 report.
-func stepUntilTransfer(t *testing.T, srv *server) {
+// transferServer drives a one-job fleet through both of the paper's
+// planners: wordcount-01's first plan is Algorithm 1; it is then drained
+// (publishing its model) and a second job, "warm", is submitted through
+// the admin API, whose first plan warm-starts into Algorithm 2. Its
+// latency target is tight enough that it replans on QoS within an hour.
+func transferServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
-	for i := 0; i < 60; i++ {
-		if _, err := srv.ctl.Step(); err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range srv.ctl.Decisions() {
-			if d.Action == core.ActionAlgorithm2 {
-				return
-			}
-		}
-		if srv.engine.Now() > 3000 {
-			break
+	srv := testServer(t, serverConfig{Jobs: 1})
+	srv.fleet.Round()
+	ts := httptest.NewServer(srv.routes())
+	t.Cleanup(ts.Close)
+	for _, req := range []struct{ path, body string }{
+		{"/api/v1/jobs/drain", `{"name": "wordcount-01"}`},
+		{"/api/v1/jobs", `{"name": "warm", "workload": "wordcount", "rate_rps": 300000, "target_latency_ms": 100}`},
+	} {
+		resp := post(t, ts.URL+req.path, req.body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d", req.path, resp.StatusCode)
 		}
 	}
-	t.Fatal("controller never ran Algorithm 2 (transfer)")
+	srv.fleet.Round()
+	return srv, ts
+}
+
+func post(t *testing.T, url, body string) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	return resp
 }
 
 func get(t *testing.T, ts *httptest.Server, path string) []byte {
@@ -71,19 +93,22 @@ func get(t *testing.T, ts *httptest.Server, path string) []byte {
 }
 
 func TestDebugDecisionsEndpoint(t *testing.T) {
-	srv := stepServer(t)
-	stepUntilTransfer(t, srv)
-	ts := httptest.NewServer(srv.routes())
-	defer ts.Close()
+	srv, ts := transferServer(t)
+	srv.fleet.RunUntil(srv.fleet.Now() + 3600) // the warm job's QoS replan
 
-	body := get(t, ts, "/debug/decisions")
-	var reports []core.DecisionReport
-	if err := json.Unmarshal(body, &reports); err != nil {
+	coldBody := get(t, ts, "/debug/decisions?job=wordcount-01")
+	warmBody := get(t, ts, "/debug/decisions?job=warm")
+	var cold, warm []core.DecisionReport
+	if err := json.Unmarshal(coldBody, &cold); err != nil {
 		t.Fatalf("decode /debug/decisions: %v", err)
 	}
-	if len(reports) < 2 {
-		t.Fatalf("want >= 2 decision reports, got %d", len(reports))
+	if err := json.Unmarshal(warmBody, &warm); err != nil {
+		t.Fatalf("decode /debug/decisions: %v", err)
 	}
+	if len(warm) < 2 || warm[0].Action != core.ActionAlgorithm2 {
+		t.Fatalf("warm-started job: %d reports, want >= 2 starting with algorithm2", len(warm))
+	}
+	reports := append(cold, warm...)
 
 	var a1, a2 *core.DecisionReport
 	for i := range reports {
@@ -134,29 +159,27 @@ func TestDebugDecisionsEndpoint(t *testing.T) {
 		`"chosen"`, `"score"`, `"eq9_threshold"`, `"eq9_margin"`,
 		`"bo_iterations"`, `"transfer_source_rate"`, `"iteration_log"`,
 	} {
-		if !strings.Contains(string(body), key) {
+		if !strings.Contains(string(coldBody)+string(warmBody), key) {
 			t.Errorf("/debug/decisions missing field %s", key)
 		}
 	}
 
 	// ?n=1 limits to the most recent report.
 	var last []core.DecisionReport
-	if err := json.Unmarshal(get(t, ts, "/debug/decisions?n=1"), &last); err != nil {
+	if err := json.Unmarshal(get(t, ts, "/debug/decisions?job=warm&n=1"), &last); err != nil {
 		t.Fatal(err)
 	}
 	if len(last) != 1 {
 		t.Fatalf("?n=1 returned %d reports", len(last))
 	}
-	if last[0].TimeSec != reports[len(reports)-1].TimeSec {
+	if last[0].TimeSec != warm[len(warm)-1].TimeSec {
 		t.Error("?n=1 did not return the newest report")
 	}
 }
 
 func TestDebugTraceAndMetricsEndpoints(t *testing.T) {
-	srv := stepServer(t)
-	if _, err := srv.ctl.Step(); err != nil {
-		t.Fatal(err)
-	}
+	srv := testServer(t, serverConfig{Jobs: 1})
+	srv.fleet.Round()
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
 
@@ -207,30 +230,69 @@ func TestDebugTraceAndMetricsEndpoints(t *testing.T) {
 	}
 }
 
+// /status is the fleet summary; the job's own parallelism, decisions and
+// SLO tracker are in its /debug/fleet listing entry.
 func TestStatusAndHealthz(t *testing.T) {
-	srv := stepServer(t)
-	if _, err := srv.ctl.Step(); err != nil {
-		t.Fatal(err)
-	}
+	srv := testServer(t, serverConfig{Jobs: 1})
+	srv.fleet.Round()
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
 
-	var snap statusSnapshot
+	var snap struct {
+		NowSec float64 `json:"now_sec"`
+		Jobs   int     `json:"jobs"`
+	}
 	if err := json.Unmarshal(get(t, ts, "/status"), &snap); err != nil {
 		t.Fatalf("decode /status: %v", err)
 	}
-	if snap.SimulatedSec <= 0 {
+	if snap.NowSec <= 0 {
 		t.Error("status reports no simulated time")
 	}
-	if len(snap.Parallelism) == 0 {
-		t.Error("status reports no parallelism")
+	if snap.Jobs != 1 {
+		t.Errorf("status reports %d jobs, want 1", snap.Jobs)
 	}
-	if len(snap.Events) == 0 {
-		t.Error("status reports no controller events")
+
+	var page fleetPage
+	if err := json.Unmarshal(get(t, ts, "/debug/fleet"), &page); err != nil {
+		t.Fatalf("decode /debug/fleet: %v", err)
+	}
+	if len(page.Jobs) != 1 || page.Jobs[0].Name != "wordcount-01" {
+		t.Fatalf("one-job fleet lists %+v, want wordcount-01", page.Jobs)
+	}
+	j := page.Jobs[0]
+	if j.Parallelism == 0 {
+		t.Error("job reports no parallelism")
+	}
+	if j.Decisions == 0 {
+		t.Error("job reports no controller decisions")
+	}
+	if j.SLO.Observations == 0 {
+		t.Error("job's SLO tracker saw no observations after a round")
+	}
+	if j.SLO.State == "" {
+		t.Error("job's health has no state")
 	}
 
 	if body := string(get(t, ts, "/healthz")); !strings.Contains(body, "ok") {
 		t.Errorf("healthz = %q", body)
+	}
+}
+
+// The fleet needs at least one job to boot from flags: -jobs below 1 is
+// refused with an error naming the flag, before anything is bound.
+func TestRunRejectsJobsBelowOne(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	for _, jobs := range []string{"0", "-3"} {
+		// The address is taken: a run that got as far as binding would
+		// fail on it instead of on -jobs.
+		err := run([]string{"-jobs", jobs, "-workload", "wordcount", "-addr", ln.Addr().String()})
+		if err == nil || !strings.Contains(err.Error(), "-jobs") {
+			t.Errorf("-jobs %s: error %v, want one naming -jobs", jobs, err)
+		}
 	}
 }
 
@@ -240,16 +302,10 @@ func TestNewServerRejectsUnknownWorkload(t *testing.T) {
 	}
 }
 
-// Fleet mode: /debug/fleet serves the multi-job snapshot and
-// /debug/decisions requires (and honors) ?job=NAME.
+// /debug/fleet serves the multi-job snapshot and /debug/decisions
+// requires (and honors) ?job=NAME.
 func TestFleetModeEndpoints(t *testing.T) {
-	srv, _, err := newServer(serverConfig{Workload: "wordcount", Seed: 7, Jobs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv.fleet == nil {
-		t.Fatal("jobs > 0 should build a fleet server")
-	}
+	srv := testServer(t, serverConfig{})
 	// Two rounds: the first triggers every job's initial planning session,
 	// the second publishes nothing new but exercises the barrier.
 	srv.fleet.Round()
@@ -283,7 +339,7 @@ func TestFleetModeEndpoints(t *testing.T) {
 		}
 	}
 
-	// Per-job decisions require the job selector in fleet mode.
+	// Per-job decisions require the job selector.
 	resp, err := http.Get(ts.URL + "/debug/decisions")
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +347,7 @@ func TestFleetModeEndpoints(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bare /debug/decisions in fleet mode: status %d, want 400", resp.StatusCode)
+		t.Fatalf("bare /debug/decisions: status %d, want 400", resp.StatusCode)
 	}
 	if !strings.Contains(string(body), "wordcount-01") {
 		t.Fatalf("fleet decisions error should list job names, got %s", body)
@@ -315,7 +371,7 @@ func TestFleetModeEndpoints(t *testing.T) {
 	// /status serves the fleet snapshot too; /metrics carries the
 	// fleet-aggregate counters.
 	if body := string(get(t, ts, "/status")); !strings.Contains(body, "shared_models") {
-		t.Error("/status in fleet mode should serve the fleet snapshot")
+		t.Error("/status should serve the fleet snapshot")
 	}
 	if body := string(get(t, ts, "/metrics")); !strings.Contains(body, "autrascale_fleet_rounds_total") {
 		t.Error("/metrics missing fleet round counter")
@@ -338,9 +394,14 @@ type fleetPage struct {
 	Offset int `json:"offset"`
 	Limit  int `json:"limit"`
 	Jobs   []struct {
-		Name      string `json:"name"`
-		State     string `json:"state"`
-		Decisions int    `json:"decisions"`
+		Name        string `json:"name"`
+		State       string `json:"state"`
+		Decisions   int    `json:"decisions"`
+		Parallelism int    `json:"parallelism_total"`
+		SLO         struct {
+			State        string `json:"state"`
+			Observations int    `json:"observations"`
+		} `json:"slo"`
 	} `json:"jobs"`
 }
 
@@ -348,10 +409,7 @@ type fleetPage struct {
 // or negative values are rejected with 400 — never a panic or a silent
 // full dump.
 func TestFleetPaginationAndValidation(t *testing.T) {
-	srv, _, err := newServer(serverConfig{Workload: "wordcount", Seed: 11, Jobs: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := testServer(t, serverConfig{Seed: 11, Jobs: 5})
 	srv.fleet.Round()
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
@@ -411,13 +469,9 @@ func TestFleetPaginationAndValidation(t *testing.T) {
 	}
 }
 
-// /debug/health answers from the fleet's incremental aggregate in fleet
-// mode and from the single job's SLO tracker otherwise.
+// /debug/health answers from the fleet's incremental aggregate.
 func TestDebugHealthEndpoint(t *testing.T) {
-	srv, _, err := newServer(serverConfig{Workload: "wordcount", Seed: 7, Jobs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := testServer(t, serverConfig{})
 	srv.fleet.Round()
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
@@ -431,40 +485,17 @@ func TestDebugHealthEndpoint(t *testing.T) {
 		} `json:"top_burn"`
 	}
 	if err := json.Unmarshal(get(t, ts, "/debug/health"), &h); err != nil {
-		t.Fatalf("decode fleet /debug/health: %v", err)
+		t.Fatalf("decode /debug/health: %v", err)
 	}
 	if h.Jobs != 2 {
 		t.Fatalf("fleet health reports %d jobs, want 2", h.Jobs)
-	}
-
-	single := stepServer(t)
-	if _, err := single.ctl.Step(); err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(single.routes())
-	defer ts2.Close()
-	var sh struct {
-		State        string `json:"state"`
-		Observations int    `json:"observations"`
-	}
-	if err := json.Unmarshal(get(t, ts2, "/debug/health"), &sh); err != nil {
-		t.Fatalf("decode single-job /debug/health: %v", err)
-	}
-	if sh.Observations == 0 {
-		t.Fatal("single-job SLO tracker saw no observations after a step")
-	}
-	if sh.State == "" {
-		t.Fatal("single-job health has no state")
 	}
 }
 
 // /debug/flight dumps the journal as JSONL with a decision record per
 // planning step, linked by a correlation id.
 func TestDebugFlightEndpoint(t *testing.T) {
-	srv := stepServer(t)
-	stepUntilTransfer(t, srv)
-	ts := httptest.NewServer(srv.routes())
-	defer ts.Close()
+	_, ts := transferServer(t)
 
 	resp, err := http.Get(ts.URL + "/debug/flight")
 	if err != nil {
@@ -518,10 +549,7 @@ func TestDebugFlightEndpoint(t *testing.T) {
 // /debug/audit reconstructs decision attribution from the live ring:
 // a journal summary plus one chain per decision, filterable by job.
 func TestDebugAuditEndpoint(t *testing.T) {
-	srv := stepServer(t)
-	stepUntilTransfer(t, srv)
-	ts := httptest.NewServer(srv.routes())
-	defer ts.Close()
+	_, ts := transferServer(t)
 
 	var rep struct {
 		Summary struct {
@@ -546,7 +574,7 @@ func TestDebugAuditEndpoint(t *testing.T) {
 	}
 	sawBO := false
 	for _, a := range rep.Attributions {
-		if a.Job != "wordcount" {
+		if a.Job != "wordcount-01" && a.Job != "warm" {
 			t.Fatalf("unexpected job in attribution: %+v", a)
 		}
 		if a.BOIterations > 0 {
@@ -573,19 +601,9 @@ func TestDebugAuditEndpoint(t *testing.T) {
 // -flight-cap bounds the live ring: a tiny cap must drop old records
 // rather than grow.
 func TestFlightCapBoundsRing(t *testing.T) {
-	srv, _, err := newServer(serverConfig{
-		Workload:  "wordcount",
-		Seed:      7,
-		NoNoise:   true,
-		FlightCap: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := testServer(t, serverConfig{Jobs: 1, FlightCap: 8})
 	for i := 0; i < 5; i++ {
-		if _, err := srv.ctl.Step(); err != nil {
-			t.Fatal(err)
-		}
+		srv.fleet.Round()
 	}
 	if n := srv.flight.Len(); n > 8 {
 		t.Fatalf("ring holds %d records, cap is 8", n)
@@ -595,17 +613,106 @@ func TestFlightCapBoundsRing(t *testing.T) {
 	}
 }
 
-// Outside fleet mode the fleet endpoint must say so rather than panic.
-func TestFleetEndpointDisabledInSingleJobMode(t *testing.T) {
-	srv := stepServer(t)
+// ?n= means the same on every route that takes it: absent or 0 is the
+// whole listing, and a malformed, negative or overflowing value is a 400
+// — never a silent full dump.
+func TestCountParamValidation(t *testing.T) {
+	_, ts := transferServer(t)
+	for _, route := range []string{"/debug/flight?", "/debug/trace?", "/debug/decisions?job=warm&"} {
+		all := get(t, ts, route)
+		if zero := get(t, ts, route+"n=0"); !bytes.Equal(zero, all) {
+			t.Errorf("GET %sn=0 differs from the full listing", route)
+		}
+		for _, bad := range []string{"abc", "-1", "1e3", "99999999999999999999"} {
+			resp, err := http.Get(ts.URL + route + "n=" + bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("GET %sn=%s: status %d, want 400", route, bad, resp.StatusCode)
+			}
+		}
+	}
+}
+
+// A request storm over every route while the drive loop rounds as fast
+// as it can: four clients for about a second, each cycling its own job
+// through drain, remove and resubmit between reads and snapshots. Every
+// response must carry its expected status, and under -race the storm
+// proves the handlers need no lock beyond the fleet's own.
+func TestRouteStormWhileDriving(t *testing.T) {
+	const clients = 4
+	srv := testServer(t, serverConfig{Jobs: clients, SnapshotPath: filepath.Join(t.TempDir(), "storm.json")})
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/debug/fleet")
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	driven := make(chan struct{})
+	go func() {
+		defer close(driven)
+		srv.drive(ctx, 0)
+	}()
+	defer func() {
+		cancel()
+		<-driven
+	}()
+
+	// The pprof CPU profile and execution trace run for seconds and admit
+	// one caller at a time; they are the standard library's and read no
+	// server state, so the storm leaves them out.
+	gets := []string{
+		"/metrics", "/status", "/debug/fleet", "/debug/fleet?offset=1&limit=2",
+		"/debug/health", "/debug/flight?n=64", "/debug/audit", "/debug/trace?n=64",
+		"/healthz", "/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol",
+		"/api/v1/jobs", "/api/v1/library", "/api/v1/snapshot",
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/debug/fleet without -jobs: status %d, want 404", resp.StatusCode)
+	do := func(method, path, body string) bool {
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Errorf("%s %s: %v", method, path, err)
+			return false
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s %s: status %d: %s", method, path, resp.StatusCode, msg)
+			return false
+		}
+		return true
+	}
+	deadline := time.Now().Add(time.Second)
+	var wg sync.WaitGroup
+	for c := range clients {
+		name := fmt.Sprintf("wordcount-%02d", c+1)
+		reads := append(slices.Clip(gets), "/debug/decisions?job="+name)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(deadline) {
+				for _, path := range reads {
+					if !do(http.MethodGet, path, "") {
+						return
+					}
+				}
+				named := fmt.Sprintf(`{"name": %q}`, name)
+				ok := do(http.MethodPost, "/api/v1/snapshot", "") &&
+					do(http.MethodPost, "/api/v1/jobs/drain", named) &&
+					do(http.MethodPost, "/api/v1/jobs/remove", named) &&
+					do(http.MethodPost, "/api/v1/jobs", fmt.Sprintf(
+						`{"name": %q, "workload": "wordcount", "rate_rps": %d}`, name, 300000+10000*c))
+				if !ok {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if _, total := srv.fleet.JobsPage(0, 0); total != clients {
+		t.Fatalf("fleet holds %d jobs after the storm, want %d", total, clients)
 	}
 }

@@ -3,11 +3,14 @@ package autrascale_test
 import (
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -17,11 +20,83 @@ var (
 	makeRef    = regexp.MustCompile(`\bmake ([a-z][\w-]*)`)
 	goRunRef   = regexp.MustCompile(`\bgo run \./([\w./-]+)`)
 	makeRule   = regexp.MustCompile(`(?m)^([a-zA-Z][\w-]*)\s*:(?:[^=]|$)`)
+	flagToken  = regexp.MustCompile(`^--?([a-zA-Z][\w-]*)(=.*)?$`)
 )
+
+// flagDefiners maps each flag-defining function of package flag (and
+// method of flag.FlagSet) to the argument index of the flag's name.
+var flagDefiners = map[string]int{
+	"Bool": 0, "BoolFunc": 0, "Duration": 0, "Float64": 0, "Func": 0,
+	"Int": 0, "Int64": 0, "String": 0, "Uint": 0, "Uint64": 0,
+	"BoolVar": 1, "DurationVar": 1, "Float64Var": 1, "IntVar": 1, "Int64Var": 1,
+	"StringVar": 1, "TextVar": 1, "UintVar": 1, "Uint64Var": 1, "Var": 1,
+}
+
+// definedFlags maps each main package's directory to the flag names its
+// non-test code defines with a string literal through flag.* or fs.*.
+func definedFlags(files []goFile) map[string]map[string]bool {
+	flags := map[string]map[string]bool{}
+	for _, gf := range files {
+		if gf.f.Name.Name != "main" {
+			continue
+		}
+		if flags[gf.dir] == nil {
+			flags[gf.dir] = map[string]bool{}
+		}
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			x, ok := sel.X.(*ast.Ident)
+			at, definer := flagDefiners[sel.Sel.Name]
+			if !ok || (x.Name != "flag" && x.Name != "fs") || !definer || at >= len(call.Args) {
+				return true
+			}
+			if lit, ok := call.Args[at].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					flags[gf.dir][name] = true
+				}
+			}
+			return true
+		})
+	}
+	return flags
+}
+
+// goRunProblems lists what is wrong with the `go run ./<path>` commands
+// in one code span: a path that is no main package, or a -flag (or
+// -flag=value) that the package does not define. A command's arguments
+// end at the first shell operator.
+func goRunProblems(code string, flags map[string]map[string]bool) []string {
+	var out []string
+	for _, m := range goRunRef.FindAllStringSubmatchIndex(code, -1) {
+		dir := strings.TrimSuffix(code[m[2]:m[3]], "/")
+		defined, ok := flags[dir]
+		if !ok {
+			out = append(out, fmt.Sprintf("`%s` names no main package", code[m[0]:m[1]]))
+			continue
+		}
+		for _, tok := range strings.Fields(code[m[1]:]) {
+			if strings.ContainsAny(tok[:1], "|&;>") {
+				break
+			}
+			if f := flagToken.FindStringSubmatch(tok); f != nil && !defined[f[1]] {
+				out = append(out, fmt.Sprintf("`go run ./%s` has no flag %s", dir, tok))
+			}
+		}
+	}
+	return out
+}
 
 // Every backticked make invocation in the docs and Go comments names a
 // Makefile rule, and every backticked `go run ./<path>` names a main
-// package of this module. CHANGES.md is history and is not scanned.
+// package of this module and passes only flags that package defines.
+// CHANGES.md is history and is not scanned.
 func TestDocsNameRealTargets(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -32,11 +107,9 @@ func TestDocsNameRealTargets(t *testing.T) {
 		targets[m[1]] = true
 	}
 	src := sourceFiles(t)
-	mains := map[string]bool{}
-	for _, gf := range src.files {
-		if gf.f.Name.Name == "main" {
-			mains[gf.dir] = true
-		}
+	flags := definedFlags(src.files)
+	if got := goRunProblems("go run ./cmd/metricsd -chaos heavy", flags); len(got) != 1 {
+		t.Fatalf("an undefined metricsd flag should be one problem, got %q", got)
 	}
 	check := func(where, code string) {
 		code = strings.Join(strings.Fields(code), " ")
@@ -45,10 +118,8 @@ func TestDocsNameRealTargets(t *testing.T) {
 				t.Errorf("%s: `%s` names no Makefile target", where, m[0])
 			}
 		}
-		for _, m := range goRunRef.FindAllStringSubmatch(code, -1) {
-			if !mains[strings.TrimSuffix(m[1], "/")] {
-				t.Errorf("%s: `%s` names no main package", where, m[0])
-			}
+		for _, p := range goRunProblems(code, flags) {
+			t.Errorf("%s: %s", where, p)
 		}
 	}
 

@@ -7,6 +7,7 @@ import (
 
 	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
+	"autrascale/internal/gp"
 	"autrascale/internal/transfer"
 )
 
@@ -159,7 +160,7 @@ func (p *BOPolicy) algorithm1Config(rate float64) Algorithm1Config {
 	}
 }
 
-func (p *BOPolicy) storeModel(rate float64, model transfer.Predictor) {
+func (p *BOPolicy) storeModel(rate float64, model *gp.Regressor) {
 	if model != nil {
 		_ = p.library.Put(rate, model) // rate > 0 guaranteed by caller
 	}
