@@ -174,8 +174,6 @@ func NewController(e *Engine, cfg ControllerConfig) (*Controller, error) {
 type (
 	// DRSPolicy is the queueing-theory DRS baseline.
 	DRSPolicy = drs.Policy
-	// DRSRunOptions controls a DRS control loop.
-	DRSRunOptions = drs.RunOptions
 	// DRSVariant selects the rate metric DRS consumes.
 	DRSVariant = drs.Variant
 )

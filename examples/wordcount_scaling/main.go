@@ -59,7 +59,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := pol.Run(engine, autrascale.DRSRunOptions{})
+		res, err := pol.Run(engine)
 		if err != nil {
 			log.Fatal(err)
 		}

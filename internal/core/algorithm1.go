@@ -12,9 +12,13 @@ import (
 	"autrascale/internal/transfer"
 )
 
-// Algorithm1Config parameterizes RunAlgorithm1 (paper Algorithm 1). The
-// score weight α, EI's ξ, the trial window and P_max (always the cluster
-// ceiling) are constants: no caller ever varied them.
+// bootstrapM is the number of uniform bootstrap samples M (§III-D).
+const bootstrapM = 5
+
+// Algorithm1Config parameterizes RunAlgorithm1 (paper Algorithm 1) and
+// RunAlgorithm2. The score weight α, EI's ξ, the bootstrap size M, the
+// trial window and P_max (always the cluster ceiling) are constants: no
+// caller ever varied them.
 type Algorithm1Config struct {
 	// TargetRate v_c (records/s); used to verify throughput is held.
 	TargetRate float64
@@ -23,9 +27,6 @@ type Algorithm1Config struct {
 	// OverAllocationW is the user tolerance w of Eq. 8/9 (default 0.25,
 	// which with α = 0.5 gives the paper's benefit threshold 0.9).
 	OverAllocationW float64
-	// BootstrapM is the number of uniform bootstrap samples M
-	// (default 5).
-	BootstrapM int
 	// MaxIterations bounds the BO loop after bootstrapping (default 25).
 	MaxIterations int
 	// Seed drives BO candidate sampling.
@@ -48,9 +49,6 @@ func (c *Algorithm1Config) defaults() error {
 	}
 	if c.OverAllocationW < 0 {
 		return errors.New("core: OverAllocationW must be >= 0")
-	}
-	if c.BootstrapM <= 0 {
-		c.BootstrapM = 5
 	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 25
@@ -162,7 +160,7 @@ func RunAlgorithm1(e *flink.Engine, base dataflow.ParallelismVector, cfg Algorit
 	// sample can satisfy Eq. 9's *average* resource ratio while wildly
 	// over-provisioning a single operator.
 	if !cfg.SkipBootstrap {
-		set, err := space.BootstrapSet(cfg.BootstrapM)
+		set, err := space.BootstrapSet(bootstrapM)
 		if err != nil {
 			return nil, err
 		}

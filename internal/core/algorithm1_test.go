@@ -125,7 +125,7 @@ func TestRunAlgorithm1InfeasibleTargetStillReturnsBestEffort(t *testing.T) {
 	}
 	// 1 ms is impossible: fixed latencies alone exceed it.
 	res, err := RunAlgorithm1(e, tr.Base, Algorithm1Config{
-		TargetRate: 2000, TargetLatencyMS: 1, Seed: 5, MaxIterations: 6, BootstrapM: 3,
+		TargetRate: 2000, TargetLatencyMS: 1, Seed: 5, MaxIterations: 6,
 	})
 	if err != nil {
 		t.Fatal(err)

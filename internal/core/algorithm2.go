@@ -9,16 +9,6 @@ import (
 	"autrascale/internal/transfer"
 )
 
-// Algorithm2Config parameterizes RunAlgorithm2 (paper Algorithm 2).
-type Algorithm2Config struct {
-	Algorithm1Config
-	// NNum is the real-sample count at which AuTraScale switches from
-	// transfer learning back to plain Algorithm 1 (default: bootstrap
-	// set size, per the paper's recommendation that the switch happens
-	// once real samples at least match the initial set size).
-	NNum int
-}
-
 // Algorithm2Result is the outcome of RunAlgorithm2.
 type Algorithm2Result struct {
 	*Algorithm1Result
@@ -29,7 +19,7 @@ type Algorithm2Result struct {
 	// EstimatedSamples is the number of pseudo-samples predicted by the
 	// transferred model.
 	EstimatedSamples int
-	// SwitchedToA1 reports whether NNum was reached and the run finished
+	// SwitchedToA1 reports whether N_num was reached and the run finished
 	// under plain Algorithm 1.
 	SwitchedToA1 bool
 }
@@ -43,26 +33,26 @@ type Algorithm2Result struct {
 //     running it,
 //  4. run the BO loop with the warm-started surrogate, refitting the
 //     residual as real samples accrue,
-//  5. after NNum real samples, discard the estimates and continue with
-//     Algorithm 1 on real data only.
-func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transfer.Predictor, cfg Algorithm2Config) (*Algorithm2Result, error) {
+//  5. after N_num real samples, discard the estimates and continue with
+//     Algorithm 1 on real data only. N_num is the bootstrap set's size,
+//     per the paper's recommendation that the switch happens once real
+//     samples at least match the initial set size.
+func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transfer.Predictor, cfg Algorithm1Config) (*Algorithm2Result, error) {
 	if prev == nil {
 		return nil, errors.New("core: Algorithm 2 needs a previous model; run Algorithm 1 first")
 	}
-	if err := cfg.Algorithm1Config.defaults(); err != nil {
+	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
 	space, scorer, err := searchProblem(e, base, cfg.TargetLatencyMS)
 	if err != nil {
 		return nil, err
 	}
-	bootstrap, err := space.BootstrapSet(cfg.BootstrapM)
+	bootstrap, err := space.BootstrapSet(bootstrapM)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.NNum <= 0 {
-		cfg.NNum = len(bootstrap)
-	}
+	nNum := len(bootstrap)
 
 	out := &Algorithm2Result{Algorithm1Result: &Algorithm1Result{
 		Threshold: scorer.Threshold(cfg.OverAllocationW),
@@ -75,7 +65,7 @@ func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transf
 		sp.SetFloat("target_rate", cfg.TargetRate)
 		sp.SetStr("base", base.String())
 		sp.SetFloat("eq9_threshold", res.Threshold)
-		sp.SetInt("n_num", cfg.NNum)
+		sp.SetInt("n_num", nNum)
 	}
 
 	var realSamples []transfer.Sample
@@ -101,7 +91,7 @@ func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transf
 		res.Met = true
 	}
 
-	for !res.Met && out.RealRuns < cfg.NNum && res.Iterations < cfg.MaxIterations {
+	for !res.Met && out.RealRuns < nNum && res.Iterations < cfg.MaxIterations {
 		// Lines 2–5: fit the residual model on the real samples so far.
 		rsp := sp.Child("algorithm2.residual_fit")
 		rsp.SetInt("real_samples", len(realSamples))
@@ -162,7 +152,7 @@ func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transf
 		for _, s := range realSamples {
 			seeds = append(seeds, bo.Observation{Par: dataflow.FromFloats(s.X), Score: s.Y})
 		}
-		a1cfg := cfg.Algorithm1Config
+		a1cfg := cfg
 		a1cfg.SkipBootstrap = true
 		a1cfg.MaxIterations = cfg.MaxIterations - res.Iterations
 		preIters := res.Iterations

@@ -52,9 +52,7 @@ func trainModelAt(t testing.TB, rate float64) *Algorithm1Result {
 
 func TestRunAlgorithm2RequiresModel(t *testing.T) {
 	e := engineAtRate(t, 2000, 1)
-	if _, err := RunAlgorithm2(e, e.Parallelism(), nil, Algorithm2Config{
-		Algorithm1Config: Algorithm1Config{TargetRate: 2000, TargetLatencyMS: 100},
-	}); err == nil {
+	if _, err := RunAlgorithm2(e, e.Parallelism(), nil, Algorithm1Config{TargetRate: 2000, TargetLatencyMS: 100}); err == nil {
 		t.Fatal("nil previous model should error")
 	}
 }
@@ -68,10 +66,8 @@ func TestRunAlgorithm2TransfersToNewRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunAlgorithm2(e, tr.Base, prev.Model, Algorithm2Config{
-		Algorithm1Config: Algorithm1Config{
-			TargetRate: 2000, TargetLatencyMS: 160, Seed: 19,
-		},
+	res, err := RunAlgorithm2(e, tr.Base, prev.Model, Algorithm1Config{
+		TargetRate: 2000, TargetLatencyMS: 160, Seed: 19,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,19 +100,16 @@ func TestRunAlgorithm2SwitchesToA1AfterNNum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Impossible latency target forces the loop to exhaust NNum and
-	// switch to plain Algorithm 1.
-	res, err := RunAlgorithm2(e, tr.Base, prev.Model, Algorithm2Config{
-		Algorithm1Config: Algorithm1Config{
-			TargetRate: 2000, TargetLatencyMS: 1, Seed: 23, MaxIterations: 8,
-		},
-		NNum: 3,
+	// Impossible latency target forces the loop to exhaust N_num (the
+	// bootstrap set's size) and switch to plain Algorithm 1.
+	res, err := RunAlgorithm2(e, tr.Base, prev.Model, Algorithm1Config{
+		TargetRate: 2000, TargetLatencyMS: 1, Seed: 23,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.SwitchedToA1 {
-		t.Fatalf("expected switch to Algorithm 1 after NNum real samples: %+v", res)
+		t.Fatalf("expected switch to Algorithm 1 after N_num real samples: %+v", res)
 	}
 	if res.Met {
 		t.Fatal("1 ms target cannot be met")
@@ -132,10 +125,8 @@ func TestRunAlgorithm2ImmediateTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunAlgorithm2(e, tr.Base, prev.Model, Algorithm2Config{
-		Algorithm1Config: Algorithm1Config{
-			TargetRate: 2000, TargetLatencyMS: 5000, Seed: 29,
-		},
+	res, err := RunAlgorithm2(e, tr.Base, prev.Model, Algorithm1Config{
+		TargetRate: 2000, TargetLatencyMS: 5000, Seed: 29,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -227,8 +227,8 @@ func NewController(e *flink.Engine, cfg ControllerConfig) (*Controller, error) {
 		tracer:          cfg.Tracer,
 		inst:            newCtlInstruments(e.Store(), e.JobName()),
 		// SLO tracking is always on — a handful of float ops per step, no
-		// randomness — with the slo package's default windows and thresholds.
-		slo:     slo.New(slo.Config{TargetLatencyMS: cfg.TargetLatencyMS}),
+		// randomness — with the slo package's constant windows and thresholds.
+		slo:     slo.New(cfg.TargetLatencyMS),
 		lastSLO: slo.StateHealthy,
 		// Smooth the observed input rate (half-life one policy window) so the
 		// controller re-plans on sustained shifts, not window jitter.

@@ -104,9 +104,7 @@ func (p *BOPolicy) planRateChange(e *flink.Engine, req PlanRequest) (PlanResult,
 			sp.SetFloat("transfer_distance", rep.TransferDistance)
 			sp.SetInt("library_models", p.library.Len())
 		}
-		a2, err := RunAlgorithm2(e, p.base, prev.Model, Algorithm2Config{
-			Algorithm1Config: p.algorithm1Config(rate),
-		})
+		a2, err := RunAlgorithm2(e, p.base, prev.Model, p.algorithm1Config(rate))
 		if err != nil {
 			return PlanResult{}, err
 		}

@@ -16,15 +16,14 @@ import (
 	"autrascale/internal/trace"
 )
 
+// throughputSlack is the relative slack for "throughput meets the input
+// rate". Each operator is capped at the engine cluster's ceiling.
+const throughputSlack = 0.02
+
 // ThroughputOptions controls OptimizeThroughput.
 type ThroughputOptions struct {
 	// TargetRate v_c in records/s. Required.
 	TargetRate float64
-	// PMax caps each operator (default: the engine cluster's ceiling).
-	PMax int
-	// Epsilon is the relative slack for "throughput meets the input
-	// rate" (default 0.02).
-	Epsilon float64
 	// MaxIterations bounds the loop (default 8; the paper observes ≤ 4
 	// in practice, Fig. 5a).
 	MaxIterations int
@@ -37,15 +36,9 @@ type ThroughputOptions struct {
 	Tracer *trace.Tracer
 }
 
-func (o *ThroughputOptions) defaults(e *flink.Engine) error {
+func (o *ThroughputOptions) defaults() error {
 	if o.TargetRate <= 0 {
 		return errors.New("core: TargetRate must be > 0")
-	}
-	if o.PMax <= 0 {
-		o.PMax = e.Cluster().MaxParallelism()
-	}
-	if o.Epsilon <= 0 {
-		o.Epsilon = 0.02
 	}
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 8
@@ -91,10 +84,10 @@ type ThroughputResult struct {
 // and minimal resource usage.
 func OptimizeThroughput(e *flink.Engine, opts ThroughputOptions) (ThroughputResult, error) {
 	var res ThroughputResult
-	if err := opts.defaults(e); err != nil {
+	if err := opts.defaults(); err != nil {
 		return res, err
 	}
-	g := e.Graph()
+	g, pmax := e.Graph(), e.Cluster().MaxParallelism()
 	sp := opts.Tracer.StartSpan("core.throughput_opt")
 	defer sp.End()
 	if opts.Tracer.Enabled() {
@@ -108,8 +101,8 @@ func OptimizeThroughput(e *flink.Engine, opts ThroughputOptions) (ThroughputResu
 			ThroughputRPS: m.ThroughputRPS,
 			ProcLatencyMS: m.ProcLatencyMS,
 		})
-		thrMet := m.ThroughputRPS >= opts.TargetRate*(1-opts.Epsilon)
-		next, err := eq3Step(g, m, opts.TargetRate, opts.PMax)
+		thrMet := m.ThroughputRPS >= opts.TargetRate*(1-throughputSlack)
+		next, err := eq3Step(g, m, opts.TargetRate, pmax)
 		if err != nil {
 			return res, err
 		}

@@ -132,7 +132,7 @@ func (r *AblationResult) runTransferAblation(seed uint64) error {
 	if err != nil {
 		return err
 	}
-	a2, err := core.RunAlgorithm2(e, base, a1Old.Model, core.Algorithm2Config{Algorithm1Config: cfg})
+	a2, err := core.RunAlgorithm2(e, base, a1Old.Model, cfg)
 	if err != nil {
 		return err
 	}
@@ -150,7 +150,7 @@ func (r *AblationResult) runTransferAblation(seed uint64) error {
 	if err != nil {
 		return err
 	}
-	a2u, err := core.RunAlgorithm2(e, base, unified.at(newRate), core.Algorithm2Config{Algorithm1Config: cfg})
+	a2u, err := core.RunAlgorithm2(e, base, unified.at(newRate), cfg)
 	if err != nil {
 		return err
 	}
@@ -175,7 +175,7 @@ func (r *AblationResult) runMetricAblation(seed uint64) error {
 	if err != nil {
 		return err
 	}
-	m := e.MeasureSteady(30, 120)
+	m := e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec)
 	optimal := dataflow.ParallelismVector{3, 4, 12, 10}
 
 	size := func(rates []float64) dataflow.ParallelismVector {

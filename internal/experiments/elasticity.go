@@ -49,11 +49,10 @@ type ElasticityResult struct {
 	Jobs     []ElasticityJob
 }
 
-// ElasticityOptions parameterizes RunElasticity.
+// ElasticityOptions parameterizes RunElasticity. Every method's loop is
+// bounded at 25 iterations: Algorithm 1's default and DRS's Run bound.
 type ElasticityOptions struct {
 	Seed uint64
-	// MaxIterations bounds every method's loop (default 25).
-	MaxIterations int
 }
 
 // elasticityJobSpec describes one of the two §V-C jobs.
@@ -89,9 +88,6 @@ func RunElasticity(scenario Scenario, opts ElasticityOptions) (*ElasticityResult
 	if scenario != ScaleUp && scenario != ScaleDown {
 		return nil, fmt.Errorf("experiments: unknown scenario %q", scenario)
 	}
-	if opts.MaxIterations <= 0 {
-		opts.MaxIterations = 25
-	}
 	res := &ElasticityResult{Scenario: scenario}
 	for _, job := range elasticityJobs() {
 		initial := job.initialUp
@@ -123,7 +119,6 @@ func RunElasticity(scenario Scenario, opts ElasticityOptions) (*ElasticityResult
 		a1, err := core.RunAlgorithm1(e, tr.Base, core.Algorithm1Config{
 			TargetRate:      job.targetRPS,
 			TargetLatencyMS: job.spec.TargetLatencyMS,
-			MaxIterations:   opts.MaxIterations,
 			Seed:            opts.Seed + 2,
 		})
 		if err != nil {
@@ -153,7 +148,7 @@ func RunElasticity(scenario Scenario, opts ElasticityOptions) (*ElasticityResult
 			if err != nil {
 				return nil, err
 			}
-			dres, err := pol.Run(e, drs.RunOptions{MaxIterations: opts.MaxIterations})
+			dres, err := pol.Run(e)
 			if err != nil {
 				return nil, err
 			}

@@ -25,20 +25,16 @@ type Fig1Result struct {
 // Fig1Options parameterizes RunFig1.
 type Fig1Options struct {
 	Seed uint64
-	// SampleEverySec is the sampling period (default 60).
-	SampleEverySec float64
-	// DurationSec is the total run (default 3000 = the paper's 50 min).
-	DurationSec float64
 }
+
+// The CASE 1 run samples every minute for the paper's 50 minutes.
+const (
+	fig1SampleEverySec = 60
+	fig1DurationSec    = 3000
+)
 
 // RunFig1 executes the CASE 1 experiment.
 func RunFig1(opts Fig1Options) (*Fig1Result, error) {
-	if opts.SampleEverySec <= 0 {
-		opts.SampleEverySec = 60
-	}
-	if opts.DurationSec <= 0 {
-		opts.DurationSec = 3000
-	}
 	spec := workloads.WordCountCaseStudy()
 	e, err := workloads.NewEngine(spec, workloads.EngineOptions{
 		Schedule:           kafka.IncreasingRate(100e3, 50e3, 600),
@@ -49,9 +45,9 @@ func RunFig1(opts Fig1Options) (*Fig1Result, error) {
 		return nil, err
 	}
 	res := &Fig1Result{}
-	for e.Now() < opts.DurationSec {
+	for e.Now() < fig1DurationSec {
 		e.ResetWindow()
-		e.Run(opts.SampleEverySec)
+		e.Run(fig1SampleEverySec)
 		m := e.Measure()
 		res.Series = append(res.Series, Fig1Point{
 			TimeSec:       e.Now(),

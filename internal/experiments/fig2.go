@@ -23,25 +23,21 @@ type Fig2Result struct {
 // Fig2Options parameterizes RunFig2.
 type Fig2Options struct {
 	Seed uint64
-	// MaxParallelism is the sweep's upper bound (default 6, as in the
-	// paper).
-	MaxParallelism int
-	// WindowSec is each test's measurement window (default 300).
-	WindowSec float64
 }
+
+// The CASE 2 sweep runs uniform parallelism 1..6, as in the paper, and
+// measures each test over 300 s after a 60 s warm-up.
+const (
+	fig2MaxParallelism = 6
+	fig2WindowSec      = 300
+)
 
 // RunFig2 executes the CASE 2 sweep.
 func RunFig2(opts Fig2Options) (*Fig2Result, error) {
-	if opts.MaxParallelism <= 0 {
-		opts.MaxParallelism = 6
-	}
-	if opts.WindowSec <= 0 {
-		opts.WindowSec = 300
-	}
 	spec := workloads.WordCountCaseStudy()
 	n := spec.BuildGraph().NumOperators()
 	res := &Fig2Result{}
-	for k := 1; k <= opts.MaxParallelism; k++ {
+	for k := 1; k <= fig2MaxParallelism; k++ {
 		e, err := workloads.NewEngine(spec, workloads.EngineOptions{
 			Seed:               opts.Seed + uint64(k),
 			InitialParallelism: dataflow.Uniform(n, k),
@@ -49,7 +45,7 @@ func RunFig2(opts Fig2Options) (*Fig2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := e.RunAndMeasure(60, opts.WindowSec)
+		m := e.RunAndMeasure(60, fig2WindowSec)
 		res.Points = append(res.Points, Fig2Point{
 			Parallelism:   k,
 			ThroughputRPS: m.ThroughputRPS,

@@ -41,7 +41,7 @@ func RunFig5(opts Fig5Options) (*Fig5Result, error) {
 		}
 		tr, err := core.OptimizeThroughput(e, core.ThroughputOptions{
 			TargetRate: spec.DefaultRateRPS,
-			// The paper's policy running time is 5 minutes.
+			// Fig. 5 plots the paper's 5-minute policy running time, not a trial window.
 			WarmupSec:  60,
 			MeasureSec: 300,
 		})

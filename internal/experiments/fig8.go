@@ -42,16 +42,14 @@ type Fig8Result struct {
 // Fig8Options parameterizes RunFig8.
 type Fig8Options struct {
 	Seed uint64
-	// DS2Utilization is the deployment headroom DS2 sizes for
-	// (default 0.75 — a common production headroom; 1.0 would be the pure linear rule).
-	DS2Utilization float64
 }
+
+// fig8DS2Utilization is the deployment headroom DS2 sizes for: a common
+// production headroom; 1.0 would be the pure linear rule.
+const fig8DS2Utilization = 0.75
 
 // RunFig8 executes the §V-D transfer-efficiency experiment.
 func RunFig8(opts Fig8Options) (*Fig8Result, error) {
-	if opts.DS2Utilization == 0 {
-		opts.DS2Utilization = 0.75
-	}
 	cases := []struct {
 		spec    workloads.Spec
 		oldRate float64
@@ -100,18 +98,16 @@ func RunFig8(opts Fig8Options) (*Fig8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		a2, err := core.RunAlgorithm2(eNew, trNew.Base, a1.Model, core.Algorithm2Config{
-			Algorithm1Config: core.Algorithm1Config{
-				TargetRate:      c.spec.DefaultRateRPS,
-				TargetLatencyMS: c.spec.TargetLatencyMS,
-				Seed:            seed + 4,
-				// The paper fixes the benefit threshold only for the
-				// elasticity tests (0.9); the transfer experiment aims
-				// for minimal resources, so we run with a tight
-				// over-allocation tolerance (threshold ≈ 0.976).
-				OverAllocationW: 0.05,
-				MaxIterations:   12,
-			},
+		a2, err := core.RunAlgorithm2(eNew, trNew.Base, a1.Model, core.Algorithm1Config{
+			TargetRate:      c.spec.DefaultRateRPS,
+			TargetLatencyMS: c.spec.TargetLatencyMS,
+			Seed:            seed + 4,
+			// The paper fixes the benefit threshold only for the
+			// elasticity tests (0.9); the transfer experiment aims
+			// for minimal resources, so we run with a tight
+			// over-allocation tolerance (threshold ≈ 0.976).
+			OverAllocationW: 0.05,
+			MaxIterations:   12,
 		})
 		if err != nil {
 			return nil, err
@@ -139,8 +135,8 @@ func RunFig8(opts Fig8Options) (*Fig8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pol.TargetUtilization = opts.DS2Utilization
-		dres, err := pol.Run(eDS2, ds2.RunOptions{})
+		pol.TargetUtilization = fig8DS2Utilization
+		dres, err := pol.Run(eDS2)
 		if err != nil {
 			return nil, err
 		}
@@ -170,6 +166,7 @@ type finalMeasure struct {
 // for the latency distribution of Fig. 8(b).
 func measureFinal(e *flink.Engine, par dataflow.ParallelismVector) finalMeasure {
 	_ = e.SetParallelism(par)
+	// Longer than a trial window: the tail percentiles need samples.
 	m := e.MeasureSteady(60, 600)
 	out := finalMeasure{cpu: m.CPUUsedCores, mem: m.MemUsedMB, mean: m.ProcLatencyMS}
 	if len(m.LatencySamples) > 0 {

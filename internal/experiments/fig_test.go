@@ -256,11 +256,11 @@ func TestFig8Shape(t *testing.T) {
 // Table IV shape: overheads are small (well under a second) and
 // Alg1_use is orders of magnitude cheaper than Alg1_train.
 func TestTable4Shape(t *testing.T) {
-	res, err := RunTable4(Table4Options{Seed: 5, Repeats: 2, OperatorCounts: []int{2, 6, 10}})
+	res, err := RunTable4(Table4Options{Seed: 5, Repeats: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
+	if len(res.Rows) != len(table4OperatorCounts) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	for _, r := range res.Rows {
@@ -273,9 +273,6 @@ func TestTable4Shape(t *testing.T) {
 		if r.Alg1UseSec >= r.Alg1TrainSec {
 			t.Fatalf("a single prediction must be cheaper than training: %+v", r)
 		}
-	}
-	if _, err := RunTable4(Table4Options{OperatorCounts: []int{0}}); err == nil {
-		t.Fatal("invalid operator count should error")
 	}
 	if len(res.Render()) != 1 {
 		t.Fatal("Render should produce one table")

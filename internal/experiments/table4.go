@@ -35,31 +35,24 @@ type Table4Result struct {
 // Table4Options parameterizes RunTable4.
 type Table4Options struct {
 	Seed uint64
-	// OperatorCounts defaults to the paper's {2, 4, 6, 8, 10}.
-	OperatorCounts []int
-	// TrainingSamples is the surrogate training-set size (default 20).
-	TrainingSamples int
 	// Repeats averages the timing over this many runs (default 5).
 	Repeats int
 }
 
+// table4OperatorCounts are the paper's operator counts.
+var table4OperatorCounts = [...]int{2, 4, 6, 8, 10}
+
+// table4TrainingSamples is the surrogate training-set size.
+const table4TrainingSamples = 20
+
 // RunTable4 measures the algorithms' CPU overhead on synthetic benefit
 // surfaces of growing dimensionality.
 func RunTable4(opts Table4Options) (*Table4Result, error) {
-	if len(opts.OperatorCounts) == 0 {
-		opts.OperatorCounts = []int{2, 4, 6, 8, 10}
-	}
-	if opts.TrainingSamples <= 0 {
-		opts.TrainingSamples = 20
-	}
 	if opts.Repeats <= 0 {
 		opts.Repeats = 5
 	}
 	res := &Table4Result{}
-	for _, n := range opts.OperatorCounts {
-		if n < 1 {
-			return nil, fmt.Errorf("experiments: invalid operator count %d", n)
-		}
+	for _, n := range table4OperatorCounts {
 		row, err := measureOverhead(n, opts)
 		if err != nil {
 			return nil, err
@@ -88,7 +81,7 @@ func measureOverhead(n int, opts Table4Options) (Table4Row, error) {
 		return Table4Row{}, err
 	}
 	// A reusable training set of random configurations.
-	train := make([]bo.Observation, opts.TrainingSamples)
+	train := make([]bo.Observation, table4TrainingSamples)
 	for i := range train {
 		p := space.RandomPoint(rng)
 		train[i] = bo.Observation{Par: p, Score: syntheticScore(p)}

@@ -24,8 +24,6 @@ type TournamentOptions struct {
 	// Seed drives every cell (each cell derives its own sub-seed from
 	// the grid coordinates, so cells are independent of grid order).
 	Seed uint64
-	// Workload names the workloads spec to run (default "nexmark-q5").
-	Workload string
 	// Policies/Schedules/Chaos subset the grid axes; empty means all
 	// registered policies, all schedule shapes, all chaos profiles.
 	Policies  []string
@@ -36,9 +34,6 @@ type TournamentOptions struct {
 	// Workers is the parallel cell-runner count (default 1). Results are
 	// identical for any worker count — the determinism test locks it in.
 	Workers int
-	// MaxIterations bounds each policy's per-trigger planning loop
-	// (0: per-policy defaults).
-	MaxIterations int
 }
 
 // scheduleNames lists the tournament's workload shapes in grid order.
@@ -52,9 +47,6 @@ func chaosNames() []string {
 }
 
 func (o *TournamentOptions) defaults() error {
-	if o.Workload == "" {
-		o.Workload = "nexmark-q5"
-	}
 	if len(o.Policies) == 0 {
 		o.Policies = policy.Names()
 	}
@@ -76,16 +68,6 @@ func (o *TournamentOptions) defaults() error {
 		}
 	}
 	return nil
-}
-
-// tournamentSpec resolves a workload by name.
-func tournamentSpec(name string) (workloads.Spec, error) {
-	for _, s := range workloads.All() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return workloads.Spec{}, fmt.Errorf("experiments: unknown workload %q", name)
 }
 
 // tournamentSchedule builds the named rate shape around the workload's
@@ -123,7 +105,7 @@ func tournamentSchedule(name string, rate, durationSec float64) (kafka.RateSched
 			PeriodSec: durationSec / 3,
 		}, nil
 	default:
-		return nil, fmt.Errorf("experiments: unknown schedule %q (have %v)", name, scheduleNames())
+		return nil, fmt.Errorf("unknown schedule %q (have %v)", name, scheduleNames())
 	}
 }
 
@@ -186,18 +168,16 @@ type TournamentResult struct {
 	Standings   []TournamentStanding `json:"standings"`
 }
 
-// RunTournament executes the policy×schedule×chaos grid and ranks the
-// policies. Cells run in parallel across opts.Workers; every cell is
+// RunTournament executes the policy×schedule×chaos grid on Nexmark Q5
+// and ranks the policies, each planning with its own iteration bound.
+// Cells run in parallel across opts.Workers; every cell is
 // seeded from its own coordinates and results land at fixed grid
 // indices, so the output is bit-identical for any worker count.
 func RunTournament(opts TournamentOptions) (*TournamentResult, error) {
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
-	spec, err := tournamentSpec(opts.Workload)
-	if err != nil {
-		return nil, err
-	}
+	spec := workloads.NexmarkQ5()
 	// Fail fast on bad axis names before burning simulation time.
 	for _, name := range opts.Schedules {
 		if _, err := tournamentSchedule(name, spec.DefaultRateRPS, opts.DurationSec); err != nil {
@@ -278,7 +258,6 @@ func runTournamentCell(cell *TournamentCell, spec workloads.Spec, opts Tournamen
 	pol, err := policy.Build(cell.Policy, policy.Env{
 		TargetLatencyMS: spec.TargetLatencyMS,
 		Seed:            cell.Seed,
-		MaxIterations:   opts.MaxIterations,
 	})
 	if err != nil {
 		cell.Err = err.Error()
@@ -286,7 +265,6 @@ func runTournamentCell(cell *TournamentCell, spec workloads.Spec, opts Tournamen
 	}
 	ctl, err := core.NewController(e, core.ControllerConfig{
 		TargetLatencyMS: spec.TargetLatencyMS,
-		MaxIterations:   opts.MaxIterations,
 		Seed:            cell.Seed,
 		Policy:          pol,
 	})

@@ -54,6 +54,9 @@ import (
 // re-plans on the next policy tick.
 var ErrRescaleFailed = errors.New("flink: rescale failed")
 
+// rateNoiseStdDev is the relative std-dev of per-tick rate jitter.
+const rateNoiseStdDev = 0.01
+
 // Config configures an Engine.
 type Config struct {
 	Graph   *dataflow.Graph
@@ -71,10 +74,8 @@ type Config struct {
 	// RestartDowntimeSec is the savepoint-stop-restart outage when the
 	// parallelism changes (default 10s) — §IV Execute.
 	RestartDowntimeSec float64
-	// RateNoise is the relative std-dev of per-tick rate jitter
-	// (default 0.01). Zero noise is allowed via NoNoise.
-	RateNoise float64
-	// NoNoise disables all stochastic jitter.
+	// NoNoise disables all stochastic jitter; otherwise per-tick rates
+	// jitter with a relative std-dev of rateNoiseStdDev.
 	NoNoise bool
 	// InitialParallelism is the starting configuration (default all 1).
 	InitialParallelism dataflow.ParallelismVector
@@ -248,10 +249,7 @@ func New(cfg Config) (*Engine, error) {
 	if down == 0 {
 		down = 10
 	}
-	noise := cfg.RateNoise
-	if noise == 0 {
-		noise = 0.01
-	}
+	noise := rateNoiseStdDev
 	if cfg.NoNoise {
 		noise = 0
 	}

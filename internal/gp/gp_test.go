@@ -494,7 +494,7 @@ func TestFitAutoMatchesDirectFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := New(auto.Kernel(), auto.Noise())
+	direct := New(auto.Kernel(), auto.noise)
 	if err := direct.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}

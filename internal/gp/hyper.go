@@ -32,25 +32,20 @@ func (f KernelFamily) makeKernel(variance, lengthScale float64) radialKernel {
 // FitOptions controls hyperparameter selection in FitAuto.
 type FitOptions struct {
 	Family KernelFamily
-	// Noise is the observation noise variance; if 0, a small default is
-	// chosen relative to the target variance.
-	Noise float64
-	// LengthScales is the grid of candidate length scales. If empty, a
-	// log-spaced grid spanning the data diameter is generated.
-	LengthScales []float64
-	// Variances is the grid of candidate signal variances. If empty, the
-	// signal variance is profiled per length scale: one factorization at
-	// the empirical target variance yields the closed-form optimum
-	// v* = v₀·(yᵀK₀⁻¹y)/n of the scaled-kernel likelihood, which is then
-	// scored exactly — two factorizations per length scale instead of a
-	// fixed grid, with a continuous (usually better-fitting) variance.
-	Variances []float64
 }
 
 // FitAuto selects kernel hyperparameters by maximizing the log marginal
 // likelihood over a grid and returns the fitted regressor. Grid search is
 // derivative-free, robust for the small sample counts AuTraScale works
 // with (tens of configurations), and deterministic.
+//
+// The observation noise variance is a small fraction of the target
+// variance. The length scales are a log-spaced grid spanning the data
+// diameter. The signal variance is profiled per length scale: one
+// factorization at the empirical target variance yields the closed-form
+// optimum v* = v₀·(yᵀK₀⁻¹y)/n of the scaled-kernel likelihood, which is
+// then scored exactly: two factorizations per length scale buy a
+// continuous, usually better-fitting, variance than any fixed grid.
 //
 // The pairwise squared-distance matrix and centered targets are computed
 // once and shared across every grid candidate (all candidate kernels are
@@ -69,10 +64,7 @@ func FitAuto(xs [][]float64, ys []float64, opts FitOptions) (*Regressor, error) 
 	if varY <= 0 {
 		varY = 1e-6
 	}
-	noise := opts.Noise
-	if noise <= 0 {
-		noise = math.Max(1e-6, varY*1e-3)
-	}
+	noise := math.Max(1e-6, varY*1e-3)
 
 	n := len(xs)
 	dim := len(xs[0])
@@ -92,10 +84,7 @@ func FitAuto(xs [][]float64, ys []float64, opts FitOptions) (*Regressor, error) 
 	meanY, cy := centerTargets(ry, nil)
 	d2 := dist2Matrix(cx)
 
-	lens := opts.LengthScales
-	if len(lens) == 0 {
-		lens = defaultLengthScales(d2)
-	}
+	lens := lengthScaleGrid(d2)
 
 	var (
 		bestKern   radialKernel
@@ -148,12 +137,6 @@ func FitAuto(xs [][]float64, ys []float64, opts FitOptions) (*Regressor, error) 
 			}
 			return fit
 		}
-		if len(opts.Variances) > 0 {
-			for _, v := range opts.Variances {
-				score(v)
-			}
-			continue
-		}
 		// Profiled variance: anchor at the empirical target variance, then
 		// jump to the closed-form optimum of the scaled-kernel likelihood,
 		// v* = v₀·(cyᵀK₀⁻¹cy)/n, and score it exactly.
@@ -185,11 +168,11 @@ func FitAuto(xs [][]float64, ys []float64, opts FitOptions) (*Regressor, error) 
 	}, nil
 }
 
-// defaultLengthScales builds a log-spaced grid from ~2% to ~2x of the data
+// lengthScaleGrid builds a log-spaced grid from ~2% to ~2x of the data
 // diameter (largest pairwise distance), so at least one scale is in a
 // sensible range regardless of input units. d2 holds the pairwise squared
 // distances in its lower triangle (see dist2Matrix).
-func defaultLengthScales(d2 *mat.Matrix) []float64 {
+func lengthScaleGrid(d2 *mat.Matrix) []float64 {
 	diam := 0.0
 	n := d2.Rows()
 	for i := 0; i < n; i++ {

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 
+	"autrascale/internal/core"
 	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
 	"autrascale/internal/queueing"
@@ -284,23 +285,9 @@ type IterationRecord struct {
 	MemUsedMB     float64
 }
 
-// RunOptions controls Run.
-type RunOptions struct {
-	MaxIterations         int     // default 12
-	WarmupSec, MeasureSec float64 // defaults 30/120
-}
-
-func (o *RunOptions) defaults() {
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 12
-	}
-	if o.WarmupSec <= 0 {
-		o.WarmupSec = 30
-	}
-	if o.MeasureSec <= 0 {
-		o.MeasureSec = 120
-	}
-}
+// runMaxIterations bounds Run's loop: the paper's "upper limit" on new
+// parallelism schemes in the elasticity tests.
+const runMaxIterations = 25
 
 // Run executes the DRS control loop: measure, calibrate the queueing
 // model, derive the minimal configuration the model predicts will meet
@@ -309,15 +296,15 @@ func (o *RunOptions) defaults() {
 // parallelism schemes is over the upper limit of resources" (§V-A). When
 // the calibrated model claims the current configuration should already
 // meet the target but reality disagrees, the highest-utilization operator
-// gets one more instance (the classic model-error escape).
-func (p *Policy) Run(e *flink.Engine, opts RunOptions) (Result, error) {
-	opts.defaults()
+// gets one more instance (the classic model-error escape). Each
+// iteration measures over the controller's trial window.
+func (p *Policy) Run(e *flink.Engine) (Result, error) {
 	var res Result
 	lambdas := arrivals(e.Graph(), p.TargetRate)
 	fit := &latencyFit{}
 
-	m := e.MeasureSteady(opts.WarmupSec, opts.MeasureSec)
-	for iter := 0; iter < opts.MaxIterations; iter++ {
+	m := e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec)
+	for iter := 0; iter < runMaxIterations; iter++ {
 		mus := p.serviceRates(m)
 		fit.add(congestionIndex(lambdas, mus, m.Par), m.ProcLatencyMS)
 		res.Iterations = iter + 1
@@ -360,7 +347,7 @@ func (p *Policy) Run(e *flink.Engine, opts RunOptions) (Result, error) {
 		if err := e.SetParallelism(next); err != nil {
 			return res, err
 		}
-		m = e.MeasureSteady(opts.WarmupSec, opts.MeasureSec)
+		m = e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec)
 	}
 	res.Final = m.Par.Clone()
 	res.LatencyMet = m.ProcLatencyMS <= p.TargetLatencyMS

@@ -152,14 +152,14 @@ func TestRunMaxIterationsExhaustion(t *testing.T) {
 	g := chainGraph(t)
 	e := newEngine(t, g, 2000, nil)
 	p, _ := NewPolicy(VariantTrueRate, 16, 2000, 2)
-	res, err := p.Run(e, RunOptions{MaxIterations: 5})
+	res, err := p.Run(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.LatencyMet {
 		t.Fatal("2 ms cannot be met")
 	}
-	if res.Iterations < 1 || res.Iterations > 5 || len(res.History) != res.Iterations {
+	if res.Iterations < 1 || res.Iterations > runMaxIterations || len(res.History) != res.Iterations {
 		t.Fatalf("iterations = %d, history = %d", res.Iterations, len(res.History))
 	}
 	for _, k := range res.Final {

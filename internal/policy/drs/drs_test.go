@@ -159,7 +159,7 @@ func TestRunReachesLatencyTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(e, RunOptions{})
+	res, err := p.Run(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestRunStopsAtResourceCeiling(t *testing.T) {
 	e := newEngine(t, g, 2000, nil)
 	// Impossible 1ms target with a tiny PMax: must stop without meeting it.
 	p, _ := NewPolicy(VariantTrueRate, 4, 2000, 1)
-	res, err := p.Run(e, RunOptions{MaxIterations: 8})
+	res, err := p.Run(e)
 	if err != nil {
 		t.Fatal(err)
 	}

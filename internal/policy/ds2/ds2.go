@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 
+	"autrascale/internal/core"
 	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
 )
@@ -123,37 +124,18 @@ type IterationRecord struct {
 	MemUsedMB     float64
 }
 
-// RunOptions controls Run.
-type RunOptions struct {
-	// MaxIterations bounds the loop; DS2 itself has no same-config
-	// termination, so a runaway external bottleneck hits this bound
-	// (default 10).
-	MaxIterations int
-	// WarmupSec/MeasureSec define the policy running window per
-	// iteration (defaults 30/120 simulated seconds).
-	WarmupSec, MeasureSec float64
-}
-
-func (o *RunOptions) defaults() {
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 10
-	}
-	if o.WarmupSec <= 0 {
-		o.WarmupSec = 30
-	}
-	if o.MeasureSec <= 0 {
-		o.MeasureSec = 120
-	}
-}
+// runMaxIterations bounds Run's loop; DS2 itself has no same-config
+// termination, so a runaway external bottleneck hits this bound.
+const runMaxIterations = 10
 
 // Run executes DS2 in offline mode against the engine: measure, compute,
 // reconfigure, repeat until the throughput target is met or the iteration
-// budget is exhausted (DS2's missing termination rule, §III-C).
-func (p *Policy) Run(e *flink.Engine, opts RunOptions) (Result, error) {
-	opts.defaults()
+// budget is exhausted (DS2's missing termination rule, §III-C). Each
+// iteration measures over the controller's trial window.
+func (p *Policy) Run(e *flink.Engine) (Result, error) {
 	var res Result
-	m := e.MeasureSteady(opts.WarmupSec, opts.MeasureSec)
-	for iter := 0; iter < opts.MaxIterations; iter++ {
+	m := e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec)
+	for iter := 0; iter < runMaxIterations; iter++ {
 		res.History = append(res.History, IterationRecord{
 			Par:           m.Par.Clone(),
 			ThroughputRPS: m.ThroughputRPS,
@@ -173,7 +155,7 @@ func (p *Policy) Run(e *flink.Engine, opts RunOptions) (Result, error) {
 		if err := e.SetParallelism(next); err != nil {
 			return res, err
 		}
-		m = e.MeasureSteady(opts.WarmupSec, opts.MeasureSec)
+		m = e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec)
 	}
 	res.Final = m.Par.Clone()
 	return res, nil

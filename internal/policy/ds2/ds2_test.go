@@ -136,7 +136,7 @@ func TestRunConvergesOnUncappedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(e, RunOptions{})
+	res, err := p.Run(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +155,11 @@ func TestRunConvergesOnUncappedJob(t *testing.T) {
 func TestRunHitsIterationBoundOnCappedJob(t *testing.T) {
 	// Redis-like cap at 500 rps while the target is 3000: DS2 keeps
 	// growing the join operator and never converges (the paper's
-	// infinite-loop failure mode, bounded here by MaxIterations).
+	// infinite-loop failure mode, bounded here by runMaxIterations).
 	g := chainGraph(t, 500)
 	e := newEngine(t, g, 3000)
 	p, _ := NewPolicy(e.Cluster().MaxParallelism(), 3000)
-	res, err := p.Run(e, RunOptions{MaxIterations: 6})
+	res, err := p.Run(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +168,8 @@ func TestRunHitsIterationBoundOnCappedJob(t *testing.T) {
 			t.Fatalf("iteration %d met the target: DS2 must not converge on an externally capped job", i+1)
 		}
 	}
-	if res.Iterations != 6 {
-		t.Fatalf("iterations = %d, want the full budget 6", res.Iterations)
+	if res.Iterations != runMaxIterations {
+		t.Fatalf("iterations = %d, want the full budget %d", res.Iterations, runMaxIterations)
 	}
 	// The capped operator's parallelism must have been inflated.
 	first := res.History[0].Par[2]

@@ -58,54 +58,39 @@ func (s State) Severity() int {
 	}
 }
 
-// Config parameterizes a Tracker. The zero value is usable: every field
-// defaults to the values below.
-type Config struct {
-	// TargetLatencyMS is the latency objective; a monitor window whose
-	// processing latency exceeds it is one violation (required for the
-	// latency SLO to be meaningful; 0 disables latency violations).
-	TargetLatencyMS float64
-	// ViolationBudget is the fraction of monitor windows allowed to
-	// violate the latency target (default 0.01 — a 99% windows-good
-	// objective). Burn rate 1.0 means violations arrive exactly at
-	// budget; 14.4 means the monthly budget would be gone in ~2 days.
-	ViolationBudget float64
-	// LagBudgetSec is the backlog objective expressed in seconds of
-	// input: lag above LagBudgetSec × input-rate counts as a lag
-	// violation (default 60 — one policy interval of backlog).
-	LagBudgetSec float64
-	// FastWindowSec and SlowWindowSec are the decay time constants of
-	// the two observation windows (defaults 300 and 3600 simulated
-	// seconds).
-	FastWindowSec float64
-	SlowWindowSec float64
-	// BurnDegraded and BurnPage are the burn-rate thresholds: degraded
-	// when both windows ≥ BurnDegraded, burning when both ≥ BurnPage
-	// (defaults 1 and 14.4, the workbook's 2-day-budget-exhaustion page
-	// threshold for a 1h/5m window pair).
-	BurnDegraded float64
-	BurnPage     float64
-}
+// The objectives, windows and thresholds are constants.
+const (
+	// violationBudget is the fraction of monitor windows allowed to
+	// violate the latency target: a 99% windows-good objective. Burn
+	// rate 1.0 means violations arrive exactly at budget; 14.4 means the
+	// monthly budget would be gone in ~2 days.
+	violationBudget = 0.01
+	// lagBudgetSec is the backlog objective expressed in seconds of
+	// input: lag above lagBudgetSec × input-rate counts as a lag
+	// violation (one policy interval of backlog).
+	lagBudgetSec = 60
+	// fastWindowSec and slowWindowSec are the decay time constants of
+	// the two observation windows, in simulated seconds.
+	fastWindowSec = 300
+	slowWindowSec = 3600
+	// burnDegraded and burnPage are the burn-rate thresholds: degraded
+	// when both windows ≥ burnDegraded, burning when both ≥ burnPage
+	// (the workbook's 2-day-budget-exhaustion page threshold for a
+	// 1h/5m window pair).
+	burnDegraded = 1
+	burnPage     = 14.4
+)
 
-func (c *Config) defaults() {
-	if c.ViolationBudget <= 0 {
-		c.ViolationBudget = 0.01
+// classify maps a governing burn rate to its state; both thresholds are
+// inclusive.
+func classify(burn float64) State {
+	switch {
+	case burn >= burnPage:
+		return StateBurning
+	case burn >= burnDegraded:
+		return StateDegraded
 	}
-	if c.LagBudgetSec <= 0 {
-		c.LagBudgetSec = 60
-	}
-	if c.FastWindowSec <= 0 {
-		c.FastWindowSec = 300
-	}
-	if c.SlowWindowSec <= 0 {
-		c.SlowWindowSec = 3600
-	}
-	if c.BurnDegraded <= 0 {
-		c.BurnDegraded = 1
-	}
-	if c.BurnPage <= 0 {
-		c.BurnPage = 14.4
-	}
+	return StateHealthy
 }
 
 // window is a time-decayed mean of a violation indicator: the fraction
@@ -167,7 +152,10 @@ type Health struct {
 // stepping that job (and read at the round barrier, after workers
 // joined).
 type Tracker struct {
-	cfg Config
+	// targetLatencyMS is the latency objective; a monitor window whose
+	// processing latency exceeds it is one violation (0 disables
+	// latency violations).
+	targetLatencyMS float64
 
 	latFast, latSlow window
 	lagFast, lagSlow window
@@ -176,16 +164,14 @@ type Tracker struct {
 	lastSec      float64
 }
 
-// New builds a tracker; zero-value fields of cfg take the documented
-// defaults.
-func New(cfg Config) *Tracker {
-	cfg.defaults()
+// New builds a tracker for a latency objective of targetLatencyMS.
+func New(targetLatencyMS float64) *Tracker {
 	return &Tracker{
-		cfg:     cfg,
-		latFast: window{tau: cfg.FastWindowSec},
-		latSlow: window{tau: cfg.SlowWindowSec},
-		lagFast: window{tau: cfg.FastWindowSec},
-		lagSlow: window{tau: cfg.SlowWindowSec},
+		targetLatencyMS: targetLatencyMS,
+		latFast:         window{tau: fastWindowSec},
+		latSlow:         window{tau: slowWindowSec},
+		lagFast:         window{tau: fastWindowSec},
+		lagSlow:         window{tau: slowWindowSec},
 	}
 }
 
@@ -197,11 +183,11 @@ func (t *Tracker) Observe(tSec, latencyMS, lagRecords, inputRateRPS float64) {
 		return
 	}
 	latViolated := 0.0
-	if t.cfg.TargetLatencyMS > 0 && latencyMS > t.cfg.TargetLatencyMS {
+	if t.targetLatencyMS > 0 && latencyMS > t.targetLatencyMS {
 		latViolated = 1
 	}
 	lagViolated := 0.0
-	if inputRateRPS > 0 && lagRecords > t.cfg.LagBudgetSec*inputRateRPS {
+	if inputRateRPS > 0 && lagRecords > lagBudgetSec*inputRateRPS {
 		lagViolated = 1
 	}
 	t.latFast.observe(tSec, latViolated)
@@ -214,8 +200,7 @@ func (t *Tracker) Observe(tSec, latencyMS, lagRecords, inputRateRPS float64) {
 
 // WindowState is one decayed window's serializable position: the same
 // three fields window keeps, exported for the persistence layer. The
-// decay constant is not part of the state — it is configuration,
-// re-derived from Config on restore.
+// decay constant is not part of the state — it is a constant.
 type WindowState struct {
 	Value   float64 `json:"value"`
 	LastSec float64 `json:"last_sec"`
@@ -277,7 +262,7 @@ func (t *Tracker) State() TrackerState {
 }
 
 // RestoreState overwrites the tracker's position with a previously
-// captured state; configuration (budgets, decay constants) is kept.
+// captured state; the latency objective is kept.
 // No-op on the nil tracker.
 func (t *Tracker) RestoreState(s TrackerState) {
 	if t == nil {
@@ -303,24 +288,18 @@ func (t *Tracker) Health() Health {
 		return Health{State: StateHealthy}
 	}
 	h := Health{
-		State: StateHealthy,
 		Latency: Budget{
-			FastBurn: t.latFast.value / t.cfg.ViolationBudget,
-			SlowBurn: t.latSlow.value / t.cfg.ViolationBudget,
+			FastBurn: t.latFast.value / violationBudget,
+			SlowBurn: t.latSlow.value / violationBudget,
 		},
 		Lag: Budget{
-			FastBurn: t.lagFast.value / t.cfg.ViolationBudget,
-			SlowBurn: t.lagSlow.value / t.cfg.ViolationBudget,
+			FastBurn: t.lagFast.value / violationBudget,
+			SlowBurn: t.lagSlow.value / violationBudget,
 		},
 		Observations: t.observations,
 		LastSec:      t.lastSec,
 	}
 	h.BurnRate = math.Max(h.Latency.burn(), h.Lag.burn())
-	switch {
-	case h.BurnRate >= t.cfg.BurnPage:
-		h.State = StateBurning
-	case h.BurnRate >= t.cfg.BurnDegraded:
-		h.State = StateDegraded
-	}
+	h.State = classify(h.BurnRate)
 	return h
 }

@@ -23,7 +23,7 @@ func TestNilTrackerIsHealthyNoOp(t *testing.T) {
 }
 
 func TestHealthyUnderBudget(t *testing.T) {
-	tr := New(Config{TargetLatencyMS: 200})
+	tr := New(200)
 	steadyObserve(tr, 100, 60, 150, 0, 1000) // always under target, no lag
 	h := tr.Health()
 	if h.State != StateHealthy {
@@ -38,7 +38,7 @@ func TestHealthyUnderBudget(t *testing.T) {
 }
 
 func TestSustainedViolationsBurn(t *testing.T) {
-	tr := New(Config{TargetLatencyMS: 200})
+	tr := New(200)
 	// Every window violates: violation fraction → 1, burn → 1/0.01 = 100
 	// on both windows once they saturate — far past the page threshold.
 	steadyObserve(tr, 200, 60, 500, 0, 1000)
@@ -58,7 +58,7 @@ func TestSustainedViolationsBurn(t *testing.T) {
 // multi-window rule must keep the governing burn low, so no page fires
 // on transient noise.
 func TestShortSpikeDoesNotPage(t *testing.T) {
-	tr := New(Config{TargetLatencyMS: 200})
+	tr := New(200)
 	steadyObserve(tr, 120, 60, 100, 0, 1000) // 2h healthy history
 	// 3 violating windows (~3 minutes).
 	for i := 1; i <= 3; i++ {
@@ -75,7 +75,7 @@ func TestShortSpikeDoesNotPage(t *testing.T) {
 }
 
 func TestLagBudgetIndependentOfLatency(t *testing.T) {
-	tr := New(Config{TargetLatencyMS: 200, LagBudgetSec: 60})
+	tr := New(200)
 	// Latency fine, but backlog is 10 minutes of input — lag violation.
 	steadyObserve(tr, 200, 60, 100, 600*1000, 1000)
 	h := tr.Health()
@@ -96,7 +96,7 @@ func TestLagBudgetIndependentOfLatency(t *testing.T) {
 // Irregular step spacing (a planning session burning simulated hours)
 // must decay by elapsed time, not by sample count.
 func TestTimeDecayOverGaps(t *testing.T) {
-	tr := New(Config{TargetLatencyMS: 200})
+	tr := New(200)
 	// Saturate with violations...
 	steadyObserve(tr, 100, 60, 500, 0, 1000)
 	burning := tr.Health()
@@ -117,56 +117,47 @@ func TestTimeDecayOverGaps(t *testing.T) {
 }
 
 func TestDegradedBetweenThresholds(t *testing.T) {
-	// Budget 0.2: a 50% violation rate burns at 2.5 — above sustainable,
-	// below the default page threshold.
-	tr := New(Config{TargetLatencyMS: 200, ViolationBudget: 0.2})
+	// One violation in every 10 windows burns at about 10 times the 1%
+	// budget — above sustainable, below the page threshold — in every
+	// window once the slow window has warmed up.
+	tr := New(200)
 	for i := 1; i <= 400; i++ {
 		lat := 100.0
-		if i%2 == 0 {
+		if i%10 == 0 {
 			lat = 500
 		}
 		tr.Observe(float64(i)*60, lat, 0, 1000)
-	}
-	h := tr.Health()
-	if h.State != StateDegraded {
-		t.Fatalf("state = %s, want degraded (burn %v)", h.State, h.BurnRate)
+		if h := tr.Health(); i > 200 && h.State != StateDegraded {
+			t.Fatalf("window %d: state = %s, want degraded (burn %v)", i, h.State, h.BurnRate)
+		}
 	}
 }
 
-// The state thresholds are inclusive: burn exactly at BurnDegraded is
-// degraded, exactly at BurnPage is burning. A first observation sets
-// both windows to the sample value exactly (no decay yet), so choosing
-// power-of-two budgets makes the division exact and pins the boundary.
+// The state thresholds are inclusive: burn exactly at 1.0 is degraded,
+// exactly at 14.4 is burning, and the next float below each stays in the
+// milder state.
 func TestStateThresholdsAreInclusive(t *testing.T) {
-	// One violating first sample with budget 1: burn = 1/1 = 1.0, exactly
-	// the BurnDegraded default.
-	tr := New(Config{TargetLatencyMS: 100, ViolationBudget: 1})
-	tr.Observe(60, 500, 0, 1000)
-	h := tr.Health()
-	if h.BurnRate != 1.0 {
-		t.Fatalf("burn = %v, want exactly 1.0", h.BurnRate)
+	for _, c := range []struct {
+		burn float64
+		want State
+	}{
+		{0, StateHealthy},
+		{math.Nextafter(1.0, 0), StateHealthy},
+		{1.0, StateDegraded},
+		{math.Nextafter(14.4, 0), StateDegraded},
+		{14.4, StateBurning},
+	} {
+		if got := classify(c.burn); got != c.want {
+			t.Errorf("classify(%v) = %s, want %s", c.burn, got, c.want)
+		}
 	}
-	if h.State != StateDegraded {
-		t.Fatalf("burn exactly at BurnDegraded: state %s, want degraded", h.State)
-	}
-
-	// Budget 1/16 with BurnPage 16: burn = 1/0.0625 = 16 exactly.
-	tr = New(Config{TargetLatencyMS: 100, ViolationBudget: 0.0625, BurnPage: 16})
-	tr.Observe(60, 500, 0, 1000)
-	h = tr.Health()
-	if h.BurnRate != 16.0 {
-		t.Fatalf("burn = %v, want exactly 16.0", h.BurnRate)
-	}
-	if h.State != StateBurning {
-		t.Fatalf("burn exactly at BurnPage: state %s, want burning", h.State)
-	}
-
-	// Just under the degraded threshold stays healthy: budget 1 with
-	// BurnDegraded raised above the achievable burn of 1.
-	tr = New(Config{TargetLatencyMS: 100, ViolationBudget: 1, BurnDegraded: 1.5, BurnPage: 20})
-	tr.Observe(60, 500, 0, 1000)
-	if h = tr.Health(); h.State != StateHealthy {
-		t.Fatalf("burn 1.0 under BurnDegraded 1.5: state %s, want healthy", h.State)
+	// Health classifies through the same function: both latency windows
+	// at exactly the budget fraction burn at exactly 1.0.
+	tr := New(100)
+	at := WindowState{Value: violationBudget, LastSec: 60, Started: true}
+	tr.RestoreState(TrackerState{LatFast: at, LatSlow: at, Observations: 1, LastSec: 60})
+	if h := tr.Health(); h.BurnRate != 1.0 || h.State != StateDegraded {
+		t.Fatalf("windows at the budget: burn %v state %s, want exactly 1.0 and degraded", h.BurnRate, h.State)
 	}
 }
 
@@ -175,7 +166,7 @@ func TestStateThresholdsAreInclusive(t *testing.T) {
 // the slow window still remembers the incident, and min(fast, slow)
 // must side with the fast one.
 func TestFastSlowCrossoverOnRecovery(t *testing.T) {
-	tr := New(Config{TargetLatencyMS: 200})
+	tr := New(200)
 	steadyObserve(tr, 100, 60, 500, 0, 1000)
 	if h := tr.Health(); h.State != StateBurning {
 		t.Fatalf("setup: want burning, got %s", h.State)
@@ -214,7 +205,7 @@ func TestSeverityOrdering(t *testing.T) {
 // tracking enabled.
 func TestTrackerDeterminism(t *testing.T) {
 	feed := func() Health {
-		tr := New(Config{TargetLatencyMS: 200})
+		tr := New(200)
 		for i := 1; i <= 500; i++ {
 			lat := 100 + 300*math.Sin(float64(i)/7)
 			lag := 1000 * math.Abs(math.Cos(float64(i)/11)) * 200

@@ -275,12 +275,11 @@ type EngineOptions struct {
 	Tracer *trace.Tracer
 	// Chaos injects faults into the engine (optional; nil disables).
 	Chaos *chaos.Injector
-	// RescaleMaxAttempts / RescaleBackoffSec / RescaleDeadlineSec tune the
-	// engine's retry-with-backoff rescale path (0 keeps the flink
-	// defaults). Mostly useful under chaos injection.
+	// RescaleMaxAttempts / RescaleBackoffSec tune the engine's
+	// retry-with-backoff rescale path (0 keeps the flink defaults).
+	// Mostly useful under chaos injection.
 	RescaleMaxAttempts int
 	RescaleBackoffSec  float64
-	RescaleDeadlineSec float64
 }
 
 // NewEngine assembles a simulator for the workload on the paper's
@@ -311,6 +310,5 @@ func NewEngine(spec Spec, opts EngineOptions) (*flink.Engine, error) {
 		Chaos:              opts.Chaos,
 		RescaleMaxAttempts: opts.RescaleMaxAttempts,
 		RescaleBackoffSec:  opts.RescaleBackoffSec,
-		RescaleDeadlineSec: opts.RescaleDeadlineSec,
 	})
 }

@@ -440,3 +440,231 @@ func referencedNames(n ast.Node) []string {
 	ast.Inspect(n, walk)
 	return names
 }
+
+// unsetOptions lists option fields ("internal/pkg.Type.Field") allowed
+// without a non-test setter, each with the test that needs the field at
+// a second value to reach the behaviour it checks.
+var unsetOptions = map[string]string{
+	"internal/core.ThroughputOptions.MaxIterations":       "TestOptimizeThroughputPropertyRandomDAGs runs random DAGs at 2·P_max iterations, past the production bound of 8",
+	"internal/flink.Config.TickSec":                       "TestCompiledTickMatchesReference compares the compiled tick to the reference at 1 s and 0.5 s ticks",
+	"internal/flink.Config.RestartDowntimeSec":            "TestCompiledTickMatchesReference restarts with a 4 s downtime, not the default 10 s",
+	"internal/flink.Config.RescaleDeadlineSec":            "TestRescaleDeadlineBoundsRetries bounds retries by a short deadline",
+	"internal/workloads.EngineOptions.NoNoise":            "the workloads calibration tests (TestThroughputOptimizationMatchesPaperOperatingPoints and others) pin the paper operating points noise-free",
+	"internal/workloads.EngineOptions.RescaleMaxAttempts": "TestControllerChaosHeavySoak allows 2 attempts so a double rescale failure reaches the degraded path",
+	"internal/workloads.EngineOptions.RescaleBackoffSec":  "TestControllerChaosHeavySoak sets it beside RescaleMaxAttempts, at flink's own 5 s",
+}
+
+// Every exported field of an exported *Config or *Options struct under
+// internal/, and of core.PolicyEnv, is set by some non-test code (bench/,
+// cmd/, examples/ and the root facade count): a field nobody sets is a
+// constant with plumbing, so make it one. A field is set when it is a
+// key of a composite literal of its type, or the target of a selector
+// assignment outside a defaults method and outside an if whose condition
+// reads the same field (the `if o.F <= 0 { o.F = v }` idiom). Selector
+// assignments are matched by field name alone, since the rule reads
+// syntax, not types: an assignment to any field of that name counts, so
+// the rule is a floor and a hand check can still find more.
+func TestNoUnsetOptions(t *testing.T) {
+	src := sourceFiles(t)
+	fieldPos := map[string]token.Pos{} // "dir.Type.Field" → declaration
+	structs := map[string][]string{}   // "dir.Type" → its exported field names
+	for _, gf := range src.files {
+		if !strings.HasPrefix(gf.dir, "internal/") {
+			continue
+		}
+		for _, d := range gf.f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, s := range gd.Specs {
+				ts, ok := s.(*ast.TypeSpec)
+				if !ok || !isOptionType(gf.dir, ts.Name.Name) {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				typeKey := gf.dir + "." + ts.Name.Name
+				for _, fld := range st.Fields.List {
+					for _, n := range fld.Names {
+						if n.IsExported() {
+							fieldPos[typeKey+"."+n.Name] = n.Pos()
+							structs[typeKey] = append(structs[typeKey], n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	aliases := map[string]string{} // "dir.Alias" → the type expression it stands for
+	for _, gf := range src.files {
+		imports := importNames(gf.f)
+		for _, d := range gf.f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok {
+				for _, s := range gd.Specs {
+					if ts, ok := s.(*ast.TypeSpec); ok && ts.Assign.IsValid() {
+						aliases[gf.dir+"."+ts.Name.Name] = typeKey(gf.dir, imports, ts.Type)
+					}
+				}
+			}
+		}
+	}
+
+	keyed := map[string]bool{}    // "dir.Type.Field" set by a composite literal
+	assigned := map[string]bool{} // field names set by a selector assignment
+	for _, gf := range src.files {
+		imports := importNames(gf.f)
+		typeOf := func(e ast.Expr) string {
+			k := typeKey(gf.dir, imports, e)
+			for aliases[k] != "" {
+				k = aliases[k]
+			}
+			return k
+		}
+		elided := map[*ast.CompositeLit]string{} // element literals that omit their type
+		var stack []ast.Node
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				typ := elided[n]
+				switch lt := n.Type.(type) {
+				case nil:
+				case *ast.ArrayType:
+					markElided(n, typeOf(lt.Elt), elided)
+				case *ast.MapType:
+					markElided(n, typeOf(lt.Value), elided)
+				default:
+					typ = typeOf(lt)
+				}
+				if structs[typ] == nil {
+					return true
+				}
+				for _, el := range n.Elts {
+					kv, ok := el.(*ast.KeyValueExpr)
+					if !ok { // a positional literal sets every field
+						for _, f := range structs[typ] {
+							keyed[typ+"."+f] = true
+						}
+						break
+					}
+					if k, ok := kv.Key.(*ast.Ident); ok {
+						keyed[typ+"."+k.Name] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					if sel, ok := l.(*ast.SelectorExpr); ok && !defaulting(stack, sel.Sel.Name) {
+						assigned[sel.Sel.Name] = true
+					}
+				}
+			case *ast.IncDecStmt:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && !defaulting(stack, sel.Sel.Name) {
+					assigned[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+
+	var unset []string
+	for k := range fieldPos {
+		if !keyed[k] && !assigned[k[strings.LastIndex(k, ".")+1:]] {
+			unset = append(unset, k)
+		}
+	}
+	sort.Strings(unset)
+	flagged := map[string]bool{}
+	for _, k := range unset {
+		flagged[k] = true
+		if why, ok := unsetOptions[k]; ok {
+			t.Logf("%s has no non-test setter, allowed: %s", k, why)
+			continue
+		}
+		t.Errorf("%s: %s is set by no non-test code: make it a constant, or set it where it has a second value",
+			src.fset.Position(fieldPos[k]), k)
+	}
+	for k, why := range unsetOptions {
+		if !flagged[k] {
+			t.Errorf("%s is set or gone; drop it from the allow-list (%s)", k, why)
+		}
+	}
+}
+
+// typeKey resolves a type expression of a file in package dir to
+// "dir.Type", or "" when it names no type of this module.
+func typeKey(dir string, imports map[string]string, e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return dir + "." + e.Name
+	case *ast.SelectorExpr:
+		if x, ok := e.X.(*ast.Ident); ok {
+			if d, ok := moduleDir(imports[x.Name]); ok {
+				return d + "." + e.Sel.Name
+			}
+		}
+	}
+	return ""
+}
+
+// isOptionType reports whether the type named name in package dir is
+// one TestNoUnsetOptions checks.
+func isOptionType(dir, name string) bool {
+	if dir == "internal/core" && name == "PolicyEnv" {
+		return true
+	}
+	return ast.IsExported(name) && (strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options"))
+}
+
+// markElided records typ as the type of every element (or map value) of
+// lit that is a composite literal with its type left out, as in
+// []T{{A: 1}} or []*T{{A: 1}}.
+func markElided(lit *ast.CompositeLit, typ string, elided map[*ast.CompositeLit]string) {
+	if typ == "" {
+		return
+	}
+	for _, el := range lit.Elts {
+		if kv, ok := el.(*ast.KeyValueExpr); ok {
+			el = kv.Value
+		}
+		if u, ok := el.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			el = u.X
+		}
+		if cl, ok := el.(*ast.CompositeLit); ok && cl.Type == nil {
+			elided[cl] = typ
+		}
+	}
+}
+
+// defaulting reports whether an assignment to field, reached through
+// stack (outermost node first), is defaulting code: inside a method
+// named defaults, or inside an if whose condition reads field.
+func defaulting(stack []ast.Node, field string) bool {
+	for _, n := range stack {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Recv != nil && n.Name.Name == "defaults" {
+				return true
+			}
+		case *ast.IfStmt:
+			reads := false
+			ast.Inspect(n.Cond, func(c ast.Node) bool {
+				if sel, ok := c.(*ast.SelectorExpr); ok && sel.Sel.Name == field {
+					reads = true
+				}
+				return !reads
+			})
+			if reads {
+				return true
+			}
+		}
+	}
+	return false
+}
