@@ -45,6 +45,13 @@ var architectureRules = []struct {
 		find:    imports("autrascale/internal/fleet", "autrascale/internal/persist"),
 	},
 	{
+		// Every contender resolves through policy.Lookup, so the paper's
+		// tables, the tournament and the fleet run one loop per baseline.
+		what:    "imports internal/policy/ds2 or internal/policy/drs",
+		allowed: in("internal/policy"),
+		find:    imports("autrascale/internal/policy/ds2", "autrascale/internal/policy/drs"),
+	},
+	{
 		// ROADMAP renumbers its items at every re-anchor, so a number
 		// soon names another item: cite an item by its title.
 		what:    "cites a ROADMAP item by number",

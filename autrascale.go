@@ -34,9 +34,9 @@
 // The package is a facade over what the programs under examples/ use:
 // implementation lives in internal/ packages (internal/core for the
 // algorithms, internal/flink for the simulator, internal/gp + internal/bo
-// for the learning stack, internal/policy/ds2 and internal/policy/drs for
-// the baselines, internal/experiments for the paper's tables and
-// figures).
+// for the learning stack, internal/policy for the scaling policies and
+// the DS2 and DRS baselines, internal/experiments for the paper's tables
+// and figures).
 package autrascale
 
 import (
@@ -45,7 +45,6 @@ import (
 	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
 	"autrascale/internal/kafka"
-	"autrascale/internal/policy/drs"
 	"autrascale/internal/workloads"
 )
 
@@ -73,9 +72,6 @@ const (
 
 // NewGraph returns an empty job graph with the given name.
 func NewGraph(name string) *Graph { return dataflow.NewGraph(name) }
-
-// UniformParallelism returns an n-operator vector of k everywhere.
-func UniformParallelism(n, k int) ParallelismVector { return dataflow.Uniform(n, k) }
 
 // ---- Cluster and source substrate (internal/cluster, internal/kafka) ----
 
@@ -167,24 +163,4 @@ func RunAlgorithm1(e *Engine, base ParallelismVector, cfg Algorithm1Config) (*Al
 // NewController builds the MAPE controller for an engine.
 func NewController(e *Engine, cfg ControllerConfig) (*Controller, error) {
 	return core.NewController(e, cfg)
-}
-
-// ---- DRS baseline (internal/policy/drs) ----
-
-type (
-	// DRSPolicy is the queueing-theory DRS baseline.
-	DRSPolicy = drs.Policy
-	// DRSVariant selects the rate metric DRS consumes.
-	DRSVariant = drs.Variant
-)
-
-// DRS variants.
-const (
-	DRSTrueRate     = drs.VariantTrueRate
-	DRSObservedRate = drs.VariantObservedRate
-)
-
-// NewDRSPolicy builds a DRS baseline policy.
-func NewDRSPolicy(v DRSVariant, pmax int, targetRate, targetLatencyMS float64) (*DRSPolicy, error) {
-	return drs.NewPolicy(v, pmax, targetRate, targetLatencyMS)
 }

@@ -77,9 +77,3 @@ func TestFacadeCustomJob(t *testing.T) {
 		t.Fatal("no throughput")
 	}
 }
-
-func TestFacadeHelpers(t *testing.T) {
-	if autrascale.UniformParallelism(3, 2).Total() != 6 {
-		t.Fatal("UniformParallelism wrong")
-	}
-}

@@ -71,7 +71,8 @@ type PlanResult struct {
 //
 // The built-in contenders live under internal/policy: the paper's
 // BO/transfer planner (core.BOPolicy, the default), the DS2 linear rule
-// (policy/ds2), and the DRS queueing model (policy/drs).
+// (policy/ds2), and the calibrated DRS queueing model (policy/drs) — each
+// baseline's one loop, which the paper's tables run too.
 type Policy interface {
 	// Name identifies the policy in tournament tables and journals.
 	Name() string
@@ -90,8 +91,9 @@ type PolicyEnv struct {
 	// TargetLatencyMS is the job's latency requirement l_t (BO and DRS
 	// require it).
 	TargetLatencyMS float64
-	// MaxIterations bounds a policy's per-trigger planning loop (0: each
-	// policy's default — Algorithm1Config's for BO).
+	// MaxIterations bounds BO's per-trigger planning loop (0:
+	// Algorithm1Config's default). The DS2 and DRS loops ignore it: they
+	// are bounded by their papers' limits.
 	MaxIterations int
 	// Seed drives any stochastic choices (BO's optimizer).
 	Seed uint64

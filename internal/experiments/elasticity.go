@@ -7,7 +7,7 @@ import (
 	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
 	"autrascale/internal/kafka"
-	"autrascale/internal/policy/drs"
+	"autrascale/internal/policy"
 	"autrascale/internal/workloads"
 )
 
@@ -50,7 +50,7 @@ type ElasticityResult struct {
 }
 
 // ElasticityOptions parameterizes RunElasticity. Every method's loop is
-// bounded at 25 iterations: Algorithm 1's default and DRS's Run bound.
+// bounded at 25 iterations: Algorithm 1's default and DRS's bound.
 type ElasticityOptions struct {
 	Seed uint64
 }
@@ -138,30 +138,28 @@ func RunElasticity(scenario Scenario, opts ElasticityOptions) (*ElasticityResult
 		})
 
 		// DRS with true and observed processing rates.
-		for _, variant := range []drs.Variant{drs.VariantTrueRate, drs.VariantObservedRate} {
-			e, err := newEngine(3 + uint64(variant))
+		for i, b := range []struct{ name, label string }{
+			{"drs-true", "DRS(true)"},
+			{"drs-observed", "DRS(observed)"},
+		} {
+			e, err := newEngine(3 + uint64(i))
 			if err != nil {
 				return nil, err
 			}
-			pol, err := drs.NewPolicy(variant, e.Cluster().MaxParallelism(),
-				job.targetRPS, job.spec.TargetLatencyMS)
+			plan, err := planBaseline(e, b.name, core.TriggerQoS, job.targetRPS, job.spec.TargetLatencyMS)
 			if err != nil {
 				return nil, err
 			}
-			dres, err := pol.Run(e)
-			if err != nil {
-				return nil, err
-			}
-			last := dres.History[len(dres.History)-1]
+			last := e.Measure() // the window the plan ended on
 			jr.Methods = append(jr.Methods, MethodResult{
-				Method:             variant.String(),
-				Final:              dres.Final.Clone(),
-				TotalParallelism:   dres.Final.Total(),
-				Iterations:         dres.Iterations,
+				Method:             b.label,
+				Final:              plan.Par,
+				TotalParallelism:   plan.Par.Total(),
+				Iterations:         plan.Report.Iterations,
 				FinalLatencyMS:     last.ProcLatencyMS,
 				FinalThroughputRPS: last.ThroughputRPS,
-				LatencyMet:         dres.LatencyMet,
-				ThroughputMet:      dres.ThroughputMet,
+				LatencyMet:         plan.Report.LatencyMet,
+				ThroughputMet:      last.ThroughputRPS >= job.targetRPS*0.98,
 				CPUUsedCores:       last.CPUUsedCores,
 				MemUsedMB:          last.MemUsedMB,
 			})
@@ -169,6 +167,23 @@ func RunElasticity(scenario Scenario, opts ElasticityOptions) (*ElasticityResult
 		res.Jobs = append(res.Jobs, jr)
 	}
 	return res, nil
+}
+
+// planBaseline runs a registry contender's one planning loop the way the
+// controller would at a trigger: measure a trial window on the engine,
+// then Plan from it for rate. The engine is left on the plan's choice,
+// its window the last one the plan measured.
+func planBaseline(e *flink.Engine, name string, trigger core.PlanTrigger, rate, targetLatencyMS float64) (core.PlanResult, error) {
+	pol, err := policy.Build(name, policy.Env{TargetLatencyMS: targetLatencyMS})
+	if err != nil {
+		return core.PlanResult{}, err
+	}
+	return pol.Plan(e, core.PlanRequest{
+		Trigger: trigger,
+		RateRPS: rate,
+		Window:  e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec),
+		TimeSec: e.Now(),
+	})
 }
 
 // Method returns the named method's result for a job (nil if missing).

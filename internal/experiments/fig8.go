@@ -7,7 +7,6 @@ import (
 	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
 	"autrascale/internal/kafka"
-	"autrascale/internal/policy/ds2"
 	"autrascale/internal/stat"
 	"autrascale/internal/workloads"
 )
@@ -43,10 +42,6 @@ type Fig8Result struct {
 type Fig8Options struct {
 	Seed uint64
 }
-
-// fig8DS2Utilization is the deployment headroom DS2 sizes for: a common
-// production headroom; 1.0 would be the pure linear rule.
-const fig8DS2Utilization = 0.75
 
 // RunFig8 executes the §V-D transfer-efficiency experiment.
 func RunFig8(opts Fig8Options) (*Fig8Result, error) {
@@ -131,21 +126,16 @@ func RunFig8(opts Fig8Options) (*Fig8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pol, err := ds2.NewPolicy(eDS2.Cluster().MaxParallelism(), c.spec.DefaultRateRPS)
+		plan, err := planBaseline(eDS2, "ds2", core.TriggerRateChange, c.spec.DefaultRateRPS, c.spec.TargetLatencyMS)
 		if err != nil {
 			return nil, err
 		}
-		pol.TargetUtilization = fig8DS2Utilization
-		dres, err := pol.Run(eDS2)
-		if err != nil {
-			return nil, err
-		}
-		mD := measureFinal(eDS2, dres.Final)
+		mD := measureFinal(eDS2, plan.Par)
 		q.Methods = append(q.Methods, Fig8Method{
 			Method:           "DS2",
-			Final:            dres.Final.Clone(),
-			TotalParallelism: dres.Final.Total(),
-			Iterations:       dres.Iterations,
+			Final:            plan.Par,
+			TotalParallelism: plan.Par.Total(),
+			Iterations:       plan.Report.Iterations,
 			CPUUsedCores:     mD.cpu,
 			MemUsedMB:        mD.mem,
 			LatencyP50:       mD.p50,

@@ -8,14 +8,12 @@ import (
 	"autrascale/internal/flink"
 )
 
-// The core.Policy adapter. On every trigger it rebuilds the M/M/c
-// Jackson-network recommendation for the trigger's rate, applies it, and
-// — when the model claims the current configuration should already meet
-// the target but measured latency disagrees — bumps the highest-
-// utilization operator by one instance (the same model-error escape as
-// Run). Unlike Run — the paper's Fig. 7 baseline, which calibrates the
-// latency fit from its own measurements — the adapter plans on the raw
-// queueing model.
+// The core.Policy adapter is DRS's control loop: measure, calibrate the
+// queueing model, derive the minimal configuration the model predicts
+// will meet the target (greedy low-to-high allocation), reconfigure, and
+// repeat — "until the latency meets the requirements or the total number
+// of new parallelism schemes is over the upper limit of resources"
+// (§V-A).
 //
 // Both of the paper's variants register: service rates from the true
 // (busy-time) metric, and from the observed metric whose idle-time
@@ -27,8 +25,6 @@ type Config struct {
 	Variant Variant
 	// TargetLatencyMS is the latency requirement (required).
 	TargetLatencyMS float64
-	// MaxIterations bounds the plan loop per trigger (default 8).
-	MaxIterations int
 }
 
 // Adapter implements core.Policy with the DRS queueing model.
@@ -41,48 +37,48 @@ func New(cfg Config) (*Adapter, error) {
 	if cfg.TargetLatencyMS <= 0 {
 		return nil, errors.New("policy/drs: TargetLatencyMS must be > 0")
 	}
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = 8
-	}
 	return &Adapter{cfg: cfg}, nil
 }
 
 // Name implements core.Policy.
-func (p *Adapter) Name() string {
-	if p.cfg.Variant == VariantObservedRate {
-		return "drs-observed"
-	}
-	return "drs-true"
-}
+func (p *Adapter) Name() string { return p.cfg.Variant.String() }
 
-// Plan implements core.Policy: recommend → apply → measure, repeating
-// until the measured latency meets the target, the model reaches a
-// fixed point it cannot escape, or the iteration budget runs out.
+// Plan implements core.Policy. Every judged window — the trigger window
+// first — adds a point to the latency fit; the loop stops when the
+// measured latency meets the target and the fit offers nothing cheaper,
+// or after MaxIterations windows. When the fit claims the current
+// configuration should already meet the target but the measurement
+// disagrees, the highest-utilization operator gets one more instance
+// (the classic model-error escape); with every operator at the ceiling
+// there is nothing left to try.
 func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, error) {
 	pmax := e.Cluster().MaxParallelism()
-	model, err := NewPolicy(p.cfg.Variant, pmax, req.RateRPS, p.cfg.TargetLatencyMS)
-	if err != nil {
-		return core.PlanResult{}, err
-	}
+	target := p.cfg.TargetLatencyMS
 	lambdas := arrivals(e.Graph(), req.RateRPS)
+	fit := &latencyFit{}
 	m := req.Window
-	chosen := m.Par.Clone()
 	iters, rescales, escapes := 0, 0, 0
-	for iters < p.cfg.MaxIterations {
-		next, err := model.Recommend(e.Graph(), m)
-		if err != nil {
-			return core.PlanResult{}, err
+	for iters < MaxIterations {
+		mus := p.cfg.Variant.serviceRates(m)
+		if len(mus) != len(lambdas) {
+			return core.PlanResult{}, fmt.Errorf("drs: measurement has %d operators, graph has %d",
+				len(mus), len(lambdas))
 		}
+		fit.add(congestionIndex(lambdas, mus, m.Par), m.ProcLatencyMS)
 		iters++
-		if next.Equal(m.Par) {
-			if m.ProcLatencyMS <= p.cfg.TargetLatencyMS {
-				break // model and reality agree: done
-			}
-			// Model says this should suffice; measurement disagrees —
-			// add an instance to the most utilized operator.
-			worst := mostUtilized(lambdas, model.serviceRates(m), next, pmax)
+		latencyMet := m.ProcLatencyMS <= target
+		next := allocate(lambdas, mus, m.Par, pmax, target, fit)
+		if latencyMet && next.Total() >= m.Par.Total() {
+			// QoS holds and the model offers nothing cheaper — done.
+			// (This is also where the observed-rate variant gets stuck
+			// over-provisioned: idle instances depress the observed
+			// rates, so its "minimal" plan never shrinks.)
+			break
+		}
+		if !latencyMet && next.Equal(m.Par) {
+			worst := mostUtilized(lambdas, mus, next, pmax)
 			if worst == -1 {
-				break // everything at the ceiling; nothing left to try
+				break
 			}
 			next[worst]++
 			escapes++
@@ -91,21 +87,18 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 			return core.PlanResult{}, err // ErrRescaleFailed → controller degrades
 		}
 		rescales++
-		chosen = next.Clone()
 		m = e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec)
-		if m.ProcLatencyMS <= p.cfg.TargetLatencyMS {
-			break
-		}
 	}
 	req.Span.SetStr("policy", p.Name())
 	req.Span.SetInt("policy_iterations", iters)
 	req.Span.SetInt("policy_rescales", rescales)
 	req.Span.SetInt("policy_escapes", escapes)
-	latencyMet := m.ProcLatencyMS <= p.cfg.TargetLatencyMS
+	latencyMet := m.ProcLatencyMS <= target
+	chosen := m.Par.Clone()
 	rep := core.DecisionReport{
 		TimeSec: req.TimeSec,
 		Action:  core.ActionPolicy,
-		Reason: fmt.Sprintf("%s: M/M/c plan for %.0f rps (%d iteration(s), %d rescale(s), %d escape(s), trigger %s)",
+		Reason: fmt.Sprintf("%s: calibrated M/M/c plan for %.0f rps (%d iteration(s), %d rescale(s), %d escape(s), trigger %s)",
 			p.Name(), req.RateRPS, iters, rescales, escapes, req.Trigger),
 		RateRPS:    req.RateRPS,
 		Chosen:     chosen,

@@ -94,34 +94,28 @@ func TestLatencyFitPredict(t *testing.T) {
 }
 
 func TestRecommendGreedyReachesTarget(t *testing.T) {
-	// Force the greedy loop: tight target that the initial stable sizing
-	// cannot meet under the pure M/M/c model with slow stations.
+	// Force the greedy loop: a tight target that the initial stable
+	// sizing cannot meet under the uncalibrated fit (latency = Σρ/(1−ρ))
+	// with slow stations.
 	g := chainGraph(t)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPolicy(VariantTrueRate, 64, 1000, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := flink.Measurement{
-		Par:                     dataflow.ParallelismVector{1, 1, 1},
-		TrueRatePerInstance:     []float64{1100, 1050, 1020}, // near-saturated singles
-		ObservedRatePerInstance: []float64{1000, 1000, 1000},
-	}
-	rec, err := p.Recommend(g, m)
-	if err != nil {
-		t.Fatal(err)
+		Par:                 dataflow.ParallelismVector{1, 1, 1},
+		TrueRatePerInstance: []float64{1100, 1050, 1020}, // near-saturated singles
 	}
 	lambdas := arrivals(g, 1000)
-	// The recommendation should have driven the model's prediction at or
-	// near the target, and must be larger than the minimal stable sizing.
-	if rec.Total() <= 3 {
+	fit := &latencyFit{}
+	rec := allocate(lambdas, m.TrueRatePerInstance, m.Par, 64, 0.9, fit)
+	// The recommendation should have driven the model's prediction to
+	// the target, and must be larger than the minimal stable sizing
+	// (2, 2, 2).
+	if rec.Total() <= 6 {
 		t.Fatalf("greedy never engaged: %v", rec)
 	}
-	pred := predictLatencyMS(lambdas, m.TrueRatePerInstance, rec)
-	if math.IsInf(pred, 1) {
-		t.Fatalf("recommended config is unstable: %v", rec)
+	if pred := fit.predict(lambdas, m.TrueRatePerInstance, rec); math.IsInf(pred, 1) || pred > 0.9 {
+		t.Fatalf("recommended config %v predicts %v ms, want <= 0.9", rec, pred)
 	}
 }
 
@@ -130,16 +124,12 @@ func TestRecommendKeepsCurrentForDeadOperator(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p, _ := NewPolicy(VariantTrueRate, 64, 1000, 200)
 	m := flink.Measurement{
-		Par:                     dataflow.ParallelismVector{2, 5, 2},
-		TrueRatePerInstance:     []float64{2000, 0, 1200}, // mid reports nothing
-		ObservedRatePerInstance: []float64{500, 0, 300},
+		Par:                 dataflow.ParallelismVector{2, 5, 2},
+		TrueRatePerInstance: []float64{2000, 0, 1200}, // mid reports nothing
 	}
-	rec, err := p.Recommend(g, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lambdas := arrivals(g, 1000)
+	rec := allocate(lambdas, m.TrueRatePerInstance, m.Par, 64, 200, &latencyFit{})
 	if rec[1] != 5 {
 		t.Fatalf("dead operator should keep parallelism 5, got %v", rec)
 	}
@@ -148,23 +138,21 @@ func TestRecommendKeepsCurrentForDeadOperator(t *testing.T) {
 func TestRunMaxIterationsExhaustion(t *testing.T) {
 	// Target latency of 2 ms is infeasible; the run must stop — either at
 	// the resource ceiling (every operator at PMax) or when the iteration
-	// budget is spent — with LatencyMet=false and a consistent history.
+	// budget is spent — with LatencyMet=false and one rescale per judged
+	// window but (unless the budget ran out) the last.
 	g := chainGraph(t)
-	e := newEngine(t, g, 2000, nil)
-	p, _ := NewPolicy(VariantTrueRate, 16, 2000, 2)
-	res, err := p.Run(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LatencyMet {
+	e := newEngine(t, g, 2000, nil, 8)
+	res := plan(t, VariantTrueRate, e, 2000, 2)
+	if res.Report.LatencyMet {
 		t.Fatal("2 ms cannot be met")
 	}
-	if res.Iterations < 1 || res.Iterations > runMaxIterations || len(res.History) != res.Iterations {
-		t.Fatalf("iterations = %d, history = %d", res.Iterations, len(res.History))
+	it, tr := res.Report.Iterations, res.Report.Trials
+	if it < 1 || it > MaxIterations || (tr != it && tr != it-1) {
+		t.Fatalf("iterations = %d, rescales = %d", it, tr)
 	}
-	for _, k := range res.Final {
+	for _, k := range res.Par {
 		if k > 16 {
-			t.Fatalf("PMax violated: %v", res.Final)
+			t.Fatalf("PMax violated: %v", res.Par)
 		}
 	}
 }

@@ -1,10 +1,10 @@
 package drs
 
 import (
-	"math"
 	"testing"
 
 	"autrascale/internal/cluster"
+	"autrascale/internal/core"
 	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
 	"autrascale/internal/kafka"
@@ -31,10 +31,10 @@ func chainGraph(t testing.TB) *dataflow.Graph {
 	return g
 }
 
-func newEngine(t testing.TB, g *dataflow.Graph, rate float64, par dataflow.ParallelismVector) *flink.Engine {
+func newEngine(t testing.TB, g *dataflow.Graph, rate float64, par dataflow.ParallelismVector, cores int) *flink.Engine {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{Machines: []cluster.Machine{
-		{Name: "m1", Cores: 32}, {Name: "m2", Cores: 32},
+		{Name: "m1", Cores: cores}, {Name: "m2", Cores: cores},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -51,46 +51,36 @@ func newEngine(t testing.TB, g *dataflow.Graph, rate float64, par dataflow.Paral
 	return e
 }
 
+// plan runs one DRS planning session from a trial window at rate.
+func plan(t *testing.T, v Variant, e *flink.Engine, rate, targetMS float64) core.PlanResult {
+	t.Helper()
+	p, err := New(Config{Variant: v, TargetLatencyMS: targetMS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Plan(e, core.PlanRequest{
+		Trigger: core.TriggerQoS,
+		RateRPS: rate,
+		Window:  e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestNewPolicyValidation(t *testing.T) {
-	if _, err := NewPolicy(VariantTrueRate, 0, 100, 100); err == nil {
-		t.Fatal("PMax 0 should error")
-	}
-	if _, err := NewPolicy(VariantTrueRate, 10, 0, 100); err == nil {
-		t.Fatal("rate 0 should error")
-	}
-	if _, err := NewPolicy(VariantTrueRate, 10, 100, 0); err == nil {
+	if _, err := New(Config{Variant: VariantTrueRate}); err == nil {
 		t.Fatal("latency 0 should error")
 	}
 }
 
 func TestVariantString(t *testing.T) {
-	if VariantTrueRate.String() != "DRS(true)" || VariantObservedRate.String() != "DRS(observed)" {
+	if VariantTrueRate.String() != "drs-true" || VariantObservedRate.String() != "drs-observed" {
 		t.Fatal("variant names wrong")
 	}
 	if Variant(9).String() == "" {
 		t.Fatal("unknown variant should still stringify")
-	}
-}
-
-func TestPredictLatency(t *testing.T) {
-	lambdas := []float64{100, 100}
-	mus := []float64{200, 150}
-	lat := predictLatencyMS(lambdas, mus, dataflow.ParallelismVector{1, 1})
-	if lat <= 0 || math.IsInf(lat, 0) {
-		t.Fatalf("predictLatencyMS = %v", lat)
-	}
-	// More servers → lower predicted latency.
-	lat2 := predictLatencyMS(lambdas, mus, dataflow.ParallelismVector{2, 2})
-	if lat2 >= lat {
-		t.Fatalf("more servers should predict lower latency: %v vs %v", lat2, lat)
-	}
-	// Unstable station → +Inf.
-	if !math.IsInf(predictLatencyMS([]float64{300}, []float64{100}, dataflow.ParallelismVector{1}), 1) {
-		t.Fatal("unstable should be +Inf")
-	}
-	// Zero service rate is skipped rather than crashing.
-	if v := predictLatencyMS([]float64{0}, []float64{0}, dataflow.ParallelismVector{1}); v != 0 {
-		t.Fatalf("zero-mu station should contribute 0, got %v", v)
 	}
 }
 
@@ -99,16 +89,12 @@ func TestRecommendStability(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p, _ := NewPolicy(VariantTrueRate, 64, 4000, 200)
 	m := flink.Measurement{
-		Par:                     dataflow.ParallelismVector{1, 1, 1},
-		TrueRatePerInstance:     []float64{2000, 800, 1200},
-		ObservedRatePerInstance: []float64{500, 200, 300},
+		Par:                 dataflow.ParallelismVector{1, 1, 1},
+		TrueRatePerInstance: []float64{2000, 800, 1200},
 	}
-	rec, err := p.Recommend(g, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lambdas := arrivals(g, 4000)
+	rec := allocate(lambdas, m.TrueRatePerInstance, m.Par, 64, 200, &latencyFit{})
 	// Every station must be stable at the target rate.
 	for i, mu := range m.TrueRatePerInstance {
 		if 4000 >= mu*float64(rec[i]) {
@@ -117,75 +103,56 @@ func TestRecommendStability(t *testing.T) {
 	}
 }
 
+// Started over-provisioned, the true-rate variant sheds instances while
+// the observed-rate one stays where it is: idle instances depress the
+// observed rates, so its "minimal" plan never shrinks (paper Fig. 7).
 func TestObservedVariantOverProvisions(t *testing.T) {
 	g := chainGraph(t)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
+	start := dataflow.Uniform(3, 12)
+	pt := plan(t, VariantTrueRate, newEngine(t, g, 1400, start.Clone(), 32), 1400, 200)
+	po := plan(t, VariantObservedRate, newEngine(t, g, 1400, start.Clone(), 32), 1400, 200)
+	if po.Par.Total() <= pt.Par.Total() {
+		t.Fatalf("observed-rate DRS should over-provision: true=%v observed=%v", pt.Par, po.Par)
 	}
-	m := flink.Measurement{
-		Par:                     dataflow.ParallelismVector{2, 2, 2},
-		TrueRatePerInstance:     []float64{2000, 800, 1200},
-		ObservedRatePerInstance: []float64{700, 350, 500}, // idle-inflated
-	}
-	pt, _ := NewPolicy(VariantTrueRate, 64, 1400, 200)
-	po, _ := NewPolicy(VariantObservedRate, 64, 1400, 200)
-	rt, err := pt.Recommend(g, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ro, err := po.Recommend(g, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ro.Total() <= rt.Total() {
-		t.Fatalf("observed-rate DRS should over-provision: true=%v observed=%v", rt, ro)
+	if !po.Par.Equal(start) {
+		t.Fatalf("observed-rate DRS should stay at the over-provisioned start %v, got %v", start, po.Par)
 	}
 }
 
 func TestRecommendDimensionError(t *testing.T) {
 	g := chainGraph(t)
-	_ = g.Validate()
-	p, _ := NewPolicy(VariantTrueRate, 64, 1000, 100)
-	if _, err := p.Recommend(g, flink.Measurement{Par: dataflow.ParallelismVector{1},
-		TrueRatePerInstance: []float64{1}}); err == nil {
+	e := newEngine(t, g, 1000, nil, 32)
+	p, _ := New(Config{Variant: VariantTrueRate, TargetLatencyMS: 100})
+	if _, err := p.Plan(e, core.PlanRequest{RateRPS: 1000, Window: flink.Measurement{
+		Par: dataflow.ParallelismVector{1}, TrueRatePerInstance: []float64{1}}}); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }
 
 func TestRunReachesLatencyTarget(t *testing.T) {
 	g := chainGraph(t)
-	e := newEngine(t, g, 2000, nil)
-	p, err := NewPolicy(VariantTrueRate, e.Cluster().MaxParallelism(), 2000, 150)
-	if err != nil {
-		t.Fatal(err)
+	e := newEngine(t, g, 2000, nil, 32)
+	res := plan(t, VariantTrueRate, e, 2000, 150)
+	if !res.Report.LatencyMet || !res.Report.Met {
+		t.Fatalf("DRS should find a latency-meeting config: %+v", res.Report)
 	}
-	res, err := p.Run(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.LatencyMet {
-		t.Fatalf("DRS should find a latency-meeting config: %+v", res)
-	}
-	if len(res.History) == 0 || res.Final.Total() == 0 {
-		t.Fatalf("missing history/final: %+v", res)
+	if res.Report.Iterations == 0 || res.Par.Total() == 0 {
+		t.Fatalf("missing iterations/final: %+v", res.Report)
 	}
 }
 
 func TestRunStopsAtResourceCeiling(t *testing.T) {
 	g := chainGraph(t)
-	e := newEngine(t, g, 2000, nil)
-	// Impossible 1ms target with a tiny PMax: must stop without meeting it.
-	p, _ := NewPolicy(VariantTrueRate, 4, 2000, 1)
-	res, err := p.Run(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LatencyMet {
+	// Impossible 1ms target on a 4-slot cluster: must stop without
+	// meeting it.
+	e := newEngine(t, g, 2000, nil, 2)
+	res := plan(t, VariantTrueRate, e, 2000, 1)
+	if res.Report.LatencyMet {
 		t.Fatal("1ms target must be unreachable")
 	}
-	for _, k := range res.Final {
+	for _, k := range res.Par {
 		if k > 4 {
-			t.Fatalf("PMax violated: %v", res.Final)
+			t.Fatalf("PMax violated: %v", res.Par)
 		}
 	}
 }

@@ -7,26 +7,22 @@ import (
 	"autrascale/internal/flink"
 )
 
-// The core.Policy adapter: the linear rule as a tournament contender
-// that runs under the same controller, chaos profile, and trace surface
-// as the paper's planner. Two variants:
+// The core.Policy adapter: the linear rule as a contender that runs
+// under the same controller, chaos profile, and trace surface as the
+// paper's planner. Two variants:
 //
 //   - offline (the default): on every trigger, iterate DS2's
 //     measure→rule→reconfigure loop until the rule reaches its fixed
-//     point, the throughput target is met, or the iteration budget runs
-//     out — the mode DS2's paper evaluates, paying simulated time for
-//     each intermediate measurement;
+//     point, the throughput target is met, or MaxIterations windows have
+//     been judged — the mode DS2's paper evaluates and Fig. 8
+//     reproduces, paying simulated time for each intermediate
+//     measurement;
 //   - online: apply the rule once per trigger and let the controller's
 //     next monitoring window judge it — DS2's one-shot-per-interval
 //     deployment loop.
-//
-// Unlike Run — the paper's Fig. 8 baseline, DS2 without a
-// same-configuration stop — the adapter ends at the rule's fixed point.
 
 // Config parameterizes the adapter.
 type Config struct {
-	// MaxIterations bounds the offline loop per trigger (default 8).
-	MaxIterations int
 	// Online applies the rule once per trigger instead of iterating.
 	Online bool
 }
@@ -38,9 +34,6 @@ type Adapter struct {
 
 // New builds the adapter.
 func New(cfg Config) *Adapter {
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = 8
-	}
 	return &Adapter{cfg: cfg}
 }
 
@@ -53,28 +46,22 @@ func (p *Adapter) Name() string {
 }
 
 // Plan implements core.Policy: size every operator by the linear rule
-// for the trigger's rate. DS2 has no latency model, so rate-change and
-// QoS triggers take the same path — the rule either prescribes a new
-// configuration or it has nothing to offer.
+// for the trigger's rate, capped at the cluster's ceiling, starting from
+// the trigger window. DS2 has no latency model, so rate-change and QoS
+// triggers take the same path — the rule either prescribes a new
+// configuration or it has nothing to offer. Report.Iterations counts the
+// windows judged, the trigger window included.
 func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, error) {
-	// The pure paper rule (utilization 1), capped at the cluster's
-	// ceiling, with NewPolicy's 2% throughput slack. Built as a literal
-	// because a zero-rate trigger must size to the floor, not error.
-	rule := &Policy{
-		PMax:              e.Cluster().MaxParallelism(),
-		TargetRate:        req.RateRPS,
-		Epsilon:           0.02,
-		TargetUtilization: 1,
-	}
+	pmax := e.Cluster().MaxParallelism()
 	m := req.Window
 	chosen := m.Par.Clone()
 	iters, rescales := 0, 0
-	for iters < p.cfg.MaxIterations {
-		next, err := rule.Step(e.Graph(), m)
+	for {
+		iters++
+		next, err := step(e.Graph(), m, pmax, req.RateRPS)
 		if err != nil {
 			return core.PlanResult{}, err
 		}
-		iters++
 		if next.Equal(m.Par) {
 			break // the rule's fixed point: more iterations change nothing
 		}
@@ -87,7 +74,11 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 			break // one shot; the next monitoring window judges it
 		}
 		m = e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec)
-		if rule.TargetMet(m.ThroughputRPS) {
+		if iters == MaxIterations {
+			break // the budget is spent; this last window goes unjudged
+		}
+		if targetMet(m.ThroughputRPS, req.RateRPS) {
+			iters++ // the window that met the target was judged too
 			break
 		}
 	}
@@ -102,7 +93,7 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 		RateRPS:    req.RateRPS,
 		Chosen:     chosen,
 		LatencyMS:  m.ProcLatencyMS,
-		Met:        !p.cfg.Online && rule.TargetMet(m.ThroughputRPS),
+		Met:        !p.cfg.Online && targetMet(m.ThroughputRPS, req.RateRPS),
 		Iterations: iters,
 		Trials:     rescales,
 	}

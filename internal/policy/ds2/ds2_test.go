@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"autrascale/internal/cluster"
+	"autrascale/internal/core"
 	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
 	"autrascale/internal/kafka"
@@ -31,10 +32,10 @@ func chainGraph(t testing.TB, capJoin float64) *dataflow.Graph {
 	return g
 }
 
-func newEngine(t testing.TB, g *dataflow.Graph, rate float64) *flink.Engine {
+func newEngine(t testing.TB, g *dataflow.Graph, rate float64, cores int) *flink.Engine {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{Machines: []cluster.Machine{
-		{Name: "m1", Cores: 32}, {Name: "m2", Cores: 32},
+		{Name: "m1", Cores: cores}, {Name: "m2", Cores: cores},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -50,31 +51,22 @@ func newEngine(t testing.TB, g *dataflow.Graph, rate float64) *flink.Engine {
 	return e
 }
 
-func TestNewPolicyValidation(t *testing.T) {
-	if _, err := NewPolicy(0, 100); err == nil {
-		t.Fatal("PMax 0 should error")
-	}
-	if _, err := NewPolicy(10, 0); err == nil {
-		t.Fatal("rate 0 should error")
-	}
-}
-
 func TestStepLinearRule(t *testing.T) {
 	g := chainGraph(t, 0)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p, _ := NewPolicy(64, 4000)
 	m := flink.Measurement{
 		Par:                 dataflow.ParallelismVector{1, 1, 1},
 		TrueRatePerInstance: []float64{2000, 800, 400},
 	}
-	next, err := p.Step(g, m)
+	next, err := step(g, m, 64, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ceil(4000/2000)=2, ceil(4000/800)=5, ceil(4000/400)=10.
-	want := dataflow.ParallelismVector{2, 5, 10}
+	// At utilization 0.75: ceil(4000/1500)=3, ceil(4000/600)=7,
+	// ceil(4000/300)=14.
+	want := dataflow.ParallelismVector{3, 7, 14}
 	if !next.Equal(want) {
 		t.Fatalf("Step = %v, want %v", next, want)
 	}
@@ -89,30 +81,28 @@ func TestStepSelectivityPropagation(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p, _ := NewPolicy(64, 1000)
 	m := flink.Measurement{
 		Par:                 dataflow.ParallelismVector{1, 1},
 		TrueRatePerInstance: []float64{1000, 1000},
 	}
-	next, err := p.Step(g, m)
+	next, err := step(g, m, 64, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sink sees 3x the source rate.
-	if next[1] != 3 {
-		t.Fatalf("sink parallelism = %d, want 3", next[1])
+	// Sink sees 3x the source rate: ceil(3000/750) = 4.
+	if next[1] != 4 {
+		t.Fatalf("sink parallelism = %d, want 4", next[1])
 	}
 }
 
 func TestStepEdgeCases(t *testing.T) {
 	g := chainGraph(t, 0)
 	_ = g.Validate()
-	p, _ := NewPolicy(4, 1e6) // tiny PMax, huge rate
 	m := flink.Measurement{
 		Par:                 dataflow.ParallelismVector{1, 1, 1},
 		TrueRatePerInstance: []float64{2000, 0, 400}, // op with zero rate
 	}
-	next, err := p.Step(g, m)
+	next, err := step(g, m, 4, 1e6) // tiny PMax, huge rate
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,29 +113,36 @@ func TestStepEdgeCases(t *testing.T) {
 		t.Fatalf("zero-rate operator should keep current parallelism, got %d", next[1])
 	}
 	// Wrong measurement size errors.
-	if _, err := p.Step(g, flink.Measurement{Par: dataflow.ParallelismVector{1},
-		TrueRatePerInstance: []float64{1}}); err == nil {
+	if _, err := step(g, flink.Measurement{Par: dataflow.ParallelismVector{1},
+		TrueRatePerInstance: []float64{1}}, 4, 1e6); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }
 
+// plan runs the offline adapter once from a trial window at rate.
+func plan(t *testing.T, e *flink.Engine, rate float64) core.PlanResult {
+	t.Helper()
+	res, err := New(Config{}).Plan(e, core.PlanRequest{
+		Trigger: core.TriggerRateChange,
+		RateRPS: rate,
+		Window:  e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRunConvergesOnUncappedJob(t *testing.T) {
 	g := chainGraph(t, 0)
-	e := newEngine(t, g, 3000)
-	p, err := NewPolicy(e.Cluster().MaxParallelism(), 3000)
-	if err != nil {
-		t.Fatal(err)
+	e := newEngine(t, g, 3000, 32)
+	res := plan(t, e, 3000)
+	last := e.Measure() // the window the plan ended on
+	if !res.Report.Met || !targetMet(last.ThroughputRPS, 3000) {
+		t.Fatalf("DS2 should converge on an uncapped job: %+v", res.Report)
 	}
-	res, err := p.Run(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := res.History[len(res.History)-1]
-	if !p.TargetMet(last.ThroughputRPS) {
-		t.Fatalf("DS2 should converge on an uncapped job: %+v", res)
-	}
-	if res.Iterations > 5 {
-		t.Fatalf("DS2 took %d iterations, want few", res.Iterations)
+	if res.Report.Iterations > 5 {
+		t.Fatalf("DS2 took %d iterations, want few", res.Report.Iterations)
 	}
 	if last.ThroughputRPS < 3000*0.97 {
 		t.Fatalf("final throughput = %v, want ~3000", last.ThroughputRPS)
@@ -153,38 +150,34 @@ func TestRunConvergesOnUncappedJob(t *testing.T) {
 }
 
 func TestRunHitsIterationBoundOnCappedJob(t *testing.T) {
-	// Redis-like cap at 500 rps while the target is 3000: DS2 keeps
-	// growing the join operator and never converges (the paper's
-	// infinite-loop failure mode, bounded here by runMaxIterations).
-	g := chainGraph(t, 500)
-	e := newEngine(t, g, 3000)
-	p, _ := NewPolicy(e.Cluster().MaxParallelism(), 3000)
-	res, err := p.Run(e)
-	if err != nil {
-		t.Fatal(err)
+	// Redis-like cap at 2900 rps, just outside the 2% slack of the 3000
+	// target: DS2 keeps growing the join operator and never converges
+	// (the paper's infinite-loop failure mode, bounded here by
+	// MaxIterations). The cap sits close to the target so the join grows
+	// slowly; with 256 slots it never reaches the ceiling, where the
+	// rule's fixed point would end the loop first.
+	g := chainGraph(t, 2900)
+	e := newEngine(t, g, 3000, 128)
+	first := e.Parallelism()[2]
+	res := plan(t, e, 3000)
+	if res.Report.Met {
+		t.Fatal("DS2 must not converge on an externally capped job")
 	}
-	for i, h := range res.History {
-		if p.TargetMet(h.ThroughputRPS) {
-			t.Fatalf("iteration %d met the target: DS2 must not converge on an externally capped job", i+1)
-		}
-	}
-	if res.Iterations != runMaxIterations {
-		t.Fatalf("iterations = %d, want the full budget %d", res.Iterations, runMaxIterations)
+	if res.Report.Iterations != MaxIterations || res.Report.Trials != MaxIterations {
+		t.Fatalf("iterations = %d, rescales = %d, want the full budget %d",
+			res.Report.Iterations, res.Report.Trials, MaxIterations)
 	}
 	// The capped operator's parallelism must have been inflated.
-	first := res.History[0].Par[2]
-	last := res.Final[2]
-	if last <= first {
+	if last := res.Par[2]; last <= first {
 		t.Fatalf("capped operator parallelism should inflate: %d -> %d", first, last)
 	}
 }
 
 func TestTargetMet(t *testing.T) {
-	p, _ := NewPolicy(10, 1000)
-	if !p.TargetMet(1000) || !p.TargetMet(985) {
+	if !targetMet(1000, 1000) || !targetMet(985, 1000) {
 		t.Fatal("throughput within epsilon should pass")
 	}
-	if p.TargetMet(900) {
+	if targetMet(900, 1000) {
 		t.Fatal("10% short should fail")
 	}
 }

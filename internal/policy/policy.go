@@ -26,7 +26,7 @@ var builders = map[string]func(Env) (core.Policy, error){
 		return core.NewBOPolicy(env)
 	},
 	"ds2": func(env Env) (core.Policy, error) {
-		return ds2.New(ds2.Config{MaxIterations: env.MaxIterations}), nil
+		return ds2.New(ds2.Config{}), nil
 	},
 	"ds2-online": func(env Env) (core.Policy, error) {
 		return ds2.New(ds2.Config{Online: true}), nil
@@ -40,7 +40,6 @@ func drsBuilder(v drs.Variant) func(Env) (core.Policy, error) {
 		return drs.New(drs.Config{
 			Variant:         v,
 			TargetLatencyMS: env.TargetLatencyMS,
-			MaxIterations:   env.MaxIterations,
 		})
 	}
 }

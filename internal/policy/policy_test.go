@@ -12,6 +12,8 @@ import (
 	"autrascale/internal/flink"
 	"autrascale/internal/kafka"
 	"autrascale/internal/metrics"
+	"autrascale/internal/policy/drs"
+	"autrascale/internal/policy/ds2"
 	"autrascale/internal/stat"
 	"autrascale/internal/workloads"
 )
@@ -153,7 +155,7 @@ func propEngine(t *testing.T, trial int) (*flink.Engine, float64) {
 func planOnce(t *testing.T, name string, trial int) (core.PlanResult, int) {
 	t.Helper()
 	e, rate := propEngine(t, trial)
-	pol, err := Build(name, Env{TargetLatencyMS: 150, Seed: uint64(trial), MaxIterations: 6})
+	pol, err := Build(name, Env{TargetLatencyMS: 150, Seed: uint64(trial)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +178,12 @@ func planOnce(t *testing.T, name string, trial int) (core.PlanResult, int) {
 // deterministic in (seed, window) — a replica engine replays the exact
 // same plan.
 func TestBaselinePoliciesPropertyRandomDAGs(t *testing.T) {
+	bounds := map[string]int{
+		"ds2": ds2.MaxIterations, "ds2-online": ds2.MaxIterations,
+		"drs-true": drs.MaxIterations, "drs-observed": drs.MaxIterations,
+	}
 	for _, name := range []string{"ds2", "ds2-online", "drs-true", "drs-observed"} {
-		name := name
+		name, bound := name, bounds[name]
 		t.Run(name, func(t *testing.T) {
 			for trial := 0; trial < 12; trial++ {
 				res, pmax := planOnce(t, name, trial)
@@ -192,8 +198,8 @@ func TestBaselinePoliciesPropertyRandomDAGs(t *testing.T) {
 				if res.Report.Action != core.ActionPolicy {
 					t.Fatalf("trial %d: action = %v, want %v", trial, res.Report.Action, core.ActionPolicy)
 				}
-				if res.Report.Iterations < 1 || res.Report.Iterations > 6 {
-					t.Fatalf("trial %d: %d iterations, budget is 6", trial, res.Report.Iterations)
+				if res.Report.Iterations < 1 || res.Report.Iterations > bound {
+					t.Fatalf("trial %d: %d iterations, budget is %d", trial, res.Report.Iterations, bound)
 				}
 				// Determinism: an identically-seeded replica engine must
 				// replay the identical decision, bit for bit.
@@ -213,7 +219,7 @@ func TestBaselinePoliciesPropertyRandomDAGs(t *testing.T) {
 func TestDS2FixedPointOnRandomDAGs(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		e, rate := propEngine(t, trial)
-		pol, err := Build("ds2", Env{Seed: uint64(trial), MaxIterations: 8})
+		pol, err := Build("ds2", Env{Seed: uint64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}

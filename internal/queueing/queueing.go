@@ -3,12 +3,14 @@
 // sojourn time of a station with c parallel exponential servers, and its
 // utilisation.
 //
-// DRS models each operator as an M/M/c station and predicts the total
-// expected sojourn time of a record through the network; its controller
-// greedily raises parallelism until the prediction meets the target. The
-// model's weakness — the reason AuTraScale beats it — is that service
-// rates are assumed constant, while in reality interference makes them
-// fall as more instances are packed in.
+// DRS models each operator as an M/M/c station in a Jackson network.
+// The raw expected sojourn (MMcSojourn) is sub-millisecond at streaming
+// rates, so DRS calibrates its prediction on the network's congestion
+// index built from Rho (policy/drs) and greedily raises parallelism until
+// the prediction meets the target. The model's weakness — the reason
+// AuTraScale beats it — is that service rates are assumed constant, while
+// in reality interference makes them fall as more instances are packed
+// in.
 package queueing
 
 import (

@@ -125,9 +125,9 @@ func TestMMcWaitMatchesErlangC(t *testing.T) {
 	}
 }
 
-// DRS's latency model — a record's expected sojourn through a tandem is
-// the sum of its stations' M/M/c sojourns (Jackson's theorem) — against
-// the simulation.
+// The Jackson-network latency model under DRS — a record's expected
+// sojourn through a tandem is the sum of its stations' M/M/c sojourns
+// (Jackson's theorem) — against the simulation.
 func TestTandemMatchesSumOfMMcSojourn(t *testing.T) {
 	stations := []simStation{
 		{servers: 1, meanServiceSec: 0.08},
