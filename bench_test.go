@@ -16,6 +16,7 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -779,8 +780,10 @@ func BenchmarkSnapshot10k(b *testing.B) {
 }
 
 // BenchmarkRestore10k measures the read side of that snapshot: Decode of
-// the encoded 10,000-job fleet (verify the checksum, decode the payload)
-// plus fleet.Restore (refit every library model, rebuild every job). It
+// the encoded 10,000-job fleet (read the header, verify the checksum,
+// decode the payload once) plus fleet.Restore (refit each model of the
+// table once, share it among the libraries that reference it, rebuild
+// every job). It
 // is the restore a crashed daemon pays, and snapshot-cycle-10k's
 // restore_s watches it end to end. Declared after BenchmarkSnapshot10k
 // for the same reason.
@@ -892,20 +895,25 @@ func TestAllocationContracts(t *testing.T) {
 }
 
 // TestRestoreLibraryAllocatesLinearly restores a shared library of
-// 10,000 one-point models and holds the bytes allocated to a linear
-// budget: refitting one such model allocates ~830 B, and storing the
-// library must add O(1) per model. A copy-on-write Put per model would
-// allocate 24 B × n²/2, ~1.2 GB here.
+// 10,000 references to a one-entry model table and holds the bytes
+// allocated to a linear budget far below one refit per reference (~830 B
+// for such a model): the table entry is fitted once and shared, and
+// storing the library adds O(1) per reference. A copy-on-write Put per
+// reference would allocate 24 B × n²/2, ~1.2 GB here.
 func TestRestoreLibraryAllocatesLinearly(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations are not the program's")
 	}
-	const n, perModel = 10000, 4 << 10
-	models := make([]persist.ModelState, n)
-	for i := range models {
-		models[i] = persist.ModelState{RateRPS: float64(1000 + i), Inputs: [][]float64{{float64(i % 7)}}, Targets: []float64{0.5}}
+	const n, perRef = 10000, 128
+	refs := make([]persist.ModelRef, n)
+	for i := range refs {
+		refs[i] = persist.ModelRef{RateRPS: float64(1000 + i)}
 	}
-	st := &persist.FleetState{TotalCores: 1, RoundSec: 60, Shared: []persist.SharedLibraryState{{Signature: "wordcount", Models: models}}}
+	st := &persist.FleetState{
+		TotalCores: 1, RoundSec: 60,
+		Shared: []persist.SharedLibraryState{{Signature: "wordcount", Models: refs}},
+		Models: []persist.ModelState{{Inputs: [][]float64{{3}}, Targets: []float64{0.5}}},
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fl, err := fleet.Restore(st, fleet.RestoreOptions{})
@@ -916,8 +924,79 @@ func TestRestoreLibraryAllocatesLinearly(t *testing.T) {
 	if got := len(fl.SharedModelRates()["wordcount"]); got != n {
 		t.Fatalf("restored %d models, want %d", got, n)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > n*perModel {
-		t.Errorf("restoring %d models allocated %d B, budget %d B (%d B per model)", n, got, n*perModel, perModel)
+	if got := after.TotalAlloc - before.TotalAlloc; got > n*perRef {
+		t.Errorf("restoring %d references allocated %d B, budget %d B (%d B per reference)", n, got, n*perRef, perRef)
+	}
+}
+
+// TestPublishAllocatesLinearly publishes n new models at one round
+// barrier into a shared library of m and holds the bytes that m adds to
+// the round to a linear budget: the barrier stores each signature's new
+// models with one PutAll, copying the library once, where a Put per model
+// would copy it n times (24 B × n·m, ~15 MB here). The n jobs are clones
+// of one steady WordCount job, each holding one model it has not
+// published yet, so the round is the same work whatever m is.
+func TestPublishAllocatesLinearly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the program's")
+	}
+	const n, m, perModel = 64, 10000, 64
+	donor, err := fleet.New(fleet.Config{TotalCores: 32, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := donor.Submit(fleet.StaggeredJobs(workloads.WordCount(), 1, 0)[0]); err != nil {
+		t.Fatal(err)
+	}
+	donor.RunUntil(1800)
+	tmpl := donor.PersistState()
+	if len(tmpl.Jobs[0].Library) == 0 || len(tmpl.Shared) != 1 {
+		t.Fatal("the template job published no model")
+	}
+	const newRate = 5e6 // above every rate the template or the library holds
+	roundBytes := func(shared int) uint64 {
+		st := *tmpl
+		st.TotalCores = n * 32
+		st.Shared = []persist.SharedLibraryState{tmpl.Shared[0]}
+		st.Shared[0].Models = slices.Clone(tmpl.Shared[0].Models)
+		for i := 0; i < shared; i++ {
+			st.Shared[0].Models = append(st.Shared[0].Models, persist.ModelRef{RateRPS: float64(1e6 + i)})
+		}
+		st.Jobs = make([]persist.JobState, n)
+		for i := range st.Jobs {
+			js := tmpl.Jobs[0]
+			js.Name = fmt.Sprintf("clone-%02d", i)
+			js.DueAtSec = st.NowSec // due at the next round
+			js.Library = append(slices.Clone(js.Library), persist.ModelRef{RateRPS: newRate + float64(i)})
+			st.Jobs[i] = js
+		}
+		fl, err := fleet.Restore(&st, fleet.RestoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Empty the sync.Pools and keep them empty: both rounds start cold.
+		runtime.GC()
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fl.Round()
+		runtime.ReadMemStats(&after)
+		published := 0
+		for _, rate := range fl.SharedModelRates()["wordcount"] {
+			if rate >= newRate {
+				published++
+			}
+		}
+		if published != n {
+			t.Fatalf("the round published %d of the clones' %d new models", published, n)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	base, full := roundBytes(0), roundBytes(m)
+	if full > base+m*perModel {
+		t.Errorf("publishing %d models into a library of %d allocated %d B more than into an empty one, budget %d B (%d B per stored model)",
+			n, m, full-base, m*perModel, perModel)
 	}
 }
 

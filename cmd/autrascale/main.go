@@ -405,8 +405,8 @@ func runRestored(w io.Writer, path string, workers int, untilSec float64, ckptPa
 	if chaosName == "" {
 		chaosName = "none"
 	}
-	fmt.Fprintf(w, "restored fleet from %s: %d jobs at t=%.0fs (chaos %q, seed %d)\n",
-		path, len(st.Jobs), st.NowSec, chaosName, st.Seed)
+	fmt.Fprintf(w, "restored fleet from %s: %d jobs, %d distinct models at t=%.0fs (chaos %q, seed %d)\n",
+		path, len(st.Jobs), len(st.Models), st.NowSec, chaosName, st.Seed)
 	// Models the capture-time Save skipped (opaque, undertrained) are
 	// gone for good — name their rates so the loss is visible, not silent.
 	for _, sh := range st.Shared {

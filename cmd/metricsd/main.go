@@ -128,6 +128,8 @@ func newServer(cfg serverConfig) (*server, workloads.Spec, error) {
 		if fl, err = fleet.Restore(st, fleet.RestoreOptions{Store: store, Tracer: tracer}); err != nil {
 			return nil, spec, fmt.Errorf("metricsd: %w", err)
 		}
+		log.Printf("metricsd: restored %d jobs and %d distinct models from %s at t=%.0fs",
+			len(st.Jobs), len(st.Models), cfg.Restore, st.NowSec)
 		// Models the capture-time Save skipped are gone for good — name
 		// their rates so the loss is visible, not silent.
 		for _, sh := range st.Shared {

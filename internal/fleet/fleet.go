@@ -296,8 +296,10 @@ type Fleet struct {
 	shards []workerShard
 	inst   *fleetInstruments
 	// shared maps workload signature → the fleet-level model library new
-	// submissions warm-start from.
-	shared map[string]*transfer.ModelLibrary
+	// submissions warm-start from; pending is publishModels' per-signature
+	// batch, reused across barriers.
+	shared  map[string]*transfer.ModelLibrary
+	pending map[string][]transfer.Entry
 	// health is the incremental aggregate (health.go) Snapshot and
 	// /debug/health answer from without walking jobs.
 	health healthAgg
@@ -350,11 +352,12 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	return &Fleet{
-		cfg:    cfg,
-		jobs:   map[string]*job{},
-		shards: make([]workerShard, cfg.Workers),
-		inst:   newFleetInstruments(cfg.Store),
-		shared: map[string]*transfer.ModelLibrary{},
+		cfg:     cfg,
+		jobs:    map[string]*job{},
+		shards:  make([]workerShard, cfg.Workers),
+		inst:    newFleetInstruments(cfg.Store),
+		shared:  map[string]*transfer.ModelLibrary{},
+		pending: map[string][]transfer.Entry{},
 	}, nil
 }
 
@@ -613,9 +616,7 @@ func (f *Fleet) Drain(name string) error {
 	if j.state == StateDrained {
 		return nil
 	}
-	if j.state == StateRunning {
-		f.publishModels(j)
-	}
+	f.publishModels([]*job{j})
 	f.usedCores -= j.spec.cores()
 	j.state = StateDrained
 	f.healthDrain(j)
@@ -775,10 +776,10 @@ func (f *Fleet) Round() {
 			continue
 		}
 		f.healthObserve(j)
-		f.publishModels(j)
 		f.wheel.push(wheelEntry{key: j.offsetSec + j.engine.Now(), seq: j.seq, job: j})
 		j.tracer.Flush()
 	}
+	f.publishModels(due)
 
 	if f.inst != nil {
 		f.inst.rounds.Inc()
@@ -812,30 +813,47 @@ func (f *Fleet) stepJob(j *job) int {
 	return n
 }
 
-// publishModels puts the job's newly fitted benefit models — the same
-// pointers, since stored models are immutable — into the fleet's shared
-// library for its signature. Called under the fleet lock, in submission
-// order. Iterating the library's immutable snapshot keeps the
-// steady-state no-op case (everything already published) free of
-// allocation.
-func (f *Fleet) publishModels(j *job) {
-	for _, e := range j.ctl.Library().Entries() {
-		rate := e.RateRPS
-		if j.published[rate] {
+// publishModels puts the running jobs' newly fitted benefit models — the
+// same pointers, since stored models are immutable — into the fleet's
+// shared library for each job's signature. Called under the fleet lock
+// with jobs in submission order: each signature's new entries are
+// collected in that order and stored with one PutAll, which leaves the
+// library exactly as the same Puts in sequence would (a later job wins at
+// a repeated rate) but copies it once per barrier instead of once per
+// model. Iterating the libraries' immutable snapshots and reusing the
+// batches keeps the steady-state no-op case (everything already
+// published) free of allocation.
+func (f *Fleet) publishModels(jobs []*job) {
+	for _, j := range jobs {
+		if j.state != StateRunning {
+			continue // a broken controller's models are not trusted
+		}
+		for _, e := range j.ctl.Library().Entries() {
+			if j.published[e.RateRPS] {
+				continue
+			}
+			j.published[e.RateRPS] = true
+			// PutAll refuses a whole batch over one entry Put would refuse.
+			if e.RateRPS <= 0 || e.Model == nil {
+				continue
+			}
+			f.pending[j.spec.Signature] = append(f.pending[j.spec.Signature], e)
+		}
+	}
+	for sig, batch := range f.pending {
+		if len(batch) == 0 {
 			continue
 		}
-		j.published[rate] = true
-		lib := f.shared[j.spec.Signature]
+		lib := f.shared[sig]
 		if lib == nil {
 			lib = transfer.NewModelLibrary()
-			f.shared[j.spec.Signature] = lib
+			f.shared[sig] = lib
 		}
-		if err := lib.Put(rate, e.Model); err != nil {
-			continue
+		if err := lib.PutAll(batch); err == nil && f.inst != nil {
+			f.inst.published.Add(float64(len(batch)))
 		}
-		if f.inst != nil {
-			f.inst.published.Inc()
-		}
+		clear(batch) // the buffer must not keep a removed job's models alive
+		f.pending[sig] = batch[:0]
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 
 	"autrascale/internal/chaos"
 	"autrascale/internal/dataflow"
+	"autrascale/internal/gp"
 	"autrascale/internal/metrics"
 	"autrascale/internal/persist"
 	"autrascale/internal/policy"
@@ -35,8 +36,11 @@ import (
 // copy is cheap enough to run between rounds (see persist.Checkpointer).
 // Model training data is not copied at all: the returned state shares it
 // with the live fleet's immutable models, so it must be treated as
-// read-only. Drained jobs are omitted: their models already live in the
-// shared libraries and their capacity is free.
+// read-only. Each distinct model gets one slot of the model table, in
+// the order the walk first meets it (jobs in submission order, then the
+// shared libraries by signature), so the table is a deterministic
+// function of the fleet. Drained jobs are omitted: their models already
+// live in the shared libraries and their capacity is free.
 func (f *Fleet) PersistState() *persist.FleetState {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -49,6 +53,14 @@ func (f *Fleet) PersistState() *persist.FleetState {
 		Seed:       f.cfg.Seed,
 		Chaos:      f.cfg.Chaos.Name,
 	}
+	// Sized for one private model per job plus every shared entry —
+	// about the distinct models once the barrier has published them — so
+	// the slot map rarely grows while the capture holds f.mu.
+	distinct := len(f.jobs)
+	for _, lib := range f.shared {
+		distinct += lib.Len()
+	}
+	tab := newModelTable(distinct)
 	// Sized up front: a JobState is ~700 B, and the capture holds f.mu.
 	// Grow keeps an empty fleet's lists nil, so they still encode as null.
 	st.Jobs = slices.Grow(st.Jobs, len(f.order))
@@ -57,29 +69,28 @@ func (f *Fleet) PersistState() *persist.FleetState {
 		if j.state == StateDrained {
 			continue
 		}
-		st.Jobs = append(st.Jobs, persistJob(j))
+		st.Jobs = append(st.Jobs, persistJob(j, tab))
 	}
 	st.Shared = slices.Grow(st.Shared, len(f.shared))
 	for _, sig := range sortedSignatures(f.shared) {
-		models, skipped := libraryState(f.shared[sig])
+		refs, skipped := tab.refs(f.shared[sig])
 		st.Shared = append(st.Shared, persist.SharedLibraryState{
 			Signature:    sig,
-			Models:       models,
+			Models:       refs,
 			SkippedRates: skipped,
 		})
 	}
+	st.Models = tab.models
 	return st
 }
 
-// persistJob captures one live job. Caller holds f.mu; the job is not
-// being stepped (captures run between rounds).
-func persistJob(j *job) persist.JobState {
+// persistJob captures one live job, adding its models to the table.
+// Caller holds f.mu; the job is not being stepped (captures run between
+// rounds).
+func persistJob(j *job, tab *modelTable) persist.JobState {
 	engineNow := j.engine.Now()
 	sched, _ := persist.DescribeSchedule(j.spec.Schedule, engineNow)
-	models, skipped := libraryState(j.ctl.Library())
-	par := j.engine.Parallelism()
-	parInts := make([]int, len(par))
-	copy(parInts, par)
+	refs, skipped := tab.refs(j.ctl.Library())
 
 	js := persist.JobState{
 		Name:            j.spec.Name,
@@ -97,11 +108,11 @@ func persistJob(j *job) persist.JobState {
 		EngineNowSec:    engineNow,
 		DueAtSec:        j.offsetSec + engineNow,
 		Seed:            j.seed,
-		Parallelism:     parInts,
+		Parallelism:     j.engine.Parallelism(), // already a copy
 		Restarts:        j.engine.Restarts(),
 		RNGState:        j.engine.RNGState(),
 		Controller:      j.ctl.PersistState(),
-		Library:         models,
+		Library:         refs,
 		LibrarySkipped:  skipped,
 		Steps:           j.steps,
 		WarmStarted:     j.warmStarted,
@@ -120,20 +131,54 @@ func persistJob(j *job) persist.JobState {
 	return js
 }
 
-// libraryState serializes a model library as training data. Models that
-// expose none are skipped; their rates are returned so the snapshot
-// records exactly which models a restore will be missing.
-func libraryState(lib *transfer.ModelLibrary) (models []persist.ModelState, skipped []float64) {
-	for _, e := range lib.Entries() {
+// modelTable builds a snapshot's model table. Stored models are
+// immutable and shared by pointer (a published or warm-started model is
+// the same *gp.Regressor in every library holding it), so the pointer is
+// the dedup key: each distinct model gets one slot.
+type modelTable struct {
+	slot   map[*gp.Regressor]int
+	models []persist.ModelState
+}
+
+// newModelTable returns an empty table sized for n distinct models.
+func newModelTable(n int) *modelTable {
+	return &modelTable{slot: make(map[*gp.Regressor]int, n)}
+}
+
+// refs serializes a model library as references into the table, adding
+// the models it has not seen yet. Models that expose no training data
+// are skipped; their rates are returned so the snapshot records exactly
+// which models a restore will be missing.
+func (t *modelTable) refs(lib *transfer.ModelLibrary) (refs []persist.ModelRef, skipped []float64) {
+	entries := lib.Entries()
+	for _, e := range entries {
 		td, ok := e.Model.(transfer.TrainingData)
 		if !ok {
 			skipped = append(skipped, e.RateRPS)
 			continue
 		}
-		xs, ys := td.TrainingData()
-		models = append(models, persist.ModelState{RateRPS: e.RateRPS, Inputs: xs, Targets: ys})
+		if refs == nil {
+			refs = make([]persist.ModelRef, 0, len(entries))
+		}
+		refs = append(refs, persist.ModelRef{RateRPS: e.RateRPS, Model: t.slotOf(td)})
 	}
-	return models, skipped
+	return refs, skipped
+}
+
+// slotOf returns the model's table slot, adding the model on first
+// sight. A model of another type than transfer.Fit's gets a slot of its
+// own.
+func (t *modelTable) slotOf(td transfer.TrainingData) int {
+	r, ok := td.(*gp.Regressor)
+	if ok {
+		if slot, seen := t.slot[r]; seen {
+			return slot
+		}
+		t.slot[r] = len(t.models)
+	}
+	xs, ys := td.TrainingData()
+	t.models = append(t.models, persist.ModelState{Inputs: xs, Targets: ys})
+	return len(t.models) - 1
 }
 
 // RestoreOptions carries the process-local plumbing a snapshot cannot:
@@ -154,10 +199,11 @@ type RestoreOptions struct {
 // the original timeline (backlog is dropped — the SeekToLatest semantics
 // every planning session already applies — and machines start healthy,
 // with chaos re-derived from the profile name and per-job seeds);
-// controllers resume their trigger and SLO positions; libraries are
-// refitted from training data; quarantined jobs come back quarantined,
-// holding capacity but never stepped. On any error no fleet is returned —
-// there is no partially restored state to clean up.
+// controllers resume their trigger and SLO positions; each model of the
+// table is refitted once and handed to every library that references it,
+// rebuilding the sharing the captured fleet had; quarantined jobs come
+// back quarantined, holding capacity but never stepped. On any error no
+// fleet is returned — there is no partially restored state to clean up.
 func Restore(st *persist.FleetState, opts RestoreOptions) (*Fleet, error) {
 	if st == nil {
 		return nil, errors.New("fleet: nil snapshot")
@@ -185,8 +231,16 @@ func Restore(st *persist.FleetState, opts RestoreOptions) (*Fleet, error) {
 	f.nowSec = st.NowSec
 	f.rounds = st.Rounds
 
+	// The fitted table is local: once every library holds its models, the
+	// restored fleet keeps neither it nor the decoded training data.
+	models := make([]*gp.Regressor, len(st.Models))
+	for i, m := range st.Models {
+		if models[i], err = transfer.Fit(m.Inputs, m.Targets); err != nil {
+			return nil, fmt.Errorf("fleet: restore: refit model %d: %w", i, err)
+		}
+	}
 	for _, sl := range st.Shared {
-		lib, err := restoreLibrary(sl.Models)
+		lib, err := restoreLibrary(sl.Models, models)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: restore shared library %q: %w", sl.Signature, err)
 		}
@@ -203,7 +257,7 @@ func Restore(st *persist.FleetState, opts RestoreOptions) (*Fleet, error) {
 		opts.Store.DropTagged("job", names...)
 	}
 	for i := range st.Jobs {
-		if err := f.restoreJob(&st.Jobs[i]); err != nil {
+		if err := f.restoreJob(&st.Jobs[i], models); err != nil {
 			return nil, err
 		}
 	}
@@ -213,9 +267,9 @@ func Restore(st *persist.FleetState, opts RestoreOptions) (*Fleet, error) {
 // restoreJob readmits one job into the next submission slot: the same
 // validate → admissible → build → register path as Submit, fed from the
 // snapshot instead of defaults and derivations, plus the position only a
-// snapshot knows. Caller owns f exclusively (restore runs before the
-// fleet is shared).
-func (f *Fleet) restoreJob(js *persist.JobState) error {
+// snapshot knows. models is the refitted model table. Caller owns f
+// exclusively (restore runs before the fleet is shared).
+func (f *Fleet) restoreJob(js *persist.JobState, models []*gp.Regressor) error {
 	fail := func(err error) error {
 		return fmt.Errorf("fleet: restore job %q: %w", js.Name, err)
 	}
@@ -233,7 +287,7 @@ func (f *Fleet) restoreJob(js *persist.JobState) error {
 	if err := f.admissible(&spec); err != nil {
 		return fail(err)
 	}
-	lib, err := restoreLibrary(js.Library)
+	lib, err := restoreLibrary(js.Library, models)
 	if err != nil {
 		return fail(err)
 	}
@@ -247,9 +301,9 @@ func (f *Fleet) restoreJob(js *persist.JobState) error {
 	// A model of any other shape would crash the job's first Algorithm 2.
 	// Fit succeeded, so every model has inputs, all of one dimension.
 	ops := j.engine.Graph().NumOperators()
-	for _, m := range js.Library {
-		if d := len(m.Inputs[0]); d != ops {
-			return fail(fmt.Errorf("model at %v rps has %d inputs, workload has %d operators", m.RateRPS, d, ops))
+	for _, e := range lib.Entries() {
+		if d := inputDim(e.Model); d != ops {
+			return fail(fmt.Errorf("model at %v rps has %d inputs, workload has %d operators", e.RateRPS, d, ops))
 		}
 	}
 	j.engine.RestoreRNGState(js.RNGState)
@@ -313,16 +367,15 @@ func restoreSpec(js *persist.JobState) (JobSpec, error) {
 	return spec, nil
 }
 
-// restoreLibrary refits a library from persisted training data, then
-// stores every model in one write.
-func restoreLibrary(models []persist.ModelState) (*transfer.ModelLibrary, error) {
-	entries := make([]transfer.Entry, len(models))
-	for i, m := range models {
-		model, err := transfer.Fit(m.Inputs, m.Targets)
-		if err != nil {
-			return nil, fmt.Errorf("refit model at %v rps: %w", m.RateRPS, err)
+// restoreLibrary rebuilds a library from its references into the
+// refitted model table, storing every model in one write.
+func restoreLibrary(refs []persist.ModelRef, models []*gp.Regressor) (*transfer.ModelLibrary, error) {
+	entries := make([]transfer.Entry, len(refs))
+	for i, r := range refs {
+		if r.Model < 0 || r.Model >= len(models) {
+			return nil, fmt.Errorf("model at %v rps references table entry %d, table has %d", r.RateRPS, r.Model, len(models))
 		}
-		entries[i] = transfer.Entry{RateRPS: m.RateRPS, Model: model}
+		entries[i] = transfer.Entry{RateRPS: r.RateRPS, Model: models[r.Model]}
 	}
 	lib := transfer.NewModelLibrary()
 	if err := lib.PutAll(entries); err != nil {

@@ -260,6 +260,63 @@ func TestCrashReplayDeterministic(t *testing.T) {
 	}
 }
 
+// A version 1 snapshot restores exactly as its version 2 re-encoding
+// does: audit.Diff-identical journals over the same rounds. The fixture
+// is soakedFleet, written by the last version 1 build. Its jobs hold
+// steady, so a late job with a rate step joins each restored fleet: it
+// warm-starts from the restored shared library and replans off it, which
+// puts the refitted models' predictions into the journal.
+func TestRestoreVersion1Fixture(t *testing.T) {
+	v1, err := persist.ReadFile("../persist/testdata/soaked_v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := persist.Encode(&buf, v1); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := persist.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := func(st *persist.FleetState) *audit.Journal {
+		t.Helper()
+		tracer := trace.New(0)
+		rec := trace.NewFlightRecorder(0)
+		tracer.AttachFlight(rec)
+		st.TotalCores += 32
+		fl, err := Restore(st, RestoreOptions{Tracer: tracer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		late := replayJob(t, "late", 330e3)
+		late.Schedule = kafka.StepSchedule{Steps: []kafka.Step{{FromSec: 0, Rate: 330e3}, {FromSec: 1800, Rate: 390e3}}}
+		if err := fl.Submit(late); err != nil {
+			t.Fatal(err)
+		}
+		fl.RunUntil(7200)
+		ds, err := fl.Decisions("late")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds) < 2 || ds[0].Action != core.ActionAlgorithm2 {
+			t.Fatalf("late job: %d decisions, first %+v; want a warm plan and a replan", len(ds), ds)
+		}
+		j, err := audit.FromRecords(rec.Snapshot(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	a, b := journal(v1), journal(v2)
+	if len(a.Records) == 0 || a.MissingRecords() != 0 {
+		t.Fatalf("version 1 journal: %d records, %d missing", len(a.Records), a.MissingRecords())
+	}
+	if res := audit.Diff(a, b); !res.Identical {
+		t.Fatalf("version 1 and its re-encoding replayed differently:\n%s", res.Render())
+	}
+}
+
 // A quarantined job restores as quarantined: capacity held, never
 // stepped, error preserved — even though its (custom) policy is not in
 // the registry.
@@ -516,11 +573,12 @@ func TestLibraryStateSkipsOpaqueModels(t *testing.T) {
 	if err := lib.Put(1000, model); err != nil {
 		t.Fatal(err)
 	}
-	models, skipped := libraryState(lib)
+	tab := newModelTable(0)
+	refs, skipped := tab.refs(lib)
 	if len(skipped) != 1 || skipped[0] != 500 {
 		t.Fatalf("skipped = %v, want the opaque model's rate [500]", skipped)
 	}
-	if len(models) != 1 || models[0].RateRPS != 1000 || len(models[0].Inputs) != 3 {
-		t.Fatalf("models = %+v, want the one persistable model at 1000 rps", models)
+	if len(refs) != 1 || refs[0].RateRPS != 1000 || len(tab.models) != 1 || len(tab.models[refs[0].Model].Inputs) != 3 {
+		t.Fatalf("refs = %+v, table %+v, want the one persistable model at 1000 rps", refs, tab.models)
 	}
 }

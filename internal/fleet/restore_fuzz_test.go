@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"autrascale/internal/chaos"
@@ -82,7 +84,7 @@ func mutateSnapshot(t testing.TB, raw []byte, edit func(*persist.FleetState)) []
 // Bytes → persist.Decode → Restore never panics: whatever decodes either
 // restores or is refused with an error and no fleet. The seed corpus —
 // one real snapshot and one well-checksummed mutant per way a snapshot
-// can lie about a job — runs under plain `go test`.
+// can lie about a job or its model table — runs under plain `go test`.
 func FuzzRestore(f *testing.F) {
 	_, real := snapshotThroughBytes(f, soakedFleet(f))
 	f.Add(real)
@@ -92,9 +94,12 @@ func FuzzRestore(f *testing.F) {
 		func(st *persist.FleetState) { st.Jobs[2].Workload = "no-such-workload" },
 		func(st *persist.FleetState) { st.Jobs[3].Name = st.Jobs[0].Name },
 		func(st *persist.FleetState) { st.TotalCores = 5*32 + 31 },
-		func(st *persist.FleetState) { dropLastInput(&st.Jobs[4].Library[0]) },
+		func(st *persist.FleetState) { dropLastInput(&st.Models[st.Jobs[4].Library[0].Model]) },
 	} {
 		f.Add(mutateSnapshot(f, real, edit))
+	}
+	for _, m := range tableMutants {
+		f.Add(mutateSnapshot(f, real, m.edit))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		st, err := persist.Decode(bytes.NewReader(raw))
@@ -106,4 +111,40 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("Restore returned fleet=%t, err=%v: want exactly one", fl != nil, err)
 		}
 	})
+}
+
+// tableMutants are the ways a well-checksummed snapshot of soakedFleet
+// (six table entries) can lie about its model table: a reference outside
+// the table at either end, and a job referencing an entry of another
+// dimension than its graph. want is part of the error Restore must give.
+var tableMutants = []struct {
+	want string
+	edit func(*persist.FleetState)
+}{
+	{"references table entry -1, table has 6", func(st *persist.FleetState) { st.Jobs[5].Library[0].Model = -1 }},
+	{`restore shared library "wordcount": model at 297500 rps references table entry 6, table has 6`,
+		func(st *persist.FleetState) { st.Shared[0].Models[0].Model = len(st.Models) }},
+	{`restore job "wordcount-03": model at 339500 rps has 3 inputs, workload has 4 operators`,
+		func(st *persist.FleetState) {
+			m := st.Models[st.Jobs[2].Library[0].Model]
+			m.Inputs = slices.Clone(m.Inputs)
+			dropLastInput(&m)
+			st.Jobs[2].Library[0].Model = len(st.Models)
+			st.Models = append(st.Models, m)
+		}},
+}
+
+// FuzzRestore's table mutants are refused by name, never restored.
+func TestRestoreRefusesBadModelReferences(t *testing.T) {
+	_, real := snapshotThroughBytes(t, soakedFleet(t))
+	for _, m := range tableMutants {
+		st, err := persist.Decode(bytes.NewReader(mutateSnapshot(t, real, m.edit)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl, err := Restore(st, RestoreOptions{})
+		if fl != nil || err == nil || !strings.Contains(err.Error(), m.want) {
+			t.Fatalf("restored=%t err=%v, want no fleet and an error containing %q", fl != nil, err, m.want)
+		}
+	}
 }

@@ -51,6 +51,58 @@ func TestModelsAreSharedByPointer(t *testing.T) {
 	}
 }
 
+// Restore rebuilds the sharing the captured fleet had: library entries
+// that held one model at capture hold one model after restore, entries
+// that held different models still do, and each table entry became
+// exactly one fitted model.
+func TestRestoredModelsAreSharedByPointer(t *testing.T) {
+	live := soakedFleet(t)
+	st, _ := snapshotThroughBytes(t, live)
+	before, after := libraryModels(live), libraryModels(restoreOK(t, st))
+	if len(before) != len(after) {
+		t.Fatalf("%d library entries restored as %d", len(before), len(after))
+	}
+	to := map[transfer.Predictor]transfer.Predictor{}
+	from := map[transfer.Predictor]transfer.Predictor{}
+	shared := 0
+	for i, m := range before {
+		if want, seen := to[m]; seen {
+			if after[i] != want {
+				t.Fatalf("entry %d shared a model at capture but holds its own after restore", i)
+			}
+			shared++
+			continue
+		}
+		if _, seen := from[after[i]]; seen {
+			t.Fatalf("entry %d held its own model at capture but shares one after restore", i)
+		}
+		to[m], from[after[i]] = after[i], m
+	}
+	if shared == 0 {
+		t.Fatal("the fixture shares no model: nothing to prove")
+	}
+	if len(from) != len(st.Models) {
+		t.Fatalf("restore built %d models from a table of %d", len(from), len(st.Models))
+	}
+}
+
+// libraryModels lists every library entry's model, jobs in submission
+// order, then the shared libraries by signature.
+func libraryModels(f *Fleet) []transfer.Predictor {
+	var out []transfer.Predictor
+	for _, name := range f.order {
+		for _, e := range f.jobs[name].ctl.Library().Entries() {
+			out = append(out, e.Model)
+		}
+	}
+	for _, sig := range sortedSignatures(f.shared) {
+		for _, e := range f.shared[sig].Entries() {
+			out = append(out, e.Model)
+		}
+	}
+	return out
+}
+
 // Signature is free text, so a job can name another workload's library.
 // A donor of another input dimension must not be transferred: a 3-operator
 // Nexmark job fed WordCount's 4-input model used to panic its round worker
@@ -124,10 +176,10 @@ func TestRestoreRefusesWrongDimensionModel(t *testing.T) {
 	if len(st.Jobs[0].Library) == 0 {
 		t.Fatal("fixture job has no model to mangle")
 	}
-	m := &st.Jobs[0].Library[0]
-	dropLastInput(m)
+	ref := st.Jobs[0].Library[0]
+	dropLastInput(&st.Models[ref.Model])
 	fl, err := Restore(st, RestoreOptions{})
-	want := fmt.Sprintf(`fleet: restore job "solo": model at %v rps has 3 inputs, workload has 4 operators`, m.RateRPS)
+	want := fmt.Sprintf(`fleet: restore job "solo": model at %v rps has 3 inputs, workload has 4 operators`, ref.RateRPS)
 	if fl != nil || err == nil || err.Error() != want {
 		t.Fatalf("restored=%t err=%v, want no fleet and %q", fl != nil, err, want)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -15,7 +17,9 @@ import (
 //
 // Each input is tried as a whole snapshot and as a payload sealed in a
 // valid envelope, so mutations reach the payload decoder instead of
-// stopping at the checksum.
+// stopping at the checksum. The seeds are a snapshot, the version 1
+// fixture, an envelope whose header has no payload, a snapshot with
+// trailing garbage, and a bare payload.
 func FuzzDecode(f *testing.F) {
 	var snap bytes.Buffer
 	if err := Encode(&snap, sampleState()); err != nil {
@@ -25,7 +29,13 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	v1, err := os.ReadFile(filepath.Join("testdata", "soaked_v1.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(snap.Bytes())
+	f.Add(v1)
+	f.Add(fmt.Appendf(nil, `{"version":%d,"sha256":%q}`, formatVersion, sha256Hex(payload)))
 	f.Add(append(bytes.Clone(snap.Bytes()), `{"version":1}`...))
 	f.Add(payload)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -11,16 +11,27 @@
 //
 // # Format
 //
-// A snapshot file is a one-line JSON envelope:
+// A snapshot file is a one-line JSON envelope, its header fields first:
 //
-//	{"version":1,"sha256":"<hex>","payload":{…FleetState…}}
+//	{"version":2,"sha256":"<hex>","payload":{…FleetState…}}
 //
 // The checksum covers the payload's compact form — the bytes Encode
 // writes — so a re-indented copy still verifies, while truncation, bit
 // rot, and hand editing all surface as a clean ErrChecksum — never a
-// half-restored fleet. The version is bumped on any incompatible
-// payload change; readers reject versions they do not understand
-// (ErrVersion) instead of guessing.
+// half-restored fleet. Decode reads the version and checksum as tokens,
+// verifies the payload's bytes, and only then parses them, once.
+//
+// The payload stores each benefit model once: FleetState.Models is a
+// table of training data, and every library entry is a (rate, index)
+// reference into it, so a model shared by many libraries is written and
+// refitted once.
+//
+// The version is bumped on any incompatible payload change; readers
+// reject versions they do not understand (ErrVersion) instead of
+// guessing. Version 1 — training data inline in every library entry, no
+// table — is still read, through one translation function (v1.go).
+// Encode writes only version 2, which builds that predate it refuse with
+// ErrVersion: they parse the whole envelope, then check its version.
 //
 // # Restore semantics
 //
@@ -47,9 +58,9 @@ import (
 	"path/filepath"
 )
 
-// formatVersion is the snapshot format version this build reads and
-// writes.
-const formatVersion = 1
+// formatVersion is the snapshot format version this build writes. It
+// also reads version 1 (v1.go).
+const formatVersion = 2
 
 // Sentinel errors of the snapshot reader.
 var (
@@ -61,28 +72,22 @@ var (
 	ErrVersion = errors.New("persist: unsupported snapshot version")
 )
 
-// envelope is the on-disk frame around the payload.
-type envelope struct {
-	Version int             `json:"version"`
-	SHA256  string          `json:"sha256"`
-	Payload json.RawMessage `json:"payload"`
-}
-
 // sha256Hex is the envelope's rendering of a digest.
 func sha256Hex(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// checksum hashes a payload's *compact* JSON form, so the stored hash is
-// stable under re-indentation while still catching any value-level
-// corruption.
-func checksum(payload []byte) (string, error) {
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, payload); err != nil {
-		return "", fmt.Errorf("persist: compact payload: %w", err)
+// verified reports whether a payload matches the envelope's checksum.
+// Encode writes the payload compact, so its bytes hash as they are; only
+// a re-indented copy pays for compacting first. Bytes that are not one
+// JSON value do not match.
+func verified(payload []byte, sum string) bool {
+	if sha256Hex(payload) == sum {
+		return true
 	}
-	return sha256Hex(compact.Bytes()), nil
+	var compact bytes.Buffer
+	return json.Compact(&compact, payload) == nil && sha256Hex(compact.Bytes()) == sum
 }
 
 // Encode writes the state to w as a versioned, checksummed snapshot, in
@@ -103,10 +108,11 @@ func Encode(w io.Writer, st *FleetState) error {
 	return nil
 }
 
-// Decode reads and verifies a snapshot: envelope syntax, format
-// version, then the payload checksum. A truncated file fails the JSON
-// decode; a corrupted one fails the checksum — either way the caller
-// gets an error and no partial state.
+// Decode reads and verifies a snapshot: the envelope's leading fields,
+// the format version, then the payload checksum, and only then does it
+// parse the payload, once. A truncated or corrupted file fails one of
+// those steps — either way the caller gets an error and no partial
+// state.
 func Decode(r io.Reader) (*FleetState, error) {
 	// io.Copy, not io.ReadAll: a bytes.Reader is copied in one exactly
 	// sized write, and any other reader grows the buffer by doubling.
@@ -114,27 +120,53 @@ func Decode(r io.Reader) (*FleetState, error) {
 	if _, err := io.Copy(&data, r); err != nil {
 		return nil, fmt.Errorf("persist: read snapshot: %w", err)
 	}
-	var env envelope
-	if err := json.Unmarshal(data.Bytes(), &env); err != nil {
-		return nil, fmt.Errorf("persist: decode snapshot envelope: %w", err)
-	}
-	if env.Version != formatVersion {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, env.Version, formatVersion)
-	}
-	// Encode writes the payload compact, so its bytes hash as they are;
-	// only a re-indented copy (or a file from an indenting writer) pays
-	// for compacting first.
-	if sha256Hex(env.Payload) != env.SHA256 {
-		sum, err := checksum(env.Payload)
-		if err != nil {
-			return nil, err
+	// The header fields are read as tokens, which leaves the payload
+	// unscanned: it is hashed before any JSON parser reads it.
+	dec := json.NewDecoder(bytes.NewReader(data.Bytes()))
+	field := func(name string, v any) error {
+		if tok, err := dec.Token(); err != nil || tok != name {
+			return fmt.Errorf("persist: decode snapshot envelope: want %q next", name)
 		}
-		if sum != env.SHA256 {
-			return nil, ErrChecksum
+		if v == nil {
+			return nil
 		}
+		if err := dec.Decode(v); err != nil {
+			return fmt.Errorf("persist: decode snapshot envelope: %s: %w", name, err)
+		}
+		return nil
+	}
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return nil, errors.New("persist: decode snapshot envelope: not a JSON object")
+	}
+	var version int
+	if err := field("version", &version); err != nil {
+		return nil, err
+	}
+	if version != formatVersion && version != 1 {
+		return nil, fmt.Errorf("%w: got %d, want %d or 1", ErrVersion, version, formatVersion)
+	}
+	var sum string
+	if err := field("sha256", &sum); err != nil {
+		return nil, err
+	}
+	if err := field("payload", nil); err != nil {
+		return nil, err
+	}
+	// The payload is what lies between the key's colon and the
+	// envelope's closing brace; the checksum vouches that nothing else
+	// does.
+	rest := bytes.TrimSpace(data.Bytes()[dec.InputOffset():])
+	rest, colon := bytes.CutPrefix(rest, []byte(":"))
+	rest, brace := bytes.CutSuffix(rest, []byte("}"))
+	payload := bytes.TrimSpace(rest)
+	if !colon || !brace || !verified(payload, sum) {
+		return nil, ErrChecksum
+	}
+	if version == 1 {
+		return decodeV1(payload)
 	}
 	var st FleetState
-	if err := json.Unmarshal(env.Payload, &st); err != nil {
+	if err := json.Unmarshal(payload, &st); err != nil {
 		return nil, fmt.Errorf("persist: decode snapshot payload: %w", err)
 	}
 	return &st, nil

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -42,23 +43,19 @@ func sampleState() *FleetState {
 			Parallelism:     []int{2, 3, 1},
 			Restarts:        4,
 			RNGState:        0xdeadbeef,
-			Library: []ModelState{{
-				RateRPS: 150e3,
-				Inputs:  [][]float64{{1}, {2}, {3}},
-				Targets: []float64{0.9, 0.5, 0.3},
-			}},
-			Steps:          29,
-			PublishedRates: []float64{150e3},
+			Library:         []ModelRef{{RateRPS: 150e3, Model: 0}},
+			Steps:           29,
+			PublishedRates:  []float64{150e3},
 		}},
 		Shared: []SharedLibraryState{{
-			Signature: "wordcount",
-			Models: []ModelState{{
-				RateRPS: 150e3,
-				Inputs:  [][]float64{{1}, {2}},
-				Targets: []float64{0.8, 0.4},
-			}},
+			Signature:    "wordcount",
+			Models:       []ModelRef{{RateRPS: 140e3, Model: 1}, {RateRPS: 150e3, Model: 0}},
 			SkippedRates: []float64{99e3},
 		}},
+		Models: []ModelState{
+			{Inputs: [][]float64{{1}, {2}, {3}}, Targets: []float64{0.9, 0.5, 0.3}},
+			{Inputs: [][]float64{{1}, {2}}, Targets: []float64{0.8, 0.4}},
+		},
 	}
 }
 
@@ -130,6 +127,79 @@ func TestDecodeIndentedSnapshot(t *testing.T) {
 	}
 	if _, err := Decode(bytes.NewReader(corrupted)); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupted indented payload: err = %v, want ErrChecksum", err)
+	}
+}
+
+// The version 1 fixture is a 6-job fleet (6 staggered WordCount jobs,
+// light chaos, seed 7, run 3000 s) written by the last version 1 build.
+// It decodes through the translation with one table entry per library
+// entry, in capture order, and no entry lost.
+func TestDecodeVersion1(t *testing.T) {
+	st, err := ReadFile(filepath.Join("testdata", "soaked_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Jobs) != 6 || len(st.Shared) != 1 || st.NowSec != 3000 || st.Chaos != "light" {
+		t.Fatalf("fixture decoded to %d jobs, %d shared libraries, t=%v, chaos %q", len(st.Jobs), len(st.Shared), st.NowSec, st.Chaos)
+	}
+	next := 0
+	for _, refs := range [][]ModelRef{st.Jobs[0].Library, st.Jobs[1].Library, st.Jobs[2].Library,
+		st.Jobs[3].Library, st.Jobs[4].Library, st.Jobs[5].Library, st.Shared[0].Models} {
+		if len(refs) == 0 {
+			t.Fatal("a fixture library decoded empty")
+		}
+		for _, r := range refs {
+			if r.Model != next {
+				t.Fatalf("reference at %v rps points at entry %d, want its own entry %d", r.RateRPS, r.Model, next)
+			}
+			next++
+		}
+	}
+	if len(st.Models) != next {
+		t.Fatalf("table has %d entries for %d references", len(st.Models), next)
+	}
+	// Jobs and shared library hold the same six rates, each model inline.
+	for i, js := range st.Jobs {
+		shared := st.Models[st.Shared[0].Models[i].Model]
+		if !reflect.DeepEqual(st.Models[js.Library[0].Model], shared) {
+			t.Fatalf("job %s's model differs from the shared copy at its rate", js.Name)
+		}
+	}
+
+	// A version 1 envelope with anything after it is refused, as the
+	// version 1 reader refused it.
+	raw, err := os.ReadFile(filepath.Join("testdata", "soaked_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(bytes.NewReader(append(raw, "{}"...))); err == nil {
+		t.Fatal("trailing data after a version 1 envelope decoded")
+	}
+	corrupted := bytes.Replace(raw, []byte(`"now_sec":3000`), []byte(`"now_sec":3001`), 1)
+	if _, err := Decode(bytes.NewReader(corrupted)); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("corrupted version 1 payload: err = %v, want ErrChecksum", err)
+	}
+}
+
+// A version 2 snapshot is still one JSON envelope with a version field,
+// so a build that reads only version 1 — it unmarshals the whole
+// envelope, then checks the version — refuses it with ErrVersion rather
+// than a syntax error.
+func TestVersion1ReadersSeeVersion2(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, sampleState()); err != nil {
+		t.Fatal(err)
+	}
+	var env struct {
+		Version int             `json:"version"`
+		SHA256  string          `json:"sha256"`
+		Payload json.RawMessage `json:"payload"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &env); err != nil {
+		t.Fatalf("a version 1 reader cannot parse the envelope: %v", err)
+	}
+	if env.Version != 2 || env.SHA256 != sha256Hex(env.Payload) {
+		t.Fatalf("a version 1 reader sees version %d, checksum ok %t", env.Version, env.SHA256 == sha256Hex(env.Payload))
 	}
 }
 

@@ -11,10 +11,11 @@ import "autrascale/internal/core"
 // (schedule.go).
 
 // FleetState is the root document: the fleet's clock, capacity,
-// configuration, shared model libraries, and every live job in
-// submission order. Drained jobs are deliberately absent — draining
-// published their models and freed their capacity, so the snapshot
-// carries their legacy (in the shared libraries), not their corpses.
+// configuration, shared model libraries, every live job in submission
+// order, and the model table the libraries reference. Drained jobs are
+// deliberately absent — draining published their models and freed their
+// capacity, so the snapshot carries their legacy (in the shared
+// libraries), not their corpses.
 type FleetState struct {
 	// NowSec/Rounds are the shared clock's position.
 	NowSec float64 `json:"now_sec"`
@@ -32,12 +33,15 @@ type FleetState struct {
 	// Shared holds the fleet-level warm-start libraries, keyed by
 	// workload signature, sorted by signature.
 	Shared []SharedLibraryState `json:"shared_libraries"`
+	// Models is the model table: each distinct model once, however many
+	// libraries hold it. Libraries reference it by index (ModelRef).
+	Models []ModelState `json:"models"`
 }
 
 // SharedLibraryState is one signature's warm-start library.
 type SharedLibraryState struct {
-	Signature string       `json:"signature"`
-	Models    []ModelState `json:"models"`
+	Signature string     `json:"signature"`
+	Models    []ModelRef `json:"models"`
 	// SkippedRates lists models that could not be persisted because
 	// they expose no training data (transfer.ModelLibrary.Save's skip
 	// semantics) — recorded so the restore log names exactly what was
@@ -45,13 +49,21 @@ type SharedLibraryState struct {
 	SkippedRates []float64 `json:"skipped_rates,omitempty"`
 }
 
-// ModelState is one benefit model, persisted as its training data and
-// refitted on restore — the same tiny, GP-internals-free format
-// transfer/persist.go established.
+// ModelState is one entry of the model table: a benefit model persisted
+// as its training data only, and refitted once on restore however many
+// libraries reference it — the same tiny, GP-internals-free format
+// transfer/persist.go established. The rate it is stored at belongs to
+// each reference, not to the model.
 type ModelState struct {
-	RateRPS float64     `json:"rate_rps"`
 	Inputs  [][]float64 `json:"inputs"`
 	Targets []float64   `json:"targets"`
+}
+
+// ModelRef is one library entry: the rate a model is stored at, and the
+// model as an index into FleetState.Models.
+type ModelRef struct {
+	RateRPS float64 `json:"rate_rps"`
+	Model   int     `json:"model"`
 }
 
 // JobState is one job's serializable position: its declarative spec
@@ -96,10 +108,11 @@ type JobState struct {
 	// throughput base, policy name.
 	Controller core.ControllerState `json:"controller"`
 
-	// Library is the job's private benefit-model library as training
-	// data; LibrarySkipped lists rates whose models were opaque.
-	Library        []ModelState `json:"library,omitempty"`
-	LibrarySkipped []float64    `json:"library_skipped,omitempty"`
+	// Library is the job's private benefit-model library as references
+	// into the model table; LibrarySkipped lists rates whose models were
+	// opaque.
+	Library        []ModelRef `json:"library,omitempty"`
+	LibrarySkipped []float64  `json:"library_skipped,omitempty"`
 
 	// Fleet bookkeeping.
 	Steps          int       `json:"steps"`
