@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"path"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -50,6 +51,17 @@ var architectureRules = []struct {
 		what:    "imports internal/policy/ds2 or internal/policy/drs",
 		allowed: in("internal/policy"),
 		find:    imports("autrascale/internal/policy/ds2", "autrascale/internal/policy/drs"),
+	},
+	{
+		// A planner measures a window only through core.MeasureTrial, so
+		// every trial is paid and judged in one place; the controller's
+		// monitor window is not a trial.
+		what: "measures a window (MeasureSteady, RunAndMeasure)",
+		allowed: func(file string) bool {
+			return in("internal/core/trial.go", "internal/core/controller.go")(file) ||
+				notIn("internal/core", "internal/policy", "internal/policy/ds2", "internal/policy/drs")(file)
+		},
+		find: methodCalls("MeasureSteady", "RunAndMeasure"),
 	},
 	{
 		// ROADMAP renumbers its items at every re-anchor, so a number
@@ -118,6 +130,23 @@ func calls(pkg string, names ...string) func(*ast.File) []ast.Node {
 							found = append(found, sel)
 						}
 					}
+				}
+			}
+			return true
+		})
+		return found
+	}
+}
+
+// methodCalls finds the calls of a method or function with one of the
+// given names on any receiver or package.
+func methodCalls(names ...string) func(*ast.File) []ast.Node {
+	return func(f *ast.File) []ast.Node {
+		var found []ast.Node
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && slices.Contains(names, sel.Sel.Name) {
+					found = append(found, call)
 				}
 			}
 			return true

@@ -242,12 +242,10 @@ func searchProblem(e *flink.Engine, base dataflow.ParallelismVector, targetLaten
 // runTrial runs configuration p for one policy-running window and scores
 // it — the one way Algorithms 1 and 2 evaluate a configuration for real.
 func runTrial(e *flink.Engine, scorer bo.Scorer, p dataflow.ParallelismVector) (Trial, error) {
-	if err := e.SetParallelism(p); err != nil {
+	m, err := MeasureTrial(e, p)
+	if err != nil {
 		return Trial{}, err
 	}
-	// Each trial is judged at steady state for the current input rate,
-	// not while draining backlog inherited from earlier trials.
-	m := e.MeasureSteady(TrialWarmupSec, TrialMeasureSec)
 	return Trial{
 		Par:           p.Clone(),
 		Score:         scorer.Score(m.ProcLatencyMS, p),

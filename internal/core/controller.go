@@ -45,14 +45,6 @@ const (
 	// policyIntervalSec is how often the controller wakes up (simulated
 	// seconds).
 	policyIntervalSec = 60
-	// TrialWarmupSec and TrialMeasureSec are the policy-running window
-	// every planner — Eq. 3, Algorithm 1/2, the DS2 and DRS adapters —
-	// pays per trial configuration: "the job needs a certain amount of
-	// time to restart and the QoS is extremely unstable at this time"
-	// (the paper recommends a measurement window that is an integer
-	// multiple of the policy interval).
-	TrialWarmupSec  = policyIntervalSec / 2
-	TrialMeasureSec = 2 * policyIntervalSec
 	// scoreAlpha is α of the scoring function (Eq. 4): latency and
 	// resources weigh equally, which with w = 0.25 gives the paper's
 	// benefit threshold 0.9.
@@ -421,30 +413,19 @@ func (c *Controller) Step() (Event, error) {
 		sp.SetBool("qos_ok", c.qosOK(m))
 	}
 
-	switch {
-	case rateChanged:
-		switch err := c.plan(TriggerRateChange, rate, m, &ev, sp); {
-		case err == nil:
-			c.rateEWMA.Reset()
-			c.rateEWMA.Observe(rate)
-			c.curRate = rate
-			// A planning session runs many trial configurations and leaves a
-			// large source backlog behind. Let the final restart complete,
-			// then resume from the latest offsets — production controllers
-			// do the same after maintenance; draining minutes of
-			// experiment-era backlog would otherwise dominate QoS forever.
-			e.Run(30)
-			e.SeekToLatest()
-		case errors.Is(err, flink.ErrRescaleFailed):
-			c.degrade(&ev, rate, err)
-		default:
-			return ev, err
+	if rateChanged || !c.qosOK(m) {
+		trigger := TriggerQoS
+		if rateChanged {
+			trigger = TriggerRateChange
 		}
-	case !c.qosOK(m):
-		switch err := c.plan(TriggerQoS, rate, m, &ev, sp); {
+		switch err := c.plan(trigger, rate, m, &ev, sp); {
 		case err == nil:
-			e.Run(30)
-			e.SeekToLatest()
+			if rateChanged {
+				c.rateEWMA.Reset()
+				c.rateEWMA.Observe(rate)
+				c.curRate = rate
+			}
+			c.settle()
 		case errors.Is(err, flink.ErrRescaleFailed):
 			c.degrade(&ev, rate, err)
 		default:
@@ -514,10 +495,17 @@ func (c *Controller) degrade(ev *Event, rate float64, cause error) {
 		Degraded: true,
 		Chosen:   ev.Par.Clone(),
 	})
-	// Drop the backlog the aborted session accumulated, as a completed
-	// session would, so the job resumes from live data.
-	e.Run(30)
-	e.SeekToLatest()
+	c.settle()
+}
+
+// settle ends every planning session, completed or aborted. A session
+// runs many trials and leaves a large source backlog behind: let the
+// final restart complete, then resume from the latest offsets, as
+// production controllers do after maintenance — draining minutes of
+// experiment-era backlog would otherwise dominate QoS forever.
+func (c *Controller) settle() {
+	c.engine.Run(30)
+	c.engine.SeekToLatest()
 }
 
 // qosOK checks latency and throughput against targets.

@@ -57,10 +57,11 @@ type PlanResult struct {
 // policy through the identical engine, chaos profile, trace/flight
 // surface, SLO tracker, and degradation path:
 //
-//   - Plan runs a full planning session against the engine — policies
-//     reconfigure via flink.Engine.SetParallelism and measure via
-//     RunAndMeasure/MeasureSteady, exactly like the paper's Algorithm 1/2
-//     does. Simulated time spent planning is the policy's cost.
+//   - Plan runs a full planning session against the engine: every trial
+//     goes through MeasureTrial (an arch_test.go row keeps planner code
+//     from measuring anywhere else) and a decision is applied with
+//     flink.Engine.SetParallelism. Simulated time spent planning is the
+//     policy's cost.
 //   - A Plan that dies on flink.ErrRescaleFailed (chaos, retries
 //     exhausted) triggers the controller's degradation path: the
 //     last-known-good configuration is kept and the controller re-plans

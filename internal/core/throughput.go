@@ -28,7 +28,7 @@ type ThroughputOptions struct {
 	// in practice, Fig. 5a).
 	MaxIterations int
 	// WarmupSec/MeasureSec define the policy-running window per
-	// iteration (defaults TrialWarmupSec/TrialMeasureSec: 30/120
+	// iteration (defaults trialWarmupSec/trialMeasureSec: 30/120
 	// simulated seconds).
 	WarmupSec, MeasureSec float64
 	// Tracer records one span per Eq. 3 iteration plus the history
@@ -44,10 +44,10 @@ func (o *ThroughputOptions) defaults() error {
 		o.MaxIterations = 8
 	}
 	if o.WarmupSec <= 0 {
-		o.WarmupSec = TrialWarmupSec
+		o.WarmupSec = trialWarmupSec
 	}
 	if o.MeasureSec <= 0 {
-		o.MeasureSec = TrialMeasureSec
+		o.MeasureSec = trialMeasureSec
 	}
 	return nil
 }
@@ -93,7 +93,10 @@ func OptimizeThroughput(e *flink.Engine, opts ThroughputOptions) (ThroughputResu
 	if opts.Tracer.Enabled() {
 		sp.SetFloat("target_rate", opts.TargetRate)
 	}
-	m := e.MeasureSteady(opts.WarmupSec, opts.MeasureSec)
+	m, err := measureWindow(e, nil, opts.WarmupSec, opts.MeasureSec)
+	if err != nil {
+		return res, err
+	}
 	for iter := 0; iter < opts.MaxIterations; iter++ {
 		res.Iterations = iter + 1
 		res.History = append(res.History, ThroughputIter{
@@ -131,10 +134,9 @@ func OptimizeThroughput(e *flink.Engine, opts ThroughputOptions) (ThroughputResu
 			res.ReachedTarget = thrMet
 			break
 		}
-		if err := e.SetParallelism(next); err != nil {
+		if m, err = measureWindow(e, next, opts.WarmupSec, opts.MeasureSec); err != nil {
 			return res, err
 		}
-		m = e.MeasureSteady(opts.WarmupSec, opts.MeasureSec)
 	}
 	res.Base, res.BestThroughputRPS = reviewHistory(res.History)
 	if opts.Tracer.Enabled() {

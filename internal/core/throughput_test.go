@@ -115,6 +115,24 @@ func TestOptimizeThroughputTerminatesOnRepeatWithExternalCap(t *testing.T) {
 	}
 }
 
+// At its bound Eq. 3 rescales to its last recommendation and measures
+// one more window that it never records or judges: a session's windows
+// are its Iterations plus that one.
+func TestOptimizeThroughputMeasuresOneUnrecordedWindowAtItsBound(t *testing.T) {
+	e := engineFor(t, chain(t, [3]float64{1000, 500, 800}, 0), 2000)
+	start := e.Now()
+	res, err := OptimizeThroughput(e, ThroughputOptions{TargetRate: 2000, MaxIterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReachedTarget || res.TerminatedByRepeat {
+		t.Fatalf("one iteration from all-ones should end on the bound: %+v", res)
+	}
+	if windows := (e.Now() - start) / (trialWarmupSec + trialMeasureSec); windows != float64(res.Iterations+1) {
+		t.Fatalf("%v windows measured, want Iterations+1 = %d", windows, res.Iterations+1)
+	}
+}
+
 func TestReviewHistory(t *testing.T) {
 	hist := []ThroughputIter{
 		{Par: dataflow.ParallelismVector{1, 1}, ThroughputRPS: 100},

@@ -175,7 +175,10 @@ func (r *AblationResult) runMetricAblation(seed uint64) error {
 	if err != nil {
 		return err
 	}
-	m := e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec)
+	m, err := core.MeasureTrial(e, nil)
+	if err != nil {
+		return err
+	}
 	optimal := dataflow.ParallelismVector{3, 4, 12, 10}
 
 	size := func(rates []float64) dataflow.ParallelismVector {

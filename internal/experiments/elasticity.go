@@ -178,12 +178,11 @@ func planBaseline(e *flink.Engine, name string, trigger core.PlanTrigger, rate, 
 	if err != nil {
 		return core.PlanResult{}, err
 	}
-	return pol.Plan(e, core.PlanRequest{
-		Trigger: trigger,
-		RateRPS: rate,
-		Window:  e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec),
-		TimeSec: e.Now(),
-	})
+	m, err := core.MeasureTrial(e, nil)
+	if err != nil {
+		return core.PlanResult{}, err
+	}
+	return pol.Plan(e, core.PlanRequest{Trigger: trigger, RateRPS: rate, Window: m, TimeSec: e.Now()})
 }
 
 // Method returns the named method's result for a job (nil if missing).

@@ -107,7 +107,10 @@ func RunFig8(opts Fig8Options) (*Fig8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		mA := measureFinal(eNew, a2.Best.Par)
+		mA, err := measureFinal(eNew, a2.Best.Par)
+		if err != nil {
+			return nil, err
+		}
 		q.Methods = append(q.Methods, Fig8Method{
 			Method:           "AuTraScale",
 			Final:            a2.Best.Par.Clone(),
@@ -130,7 +133,10 @@ func RunFig8(opts Fig8Options) (*Fig8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		mD := measureFinal(eDS2, plan.Par)
+		mD, err := measureFinal(eDS2, plan.Par)
+		if err != nil {
+			return nil, err
+		}
 		q.Methods = append(q.Methods, Fig8Method{
 			Method:           "DS2",
 			Final:            plan.Par,
@@ -154,8 +160,10 @@ type finalMeasure struct {
 
 // measureFinal pins the engine at par and samples a long steady window
 // for the latency distribution of Fig. 8(b).
-func measureFinal(e *flink.Engine, par dataflow.ParallelismVector) finalMeasure {
-	_ = e.SetParallelism(par)
+func measureFinal(e *flink.Engine, par dataflow.ParallelismVector) (finalMeasure, error) {
+	if err := e.SetParallelism(par); err != nil {
+		return finalMeasure{}, fmt.Errorf("experiments: fig8 final window at %v: %w", par, err)
+	}
 	// Longer than a trial window: the tail percentiles need samples.
 	m := e.MeasureSteady(60, 600)
 	out := finalMeasure{cpu: m.CPUUsedCores, mem: m.MemUsedMB, mean: m.ProcLatencyMS}
@@ -164,7 +172,7 @@ func measureFinal(e *flink.Engine, par dataflow.ParallelismVector) finalMeasure 
 		out.p90 = stat.Percentile(m.LatencySamples, 90)
 		out.p99 = stat.Percentile(m.LatencySamples, 99)
 	}
-	return out
+	return out, nil
 }
 
 // Savings returns AuTraScale's mean relative saving vs DS2 for a field

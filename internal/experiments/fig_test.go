@@ -3,6 +3,9 @@ package experiments
 import (
 	"math"
 	"testing"
+
+	"autrascale/internal/dataflow"
+	"autrascale/internal/workloads"
 )
 
 // Fig. 1 shape: while the input rate is below the job's capacity the lag
@@ -250,6 +253,23 @@ func TestFig8Shape(t *testing.T) {
 	}
 	if len(res.Render()) != 4 {
 		t.Fatal("Render should produce 4 tables")
+	}
+}
+
+// A configuration the engine refuses must fail Fig. 8(b)'s final window,
+// not measure the old configuration under the new label.
+func TestMeasureFinalRejectsWrongLengthVector(t *testing.T) {
+	e, err := workloads.NewEngine(workloads.NexmarkQ5(), workloads.EngineOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.Now()
+	n := e.Graph().NumOperators()
+	if _, err := measureFinal(e, dataflow.Uniform(n+1, 2)); err == nil {
+		t.Fatalf("measureFinal accepted a %d-operator vector for a %d-operator graph", n+1, n)
+	}
+	if e.Now() != before {
+		t.Fatalf("measureFinal ran the engine %v s after a refused rescale", e.Now()-before)
 	}
 }
 

@@ -1,4 +1,4 @@
-package queueing
+package flink
 
 import (
 	"container/heap"
@@ -8,7 +8,7 @@ import (
 	"autrascale/internal/stat"
 )
 
-// The closed forms DRS plans with are checked here against simulate, an
+// The M/M/c closed forms (mmc_test.go) are checked here against simulate, an
 // independent record-level discrete-event simulation of a tandem of
 // M/M/c stations that tracks every record through every FIFO queue.
 
@@ -137,7 +137,7 @@ func TestTandemMatchesSumOfMMcSojourn(t *testing.T) {
 	res := simulate(stations, 6, 40000, 4)
 	var want float64
 	for _, s := range stations {
-		w, err := MMcSojourn(6, 1/s.meanServiceSec, s.servers)
+		w, err := mmcSojourn(6, 1/s.meanServiceSec, s.servers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,68 @@
-package queueing
+package flink
+
+// The M/M/c (Erlang C) closed forms DRS's queueing model rests on (paper
+// §VI "Queuing theory model"): the expected wait and sojourn of a station
+// with c parallel exponential servers. Production DRS needs only the
+// utilization ρ (policy/drs); the forms are test references, checked
+// here and against a record-level simulation in mmc_sim_test.go.
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"autrascale/internal/stat"
 )
+
+// errUnstable is returned when arrival rate >= service capacity, i.e. the
+// queue grows without bound.
+var errUnstable = errors.New("queueing: utilization >= 1 (unstable system)")
+
+// erlangC returns the probability an arriving customer must wait in an
+// M/M/c queue with offered load a = lambda/mu and c servers.
+func erlangC(c int, a float64) (float64, error) {
+	if c <= 0 || a < 0 {
+		return 0, errors.New("queueing: need c > 0 and a >= 0")
+	}
+	if a >= float64(c) {
+		return 0, errUnstable
+	}
+	// Compute via the numerically stable iterative Erlang B recursion:
+	// B(0) = 1; B(k) = a·B(k−1) / (k + a·B(k−1)); then
+	// C = B(c) / (1 − ρ·(1 − B(c))) with ρ = a/c.
+	b := 1.0
+	for k := 1; k <= c; k++ {
+		b = a * b / (float64(k) + a*b)
+	}
+	rho := a / float64(c)
+	return b / (1 - rho*(1-b)), nil
+}
+
+// mmcWait returns the expected waiting time in queue for M/M/c with
+// arrival rate lambda and per-server service rate mu.
+func mmcWait(lambda, mu float64, c int) (float64, error) {
+	if mu <= 0 {
+		return 0, errors.New("queueing: mu must be > 0")
+	}
+	a := lambda / mu
+	pc, err := erlangC(c, a)
+	if err != nil {
+		return 0, err
+	}
+	return pc / (float64(c)*mu - lambda), nil
+}
+
+// mmcSojourn returns the expected time in system (wait + service) for
+// M/M/c with arrival rate lambda and per-server service rate mu, in the
+// same time unit as 1/mu.
+func mmcSojourn(lambda, mu float64, c int) (float64, error) {
+	w, err := mmcWait(lambda, mu, c)
+	if err != nil {
+		return 0, err
+	}
+	return w + 1/mu, nil
+}
 
 // M/M/1 is M/M/c with one server.
 func TestMM1Known(t *testing.T) {
@@ -15,9 +71,9 @@ func TestMM1Known(t *testing.T) {
 	if err != nil || math.Abs(w-0.5) > 1e-12 {
 		t.Fatalf("mmcWait = %v, %v", w, err)
 	}
-	s, err := MMcSojourn(1, 2, 1)
+	s, err := mmcSojourn(1, 2, 1)
 	if err != nil || math.Abs(s-1) > 1e-12 {
-		t.Fatalf("MMcSojourn = %v, %v", s, err)
+		t.Fatalf("mmcSojourn = %v, %v", s, err)
 	}
 }
 
@@ -31,7 +87,7 @@ func TestMM1Errors(t *testing.T) {
 	if _, err := mmcWait(1, 0, 1); err == nil {
 		t.Fatal("zero mu should error")
 	}
-	if _, err := MMcSojourn(3, 2, 1); err != errUnstable {
+	if _, err := mmcSojourn(3, 2, 1); err != errUnstable {
 		t.Fatal("unstable sojourn should error")
 	}
 }
@@ -110,26 +166,14 @@ func TestMMcPoolingReducesWait(t *testing.T) {
 
 func TestMMcSojournIncludesService(t *testing.T) {
 	w, _ := mmcWait(1, 2, 2)
-	s, err := MMcSojourn(1, 2, 2)
+	s, err := mmcSojourn(1, 2, 2)
 	if err != nil || math.Abs(s-(w+0.5)) > 1e-12 {
 		t.Fatalf("sojourn = %v, want wait+service", s)
 	}
-	if _, err := MMcSojourn(10, 1, 2); err != errUnstable {
+	if _, err := mmcSojourn(10, 1, 2); err != errUnstable {
 		t.Fatal("unstable M/M/c should error")
 	}
 	if _, err := mmcWait(1, 0, 2); err == nil {
 		t.Fatal("zero mu should error")
-	}
-}
-
-func TestStableUtilizationAndRho(t *testing.T) {
-	if Rho(1, 1, 2) != 0.5 {
-		t.Fatalf("Rho = %v", Rho(1, 1, 2))
-	}
-	if Rho(2, 1, 2) < 1 {
-		t.Fatal("rho = 1 is not a stable utilization")
-	}
-	if !math.IsInf(Rho(1, 0, 2), 1) {
-		t.Fatal("zero capacity should be +Inf")
 	}
 }

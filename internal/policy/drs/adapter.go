@@ -83,11 +83,11 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 			next[worst]++
 			escapes++
 		}
-		if err := e.SetParallelism(next); err != nil {
+		var err error
+		if m, err = core.MeasureTrial(e, next); err != nil {
 			return core.PlanResult{}, err // ErrRescaleFailed → controller degrades
 		}
 		rescales++
-		m = e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec)
 	}
 	req.Span.SetStr("policy", p.Name())
 	req.Span.SetInt("policy_iterations", iters)

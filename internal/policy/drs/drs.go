@@ -32,7 +32,6 @@ import (
 
 	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
-	"autrascale/internal/queueing"
 )
 
 // Variant selects which rate metric feeds the queueing model.
@@ -131,6 +130,15 @@ func allocate(lambdas, mus []float64, cur dataflow.ParallelismVector, pmax int, 
 	}
 }
 
+// rho is an M/M/c station's utilization λ/(c·μ); +Inf at zero capacity.
+func rho(lambda, mu float64, c int) float64 {
+	capTotal := float64(c) * mu
+	if capTotal <= 0 {
+		return math.Inf(1)
+	}
+	return lambda / capTotal
+}
+
 // congestionIndex is the Jackson-style congestion summary Σ ρ_i/(1−ρ_i)
 // for a candidate configuration; +Inf when any station is unstable.
 func congestionIndex(lambdas, mus []float64, par dataflow.ParallelismVector) float64 {
@@ -139,11 +147,11 @@ func congestionIndex(lambdas, mus []float64, par dataflow.ParallelismVector) flo
 		if mus[i] <= 0 {
 			continue
 		}
-		rho := queueing.Rho(lambdas[i], mus[i], par[i])
-		if rho >= 1 {
+		r := rho(lambdas[i], mus[i], par[i])
+		if r >= 1 {
 			return math.Inf(1)
 		}
-		x += rho / (1 - rho)
+		x += r / (1 - r)
 	}
 	return x
 }
@@ -216,8 +224,8 @@ func mostUtilized(lambdas, mus []float64, par dataflow.ParallelismVector, pmax i
 		if par[i] >= pmax || mus[i] <= 0 {
 			continue
 		}
-		if rho := queueing.Rho(lambdas[i], mus[i], par[i]); rho > worstRho {
-			worstRho = rho
+		if r := rho(lambdas[i], mus[i], par[i]); r > worstRho {
+			worstRho = r
 			worst = i
 		}
 	}

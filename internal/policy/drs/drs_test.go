@@ -1,6 +1,7 @@
 package drs
 
 import (
+	"math"
 	"testing"
 
 	"autrascale/internal/cluster"
@@ -54,6 +55,10 @@ func newEngine(t testing.TB, g *dataflow.Graph, rate float64, par dataflow.Paral
 // plan runs one DRS planning session from a trial window at rate.
 func plan(t *testing.T, v Variant, e *flink.Engine, rate, targetMS float64) core.PlanResult {
 	t.Helper()
+	m, err := core.MeasureTrial(e, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p, err := New(Config{Variant: v, TargetLatencyMS: targetMS})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +66,7 @@ func plan(t *testing.T, v Variant, e *flink.Engine, rate, targetMS float64) core
 	res, err := p.Plan(e, core.PlanRequest{
 		Trigger: core.TriggerQoS,
 		RateRPS: rate,
-		Window:  e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec),
+		Window:  m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,5 +159,17 @@ func TestRunStopsAtResourceCeiling(t *testing.T) {
 		if k > 4 {
 			t.Fatalf("PMax violated: %v", res.Par)
 		}
+	}
+}
+
+func TestStableUtilizationAndRho(t *testing.T) {
+	if rho(1, 1, 2) != 0.5 {
+		t.Fatalf("rho = %v", rho(1, 1, 2))
+	}
+	if rho(2, 1, 2) < 1 {
+		t.Fatal("rho = 1 is not a stable utilization")
+	}
+	if !math.IsInf(rho(1, 0, 2), 1) {
+		t.Fatal("zero capacity should be +Inf")
 	}
 }

@@ -65,15 +65,18 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 		if next.Equal(m.Par) {
 			break // the rule's fixed point: more iterations change nothing
 		}
-		if err := e.SetParallelism(next); err != nil {
-			return core.PlanResult{}, err // ErrRescaleFailed → controller degrades
-		}
 		rescales++
 		chosen = next.Clone()
 		if p.cfg.Online {
-			break // one shot; the next monitoring window judges it
+			// One shot; the next monitoring window judges it.
+			if err := e.SetParallelism(next); err != nil {
+				return core.PlanResult{}, err
+			}
+			break
 		}
-		m = e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec)
+		if m, err = core.MeasureTrial(e, next); err != nil {
+			return core.PlanResult{}, err // ErrRescaleFailed → controller degrades
+		}
 		if iters == MaxIterations {
 			break // the budget is spent; this last window goes unjudged
 		}

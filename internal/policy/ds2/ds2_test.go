@@ -122,10 +122,14 @@ func TestStepEdgeCases(t *testing.T) {
 // plan runs the offline adapter once from a trial window at rate.
 func plan(t *testing.T, e *flink.Engine, rate float64) core.PlanResult {
 	t.Helper()
+	m, err := core.MeasureTrial(e, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := New(Config{}).Plan(e, core.PlanRequest{
 		Trigger: core.TriggerRateChange,
 		RateRPS: rate,
-		Window:  e.MeasureSteady(core.TrialWarmupSec, core.TrialMeasureSec),
+		Window:  m,
 	})
 	if err != nil {
 		t.Fatal(err)

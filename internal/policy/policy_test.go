@@ -15,6 +15,7 @@ import (
 	"autrascale/internal/policy/drs"
 	"autrascale/internal/policy/ds2"
 	"autrascale/internal/stat"
+	"autrascale/internal/trace"
 	"autrascale/internal/workloads"
 )
 
@@ -298,4 +299,76 @@ func TestPolicyDecisionsCounted(t *testing.T) {
 			t.Fatalf("%s holds %d observations from a non-BO policy", name, n)
 		}
 	}
+}
+
+// Every window a planner measures goes through core.MeasureTrial and is
+// accounted for by its report: per policy, a rate step on WordCount is
+// planned twice (for BO, Algorithm 1 then Algorithm 2) and each Plan's
+// flink.measure_steady spans must equal the windows its DecisionReport
+// derives — DS2 offline and DRS one per trial, ds2-online none, BO its
+// trials plus Eq. 3's.
+func TestEveryPlanningWindowIsAccounted(t *testing.T) {
+	spec := workloads.WordCount()
+	const stepSec = 20000 // after the first session, before the second
+	rates := []float64{0.7 * spec.DefaultRateRPS, spec.DefaultRateRPS}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			tr := trace.New(1 << 14)
+			e, err := workloads.NewEngine(spec, workloads.EngineOptions{
+				Seed:     5,
+				Tracer:   tr,
+				Schedule: kafka.StepSchedule{Steps: []kafka.Step{{Rate: rates[0]}, {FromSec: stepSec, Rate: rates[1]}}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pol, err := Build(name, Env{TargetLatencyMS: spec.TargetLatencyMS, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, rate := range rates {
+				if i > 0 {
+					e.Run(stepSec - e.Now())
+				}
+				m, err := core.MeasureTrial(e, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr.Reset()
+				res, err := pol.Plan(e, core.PlanRequest{Trigger: core.TriggerRateChange, RateRPS: rate, Window: m, TimeSec: e.Now()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				measured := 0
+				for _, sp := range tr.Snapshot(0) {
+					if sp.Name == "flink.measure_steady" {
+						measured++
+					}
+				}
+				if tr.Dropped() != 0 {
+					t.Fatalf("plan %d: the span ring dropped %d spans", i, tr.Dropped())
+				}
+				if want := accountedWindows(name, res.Report); measured != want {
+					t.Fatalf("plan %d at %.0f rps: %d windows measured, report accounts for %d (%+v)",
+						i, rate, measured, want, res.Report)
+				}
+			}
+		})
+	}
+}
+
+// accountedWindows is the number of trial windows a report says its
+// session measured.
+func accountedWindows(name string, r core.DecisionReport) int {
+	switch name {
+	case "ds2-online":
+		return 0 // one shot, judged by the controller's next monitor window
+	case "bo":
+		eq3 := r.ThroughputIters
+		if !r.ReachedTarget && !r.TerminatedByRepeat {
+			eq3++ // at its bound Eq. 3 measures one window it never records
+		}
+		return r.Trials + eq3
+	}
+	return r.Trials
 }

@@ -25,7 +25,6 @@ var unearned = map[string]string{}
 // "internal/pkg.Type.Method" or "internal/pkg.Type.Field") allowed
 // without a non-test user, each with the test that compares against it.
 var unearnedExports = map[string]string{
-	"internal/queueing.MMcSojourn":      "TestTandemMatchesSumOfMMcSojourn checks the Jackson-network sojourn against a simulation",
 	"internal/policy/ds2.MaxIterations": "TestBaselinePoliciesPropertyRandomDAGs bounds ds2's Report.Iterations by it",
 	"internal/policy/drs.MaxIterations": "TestBaselinePoliciesPropertyRandomDAGs bounds drs's Report.Iterations by it",
 }
