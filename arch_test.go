@@ -56,12 +56,12 @@ var architectureRules = []struct {
 		// A planner measures a window only through core.MeasureTrial, so
 		// every trial is paid and judged in one place; the controller's
 		// monitor window is not a trial.
-		what: "measures a window (MeasureSteady, RunAndMeasure)",
+		what: "measures a window (MeasureSteady, MeasureSteadySampled, RunAndMeasure)",
 		allowed: func(file string) bool {
 			return in("internal/core/trial.go", "internal/core/controller.go")(file) ||
 				notIn("internal/core", "internal/policy", "internal/policy/ds2", "internal/policy/drs")(file)
 		},
-		find: methodCalls("MeasureSteady", "RunAndMeasure"),
+		find: methodCalls("MeasureSteady", "MeasureSteadySampled", "RunAndMeasure"),
 	},
 	{
 		// ROADMAP renumbers its items at every re-anchor, so a number

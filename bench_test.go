@@ -369,8 +369,6 @@ func BenchmarkBOSuggest(b *testing.B) { benchRuns(b, boSuggestRuns(b)) }
 // BenchmarkSimulatorTick measures the cost of one simulated second of the
 // WordCount job, as a fleet runs it: the measurement window is reset
 // every 60 ticks, the way Controller.Step does once per policy window.
-// (A window left to grow for the whole benchmark makes ns/op and B/op
-// describe the latency-sample slice's reallocation, not the tick.)
 // flink.TestTickAllocatesNothing holds it at 0 allocs/op;
 // fleet-steady-10k watches its time.
 func BenchmarkSimulatorTick(b *testing.B) {
@@ -846,15 +844,17 @@ var allocContracts = []struct {
 		appendOne, _ := gpAppendFixture(tb)
 		return func() { appendOne() }
 	})},
-	{"BenchmarkGPFitPredict", 43, 20, shared(gpFitPredictOp)},
-	{"BenchmarkFleetTick", 51, 20, shared(func(tb testing.TB) func() {
+	{"BenchmarkGPFitPredict", 41, 20, shared(gpFitPredictOp)},
+	// A round's allocations grow with GOMAXPROCS (37 at 1, 39 at 2, 43 at
+	// 4, 51 at 8); the ceiling admits up to 4.
+	{"BenchmarkFleetTick", 43, 20, shared(func(tb testing.TB) func() {
 		fl := steadyFleet(tb)
 		return func() { fl.Round() }
 	})},
-	{"BenchmarkPolicyStepBO", 1598, 5, policyStepRuns("bo")},
+	{"BenchmarkPolicyStepBO", 1566, 5, policyStepRuns("bo")},
 	// Ceilings measured on the loops Fig. 8 and Tables II/III run.
-	{"BenchmarkPolicyStepDS2", 19, 5, policyStepRuns("ds2")},
-	{"BenchmarkPolicyStepDRS", 30, 5, policyStepRuns("drs-true")},
+	{"BenchmarkPolicyStepDS2", 17, 5, policyStepRuns("ds2")},
+	{"BenchmarkPolicyStepDRS", 26, 5, policyStepRuns("drs-true")},
 	{"BenchmarkJournalDecode", 83222, 3, shared(func(tb testing.TB) func() {
 		op, _ := journalDecodeOp(tb)
 		return op

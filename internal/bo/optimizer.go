@@ -337,7 +337,8 @@ func appendKey(b []byte, p dataflow.ParallelismVector) []byte {
 }
 
 // scoreCandidates fills acqVals[i], means[i], stds[i] for each encoded
-// candidate xs[i], reusing the caller's ws to keep its kernel cache warm.
+// candidate xs[i], predicting through the caller's ws so the sweep
+// allocates nothing.
 func (o *Optimizer) scoreCandidates(ws *gp.Workspace, xs [][]float64, acqVals, means, stds []float64, fBest float64) {
 	for i, x := range xs {
 		mean, v, err := o.model.PredictWS(ws, x)
@@ -423,7 +424,7 @@ func (o *Optimizer) SuggestWith(exploit bool) (dataflow.ParallelismVector, error
 		eligible[i] = !evaluated[candKeys[i]]
 	}
 	// sws serves every stage of this suggestion — sweep, climbs,
-	// climb-result scoring — so its memoized kernel values stay warm.
+	// climb-result scoring — so its scratch buffers are sized once.
 	sws := gp.GetWorkspace()
 	defer gp.PutWorkspace(sws)
 	o.scoreCandidates(sws, xs, acqVals, means, stds, fBest)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
@@ -114,8 +115,11 @@ type Controller struct {
 
 	curRate  float64
 	rateEWMA *stat.EWMA
-	events   []Event
-	reports  []DecisionReport
+	// events is a ring once it holds eventHistory entries; eventHead
+	// indexes the oldest.
+	events    []Event
+	eventHead int
+	reports   []DecisionReport
 }
 
 // ctlInstruments caches the controller's metric handles. The store and
@@ -236,16 +240,19 @@ func (c *Controller) Library() *transfer.ModelLibrary { return c.library }
 
 // Events returns the decision log, oldest first (bounded by
 // eventHistory).
-func (c *Controller) Events() []Event { return append([]Event(nil), c.events...) }
+func (c *Controller) Events() []Event {
+	return slices.Concat(c.events[c.eventHead:], c.events[:c.eventHead])
+}
 
-// pushEvent retains ev, evicting the oldest entries beyond the
-// eventHistory cap.
+// pushEvent retains ev; once eventHistory entries are held it overwrites
+// the oldest in place, so a push into a full log moves nothing.
 func (c *Controller) pushEvent(ev Event) {
-	c.events = append(c.events, ev)
-	if over := len(c.events) - eventHistory; over > 0 {
-		n := copy(c.events, c.events[over:])
-		c.events = c.events[:n]
+	if len(c.events) < eventHistory {
+		c.events = append(c.events, ev)
+		return
 	}
+	c.events[c.eventHead] = ev
+	c.eventHead = (c.eventHead + 1) % eventHistory
 }
 
 // Decisions returns the retained decision reports, oldest first (bounded

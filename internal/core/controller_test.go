@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -158,6 +159,47 @@ func TestControllerEventHistoryBounded(t *testing.T) {
 		if events[i-1].TimeSec >= events[i].TimeSec {
 			t.Fatalf("events out of order after eviction: %v >= %v",
 				events[i-1].TimeSec, events[i].TimeSec)
+		}
+	}
+}
+
+// Once the log is full a push overwrites the oldest entry in place:
+// it allocates nothing and writes no other entry.
+func TestControllerPushIntoFullLogAllocatesNothing(t *testing.T) {
+	e := controllerEngine(t, kafka.ConstantRate(1500))
+	ctl, err := NewController(e, ControllerConfig{TargetLatencyMS: 160, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < eventHistory; i++ {
+		ctl.pushEvent(Event{TimeSec: float64(i)})
+	}
+	next := float64(eventHistory)
+	if got := testing.AllocsPerRun(1000, func() {
+		ctl.pushEvent(Event{TimeSec: next})
+		next++
+	}); got != 0 {
+		t.Fatalf("push into a full log: %v allocs, want 0", got)
+	}
+	before := slices.Clone(ctl.events)
+	ctl.pushEvent(Event{TimeSec: next})
+	next++
+	written := 0
+	for i := range before {
+		if ctl.events[i].TimeSec != before[i].TimeSec {
+			written++
+		}
+	}
+	if written != 1 {
+		t.Fatalf("a push into a full log wrote %d entries, want 1", written)
+	}
+	events := ctl.Events()
+	if len(events) != eventHistory || cap(ctl.events) > eventHistory+eventHistory/4 {
+		t.Fatalf("log holds %d entries in capacity %d, want %d", len(events), cap(ctl.events), eventHistory)
+	}
+	for i, ev := range events {
+		if want := next - eventHistory + float64(i); ev.TimeSec != want {
+			t.Fatalf("events[%d].TimeSec = %v, want %v (oldest first)", i, ev.TimeSec, want)
 		}
 	}
 }

@@ -165,7 +165,7 @@ func measureFinal(e *flink.Engine, par dataflow.ParallelismVector) (finalMeasure
 		return finalMeasure{}, fmt.Errorf("experiments: fig8 final window at %v: %w", par, err)
 	}
 	// Longer than a trial window: the tail percentiles need samples.
-	m := e.MeasureSteady(60, 600)
+	m := e.MeasureSteadySampled(60, 600)
 	out := finalMeasure{cpu: m.CPUUsedCores, mem: m.MemUsedMB, mean: m.ProcLatencyMS}
 	if len(m.LatencySamples) > 0 {
 		out.p50 = stat.Percentile(m.LatencySamples, 50)

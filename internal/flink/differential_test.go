@@ -230,7 +230,10 @@ func sameMeasurement(t *testing.T, at string, got, want flink.Measurement) {
 // through the same random sequence of ticks, rescales, machine failures
 // and window resets, and requires identical state after every tick —
 // math.Float64bits, not a tolerance — and identical store contents at
-// the end.
+// the end. The engine keeps latency samples on every tick, as the
+// reference does; a second, unsampled engine driven alongside must match
+// it in everything but the samples, which proves that sampling moves
+// neither the RNG stream nor any other output.
 func TestCompiledTickMatchesReference(t *testing.T) {
 	cases := paperCases()
 	for seed := uint64(1); seed <= 12; seed++ {
@@ -253,8 +256,13 @@ func TestCompiledTickMatchesReference(t *testing.T) {
 }
 
 func runDifferential(t *testing.T, c diffCase, seed uint64, noise, faults bool, tickSec float64) {
-	engStore, refStore := metrics.NewStore(), metrics.NewStore()
+	engStore, plainStore, refStore := metrics.NewStore(), metrics.NewStore(), metrics.NewStore()
 	eng, err := flink.New(c.config(t, seed, noise, faults, tickSec, engStore))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetSampling(true)
+	plain, err := flink.New(c.config(t, seed, noise, faults, tickSec, plainStore))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +274,11 @@ func runDifferential(t *testing.T, c diffCase, seed uint64, noise, faults bool, 
 	machines := eng.Cluster().UpMachineNames()
 	sawIdleOperator := false
 
-	// Both sides must agree on whether an action succeeded.
-	agree := func(at string, engErr, refErr error) {
+	// All sides must agree on whether an action succeeded.
+	agree := func(at string, engErr, plainErr, refErr error) {
 		t.Helper()
-		if (engErr == nil) != (refErr == nil) {
-			t.Fatalf("%s: engine error %v, reference error %v", at, engErr, refErr)
+		if (engErr == nil) != (refErr == nil) || (plainErr == nil) != (refErr == nil) {
+			t.Fatalf("%s: engine error %v, unsampled engine error %v, reference error %v", at, engErr, plainErr, refErr)
 		}
 	}
 	drive := stat.NewRNG(seed * 7919)
@@ -283,18 +291,20 @@ func runDifferential(t *testing.T, c diffCase, seed uint64, noise, faults bool, 
 			for i := range p {
 				p[i] = 1 + drive.Intn(c.maxPar)
 			}
-			agree(at+" rescale", eng.SetParallelism(p), ref.SetParallelism(p))
+			agree(at+" rescale", eng.SetParallelism(p), plain.SetParallelism(p), ref.SetParallelism(p))
 		case a == 3:
 			name := machines[drive.Intn(len(machines))]
-			agree(at+" fail "+name, eng.FailMachine(name), ref.FailMachine(name))
+			agree(at+" fail "+name, eng.FailMachine(name), plain.FailMachine(name), ref.FailMachine(name))
 		case a == 4:
 			name := machines[drive.Intn(len(machines))]
-			agree(at+" recover "+name, eng.RecoverMachine(name), ref.RecoverMachine(name))
+			agree(at+" recover "+name, eng.RecoverMachine(name), plain.RecoverMachine(name), ref.RecoverMachine(name))
 		case a == 5:
 			eng.ResetWindow()
+			plain.ResetWindow()
 			ref.ResetWindow()
 		}
 		eng.Tick()
+		plain.Tick()
 		ref.Tick()
 
 		bits(t, at, "Now", eng.Now(), ref.Now())
@@ -307,6 +317,22 @@ func runDifferential(t *testing.T, c diffCase, seed uint64, noise, faults bool, 
 		}
 		m := eng.Measure()
 		sameMeasurement(t, at, m, ref.Measure())
+
+		plainAt := at + " unsampled"
+		bits(t, plainAt, "Now", plain.Now(), eng.Now())
+		if plain.RNGState() != eng.RNGState() {
+			t.Fatalf("%s: RNGState = %#x, sampled %#x", plainAt, plain.RNGState(), eng.RNGState())
+		}
+		bits(t, plainAt, "Lag", plain.Topic().Lag(), eng.Topic().Lag())
+		if plain.Restarts() != eng.Restarts() {
+			t.Fatalf("%s: Restarts = %d, sampled %d", plainAt, plain.Restarts(), eng.Restarts())
+		}
+		pm := plain.Measure()
+		if pm.LatencySamples != nil {
+			t.Fatalf("%s: %d latency samples, want none", plainAt, len(pm.LatencySamples))
+		}
+		pm.LatencySamples = m.LatencySamples
+		sameMeasurement(t, plainAt, pm, m)
 		if m.ThroughputRPS > 0 {
 			for _, l := range m.LambdaRPS {
 				sawIdleOperator = sawIdleOperator || l == 0
@@ -330,19 +356,21 @@ func runDifferential(t *testing.T, c diffCase, seed uint64, noise, faults bool, 
 			series = append(series, metrics.SeriesKey{Name: name, Tags: tags})
 		}
 	}
-	if engStore.Len() != len(series) || refStore.Len() != len(series) {
-		t.Fatalf("engine store has %d series, reference %d, want the engine's %d", engStore.Len(), refStore.Len(), len(series))
-	}
-	for _, key := range series {
-		got := engStore.WindowByKey(key, 0, math.Inf(1))
-		want := refStore.WindowByKey(key, 0, math.Inf(1))
-		if len(got) == 0 || len(got) != len(want) {
-			t.Fatalf("series %v: %d points, reference %d", key, len(got), len(want))
+	for side, store := range map[string]*metrics.Store{"engine": engStore, "unsampled engine": plainStore} {
+		if store.Len() != len(series) || refStore.Len() != len(series) {
+			t.Fatalf("%s store has %d series, reference %d, want the engine's %d", side, store.Len(), refStore.Len(), len(series))
 		}
-		for i := range got {
-			at := fmt.Sprintf("series %v point %d", key, i)
-			bits(t, at, "TimeSec", got[i].TimeSec, want[i].TimeSec)
-			bits(t, at, "Value", got[i].Value, want[i].Value)
+		for _, key := range series {
+			got := store.WindowByKey(key, 0, math.Inf(1))
+			want := refStore.WindowByKey(key, 0, math.Inf(1))
+			if len(got) == 0 || len(got) != len(want) {
+				t.Fatalf("%s series %v: %d points, reference %d", side, key, len(got), len(want))
+			}
+			for i := range got {
+				at := fmt.Sprintf("%s series %v point %d", side, key, i)
+				bits(t, at, "TimeSec", got[i].TimeSec, want[i].TimeSec)
+				bits(t, at, "Value", got[i].Value, want[i].Value)
+			}
 		}
 	}
 }
@@ -441,19 +469,14 @@ func TestMeasurementWindowAllocsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(20)
-	// Par, three per-operator slices, the latency samples.
-	const measurementSlices = 5
+	// Par and three per-operator slices; an unsampled window keeps no
+	// latency samples, so its length costs nothing.
+	const measurementSlices = 4
 	if got := testing.AllocsPerRun(50, func() { e.RunAndMeasure(0, 60) }); got > measurementSlices {
 		t.Fatalf("RunAndMeasure(0, 60): %v allocs, want <= %d", got, measurementSlices)
 	}
-	// A window past the retained sample capacity grows on the heap —
-	// logarithmically, not per tick — and the next short window is back
-	// to the constant.
-	if got := testing.AllocsPerRun(10, func() { e.RunAndMeasure(0, 1000) }); got > measurementSlices+5 {
-		t.Fatalf("RunAndMeasure(0, 1000): %v allocs, want <= %d", got, measurementSlices+5)
-	}
-	if got := testing.AllocsPerRun(50, func() { e.RunAndMeasure(0, 60) }); got > measurementSlices {
-		t.Fatalf("RunAndMeasure(0, 60) after a long window: %v allocs, want <= %d", got, measurementSlices)
+	if got := testing.AllocsPerRun(10, func() { e.RunAndMeasure(0, 1000) }); got > measurementSlices {
+		t.Fatalf("RunAndMeasure(0, 1000): %v allocs, want <= %d", got, measurementSlices)
 	}
 }
 
@@ -467,7 +490,10 @@ func TestMeasurementDoesNotAliasEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := e.RunAndMeasure(20, 30)
+	m := e.MeasureSteadySampled(20, 30)
+	if len(m.LatencySamples) != 30 {
+		t.Fatalf("sampled window kept %d samples, want 30", len(m.LatencySamples))
+	}
 	snapshot := m
 	snapshot.Par = m.Par.Clone()
 	snapshot.TrueRatePerInstance = append([]float64(nil), m.TrueRatePerInstance...)
@@ -486,7 +512,9 @@ func TestMeasurementDoesNotAliasEngine(t *testing.T) {
 	e.Run(100)
 	sameMeasurement(t, "after a rescale", m, snapshot)
 
-	// Nor do two measurements of one window share storage.
+	// Nor do two measurements of one sampled window share storage.
+	e.SetSampling(true)
+	e.Run(5)
 	a, b := e.Measure(), e.Measure()
 	a.Par[0], a.LatencySamples[0], a.LambdaRPS[0] = 99, -1, -1
 	if b.Par[0] == 99 || b.LatencySamples[0] == -1 || b.LambdaRPS[0] == -1 {

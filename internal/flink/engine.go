@@ -136,19 +136,9 @@ type Engine struct {
 
 	// Window accumulators since the last Reconfigure/ResetWindow.
 	win windowAccum
-	// sampleBuf is the storage every window's latency samples start in,
-	// allocated by the first sampled tick; a window longer than
-	// sampleBufCap ticks grows onto the heap and lets go of the overflow
-	// at the next reset.
-	sampleBuf []float64
+	// sampling keeps latency samples (MeasureSteadySampled's window).
+	sampling bool
 }
-
-// sampleBufCap is the sample capacity an engine keeps across windows:
-// one default policy window (60 one-second ticks), rounded up. What an
-// engine retains is sized by its graph and this constant, never by the
-// longest window it has measured — a fleet of 10k engines would
-// otherwise each keep their longest trial window alive.
-const sampleBufCap = 64
 
 // opPlan is one operator compiled against the active parallelism k. The
 // graph is immutable after Validate, so a plan is stale only after a
@@ -224,8 +214,8 @@ type Measurement struct {
 	// CPUUsedCores / MemUsedMB for resource accounting.
 	CPUUsedCores float64
 	MemUsedMB    float64
-	// LatencySamples are per-record processing latencies drawn during
-	// the window (for distribution plots, Fig. 8b).
+	// LatencySamples holds one per-record processing latency per measured
+	// tick of a MeasureSteadySampled window (Fig. 8b); nil otherwise.
 	LatencySamples []float64
 }
 
@@ -500,12 +490,11 @@ func (e *Engine) applyRescale(p dataflow.ParallelismVector, attempt int) {
 	e.resetWindow()
 }
 
-// resetWindow zeroes the accumulators in place; the samples restart in
-// the engine's own buffer (see sampleBufCap).
+// resetWindow zeroes the accumulators in place.
 func (e *Engine) resetWindow() {
 	ops := e.win.ops
 	clear(ops)
-	e.win = windowAccum{ops: ops, latencySamples: e.sampleBuf}
+	e.win = windowAccum{ops: ops, latencySamples: e.win.latencySamples[:0]}
 }
 
 // ResetWindow clears the measurement accumulators without reconfiguring —
@@ -537,8 +526,8 @@ func (e *Engine) noiseFactor() float64 {
 // evaluation order — a plan field only ever replaces a sub-expression
 // that was already evaluated as a unit — and every RNG draw stays where
 // it was: one rate-noise normal per operator in index order, one latency
-// normal, one log-normal sample; none on a down tick, no sample on a
-// dropped tick.
+// normal, one latency-sample normal (exponentiated and kept only in a
+// sampled window); none on a down tick, not the last on a dropped tick.
 func (e *Engine) Tick() {
 	if e.chaos.Enabled() {
 		e.applyChaosSchedules()
@@ -679,18 +668,15 @@ func (e *Engine) Tick() {
 		sum.observed += op.observed * corrupt
 		sum.lambda += op.lambda * corrupt
 	}
-	// One per-record latency sample per tick keeps distributions cheap.
-	sample := procLatency * corrupt
+	// One log-normal latency sample per tick. Its normal is drawn even
+	// when the window keeps no sample: the stream ignores who measures.
+	var z float64
 	if e.rateNoise > 0 {
-		sample *= e.rng.LogNormal(0, 0.2)
+		z = e.rng.NormalMS(0, 0.2)
 	}
-	if w.latencySamples == nil {
-		// First sampled tick: building or restoring an engine that has
-		// not run yet costs no sample storage.
-		e.sampleBuf = make([]float64, 0, sampleBufCap)
-		w.latencySamples = e.sampleBuf
+	if e.sampling {
+		w.latencySamples = append(w.latencySamples, procLatency*corrupt*math.Exp(z))
 	}
-	w.latencySamples = append(w.latencySamples, sample)
 
 	if e.store != nil {
 		e.recordMetrics(throughput, procLatency, eventLatency)
@@ -942,11 +928,24 @@ func (e *Engine) RunAndMeasure(warmupSec, measureSec float64) Measurement {
 // candidate configuration without penalizing it for history it did not
 // cause. The warm-up must exceed the restart downtime.
 func (e *Engine) MeasureSteady(warmupSec, measureSec float64) Measurement {
+	return e.measureSteady(warmupSec, measureSec, false)
+}
+
+// MeasureSteadySampled is MeasureSteady that also keeps one per-record
+// latency sample per measured tick in Measurement.LatencySamples (Fig.
+// 8b). Every other field, and the RNG stream, match MeasureSteady's.
+func (e *Engine) MeasureSteadySampled(warmupSec, measureSec float64) Measurement {
+	return e.measureSteady(warmupSec, measureSec, true)
+}
+
+func (e *Engine) measureSteady(warmupSec, measureSec float64, sampled bool) Measurement {
 	e.Run(warmupSec)
 	e.SeekToLatest()
 	e.resetWindow()
+	e.sampling = sampled
 	e.Run(measureSec)
 	m := e.Measure()
+	e.sampling, e.win.latencySamples = false, nil
 	e.traceWindow("flink.measure_steady", warmupSec, measureSec, m)
 	return m
 }

@@ -398,9 +398,11 @@ func TestInterferenceSlowsOversubscribed(t *testing.T) {
 	}
 }
 
+// A sampled window keeps one sample per measured tick and lets go of
+// them when it ends; every other window keeps none.
 func TestLatencySamplesPresent(t *testing.T) {
 	e := newEngine(t, 1000, dataflow.ParallelismVector{2, 3, 2})
-	m := e.RunAndMeasure(5, 30)
+	m := e.MeasureSteadySampled(5, 30)
 	if len(m.LatencySamples) != 30 {
 		t.Fatalf("samples = %d, want 30", len(m.LatencySamples))
 	}
@@ -408,6 +410,15 @@ func TestLatencySamplesPresent(t *testing.T) {
 		if s <= 0 {
 			t.Fatalf("non-positive latency sample %v", s)
 		}
+	}
+	if e.win.latencySamples != nil {
+		t.Fatalf("engine retains %d samples after the sampled window", cap(e.win.latencySamples))
+	}
+	if m := e.MeasureSteady(5, 30); m.LatencySamples != nil {
+		t.Fatalf("MeasureSteady kept %d samples, want none", len(m.LatencySamples))
+	}
+	if m := e.RunAndMeasure(5, 30); m.LatencySamples != nil {
+		t.Fatalf("RunAndMeasure kept %d samples, want none", len(m.LatencySamples))
 	}
 }
 

@@ -38,6 +38,32 @@ func TestKernelBasics(t *testing.T) {
 	}
 }
 
+// selfCov's shortcut is exact: for every built-in kernel, over random
+// hyperparameters spanning many orders of magnitude and random finite
+// inputs, it returns Eval(x, x) bit for bit. A kernel it does not know,
+// or ℓ <= 0, goes through Eval.
+func TestSelfCovMatchesEval(t *testing.T) {
+	rng := stat.NewRNG(11)
+	wide := func() float64 { return math.Exp(60 * (rng.Float64() - 0.5)) }
+	x := make([]float64, 4)
+	for i := 0; i < 100000; i++ {
+		v, l := wide(), wide()
+		for d := range x {
+			x[d] = 100 * rng.NormalMS(0, 1)
+		}
+		for _, k := range []Kernel{Matern52{v, l}, matern32{v, l}, rbf{v, l}} {
+			if got, want := selfCov(k, x), k.Eval(x, x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s at %v: selfCov = %v, Eval = %v", k, x, got, want)
+			}
+		}
+	}
+	for _, k := range []Kernel{Matern52{Variance: 2}, rbf{Variance: 2, LengthScale: -1}} {
+		if got, want := selfCov(k, x), k.Eval(x, x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: selfCov = %v, Eval = %v", k, got, want)
+		}
+	}
+}
+
 // Property: kernel value decreases with distance (monotone radial decay).
 func TestKernelMonotoneDecay(t *testing.T) {
 	f := func(seed uint64) bool {

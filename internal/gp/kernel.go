@@ -105,6 +105,25 @@ func (k rbf) String() string {
 	return fmt.Sprintf("RBF(var=%.4g, len=%.4g)", k.Variance, k.LengthScale)
 }
 
+// selfCov returns k(x, x), the prior variance at x. A built-in kernel
+// with ℓ > 0 is σ² there, bit for bit at any finite x (distance 0 makes
+// its shape factor exactly 1), so the sqrt and exp are skipped.
+func selfCov(k Kernel, x []float64) float64 {
+	var v, l float64
+	switch k := k.(type) {
+	case Matern52:
+		v, l = k.Variance, k.LengthScale
+	case matern32:
+		v, l = k.Variance, k.LengthScale
+	case rbf:
+		v, l = k.Variance, k.LengthScale
+	}
+	if l > 0 {
+		return v
+	}
+	return k.Eval(x, x)
+}
+
 // gramLower builds the Gram matrix K[i,j] = k(xs[i], xs[j]) + noise·δij,
 // filling only the lower triangle (including the diagonal): its sole
 // consumer is the Cholesky factorization, which reads nothing above the

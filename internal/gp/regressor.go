@@ -97,7 +97,7 @@ func (r *Regressor) Append(x []float64, y float64) error {
 		return fmt.Errorf("gp: append input dim %d, want %d", len(x), len(r.xs[0]))
 	}
 	col := crossCov(r.kernel, x, r.xs)
-	diag := r.kernel.Eval(x, x) + r.noise + r.jitter
+	diag := selfCov(r.kernel, x) + r.noise + r.jitter
 	if err := r.chol.Append(col, diag); err != nil {
 		return fmt.Errorf("gp: appended kernel matrix not positive definite: %w", err)
 	}
@@ -159,7 +159,7 @@ func (r *Regressor) PredictWS(ws *Workspace, x []float64) (mean, variance float6
 	ks := crossCovInto(ws.ks, r.kernel, x, r.xs)
 	mean = r.meanY + mat.Dot(ks, r.alpha)
 	v := r.chol.SolveLowerVecInto(ws.v, ks)
-	variance = r.kernel.Eval(x, x) - mat.Dot(v, v)
+	variance = selfCov(r.kernel, x) - mat.Dot(v, v)
 	if variance < 0 {
 		variance = 0
 	}
@@ -201,7 +201,7 @@ func (r *Regressor) PredictBatch(ws *Workspace, xs [][]float64, means, variances
 		}
 		if variances != nil {
 			v := r.chol.SolveLowerVecInto(ws.v, ks)
-			variance := r.kernel.Eval(x, x) - mat.Dot(v, v)
+			variance := selfCov(r.kernel, x) - mat.Dot(v, v)
 			if variance < 0 {
 				variance = 0
 			}
@@ -214,14 +214,16 @@ func (r *Regressor) PredictBatch(ws *Workspace, xs [][]float64, means, variances
 // Predict returns the posterior mean and variance at x. The variance is
 // the latent-function variance (excluding observation noise), floored at 0.
 func (r *Regressor) Predict(x []float64) (mean, variance float64, err error) {
-	var ws Workspace
-	return r.PredictWS(&ws, x)
+	ws := GetWorkspace()
+	defer PutWorkspace(ws)
+	return r.PredictWS(ws, x)
 }
 
 // PredictMean returns just the posterior mean at x (0 when unfitted).
 func (r *Regressor) PredictMean(x []float64) float64 {
-	var ws Workspace
-	m, err := r.PredictMeanWS(&ws, x)
+	ws := GetWorkspace()
+	defer PutWorkspace(ws)
+	m, err := r.PredictMeanWS(ws, x)
 	if err != nil {
 		return 0
 	}

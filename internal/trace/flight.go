@@ -64,21 +64,24 @@ type Record struct {
 // The nil *FlightRecorder is the disabled recorder: every method is a
 // no-op.
 type FlightRecorder struct {
-	mu      sync.Mutex
-	seq     uint64
-	buf     []Record // ring storage, len == capacity once full
-	next    int
-	full    bool
-	dropped uint64
+	mu       sync.Mutex
+	seq      uint64
+	buf      []Record // ring storage, grown as records arrive; len == capacity once full
+	capacity int
+	next     int
+	full     bool
+	dropped  uint64
 }
 
 // NewFlightRecorder returns a recorder retaining the most recent
-// capacity records (defaultFlightCapacity when capacity <= 0).
+// capacity records (defaultFlightCapacity when capacity <= 0). The ring
+// grows as records arrive, so a generous capacity costs nothing until
+// it is used.
 func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = defaultFlightCapacity
 	}
-	return &FlightRecorder{buf: make([]Record, 0, capacity)}
+	return &FlightRecorder{capacity: capacity}
 }
 
 // append commits records in order, assigning their Seq numbers.
@@ -93,7 +96,7 @@ func (r *FlightRecorder) append(recs []Record) {
 		rec.Seq = r.seq
 		if !r.full {
 			r.buf = append(r.buf, rec)
-			if len(r.buf) == cap(r.buf) {
+			if len(r.buf) == r.capacity {
 				r.full = true
 			}
 			continue

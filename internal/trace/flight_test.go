@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -75,6 +76,37 @@ func TestFlightEvictionOrder(t *testing.T) {
 	}
 	if got := fl.Snapshot(2); len(got) != 2 || got[1].Seq != 10 {
 		t.Fatalf("Snapshot(2) = %+v, want the 2 newest", got)
+	}
+}
+
+// A recorder allocates its ring as records arrive: a large capacity
+// costs nothing up front, and a capacity that append's growth
+// overshoots still retains exactly that many records.
+func TestFlightRingGrowsOnDemand(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		NewFlightRecorder(1 << 18)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("10 empty recorders of 2^18 records allocated %d B, want none of the ring", got)
+	}
+
+	fl := NewFlightRecorder(5)
+	tr := New(8)
+	tr.AttachFlight(fl)
+	for i := 1; i <= 12; i++ {
+		tr.Emit(Record{Kind: "decision", TimeSec: float64(i)})
+	}
+	recs := fl.Snapshot(0)
+	if len(recs) != 5 || fl.Dropped() != 7 {
+		t.Fatalf("retained %d, dropped %d; want 5 and 7", len(recs), fl.Dropped())
+	}
+	for i, r := range recs {
+		if want := uint64(8 + i); r.Seq != want {
+			t.Fatalf("position %d holds seq %d, want %d", i, r.Seq, want)
+		}
 	}
 }
 
