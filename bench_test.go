@@ -410,15 +410,16 @@ func BenchmarkEngineTickStore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e.Run(2048) // handles resolved, every series at its 1024-sample retention cap
+	// The warm-up only resolves the handles: a series keeps just its newest
+	// sample, so there is no retention to fill.
+	e.Run(2048)
 	benchTicks(b, e)
 }
 
 // BenchmarkStoreAppend measures one sample through a resolved series
-// handle: the out-of-order check and a slot write under the series lock.
-// The metrics package's Append-at-the-cap test holds it at 0 allocs/op —
-// the only allocations are a new chunk per 128 samples until the
-// retention cap, none after — and telemetry-soak watches its time.
+// handle: the out-of-order check and a field write under the series
+// lock. metrics.TestAppendAllocatesNothing holds it at 0 allocs/op and
+// telemetry-soak watches its time.
 func BenchmarkStoreAppend(b *testing.B) {
 	h := metrics.NewStore().Series(metrics.MetricTrueProcessingRate,
 		map[string]string{"job": "wordcount-01", "operator": "Count"})
@@ -820,7 +821,7 @@ func shared(fixture func(testing.TB) func()) func(testing.TB) func() func() {
 // subject has no zero-allocation test of its own. (The zero pins of the
 // disabled tracer, the series append, the bare and store-attached tick
 // and the batched GP prediction live next to their subjects:
-// trace.TestDisabledPathZeroAlloc, the metrics Append-at-the-cap test,
+// trace.TestDisabledPathZeroAlloc, metrics.TestAppendAllocatesNothing,
 // flink.TestTickAllocatesNothing and gp.TestPredictBatchMatchesPredict.)
 // Each row measures the op its benchmark times, built by the same
 // fixture. A ceiling is the allocs/op the retired timing gate had

@@ -226,6 +226,33 @@ func TestAdminJobLifecycle(t *testing.T) {
 	}
 }
 
+// A job name containing a tag separator is refused with 400: accepted,
+// "a,operator=mid" would have forged labels on /metrics, and removing it
+// would have left its series behind.
+func TestAdminRejectsTagSeparatorsInJobName(t *testing.T) {
+	srv := testServer(t, serverConfig{})
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+	// Free capacity, so only the name can refuse a submission.
+	resp := post(t, ts.URL+"/api/v1/jobs/remove", `{"name": "wordcount-02"}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("remove: status %d", resp.StatusCode)
+	}
+	for _, name := range []string{`a,operator=mid`, `a=b`, `a\tb`} {
+		resp := post(t, ts.URL+"/api/v1/jobs", `{"name": "`+name+`", "workload": "wordcount", "rate_rps": 250000}`)
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "name must not contain") {
+			t.Errorf("submit %q: status %d, body %q; want 400 naming the name", name, resp.StatusCode, body)
+		}
+	}
+	srv.fleet.RunUntil(120)
+	if out := string(get(t, ts, "/metrics")); strings.Contains(out, `operator="mid"`) {
+		t.Fatalf("forged labels exposed:\n%s", out)
+	}
+}
+
 // TestAdminRemoveThenResubmitSameName is the admin cycle that used to
 // kill the daemon: remove a job that has ticked, submit a new job under
 // the same name, keep rounding. The removed job's series must leave

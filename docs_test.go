@@ -21,6 +21,7 @@ var (
 	goRunRef   = regexp.MustCompile(`\bgo run \./([\w./-]+)`)
 	makeRule   = regexp.MustCompile(`(?m)^([a-zA-Z][\w-]*)\s*:(?:[^=]|$)`)
 	flagToken  = regexp.MustCompile(`^--?([a-zA-Z][\w-]*)(=.*)?$`)
+	pathRef    = regexp.MustCompile(`(?:^|[^\w])(internal/[\w./<>…-]*)`)
 )
 
 // flagDefiners maps each flag-defining function of package flag (and
@@ -93,9 +94,36 @@ func goRunProblems(code string, flags map[string]map[string]bool) []string {
 	return out
 }
 
+// internalPathProblems lists the `internal/...` paths in one code span
+// that name nothing in the module: a path must be a file or directory,
+// and an `internal/pkg.Symbol` path needs the package directory.
+// Placeholders (`internal/<name>`, `internal/…`) are skipped.
+func internalPathProblems(code string) []string {
+	var out []string
+	for _, m := range pathRef.FindAllStringSubmatch(code, -1) {
+		path := strings.TrimRight(m[1], "./")
+		if strings.ContainsAny(path, "<>…") {
+			continue
+		}
+		if _, err := os.Stat(path); err == nil {
+			continue
+		}
+		dir, base := filepath.Split(path)
+		if pkg, _, ok := strings.Cut(base, "."); ok {
+			if fi, err := os.Stat(dir + pkg); err == nil && fi.IsDir() {
+				continue
+			}
+		}
+		out = append(out, fmt.Sprintf("`%s` names nothing in the module", path))
+	}
+	return out
+}
+
 // Every backticked make invocation in the docs and Go comments names a
 // Makefile rule, and every backticked `go run ./<path>` names a main
 // package of this module and passes only flags that package defines.
+// Every backticked `internal/...` path in the docs (but not ROADMAP.md,
+// which names deleted packages on purpose) names a real package or file.
 // CHANGES.md is history and is not scanned.
 func TestDocsNameRealTargets(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
@@ -111,6 +139,9 @@ func TestDocsNameRealTargets(t *testing.T) {
 	if got := goRunProblems("go run ./cmd/metricsd -chaos heavy", flags); len(got) != 1 {
 		t.Fatalf("an undefined metricsd flag should be one problem, got %q", got)
 	}
+	if got := internalPathProblems("internal/queueing, ./internal/trace.FlightRecorder, internal/<pkg>/x.go, internal/persist/v1.go."); len(got) != 1 {
+		t.Fatalf("only the deleted package should be a problem, got %q", got)
+	}
 	check := func(where, code string) {
 		code = strings.Join(strings.Fields(code), " ")
 		for _, m := range makeRef.FindAllStringSubmatch(code, -1) {
@@ -123,7 +154,7 @@ func TestDocsNameRealTargets(t *testing.T) {
 		}
 	}
 
-	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"}
+	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 	for _, root := range []string{"docs", ".claude/skills"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".md") {
@@ -135,13 +166,20 @@ func TestDocsNameRealTargets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, path := range docs {
+	for _, path := range append(docs, "ROADMAP.md") {
 		blob, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, s := range markdownCode(string(blob)) {
-			check(fmt.Sprintf("%s:%d", path, s.line), s.code)
+			where := fmt.Sprintf("%s:%d", path, s.line)
+			check(where, s.code)
+			if path == "ROADMAP.md" {
+				continue
+			}
+			for _, p := range internalPathProblems(s.code) {
+				t.Errorf("%s: %s", where, p)
+			}
 		}
 	}
 	for _, gf := range slices.Concat(src.files, src.tests) {

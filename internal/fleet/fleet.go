@@ -50,8 +50,10 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
 
 	"autrascale/internal/chaos"
 	"autrascale/internal/cluster"
@@ -198,6 +200,10 @@ func (s *JobSpec) validate() error {
 	switch {
 	case s.Name == "":
 		return errors.New("job needs a name")
+	case strings.ContainsFunc(s.Name, func(r rune) bool { return r == ',' || r == '=' || !unicode.IsPrint(r) }):
+		// The store encodes tags as "k1=v1,k2=v2": either separator in a
+		// job tag would forge another series' labels.
+		return fmt.Errorf("job %q: name must not contain ',', '=' or a non-printable rune", s.Name)
 	case s.Workload.BuildGraph == nil:
 		return fmt.Errorf("job %q has no workload graph", s.Name)
 	case s.Machines <= 0:

@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"autrascale/internal/core"
@@ -77,6 +78,28 @@ func TestFleetConfigValidation(t *testing.T) {
 	}
 	if err := f.Submit(JobSpec{Name: "x"}); err == nil {
 		t.Fatal("graphless job should error")
+	}
+}
+
+// A job name is a store tag value, encoded as "job=NAME,k=v": a ',' or
+// '=' in it would forge another series' labels, so Submit refuses it
+// (and Restore, through the same validate; TestRestoreRejectsInvalidSpec).
+func TestSubmitRejectsTagSeparatorsInName(t *testing.T) {
+	f, err := New(Config{TotalCores: 64, Seed: 11, Store: metrics.NewStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a,operator=mid", "a=b", "a,b", "tab\tname", "nul\x00", "line\u2028sep"} {
+		err := f.Submit(testJob(t, name, 1500))
+		if err == nil || !strings.Contains(err.Error(), "name must not contain") {
+			t.Fatalf("Submit(%q) = %v, want a name error", name, err)
+		}
+	}
+	if used := f.Snapshot().UsedCores; used != 0 {
+		t.Fatalf("refused names hold %d cores", used)
+	}
+	if err := f.Submit(testJob(t, "word count-01 ü", 1500)); err != nil {
+		t.Fatalf("a printable name without separators: %v", err)
 	}
 }
 

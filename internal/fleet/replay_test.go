@@ -500,6 +500,7 @@ func TestRestoreRejectsInvalidSpec(t *testing.T) {
 		{"max_iterations", func(js *persist.JobState) { js.MaxIterations = 0 }},
 		{"target_latency_ms", func(js *persist.JobState) { js.TargetLatencyMS = 0 }},
 		{"needs a name", func(js *persist.JobState) { js.Name = "" }},
+		{"name must not contain", func(js *persist.JobState) { js.Name = "solo,operator=mid" }},
 		// Factors whose product overflows to 0 must not slip past the budget.
 		{"admission rejected", func(js *persist.JobState) { js.Machines, js.CoresPerMachine = 1<<62, 4 }},
 	} {

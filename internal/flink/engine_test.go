@@ -275,9 +275,9 @@ func TestMetricsRecorded(t *testing.T) {
 	}
 	e.Run(30)
 	job := map[string]string{"job": "test-job"}
-	rates := store.Window(metrics.MetricTrueProcessingRate, map[string]string{"job": "test-job", "operator": "map"}, 0, 30)
-	if len(rates) == 0 || stat.Mean(valuesOf(rates)) <= 0 {
-		t.Fatalf("true rate not recorded: %v", rates)
+	rate, ok := store.Latest(metrics.MetricTrueProcessingRate, map[string]string{"job": "test-job", "operator": "map"})
+	if !ok || rate.TimeSec != e.Now() || rate.Value <= 0 {
+		t.Fatalf("true rate not recorded at t=%g: %v, %v", e.Now(), rate, ok)
 	}
 	if _, ok := store.Latest(metrics.MetricThroughput, job); !ok {
 		t.Fatal("throughput not recorded")
@@ -285,15 +285,6 @@ func TestMetricsRecorded(t *testing.T) {
 	if _, ok := store.Latest(metrics.MetricKafkaLag, job); !ok {
 		t.Fatal("lag not recorded")
 	}
-}
-
-// valuesOf returns the points' values.
-func valuesOf(pts []metrics.Point) []float64 {
-	vs := make([]float64, len(pts))
-	for i, p := range pts {
-		vs[i] = p.Value
-	}
-	return vs
 }
 
 // Property: flow conservation at the source — every tick the backlog

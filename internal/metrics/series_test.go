@@ -27,11 +27,10 @@ func referenceExposition(s *Store, names []string) string {
 	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
 	var b strings.Builder
 	for _, k := range keys {
-		pts := s.WindowByKey(k, math.Inf(-1), math.Inf(1))
-		if len(pts) == 0 {
+		last, ok := s.lookup(k).Latest()
+		if !ok {
 			continue
 		}
-		last := pts[len(pts)-1]
 		fmt.Fprintf(&b, "%s%s %g %d\n", sanitizeMetricName(k.Name), formatLabels(k.Tags),
 			last.Value, int64(last.TimeSec*1000))
 	}
@@ -75,7 +74,7 @@ var awkwardValues = []float64{0, -0.0, 1, -1, 29700, 0.1, 1e-7, 123456789, 1e21,
 
 // The handle path and the name+tags path are the same series: a store
 // fed through Series().Append and one fed through Record render
-// byte-identical expositions and answer Window/Latest identically — and
+// byte-identical expositions and answer Latest identically — and
 // both match the fmt-based reference renderer.
 func TestHandlePathMatchesRecordPath(t *testing.T) {
 	names := []string{"taskmanager.job.latency", "kafka.consumer.recordsLag", "9.odd name"}
@@ -133,19 +132,6 @@ func TestHandlePathMatchesRecordPath(t *testing.T) {
 					t.Fatalf("%s %v: Latest = %v,%v want %v,%v", n, tags, p, ok, wantLatest, wantOK)
 				}
 			}
-			for _, w := range [][2]float64{{0, 100}, {1, 3}, {2.25, 2.75}, {50, 60}, {3, 1}} {
-				want := byRecord.Window(n, tags, w[0], w[1])
-				for _, got := range [][]Point{h.Window(w[0], w[1]), byHandle.Window(n, tags, w[0], w[1])} {
-					if len(got) != len(want) {
-						t.Fatalf("%s %v window %v: %d points, want %d", n, tags, w, len(got), len(want))
-					}
-					for i := range got {
-						if !samePoint(got[i], want[i]) {
-							t.Fatalf("%s %v window %v point %d: %v want %v", n, tags, w, i, got[i], want[i])
-						}
-					}
-				}
-			}
 		}
 	}
 }
@@ -174,8 +160,8 @@ func TestOutOfOrderRejectedOnBothPaths(t *testing.T) {
 	if err := h.Append(5, 2); err != nil {
 		t.Fatalf("equal timestamps must be accepted: %v", err)
 	}
-	if pts := h.Window(0, 10); len(pts) != 2 {
-		t.Fatalf("rejected samples were stored: %v", pts)
+	if p, _ := h.Latest(); p != (Point{TimeSec: 5, Value: 2}) {
+		t.Fatalf("Latest = %v, want the accepted (5, 2)", p)
 	}
 	defer func() {
 		if recover() == nil {
@@ -185,81 +171,22 @@ func TestOutOfOrderRejectedOnBothPaths(t *testing.T) {
 	h.MustAppend(1, 1)
 }
 
-// fill appends samples t=0..n-1 with value == t.
-func fill(t *testing.T, h *Series, n int) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		if err := h.Append(float64(i), float64(i)); err != nil {
+// Newest sample wins: each Append replaces the last, in steady state
+// without allocating.
+func TestAppendAllocatesNothing(t *testing.T) {
+	h := NewStore().Series("m", nil)
+	next := 0.0
+	if avg := testing.AllocsPerRun(1000, func() {
+		if err := h.Append(next, -next); err != nil {
 			t.Fatal(err)
 		}
+		next++
+	}); avg != 0 {
+		t.Fatalf("Append allocates %g per call", avg)
 	}
-}
-
-// checkRun asserts pts is exactly the samples first..last.
-func checkRun(t *testing.T, pts []Point, first, last int) {
-	t.Helper()
-	if len(pts) != last-first+1 {
-		t.Fatalf("%d points, want %d (%d..%d)", len(pts), last-first+1, first, last)
+	if p, ok := h.Latest(); !ok || p.TimeSec != next-1 || p.Value != 1-next {
+		t.Fatalf("Latest = %v, %v, want the newest of %g samples", p, ok, next)
 	}
-	for i, p := range pts {
-		if want := float64(first + i); p.TimeSec != want || p.Value != want {
-			t.Fatalf("point %d = %v, want t=v=%g", i, p, want)
-		}
-	}
-}
-
-func TestRetention(t *testing.T) {
-	t.Run("exactly at cap keeps everything", func(t *testing.T) {
-		h := NewStore().Series("m", nil)
-		fill(t, h, retentionPoints)
-		checkRun(t, h.Window(0, math.Inf(1)), 0, retentionPoints-1)
-	})
-	t.Run("one past cap recycles the oldest chunk", func(t *testing.T) {
-		h := NewStore().Series("m", nil)
-		fill(t, h, retentionPoints+1)
-		checkRun(t, h.Window(0, math.Inf(1)), chunkPoints, retentionPoints)
-		if p, ok := h.Latest(); !ok || p.TimeSec != retentionPoints {
-			t.Fatalf("Latest after wrap = %v, %v", p, ok)
-		}
-	})
-	t.Run("window straddling the evicted boundary", func(t *testing.T) {
-		s := NewStore()
-		h := s.Series("m", nil)
-		fill(t, h, retentionPoints+1) // samples 0..chunkPoints-1 are gone
-		checkRun(t, h.Window(chunkPoints-10, chunkPoints+10), chunkPoints, chunkPoints+10)
-		if pts := h.Window(0, chunkPoints-1); len(pts) != 0 {
-			t.Fatalf("evicted range returned %d points", len(pts))
-		}
-		checkRun(t, s.Window("m", nil, 0, chunkPoints+1), chunkPoints, chunkPoints+1)
-	})
-	t.Run("many wraps stay bounded and ordered", func(t *testing.T) {
-		h := NewStore().Series("m", nil)
-		const n = 5*retentionPoints + chunkPoints/2
-		fill(t, h, n)
-		pts := h.Window(0, math.Inf(1))
-		if len(pts) > retentionPoints || len(pts) <= retentionPoints-chunkPoints {
-			t.Fatalf("retained %d points, want within (%d, %d]", len(pts), retentionPoints-chunkPoints, retentionPoints)
-		}
-		checkRun(t, pts, n-len(pts), n-1)
-		// Windows that cross chunk seams come back contiguous.
-		checkRun(t, h.Window(n-3*chunkPoints-5, n-chunkPoints+5), n-3*chunkPoints-5, n-chunkPoints+5)
-		if p, _ := h.Latest(); p.TimeSec != n-1 {
-			t.Fatalf("Latest = %v, want t=%d", p, n-1)
-		}
-	})
-	t.Run("steady state allocates nothing", func(t *testing.T) {
-		h := NewStore().Series("m", nil)
-		fill(t, h, retentionPoints)
-		next := float64(retentionPoints)
-		if avg := testing.AllocsPerRun(4*retentionPoints, func() {
-			if err := h.Append(next, 1); err != nil {
-				t.Fatal(err)
-			}
-			next++
-		}); avg != 0 {
-			t.Fatalf("Append at the cap allocates %g per call", avg)
-		}
-	})
 }
 
 // A handle outlives DropTagged detached: appends succeed and
@@ -350,11 +277,11 @@ func TestDropTagged(t *testing.T) {
 	}
 }
 
-// Appends through handles race scrapes, windowed reads, series creation
+// Appends through handles race scrapes, Latest reads, series creation
 // and drops; run under -race (make race).
 func TestConcurrentAppendScrapeCreateDrop(t *testing.T) {
 	s := NewStore()
-	const writers, samples = 4, 3 * retentionPoints
+	const writers, samples = 4, 3000
 	stop := make(chan struct{})
 	var readers, writersWG sync.WaitGroup
 
@@ -377,17 +304,19 @@ func TestConcurrentAppendScrapeCreateDrop(t *testing.T) {
 			t.Error(err)
 		}
 	})
+	seen := make([]float64, writers) // newest TimeSec read per writer
 	read(func() {
 		for w := 0; w < writers; w++ {
-			pts := s.Window("m", map[string]string{"job": fmt.Sprint(w)}, 0, math.Inf(1))
-			for i := 1; i < len(pts); i++ {
-				if pts[i].TimeSec != pts[i-1].TimeSec+1 {
-					t.Errorf("window not contiguous at %d: %v then %v", i, pts[i-1], pts[i])
-					return
-				}
+			p, ok := s.Latest("m", map[string]string{"job": fmt.Sprint(w)})
+			if !ok {
+				continue
 			}
+			if p.TimeSec < seen[w] || p.Value != float64(w) {
+				t.Errorf("writer %d: Latest went from t=%g to %v", w, seen[w], p)
+				return
+			}
+			seen[w] = p.TimeSec
 		}
-		s.Latest("m", map[string]string{"job": "1"})
 	})
 	churn := 0
 	read(func() {
@@ -426,22 +355,26 @@ func TestConcurrentAppendScrapeCreateDrop(t *testing.T) {
 	}
 }
 
-// Two handles on one series serialize on the series lock.
+// Handles on one series serialize on the series lock: a write older
+// than the newest is rejected, so the newest sample always wins.
 func TestConcurrentAppendSameSeries(t *testing.T) {
 	s := NewStore()
+	const writers, samples = 4, 200
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			h := s.Series("m", nil)
-			for i := 0; i < 200; i++ {
-				h.MustAppend(0, 1) // equal timestamps are in order
+			for i := 0; i < samples; i++ {
+				if err := h.Append(float64(i), float64(g)); err != nil && !strings.Contains(err.Error(), "out-of-order") {
+					t.Error(err)
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	if pts := s.Window("m", nil, 0, 0); len(pts) != 800 {
-		t.Fatalf("retained %d of 800 samples", len(pts))
+	if p, ok := s.Latest("m", nil); !ok || p.TimeSec != samples-1 || p.Value < 0 || p.Value >= writers {
+		t.Fatalf("Latest = %v, %v, want t=%d from one of the writers", p, ok, samples-1)
 	}
 }

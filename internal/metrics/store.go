@@ -1,6 +1,6 @@
 // Package metrics is the in-memory substitute for the paper's InfluxDB
-// deployment: a tagged time-series store with windowed queries, plus the
-// counter and histogram instruments and their Prometheus text exposition.
+// deployment: tagged last-value gauges plus counters and histograms, and
+// their Prometheus text exposition.
 //
 // Series names follow the Flink metric path convention the paper cites,
 // e.g. "taskmanager.job.task.trueProcessingRate".
@@ -47,16 +47,16 @@ func encodeTags(tags map[string]string) string {
 	return strings.Join(parts, ",")
 }
 
-// Store is a concurrency-safe time-series database. Besides gauge-style
-// series it registers counter/histogram instruments (see instruments.go)
-// so one exposition pass covers both.
+// Store is a concurrency-safe registry of last-value gauge series.
+// Besides them it registers counter/histogram instruments (see
+// instruments.go) so one exposition pass covers both.
 //
 // Everything the store hands out follows one rule: resolve once, append
 // many. Series, Counter and Histogram each return a handle; resolving
 // one encodes the tags and consults a registry, using one is a per-handle
 // lock or atomic with no allocation. Hot paths cache the handle —
-// MustRecord and the name+tags readers below are the same operations
-// with the resolution paid on every call.
+// MustRecord and Latest below are the same operations with the
+// resolution paid on every call.
 type Store struct {
 	mu     sync.RWMutex
 	series map[SeriesKey]*Series
@@ -70,9 +70,8 @@ type Store struct {
 	histograms sync.Map // SeriesKey -> *Histogram
 }
 
-// expositionOrder is the store's contents sorted by (name, tags) — what
-// a scrape walks and what the by-name readers search. A published value
-// is never mutated, so readers use it unlocked.
+// expositionOrder is the store's contents sorted by (name, tags), which
+// a scrape walks. A published value is never mutated, so it is read unlocked.
 type expositionOrder struct {
 	series     []*Series
 	counters   []counterEntry
@@ -167,8 +166,8 @@ func keyLess(a, b SeriesKey) bool {
 	return a.Tags < b.Tags
 }
 
-// MustRecord appends a sample to the named series and panics if it is
-// out of order (simulator-internal writes are ordered by construction).
+// MustRecord records a sample as the named series' newest and panics if
+// it is out of order (simulator-internal writes are ordered by construction).
 func (s *Store) MustRecord(name string, tags map[string]string, t, v float64) {
 	s.Series(name, tags).MustAppend(t, v)
 }
@@ -176,17 +175,6 @@ func (s *Store) MustRecord(name string, tags map[string]string, t, v float64) {
 // Latest returns the most recent sample of the series, or false.
 func (s *Store) Latest(name string, tags map[string]string) (Point, bool) {
 	return s.lookup(SeriesKey{Name: name, Tags: encodeTags(tags)}).Latest()
-}
-
-// Window returns the retained samples with TimeSec in [from, to] (see
-// retentionPoints for how far back a series reaches).
-func (s *Store) Window(name string, tags map[string]string, from, to float64) []Point {
-	return s.WindowByKey(SeriesKey{Name: name, Tags: encodeTags(tags)}, from, to)
-}
-
-// WindowByKey returns samples for an exact series key in [from, to].
-func (s *Store) WindowByKey(key SeriesKey, from, to float64) []Point {
-	return s.lookup(key).Window(from, to)
 }
 
 // Len returns the number of stored series.

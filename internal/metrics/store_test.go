@@ -2,12 +2,8 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"testing"
-	"testing/quick"
-
-	"autrascale/internal/stat"
 )
 
 // Record is the name+tags append path the handle path is checked
@@ -15,15 +11,6 @@ import (
 // every call.
 func (s *Store) Record(name string, tags map[string]string, t, v float64) error {
 	return s.Series(name, tags).Append(t, v)
-}
-
-// meanOf is the mean of the points' values.
-func meanOf(pts []Point) float64 {
-	var sum float64
-	for _, p := range pts {
-		sum += p.Value
-	}
-	return sum / float64(len(pts))
 }
 
 func TestEncodeTags(t *testing.T) {
@@ -68,23 +55,6 @@ func TestOutOfOrderRejected(t *testing.T) {
 	s.MustRecord("m", nil, 3, 1)
 }
 
-func TestWindowQueries(t *testing.T) {
-	s := NewStore()
-	for i := 0; i < 10; i++ {
-		s.MustRecord("m", nil, float64(i), float64(i)*10)
-	}
-	w := s.Window("m", nil, 2, 5)
-	if len(w) != 4 || w[0].TimeSec != 2 || w[3].TimeSec != 5 {
-		t.Fatalf("Window = %v", w)
-	}
-	if math.Abs(meanOf(w)-35) > 1e-9 {
-		t.Fatalf("window mean = %v", meanOf(w))
-	}
-	if w := s.Window("m", nil, 100, 200); len(w) != 0 {
-		t.Fatalf("window past the data = %v", w)
-	}
-}
-
 func TestSeriesDiscovery(t *testing.T) {
 	s := NewStore()
 	tags := []map[string]string{
@@ -101,13 +71,12 @@ func TestSeriesDiscovery(t *testing.T) {
 	}
 	// A series is found by its exact name and tags, in any tag order.
 	for i, tg := range tags {
-		pts := s.WindowByKey(SeriesKey{Name: "rate", Tags: encodeTags(tg)}, 0, 10)
-		if len(pts) != 1 || pts[0].Value != float64(i+1) {
-			t.Fatalf("series %v = %v", tg, pts)
+		if p, ok := s.Latest("rate", tg); !ok || p.Value != float64(i+1) {
+			t.Fatalf("series %v = %v, %v", tg, p, ok)
 		}
 	}
-	if pts := s.Window("rate", map[string]string{"job": "wc", "operator": "map"}, 0, 10); len(pts) != 0 {
-		t.Fatalf("a tag subset matched %v", pts)
+	if p, ok := s.Latest("rate", map[string]string{"job": "wc", "operator": "map"}); ok {
+		t.Fatalf("a tag subset matched %v", p)
 	}
 }
 
@@ -129,49 +98,20 @@ func TestConcurrentRecord(t *testing.T) {
 		t.Fatalf("Len = %d, want 8", s.Len())
 	}
 	for w := 0; w < 8; w++ {
-		pts := s.Window("m", map[string]string{"instance": fmt.Sprint(w)}, 0, 1e9)
-		if len(pts) != 500 {
-			t.Fatalf("instance %d has %d points", w, len(pts))
+		if p, ok := s.Latest("m", map[string]string{"instance": fmt.Sprint(w)}); !ok || p.TimeSec != 499 {
+			t.Fatalf("instance %d: Latest = %v, %v, want t=499", w, p, ok)
 		}
-	}
-}
-
-// Property: the full-range window holds every write, so its mean equals
-// the mean of all writes.
-func TestWindowMeanProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := stat.NewRNG(seed)
-		s := NewStore()
-		n := 1 + r.Intn(50)
-		var sum float64
-		for i := 0; i < n; i++ {
-			v := r.Float64() * 100
-			sum += v
-			s.MustRecord("m", nil, float64(i), v)
-		}
-		w := s.Window("m", nil, 0, float64(n))
-		return len(w) == n && math.Abs(meanOf(w)-sum/float64(n)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
 // A job-level series (tagged job=..., no operator tag) is read back by
-// its exact tags: window and latest sample.
+// its exact tags.
 func TestJobMeanAndLatest(t *testing.T) {
 	s := NewStore()
 	job := map[string]string{"job": "wc"}
 	s.MustRecord(MetricTrueProcessingRate, map[string]string{"job": "wc", "operator": "Count"}, 0, 10)
 	s.MustRecord(MetricLatencyMS, job, 0, 50)
 	s.MustRecord(MetricLatencyMS, job, 1, 70)
-	w := s.Window(MetricLatencyMS, job, 0, 1)
-	if math.Abs(meanOf(w)-60) > 1e-12 || len(w) != 2 {
-		t.Fatalf("job window = %v, want mean 60 over 2 samples", w)
-	}
-	if w := s.Window(MetricLatencyMS, map[string]string{"job": "nojob"}, 0, 1); len(w) != 0 {
-		t.Fatalf("missing-job window = %v", w)
-	}
 	p, ok := s.Latest(MetricLatencyMS, job)
 	if !ok || p.Value != 70 || p.TimeSec != 1 {
 		t.Fatalf("Latest = (%+v, %v), want value 70 at t=1", p, ok)
