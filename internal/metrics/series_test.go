@@ -189,6 +189,90 @@ func TestAppendAllocatesNothing(t *testing.T) {
 	}
 }
 
+// The gauge contract, case by case: a series holds exactly its newest
+// accepted sample, read back bit for bit through the handle and by name.
+func TestGaugeContract(t *testing.T) {
+	tags := map[string]string{"job": "wc"}
+	// latest checks the handle and the by-name read agree on want.
+	latest := func(t *testing.T, s *Store, h *Series, want Point, wantOK bool) {
+		t.Helper()
+		for path, read := range map[string]func() (Point, bool){
+			"handle":  h.Latest,
+			"by name": func() (Point, bool) { return s.Latest("m", tags) },
+		} {
+			if p, ok := read(); ok != wantOK || !samePoint(p, want) {
+				t.Fatalf("%s Latest = %v, %v, want %v, %v", path, p, ok, want, wantOK)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, s *Store, h *Series)
+	}{
+		{"newest sample wins", func(t *testing.T, s *Store, h *Series) {
+			for i, v := range []float64{3, 1, 4, 1, 5} {
+				h.MustAppend(float64(i), v)
+				latest(t, s, h, Point{TimeSec: float64(i), Value: v}, true)
+			}
+		}},
+		{"equal timestamp replaces the value", func(t *testing.T, s *Store, h *Series) {
+			h.MustAppend(7, 1)
+			h.MustAppend(7, 2)
+			latest(t, s, h, Point{TimeSec: 7, Value: 2}, true)
+		}},
+		{"rejected sample keeps the newest", func(t *testing.T, s *Store, h *Series) {
+			h.MustAppend(10, 1)
+			for _, ts := range []float64{9.999, 0, -1, math.Inf(-1)} {
+				if err := h.Append(ts, 99); err == nil {
+					t.Fatalf("Append(%g) after 10 accepted", ts)
+				}
+				latest(t, s, h, Point{TimeSec: 10, Value: 1}, true)
+			}
+		}},
+		{"first sample may come at any time", func(t *testing.T, s *Store, h *Series) {
+			// An empty series has no time to be out of order with, not
+			// even the zero value of its sample.
+			if err := h.Append(-5, 1); err != nil {
+				t.Fatalf("first sample at t=-5: %v", err)
+			}
+			latest(t, s, h, Point{TimeSec: -5, Value: 1}, true)
+		}},
+		{"values read back bit for bit", func(t *testing.T, s *Store, h *Series) {
+			for i, v := range awkwardValues {
+				h.MustAppend(float64(i), v)
+				p, _ := s.Latest("m", tags)
+				if math.Float64bits(p.Value) != math.Float64bits(v) {
+					t.Fatalf("stored %v (bits %x), read %v (bits %x)",
+						v, math.Float64bits(v), p.Value, math.Float64bits(p.Value))
+				}
+			}
+		}},
+		{"unwritten series is registered but empty", func(t *testing.T, s *Store, h *Series) {
+			latest(t, s, h, Point{}, false)
+			if s.Len() != 1 {
+				t.Fatalf("Len = %d, want the resolved series", s.Len())
+			}
+			var buf bytes.Buffer
+			if err := s.WriteExposition(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if buf.Len() != 0 {
+				t.Fatalf("an unwritten series is exposed:\n%s", buf.String())
+			}
+		}},
+		{"nil handle reads empty", func(t *testing.T, _ *Store, _ *Series) {
+			if p, ok := (*Series)(nil).Latest(); ok || p != (Point{}) {
+				t.Fatalf("nil Latest = %v, %v", p, ok)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStore()
+			tc.run(t, s, s.Series("m", tags))
+		})
+	}
+}
+
 // A handle outlives DropTagged detached: appends succeed and
 // read back through the handle, but the store neither exposes nor finds
 // the points, and re-resolving the name starts a fresh series.
