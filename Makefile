@@ -29,6 +29,8 @@ bench:
 #   make profile PROFILE_BENCH='BenchmarkEngineTickStore$$' PROFILE_BENCHTIME=2000000x
 # or one decode + restore of the 10,000-job snapshot (the read side):
 #   make profile PROFILE_BENCH='BenchmarkRestore10k$$' PROFILE_BENCHTIME=3x
+# or one BO suggestion (refit, candidate pool, sweep and climbs):
+#   make profile PROFILE_BENCH='BenchmarkBOSuggest$$' PROFILE_BENCHTIME=2000x
 PROFILE_BENCH = BenchmarkFleetTick10k$$
 PROFILE_BENCHTIME = 500x
 profile:

@@ -61,26 +61,31 @@ func TestRandomPointInSpace(t *testing.T) {
 	}
 }
 
+// The candidate pool's neighbour ring: one operator moved by ±step,
+// clamped to the space, the incumbent itself dropped and uncarved, each
+// kept neighbour in its own carved storage.
 func TestNeighbors(t *testing.T) {
 	s := mustSpace(t, dataflow.ParallelismVector{1, 1}, 5)
-	n := s.Neighbors(dataflow.ParallelismVector{3, 3}, 1)
-	if len(n) != 4 {
-		t.Fatalf("interior point should have 4 neighbors, got %d", len(n))
-	}
-	// At the lower corner only upward moves remain.
-	n = s.Neighbors(dataflow.ParallelismVector{1, 1}, 1)
-	if len(n) != 2 {
-		t.Fatalf("corner should have 2 neighbors, got %v", n)
-	}
-	for _, p := range n {
-		if !s.Contains(p) {
-			t.Fatalf("neighbor out of space: %v", p)
+	check := func(p dataflow.ParallelismVector, step int, want []dataflow.ParallelismVector) {
+		t.Helper()
+		sc := getSuggestScratch()
+		defer sc.release()
+		var got []dataflow.ParallelismVector
+		sc.neighbors(s, p, step, func(q dataflow.ParallelismVector) { got = append(got, q) })
+		if len(got) != len(want) || len(sc.backing) != len(want)*len(p) {
+			t.Fatalf("%v step %d: ring %v in %d carved ints, want %v", p, step, got, len(sc.backing), want)
+		}
+		for i, w := range want {
+			if !got[i].Equal(w) || !s.Contains(got[i]) {
+				t.Fatalf("%v step %d: neighbour %d = %v, want %v", p, step, i, got[i], w)
+			}
 		}
 	}
-	// step <= 0 defaults to 1.
-	if len(s.Neighbors(dataflow.ParallelismVector{3, 3}, 0)) != 4 {
-		t.Fatal("step 0 should behave as step 1")
-	}
+	check(dataflow.ParallelismVector{3, 3}, 1, []dataflow.ParallelismVector{{2, 3}, {4, 3}, {3, 2}, {3, 4}})
+	// At the lower corner only upward moves remain.
+	check(dataflow.ParallelismVector{1, 1}, 1, []dataflow.ParallelismVector{{2, 1}, {1, 2}})
+	// A large step clamps to the space's faces.
+	check(dataflow.ParallelismVector{3, 3}, 16, []dataflow.ParallelismVector{{1, 3}, {5, 3}, {3, 1}, {3, 5}})
 }
 
 func TestBootstrapSetDesign(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 
 	"autrascale/internal/dataflow"
 	"autrascale/internal/gp"
@@ -67,7 +66,7 @@ type Optimizer struct {
 	tracer  *trace.Tracer
 
 	obs   []Observation
-	index map[string]int // Par.Key() → position in obs
+	index pointIndex // entry i is obs[i].Par
 	model *gp.Regressor
 	dirty bool
 	// lastStats explains the most recent suggestion (LastSuggestion).
@@ -114,7 +113,6 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 		exploit: cfg.Exploit,
 		rng:     stat.NewRNG(cfg.Seed ^ 0x51ab_c0ff_ee12_3457),
 		tracer:  cfg.Tracer,
-		index:   map[string]int{},
 	}, nil
 }
 
@@ -179,16 +177,16 @@ func (o *Optimizer) Add(ob Observation) error {
 	if math.IsNaN(ob.Score) || math.IsInf(ob.Score, 0) {
 		return errors.New("bo: non-finite score")
 	}
-	ob.Par = ob.Par.Clone()
-	key := ob.Par.Key()
-	if i, ok := o.index[key]; ok {
+	if i, ok := o.index.find(ob.Par); ok {
 		if o.obs[i].Estimated || !ob.Estimated {
+			ob.Par = o.obs[i].Par // the index's key; equal to the new one
 			o.obs[i] = ob
 			o.dirty = true
 		}
 		return nil
 	}
-	o.index[key] = len(o.obs)
+	ob.Par = ob.Par.Clone()
+	o.index.insert(ob.Par)
 	o.obs = append(o.obs, ob)
 	if o.model != nil && !o.dirty && o.appendsSinceFit < hyperRefitEvery-1 {
 		if err := o.model.Append(ob.Par.Floats(), ob.Score); err == nil {
@@ -225,10 +223,17 @@ func (o *Optimizer) refit() error {
 	if len(o.obs) == 0 {
 		return gp.ErrNoData
 	}
+	// FitAuto copies its inputs, so they share one flat buffer here.
+	dim := o.space.Dim()
+	flat := make([]float64, len(o.obs)*dim)
 	xs := make([][]float64, len(o.obs))
 	ys := make([]float64, len(o.obs))
 	for i, ob := range o.obs {
-		xs[i] = ob.Par.Floats()
+		x := flat[i*dim : (i+1)*dim]
+		for d, k := range ob.Par {
+			x[d] = float64(k)
+		}
+		xs[i] = x
 		ys[i] = ob.Score
 	}
 	model, err := gp.FitAuto(xs, ys, gp.FitOptions{Family: gp.FamilyMatern52})
@@ -323,17 +328,10 @@ func pickNearTie(acqVals, resources []float64, eligible []bool) int {
 // was computed.
 type posterior struct{ mean, std float64 }
 
-// appendKey appends p's canonical key (the ParallelismVector.Key format)
-// to b, enabling allocation-free probes of Key()-keyed maps via
-// m[string(b)].
-func appendKey(b []byte, p dataflow.ParallelismVector) []byte {
-	for i, k := range p {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(k), 10)
-	}
-	return b
+// evaluated reports whether p has a real (not estimated) observation.
+func (o *Optimizer) evaluated(p dataflow.ParallelismVector) bool {
+	i, ok := o.index.find(p)
+	return ok && !o.obs[i].Estimated
 }
 
 // scoreCandidates fills acqVals[i], means[i], stds[i] for each encoded
@@ -384,16 +382,8 @@ func (o *Optimizer) SuggestWith(exploit bool) (dataflow.ParallelismVector, error
 	// whatever escapes before the deferred release recycles the buffers.
 	sc := getSuggestScratch()
 	defer sc.release()
-	// o.index already interns each observation's canonical key; building
-	// the evaluated set from it skips a Par.Key() encoding per observation.
-	evaluated := sc.evaluated
-	for key, i := range o.index {
-		if !o.obs[i].Estimated {
-			evaluated[key] = true
-		}
-	}
 
-	candidates, candKeys := o.candidatePool(sc, best.Par)
+	candidates := o.candidatePool(sc, best.Par)
 	dim := o.space.Dim()
 	// Encode the pool once into one backing array: candidate i's float
 	// vector is enc[i*dim : (i+1)*dim], shared by scoring and climbs.
@@ -421,7 +411,7 @@ func (o *Optimizer) SuggestWith(exploit bool) (dataflow.ParallelismVector, error
 	resources, eligible := sc.resources, sc.eligible
 	for i, c := range candidates {
 		resources[i] = o.resourceTerm(c)
-		eligible[i] = !evaluated[candKeys[i]]
+		eligible[i] = !o.evaluated(c)
 	}
 	// sws serves every stage of this suggestion — sweep, climbs,
 	// climb-result scoring — so its scratch buffers are sized once.
@@ -430,10 +420,9 @@ func (o *Optimizer) SuggestWith(exploit bool) (dataflow.ParallelismVector, error
 	o.scoreCandidates(sws, xs, acqVals, means, stds, fBest)
 	// The hill climbs below revisit pool points heavily (their starts and
 	// neighborhoods came from the pool); seed their memo with the sweep's
-	// posteriors.
-	memo := sc.memo
+	// posteriors. sc.points already numbers the pool by position.
 	for i := range candidates {
-		memo[candKeys[i]] = posterior{means[i], stds[i]}
+		sc.memo = append(sc.memo, posterior{means[i], stds[i]})
 	}
 
 	bestIdx := pickNearTie(acqVals, resources, eligible)
@@ -446,12 +435,16 @@ func (o *Optimizer) SuggestWith(exploit bool) (dataflow.ParallelismVector, error
 	// results re-enter the same selection. Both climbs predict through one
 	// workspace and one memo; memoized posteriors are the values the model
 	// would recompute.
-	buf := make([]float64, dim)
-	ckb := make([]byte, 0, 4*dim)
+	// A climb point entering the memo is copied into sc.backing: the
+	// climbs mutate their vectors in place.
+	sc.buf = floatsFor(sc.buf, dim, 0)
+	buf := sc.buf
 	predict := func(p dataflow.ParallelismVector, needStd bool) posterior {
-		ckb = appendKey(ckb[:0], p)
-		if pr, ok := memo[string(ckb)]; ok && (!needStd || !math.IsNaN(pr.std)) {
-			return pr
+		entry, ok := sc.points.find(p)
+		if ok {
+			if pr := sc.memo[entry]; !needStd || !math.IsNaN(pr.std) {
+				return pr
+			}
 		}
 		for d, k := range p {
 			buf[d] = float64(k)
@@ -470,7 +463,14 @@ func (o *Optimizer) SuggestWith(exploit bool) (dataflow.ParallelismVector, error
 			}
 			pr = posterior{mean, math.NaN()}
 		}
-		memo[string(ckb)] = pr
+		if ok {
+			sc.memo[entry] = pr
+			return pr
+		}
+		key := sc.carve(dim)
+		copy(key, p)
+		sc.points.insert(key)
+		sc.memo = append(sc.memo, pr)
 		return pr
 	}
 	results := make([]dataflow.ParallelismVector, 0, 2)
@@ -479,16 +479,19 @@ func (o *Optimizer) SuggestWith(exploit bool) (dataflow.ParallelismVector, error
 			pr := predict(p, true)
 			return expectedImprovement(pr.mean, pr.std, fBest, eiXi)
 		}
-		results = append(results, o.hillClimb(candidates[bestIdx], ei, evaluated))
+		results = append(results, o.hillClimb(sc, candidates[bestIdx], ei))
 	}
 	if meanIdx >= 0 {
 		mean := func(p dataflow.ParallelismVector) float64 { return predict(p, false).mean }
-		results = append(results, o.hillClimb(candidates[meanIdx], mean, evaluated))
+		results = append(results, o.hillClimb(sc, candidates[meanIdx], mean))
 	}
 	// Score the climb results (a handful of points) and re-run the
 	// selection over the extended arrays.
 	for _, p := range results {
-		mean, v, err := o.model.PredictWS(sws, p.Floats())
+		for d, k := range p {
+			buf[d] = float64(k)
+		}
+		mean, v, err := o.model.PredictWS(sws, buf)
 		if err != nil {
 			continue
 		}
@@ -498,7 +501,7 @@ func (o *Optimizer) SuggestWith(exploit bool) (dataflow.ParallelismVector, error
 		means = append(means, mean)
 		stds = append(stds, std)
 		resources = append(resources, o.resourceTerm(p))
-		eligible = append(eligible, !evaluated[p.Key()])
+		eligible = append(eligible, !o.evaluated(p))
 	}
 	bestIdx = pickNearTie(acqVals, resources, eligible)
 	meanIdx = argmaxEligible(means, eligible)
@@ -591,12 +594,13 @@ func argmaxEligible(vals []float64, eligible []bool) int {
 // starting at p, trying ±{1,2,4,8} per coordinate, until no move improves
 // or the evaluation budget is spent. Longer jumps are the candidate pool's
 // job — climb starts already won a sweep that included ±16 neighbors of
-// the incumbent. Points in `skip` may be traversed but never returned. The
-// climb mutates a single scratch vector per move, so it allocates nothing
-// beyond the two working vectors.
-func (o *Optimizer) hillClimb(p dataflow.ParallelismVector, objective func(dataflow.ParallelismVector) float64, skip map[string]bool) dataflow.ParallelismVector {
-	cur := p.Clone()
-	q := make(dataflow.ParallelismVector, len(cur))
+// the incumbent. Evaluated real points may be traversed but never
+// returned. The climb mutates two working vectors carved from sc, so it
+// allocates nothing.
+func (o *Optimizer) hillClimb(sc *suggestScratch, p dataflow.ParallelismVector, objective func(dataflow.ParallelismVector) float64) dataflow.ParallelismVector {
+	cur := sc.carve(len(p))
+	copy(cur, p)
+	q := sc.carve(len(p))
 	curV := objective(cur)
 	budget := 200
 	improved := true
@@ -627,7 +631,7 @@ func (o *Optimizer) hillClimb(p dataflow.ParallelismVector, objective func(dataf
 			}
 		}
 	}
-	if skip[cur.Key()] {
+	if o.evaluated(cur) {
 		return p // fall back to the start; caller filters evaluated points
 	}
 	return cur
@@ -639,35 +643,23 @@ func (o *Optimizer) hillClimb(p dataflow.ParallelismVector, objective func(dataf
 // contracts to a trust region around the incumbent and the base corner
 // (TuRBO-style), trading global exploration for convergence.
 //
-// The returned keys slice holds each candidate's canonical Key(), interned
-// once by the dedup pass — SuggestWith reuses the strings for its
-// evaluated-point and posterior-memo maps instead of re-encoding. Pool
-// and keys storage live in sc (recycled per suggestion), and the random
-// and near-base samples are carved from sc.backing, so a warm scratch
-// makes the whole pool construction allocation-free apart from the
-// interned key strings.
-func (o *Optimizer) candidatePool(sc *suggestScratch, incumbent dataflow.ParallelismVector) (pool []dataflow.ParallelismVector, keys []string) {
-	seen := sc.seen
-	pool = sc.candidates[:0]
-	keys = sc.candKeys[:0]
+// Every candidate is carved from sc.backing and deduplicated by value in
+// sc.points, which numbers it by its pool position. The pool itself lives
+// in sc (recycled per suggestion), so a warm scratch makes the whole pool
+// construction allocation-free.
+func (o *Optimizer) candidatePool(sc *suggestScratch, incumbent dataflow.ParallelismVector) []dataflow.ParallelismVector {
+	pool := sc.candidates[:0]
 	dim := o.space.Dim()
-	kb := make([]byte, 0, 4*dim)
-	// add appends p to the pool and reports whether it was kept (in the
-	// space and not a duplicate). Callers that keep p's storage alive only
-	// when pooled rely on the return value.
-	add := func(p dataflow.ParallelismVector) bool {
-		if p == nil || !o.space.Contains(p) {
-			return false
+	// keep appends p, the most recent carve, to the pool, or gives its
+	// storage back when p is outside the space or a duplicate.
+	keep := func(p dataflow.ParallelismVector) {
+		if o.space.Contains(p) {
+			if _, added := sc.points.insert(p); added {
+				pool = append(pool, p)
+				return
+			}
 		}
-		kb = appendKey(kb[:0], p)
-		if seen[string(kb)] {
-			return false
-		}
-		k := string(kb)
-		seen[k] = true
-		pool = append(pool, p)
-		keys = append(keys, k)
-		return true
+		sc.uncarve(dim)
 	}
 	localOnly := o.NumReal() >= trustAfter
 	if !localOnly {
@@ -675,9 +667,7 @@ func (o *Optimizer) candidatePool(sc *suggestScratch, incumbent dataflow.Paralle
 		for i := 0; i < randomCount; i++ {
 			p := sc.carve(dim)
 			o.space.RandomPointInto(o.rng, p)
-			if !add(p) {
-				sc.uncarve(dim)
-			}
+			keep(p)
 		}
 	}
 	// Densely sample near the base corner: the scoring function's
@@ -686,9 +676,7 @@ func (o *Optimizer) candidatePool(sc *suggestScratch, incumbent dataflow.Paralle
 	// keep most candidates within a few steps of base while still
 	// reaching deeper occasionally. Once the pool has contracted to the
 	// trust region, the hill climbs do the fine-grained refinement and a
-	// sparser blanket suffices. The samples are carved out of the shared
-	// backing (a slot is reused when the draw is a duplicate), so the loop
-	// allocates O(1) vectors instead of one per draw.
+	// sparser blanket suffices.
 	nearBaseCount := 128
 	if localOnly {
 		nearBaseCount = 64
@@ -710,21 +698,23 @@ func (o *Optimizer) candidatePool(sc *suggestScratch, incumbent dataflow.Paralle
 		}
 		// Offsets are capped at span = PMax − Base[d], so p is in-bounds
 		// by construction — no clamp pass needed.
-		if !add(p) {
-			sc.uncarve(dim)
-		}
+		keep(p)
 	}
 	if incumbent != nil {
-		for _, step := range []int{1, 2, 4, 8, 16} {
-			for _, n := range o.space.Neighbors(incumbent, step) {
-				add(n)
-			}
+		for _, step := range [...]int{1, 2, 4, 8, 16} {
+			sc.neighbors(o.space, incumbent, step, keep)
 		}
 	}
-	add(o.space.Base.Clone())
+	base := sc.carve(dim)
+	copy(base, o.space.Base)
+	keep(base)
 	if !localOnly {
-		add(dataflow.Uniform(o.space.Dim(), o.space.PMax))
+		top := sc.carve(dim)
+		for d := range top {
+			top[d] = o.space.PMax
+		}
+		keep(top)
 	}
-	sc.candidates, sc.candKeys = pool, keys
-	return pool, keys
+	sc.candidates = pool
+	return pool
 }

@@ -9,38 +9,33 @@ import (
 // A fleet of controllers calls SuggestWith thousands of times per tick
 // wave, and every call used to rebuild the same candidate-pool buffers:
 // the encoded float matrix, the acquisition/mean/std/resource arrays,
-// the evaluated-point and posterior-memo maps, and the backing array the
-// near-base samples are carved from. suggestScratch bundles them and a
-// process-wide sync.Pool recycles the bundle across controllers, so
-// steady-state suggestions reuse warm buffers instead of re-allocating
-// ~10 slices and 3 maps each.
+// the point index and posterior memo, and the backing array every
+// candidate, neighbour, climb vector and memo key is carved from.
+// suggestScratch bundles them and a process-wide sync.Pool recycles the
+// bundle across controllers, so a steady-state suggestion allocates a
+// constant number of objects, however many candidates it scores.
 //
-// Candidate vectors may alias sc.backing, so anything that outlives the
+// Candidate vectors alias sc.backing, so anything that outlives the
 // suggestion (the returned vector, SuggestionStats.Par) must be cloned
 // before release returns the scratch to the pool.
 type suggestScratch struct {
-	enc        []float64
-	xs         [][]float64
-	acqVals    []float64
-	means      []float64
-	stds       []float64
-	resources  []float64
-	eligible   []bool
-	evaluated  map[string]bool
-	memo       map[string]posterior
+	enc       []float64
+	xs        [][]float64
+	acqVals   []float64
+	means     []float64
+	stds      []float64
+	resources []float64
+	eligible  []bool
+	buf       []float64
+	// points numbers the pool's candidates by pool position, then the
+	// climb points the memo adds; memo[i] is entry i's posterior.
+	points     pointIndex
+	memo       []posterior
 	candidates []dataflow.ParallelismVector
-	candKeys   []string
-	seen       map[string]bool
 	backing    dataflow.ParallelismVector
 }
 
-var suggestScratchPool = sync.Pool{New: func() any {
-	return &suggestScratch{
-		evaluated: make(map[string]bool, 64),
-		memo:      make(map[string]posterior, 256),
-		seen:      make(map[string]bool, 256),
-	}
-}}
+var suggestScratchPool = sync.Pool{New: func() any { return new(suggestScratch) }}
 
 func getSuggestScratch() *suggestScratch { return suggestScratchPool.Get().(*suggestScratch) }
 
@@ -53,11 +48,9 @@ func (sc *suggestScratch) release() {
 	sc.stds = sc.stds[:0]
 	sc.resources = sc.resources[:0]
 	sc.eligible = sc.eligible[:0]
-	clear(sc.evaluated)
-	clear(sc.memo)
+	sc.points.reset()
+	sc.memo = sc.memo[:0]
 	sc.candidates = sc.candidates[:0]
-	sc.candKeys = sc.candKeys[:0]
-	clear(sc.seen)
 	sc.backing = sc.backing[:0]
 	suggestScratchPool.Put(sc)
 }
@@ -79,6 +72,27 @@ func (sc *suggestScratch) carve(dim int) dataflow.ParallelismVector {
 // uncarve gives back the most recent carve (the draw was a duplicate).
 func (sc *suggestScratch) uncarve(dim int) {
 	sc.backing = sc.backing[:len(sc.backing)-dim]
+}
+
+// neighbors carves into sc.backing each lattice point reachable from p
+// by changing one operator's parallelism by ±step, clamped to s in place,
+// and hands every one that differs from p to keep, operator by operator,
+// −step first. A neighbour equal to p is uncarved; keep owns the rest,
+// each the most recent carve when it is handed over.
+func (sc *suggestScratch) neighbors(s Space, p dataflow.ParallelismVector, step int, keep func(dataflow.ParallelismVector)) {
+	for i := range p {
+		for _, d := range [...]int{-step, step} {
+			q := sc.carve(len(p))
+			copy(q, p)
+			q[i] += d
+			s.clampInPlace(q)
+			if q.Equal(p) {
+				sc.uncarve(len(p))
+				continue
+			}
+			keep(q)
+		}
+	}
 }
 
 // floatsFor returns s resized to length n with at least extra spare

@@ -54,15 +54,20 @@ func (s Space) Contains(p dataflow.ParallelismVector) bool {
 // Clamp projects p into the space.
 func (s Space) Clamp(p dataflow.ParallelismVector) dataflow.ParallelismVector {
 	out := p.Clone()
-	for i := range out {
-		if out[i] < s.Base[i] {
-			out[i] = s.Base[i]
+	s.clampInPlace(out)
+	return out
+}
+
+// clampInPlace projects p into the space, overwriting it.
+func (s Space) clampInPlace(p dataflow.ParallelismVector) {
+	for i := range p {
+		if p[i] < s.Base[i] {
+			p[i] = s.Base[i]
 		}
-		if out[i] > s.PMax {
-			out[i] = s.PMax
+		if p[i] > s.PMax {
+			p[i] = s.PMax
 		}
 	}
-	return out
 }
 
 // RandomPoint draws a uniform lattice point from the space.
@@ -79,26 +84,6 @@ func (s Space) RandomPointInto(rng *stat.RNG, dst dataflow.ParallelismVector) {
 	for i, lo := range s.Base {
 		dst[i] = lo + rng.Intn(s.PMax-lo+1)
 	}
-}
-
-// Neighbors returns the lattice points reachable from p by changing one
-// operator's parallelism by ±step, clamped to the space.
-func (s Space) Neighbors(p dataflow.ParallelismVector, step int) []dataflow.ParallelismVector {
-	if step <= 0 {
-		step = 1
-	}
-	var out []dataflow.ParallelismVector
-	for i := range p {
-		for _, d := range []int{-step, step} {
-			q := p.Clone()
-			q[i] += d
-			q = s.Clamp(q)
-			if !q.Equal(p) {
-				out = append(out, q)
-			}
-		}
-	}
-	return out
 }
 
 // BootstrapSet builds the initial training design of §III-D:

@@ -534,6 +534,42 @@ func TestFitAutoMatchesDirectFit(t *testing.T) {
 	}
 }
 
+// FitAuto's work matrices and candidate factors are pooled: a model it
+// returned must keep predicting bit for bit while later fits, of other
+// sizes, reuse that scratch.
+func TestFitAutoModelsShareNoScratch(t *testing.T) {
+	rng := stat.NewRNG(23)
+	fit := func(n int) *Regressor {
+		xs := make([][]float64, n)
+		ys := make([]float64, n)
+		for i := range xs {
+			xs[i] = []float64{rng.Float64() * 8, rng.Float64() * 8}
+			ys[i] = math.Sin(xs[i][0]) + rng.Float64()
+		}
+		r, err := FitAuto(xs, ys, FitOptions{Family: FamilyMatern52})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	first := fit(12)
+	queries := [][]float64{{1, 1}, {4, 2}, {7, 6}}
+	var want []uint64
+	for _, q := range queries {
+		m, v, _ := first.Predict(q)
+		want = append(want, math.Float64bits(m), math.Float64bits(v))
+	}
+	for _, n := range []int{12, 20, 5} {
+		fit(n)
+	}
+	for i, q := range queries {
+		m, v, _ := first.Predict(q)
+		if math.Float64bits(m) != want[2*i] || math.Float64bits(v) != want[2*i+1] {
+			t.Fatalf("Predict(%v) moved after later fits: (%v, %v)", q, m, v)
+		}
+	}
+}
+
 // LogMarginalLikelihood is the reference for the fitted model's
 // log p(y | X, θ) that FitAuto's hyperparameter search scores inline:
 //

@@ -52,7 +52,9 @@ type FitOptions struct {
 // radial), and each candidate's Gram matrix reuses one buffer, so the
 // search costs one O(n²·d) distance pass plus one O(n³) factorization per
 // candidate instead of rebuilding everything from the raw inputs each
-// time. The winning candidate's factor is kept as-is — no final refit.
+// time. The work matrices and both candidate factors come from a pooled
+// fitScratch; the winning factor is copied out at its exact size — no
+// final refit.
 func FitAuto(xs [][]float64, ys []float64, opts FitOptions) (*Regressor, error) {
 	if len(xs) == 0 {
 		return nil, ErrNoData
@@ -66,44 +68,47 @@ func FitAuto(xs [][]float64, ys []float64, opts FitOptions) (*Regressor, error) 
 	}
 	noise := math.Max(1e-6, varY*1e-3)
 
-	n := len(xs)
-	dim := len(xs[0])
-	cx := make([][]float64, n)
-	for i, x := range xs {
-		if len(x) != dim {
-			// Delegate detailed validation to Fit.
-			r := New(opts.Family.makeKernel(varY, 1), noise)
-			if err := r.Fit(xs, ys); err != nil {
-				return nil, err
-			}
-			return r, nil
+	cx, bad := copyInputs(xs)
+	if bad >= 0 {
+		// Delegate detailed validation to Fit.
+		r := New(opts.Family.makeKernel(varY, 1), noise)
+		if err := r.Fit(xs, ys); err != nil {
+			return nil, err
 		}
-		cx[i] = mat.CopyVec(x)
+		return r, nil
 	}
+	n := len(xs)
 	ry := mat.CopyVec(ys)
 	meanY, cy := centerTargets(ry, nil)
-	d2 := dist2Matrix(cx)
+
+	fs := getFitScratch()
+	defer fitScratchPool.Put(fs)
+	d2 := &fs.d2
+	dist2Matrix(d2, cx)
 
 	lens := lengthScaleGrid(d2)
 
 	var (
-		bestKern   radialKernel
-		bestChol   *mat.Cholesky
-		bestAlpha  []float64
-		bestJitter float64
-		bestLML    = math.Inf(-1)
+		bestV, bestLS float64
+		bestJitter    float64
+		bestLML       = math.Inf(-1)
+		bestChol      *mat.Cholesky
 	)
-	shape := mat.NewMatrix(n, n) // unit-variance kernel values, per length scale
-	g := mat.NewMatrix(n, n)     // Gram buffer, reused per candidate
-	alpha := make([]float64, n)  // solve buffer, reused per candidate
-	scratch := new(mat.Cholesky) // factor buffer, swapped with bestChol on improvement
+	shape := &fs.shape // unit-variance kernel values, per length scale
+	g := &fs.g         // Gram buffer, reused per candidate
+	shape.Resize(n, n)
+	g.Resize(n, n)
+	fs.alpha = floatsFor(fs.alpha, n)         // solve buffer, reused per candidate
+	fs.bestAlpha = floatsFor(fs.bestAlpha, n) // the winner's weights
+	alpha, bestAlpha := fs.alpha, fs.bestAlpha
+	scratch := &fs.chol[0] // factor buffer, swapped with bestChol on improvement
 	for _, ls := range lens {
 		// All candidate kernels are radial with a multiplicative signal
 		// variance: k_v(d²) = v·k_1(d²). Evaluate the transcendental part
 		// once per length scale and derive each variance candidate's Gram
 		// matrix by scaling — one exp/sqrt pass per length scale over the
 		// whole variance search.
-		gramFromDist2(shape, opts.Family.makeKernel(1, ls), d2, 0)
+		unitShape(shape, opts.Family, ls, d2)
 		// score factors K = v·S + noise·I, computes its exact LML, keeps
 		// the winner, and returns cyᵀK⁻¹cy (NaN on failure) for the
 		// profiled-variance step below.
@@ -127,12 +132,13 @@ func FitAuto(xs [][]float64, ys []float64, opts FitOptions) (*Regressor, error) 
 			}
 			if lml > bestLML {
 				bestLML = lml
-				bestKern = opts.Family.makeKernel(v, ls)
-				bestChol, scratch = scratch, bestChol
-				if scratch == nil {
-					scratch = new(mat.Cholesky)
+				bestV, bestLS = v, ls
+				if bestChol == nil {
+					bestChol, scratch = scratch, &fs.chol[1]
+				} else {
+					bestChol, scratch = scratch, bestChol
 				}
-				bestAlpha = append(bestAlpha[:0], alpha...)
+				copy(bestAlpha, alpha)
 				bestJitter = jitter
 			}
 			return fit
@@ -156,23 +162,32 @@ func FitAuto(xs [][]float64, ys []float64, opts FitOptions) (*Regressor, error) 
 		return r, nil
 	}
 	return &Regressor{
-		kernel: bestKern,
+		kernel: opts.Family.makeKernel(bestV, bestLS),
 		noise:  noise,
 		xs:     cx,
 		ys:     ry,
 		cy:     cy,
 		meanY:  meanY,
-		chol:   bestChol,
-		alpha:  bestAlpha,
+		chol:   bestChol.Clone(),
+		alpha:  mat.CopyVec(bestAlpha),
 		jitter: bestJitter,
 	}, nil
+}
+
+// floatsFor returns s resized to length n, reusing its backing when it
+// fits. Contents are unspecified; callers overwrite every element.
+func floatsFor(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // lengthScaleGrid builds a log-spaced grid from ~2% to ~2x of the data
 // diameter (largest pairwise distance), so at least one scale is in a
 // sensible range regardless of input units. d2 holds the pairwise squared
 // distances in its lower triangle (see dist2Matrix).
-func lengthScaleGrid(d2 *mat.Matrix) []float64 {
+func lengthScaleGrid(d2 *mat.Matrix) (grid [lengthScaleSteps]float64) {
 	diam := 0.0
 	n := d2.Rows()
 	for i := 0; i < n; i++ {
@@ -186,14 +201,15 @@ func lengthScaleGrid(d2 *mat.Matrix) []float64 {
 	if diam <= 0 {
 		diam = 1
 	}
-	const steps = 5
-	out := make([]float64, 0, steps)
 	lo, hi := math.Log(diam*0.02), math.Log(diam*2)
-	for i := 0; i < steps; i++ {
-		out = append(out, math.Exp(lo+(hi-lo)*float64(i)/float64(steps-1)))
+	for i := range grid {
+		grid[i] = math.Exp(lo + (hi-lo)*float64(i)/float64(lengthScaleSteps-1))
 	}
-	return out
+	return grid
 }
+
+// lengthScaleSteps is the size of FitAuto's length-scale grid.
+const lengthScaleSteps = 5
 
 func variance(ys []float64) float64 {
 	n := len(ys)

@@ -124,13 +124,14 @@ func selfCov(k Kernel, x []float64) float64 {
 	return k.Eval(x, x)
 }
 
-// gramLower builds the Gram matrix K[i,j] = k(xs[i], xs[j]) + noise·δij,
-// filling only the lower triangle (including the diagonal): its sole
-// consumer is the Cholesky factorization, which reads nothing above the
-// diagonal, so the symmetric half of the kernel evaluations is skipped.
-func gramLower(k Kernel, xs [][]float64, noise float64) *mat.Matrix {
+// gramLower fills g (resized to n x n) with the Gram matrix K[i,j] =
+// k(xs[i], xs[j]) + noise·δij, writing only the lower triangle (including
+// the diagonal): its sole consumer is the Cholesky factorization, which
+// reads nothing above the diagonal, so the symmetric half of the kernel
+// evaluations is skipped.
+func gramLower(g *mat.Matrix, k Kernel, xs [][]float64, noise float64) {
 	n := len(xs)
-	g := mat.NewMatrix(n, n)
+	g.Resize(n, n)
 	fill := func(eval func(x, y []float64) float64) {
 		for i := 0; i < n; i++ {
 			gr, xi := g.RawRow(i), xs[i]
@@ -151,50 +152,66 @@ func gramLower(k Kernel, xs [][]float64, noise float64) *mat.Matrix {
 	default:
 		fill(k.Eval)
 	}
-	return g
 }
 
-// gramFromDist2 fills the lower triangle of the preallocated n x n matrix
-// g with K[i,j] = k(d2[i,j]) + noise·δij from a (lower-triangular)
-// squared-distance matrix, reusing g's storage across hyperparameter
-// candidates. Like gramLower, the output feeds only lower-triangle
-// consumers.
-func gramFromDist2(g *mat.Matrix, k radialKernel, d2 *mat.Matrix, noise float64) {
+// unitShape fills the lower triangle of the preallocated n x n matrix s
+// with the unit-variance kernel values k₁(d2[i,j]) of family f at length
+// scale ls from a (lower-triangular) squared-distance matrix, reusing s's
+// storage across hyperparameter candidates. Like gramLower, the output
+// feeds only lower-triangle consumers. Each family gets a concrete-type
+// loop, so EvalDist2 inlines (see crossCovInto) and no kernel is boxed.
+func unitShape(s *mat.Matrix, f KernelFamily, ls float64, d2 *mat.Matrix) {
 	n := d2.Rows()
 	fill := func(eval func(float64) float64) {
 		for i := 0; i < n; i++ {
-			gr, dr := g.RawRow(i), d2.RawRow(i)
+			sr, dr := s.RawRow(i), d2.RawRow(i)
 			for j := 0; j <= i; j++ {
-				gr[j] = eval(dr[j])
+				sr[j] = eval(dr[j])
 			}
-			gr[i] += noise
 		}
 	}
-	// Concrete-type loops let EvalDist2 inline (see crossCovInto).
-	switch kk := k.(type) {
-	case Matern52:
-		fill(kk.EvalDist2)
-	case matern32:
-		fill(kk.EvalDist2)
-	case rbf:
-		fill(kk.EvalDist2)
+	switch f {
+	case FamilyMatern32:
+		fill(matern32{Variance: 1, LengthScale: ls}.EvalDist2)
+	case FamilyRBF:
+		fill(rbf{Variance: 1, LengthScale: ls}.EvalDist2)
 	default:
-		fill(k.EvalDist2)
+		fill(Matern52{Variance: 1, LengthScale: ls}.EvalDist2)
 	}
 }
 
-// dist2Matrix returns the pairwise squared distances, filled in the lower
-// triangle only (the diagonal is zero; upper entries stay zero).
-func dist2Matrix(xs [][]float64) *mat.Matrix {
+// dist2Matrix fills d2 (resized to n x n) with the pairwise squared
+// distances, writing the lower triangle and the zero diagonal only.
+func dist2Matrix(d2 *mat.Matrix, xs [][]float64) {
 	n := len(xs)
-	d2 := mat.NewMatrix(n, n)
+	d2.Resize(n, n)
 	for i := 0; i < n; i++ {
 		dr, xi := d2.RawRow(i), xs[i]
 		for j := 0; j < i; j++ {
 			dr[j] = mat.SqDist(xi, xs[j])
 		}
+		dr[i] = 0
 	}
-	return d2
+}
+
+// copyInputs copies xs into one flat buffer, each row capped at its own
+// length so appending to a row cannot reach the next. bad is the first
+// row whose length differs from xs[0]'s (cx is nil then), else −1.
+func copyInputs(xs [][]float64) (cx [][]float64, bad int) {
+	dim := len(xs[0])
+	for i, x := range xs {
+		if len(x) != dim {
+			return nil, i
+		}
+	}
+	flat := make([]float64, len(xs)*dim)
+	cx = make([][]float64, len(xs))
+	for i, x := range xs {
+		row := flat[i*dim : (i+1)*dim : (i+1)*dim]
+		copy(row, x)
+		cx[i] = row
+	}
+	return cx, -1
 }
 
 // crossCov returns the vector [k(x, xs[0]), ..., k(x, xs[n-1])].

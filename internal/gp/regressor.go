@@ -54,19 +54,17 @@ func (r *Regressor) Fit(xs [][]float64, ys []float64) error {
 	if len(xs) != len(ys) {
 		return fmt.Errorf("gp: %d inputs but %d targets", len(xs), len(ys))
 	}
-	dim := len(xs[0])
-	cx := make([][]float64, len(xs))
-	for i, x := range xs {
-		if len(x) != dim {
-			return fmt.Errorf("gp: input %d has dim %d, want %d", i, len(x), dim)
-		}
-		cx[i] = mat.CopyVec(x)
+	cx, bad := copyInputs(xs)
+	if bad >= 0 {
+		return fmt.Errorf("gp: input %d has dim %d, want %d", bad, len(xs[bad]), len(xs[0]))
 	}
 	ry := mat.CopyVec(ys)
 	meanY, cy := centerTargets(ry, nil)
 
-	k := gramLower(r.kernel, cx, r.noise)
-	chol, jitter, err := mat.NewCholeskyJittered(k, 1e-10, 1e-2)
+	fs := getFitScratch()
+	gramLower(&fs.g, r.kernel, cx, r.noise)
+	chol, jitter, err := mat.NewCholeskyJittered(&fs.g, 1e-10, 1e-2)
+	fitScratchPool.Put(fs)
 	if err != nil {
 		return fmt.Errorf("gp: kernel matrix not positive definite: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrNotPositiveDefinite is returned by Cholesky when the input matrix is
@@ -121,11 +122,17 @@ func (c *Cholesky) Size() int { return c.n }
 // the new row/column of covariances with the existing points and diag the
 // new diagonal entry (including any noise/jitter the caller folded into A).
 func (c *Cholesky) Append(col []float64, diag float64) error {
-	if len(col) != c.n {
-		panic(fmt.Sprintf("mat: Append column length %d != %d", len(col), c.n))
+	n := c.n
+	if len(col) != n {
+		panic(fmt.Sprintf("mat: Append column length %d != %d", len(col), n))
 	}
-	w := make([]float64, c.n+1)
-	for i := 0; i < c.n; i++ {
+	// The bordered row w (L·w = col, then the pivot) is solved straight
+	// into the grown packed storage; on error the length is cut back, so
+	// the factor is unchanged.
+	off := len(c.data)
+	c.data = slices.Grow(c.data, n+1)[:off+n+1]
+	w := c.data[off:]
+	for i := 0; i < n; i++ {
 		li := c.row(i)
 		s := col[i]
 		for k := 0; k < i; k++ {
@@ -134,15 +141,15 @@ func (c *Cholesky) Append(col []float64, diag float64) error {
 		w[i] = s * c.inv[i]
 	}
 	d := diag
-	for i := 0; i < c.n; i++ {
+	for i := 0; i < n; i++ {
 		d -= w[i] * w[i]
 	}
 	if d <= 0 || math.IsNaN(d) {
+		c.data = c.data[:off]
 		return ErrNotPositiveDefinite
 	}
-	w[c.n] = math.Sqrt(d)
-	c.data = append(c.data, w...)
-	c.inv = append(c.inv, 1/w[c.n])
+	w[n] = math.Sqrt(d)
+	c.inv = append(c.inv, 1/w[n])
 	c.n++
 	return nil
 }

@@ -195,12 +195,20 @@ func TestCholeskyAppendRejectsNonSPDExtension(t *testing.T) {
 	if c.Size() != 2 || c.L().MaxAbsDiff(Identity(2)) != 0 {
 		t.Fatalf("failed Append mutated the factor: n=%d", c.Size())
 	}
-	// A valid extension still works afterwards.
+	// A valid extension still works afterwards, and leaves no trace of
+	// the failed row: it matches the bordered matrix factored from scratch.
 	if err := c.Append([]float64{0.1, 0.1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if c.Size() != 3 {
 		t.Fatalf("Size = %d, want 3", c.Size())
+	}
+	want, err := NewCholesky(NewMatrixFrom(3, 3, []float64{1, 0, 0.1, 0, 1, 0.1, 0.1, 0.1, 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := c.L().MaxAbsDiff(want.L()); d > 1e-15 {
+		t.Fatalf("factor after a failed then a valid Append differs from scratch by %v", d)
 	}
 }
 

@@ -4,10 +4,11 @@
 // triangular solves.
 //
 // The package is deliberately small and self-contained (stdlib only). All
-// operations are on float64. Matrices are row-major and sized at
-// construction; operations validate dimensions and panic on programmer
-// errors (mismatched shapes), but return errors for data-dependent failures
-// such as a non-positive-definite matrix handed to Cholesky.
+// operations are on float64. Matrices are row-major and sized by Resize,
+// so one work matrix serves fits of every size. Operations validate
+// dimensions and panic on programmer errors (mismatched shapes), but
+// return errors for data-dependent failures such as a
+// non-positive-definite matrix handed to Cholesky.
 package mat
 
 import (
@@ -21,12 +22,18 @@ type Matrix struct {
 	data       []float64
 }
 
-// NewMatrix returns a zeroed rows x cols matrix.
-func NewMatrix(rows, cols int) *Matrix {
+// Resize reshapes m to rows x cols, reusing its storage when it is large
+// enough, so one work matrix can serve fits of varying size. The zero
+// Matrix may be resized. The contents are unspecified afterwards: callers
+// write every element they read.
+func (m *Matrix) Resize(rows, cols int) {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("mat: invalid dimensions %dx%d", rows, cols))
 	}
-	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
+	if cap(m.data) < rows*cols {
+		m.data = make([]float64, rows*cols)
+	}
+	m.rows, m.cols, m.data = rows, cols, m.data[:rows*cols]
 }
 
 // Rows returns the number of rows.

@@ -9,6 +9,13 @@ import (
 // factorization against: dense products and transposes, residual norms,
 // and the allocating or dense views of a Cholesky factor.
 
+// NewMatrix returns a zeroed rows x cols matrix.
+func NewMatrix(rows, cols int) *Matrix {
+	m := new(Matrix)
+	m.Resize(rows, cols)
+	return m
+}
+
 // NewMatrixFrom builds a rows x cols matrix from data (copied, row-major).
 func NewMatrixFrom(rows, cols int, data []float64) *Matrix {
 	if len(data) != rows*cols {
