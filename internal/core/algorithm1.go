@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"autrascale/internal/bo"
 	"autrascale/internal/dataflow"
@@ -31,10 +32,6 @@ type Algorithm1Config struct {
 	MaxIterations int
 	// Seed drives BO candidate sampling.
 	Seed uint64
-	// SkipBootstrap starts the BO loop from pre-seeded observations
-	// (used by Algorithm 2, which replaces bootstrap runs with estimated
-	// samples).
-	SkipBootstrap bool
 	// Tracer records decision spans (per-iteration posterior, EI value,
 	// Eq. 9 margin, termination reason). nil disables tracing.
 	Tracer *trace.Tracer
@@ -67,7 +64,8 @@ type Trial struct {
 	MemUsedMB     float64
 }
 
-// Algorithm1Result is the outcome of RunAlgorithm1.
+// Algorithm1Result is the outcome of one planning session, RunAlgorithm1
+// or RunAlgorithm2.
 type Algorithm1Result struct {
 	// Best is the selected configuration: the highest-scoring trial that
 	// met the latency target, or the highest-scoring trial overall if
@@ -84,9 +82,18 @@ type Algorithm1Result struct {
 	Threshold float64
 	// Iterations counts BO iterations (excluding bootstrap runs).
 	Iterations int
-	// BootstrapRuns counts configurations evaluated during bootstrap.
+	// BootstrapRuns counts configurations evaluated during bootstrap
+	// (Algorithm 2 runs none: it estimates them).
 	BootstrapRuns int
-	Trials        []Trial
+	// Trials are the configurations run for real, in order; Algorithm 2's
+	// transfer saving is how few there are.
+	Trials []Trial
+	// EstimatedSamples is the number of pseudo-samples Algorithm 2's
+	// transferred model predicted per iteration (0 for Algorithm 1).
+	EstimatedSamples int
+	// SwitchedToA1 reports that Algorithm 2 reached N_num real samples
+	// and finished under Algorithm 1's loop on real data only.
+	SwitchedToA1 bool
 	// Iters explains each BO iteration: the posterior/acquisition values
 	// that selected the configuration plus its measured outcome — the
 	// raw material for decision reports and trace spans.
@@ -99,11 +106,50 @@ type Algorithm1Result struct {
 // RunAlgorithm1 executes AuTraScale's Bayesian optimization at a steady
 // input rate. base is the throughput-optimal configuration k' from
 // OptimizeThroughput, which bounds the search space from below.
-//
-// Pre-seeded observations (Algorithm 2's estimated samples) can be passed
-// via seedObs; combined with SkipBootstrap they realize the transfer
-// warm start.
-func RunAlgorithm1(e *flink.Engine, base dataflow.ParallelismVector, cfg Algorithm1Config, seedObs ...bo.Observation) (*Algorithm1Result, error) {
+func RunAlgorithm1(e *flink.Engine, base dataflow.ParallelismVector, cfg Algorithm1Config) (*Algorithm1Result, error) {
+	s, err := newSession(e, base, cfg, "core.algorithm1")
+	if err != nil {
+		return nil, err
+	}
+	defer s.sp.End()
+	opt, err := s.optimizer(false)
+	if err != nil {
+		return nil, err
+	}
+	// Bootstrap phase (§III-D). Termination (Eq. 9) applies only to the
+	// iterative recommend-run-judge loop, not to the training design:
+	// bootstrap samples exist to teach the surrogate, and a one-hot
+	// sample can satisfy Eq. 9's *average* resource ratio while wildly
+	// over-provisioning a single operator.
+	for _, p := range s.bootstrap {
+		if _, err := s.observe(opt, p); err != nil {
+			return nil, err
+		}
+		s.res.BootstrapRuns++
+	}
+	if err := s.loop(opt); err != nil {
+		return nil, err
+	}
+	return s.finish()
+}
+
+// session is one planning session at one input rate, shared by
+// Algorithms 1 and 2: the search problem (space [base, P_max], the Eq. 4
+// scorer, the bootstrap set and the Eq. 9 threshold), the real trials and
+// iteration reports it accrues, and its span.
+type session struct {
+	e         *flink.Engine
+	cfg       Algorithm1Config
+	space     bo.Space
+	scorer    bo.Scorer
+	bootstrap []dataflow.ParallelismVector
+	sp        *trace.ActiveSpan
+	res       Algorithm1Result
+}
+
+// newSession validates cfg and base, builds the search problem and opens
+// the session span name.
+func newSession(e *flink.Engine, base dataflow.ParallelismVector, cfg Algorithm1Config, name string) (*session, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
@@ -111,97 +157,115 @@ func RunAlgorithm1(e *flink.Engine, base dataflow.ParallelismVector, cfg Algorit
 		return nil, fmt.Errorf("core: base has %d entries, graph has %d operators",
 			len(base), e.Graph().NumOperators())
 	}
-	space, scorer, err := searchProblem(e, base, cfg.TargetLatencyMS)
+	space, err := bo.NewSpace(base, e.Cluster().MaxParallelism())
 	if err != nil {
 		return nil, err
 	}
-	opt, err := bo.NewOptimizer(bo.OptimizerConfig{Space: space, Seed: cfg.Seed, Tracer: cfg.Tracer})
+	scorer, err := bo.NewScorer(scoreAlpha, cfg.TargetLatencyMS, base)
 	if err != nil {
 		return nil, err
 	}
-	for _, ob := range seedObs {
-		if err := opt.Add(ob); err != nil {
-			return nil, err
-		}
+	bootstrap, err := space.BootstrapSet(bootstrapM)
+	if err != nil {
+		return nil, err
 	}
-
-	res := &Algorithm1Result{Threshold: scorer.Threshold(cfg.OverAllocationW)}
-
-	sp := cfg.Tracer.StartSpan("core.algorithm1")
-	defer sp.End()
+	s := &session{e: e, cfg: cfg, space: space, scorer: scorer, bootstrap: bootstrap}
+	s.res.Threshold = scorer.Threshold(cfg.OverAllocationW)
+	s.sp = cfg.Tracer.StartSpan(name)
 	if cfg.Tracer.Enabled() {
-		sp.SetFloat("target_rate", cfg.TargetRate)
-		sp.SetFloat("target_latency_ms", cfg.TargetLatencyMS)
-		sp.SetStr("base", base.String())
-		sp.SetFloat("eq9_threshold", res.Threshold)
-		sp.SetInt("seed_obs", len(seedObs))
-		sp.SetBool("skip_bootstrap", cfg.SkipBootstrap)
+		s.sp.SetFloat("target_rate", cfg.TargetRate)
+		s.sp.SetFloat("target_latency_ms", cfg.TargetLatencyMS)
+		s.sp.SetStr("base", base.String())
+		s.sp.SetFloat("eq9_threshold", s.res.Threshold)
 	}
+	return s, nil
+}
 
-	evaluate := func(p dataflow.ParallelismVector) (Trial, error) {
-		tr, err := runTrial(e, scorer, p)
-		if err != nil {
-			return Trial{}, err
-		}
-		res.Trials = append(res.Trials, tr)
-		if err := opt.Add(bo.Observation{Par: p, Score: tr.Score}); err != nil {
-			return Trial{}, err
-		}
-		return tr, nil
+// optimizer builds a fresh BO optimizer over the session's space; exploit
+// selects Algorithm 2's posterior-mean-only mode.
+func (s *session) optimizer(exploit bool) (*bo.Optimizer, error) {
+	return bo.NewOptimizer(bo.OptimizerConfig{Space: s.space, Seed: s.cfg.Seed, Exploit: exploit, Tracer: s.cfg.Tracer})
+}
+
+// run runs configuration p for one policy-running window, scores it and
+// records it as a trial — the one way a session evaluates a configuration
+// for real.
+func (s *session) run(p dataflow.ParallelismVector) (Trial, error) {
+	m, err := MeasureTrial(s.e, p)
+	if err != nil {
+		return Trial{}, err
 	}
-
-	terminated := func(tr Trial) bool {
-		return tr.LatencyMet && tr.Score >= res.Threshold
+	tr := Trial{
+		Par:           p.Clone(),
+		Score:         s.scorer.Score(m.ProcLatencyMS, p),
+		ProcLatencyMS: m.ProcLatencyMS,
+		ThroughputRPS: m.ThroughputRPS,
+		LatencyMet:    s.scorer.LatencyMet(m.ProcLatencyMS),
+		CPUUsedCores:  m.CPUUsedCores,
+		MemUsedMB:     m.MemUsedMB,
 	}
+	s.res.Trials = append(s.res.Trials, tr)
+	return tr, nil
+}
 
-	// Bootstrap phase (§III-D). Termination (Eq. 9) applies only to the
-	// iterative recommend-run-judge loop, not to the training design:
-	// bootstrap samples exist to teach the surrogate, and a one-hot
-	// sample can satisfy Eq. 9's *average* resource ratio while wildly
-	// over-provisioning a single operator.
-	if !cfg.SkipBootstrap {
-		set, err := space.BootstrapSet(bootstrapM)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range set {
-			if _, err := evaluate(p); err != nil {
-				return nil, err
-			}
-			res.BootstrapRuns++
-		}
+// observe runs p for real and adds the outcome to opt.
+func (s *session) observe(opt *bo.Optimizer, p dataflow.ParallelismVector) (Trial, error) {
+	tr, err := s.run(p)
+	if err != nil {
+		return Trial{}, err
 	}
+	return tr, opt.Add(bo.Observation{Par: p, Score: tr.Score})
+}
 
-	// BO loop. Acquisition mixes two posterior-mean exploitation steps
-	// with one EI exploration step: exploitation drives the iterate onto
-	// the feasible score maximum near the base corner, EI covers the
-	// space.
-	for !res.Met && res.Iterations < cfg.MaxIterations {
-		p, err := opt.SuggestWith(res.Iterations%3 != 2)
+// met is Eq. 9's termination test: latency met and the benefit score at
+// or above the threshold.
+func (s *session) met(tr Trial) bool {
+	return tr.LatencyMet && tr.Score >= s.res.Threshold
+}
+
+// judge counts one BO iteration that ran trial tr on opt's suggestion:
+// Eq. 9, the iteration report and its span.
+func (s *session) judge(opt *bo.Optimizer, tr Trial, spanName string) {
+	s.res.Iterations++
+	s.res.Met = s.met(tr)
+	it := iterationReport(s.res.Iterations, tr, s.res.Threshold, opt, s.res.Met)
+	s.res.Iters = append(s.res.Iters, it)
+	if s.cfg.Tracer.Enabled() {
+		emitIterationSpan(s.sp.Child(spanName), it)
+	}
+}
+
+// loop is Algorithm 1's recommend-run-judge loop on opt, until Eq. 9
+// fires, the space is exhausted or the session's iteration budget is
+// spent. Acquisition mixes two posterior-mean exploitation steps with one
+// EI exploration step, counted from opt's first suggestion: exploitation
+// drives the iterate onto the feasible score maximum near the base
+// corner, EI covers the space.
+func (s *session) loop(opt *bo.Optimizer) error {
+	for k := 0; !s.res.Met && s.res.Iterations < s.cfg.MaxIterations; k++ {
+		p, err := opt.SuggestWith(k%3 != 2)
 		if errors.Is(err, bo.ErrSpaceExhausted) {
-			res.Exhausted = true
-			break
+			s.res.Exhausted = true
+			return nil
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		tr, err := evaluate(p)
+		tr, err := s.observe(opt, p)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res.Iterations++
-		if terminated(tr) {
-			res.Met = true
-		}
-		it := iterationReport(res.Iterations, tr, res.Threshold, opt, res.Met)
-		res.Iters = append(res.Iters, it)
-		if cfg.Tracer.Enabled() {
-			emitIterationSpan(sp.Child("algorithm1.iteration"), it)
-		}
+		s.judge(opt, tr, "algorithm1.iteration")
 	}
+	return nil
+}
 
+// finish selects the best trial, leaves the engine on it, fits the
+// benefit model for the library and closes the span's attributes.
+func (s *session) finish() (*Algorithm1Result, error) {
+	res := &s.res
 	res.Best = selectBest(res.Trials)
-	if cfg.Tracer.Enabled() {
+	if s.cfg.Tracer.Enabled() {
 		reason := "max-iterations"
 		switch {
 		case res.Met:
@@ -209,52 +273,25 @@ func RunAlgorithm1(e *flink.Engine, base dataflow.ParallelismVector, cfg Algorit
 		case res.Exhausted:
 			reason = "space-exhausted"
 		}
-		sp.SetStr("termination", reason)
-		sp.SetInt("bootstrap_runs", res.BootstrapRuns)
-		sp.SetInt("iterations", res.Iterations)
-		sp.SetStr("best", res.Best.Par.String())
-		sp.SetFloat("best_score", res.Best.Score)
-		sp.SetFloat("eq9_margin", res.Best.Score-res.Threshold)
-		sp.SetBool("latency_met", res.Best.LatencyMet)
+		s.sp.SetStr("termination", reason)
+		s.sp.SetInt("bootstrap_runs", res.BootstrapRuns)
+		s.sp.SetInt("iterations", res.Iterations)
+		s.sp.SetInt("real_runs", len(res.Trials))
+		s.sp.SetInt("estimated_samples", res.EstimatedSamples)
+		s.sp.SetBool("switched_to_a1", res.SwitchedToA1)
+		s.sp.SetBool("met", res.Met)
+		s.sp.SetStr("best", res.Best.Par.String())
+		s.sp.SetFloat("best_score", res.Best.Score)
+		s.sp.SetFloat("eq9_margin", res.Best.Score-res.Threshold)
+		s.sp.SetBool("latency_met", res.Best.LatencyMet)
 	}
-	// Leave the engine on the selected configuration and expose the
-	// fitted model for the library.
 	if res.Best.Par != nil {
-		if err := e.SetParallelism(res.Best.Par); err != nil {
+		if err := s.e.SetParallelism(res.Best.Par); err != nil {
 			return nil, err
 		}
 	}
-	res.Model = fitFinalModel(res.Trials, seedObs)
+	res.Model = fitFinalModel(res.Trials)
 	return res, nil
-}
-
-// searchProblem builds what Algorithms 1 and 2 share at one input rate:
-// the search space [base, P_max] and the Eq. 4 scorer.
-func searchProblem(e *flink.Engine, base dataflow.ParallelismVector, targetLatencyMS float64) (bo.Space, bo.Scorer, error) {
-	space, err := bo.NewSpace(base, e.Cluster().MaxParallelism())
-	if err != nil {
-		return bo.Space{}, bo.Scorer{}, err
-	}
-	scorer, err := bo.NewScorer(scoreAlpha, targetLatencyMS, base)
-	return space, scorer, err
-}
-
-// runTrial runs configuration p for one policy-running window and scores
-// it — the one way Algorithms 1 and 2 evaluate a configuration for real.
-func runTrial(e *flink.Engine, scorer bo.Scorer, p dataflow.ParallelismVector) (Trial, error) {
-	m, err := MeasureTrial(e, p)
-	if err != nil {
-		return Trial{}, err
-	}
-	return Trial{
-		Par:           p.Clone(),
-		Score:         scorer.Score(m.ProcLatencyMS, p),
-		ProcLatencyMS: m.ProcLatencyMS,
-		ThroughputRPS: m.ThroughputRPS,
-		LatencyMet:    scorer.LatencyMet(m.ProcLatencyMS),
-		CPUUsedCores:  m.CPUUsedCores,
-		MemUsedMB:     m.MemUsedMB,
-	}, nil
 }
 
 // selectBest prefers latency-meeting trials by score; with none, the best
@@ -322,27 +359,19 @@ func emitIterationSpan(sp *trace.ActiveSpan, it IterationReport) {
 	sp.End()
 }
 
-// fitFinalModel fits the benefit model on all real trials (plus seeds) so
-// it can be stored in the model library.
-func fitFinalModel(trials []Trial, seeds []bo.Observation) *gp.Regressor {
+// fitFinalModel fits the benefit model on the distinct real trials so it
+// can be stored in the model library.
+func fitFinalModel(trials []Trial) *gp.Regressor {
+	var pars []dataflow.ParallelismVector
 	var xs [][]float64
 	var ys []float64
-	seen := map[string]bool{}
 	for _, tr := range trials {
-		if seen[tr.Par.Key()] {
+		if slices.ContainsFunc(pars, tr.Par.Equal) {
 			continue
 		}
-		seen[tr.Par.Key()] = true
+		pars = append(pars, tr.Par)
 		xs = append(xs, tr.Par.Floats())
 		ys = append(ys, tr.Score)
-	}
-	for _, s := range seeds {
-		if s.Estimated || seen[s.Par.Key()] {
-			continue
-		}
-		seen[s.Par.Key()] = true
-		xs = append(xs, s.Par.Floats())
-		ys = append(ys, s.Score)
 	}
 	if len(xs) == 0 {
 		return nil

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"autrascale/internal/bo"
 	"autrascale/internal/dataflow"
 )
 
@@ -138,30 +137,6 @@ func TestRunAlgorithm1InfeasibleTargetStillReturnsBestEffort(t *testing.T) {
 	}
 	if res.Iterations != 6 {
 		t.Fatalf("should exhaust the budget: %d", res.Iterations)
-	}
-}
-
-func TestRunAlgorithm1SkipBootstrapWithSeeds(t *testing.T) {
-	e := engineFor(t, latencyChain(t), 2000)
-	tr, err := OptimizeThroughput(e, ThroughputOptions{TargetRate: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := []bo.Observation{
-		{Par: tr.Base.Clone(), Score: 0.8, Estimated: true},
-		{Par: dataflow.Uniform(3, 20), Score: 0.6, Estimated: true},
-	}
-	cfg := Algorithm1Config{TargetRate: 2000, TargetLatencyMS: 160,
-		Seed: 7, SkipBootstrap: true, MaxIterations: 8}
-	res, err := RunAlgorithm1(e, tr.Base, cfg, seeds...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BootstrapRuns != 0 {
-		t.Fatalf("bootstrap should be skipped, ran %d", res.BootstrapRuns)
-	}
-	if len(res.Trials) == 0 {
-		t.Fatal("no BO trials ran")
 	}
 }
 

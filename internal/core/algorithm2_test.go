@@ -76,8 +76,8 @@ func TestRunAlgorithm2TransfersToNewRate(t *testing.T) {
 	// real runs must be well below (bootstrap set size + BO iterations)
 	// that Algorithm 1 from scratch would need.
 	a1Runs := prev.BootstrapRuns + prev.Iterations
-	if res.RealRuns >= a1Runs {
-		t.Fatalf("transfer ran %d real configs, from-scratch ran %d — no saving", res.RealRuns, a1Runs)
+	if len(res.Trials) >= a1Runs {
+		t.Fatalf("transfer ran %d real configs, from-scratch ran %d — no saving", len(res.Trials), a1Runs)
 	}
 	if res.EstimatedSamples == 0 && !res.Best.LatencyMet {
 		t.Fatal("no estimated samples were used and QoS not met")
@@ -134,7 +134,7 @@ func TestRunAlgorithm2ImmediateTermination(t *testing.T) {
 	if !res.Met {
 		t.Fatalf("loose target should be met immediately: %+v", res.Best)
 	}
-	if res.RealRuns != 1 {
-		t.Fatalf("RealRuns = %d, want 1 (just the base seeding run)", res.RealRuns)
+	if len(res.Trials) != 1 {
+		t.Fatalf("ran %d trials, want 1 (just the base seeding run)", len(res.Trials))
 	}
 }

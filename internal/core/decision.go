@@ -75,8 +75,9 @@ type DecisionReport struct {
 	SwitchedToA1       bool      `json:"switched_to_a1,omitempty"`
 }
 
-// FillFromAlgorithm1 copies the Algorithm 1/2 shared outcome into the
-// report (Algorithm2Result embeds Algorithm1Result, so both use it).
+// FillFromAlgorithm1 copies a planning session's outcome (Algorithm 1 or
+// 2) into the report; an ActionAlgorithm2 report also counts its real
+// runs.
 func (r *DecisionReport) FillFromAlgorithm1(res *Algorithm1Result) {
 	r.Chosen = res.Best.Par.Clone()
 	r.Score = res.Best.Score
@@ -90,6 +91,11 @@ func (r *DecisionReport) FillFromAlgorithm1(res *Algorithm1Result) {
 	r.BootstrapRuns = res.BootstrapRuns
 	r.Trials = len(res.Trials)
 	r.Iters = append([]IterationReport(nil), res.Iters...)
+	r.EstimatedSamples = res.EstimatedSamples
+	r.SwitchedToA1 = res.SwitchedToA1
+	if r.Action == ActionAlgorithm2 {
+		r.RealRuns = len(res.Trials)
+	}
 }
 
 // Explain renders the "why this configuration" report the -explain flag

@@ -88,7 +88,6 @@ func (p *BOPolicy) planRateChange(e *flink.Engine, req PlanRequest) (PlanResult,
 	rep.ReachedTarget = tr.ReachedTarget
 	rep.TerminatedByRepeat = tr.TerminatedByRepeat
 
-	var chosen dataflow.ParallelismVector
 	prev, havePrev := p.library.Nearest(rate)
 	if havePrev {
 		rep.Action = ActionAlgorithm2
@@ -108,24 +107,15 @@ func (p *BOPolicy) planRateChange(e *flink.Engine, req PlanRequest) (PlanResult,
 		if err != nil {
 			return PlanResult{}, err
 		}
-		p.storeModel(rate, a2.Model)
-		chosen = a2.Best.Par.Clone()
-		rep.FillFromAlgorithm1(a2.Algorithm1Result)
-		rep.RealRuns = a2.RealRuns
-		rep.EstimatedSamples = a2.EstimatedSamples
-		rep.SwitchedToA1 = a2.SwitchedToA1
-	} else {
-		rep.Action = ActionAlgorithm1
-		rep.Reason = fmt.Sprintf("rate changed to %.0f rps; no prior model", rate)
-		a1, err := RunAlgorithm1(e, p.base, p.algorithm1Config(rate))
-		if err != nil {
-			return PlanResult{}, err
-		}
-		p.storeModel(rate, a1.Model)
-		chosen = a1.Best.Par.Clone()
-		rep.FillFromAlgorithm1(a1)
+		return p.adopt(rate, a2, rep), nil
 	}
-	return PlanResult{Par: chosen, Report: rep}, nil
+	rep.Action = ActionAlgorithm1
+	rep.Reason = fmt.Sprintf("rate changed to %.0f rps; no prior model", rate)
+	a1, err := RunAlgorithm1(e, p.base, p.algorithm1Config(rate))
+	if err != nil {
+		return PlanResult{}, err
+	}
+	return p.adopt(rate, a1, rep), nil
 }
 
 // planQoS handles a latency/throughput violation at a steady rate: a
@@ -143,9 +133,15 @@ func (p *BOPolicy) planQoS(e *flink.Engine, req PlanRequest) (PlanResult, error)
 	if err != nil {
 		return PlanResult{}, err
 	}
-	p.storeModel(req.RateRPS, a1.Model)
-	rep.FillFromAlgorithm1(a1)
-	return PlanResult{Par: a1.Best.Par.Clone(), Report: rep}, nil
+	return p.adopt(req.RateRPS, a1, rep), nil
+}
+
+// adopt ends every planning session the same way: the session's benefit
+// model goes into the library under rate and its outcome completes rep.
+func (p *BOPolicy) adopt(rate float64, res *Algorithm1Result, rep DecisionReport) PlanResult {
+	p.storeModel(rate, res.Model)
+	rep.FillFromAlgorithm1(res)
+	return PlanResult{Par: res.Best.Par.Clone(), Report: rep}
 }
 
 func (p *BOPolicy) algorithm1Config(rate float64) Algorithm1Config {

@@ -33,19 +33,16 @@ func TestSessionGolden(t *testing.T) {
 				}
 				cfg := Algorithm1Config{TargetRate: 2000, TargetLatencyMS: lat, Seed: seed}
 				label := fmt.Sprintf("%s s%d l%g", alg, seed, lat)
+				var res *Algorithm1Result
 				if alg == "a1" {
-					res, err := RunAlgorithm1(e, tr.Base, cfg)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					writeSession(&b, label, res, 0, false)
-					continue
+					res, err = RunAlgorithm1(e, tr.Base, cfg)
+				} else {
+					res, err = RunAlgorithm2(e, tr.Base, prev.Model, cfg)
 				}
-				res, err := RunAlgorithm2(e, tr.Base, prev.Model, cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				writeSession(&b, label, res.Algorithm1Result, res.EstimatedSamples, res.SwitchedToA1)
+				writeSession(&b, label, res)
 			}
 		}
 	}
@@ -78,7 +75,7 @@ func TestSessionGolden(t *testing.T) {
 
 // writeSession appends one session's trials, iterations, outcome and
 // final-model means to b, each line prefixed with label.
-func writeSession(b *strings.Builder, label string, res *Algorithm1Result, estimated int, switched bool) {
+func writeSession(b *strings.Builder, label string, res *Algorithm1Result) {
 	for i, tr := range res.Trials {
 		fmt.Fprintf(b, "%s trial %d %v %016x %016x %v\n", label, i, tr.Par,
 			math.Float64bits(tr.Score), math.Float64bits(tr.ProcLatencyMS), tr.LatencyMet)
@@ -89,7 +86,7 @@ func writeSession(b *strings.Builder, label string, res *Algorithm1Result, estim
 			math.Float64bits(it.AcqValue), it.Acquisition, it.Selection, it.Terminated)
 	}
 	fmt.Fprintf(b, "%s end met=%v exhausted=%v iterations=%d bootstrap=%d estimated=%d switched=%v threshold=%016x best=%v\n",
-		label, res.Met, res.Exhausted, res.Iterations, res.BootstrapRuns, estimated, switched,
+		label, res.Met, res.Exhausted, res.Iterations, res.BootstrapRuns, res.EstimatedSamples, res.SwitchedToA1,
 		math.Float64bits(res.Threshold), res.Best.Par)
 	if res.Model == nil {
 		fmt.Fprintf(b, "%s model none\n", label)

@@ -138,7 +138,7 @@ func (r *AblationResult) runTransferAblation(seed uint64) error {
 	}
 	r.Transfer = append(r.Transfer, TransferAblationRow{
 		Workload: spec.Name, Strategy: "Algorithm2 (transfer)",
-		RealRuns: a2.RealRuns,
+		RealRuns: len(a2.Trials),
 		FinalPar: a2.Best.Par, Total: a2.Best.Par.Total(),
 		LatencyMS: a2.Best.ProcLatencyMS, Met: a2.Best.LatencyMet,
 	})
@@ -156,7 +156,7 @@ func (r *AblationResult) runTransferAblation(seed uint64) error {
 	}
 	r.Transfer = append(r.Transfer, TransferAblationRow{
 		Workload: spec.Name, Strategy: "UnifiedModel (future work)",
-		RealRuns: a2u.RealRuns,
+		RealRuns: len(a2u.Trials),
 		FinalPar: a2u.Best.Par, Total: a2u.Best.Par.Total(),
 		LatencyMS: a2u.Best.ProcLatencyMS, Met: a2u.Best.LatencyMet,
 	})

@@ -115,7 +115,7 @@ func RunFig8(opts Fig8Options) (*Fig8Result, error) {
 			Method:           "AuTraScale",
 			Final:            a2.Best.Par.Clone(),
 			TotalParallelism: a2.Best.Par.Total(),
-			Iterations:       a2.RealRuns,
+			Iterations:       len(a2.Trials),
 			CPUUsedCores:     mA.cpu,
 			MemUsedMB:        mA.mem,
 			LatencyP50:       mA.p50,
