@@ -103,14 +103,8 @@ func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transf
 		if err := addTrials(opt, res.Trials); err != nil {
 			return nil, err
 		}
-		switched := len(res.Trials)
 		if err := s.loop(opt); err != nil {
 			return nil, err
-		}
-		if best := selectBest(res.Trials[switched:]); best.Par != nil {
-			if err := e.SetParallelism(best.Par); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return s.finish()

@@ -102,6 +102,7 @@ func TestRunAlgorithm2SwitchesToA1AfterNNum(t *testing.T) {
 	}
 	// Impossible latency target forces the loop to exhaust N_num (the
 	// bootstrap set's size) and switch to plain Algorithm 1.
+	cur, restarts := e.Parallelism(), e.Restarts()
 	res, err := RunAlgorithm2(e, tr.Base, prev.Model, Algorithm1Config{
 		TargetRate: 2000, TargetLatencyMS: 1, Seed: 23,
 	})
@@ -113,6 +114,19 @@ func TestRunAlgorithm2SwitchesToA1AfterNNum(t *testing.T) {
 	}
 	if res.Met {
 		t.Fatal("1 ms target cannot be met")
+	}
+	// One session, one final rescale: the engine restarts once per
+	// configuration change along the trial sequence and once more for
+	// the final pick, and for nothing else.
+	want := 0
+	for _, trial := range append(res.Trials, res.Best) {
+		if !trial.Par.Equal(cur) {
+			cur = trial.Par
+			want++
+		}
+	}
+	if got := e.Restarts() - restarts; got != want {
+		t.Fatalf("switched session restarted the engine %d times, its trials and final pick need %d", got, want)
 	}
 }
 
