@@ -115,10 +115,10 @@ func TestBootstrapSetDesign(t *testing.T) {
 		if !s.Contains(p) {
 			t.Fatalf("bootstrap sample out of space: %v", p)
 		}
-		if seen[p.Key()] {
+		if seen[testKey(p)] {
 			t.Fatalf("duplicate bootstrap sample %v", p)
 		}
-		seen[p.Key()] = true
+		seen[testKey(p)] = true
 	}
 }
 
@@ -383,14 +383,14 @@ func TestSuggestAcqModes(t *testing.T) {
 		if err := o.Add(Observation{Par: p, Score: score(p)}); err != nil {
 			t.Fatal(err)
 		}
-		evaluated[p.Key()] = true
+		evaluated[testKey(p)] = true
 	}
 	for _, exploit := range []bool{false, true} {
 		p, err := o.SuggestWith(exploit)
 		if err != nil {
 			t.Fatalf("exploit %v: %v", exploit, err)
 		}
-		if !s.Contains(p) || evaluated[p.Key()] {
+		if !s.Contains(p) || evaluated[testKey(p)] {
 			t.Fatalf("exploit %v suggested out-of-space or evaluated %v", exploit, p)
 		}
 		want := acqEI
@@ -422,7 +422,7 @@ func TestSuggestExhaustsSpace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seen := map[string]bool{tc.base.Key(): true}
+			seen := map[string]bool{testKey(tc.base): true}
 			if err := o.Add(Observation{Par: tc.base, Score: 1}); err != nil {
 				t.Fatal(err)
 			}
@@ -431,10 +431,10 @@ func TestSuggestExhaustsSpace(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s exploit %v: %d of %d points tried: %v", tc.name, exploit, len(seen), tc.points, err)
 				}
-				if !s.Contains(p) || seen[p.Key()] {
+				if !s.Contains(p) || seen[testKey(p)] {
 					t.Fatalf("%s exploit %v: suggested %v (evaluated: %v)", tc.name, exploit, p, seen)
 				}
-				seen[p.Key()] = true
+				seen[testKey(p)] = true
 				if err := o.Add(Observation{Par: p, Score: 1 / float64(p.Total())}); err != nil {
 					t.Fatal(err)
 				}

@@ -3,6 +3,8 @@ package bo
 import (
 	"fmt"
 	"runtime/debug"
+	"strconv"
+	"strings"
 	"testing"
 
 	"autrascale/internal/dataflow"
@@ -10,18 +12,28 @@ import (
 )
 
 // pointRef is the string-keyed map the point index replaced: entry
-// numbers in first-insertion order, keyed by ParallelismVector.Key.
+// numbers in first-insertion order, keyed by testKey.
 type pointRef map[string]int
+
+// testKey renders p as "k1,k2,...,kN", the string key of this package's
+// map references and golden lines.
+func testKey(p dataflow.ParallelismVector) string {
+	parts := make([]string, len(p))
+	for i, k := range p {
+		parts[i] = strconv.Itoa(k)
+	}
+	return strings.Join(parts, ",")
+}
 
 // insertBoth inserts p into idx and ref and fails unless both agree on
 // the entry number and on whether p was new.
 func insertBoth(t *testing.T, idx *pointIndex, ref pointRef, p dataflow.ParallelismVector) {
 	t.Helper()
 	e, added := idx.insert(p)
-	want, dup := ref[p.Key()]
+	want, dup := ref[testKey(p)]
 	if !dup {
 		want = len(ref)
-		ref[p.Key()] = want
+		ref[testKey(p)] = want
 	}
 	if e != want || added == dup {
 		t.Fatalf("insert %v = (%d, %v), reference (%d, %v)", p, e, added, want, !dup)
@@ -33,7 +45,7 @@ func checkFinds(t *testing.T, idx *pointIndex, ref pointRef, probes []dataflow.P
 	t.Helper()
 	for _, p := range probes {
 		e, ok := idx.find(p)
-		want, wok := ref[p.Key()]
+		want, wok := ref[testKey(p)]
 		if ok != wok || (ok && e != want) {
 			t.Fatalf("find %v = (%d, %v), reference (%d, %v)", p, e, ok, want, wok)
 		}

@@ -10,6 +10,7 @@ package bo
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"autrascale/internal/dataflow"
 	"autrascale/internal/stat"
@@ -103,11 +104,9 @@ func (s Space) BootstrapSet(m int) ([]dataflow.ParallelismVector, error) {
 	}
 	kmax := s.Base.Max()
 	var set []dataflow.ParallelismVector
-	seen := map[string]bool{}
 	add := func(p dataflow.ParallelismVector) {
 		p = s.Clamp(p)
-		if !seen[p.Key()] {
-			seen[p.Key()] = true
+		if !slices.ContainsFunc(set, p.Equal) {
 			set = append(set, p)
 		}
 	}

@@ -128,7 +128,7 @@ func writeSuggestSequence(t *testing.T, b *strings.Builder, dim int, mode string
 		if !ok || !st.Par.Equal(p) {
 			t.Fatalf("d%d %s s%d #%d: LastSuggestion %+v does not match %v", dim, mode, seed, step, st, p)
 		}
-		fmt.Fprintf(b, "%s %s %016x %016x %016x\n", p.Key(), st.Reason,
+		fmt.Fprintf(b, "%s %s %016x %016x %016x\n", testKey(p), st.Reason,
 			math.Float64bits(st.Mean), math.Float64bits(st.Std), math.Float64bits(st.AcqValue))
 		if err := o.Add(Observation{Par: p, Score: score(p, 0)}); err != nil {
 			t.Fatal(err)

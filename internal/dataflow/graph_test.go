@@ -219,9 +219,6 @@ func TestParallelismVector(t *testing.T) {
 	if q.Max() != 5 {
 		t.Fatalf("Max = %d", q.Max())
 	}
-	if p.Key() != "2,2,2" {
-		t.Fatalf("Key = %q", p.Key())
-	}
 	if p.String() != "(2, 2, 2)" {
 		t.Fatalf("String = %q", p.String())
 	}

@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -108,20 +107,6 @@ func (p ParallelismVector) Max() int {
 		}
 	}
 	return m
-}
-
-// Key returns a canonical string usable as a map key. The hot BO paths
-// (candidate dedup, evaluated-point filtering) key maps by it, so it is
-// built with a single buffer instead of per-element formatting.
-func (p ParallelismVector) Key() string {
-	b := make([]byte, 0, 4*len(p))
-	for i, k := range p {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(k), 10)
-	}
-	return string(b)
 }
 
 // String renders like the paper: (k1, k2, ..., kN).
