@@ -223,3 +223,137 @@ func markdownCode(text string) []codeSpan {
 	}
 	return out
 }
+
+// EXPERIMENTS.md's planner-refinement ablation recipe switches each
+// refinement off with one textual edit, `variant <name> <file> '<old>'
+// '<new>'`, and the recipe asserts that <old> occurs exactly once. Every
+// such line must still apply to the tree, so a refactor that rewrites a
+// pattern's line has to rewrite the recipe too.
+func TestAblationRecipePatternsExist(t *testing.T) {
+	blob, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(blob)
+	start := strings.Index(text, "variant() {")
+	if start < 0 {
+		t.Fatal("EXPERIMENTS.md has no ablation recipe (variant() {)")
+	}
+	recipe := text[start:]
+	recipe = recipe[:strings.Index(recipe, "```")]
+
+	stale := "C=internal/core/algorithm1.go\nvariant stale $C 'opt.SuggestWith(res.Iterations%3 != 2)' 'opt.SuggestWith(false)'\n"
+	if got := variantProblems(stale); len(got) != 1 {
+		t.Fatalf("a stale pattern should be one problem, got %q", got)
+	}
+	n := 0
+	for _, call := range shellCalls(recipe) {
+		if call[0] == "variant" && len(call) > 2 && call[2] != "" {
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("the ablation recipe names no variant with a file")
+	}
+	for _, p := range variantProblems(recipe) {
+		t.Error("EXPERIMENTS.md ablation recipe: " + p)
+	}
+}
+
+// variantProblems lists the variant calls of a shell script whose file
+// is missing or whose old text does not occur in it exactly once. A
+// variant with an empty file (the unedited base) is skipped.
+func variantProblems(script string) []string {
+	var out []string
+	for _, call := range shellCalls(script) {
+		if call[0] != "variant" {
+			continue
+		}
+		if len(call) != 5 {
+			out = append(out, fmt.Sprintf("variant %q has %d arguments, want 4", call[1:], len(call)-1))
+			continue
+		}
+		name, file, old := call[1], call[2], call[3]
+		if file == "" {
+			continue
+		}
+		src, err := os.ReadFile(file)
+		if err != nil {
+			out = append(out, fmt.Sprintf("variant %s: %v", name, err))
+			continue
+		}
+		if c := strings.Count(string(src), old); c != 1 {
+			out = append(out, fmt.Sprintf("variant %s: %q occurs %d times in %s, want 1", name, old, c, file))
+		}
+	}
+	return out
+}
+
+// shellCalls splits a shell script into the words of each command line:
+// words split on blanks; single- and double-quoted text is literal and
+// may span lines; $NAME expands to the value of an earlier NAME=value
+// line (empty otherwise); a # at the start of a word comments out the
+// rest of the line.
+func shellCalls(script string) [][]string {
+	vars := map[string]string{}
+	var calls [][]string
+	var words []string
+	var word strings.Builder
+	inWord := false
+	var quote byte
+	flush := func() {
+		if inWord {
+			words = append(words, word.String())
+			word.Reset()
+			inWord = false
+		}
+	}
+	endLine := func() {
+		flush()
+		if len(words) == 1 {
+			if name, val, ok := strings.Cut(words[0], "="); ok {
+				vars[name] = val
+			}
+		}
+		if len(words) > 0 {
+			calls = append(calls, words)
+		}
+		words = nil
+	}
+	isName := func(c byte) bool {
+		return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
+	}
+	for i := 0; i < len(script); i++ {
+		c := script[i]
+		switch {
+		case quote != 0:
+			if c == quote {
+				quote = 0
+			} else {
+				word.WriteByte(c)
+			}
+		case c == '\'' || c == '"':
+			quote, inWord = c, true
+		case c == '$':
+			j := i + 1
+			for j < len(script) && isName(script[j]) {
+				j++
+			}
+			word.WriteString(vars[script[i+1:j]])
+			inWord, i = true, j-1
+		case c == '#' && !inWord:
+			for i+1 < len(script) && script[i+1] != '\n' {
+				i++
+			}
+		case c == ' ' || c == '\t':
+			flush()
+		case c == '\n':
+			endLine()
+		default:
+			word.WriteByte(c)
+			inWord = true
+		}
+	}
+	endLine()
+	return calls
+}

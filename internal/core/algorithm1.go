@@ -224,11 +224,27 @@ func (s *session) met(tr Trial) bool {
 }
 
 // judge counts one BO iteration that ran trial tr on opt's suggestion:
-// Eq. 9, the iteration report and its span.
+// Eq. 9, then the iteration's explanation — opt's suggestion stats and
+// the measured trial — and its span.
 func (s *session) judge(opt *bo.Optimizer, tr Trial, spanName string) {
 	s.res.Iterations++
 	s.res.Met = s.met(tr)
-	it := iterationReport(s.res.Iterations, tr, s.res.Threshold, opt, s.res.Met)
+	it := IterationReport{
+		Iter:          s.res.Iterations,
+		Par:           tr.Par,
+		Score:         tr.Score,
+		ProcLatencyMS: tr.ProcLatencyMS,
+		LatencyMet:    tr.LatencyMet,
+		Eq9Margin:     tr.Score - s.res.Threshold,
+		Terminated:    s.res.Met,
+	}
+	if st, ok := opt.LastSuggestion(); ok {
+		it.PosteriorMean = st.Mean
+		it.PosteriorStd = st.Std
+		it.AcqValue = st.AcqValue
+		it.Acquisition = st.Acquisition
+		it.Selection = st.Reason
+	}
 	s.res.Iters = append(s.res.Iters, it)
 	if s.cfg.Tracer.Enabled() {
 		emitIterationSpan(s.sp.Child(spanName), it)
@@ -318,28 +334,6 @@ func selectBest(trials []Trial) Trial {
 	return best
 }
 
-// iterationReport assembles the per-iteration explanation from the
-// optimizer's last suggestion stats and the measured trial.
-func iterationReport(iter int, tr Trial, threshold float64, opt *bo.Optimizer, terminated bool) IterationReport {
-	it := IterationReport{
-		Iter:          iter,
-		Par:           tr.Par,
-		Score:         tr.Score,
-		ProcLatencyMS: tr.ProcLatencyMS,
-		LatencyMet:    tr.LatencyMet,
-		Eq9Margin:     tr.Score - threshold,
-		Terminated:    terminated,
-	}
-	if st, ok := opt.LastSuggestion(); ok {
-		it.PosteriorMean = st.Mean
-		it.PosteriorStd = st.Std
-		it.AcqValue = st.AcqValue
-		it.Acquisition = st.Acquisition
-		it.Selection = st.Reason
-	}
-	return it
-}
-
 // emitIterationSpan writes one IterationReport as a child span. Callers
 // guard with Tracer.Enabled() so attribute formatting never runs on the
 // disabled path.
@@ -362,19 +356,14 @@ func emitIterationSpan(sp *trace.ActiveSpan, it IterationReport) {
 // fitFinalModel fits the benefit model on the distinct real trials so it
 // can be stored in the model library.
 func fitFinalModel(trials []Trial) *gp.Regressor {
-	var pars []dataflow.ParallelismVector
 	var xs [][]float64
 	var ys []float64
-	for _, tr := range trials {
-		if slices.ContainsFunc(pars, tr.Par.Equal) {
+	for i, tr := range trials {
+		if slices.ContainsFunc(trials[:i], func(u Trial) bool { return u.Par.Equal(tr.Par) }) {
 			continue
 		}
-		pars = append(pars, tr.Par)
 		xs = append(xs, tr.Par.Floats())
 		ys = append(ys, tr.Score)
-	}
-	if len(xs) == 0 {
-		return nil
 	}
 	model, err := transfer.Fit(xs, ys)
 	if err != nil {
