@@ -49,8 +49,8 @@ func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transf
 	for !res.Met && len(res.Trials) < nNum && res.Iterations < s.cfg.MaxIterations {
 		// Lines 2–5: fit the residual model on the real samples so far.
 		samples := make([]transfer.Sample, len(res.Trials))
-		for i, tr := range res.Trials {
-			samples[i] = transfer.Sample{X: tr.Par.Floats(), Y: tr.Score}
+		for i, t := range res.Trials {
+			samples[i] = transfer.Sample{X: t.Par.Floats(), Y: t.Score}
 		}
 		rsp := s.sp.Child("algorithm2.residual_fit")
 		rsp.SetInt("real_samples", len(samples))
