@@ -148,7 +148,7 @@ type session struct {
 }
 
 // newSession validates cfg and base, builds the search problem and opens
-// the session span name.
+// the session's span under name.
 func newSession(e *flink.Engine, base dataflow.ParallelismVector, cfg Algorithm1Config, name string) (*session, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
