@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench profile check experiments summary fmt vet clean
+.PHONY: all build test race fuzz cover bench profile check experiments summary fmt vet clean
 
 all: build test
 
@@ -14,6 +14,16 @@ test:
 
 race:
 	$(GO) test -race ./internal/metrics/ ./internal/core/ ./internal/bo/ ./internal/gp/ ./internal/mat/ ./internal/transfer/ ./internal/flink/ ./internal/trace/ ./internal/chaos/ ./internal/fleet/ ./internal/slo/ ./internal/policy/... ./internal/experiments/ ./internal/persist/ ./internal/audit/ ./cmd/metricsd/
+
+# Fuzz every byte-parsing boundary the daemons trust, one target after
+# another for FUZZTIME each: the snapshot decoder (differential against
+# encoding/json wherever its typed pass takes an input), restore from
+# arbitrary snapshot bytes, and the decision-journal record decoder.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/persist/
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime $(FUZZTIME) ./internal/fleet/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecoder$$' -fuzztime $(FUZZTIME) ./internal/trace/
 
 cover:
 	$(GO) test -cover ./...
@@ -41,10 +51,11 @@ profile:
 
 # The full pre-merge gate: static checks, every package's tests exactly
 # once (`test`: the seeded chaos, fleet, journal, tournament and replay
-# gates and the allocation contracts included), and the race detector on
-# the concurrency-bearing packages. Timings are judged only by
-# `go run ./bench compare` over interleaved parent/change pairs.
-check: vet test race
+# gates and the allocation contracts included), the race detector on
+# the concurrency-bearing packages, and the fuzz targets. Timings are
+# judged only by `go run ./bench compare` over interleaved parent/change
+# pairs.
+check: vet test race fuzz
 
 # Reproduce every table and figure of the paper's evaluation.
 experiments:

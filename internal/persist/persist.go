@@ -19,7 +19,16 @@
 // writes — so a re-indented copy still verifies, while truncation, bit
 // rot, and hand editing all surface as a clean ErrChecksum — never a
 // half-restored fleet. Decode reads the version and checksum as tokens,
-// verifies the payload's bytes, and only then parses them, once.
+// verifies the payload's bytes, and only then parses them, once, from
+// the one buffer the snapshot was read into.
+//
+// encoding/json is the payload's definition: a payload means what
+// json.Unmarshal into FleetState makes of it. A version 2 payload is
+// parsed by a typed pass (decode.go) that takes only what it can prove
+// json.Unmarshal reads to the same state — every payload Encode writes
+// whose strings are printable ASCII — and hands anything else whole to
+// json.Unmarshal, so results and errors never depend on which of the two
+// read it.
 //
 // The payload stores each benefit model once: FleetState.Models is a
 // table of training data, and every library entry is a (rate, index)
@@ -120,9 +129,37 @@ func Decode(r io.Reader) (*FleetState, error) {
 	if _, err := io.Copy(&data, r); err != nil {
 		return nil, fmt.Errorf("persist: read snapshot: %w", err)
 	}
+	return decode(data.Bytes())
+}
+
+// decode is Decode on a snapshot already in memory, which it reads in
+// place.
+func decode(data []byte) (*FleetState, error) {
+	version, payload, err := envelope(data)
+	if err != nil {
+		return nil, err
+	}
+	if version == 1 {
+		return decodeV1(payload)
+	}
+	if st, ok := decodePayload(payload); ok {
+		return st, nil
+	}
+	// What the typed pass declines, json.Unmarshal — the format's
+	// definition — reads or refuses as it always has.
+	var st FleetState
+	if err := json.Unmarshal(payload, &st); err != nil {
+		return nil, fmt.Errorf("persist: decode snapshot payload: %w", err)
+	}
+	return &st, nil
+}
+
+// envelope reads a snapshot's header fields and returns its version and
+// its payload, verified against the checksum but not yet parsed.
+func envelope(data []byte) (version int, payload []byte, err error) {
 	// The header fields are read as tokens, which leaves the payload
 	// unscanned: it is hashed before any JSON parser reads it.
-	dec := json.NewDecoder(bytes.NewReader(data.Bytes()))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	field := func(name string, v any) error {
 		if tok, err := dec.Token(); err != nil || tok != name {
 			return fmt.Errorf("persist: decode snapshot envelope: want %q next", name)
@@ -136,40 +173,32 @@ func Decode(r io.Reader) (*FleetState, error) {
 		return nil
 	}
 	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
-		return nil, errors.New("persist: decode snapshot envelope: not a JSON object")
+		return 0, nil, errors.New("persist: decode snapshot envelope: not a JSON object")
 	}
-	var version int
 	if err := field("version", &version); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if version != formatVersion && version != 1 {
-		return nil, fmt.Errorf("%w: got %d, want %d or 1", ErrVersion, version, formatVersion)
+		return 0, nil, fmt.Errorf("%w: got %d, want %d or 1", ErrVersion, version, formatVersion)
 	}
 	var sum string
 	if err := field("sha256", &sum); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if err := field("payload", nil); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	// The payload is what lies between the key's colon and the
 	// envelope's closing brace; the checksum vouches that nothing else
 	// does.
-	rest := bytes.TrimSpace(data.Bytes()[dec.InputOffset():])
+	rest := bytes.TrimSpace(data[dec.InputOffset():])
 	rest, colon := bytes.CutPrefix(rest, []byte(":"))
 	rest, brace := bytes.CutSuffix(rest, []byte("}"))
-	payload := bytes.TrimSpace(rest)
+	payload = bytes.TrimSpace(rest)
 	if !colon || !brace || !verified(payload, sum) {
-		return nil, ErrChecksum
+		return 0, nil, ErrChecksum
 	}
-	if version == 1 {
-		return decodeV1(payload)
-	}
-	var st FleetState
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return nil, fmt.Errorf("persist: decode snapshot payload: %w", err)
-	}
-	return &st, nil
+	return version, payload, nil
 }
 
 // WriteFile atomically persists the state to path: the snapshot is
@@ -206,5 +235,5 @@ func ReadFile(path string) (*FleetState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: open snapshot: %w", err)
 	}
-	return Decode(bytes.NewReader(data))
+	return decode(data)
 }

@@ -100,7 +100,8 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 // The checksum is over the compact payload, so a re-indented snapshot —
 // the form earlier builds wrote to disk — still verifies and decodes to
-// the same state, and corrupting it is still ErrChecksum.
+// the same state, through the typed pass, and corrupting it is still
+// ErrChecksum.
 func TestDecodeIndentedSnapshot(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Encode(&buf, sampleState()); err != nil {
@@ -119,6 +120,9 @@ func TestDecodeIndentedSnapshot(t *testing.T) {
 	want, _ := json.Marshal(sampleState())
 	if back, _ := json.Marshal(got); !bytes.Equal(back, want) {
 		t.Fatalf("indented snapshot decoded to\n%s\nwant\n%s", back, want)
+	}
+	if _, payload, err := envelope(raw); err != nil || !checkTypedPass(t, payload) {
+		t.Fatalf("the typed pass declined the indented payload (%v)", err)
 	}
 
 	corrupted := bytes.Replace(raw, []byte(`"rounds": 30`), []byte(`"rounds": 31`), 1)

@@ -213,7 +213,8 @@ func (id *exportedIdent) key() string { return id.pkg + "." + id.name }
 //   - it is a type, const or var named in the declaration (a signature,
 //     a field, an embedded type, a value) of an earned identifier of its
 //     own package, or a const or var of an earned type;
-//   - it is an Err* sentinel that an earned function returns;
+//   - it is an Err* sentinel that an earned function returns, itself or
+//     through an unexported function of its package that it calls;
 //   - it is a method of an earned type, and some non-test code selects
 //     its name or it implements a standard-library interface;
 //   - it is a field ("Type.Field") of an earned struct type, and some
@@ -228,6 +229,8 @@ func unearnedIdents(files []goFile) []*exportedIdent {
 	values := map[string][]string{}       // type key → keys of the consts and vars of that type
 	named := map[string]bool{}            // keys named outside their package
 	selected := map[string]bool{}         // names read through a selector on a value (not a package) anywhere
+	// key → body of an unexported plain function, whose sentinels its callers return
+	helpers := map[string]*ast.BlockStmt{}
 	for _, gf := range files {
 		imports := importNames(gf.f)
 		written := map[*ast.SelectorExpr]bool{}
@@ -269,6 +272,9 @@ func unearnedIdents(files []goFile) []*exportedIdent {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				if !d.Name.IsExported() {
+					if d.Recv == nil && d.Body != nil {
+						helpers[gf.dir+"."+d.Name.Name] = d.Body
+					}
 					continue
 				}
 				id := &exportedIdent{name: d.Name.Name, isFunc: true, pos: d.Pos(), decl: []ast.Node{d.Type}, body: d.Body}
@@ -348,18 +354,7 @@ func unearnedIdents(files []goFile) []*exportedIdent {
 			}
 		}
 		if id.body != nil {
-			ast.Inspect(id.body, func(n ast.Node) bool {
-				if ret, ok := n.(*ast.ReturnStmt); ok {
-					for _, r := range ret.Results {
-						for _, name := range referencedNames(r) {
-							if strings.HasPrefix(name, "Err") {
-								earn(id.pkg + "." + name)
-							}
-						}
-					}
-				}
-				return true
-			})
+			earnSentinels(id.pkg, id.body, helpers, map[string]bool{}, earn)
 		}
 		if !id.isFunc {
 			for _, v := range values[id.key()] {
@@ -410,6 +405,33 @@ func recvTypeName(e ast.Expr) string {
 // referencedNames returns the unqualified identifiers n refers to,
 // leaving out the names it declares (fields, parameters, the declared
 // name itself) and the names it selects (x.Name).
+// earnSentinels earns each Err* sentinel that a return statement in
+// body names, or in the body of an unexported function of the package
+// that body calls, transitively: an exported reader that hands its bytes
+// to an unexported decode returns decode's sentinels.
+func earnSentinels(pkg string, body *ast.BlockStmt, helpers map[string]*ast.BlockStmt, seen map[string]bool, earn func(string)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ReturnStmt:
+			for _, r := range n.Results {
+				for _, name := range referencedNames(r) {
+					if strings.HasPrefix(name, "Err") {
+						earn(pkg + "." + name)
+					}
+				}
+			}
+		case *ast.CallExpr:
+			if fn, ok := n.Fun.(*ast.Ident); ok {
+				if k := pkg + "." + fn.Name; helpers[k] != nil && !seen[k] {
+					seen[k] = true
+					earnSentinels(pkg, helpers[k], helpers, seen, earn)
+				}
+			}
+		}
+		return true
+	})
+}
+
 func referencedNames(n ast.Node) []string {
 	var names []string
 	var walk func(n ast.Node) bool
