@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"math"
 	"strconv"
 
 	"autrascale/internal/core"
@@ -60,9 +59,6 @@ type decoder struct {
 // false, and its state is then meaningless, when it cannot prove that
 // json.Unmarshal reads the payload to the same state.
 func decodePayload(payload []byte) (*FleetState, bool) {
-	if len(payload) > math.MaxInt32 { // members keeps key offsets as int32s
-		return nil, false
-	}
 	d := decoder{data: payload}
 	st := new(FleetState)
 	d.fleet(st)
@@ -362,7 +358,7 @@ type members struct {
 	key    []byte
 	n      int
 	hashes uint64
-	seen   [maxMembers]int32
+	seen   [maxMembers]int
 }
 
 // keyBit hashes a key to one of 64 bits by its length and end bytes.
@@ -417,7 +413,7 @@ func (d *decoder) member(o *members) bool {
 		}
 	}
 	o.hashes |= bit
-	o.seen[o.n] = int32(off)
+	o.seen[o.n] = off
 	o.n++
 	o.key = key
 	return true
