@@ -13,7 +13,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/metrics/ ./internal/core/ ./internal/bo/ ./internal/gp/ ./internal/mat/ ./internal/transfer/ ./internal/flink/ ./internal/trace/ ./internal/chaos/ ./internal/fleet/ ./internal/slo/ ./internal/policy/... ./internal/experiments/ ./internal/persist/ ./internal/audit/ ./cmd/metricsd/
+	$(GO) test -race ./internal/metrics/ ./internal/core/ ./internal/bo/ ./internal/gp/ ./internal/mat/ ./internal/transfer/ ./internal/flink/ ./internal/trace/ ./internal/chaos/ ./internal/fleet/ ./internal/slo/ ./internal/policy/... ./internal/experiments/ ./internal/persist/ ./internal/audit/ ./internal/workloads/ ./internal/dataflow/ ./cmd/metricsd/
 
 # Fuzz every byte-parsing boundary the daemons trust, one target after
 # another for FUZZTIME each: the snapshot decoder (differential against

@@ -101,9 +101,6 @@ func PaperTestbed() *Cluster {
 	return c
 }
 
-// Machine returns machine i.
-func (c *Cluster) Machine(i int) Machine { return c.machines[i] }
-
 // TotalCores returns the total raw core count.
 func (c *Cluster) TotalCores() int {
 	var s int

@@ -62,8 +62,8 @@ func TestTotals(t *testing.T) {
 	if c.EffectiveCores() != 12 {
 		t.Fatalf("EffectiveCores = %v", c.EffectiveCores())
 	}
-	if c.Machine(0).Name != "m1" {
-		t.Fatalf("Machine(0) = %v", c.Machine(0))
+	if names := c.UpMachineNames(); len(names) != 2 || names[0] != "m1" || names[1] != "m2" {
+		t.Fatalf("UpMachineNames = %v, want [m1 m2]", names)
 	}
 }
 

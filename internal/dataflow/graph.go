@@ -112,7 +112,14 @@ type Operator struct {
 }
 
 // Graph is a DAG of operators. Build with AddOperator/Connect, then call
-// Validate (or use MustBuild helpers in workloads).
+// Validate (package workloads holds the built-in jobs' graphs, validated).
+//
+// A validated graph is immutable: AddOperator and Connect refuse it, and
+// Validate on it writes nothing. Its topology (sources, topological
+// order, arrival factors) is computed once, by the Validate that
+// succeeds, so any number of engines — on any number of goroutines —
+// can share one validated graph. Name, an exported field, is the one
+// thing left writable: never change it on a shared graph.
 type Graph struct {
 	Name      string
 	operators []Operator
@@ -120,7 +127,9 @@ type Graph struct {
 	edges     map[int][]int // adjacency: operator index -> successor indexes
 	inDegree  []int
 	validated bool
+	sources   []int
 	topo      []int
+	arrival   []float64 // records arriving at each operator per source record
 }
 
 // NewGraph returns an empty graph with the given job name.
@@ -128,8 +137,18 @@ func NewGraph(name string) *Graph {
 	return &Graph{Name: name, index: map[string]int{}, edges: map[int][]int{}}
 }
 
-// AddOperator appends an operator; names must be unique.
+// errValidated is the error AddOperator and Connect return on a
+// validated graph.
+func (g *Graph) errValidated() error {
+	return fmt.Errorf("dataflow: graph %q is validated and immutable", g.Name)
+}
+
+// AddOperator appends an operator; names must be unique. It refuses a
+// validated graph.
 func (g *Graph) AddOperator(op Operator) error {
+	if g.validated {
+		return g.errValidated()
+	}
 	if op.Name == "" {
 		return errors.New("dataflow: operator needs a name")
 	}
@@ -145,12 +164,15 @@ func (g *Graph) AddOperator(op Operator) error {
 	g.index[op.Name] = len(g.operators)
 	g.operators = append(g.operators, op)
 	g.inDegree = append(g.inDegree, 0)
-	g.validated = false
 	return nil
 }
 
-// Connect adds an edge from operator `from` to operator `to`.
+// Connect adds an edge from operator `from` to operator `to`. It refuses
+// a validated graph.
 func (g *Graph) Connect(from, to string) error {
+	if g.validated {
+		return g.errValidated()
+	}
 	fi, ok := g.index[from]
 	if !ok {
 		return fmt.Errorf("dataflow: unknown operator %q", from)
@@ -169,7 +191,6 @@ func (g *Graph) Connect(from, to string) error {
 	}
 	g.edges[fi] = append(g.edges[fi], ti)
 	g.inDegree[ti]++
-	g.validated = false
 	return nil
 }
 
@@ -186,6 +207,9 @@ func (g *Graph) Successors(i int) []int {
 
 // Sources returns indexes of operators with no predecessors.
 func (g *Graph) Sources() []int {
+	if g.validated {
+		return append([]int(nil), g.sources...)
+	}
 	var out []int
 	for i, d := range g.inDegree {
 		if d == 0 {
@@ -196,23 +220,25 @@ func (g *Graph) Sources() []int {
 }
 
 // Validate checks that the graph is a non-empty DAG with at least one
-// source and that every operator is reachable from a source. It also
-// computes and caches the topological order.
+// source and that every operator is reachable from a source. The first
+// Validate that succeeds computes the topology (sources, topological
+// order, arrival factors) and freezes the graph; on a validated graph
+// Validate returns nil and writes nothing.
 func (g *Graph) Validate() error {
+	if g.validated {
+		return nil
+	}
 	if len(g.operators) == 0 {
 		return errors.New("dataflow: empty graph")
 	}
-	// Kahn's algorithm.
-	deg := append([]int(nil), g.inDegree...)
-	var queue, topo []int
-	for i, d := range deg {
-		if d == 0 {
-			queue = append(queue, i)
-		}
-	}
-	if len(queue) == 0 {
+	sources := g.Sources()
+	if len(sources) == 0 {
 		return errors.New("dataflow: graph has no source operator")
 	}
+	// Kahn's algorithm.
+	deg := append([]int(nil), g.inDegree...)
+	queue := append([]int(nil), sources...)
+	var topo []int
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
@@ -227,7 +253,19 @@ func (g *Graph) Validate() error {
 	if len(topo) != len(g.operators) {
 		return errors.New("dataflow: graph contains a cycle")
 	}
-	g.topo = topo
+	// a_i: records arriving at operator i per source record, propagating
+	// selectivity along the DAG in topological order.
+	arrival := make([]float64, len(g.operators))
+	for _, src := range sources {
+		arrival[src] = 1
+	}
+	for _, i := range topo {
+		out := arrival[i] * g.operators[i].Selectivity
+		for _, s := range g.edges[i] {
+			arrival[s] += out
+		}
+	}
+	g.sources, g.topo, g.arrival = sources, topo, arrival
 	g.validated = true
 	return nil
 }
@@ -235,10 +273,22 @@ func (g *Graph) Validate() error {
 // TopoOrder returns operator indexes in a topological order. It panics if
 // Validate has not succeeded.
 func (g *Graph) TopoOrder() []int {
-	if !g.validated {
-		panic("dataflow: TopoOrder before successful Validate")
-	}
+	g.mustBeValidated("TopoOrder")
 	return append([]int(nil), g.topo...)
+}
+
+// ArrivalFactor returns a_i, the records arriving at operator i per
+// source record: selectivity propagated from the sources along the DAG.
+// It panics if Validate has not succeeded.
+func (g *Graph) ArrivalFactor(i int) float64 {
+	g.mustBeValidated("ArrivalFactor")
+	return g.arrival[i]
+}
+
+func (g *Graph) mustBeValidated(op string) {
+	if !g.validated {
+		panic("dataflow: " + op + " before successful Validate")
+	}
 }
 
 // String renders the graph structure.

@@ -163,6 +163,89 @@ func TestTopoOrderPanicsWithoutValidate(t *testing.T) {
 	g.TopoOrder()
 }
 
+// A validated graph is frozen: AddOperator and Connect fail and change
+// nothing, and another Validate is a no-op.
+func TestValidatedGraphIsImmutable(t *testing.T) {
+	g := linearGraph(t, "src", "map", "sink")
+	before, topo := g.String(), g.TopoOrder()
+	if err := g.AddOperator(Operator{Name: "late", Selectivity: 1, Profile: validProfile()}); err == nil {
+		t.Fatal("AddOperator on a validated graph succeeded")
+	}
+	if err := g.Connect("src", "sink"); err == nil {
+		t.Fatal("Connect on a validated graph succeeded")
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if g.String() != before || g.NumOperators() != 3 {
+		t.Fatalf("the refused edits changed the graph:\n%s", g.String())
+	}
+	if got := g.TopoOrder(); len(got) != len(topo) || got[0] != topo[0] || got[1] != topo[1] || got[2] != topo[2] {
+		t.Fatalf("TopoOrder = %v after a second Validate, was %v", got, topo)
+	}
+	if s := g.Sources(); len(s) != 1 || s[0] != 0 {
+		t.Fatalf("Sources = %v after a second Validate", s)
+	}
+	// Callers get copies: writing one leaves the graph as it was.
+	g.TopoOrder()[0], g.Sources()[0] = 9, 9
+	if g.TopoOrder()[0] != 0 || g.Sources()[0] != 0 {
+		t.Fatal("TopoOrder or Sources hands out the graph's own slice")
+	}
+}
+
+// A Validate that fails leaves the graph open to edits.
+func TestFailedValidateLeavesGraphEditable(t *testing.T) {
+	g := NewGraph("open")
+	_ = g.AddOperator(Operator{Name: "a", Selectivity: 1, Profile: validProfile()})
+	_ = g.AddOperator(Operator{Name: "b", Selectivity: 1, Profile: validProfile()})
+	_ = g.Connect("a", "b")
+	_ = g.Connect("b", "a")
+	if err := g.Validate(); err == nil {
+		t.Fatal("a cycle validated")
+	}
+	if err := g.AddOperator(Operator{Name: "c", Selectivity: 1, Profile: validProfile()}); err != nil {
+		t.Fatalf("AddOperator after a failed Validate: %v", err)
+	}
+}
+
+// Arrival factors propagate selectivity along every path: on the diamond
+// a -> {b, c} -> d with a splitting 2:1 and b filtering half, d receives
+// 2·0.5 + 2·1 records per source record.
+func TestArrivalFactors(t *testing.T) {
+	g := NewGraph("diamond")
+	for _, op := range []Operator{
+		{Name: "a", Selectivity: 2, Profile: validProfile()},
+		{Name: "b", Selectivity: 0.5, Profile: validProfile()},
+		{Name: "c", Selectivity: 1, Profile: validProfile()},
+		{Name: "d", Selectivity: 0, Profile: validProfile()},
+	} {
+		if err := g.AddOperator(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]string{{"a", "b"}, {"a", "c"}, {"b", "d"}, {"c", "d"}} {
+		if err := g.Connect(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("ArrivalFactor before Validate did not panic")
+			}
+		}()
+		g.ArrivalFactor(0)
+	}()
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{1, 2, 2, 3} {
+		if got := g.ArrivalFactor(i); got != want {
+			t.Fatalf("ArrivalFactor(%d) = %v, want %v", i, got, want)
+		}
+	}
+}
+
 // Property: random linear chains always validate with a correct topo order.
 func TestRandomChainsProperty(t *testing.T) {
 	f := func(seed uint64) bool {

@@ -92,7 +92,7 @@ func (r *AblationResult) runTransferAblation(seed uint64) error {
 	if err != nil {
 		return err
 	}
-	unified := newUnifiedModel(spec.BuildGraph().NumOperators())
+	unified := newUnifiedModel(spec.Graph.NumOperators())
 	if err := unified.observeTrials(a1Old.Trials, oldRate); err != nil {
 		return err
 	}

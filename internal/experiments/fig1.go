@@ -38,7 +38,7 @@ func RunFig1(opts Fig1Options) (*Fig1Result, error) {
 	spec := workloads.WordCountCaseStudy()
 	e, err := workloads.NewEngine(spec, workloads.EngineOptions{
 		Schedule:           kafka.IncreasingRate(100e3, 50e3, 600),
-		InitialParallelism: dataflow.Uniform(spec.BuildGraph().NumOperators(), 2),
+		InitialParallelism: dataflow.Uniform(spec.Graph.NumOperators(), 2),
 		Seed:               opts.Seed,
 	})
 	if err != nil {

@@ -35,7 +35,7 @@ const (
 // RunFig2 executes the CASE 2 sweep.
 func RunFig2(opts Fig2Options) (*Fig2Result, error) {
 	spec := workloads.WordCountCaseStudy()
-	n := spec.BuildGraph().NumOperators()
+	n := spec.Graph.NumOperators()
 	res := &Fig2Result{}
 	for k := 1; k <= fig2MaxParallelism; k++ {
 		e, err := workloads.NewEngine(spec, workloads.EngineOptions{

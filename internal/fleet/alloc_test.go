@@ -1,0 +1,58 @@
+package fleet
+
+import (
+	"bytes"
+	"runtime/debug"
+	"testing"
+
+	"autrascale/internal/persist"
+	"autrascale/internal/workloads"
+)
+
+// TestRestoreAllocations pins the allocations of Restore on a 1,000-job
+// state captured from submitted jobs, before any round: per job, the
+// spec, cluster, engine and controller a restore rebuilds, the engine on
+// the workload's shared graph and its RNG held by value. That is 27 048
+// allocations here, where a graph and an RNG allocated per job made
+// 65 048. The ceiling is that count plus a
+// little slack: growth fails tier-1, and a drop is a reason to tighten
+// it.
+func TestRestoreAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the program's")
+	}
+	const jobs, runs, max = 1000, 3, 27_060
+	f, err := New(Config{TotalCores: jobs * 32, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, js := range StaggeredJobs(workloads.WordCount(), jobs, 0) {
+		if err := f.Submit(js); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var blob bytes.Buffer
+	if err := persist.Encode(&blob, f.PersistState()); err != nil {
+		t.Fatal(err)
+	}
+	// One decoded state per run (AllocsPerRun runs once more to warm up),
+	// decoded before measuring.
+	states := make([]*persist.FleetState, runs+1)
+	for i := range states {
+		if states[i], err = persist.Decode(bytes.NewReader(blob.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	got := testing.AllocsPerRun(runs, func() {
+		if _, err := Restore(states[next], RestoreOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("Restore of %d jobs: %v allocs (%.1f per job)", jobs, got, got/jobs)
+	if got > max {
+		t.Errorf("Restore of %d jobs: %v allocs, contract is <= %d", jobs, got, max)
+	}
+}

@@ -204,7 +204,7 @@ func (s *JobSpec) validate() error {
 		// The store encodes tags as "k1=v1,k2=v2": either separator in a
 		// job tag would forge another series' labels.
 		return fmt.Errorf("job %q: name must not contain ',', '=' or a non-printable rune", s.Name)
-	case s.Workload.BuildGraph == nil:
+	case s.Workload.Graph == nil:
 		return fmt.Errorf("job %q has no workload graph", s.Name)
 	case s.Machines <= 0:
 		return fmt.Errorf("machines must be > 0, got %d", s.Machines)
@@ -576,7 +576,7 @@ func (f *Fleet) warmStartLibrary(spec JobSpec) (lib *transfer.ModelLibrary, rate
 		sp.SetFloat("target_rate", spec.initialRate())
 		sp.SetInt("library_models", shared.Len())
 	}
-	if !found || inputDim(entry.Model) != spec.Workload.BuildGraph().NumOperators() {
+	if !found || inputDim(entry.Model) != spec.Workload.Graph.NumOperators() {
 		sp.SetBool("ok", false)
 		return lib, 0, false
 	}

@@ -23,35 +23,39 @@ func decisionKey(d core.DecisionReport) string {
 
 // testWorkload is a small three-operator chain that converges in a few
 // BO iterations, so fleet tests stay fast. Same shape as the core
-// package's latencyChain fixture.
+// package's latencyChain fixture. Its graph is validated, like a
+// built-in workload's.
 func testWorkload(t testing.TB) workloads.Spec {
 	t.Helper()
-	build := func() *dataflow.Graph {
-		g := dataflow.NewGraph("lat-chain")
-		ops := []dataflow.Operator{
-			{Name: "src", Kind: dataflow.KindSource, Selectivity: 1, Profile: dataflow.Profile{
-				BaseRatePerInstance: 1000, SyncCost: 0.01, FixedLatencyMS: 10,
-				QueueScaleMS: 2, StateCostMS: 20, CommCostPerParallelism: 0.5,
-				CPUPerInstance: 1, MemPerInstanceMB: 128}},
-			{Name: "mid", Kind: dataflow.KindTransform, Selectivity: 1, Profile: dataflow.Profile{
-				BaseRatePerInstance: 300, SyncCost: 0.01, FixedLatencyMS: 20,
-				QueueScaleMS: 3, StateCostMS: 60, CommCostPerParallelism: 0.8,
-				CPUPerInstance: 1, MemPerInstanceMB: 128}},
-			{Name: "sink", Kind: dataflow.KindSink, Selectivity: 0, Profile: dataflow.Profile{
-				BaseRatePerInstance: 500, SyncCost: 0.01, FixedLatencyMS: 10,
-				QueueScaleMS: 2, StateCostMS: 30, CommCostPerParallelism: 0.5,
-				CPUPerInstance: 1, MemPerInstanceMB: 128}},
-		}
-		for _, op := range ops {
-			if err := g.AddOperator(op); err != nil {
-				t.Fatal(err)
-			}
-		}
-		_ = g.Connect("src", "mid")
-		_ = g.Connect("mid", "sink")
-		return g
+	g := dataflow.NewGraph("lat-chain")
+	ops := []dataflow.Operator{
+		{Name: "src", Kind: dataflow.KindSource, Selectivity: 1, Profile: dataflow.Profile{
+			BaseRatePerInstance: 1000, SyncCost: 0.01, FixedLatencyMS: 10,
+			QueueScaleMS: 2, StateCostMS: 20, CommCostPerParallelism: 0.5,
+			CPUPerInstance: 1, MemPerInstanceMB: 128}},
+		{Name: "mid", Kind: dataflow.KindTransform, Selectivity: 1, Profile: dataflow.Profile{
+			BaseRatePerInstance: 300, SyncCost: 0.01, FixedLatencyMS: 20,
+			QueueScaleMS: 3, StateCostMS: 60, CommCostPerParallelism: 0.8,
+			CPUPerInstance: 1, MemPerInstanceMB: 128}},
+		{Name: "sink", Kind: dataflow.KindSink, Selectivity: 0, Profile: dataflow.Profile{
+			BaseRatePerInstance: 500, SyncCost: 0.01, FixedLatencyMS: 10,
+			QueueScaleMS: 2, StateCostMS: 30, CommCostPerParallelism: 0.5,
+			CPUPerInstance: 1, MemPerInstanceMB: 128}},
 	}
-	return workloads.Spec{Name: "lat-chain", BuildGraph: build,
+	for _, op := range ops {
+		if err := g.AddOperator(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]string{{"src", "mid"}, {"mid", "sink"}} {
+		if err := g.Connect(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return workloads.Spec{Name: "lat-chain", Graph: g,
 		DefaultRateRPS: 1500, TargetLatencyMS: 160, Partitions: 4}
 }
 

@@ -51,6 +51,41 @@ func TestModelsAreSharedByPointer(t *testing.T) {
 	}
 }
 
+// Every engine the fleet builds or restores runs on its workload's one
+// graph: a job holds no graph of its own.
+func TestJobsShareTheWorkloadGraph(t *testing.T) {
+	f, err := New(Config{TotalCores: 1024, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := append(StaggeredJobs(workloads.WordCount(), 3, 0), StaggeredJobs(workloads.NexmarkQ5(), 2, 0)...)
+	for _, js := range specs {
+		if err := f.Submit(js); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(which string, fl *Fleet) {
+		t.Helper()
+		for _, name := range fl.order {
+			j := fl.jobs[name]
+			spec, ok := workloads.ByName(j.spec.Workload.Name)
+			if !ok {
+				t.Fatalf("%s job %s: unknown workload %q", which, name, j.spec.Workload.Name)
+			}
+			if j.engine.Graph() != spec.Graph {
+				t.Fatalf("%s job %s runs on its own copy of the %s graph", which, name, spec.Name)
+			}
+		}
+	}
+	check("submitted", f)
+	st, _ := snapshotThroughBytes(t, f)
+	restored := restoreOK(t, st)
+	if len(restored.order) != len(specs) {
+		t.Fatalf("restored %d jobs, want %d", len(restored.order), len(specs))
+	}
+	check("restored", restored)
+}
+
 // Restore rebuilds the sharing the captured fleet had: library entries
 // that held one model at capture hold one model after restore, entries
 // that held different models still do, and each table entry became

@@ -106,8 +106,12 @@ type Engine struct {
 	met     engineMetrics
 	tracer  *trace.Tracer
 	jobName string
-	rng     *stat.RNG
-	chaos   *chaos.Injector
+	// rng is held by value. Every tick writes it, and an 8-byte RNG of
+	// its own would be packed by the allocator beside other engines'
+	// into one cache line, which workers stepping neighbouring jobs at
+	// once would contend for.
+	rng   stat.RNG
+	chaos *chaos.Injector
 
 	tickSec     float64
 	downtimeSec float64
@@ -227,8 +231,8 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Graph.Validate(); err != nil {
 		return nil, err
 	}
-	if len(cfg.Graph.Sources()) != 1 {
-		return nil, fmt.Errorf("flink: engine supports exactly one source operator, got %d", len(cfg.Graph.Sources()))
+	if s := len(cfg.Graph.Sources()); s != 1 {
+		return nil, fmt.Errorf("flink: engine supports exactly one source operator, got %d", s)
 	}
 	n := cfg.Graph.NumOperators()
 	tick := cfg.TickSec
@@ -274,7 +278,7 @@ func New(cfg Config) (*Engine, error) {
 		tracer:             cfg.Tracer,
 		chaos:              cfg.Chaos,
 		jobName:            name,
-		rng:                stat.NewRNG(cfg.Seed ^ 0x9d5c_1fd3_0b77_4c2b),
+		rng:                *stat.NewRNG(cfg.Seed ^ 0x9d5c_1fd3_0b77_4c2b),
 		tickSec:            tick,
 		downtimeSec:        down,
 		rateNoise:          noise,
@@ -287,8 +291,8 @@ func New(cfg Config) (*Engine, error) {
 		lastUtil:           make([]float64, n),
 	}
 	e.win.ops = make([]opRates, n)
-	for i, a := range arrivalFactors(cfg.Graph) {
-		e.plan[i].arrivalFac = a
+	for i := range e.plan {
+		e.plan[i].arrivalFac = cfg.Graph.ArrivalFactor(i)
 	}
 	e.compile()
 	e.resetWindow()
@@ -306,7 +310,8 @@ func checkParallelism(p dataflow.ParallelismVector, g *dataflow.Graph, c *cluste
 }
 
 // compile rebuilds the plan for the active parallelism. arrivalFac
-// depends on the graph alone and is set once, in New.
+// depends on the graph alone: New copies it from the graph, which
+// computed it once, at Validate.
 func (e *Engine) compile() {
 	e.memUsedMB = 0
 	for i := range e.plan {
@@ -330,23 +335,6 @@ func (e *Engine) compile() {
 	}
 }
 
-// arrivalFactors computes a_i: records arriving at operator i per source
-// record, propagating selectivity along the DAG in topological order.
-func arrivalFactors(g *dataflow.Graph) []float64 {
-	n := g.NumOperators()
-	a := make([]float64, n)
-	for _, src := range g.Sources() {
-		a[src] = 1
-	}
-	for _, i := range g.TopoOrder() {
-		out := a[i] * g.Operator(i).Selectivity
-		for _, s := range g.Successors(i) {
-			a[s] += out
-		}
-	}
-	return a
-}
-
 // Graph returns the job graph.
 func (e *Engine) Graph() *dataflow.Graph { return e.graph }
 
@@ -362,9 +350,6 @@ func (e *Engine) JobName() string { return e.jobName }
 // Store returns the metrics store the engine records into (nil when
 // metrics are disabled).
 func (e *Engine) Store() *metrics.Store { return e.store }
-
-// Tracer returns the engine's tracer (nil when tracing is disabled).
-func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.nowSec }
@@ -762,9 +747,6 @@ func (e *Engine) chaosVictim(down bool) string {
 	}
 	return ""
 }
-
-// MemUsedMB returns the managed memory held by the current slots.
-func (e *Engine) MemUsedMB() float64 { return e.memUsedMB }
 
 // recordMetrics appends the tick just computed to the store's series.
 func (e *Engine) recordMetrics(throughput, procLat, eventLat float64) {

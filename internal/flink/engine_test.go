@@ -415,8 +415,8 @@ func TestLatencySamplesPresent(t *testing.T) {
 
 func TestMemAccounting(t *testing.T) {
 	e := newEngine(t, 1000, dataflow.ParallelismVector{2, 3, 2})
-	if got := e.MemUsedMB(); got != 7*256 {
-		t.Fatalf("MemUsedMB = %v, want %v", got, 7*256)
+	if got := e.Measure().MemUsedMB; got != 7*256 {
+		t.Fatalf("Measure().MemUsedMB = %v, want %v", got, 7*256)
 	}
 	m := e.RunAndMeasure(5, 20)
 	if m.CPUUsedCores <= 0 || m.CPUUsedCores > 7 {

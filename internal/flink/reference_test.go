@@ -199,7 +199,7 @@ func (r *Reference) Tick() {
 
 	// Capacity per operator in op-input records/s, and the job bottleneck
 	// expressed in source records/s.
-	arrivalFac := arrivalFactors(e.graph)
+	arrivalFac := referenceArrivalFactors(e.graph)
 	trueRates := make([]float64, n) // per instance
 	capSource := math.Inf(1)
 	for i := 0; i < n; i++ {
@@ -391,4 +391,22 @@ func (r *Reference) RecoverMachine(name string) error {
 	}
 	r.ResetWindow()
 	return nil
+}
+
+// referenceArrivalFactors recomputes a_i from the graph's structure:
+// records arriving at operator i per source record, propagating
+// selectivity along the DAG in topological order. The engine reads the
+// factors the graph computed once, at Validate.
+func referenceArrivalFactors(g *dataflow.Graph) []float64 {
+	a := make([]float64, g.NumOperators())
+	for _, src := range g.Sources() {
+		a[src] = 1
+	}
+	for _, i := range g.TopoOrder() {
+		out := a[i] * g.Operator(i).Selectivity
+		for _, s := range g.Successors(i) {
+			a[s] += out
+		}
+	}
+	return a
 }

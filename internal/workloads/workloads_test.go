@@ -1,11 +1,15 @@
 package workloads
 
 import (
+	"fmt"
 	"math"
+	"strings"
+	"sync"
 	"testing"
 
 	"autrascale/internal/core"
 	"autrascale/internal/dataflow"
+	"autrascale/internal/flink"
 	"autrascale/internal/kafka"
 	"autrascale/internal/metrics"
 )
@@ -21,17 +25,95 @@ func TestAllSpecsBuildAndValidate(t *testing.T) {
 			t.Fatalf("duplicate workload name %q", spec.Name)
 		}
 		names[spec.Name] = true
-		g := spec.BuildGraph()
-		if err := g.Validate(); err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
+		g := spec.Graph
+		if g == nil {
+			t.Fatalf("%s: no graph", spec.Name)
 		}
-		// Fresh graphs per call (no shared mutable state).
-		if spec.BuildGraph() == g {
-			t.Fatalf("%s: BuildGraph must return a fresh graph", spec.Name)
+		// Built and validated once: the graph is frozen, and every lookup
+		// of the workload hands out the same one.
+		if err := g.AddOperator(dataflow.Operator{Name: "extra", Selectivity: 1,
+			Profile: dataflow.Profile{BaseRatePerInstance: 1}}); err == nil {
+			t.Fatalf("%s: the graph took an operator after Validate", spec.Name)
 		}
+		if byName, ok := ByName(spec.Name); !ok || byName.Graph != g {
+			t.Fatalf("%s: ByName returns another graph", spec.Name)
+		}
+	}
+	if WordCount().Graph != WordCount().Graph {
+		t.Fatal("WordCount builds a graph per call")
 	}
 	if len(All()) != 4 {
 		t.Fatalf("All() = %d workloads, want 4", len(All()))
+	}
+}
+
+func TestRegistryOrderAndLookup(t *testing.T) {
+	want := "wordcount yahoo nexmark-q5 nexmark-q11 wordcount-case"
+	if got := strings.Join(Names(), " "); got != want {
+		t.Fatalf("Names() = %q, want %q", got, want)
+	}
+	for i, spec := range All() {
+		if spec.Name != Names()[i] {
+			t.Fatalf("All()[%d] = %s, want %s", i, spec.Name, Names()[i])
+		}
+	}
+	if _, ok := ByName("wordcount-case"); !ok {
+		t.Fatal("the case-study variant does not resolve")
+	}
+	if spec, ok := ByName("no-such-workload"); ok || spec.Graph != nil {
+		t.Fatalf("an unknown name resolved to %+v", spec)
+	}
+	// All hands out a copy of the table.
+	All()[0].Name = "changed"
+	if WordCount().Name != "wordcount" || All()[0].Name != "wordcount" {
+		t.Fatal("a caller's copy of All() changed the registry")
+	}
+}
+
+// Engines built at once on several goroutines share one graph, and each
+// runs exactly as the same engine built alone: the graph is read-only
+// after Validate (the race detector checks the first half under make
+// race).
+func TestConcurrentEnginesShareOneGraph(t *testing.T) {
+	const workers, seconds = 4, 120
+	spec := WordCount()
+	run := func(seed uint64) (*flink.Engine, flink.Measurement, error) {
+		e, err := NewEngine(spec, EngineOptions{Seed: seed, InitialParallelism: dataflow.ParallelismVector{2, 3, 9, 7}})
+		if err != nil {
+			return nil, flink.Measurement{}, err
+		}
+		return e, e.RunAndMeasure(10, seconds), nil
+	}
+	type result struct {
+		e   *flink.Engine
+		m   flink.Measurement
+		err error
+	}
+	got := make([]result, workers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, m, err := run(uint64(i + 1))
+			got[i] = result{e, m, err}
+		}()
+	}
+	wg.Wait()
+	for i, r := range got {
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.e.Graph() != spec.Graph {
+			t.Fatalf("engine %d holds its own graph", i)
+		}
+		_, want, err := run(uint64(i + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(r.m) != fmt.Sprint(want) {
+			t.Fatalf("engine %d: concurrent run %+v, alone %+v", i, r.m, want)
+		}
 	}
 }
 
