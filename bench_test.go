@@ -853,7 +853,8 @@ var allocContracts = []struct {
 		fl := steadyFleet(tb)
 		return func() { fl.Round() }
 	})},
-	{"BenchmarkPolicyStepBO", 235, 5, policyStepRuns("bo")},
+	// A planning session is a serial, seeded loop: 234 at any GOMAXPROCS.
+	{"BenchmarkPolicyStepBO", 234, 5, policyStepRuns("bo")},
 	// Ceilings measured on the loops Fig. 8 and Tables II/III run.
 	{"BenchmarkPolicyStepDS2", 17, 5, policyStepRuns("ds2")},
 	{"BenchmarkPolicyStepDRS", 26, 5, policyStepRuns("drs-true")},

@@ -32,7 +32,7 @@ func main() {
 	}
 
 	fmt.Println("phase 1: healthy cluster — initial planning")
-	mustRun(ctl, engine.Now()+1200)
+	events := must(ctl.Run(engine.Now() + 1200))
 	report(engine)
 
 	fmt.Println("\nphase 2: machines r730xd-2 and r730xd-3 fail (40 of 60 cores gone)")
@@ -42,7 +42,7 @@ func main() {
 	if err := engine.FailMachine("r730xd-3"); err != nil {
 		log.Fatal(err)
 	}
-	mustRun(ctl, engine.Now()+2400)
+	events = append(events, must(ctl.Run(engine.Now()+2400))...)
 	report(engine)
 
 	fmt.Println("\nphase 3: machines recover")
@@ -52,11 +52,11 @@ func main() {
 	if err := engine.RecoverMachine("r730xd-3"); err != nil {
 		log.Fatal(err)
 	}
-	mustRun(ctl, engine.Now()+2400)
+	events = append(events, must(ctl.Run(engine.Now()+2400))...)
 	report(engine)
 
 	fmt.Println("\ncontroller decisions:")
-	for _, ev := range ctl.Events() {
+	for _, ev := range events {
 		if ev.Action == "none" {
 			continue
 		}
@@ -64,10 +64,12 @@ func main() {
 	}
 }
 
-func mustRun(ctl *autrascale.Controller, until float64) {
-	if _, err := ctl.Run(until); err != nil {
+// must returns v, or exits on err.
+func must[T any](v T, err error) T {
+	if err != nil {
 		log.Fatal(err)
 	}
+	return v
 }
 
 func report(engine *autrascale.Engine) {

@@ -142,9 +142,6 @@ func (o *Optimizer) LastSuggestion() (SuggestionStats, bool) {
 	return o.lastStats, o.haveStats
 }
 
-// Space returns the search space.
-func (o *Optimizer) Space() Space { return o.space }
-
 // Observations returns a copy of the recorded observations.
 func (o *Optimizer) Observations() []Observation {
 	return append([]Observation(nil), o.obs...)

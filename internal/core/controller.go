@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
@@ -39,7 +38,7 @@ type ControllerConfig struct {
 	Policy Policy
 }
 
-// The MAPE loop's timing and retention, and the planner parameters every
+// The MAPE loop's timing and the planner parameters every
 // caller left at the paper's value. No caller ever varied these, so they
 // are constants, not configuration.
 const (
@@ -53,13 +52,6 @@ const (
 	// rateChangeFraction is the relative input-rate change that triggers
 	// re-planning.
 	rateChangeFraction = 0.1
-	// eventHistory bounds the retained Events — roughly 8.5 simulated
-	// hours of steady one-per-minute steps. Long fleet soaks would
-	// otherwise grow the event log without bound. DecisionReports are
-	// bounded by trace.DefaultHistoryCap, the same unit that sizes the
-	// flight recorder, so a controller's full retained history fits the
-	// journal.
-	eventHistory = 512
 )
 
 // ActionKind labels what a controller step did.
@@ -115,11 +107,9 @@ type Controller struct {
 
 	curRate  float64
 	rateEWMA *stat.EWMA
-	// events is a ring once it holds eventHistory entries; eventHead
-	// indexes the oldest.
-	events    []Event
-	eventHead int
-	reports   []DecisionReport
+	// reports is bounded by trace.DefaultHistoryCap, the unit that sizes
+	// the flight recorder, so the retained decisions fit the journal.
+	reports []DecisionReport
 }
 
 // ctlInstruments caches the controller's metric handles. The store and
@@ -232,28 +222,8 @@ func NewController(e *flink.Engine, cfg ControllerConfig) (*Controller, error) {
 	}, nil
 }
 
-// Policy exposes the scaling policy driving this controller.
-func (c *Controller) Policy() Policy { return c.policy }
-
 // Library exposes the benefit-model library (for inspection/tests).
 func (c *Controller) Library() *transfer.ModelLibrary { return c.library }
-
-// Events returns the decision log, oldest first (bounded by
-// eventHistory).
-func (c *Controller) Events() []Event {
-	return slices.Concat(c.events[c.eventHead:], c.events[:c.eventHead])
-}
-
-// pushEvent retains ev; once eventHistory entries are held it overwrites
-// the oldest in place, so a push into a full log moves nothing.
-func (c *Controller) pushEvent(ev Event) {
-	if len(c.events) < eventHistory {
-		c.events = append(c.events, ev)
-		return
-	}
-	c.events[c.eventHead] = ev
-	c.eventHead = (c.eventHead + 1) % eventHistory
-}
 
 // Decisions returns the retained decision reports, oldest first (bounded
 // by trace.DefaultHistoryCap).
@@ -446,8 +416,6 @@ func (c *Controller) Step() (Event, error) {
 		}
 		sp.SetStr("par", ev.Par.String())
 	}
-
-	c.pushEvent(ev)
 	return ev, nil
 }
 
@@ -526,12 +494,18 @@ func (c *Controller) qosOK(m flink.Measurement) bool {
 	return true
 }
 
-// Run executes Steps until the simulation clock passes untilSec.
+// Run executes Steps until the simulation clock passes untilSec and
+// returns the events of the steps this call ran, one per step in time
+// order. The controller keeps no step history: on an error the events
+// are those of the steps that completed before it.
 func (c *Controller) Run(untilSec float64) ([]Event, error) {
+	var events []Event
 	for c.engine.Now() < untilSec {
-		if _, err := c.Step(); err != nil {
-			return c.Events(), err
+		ev, err := c.Step()
+		if err != nil {
+			return events, err
 		}
+		events = append(events, ev)
 	}
-	return c.Events(), nil
+	return events, nil
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"slices"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -129,78 +130,74 @@ func TestControllerRunUntil(t *testing.T) {
 	if e.Now() < 600 {
 		t.Fatalf("Run stopped early at %v", e.Now())
 	}
-	if len(ctl.Events()) != len(events) {
-		t.Fatal("Events() should match Run output")
-	}
-}
-
-// The event log must stay bounded: a fleet soak steps controllers for
-// days of simulated time, and an unbounded append would leak memory.
-func TestControllerEventHistoryBounded(t *testing.T) {
-	e := controllerEngine(t, kafka.ConstantRate(1500))
-	ctl, err := NewController(e, ControllerConfig{TargetLatencyMS: 160, Seed: 5})
+	// Run's events are one per step, in time order: the events a twin
+	// controller's Steps return up to the same clock.
+	twinEngine := controllerEngine(t, kafka.ConstantRate(1500))
+	twin, err := NewController(twinEngine, ControllerConfig{TargetLatencyMS: 160, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var last Event
-	for i := 0; i < eventHistory+10; i++ {
-		if last, err = ctl.Step(); err != nil {
+	var stepped []Event
+	for twinEngine.Now() < 600 {
+		ev, err := twin.Step()
+		if err != nil {
 			t.Fatal(err)
 		}
+		stepped = append(stepped, ev)
 	}
-	events := ctl.Events()
-	if len(events) != eventHistory {
-		t.Fatalf("event log holds %d entries, want the %d most recent", len(events), eventHistory)
-	}
-	if events[len(events)-1].TimeSec != last.TimeSec {
-		t.Fatal("cap evicted the newest event instead of the oldest")
+	if !reflect.DeepEqual(events, stepped) {
+		t.Fatalf("Run returned %d events, Step returned %d", len(events), len(stepped))
 	}
 	for i := 1; i < len(events); i++ {
 		if events[i-1].TimeSec >= events[i].TimeSec {
-			t.Fatalf("events out of order after eviction: %v >= %v",
-				events[i-1].TimeSec, events[i].TimeSec)
+			t.Fatalf("events out of time order: %v >= %v", events[i-1].TimeSec, events[i].TimeSec)
 		}
+	}
+	// A second Run returns only its own steps.
+	more, err := ctl.Run(e.Now() + 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(more) == 0 || more[0].TimeSec <= events[len(events)-1].TimeSec {
+		t.Fatalf("second Run returned %d events starting before the first Run ended", len(more))
 	}
 }
 
-// Once the log is full a push overwrites the oldest entry in place:
-// it allocates nothing and writes no other entry.
-func TestControllerPushIntoFullLogAllocatesNothing(t *testing.T) {
+// A controller keeps no step history: a fleet soak steps controllers for
+// days of simulated time, and anything retained per step would leak.
+// Steady steps at a healthy rate must leave the live heap where it was.
+// The window is 400 steps, so even a per-step log bounded at 512 entries
+// fails it.
+func TestControllerStepRetainsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the program's")
+	}
 	e := controllerEngine(t, kafka.ConstantRate(1500))
 	ctl, err := NewController(e, ControllerConfig{TargetLatencyMS: 160, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < eventHistory; i++ {
-		ctl.pushEvent(Event{TimeSec: float64(i)})
-	}
-	next := float64(eventHistory)
-	if got := testing.AllocsPerRun(1000, func() {
-		ctl.pushEvent(Event{TimeSec: next})
-		next++
-	}); got != 0 {
-		t.Fatalf("push into a full log: %v allocs, want 0", got)
-	}
-	before := slices.Clone(ctl.events)
-	ctl.pushEvent(Event{TimeSec: next})
-	next++
-	written := 0
-	for i := range before {
-		if ctl.events[i].TimeSec != before[i].TimeSec {
-			written++
+	step := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := ctl.Step(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if written != 1 {
-		t.Fatalf("a push into a full log wrote %d entries, want 1", written)
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
 	}
-	events := ctl.Events()
-	if len(events) != eventHistory || cap(ctl.events) > eventHistory+eventHistory/4 {
-		t.Fatalf("log holds %d entries in capacity %d, want %d", len(events), cap(ctl.events), eventHistory)
-	}
-	for i, ev := range events {
-		if want := next - eventHistory + float64(i); ev.TimeSec != want {
-			t.Fatalf("events[%d].TimeSec = %v, want %v (oldest first)", i, ev.TimeSec, want)
-		}
+	step(50) // plan, settle and reach steady state
+	before := heap()
+	step(400)
+	after := heap()
+	runtime.KeepAlive(ctl)
+	if after > before && after-before >= 4<<10 {
+		t.Fatalf("400 steady steps grew the live heap by %d B, want < 4 KiB", after-before)
 	}
 }
 

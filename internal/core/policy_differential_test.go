@@ -30,7 +30,7 @@ func TestGoldenTraceExplicitBOPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ctl.Policy(); got != Policy(pol) {
+	if ctl.policy != Policy(pol) {
 		t.Fatal("controller should adopt the explicit policy")
 	}
 	if ctl.Library() != pol.Library() {

@@ -137,3 +137,31 @@ func (r *TournamentResult) Summary() string {
 	}
 	return b.String()
 }
+
+// A cell scores every MAPE window of its horizon, however long. The
+// ds2/step/none cell at seed 1 misses its latency target and builds a
+// backlog in its first windows; a 36,000 s horizon (~600 windows) must
+// count those windows rather than only the most recent ones.
+func TestTournamentScoresEveryWindow(t *testing.T) {
+	const duration = 36000
+	res, err := RunTournament(TournamentOptions{
+		Seed:        1,
+		Policies:    []string{"ds2"},
+		Schedules:   []string{"step"},
+		Chaos:       []string{"none"},
+		DurationSec: duration,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Cells[0]
+	if c.Err != "" {
+		t.Fatal(c.Err)
+	}
+	if min := duration / 60 * 9 / 10; c.Steps < min {
+		t.Errorf("cell scored %d windows, want >= %d of its ~%d", c.Steps, min, duration/60)
+	}
+	if c.Violations == 0 || c.LagIntegral == 0 {
+		t.Errorf("cell lost its early windows: %d violations, lag integral %v", c.Violations, c.LagIntegral)
+	}
+}

@@ -265,6 +265,10 @@ type job struct {
 
 	offsetSec float64 // fleet clock at submission; the job's time origin
 	steps     int     // MAPE steps taken
+	// last is the event of the job's most recent step; stepped is false
+	// until this record steps (a restored job starts without one).
+	last    core.Event
+	stepped bool
 
 	// health and burn mirror the job's slot in the fleet's incremental
 	// health aggregate (health.go), updated only on transitions.
@@ -809,10 +813,12 @@ func (f *Fleet) stepJob(j *job) int {
 	target := f.nowSec - j.offsetSec
 	n := 0
 	for j.engine.Now() < target {
-		if _, err := j.ctl.Step(); err != nil {
+		ev, err := j.ctl.Step()
+		if err != nil {
 			j.err = err
 			break
 		}
+		j.last, j.stepped = ev, true
 		n++
 	}
 	j.steps += n
@@ -881,7 +887,9 @@ func (f *Fleet) Decisions(name string) ([]core.DecisionReport, error) {
 	return j.ctl.Decisions(), nil
 }
 
-// Events returns a job's controller event log (oldest first).
+// Events returns a job's most recent event: one element once the job has
+// stepped, none before its first step (after Restore too). The fleet
+// keeps no older step history.
 func (f *Fleet) Events(name string) ([]core.Event, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -889,7 +897,10 @@ func (f *Fleet) Events(name string) ([]core.Event, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, name)
 	}
-	return j.ctl.Events(), nil
+	if !j.stepped {
+		return nil, nil
+	}
+	return []core.Event{j.last}, nil
 }
 
 // JobNames lists live jobs in submission order.

@@ -151,6 +151,53 @@ func TestFleetAdmissionControl(t *testing.T) {
 // A job whose input rate collapses to zero makes its controller error
 // (TargetRate must be > 0); the fleet must quarantine it at the round
 // barrier and keep stepping everyone else.
+// Events serves a job's most recent event and nothing older: none before
+// its first step, one after each round, and none for a restored job until
+// it steps again.
+func TestFleetEventsServesLastStep(t *testing.T) {
+	f, err := New(Config{TotalCores: 256, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Submit(replayJob(t, "a", 320e3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Events("nope"); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("unknown job: %v, want ErrUnknownJob", err)
+	}
+	lastOf := func(f *Fleet) []core.Event {
+		t.Helper()
+		evs, err := f.Events("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evs
+	}
+	if evs := lastOf(f); len(evs) != 0 {
+		t.Fatalf("before the first step: %d events, want 0", len(evs))
+	}
+	prev := 0.0
+	for f.Now() < 900 {
+		f.Round()
+		evs := lastOf(f)
+		if len(evs) != 1 || evs[0].TimeSec < prev || evs[0].Par == nil {
+			t.Fatalf("after a round at %v s: %+v, want the one event of the latest step", f.Now(), evs)
+		}
+		prev = evs[0].TimeSec
+	}
+	restored, err := Restore(f.PersistState(), RestoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evs := lastOf(restored); len(evs) != 0 {
+		t.Fatalf("restored job before its first step: %d events, want 0", len(evs))
+	}
+	restored.RunUntil(restored.Now() + 3600)
+	if evs := lastOf(restored); len(evs) != 1 {
+		t.Fatalf("restored job after stepping: %d events, want 1", len(evs))
+	}
+}
+
 func TestFleetQuarantineKeepsOthersRunning(t *testing.T) {
 	store := metrics.NewStore()
 	f, err := New(Config{TotalCores: 128, Seed: 3, Store: store})

@@ -520,7 +520,7 @@ func TestFitAutoMatchesDirectFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := New(auto.Kernel(), auto.noise)
+	direct := New(auto.kernel, auto.noise)
 	if err := direct.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}

@@ -42,9 +42,6 @@ func New(kernel Kernel, noise float64) *Regressor {
 	return &Regressor{kernel: kernel, noise: noise}
 }
 
-// Kernel returns the kernel in use.
-func (r *Regressor) Kernel() Kernel { return r.kernel }
-
 // Fit trains the GP on (xs, ys). Inputs are copied. All xs must share one
 // dimensionality, and len(xs) must equal len(ys).
 func (r *Regressor) Fit(xs [][]float64, ys []float64) error {
