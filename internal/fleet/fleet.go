@@ -265,10 +265,10 @@ type job struct {
 
 	offsetSec float64 // fleet clock at submission; the job's time origin
 	steps     int     // MAPE steps taken
-	// last is the event of the job's most recent step; stepped is false
-	// until this record steps (a restored job starts without one).
-	last    core.Event
-	stepped bool
+	// last holds the event of the job's latest step: one once this record
+	// has stepped, none before (a restored job starts without one). It is
+	// allocated at the first step and reused after.
+	last []core.Event
 
 	// health and burn mirror the job's slot in the fleet's incremental
 	// health aggregate (health.go), updated only on transitions.
@@ -818,7 +818,7 @@ func (f *Fleet) stepJob(j *job) int {
 			j.err = err
 			break
 		}
-		j.last, j.stepped = ev, true
+		j.last = append(j.last[:0], ev)
 		n++
 	}
 	j.steps += n
@@ -897,10 +897,7 @@ func (f *Fleet) Events(name string) ([]core.Event, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, name)
 	}
-	if !j.stepped {
-		return nil, nil
-	}
-	return []core.Event{j.last}, nil
+	return slices.Clone(j.last), nil
 }
 
 // JobNames lists live jobs in submission order.
