@@ -152,7 +152,6 @@ func ByName(name string) (Profile, error) {
 type Injector struct {
 	profile   Profile
 	rng       *stat.RNG
-	seed      uint64
 	nextEvent int // cursor into profile.MachineEvents
 }
 
@@ -166,29 +165,11 @@ func New(profile Profile, seed uint64) *Injector {
 	return &Injector{
 		profile: profile,
 		rng:     stat.NewRNG(seed ^ 0x6c62_272e_07bb_0142),
-		seed:    seed,
 	}
 }
 
 // Enabled reports whether faults are being injected.
 func (in *Injector) Enabled() bool { return in != nil }
-
-// Profile returns the injector's profile (zero on the nil injector).
-func (in *Injector) Profile() Profile {
-	if in == nil {
-		return Profile{}
-	}
-	return in.profile
-}
-
-// Seed returns the seed the injector was built with — log it so a
-// failed run can be reproduced (0 on the nil injector).
-func (in *Injector) Seed() uint64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
-}
 
 // FailRescale decides whether the next rescale attempt fails. A random
 // draw happens only when the fault class is enabled, so disabling it

@@ -56,9 +56,6 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 	if in.StallFraction(100) != 0 || in.DueMachineEvents(1e9) != nil {
 		t.Fatal("nil injector should schedule nothing")
 	}
-	if in.Seed() != 0 {
-		t.Fatal("nil injector has no seed")
-	}
 }
 
 // Disabled fault classes must not consume randomness, so enabling one

@@ -126,16 +126,6 @@ func RunSummary(opts SummaryOptions) (*SummaryResult, error) {
 	return res, nil
 }
 
-// Holds reports whether every claim holds.
-func (r *SummaryResult) Holds() bool {
-	for _, c := range r.Claims {
-		if !c.Holds {
-			return false
-		}
-	}
-	return true
-}
-
 // Render prints the claim table.
 func (r *SummaryResult) Render() []Table {
 	t := Table{

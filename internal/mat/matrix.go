@@ -80,14 +80,6 @@ func (m *Matrix) Clone() *Matrix {
 	return &Matrix{rows: m.rows, cols: m.cols, data: append([]float64(nil), m.data...)}
 }
 
-// Scale multiplies every element by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder
