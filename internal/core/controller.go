@@ -231,6 +231,10 @@ func (c *Controller) Decisions() []DecisionReport {
 	return append([]DecisionReport(nil), c.reports...)
 }
 
+// NumDecisions returns how many decision reports Decisions would return,
+// without copying them.
+func (c *Controller) NumDecisions() int { return len(c.reports) }
+
 // Instrument bucket layouts for the controller's decision-quality
 // histograms (exposed through the engine's metrics store).
 var (

@@ -86,7 +86,7 @@ func (f *Fleet) jobStatusLocked(j *job) JobStatus {
 		SubmittedAtSec: j.offsetSec,
 		SimulatedSec:   j.engine.Now(),
 		Steps:          j.steps,
-		Decisions:      len(j.ctl.Decisions()),
+		Decisions:      j.ctl.NumDecisions(),
 		Parallelism:    j.engine.Parallelism().Total(),
 		Restarts:       j.engine.Restarts(),
 		LagRecords:     j.engine.Topic().Lag(),
