@@ -847,17 +847,19 @@ var allocContracts = []struct {
 		return func() { appendOne() }
 	})},
 	{"BenchmarkGPFitPredict", 10, 20, shared(gpFitPredictOp)},
-	// A round's allocations grow with GOMAXPROCS (37 at 1, 39 at 2, 43 at
-	// 4, 51 at 8); the ceiling admits up to 4.
-	{"BenchmarkFleetTick", 43, 20, shared(func(tb testing.TB) func() {
+	// A steady round allocates only the closure of each worker goroutine
+	// it starts: one per GOMAXPROCS (1 at 1, 2 at 2, 4 at 4, 8 at 8), as
+	// its steps and scheduling allocate nothing. The ceiling admits up to
+	// 4.
+	{"BenchmarkFleetTick", 4, 20, shared(func(tb testing.TB) func() {
 		fl := steadyFleet(tb)
 		return func() { fl.Round() }
 	})},
-	// A planning session is a serial, seeded loop: 234 at any GOMAXPROCS.
-	{"BenchmarkPolicyStepBO", 234, 5, policyStepRuns("bo")},
+	// A planning session is a serial, seeded loop: 178 at any GOMAXPROCS.
+	{"BenchmarkPolicyStepBO", 178, 5, policyStepRuns("bo")},
 	// Ceilings measured on the loops Fig. 8 and Tables II/III run.
 	{"BenchmarkPolicyStepDS2", 17, 5, policyStepRuns("ds2")},
-	{"BenchmarkPolicyStepDRS", 26, 5, policyStepRuns("drs-true")},
+	{"BenchmarkPolicyStepDRS", 22, 5, policyStepRuns("drs-true")},
 	{"BenchmarkJournalDecode", 83222, 3, shared(func(tb testing.TB) func() {
 		op, _ := journalDecodeOp(tb)
 		return op

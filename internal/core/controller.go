@@ -74,10 +74,14 @@ const (
 
 // Event records one controller decision.
 type Event struct {
-	TimeSec       float64
-	Action        ActionKind
-	Reason        string
-	RateRPS       float64
+	TimeSec float64
+	Action  ActionKind
+	Reason  string
+	RateRPS float64
+	// Par is the configuration the step left the job on. A step that
+	// plans nothing returns the controller's own vector, which its next
+	// Step rewrites: a caller keeping the event longer copies Par, as
+	// Run does.
 	Par           dataflow.ParallelismVector
 	ProcLatencyMS float64
 	ThroughputRPS float64
@@ -107,6 +111,9 @@ type Controller struct {
 
 	curRate  float64
 	rateEWMA *stat.EWMA
+	// par receives the configuration of each step's monitor window, so a
+	// step that plans nothing allocates nothing (see Event.Par).
+	par dataflow.ParallelismVector
 	// reports is bounded by trace.DefaultHistoryCap, the unit that sizes
 	// the flight recorder, so the retained decisions fit the journal.
 	reports []DecisionReport
@@ -368,10 +375,11 @@ func (c *Controller) Step() (Event, error) {
 		msp.SetFloat("lag_records", m.LagRecords)
 	}
 	msp.End()
+	c.par = e.AppendParallelism(c.par[:0])
 	ev := Event{
 		TimeSec:       e.Now(),
 		RateRPS:       m.InputRateRPS,
-		Par:           m.Par, // Measure already copied it out of the engine
+		Par:           c.par,
 		ProcLatencyMS: m.ProcLatencyMS,
 		ThroughputRPS: m.ThroughputRPS,
 		LagRecords:    m.LagRecords,
@@ -500,8 +508,9 @@ func (c *Controller) qosOK(m flink.Measurement) bool {
 
 // Run executes Steps until the simulation clock passes untilSec and
 // returns the events of the steps this call ran, one per step in time
-// order. The controller keeps no step history: on an error the events
-// are those of the steps that completed before it.
+// order, each with its own copy of Par. The controller keeps no step
+// history: on an error the events are those of the steps that completed
+// before it.
 func (c *Controller) Run(untilSec float64) ([]Event, error) {
 	var events []Event
 	for c.engine.Now() < untilSec {
@@ -509,6 +518,7 @@ func (c *Controller) Run(untilSec float64) ([]Event, error) {
 		if err != nil {
 			return events, err
 		}
+		ev.Par = ev.Par.Clone()
 		events = append(events, ev)
 	}
 	return events, nil

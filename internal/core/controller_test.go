@@ -201,6 +201,38 @@ func TestControllerStepRetainsNothing(t *testing.T) {
 	}
 }
 
+// A step that plans nothing allocates nothing: its monitor window is a
+// summary returned by value, and its event's Par is the controller's own
+// vector. The controller is built as TestControllerStepRetainsNothing
+// builds its own, and is past its first plan.
+func TestIdleStepAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the program's")
+	}
+	e := controllerEngine(t, kafka.ConstantRate(1500))
+	ctl, err := NewController(e, ControllerConfig{TargetLatencyMS: 160, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ { // plan, settle and reach steady state
+		if _, err := ctl.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := testing.AllocsPerRun(100, func() {
+		ev, err := ctl.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Action != ActionNone {
+			t.Fatalf("a steady step planned: %s (%s)", ev.Action, ev.Reason)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("idle Step: %v allocs, want 0", got)
+	}
+}
+
 // refitLibrary rebuilds a library the way fleet.Restore does: every
 // entry's training data refitted through transfer.Fit.
 func refitLibrary(t *testing.T, lib *transfer.ModelLibrary) *transfer.ModelLibrary {

@@ -92,7 +92,7 @@ func TestEq3StepZeroRateOperator(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m := flink.Measurement{
+	m := &flink.OperatorRates{
 		Par:                 dataflow.ParallelismVector{2, 3, 2},
 		TrueRatePerInstance: []float64{1000, 0, 500}, // mid reports nothing
 	}

@@ -29,8 +29,10 @@ type PlanRequest struct {
 	Trigger PlanTrigger
 	// RateRPS is the input rate the plan must sustain.
 	RateRPS float64
-	// Window is the monitor-phase measurement that fired the trigger —
-	// per-operator true/observed rates, latency, throughput, lag.
+	// Window is the summary of the monitor window that fired the
+	// trigger — latency, throughput, lag. The engine has not ticked
+	// since, so its per-operator detail is flink.Engine.OperatorRates
+	// until the policy runs the engine.
 	Window flink.Measurement
 	// TimeSec is the simulated time of the triggering step.
 	TimeSec float64

@@ -97,29 +97,33 @@ func OptimizeThroughput(e *flink.Engine, opts ThroughputOptions) (ThroughputResu
 	if err != nil {
 		return res, err
 	}
+	// rates is the measured window's per-operator detail, refilled after
+	// every window; each history entry keeps its own copy of the vector.
+	var rates flink.OperatorRates
+	e.OperatorRates(&rates)
 	for iter := 0; iter < opts.MaxIterations; iter++ {
 		res.Iterations = iter + 1
 		res.History = append(res.History, ThroughputIter{
-			Par:           m.Par.Clone(),
+			Par:           rates.Par.Clone(),
 			ThroughputRPS: m.ThroughputRPS,
 			ProcLatencyMS: m.ProcLatencyMS,
 		})
 		thrMet := m.ThroughputRPS >= opts.TargetRate*(1-throughputSlack)
-		next, err := eq3Step(g, m, opts.TargetRate, pmax)
+		next, err := eq3Step(g, &rates, opts.TargetRate, pmax)
 		if err != nil {
 			return res, err
 		}
 		if opts.Tracer.Enabled() {
 			it := sp.Child("throughput.eq3_iteration")
 			it.SetInt("iter", res.Iterations)
-			it.SetStr("par", m.Par.String())
+			it.SetStr("par", rates.Par.String())
 			it.SetFloat("throughput_rps", m.ThroughputRPS)
 			it.SetFloat("latency_ms", m.ProcLatencyMS)
 			it.SetBool("throughput_met", thrMet)
 			it.SetStr("eq3_next", next.String())
 			it.End()
 		}
-		if thrMet && next.Total() >= m.Par.Total() {
+		if thrMet && next.Total() >= rates.Par.Total() {
 			// Throughput sustained and Eq. 3 does not prescribe anything
 			// cheaper: done. (Merely meeting throughput is not enough —
 			// from an over-provisioned start the optimizer must still
@@ -127,7 +131,7 @@ func OptimizeThroughput(e *flink.Engine, opts ThroughputOptions) (ThroughputResu
 			res.ReachedTarget = true
 			break
 		}
-		if next.Equal(m.Par) {
+		if next.Equal(rates.Par) {
 			// The new termination condition: two consecutive identical
 			// recommendations (§III-C).
 			res.TerminatedByRepeat = true
@@ -137,6 +141,7 @@ func OptimizeThroughput(e *flink.Engine, opts ThroughputOptions) (ThroughputResu
 		if m, err = measureWindow(e, next, opts.WarmupSec, opts.MeasureSec); err != nil {
 			return res, err
 		}
+		e.OperatorRates(&rates)
 	}
 	res.Base, res.BestThroughputRPS = reviewHistory(res.History)
 	if opts.Tracer.Enabled() {
@@ -158,7 +163,7 @@ func OptimizeThroughput(e *flink.Engine, opts ThroughputOptions) (ThroughputResu
 // eq3Step implements Eq. 3: k'_1 = ceil(v_c / v̄_1) at the source;
 // downstream operators are sized for the arrival rate their predecessors
 // will emit at the new parallelism.
-func eq3Step(g *dataflow.Graph, m flink.Measurement, targetRate float64, pmax int) (dataflow.ParallelismVector, error) {
+func eq3Step(g *dataflow.Graph, m *flink.OperatorRates, targetRate float64, pmax int) (dataflow.ParallelismVector, error) {
 	n := g.NumOperators()
 	if len(m.TrueRatePerInstance) != n {
 		return nil, fmt.Errorf("core: measurement has %d operators, graph has %d",

@@ -163,7 +163,7 @@ func TestEq3StepSelectivity(t *testing.T) {
 	if err := gg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m := flink.Measurement{
+	m := &flink.OperatorRates{
 		Par:                 dataflow.ParallelismVector{1, 1},
 		TrueRatePerInstance: []float64{1000, 1000},
 	}
@@ -178,7 +178,7 @@ func TestEq3StepSelectivity(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eq3Step(g, flink.Measurement{Par: dataflow.ParallelismVector{1},
+	if _, err := eq3Step(g, &flink.OperatorRates{Par: dataflow.ParallelismVector{1},
 		TrueRatePerInstance: []float64{1}}, 1000, 64); err == nil {
 		t.Fatal("expected dimension error")
 	}
@@ -192,7 +192,7 @@ func TestEq3StepCapsProjectionAtCapacity(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m := flink.Measurement{
+	m := &flink.OperatorRates{
 		Par:                 dataflow.ParallelismVector{1, 1, 1},
 		TrueRatePerInstance: []float64{1000, 10, 800},
 	}

@@ -175,10 +175,11 @@ func (r *AblationResult) runMetricAblation(seed uint64) error {
 	if err != nil {
 		return err
 	}
-	m, err := core.MeasureTrial(e, nil)
-	if err != nil {
+	if _, err := core.MeasureTrial(e, nil); err != nil {
 		return err
 	}
+	var m flink.OperatorRates
+	e.OperatorRates(&m)
 	optimal := dataflow.ParallelismVector{3, 4, 12, 10}
 
 	size := func(rates []float64) dataflow.ParallelismVector {

@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"autrascale/internal/core"
 	"autrascale/internal/persist"
 	"autrascale/internal/workloads"
 )
@@ -54,5 +55,35 @@ func TestRestoreAllocations(t *testing.T) {
 	t.Logf("Restore of %d jobs: %v allocs (%.1f per job)", jobs, got, got/jobs)
 	if got > max {
 		t.Errorf("Restore of %d jobs: %v allocs, contract is <= %d", jobs, got, max)
+	}
+}
+
+// A steady job's step allocates nothing on the fleet's side either: its
+// last-event slot keeps one Par vector and copies each step's into it.
+func TestIdleStepJobAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the program's")
+	}
+	f, err := New(Config{TotalCores: 64, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	js := StaggeredJobs(workloads.WordCount(), 1, 0)[0]
+	if err := f.Submit(js); err != nil {
+		t.Fatal(err)
+	}
+	f.RunUntil(7200) // past the job's first plan
+	j := f.jobs[js.Name]
+	got := testing.AllocsPerRun(50, func() {
+		f.nowSec += 60 // one policy window
+		if n := f.stepJob(j); n != 1 || j.err != nil {
+			t.Fatalf("stepped %d times (%v), want one step", n, j.err)
+		}
+		if a := j.last[0].Action; a != core.ActionNone {
+			t.Fatalf("a steady step planned: %s", a)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("idle stepJob: %v allocs, want 0", got)
 	}
 }

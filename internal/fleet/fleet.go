@@ -267,7 +267,7 @@ type job struct {
 	steps     int     // MAPE steps taken
 	// last holds the event of the job's latest step: one once this record
 	// has stepped, none before (a restored job starts without one). It is
-	// allocated at the first step and reused after.
+	// allocated at the first step and reused after, its Par vector too.
 	last []core.Event
 
 	// health and burn mirror the job's slot in the fleet's incremental
@@ -305,6 +305,11 @@ type Fleet struct {
 	// handles so barrier emission is plain atomic math.
 	shards []workerShard
 	inst   *fleetInstruments
+	// cursor hands the round's due jobs to its workers by index, and
+	// workers waits for them. Fields of the fleet rather than locals of
+	// Round, so the workers share them without a per-round allocation.
+	cursor  atomic.Int64
+	workers sync.WaitGroup
 	// shared maps workload signature → the fleet-level model library new
 	// submissions warm-start from; pending is publishModels' per-signature
 	// batch, reused across barriers.
@@ -730,22 +735,12 @@ func (f *Fleet) Round() {
 		for i := range shards {
 			shards[i].steps = 0
 		}
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(shard *workerShard) {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(due) {
-						return
-					}
-					shard.steps += f.stepJob(due[i])
-				}
-			}(&shards[w])
+		f.cursor.Store(0)
+		f.workers.Add(workers)
+		for w := range shards {
+			go f.roundWorker(&shards[w])
 		}
-		wg.Wait()
+		f.workers.Wait()
 		for i := range shards {
 			totalSteps += shards[i].steps
 		}
@@ -805,10 +800,24 @@ func (f *Fleet) Round() {
 	}
 }
 
+// roundWorker steps the round's due jobs, taking the next index from the
+// cursor until none is left, and counts its steps in shard.
+func (f *Fleet) roundWorker(shard *workerShard) {
+	defer f.workers.Done()
+	for {
+		i := int(f.cursor.Add(1)) - 1
+		if i >= len(f.due) {
+			return
+		}
+		shard.steps += f.stepJob(f.due[i])
+	}
+}
+
 // stepJob advances one job until its engine catches up with the fleet
 // clock (relative to its submission time), returning the steps taken.
 // Runs on a pool worker; only this goroutine touches the job during the
-// round.
+// round. The job's last event keeps one Par vector for its lifetime: a
+// step's Par is copied into it, not retained.
 func (f *Fleet) stepJob(j *job) int {
 	target := f.nowSec - j.offsetSec
 	n := 0
@@ -818,7 +827,12 @@ func (f *Fleet) stepJob(j *job) int {
 			j.err = err
 			break
 		}
-		j.last = append(j.last[:0], ev)
+		if j.last == nil {
+			j.last = make([]core.Event, 1)
+		}
+		last := &j.last[0]
+		ev.Par = append(last.Par[:0], ev.Par...)
+		*last = ev
 		n++
 	}
 	j.steps += n
@@ -889,7 +903,8 @@ func (f *Fleet) Decisions(name string) ([]core.DecisionReport, error) {
 
 // Events returns a job's most recent event: one element once the job has
 // stepped, none before its first step (after Restore too). The fleet
-// keeps no older step history.
+// keeps no older step history. The events are copies, Par included, so
+// later rounds never change them.
 func (f *Fleet) Events(name string) ([]core.Event, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -897,7 +912,11 @@ func (f *Fleet) Events(name string) ([]core.Event, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, name)
 	}
-	return slices.Clone(j.last), nil
+	evs := slices.Clone(j.last)
+	for i := range evs {
+		evs[i].Par = evs[i].Par.Clone()
+	}
+	return evs, nil
 }
 
 // JobNames lists live jobs in submission order.

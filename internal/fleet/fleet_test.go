@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -177,13 +178,29 @@ func TestFleetEventsServesLastStep(t *testing.T) {
 		t.Fatalf("before the first step: %d events, want 0", len(evs))
 	}
 	prev := 0.0
+	// The first event served, and a copy taken when it was served: the
+	// fleet reuses its last event's Par vector step after step, so an
+	// event that shared it would change with later rounds.
+	var first, firstCopy core.Event
 	for f.Now() < 900 {
 		f.Round()
 		evs := lastOf(f)
 		if len(evs) != 1 || evs[0].TimeSec < prev || evs[0].Par == nil {
 			t.Fatalf("after a round at %v s: %+v, want the one event of the latest step", f.Now(), evs)
 		}
+		if first.Par == nil {
+			first, firstCopy = evs[0], evs[0]
+			firstCopy.Par = evs[0].Par.Clone()
+		}
 		prev = evs[0].TimeSec
+	}
+	if !reflect.DeepEqual(first, firstCopy) {
+		t.Fatalf("a served event changed after further rounds: %+v, was %+v", first, firstCopy)
+	}
+	evs := lastOf(f)
+	evs[0].Par[0] = -1
+	if lastOf(f)[0].Par[0] == -1 {
+		t.Fatal("a served event shares its Par with the fleet")
 	}
 	restored, err := Restore(f.PersistState(), RestoreOptions{})
 	if err != nil {

@@ -64,14 +64,15 @@ func TestDiamondArrivalRates(t *testing.T) {
 	if math.Abs(m.ThroughputRPS-1000) > 1 {
 		t.Fatalf("throughput = %v", m.ThroughputRPS)
 	}
+	r := rates(e)
 	left := operatorIndex(g, "left")
 	right := operatorIndex(g, "right")
 	join := operatorIndex(g, "join")
-	if math.Abs(m.LambdaRPS[left]-1000) > 1 || math.Abs(m.LambdaRPS[right]-1000) > 1 {
-		t.Fatalf("branch lambdas = %v / %v, want 1000 each", m.LambdaRPS[left], m.LambdaRPS[right])
+	if math.Abs(r.LambdaRPS[left]-1000) > 1 || math.Abs(r.LambdaRPS[right]-1000) > 1 {
+		t.Fatalf("branch lambdas = %v / %v, want 1000 each", r.LambdaRPS[left], r.LambdaRPS[right])
 	}
-	if math.Abs(m.LambdaRPS[join]-750) > 1 {
-		t.Fatalf("join lambda = %v, want 750", m.LambdaRPS[join])
+	if math.Abs(r.LambdaRPS[join]-750) > 1 {
+		t.Fatalf("join lambda = %v, want 750", r.LambdaRPS[join])
 	}
 }
 

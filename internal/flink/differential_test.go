@@ -211,9 +211,6 @@ func bitsSlice(t *testing.T, at, what string, got, want []float64) {
 
 func sameMeasurement(t *testing.T, at string, got, want flink.Measurement) {
 	t.Helper()
-	if !got.Par.Equal(want.Par) {
-		t.Fatalf("%s: Par = %v, reference %v", at, got.Par, want.Par)
-	}
 	bits(t, at, "WindowSec", got.WindowSec, want.WindowSec)
 	bits(t, at, "InputRateRPS", got.InputRateRPS, want.InputRateRPS)
 	bits(t, at, "ThroughputRPS", got.ThroughputRPS, want.ThroughputRPS)
@@ -222,10 +219,17 @@ func sameMeasurement(t *testing.T, at string, got, want flink.Measurement) {
 	bits(t, at, "LagRecords", got.LagRecords, want.LagRecords)
 	bits(t, at, "CPUUsedCores", got.CPUUsedCores, want.CPUUsedCores)
 	bits(t, at, "MemUsedMB", got.MemUsedMB, want.MemUsedMB)
+	bitsSlice(t, at, "LatencySamples", got.LatencySamples, want.LatencySamples)
+}
+
+func sameRates(t *testing.T, at string, got, want flink.OperatorRates) {
+	t.Helper()
+	if !got.Par.Equal(want.Par) {
+		t.Fatalf("%s: Par = %v, reference %v", at, got.Par, want.Par)
+	}
 	bitsSlice(t, at, "TrueRatePerInstance", got.TrueRatePerInstance, want.TrueRatePerInstance)
 	bitsSlice(t, at, "ObservedRatePerInstance", got.ObservedRatePerInstance, want.ObservedRatePerInstance)
 	bitsSlice(t, at, "LambdaRPS", got.LambdaRPS, want.LambdaRPS)
-	bitsSlice(t, at, "LatencySamples", got.LatencySamples, want.LatencySamples)
 }
 
 // TestCompiledTickMatchesReference drives the engine and the reference
@@ -321,6 +325,9 @@ func runDifferential(t *testing.T, c diffCase, seed uint64, noise, faults bool, 
 			t.Fatalf("%s: engine error %v, unsampled engine error %v, reference error %v", at, engErr, plainErr, refErr)
 		}
 	}
+	// One OperatorRates per engine, refilled every tick as a planner
+	// refills its scratch, across rescales and empty windows.
+	var engRates, plainRates flink.OperatorRates
 	drive := stat.NewRNG(seed * 7919)
 	const ticks = 360
 	for tick := 0; tick < ticks; tick++ {
@@ -356,7 +363,10 @@ func runDifferential(t *testing.T, c diffCase, seed uint64, noise, faults bool, 
 			t.Fatalf("%s: Restarts = %d, reference %d", at, eng.Restarts(), ref.Restarts())
 		}
 		m := eng.Measure()
-		sameMeasurement(t, at, m, ref.Measure())
+		eng.OperatorRates(&engRates)
+		refM, refRates := ref.Measure()
+		sameMeasurement(t, at, m, refM)
+		sameRates(t, at, engRates, refRates)
 		sameStore(at, engStore)
 
 		plainAt := at + " unsampled"
@@ -374,9 +384,11 @@ func runDifferential(t *testing.T, c diffCase, seed uint64, noise, faults bool, 
 		}
 		pm.LatencySamples = m.LatencySamples
 		sameMeasurement(t, plainAt, pm, m)
+		plain.OperatorRates(&plainRates)
+		sameRates(t, plainAt, plainRates, engRates)
 		sameStore(plainAt, plainStore)
 		if m.ThroughputRPS > 0 {
-			for _, l := range m.LambdaRPS {
+			for _, l := range engRates.LambdaRPS {
 				sawIdleOperator = sawIdleOperator || l == 0
 			}
 		}
@@ -472,9 +484,10 @@ func mustTopic(t *testing.T, rate float64) *kafka.Topic {
 	return topic
 }
 
-// A policy window with no replan costs a constant number of allocations
-// — the Measurement's own slices — however many ticks it spans.
-func TestMeasurementWindowAllocsBounded(t *testing.T) {
+// A policy window that plans nothing allocates nothing, however many
+// ticks it spans: Measure returns a summary by value, and a planner's
+// OperatorRates refills the storage it already holds.
+func TestQuietWindowAllocatesNothing(t *testing.T) {
 	e, err := workloads.NewEngine(workloads.WordCount(), workloads.EngineOptions{
 		Seed:               3,
 		InitialParallelism: dataflow.ParallelismVector{3, 4, 12, 10},
@@ -483,55 +496,104 @@ func TestMeasurementWindowAllocsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(20)
-	// Par and three per-operator slices; an unsampled window keeps no
-	// latency samples, so its length costs nothing.
-	const measurementSlices = 4
-	if got := testing.AllocsPerRun(50, func() { e.RunAndMeasure(0, 60) }); got > measurementSlices {
-		t.Fatalf("RunAndMeasure(0, 60): %v allocs, want <= %d", got, measurementSlices)
+	if got := testing.AllocsPerRun(50, func() { e.RunAndMeasure(0, 60) }); got != 0 {
+		t.Fatalf("RunAndMeasure(0, 60): %v allocs, want 0", got)
 	}
-	if got := testing.AllocsPerRun(10, func() { e.RunAndMeasure(0, 1000) }); got > measurementSlices {
-		t.Fatalf("RunAndMeasure(0, 1000): %v allocs, want <= %d", got, measurementSlices)
+	if got := testing.AllocsPerRun(10, func() { e.RunAndMeasure(0, 1000) }); got != 0 {
+		t.Fatalf("RunAndMeasure(0, 1000): %v allocs, want 0", got)
+	}
+	var rates flink.OperatorRates
+	e.OperatorRates(&rates)
+	if got := testing.AllocsPerRun(50, func() { e.OperatorRates(&rates) }); got != 0 {
+		t.Fatalf("OperatorRates into held storage: %v allocs, want 0", got)
 	}
 }
 
-// A Measurement never aliases engine-mutable memory: ticks, a window
-// reset and a rescale after Measure returned leave it untouched.
+// A Measurement never aliases engine-mutable memory, and OperatorRates
+// writes only into the value it is given: ticks, a window reset and a
+// rescale after either returned leave both untouched. The per-operator
+// detail is the reference's, bit for bit: the same divisions of the
+// same window sums that Measure returned as slices before it returned a
+// summary.
 func TestMeasurementDoesNotAliasEngine(t *testing.T) {
-	e, err := workloads.NewEngine(workloads.WordCount(), workloads.EngineOptions{
-		Seed:               3,
-		InitialParallelism: dataflow.ParallelismVector{3, 4, 12, 10},
-	})
+	var c diffCase
+	for _, pc := range paperCases() {
+		if pc.name == workloads.WordCount().Name {
+			c = pc
+		}
+	}
+	cfg := func() flink.Config {
+		cfg := c.config(t, 3, true, false, 1, nil)
+		cfg.InitialParallelism = dataflow.ParallelismVector{3, 4, 12, 10}
+		return cfg
+	}
+	e, err := flink.New(cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := e.MeasureSteadySampled(20, 30)
+	ref, err := flink.NewReference(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A sampled window, as MeasureSteadySampled measures one; the
+	// reference always samples.
+	e.SetSampling(true)
+	e.Run(20)
+	ref.Run(20)
+	e.ResetWindow()
+	ref.ResetWindow()
+	e.Run(30)
+	ref.Run(30)
+	m := e.Measure()
+	var r flink.OperatorRates
+	e.OperatorRates(&r)
+	refM, refRates := ref.Measure()
+	sameMeasurement(t, "sampled window", m, refM)
+	sameRates(t, "sampled window", r, refRates)
 	if len(m.LatencySamples) != 30 {
 		t.Fatalf("sampled window kept %d samples, want 30", len(m.LatencySamples))
 	}
 	snapshot := m
-	snapshot.Par = m.Par.Clone()
-	snapshot.TrueRatePerInstance = append([]float64(nil), m.TrueRatePerInstance...)
-	snapshot.ObservedRatePerInstance = append([]float64(nil), m.ObservedRatePerInstance...)
-	snapshot.LambdaRPS = append([]float64(nil), m.LambdaRPS...)
 	snapshot.LatencySamples = append([]float64(nil), m.LatencySamples...)
+	rates := flink.OperatorRates{
+		Par:                     r.Par.Clone(),
+		TrueRatePerInstance:     append([]float64(nil), r.TrueRatePerInstance...),
+		ObservedRatePerInstance: append([]float64(nil), r.ObservedRatePerInstance...),
+		LambdaRPS:               append([]float64(nil), r.LambdaRPS...),
+	}
+	unchanged := func(at string) {
+		t.Helper()
+		sameMeasurement(t, at, m, snapshot)
+		sameRates(t, at, r, rates)
+	}
 
 	e.Run(10)
-	sameMeasurement(t, "after ticks", m, snapshot)
+	unchanged("after ticks")
 	e.ResetWindow()
 	e.Run(45)
-	sameMeasurement(t, "after ResetWindow and a new window", m, snapshot)
+	unchanged("after ResetWindow and a new window")
 	if err := e.SetParallelism(dataflow.ParallelismVector{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
 	e.Run(100)
-	sameMeasurement(t, "after a rescale", m, snapshot)
+	unchanged("after a rescale")
 
-	// Nor do two measurements of one sampled window share storage.
-	e.SetSampling(true)
+	// Refilling a value reuses its storage; two values and two summaries
+	// of one sampled window share none.
 	e.Run(5)
+	trueRates := &r.TrueRatePerInstance[0]
+	e.OperatorRates(&r)
+	if &r.TrueRatePerInstance[0] != trueRates {
+		t.Fatal("OperatorRates reallocated storage the value already held")
+	}
+	var other flink.OperatorRates
+	e.OperatorRates(&other)
 	a, b := e.Measure(), e.Measure()
-	a.Par[0], a.LatencySamples[0], a.LambdaRPS[0] = 99, -1, -1
-	if b.Par[0] == 99 || b.LatencySamples[0] == -1 || b.LambdaRPS[0] == -1 {
-		t.Fatal("two Measure() results share storage")
+	r.Par[0], r.LambdaRPS[0], a.LatencySamples[0] = 99, -1, -1
+	if other.Par[0] == 99 || other.LambdaRPS[0] == -1 || b.LatencySamples[0] == -1 {
+		t.Fatal("two windows' results share storage")
+	}
+	if e.Parallelism()[0] == 99 {
+		t.Fatal("OperatorRates aliases the engine's configuration")
 	}
 }

@@ -197,16 +197,31 @@ type windowAccum struct {
 	latencySamples []float64
 }
 
-// Measurement is the aggregate view of a measurement window — what the
-// Monitor/Analyze stages hand to the policies.
+// Measurement is a measurement window's scalar summary — what the
+// Monitor/Analyze stages hand to the policies. It holds no reference into
+// the engine, so later ticks, resets and rescales never change one
+// already handed out. The per-operator detail only planners read comes
+// from Engine.OperatorRates.
 type Measurement struct {
-	Par           dataflow.ParallelismVector
 	WindowSec     float64
 	InputRateRPS  float64 // scheduled input rate at measurement end
 	ThroughputRPS float64 // mean source consumption rate
 	ProcLatencyMS float64 // mean processing latency
 	EventLatMS    float64 // mean event-time latency (incl. Kafka pending)
 	LagRecords    float64 // lag at measurement end
+	// CPUUsedCores / MemUsedMB for resource accounting.
+	CPUUsedCores float64
+	MemUsedMB    float64
+	// LatencySamples holds one per-record processing latency per measured
+	// tick of a MeasureSteadySampled window (Fig. 8b); nil otherwise.
+	LatencySamples []float64
+}
+
+// OperatorRates is a measurement window's per-operator detail: the
+// configuration it ran and the mean rates Eq. 3, DS2 and DRS plan from.
+// Engine.OperatorRates fills it into the caller's slices.
+type OperatorRates struct {
+	Par dataflow.ParallelismVector
 	// TrueRatePerInstance[i] is v̄_i: the mean busy-time processing rate
 	// of one instance of operator i (op-input records/s).
 	TrueRatePerInstance []float64
@@ -215,12 +230,6 @@ type Measurement struct {
 	ObservedRatePerInstance []float64
 	// LambdaRPS[i] is the total arrival rate at operator i.
 	LambdaRPS []float64
-	// CPUUsedCores / MemUsedMB for resource accounting.
-	CPUUsedCores float64
-	MemUsedMB    float64
-	// LatencySamples holds one per-record processing latency per measured
-	// tick of a MeasureSteadySampled window (Fig. 8b); nil otherwise.
-	LatencySamples []float64
 }
 
 // New validates the configuration and builds an engine.
@@ -377,6 +386,12 @@ func (e *Engine) RestoreRestarts(n int) {
 
 // Parallelism returns the active configuration.
 func (e *Engine) Parallelism() dataflow.ParallelismVector { return e.par.Clone() }
+
+// AppendParallelism appends the active configuration to dst and returns
+// the extended vector: Parallelism into storage the caller owns.
+func (e *Engine) AppendParallelism(dst dataflow.ParallelismVector) dataflow.ParallelismVector {
+	return append(dst, e.par...)
+}
 
 // SetParallelism reconfigures the job. If the configuration changes, the
 // job incurs the savepoint/restart downtime and the measurement window
@@ -809,19 +824,14 @@ func (e *Engine) Run(seconds float64) {
 	}
 }
 
-// Measure aggregates the accumulated window into a Measurement. It does
-// not reset the window. The result owns its slices: later ticks, resets
-// and rescales never change a Measurement already handed out.
+// Measure aggregates the accumulated window into its summary. It does
+// not reset the window, and it allocates only the latency samples of a
+// sampled window.
 func (e *Engine) Measure() Measurement {
-	n := len(e.plan)
 	m := Measurement{
-		Par:                     e.par.Clone(),
-		InputRateRPS:            e.topic.InputRateAt(e.nowSec),
-		LagRecords:              e.topic.Lag(),
-		TrueRatePerInstance:     make([]float64, n),
-		ObservedRatePerInstance: make([]float64, n),
-		LambdaRPS:               make([]float64, n),
-		MemUsedMB:               e.memUsedMB,
+		InputRateRPS: e.topic.InputRateAt(e.nowSec),
+		LagRecords:   e.topic.Lag(),
+		MemUsedMB:    e.memUsedMB,
 	}
 	w := &e.win
 	if w.ticks == 0 {
@@ -833,14 +843,43 @@ func (e *Engine) Measure() Measurement {
 	m.ProcLatencyMS = w.procLatency / t
 	m.EventLatMS = w.eventLatency / t
 	m.CPUUsedCores = w.cpuUsed / t
-	for i := range w.ops {
-		sum := &w.ops[i]
-		m.TrueRatePerInstance[i] = sum.trueRate / t
-		m.ObservedRatePerInstance[i] = sum.observed / t
-		m.LambdaRPS[i] = sum.lambda / t
-	}
 	m.LatencySamples = append([]float64(nil), w.latencySamples...)
 	return m
+}
+
+// OperatorRates fills dst with the accumulated window's per-operator
+// means and the active configuration, reusing dst's slices: a planner
+// that keeps one value allocates once. Like Measure it does not reset
+// the window, so right after Measure it describes the same window; a
+// window without live ticks reads zero rates.
+func (e *Engine) OperatorRates(dst *OperatorRates) {
+	n := len(e.plan)
+	dst.Par = e.AppendParallelism(dst.Par[:0])
+	dst.TrueRatePerInstance = resize(dst.TrueRatePerInstance, n)
+	dst.ObservedRatePerInstance = resize(dst.ObservedRatePerInstance, n)
+	dst.LambdaRPS = resize(dst.LambdaRPS, n)
+	w := &e.win
+	if w.ticks == 0 {
+		return
+	}
+	t := float64(w.ticks)
+	for i := range w.ops {
+		sum := &w.ops[i]
+		dst.TrueRatePerInstance[i] = sum.trueRate / t
+		dst.ObservedRatePerInstance[i] = sum.observed / t
+		dst.LambdaRPS[i] = sum.lambda / t
+	}
+}
+
+// resize returns s at length n with every element zero, reusing its
+// storage when it has room.
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // FailMachine takes a worker machine down: its slots fail over to the
@@ -939,7 +978,7 @@ func (e *Engine) traceWindow(name string, warmupSec, measureSec float64, m Measu
 	}
 	sp := e.tracer.StartSpan(name)
 	sp.SetFloat("t_sec", e.nowSec)
-	sp.SetStr("par", m.Par.String())
+	sp.SetStr("par", e.par.String())
 	sp.SetFloat("warmup_sec", warmupSec)
 	sp.SetFloat("measure_sec", measureSec)
 	sp.SetFloat("throughput_rps", m.ThroughputRPS)

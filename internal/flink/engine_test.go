@@ -72,6 +72,13 @@ func newEngine(t testing.TB, rate float64, par dataflow.ParallelismVector) *Engi
 	return e
 }
 
+// rates returns the per-operator detail of e's current window.
+func rates(e *Engine) OperatorRates {
+	var r OperatorRates
+	e.OperatorRates(&r)
+	return r
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("expected error for missing components")
@@ -184,7 +191,8 @@ func TestTrueVsObservedRates(t *testing.T) {
 	// true (busy-time) rate; this is the core of the paper's metric
 	// argument.
 	e := newEngine(t, 500, dataflow.ParallelismVector{2, 4, 2})
-	m := e.RunAndMeasure(10, 60)
+	e.RunAndMeasure(10, 60)
+	m := rates(e)
 	mapIdx := 1
 	if m.ObservedRatePerInstance[mapIdx] >= m.TrueRatePerInstance[mapIdx]*0.5 {
 		t.Fatalf("observed %v should be well below true %v when idle",
@@ -192,7 +200,8 @@ func TestTrueVsObservedRates(t *testing.T) {
 	}
 	// Saturated: observed ≈ true.
 	e2 := newEngine(t, 1e9, dataflow.ParallelismVector{2, 2, 2})
-	m2 := e2.RunAndMeasure(10, 60)
+	e2.RunAndMeasure(10, 60)
+	m2 := rates(e2)
 	ratio := m2.ObservedRatePerInstance[mapIdx] / m2.TrueRatePerInstance[mapIdx]
 	if ratio < 0.95 || ratio > 1.05 {
 		t.Fatalf("saturated observed/true = %v, want ~1", ratio)
@@ -343,7 +352,7 @@ func TestInterferenceSlowsOversubscribed(t *testing.T) {
 	// for cores. A saturated operator with 40 instances on a 32-core
 	// cluster must run slower per instance than the same operator with 8
 	// instances; an idle over-provisioned fleet must not.
-	build := func(heavyK int) Measurement {
+	build := func(heavyK int) OperatorRates {
 		g := dataflow.NewGraph("hot")
 		_ = g.AddOperator(dataflow.Operator{Name: "src", Kind: dataflow.KindSource, Selectivity: 1,
 			Profile: dataflow.Profile{BaseRatePerInstance: 10000, CPUPerInstance: 1}})
@@ -359,7 +368,8 @@ func TestInterferenceSlowsOversubscribed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.RunAndMeasure(10, 30)
+		e.RunAndMeasure(10, 30)
+		return rates(e)
 	}
 	small := build(8) // ~18 busy core-equivalents < 32 cores
 	big := build(30)  // ~62 busy core-equivalents > 32 cores
@@ -368,7 +378,7 @@ func TestInterferenceSlowsOversubscribed(t *testing.T) {
 			big.TrueRatePerInstance[1], small.TrueRatePerInstance[1])
 	}
 	// Idle over-provisioning (tiny input) must NOT trigger interference.
-	gIdle := func(heavyK int) Measurement {
+	gIdle := func(heavyK int) OperatorRates {
 		g := dataflow.NewGraph("cold")
 		_ = g.AddOperator(dataflow.Operator{Name: "src", Kind: dataflow.KindSource, Selectivity: 1,
 			Profile: dataflow.Profile{BaseRatePerInstance: 10000, CPUPerInstance: 1}})
@@ -381,7 +391,8 @@ func TestInterferenceSlowsOversubscribed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.RunAndMeasure(10, 30)
+		e.RunAndMeasure(10, 30)
+		return rates(e)
 	}
 	idle := gIdle(30)
 	if idle.TrueRatePerInstance[1] < 99 {
@@ -437,8 +448,8 @@ func TestSelectivityPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := e.RunAndMeasure(5, 30)
-	if math.Abs(m.LambdaRPS[1]-2*m.ThroughputRPS) > 1 {
-		t.Fatalf("sink lambda = %v, want 2x throughput %v", m.LambdaRPS[1], m.ThroughputRPS)
+	if r := rates(e); math.Abs(r.LambdaRPS[1]-2*m.ThroughputRPS) > 1 {
+		t.Fatalf("sink lambda = %v, want 2x throughput %v", r.LambdaRPS[1], m.ThroughputRPS)
 	}
 }
 
@@ -459,12 +470,14 @@ func TestMachineFailover(t *testing.T) {
 	if err := e.SetParallelism(dataflow.ParallelismVector{8, 16, 8}); err != nil {
 		t.Fatal(err)
 	}
-	degraded := e.MeasureSteady(15, 60)
+	e.MeasureSteady(15, 60)
+	degraded := rates(e)
 	recoveredErr := e.RecoverMachine("m1")
 	if recoveredErr != nil {
 		t.Fatal(recoveredErr)
 	}
-	recovered := e.MeasureSteady(15, 60)
+	e.MeasureSteady(15, 60)
+	recovered := rates(e)
 	// Per-instance true rates under failure must be below the recovered
 	// ones (oversubscription on the surviving machine).
 	if degraded.TrueRatePerInstance[1] >= recovered.TrueRatePerInstance[1] {

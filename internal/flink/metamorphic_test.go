@@ -107,11 +107,19 @@ func lawEngine(t *testing.T, c diffCase, par dataflow.ParallelismVector, rateSca
 	return e
 }
 
+// window is a measurement window's summary and per-operator detail.
+type window struct {
+	flink.Measurement
+	flink.OperatorRates
+}
+
 // tickWindow runs one tick as its own measurement window.
-func tickWindow(e *flink.Engine) flink.Measurement {
+func tickWindow(e *flink.Engine) window {
 	e.ResetWindow()
 	e.Tick()
-	return e.Measure()
+	w := window{Measurement: e.Measure()}
+	e.OperatorRates(&w.OperatorRates)
+	return w
 }
 
 // TestScalingRateAndParallelismKeepsUtilization: with interference off

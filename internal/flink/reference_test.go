@@ -312,9 +312,10 @@ func (r *Reference) Run(seconds float64) {
 	}
 }
 
-// Measure aggregates the accumulated window into a Measurement. It does
-// not reset the window.
-func (r *Reference) Measure() Measurement {
+// Measure aggregates the accumulated window into its summary and its
+// per-operator detail, the pair Engine.Measure and Engine.OperatorRates
+// return. It does not reset the window.
+func (r *Reference) Measure() (Measurement, OperatorRates) {
 	e := r.e
 	n := e.graph.NumOperators()
 	var mem float64
@@ -322,17 +323,19 @@ func (r *Reference) Measure() Measurement {
 		mem += float64(e.par[i]) * e.graph.Operator(i).Profile.MemPerInstanceMB
 	}
 	m := Measurement{
+		InputRateRPS: e.topic.InputRateAt(e.nowSec),
+		LagRecords:   e.topic.Lag(),
+		MemUsedMB:    mem,
+	}
+	ops := OperatorRates{
 		Par:                     e.par.Clone(),
-		InputRateRPS:            e.topic.InputRateAt(e.nowSec),
-		LagRecords:              e.topic.Lag(),
 		TrueRatePerInstance:     make([]float64, n),
 		ObservedRatePerInstance: make([]float64, n),
 		LambdaRPS:               make([]float64, n),
-		MemUsedMB:               mem,
 	}
 	w := &r.win
 	if w.ticks == 0 {
-		return m
+		return m, ops
 	}
 	t := float64(w.ticks)
 	m.WindowSec = t * e.tickSec
@@ -341,12 +344,12 @@ func (r *Reference) Measure() Measurement {
 	m.EventLatMS = w.eventLatency / t
 	m.CPUUsedCores = w.cpuUsed / t
 	for i := 0; i < n; i++ {
-		m.TrueRatePerInstance[i] = w.trueRates[i] / t
-		m.ObservedRatePerInstance[i] = w.observed[i] / t
-		m.LambdaRPS[i] = w.lambda[i] / t
+		ops.TrueRatePerInstance[i] = w.trueRates[i] / t
+		ops.ObservedRatePerInstance[i] = w.observed[i] / t
+		ops.LambdaRPS[i] = w.lambda[i] / t
 	}
 	m.LatencySamples = append([]float64(nil), w.latencySamples...)
-	return m
+	return m, ops
 }
 
 // SetParallelism reconfigures the job with the engine's retry-with-backoff

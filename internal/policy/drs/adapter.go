@@ -57,25 +57,25 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 	lambdas := arrivals(e.Graph(), req.RateRPS)
 	fit := &latencyFit{}
 	m := req.Window
+	// rates is the judged window's per-operator detail: the trigger
+	// window's first (the engine has not ticked since), then each trial's.
+	var rates flink.OperatorRates
+	e.OperatorRates(&rates)
 	iters, rescales, escapes := 0, 0, 0
 	for iters < MaxIterations {
-		mus := p.cfg.Variant.serviceRates(m)
-		if len(mus) != len(lambdas) {
-			return core.PlanResult{}, fmt.Errorf("drs: measurement has %d operators, graph has %d",
-				len(mus), len(lambdas))
-		}
-		fit.add(congestionIndex(lambdas, mus, m.Par), m.ProcLatencyMS)
+		mus := p.cfg.Variant.serviceRates(&rates)
+		fit.add(congestionIndex(lambdas, mus, rates.Par), m.ProcLatencyMS)
 		iters++
 		latencyMet := m.ProcLatencyMS <= target
-		next := allocate(lambdas, mus, m.Par, pmax, target, fit)
-		if latencyMet && next.Total() >= m.Par.Total() {
+		next := allocate(lambdas, mus, rates.Par, pmax, target, fit)
+		if latencyMet && next.Total() >= rates.Par.Total() {
 			// QoS holds and the model offers nothing cheaper — done.
 			// (This is also where the observed-rate variant gets stuck
 			// over-provisioned: idle instances depress the observed
 			// rates, so its "minimal" plan never shrinks.)
 			break
 		}
-		if !latencyMet && next.Equal(m.Par) {
+		if !latencyMet && next.Equal(rates.Par) {
 			worst := mostUtilized(lambdas, mus, next, pmax)
 			if worst == -1 {
 				break
@@ -87,6 +87,7 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 		if m, err = core.MeasureTrial(e, next); err != nil {
 			return core.PlanResult{}, err // ErrRescaleFailed → controller degrades
 		}
+		e.OperatorRates(&rates)
 		rescales++
 	}
 	req.Span.SetStr("policy", p.Name())
@@ -94,7 +95,7 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 	req.Span.SetInt("policy_rescales", rescales)
 	req.Span.SetInt("policy_escapes", escapes)
 	latencyMet := m.ProcLatencyMS <= target
-	chosen := m.Par.Clone()
+	chosen := rates.Par.Clone()
 	rep := core.DecisionReport{
 		TimeSec: req.TimeSec,
 		Action:  core.ActionPolicy,

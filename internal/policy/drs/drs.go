@@ -66,7 +66,7 @@ const (
 )
 
 // serviceRates extracts the per-instance service rates the variant uses.
-func (v Variant) serviceRates(m flink.Measurement) []float64 {
+func (v Variant) serviceRates(m *flink.OperatorRates) []float64 {
 	if v == VariantObservedRate {
 		return m.ObservedRatePerInstance
 	}

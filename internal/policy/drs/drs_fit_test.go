@@ -101,7 +101,7 @@ func TestRecommendGreedyReachesTarget(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m := flink.Measurement{
+	m := &flink.OperatorRates{
 		Par:                 dataflow.ParallelismVector{1, 1, 1},
 		TrueRatePerInstance: []float64{1100, 1050, 1020}, // near-saturated singles
 	}
@@ -124,7 +124,7 @@ func TestRecommendKeepsCurrentForDeadOperator(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m := flink.Measurement{
+	m := &flink.OperatorRates{
 		Par:                 dataflow.ParallelismVector{2, 5, 2},
 		TrueRatePerInstance: []float64{2000, 0, 1200}, // mid reports nothing
 	}

@@ -94,7 +94,7 @@ func TestRecommendStability(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m := flink.Measurement{
+	m := flink.OperatorRates{
 		Par:                 dataflow.ParallelismVector{1, 1, 1},
 		TrueRatePerInstance: []float64{2000, 800, 1200},
 	}
@@ -121,16 +121,6 @@ func TestObservedVariantOverProvisions(t *testing.T) {
 	}
 	if !po.Par.Equal(start) {
 		t.Fatalf("observed-rate DRS should stay at the over-provisioned start %v, got %v", start, po.Par)
-	}
-}
-
-func TestRecommendDimensionError(t *testing.T) {
-	g := chainGraph(t)
-	e := newEngine(t, g, 1000, nil, 32)
-	p, _ := New(Config{Variant: VariantTrueRate, TargetLatencyMS: 100})
-	if _, err := p.Plan(e, core.PlanRequest{RateRPS: 1000, Window: flink.Measurement{
-		Par: dataflow.ParallelismVector{1}, TrueRatePerInstance: []float64{1}}}); err == nil {
-		t.Fatal("expected dimension error")
 	}
 }
 

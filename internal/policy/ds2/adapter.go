@@ -54,15 +54,19 @@ func (p *Adapter) Name() string {
 func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, error) {
 	pmax := e.Cluster().MaxParallelism()
 	m := req.Window
-	chosen := m.Par.Clone()
+	// rates is the judged window's per-operator detail: the trigger
+	// window's first (the engine has not ticked since), then each trial's.
+	var rates flink.OperatorRates
+	e.OperatorRates(&rates)
+	chosen := rates.Par.Clone()
 	iters, rescales := 0, 0
 	for {
 		iters++
-		next, err := step(e.Graph(), m, pmax, req.RateRPS)
+		next, err := step(e.Graph(), &rates, pmax, req.RateRPS)
 		if err != nil {
 			return core.PlanResult{}, err
 		}
-		if next.Equal(m.Par) {
+		if next.Equal(rates.Par) {
 			break // the rule's fixed point: more iterations change nothing
 		}
 		rescales++
@@ -77,6 +81,7 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 		if m, err = core.MeasureTrial(e, next); err != nil {
 			return core.PlanResult{}, err // ErrRescaleFailed → controller degrades
 		}
+		e.OperatorRates(&rates)
 		if iters == MaxIterations {
 			break // the budget is spent; this last window goes unjudged
 		}

@@ -43,12 +43,12 @@ const (
 	MaxIterations = 10
 )
 
-// step computes DS2's next configuration from a measurement: it projects
+// step computes DS2's next configuration from a window's rates: it projects
 // arrival rates through the DAG at the target source rate and sizes each
 // operator by the linear rule, capped at pmax. Measured true rates of
 // zero (an operator that saw no data) fall back to keeping the current
 // parallelism.
-func step(g *dataflow.Graph, m flink.Measurement, pmax int, rate float64) (dataflow.ParallelismVector, error) {
+func step(g *dataflow.Graph, m *flink.OperatorRates, pmax int, rate float64) (dataflow.ParallelismVector, error) {
 	n := g.NumOperators()
 	if len(m.TrueRatePerInstance) != n || len(m.Par) != n {
 		return nil, fmt.Errorf("ds2: measurement has %d operators, graph has %d",

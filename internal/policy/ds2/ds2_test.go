@@ -56,7 +56,7 @@ func TestStepLinearRule(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m := flink.Measurement{
+	m := &flink.OperatorRates{
 		Par:                 dataflow.ParallelismVector{1, 1, 1},
 		TrueRatePerInstance: []float64{2000, 800, 400},
 	}
@@ -81,7 +81,7 @@ func TestStepSelectivityPropagation(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m := flink.Measurement{
+	m := &flink.OperatorRates{
 		Par:                 dataflow.ParallelismVector{1, 1},
 		TrueRatePerInstance: []float64{1000, 1000},
 	}
@@ -98,7 +98,7 @@ func TestStepSelectivityPropagation(t *testing.T) {
 func TestStepEdgeCases(t *testing.T) {
 	g := chainGraph(t, 0)
 	_ = g.Validate()
-	m := flink.Measurement{
+	m := &flink.OperatorRates{
 		Par:                 dataflow.ParallelismVector{1, 1, 1},
 		TrueRatePerInstance: []float64{2000, 0, 400}, // op with zero rate
 	}
@@ -113,7 +113,7 @@ func TestStepEdgeCases(t *testing.T) {
 		t.Fatalf("zero-rate operator should keep current parallelism, got %d", next[1])
 	}
 	// Wrong measurement size errors.
-	if _, err := step(g, flink.Measurement{Par: dataflow.ParallelismVector{1},
+	if _, err := step(g, &flink.OperatorRates{Par: dataflow.ParallelismVector{1},
 		TrueRatePerInstance: []float64{1}}, 4, 1e6); err == nil {
 		t.Fatal("expected dimension error")
 	}

@@ -77,16 +77,21 @@ func TestRegistryOrderAndLookup(t *testing.T) {
 func TestConcurrentEnginesShareOneGraph(t *testing.T) {
 	const workers, seconds = 4, 120
 	spec := WordCount()
-	run := func(seed uint64) (*flink.Engine, flink.Measurement, error) {
+	// run returns the engine and its window printed: the summary, then
+	// the per-operator detail.
+	run := func(seed uint64) (*flink.Engine, string, error) {
 		e, err := NewEngine(spec, EngineOptions{Seed: seed, InitialParallelism: dataflow.ParallelismVector{2, 3, 9, 7}})
 		if err != nil {
-			return nil, flink.Measurement{}, err
+			return nil, "", err
 		}
-		return e, e.RunAndMeasure(10, seconds), nil
+		m := e.RunAndMeasure(10, seconds)
+		var rates flink.OperatorRates
+		e.OperatorRates(&rates)
+		return e, fmt.Sprint(m, rates), nil
 	}
 	type result struct {
 		e   *flink.Engine
-		m   flink.Measurement
+		m   string
 		err error
 	}
 	got := make([]result, workers)
@@ -111,8 +116,8 @@ func TestConcurrentEnginesShareOneGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fmt.Sprint(r.m) != fmt.Sprint(want) {
-			t.Fatalf("engine %d: concurrent run %+v, alone %+v", i, r.m, want)
+		if r.m != want {
+			t.Fatalf("engine %d: concurrent run %s, alone %s", i, r.m, want)
 		}
 	}
 }
@@ -261,7 +266,9 @@ func TestObservedUnderestimatesWhenOverProvisioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := e.MeasureSteady(30, 60)
+	e.MeasureSteady(30, 60)
+	var m flink.OperatorRates
+	e.OperatorRates(&m)
 	count := 2 // Count operator index
 	if m.ObservedRatePerInstance[count] > 0.5*m.TrueRatePerInstance[count] {
 		t.Fatalf("observed %v should be well under true %v",
