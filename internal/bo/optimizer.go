@@ -121,11 +121,9 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 // decision was reached. Algorithm 1's per-iteration trace spans and the
 // -explain report are built from this.
 type SuggestionStats struct {
-	// Par is the suggested configuration.
-	Par dataflow.ParallelismVector
-	// Mean/Std are the GP posterior at Par when it was chosen.
+	// Mean/Std are the GP posterior at the suggestion when it was chosen.
 	Mean, Std float64
-	// AcqValue is the acquisition value at Par (EI; posterior mean when
+	// AcqValue is the acquisition value there (EI; posterior mean when
 	// the suggestion came from pure exploitation).
 	AcqValue float64
 	// Acquisition is the function the suggestion maximized: "ei"
@@ -241,14 +239,6 @@ func (o *Optimizer) refit() error {
 	o.dirty = false
 	o.appendsSinceFit = 0
 	return nil
-}
-
-// Predict returns the GP posterior (mean, std) at configuration p.
-func (o *Optimizer) Predict(p dataflow.ParallelismVector) (mean, std float64, err error) {
-	if err := o.refit(); err != nil {
-		return 0, 0, err
-	}
-	return o.model.PredictStd(p.Floats())
 }
 
 // Suggest proposes the next configuration to evaluate in the optimizer's
@@ -514,7 +504,6 @@ func (o *Optimizer) SuggestWith(exploit bool) (dataflow.ParallelismVector, error
 			av = means[idx]
 		}
 		o.lastStats = SuggestionStats{
-			Par:         par,
 			Mean:        means[idx],
 			Std:         stds[idx],
 			AcqValue:    av,

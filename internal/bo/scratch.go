@@ -16,7 +16,7 @@ import (
 // constant number of objects, however many candidates it scores.
 //
 // Candidate vectors alias sc.backing, so anything that outlives the
-// suggestion (the returned vector, SuggestionStats.Par) must be cloned
+// suggestion (the returned vector) must be cloned
 // before release returns the scratch to the pool.
 type suggestScratch struct {
 	enc       []float64
