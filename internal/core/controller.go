@@ -77,7 +77,6 @@ type Event struct {
 	TimeSec float64
 	Action  ActionKind
 	Reason  string
-	RateRPS float64
 	// Par is the configuration the step left the job on. A step that
 	// plans nothing returns the controller's own vector, which its next
 	// Step rewrites: a caller keeping the event longer copies Par, as
@@ -341,10 +340,6 @@ func (c *Controller) recordStepMetrics(m flink.Measurement) {
 // SLOHealth reports the job's current burn-rate classification.
 func (c *Controller) SLOHealth() slo.Health { return c.slo.Health() }
 
-// Store exposes the engine's metrics store (nil when the engine records
-// no metrics) — the scrape surface for the instruments above.
-func (c *Controller) Store() *metrics.Store { return c.engine.Store() }
-
 // Base returns the current throughput-optimal configuration k' when the
 // policy tracks one (the BO policy does); nil otherwise.
 func (c *Controller) Base() dataflow.ParallelismVector {
@@ -378,7 +373,6 @@ func (c *Controller) Step() (Event, error) {
 	c.par = e.AppendParallelism(c.par[:0])
 	ev := Event{
 		TimeSec:       e.Now(),
-		RateRPS:       m.InputRateRPS,
 		Par:           c.par,
 		ProcLatencyMS: m.ProcLatencyMS,
 		ThroughputRPS: m.ThroughputRPS,
