@@ -307,7 +307,7 @@ func TestParallelismVector(t *testing.T) {
 	}
 }
 
-func TestParallelismValidateClamp(t *testing.T) {
+func TestParallelismValidate(t *testing.T) {
 	if err := (ParallelismVector{}).Validate(10); err == nil {
 		t.Fatal("empty vector should fail")
 	}
@@ -319,10 +319,6 @@ func TestParallelismValidateClamp(t *testing.T) {
 	}
 	if err := (ParallelismVector{1, 10}).Validate(10); err != nil {
 		t.Fatal(err)
-	}
-	c := ParallelismVector{-3, 5, 99}.Clamp(10)
-	if c[0] != 1 || c[1] != 5 || c[2] != 10 {
-		t.Fatalf("Clamp = %v", c)
 	}
 }
 

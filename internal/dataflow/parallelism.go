@@ -62,19 +62,6 @@ func (p ParallelismVector) Validate(maxP int) error {
 	return nil
 }
 
-// Clamp limits every entry to [1, maxP] in place and returns p.
-func (p ParallelismVector) Clamp(maxP int) ParallelismVector {
-	for i, k := range p {
-		if k < 1 {
-			p[i] = 1
-		}
-		if maxP > 0 && k > maxP {
-			p[i] = maxP
-		}
-	}
-	return p
-}
-
 // Floats converts to a []float64 (GP/BO input encoding).
 func (p ParallelismVector) Floats() []float64 {
 	out := make([]float64, len(p))
