@@ -75,9 +75,6 @@ func (r rampSchedule) RateAt(sec float64) float64 {
 // in records (fractional records accumulate between ticks and are carried
 // precisely, so conservation holds to floating-point accuracy).
 type Topic struct {
-	Name       string
-	Partitions int
-
 	produced float64 // total records appended
 	consumed float64 // total records read by the consumer group
 	schedule RateSchedule
@@ -88,8 +85,9 @@ type Topic struct {
 	stalled float64
 }
 
-// NewTopic creates a topic with the given partition count and producer
-// schedule.
+// NewTopic creates a topic fed by the producer schedule. The log is one
+// stream of records (a stall takes a fraction of it), so name and
+// partitions are only checked: partitions must be positive.
 func NewTopic(name string, partitions int, schedule RateSchedule) (*Topic, error) {
 	if partitions <= 0 {
 		return nil, fmt.Errorf("kafka: topic %q needs partitions > 0", name)
@@ -97,7 +95,7 @@ func NewTopic(name string, partitions int, schedule RateSchedule) (*Topic, error
 	if schedule == nil {
 		return nil, errors.New("kafka: nil schedule")
 	}
-	return &Topic{Name: name, Partitions: partitions, schedule: schedule}, nil
+	return &Topic{schedule: schedule}, nil
 }
 
 // Produce advances the producer by dt seconds starting at time sec,
@@ -162,13 +160,6 @@ func (t *Topic) PendingTimeSec(consumeRate float64) float64 {
 		return math.Inf(1)
 	}
 	return lag / consumeRate
-}
-
-// Reset clears offsets (used when a job is restarted from a savepoint the
-// log itself is kept — only consumer position may be rewound).
-func (t *Topic) Reset() {
-	t.produced = 0
-	t.consumed = 0
 }
 
 // SeekToLatest moves the consumer group to the head of the log, dropping
