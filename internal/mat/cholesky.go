@@ -109,9 +109,6 @@ func NewCholeskyJittered(a *Matrix, startJitter, maxJitter float64) (*Cholesky, 
 	return c, j, nil
 }
 
-// Size returns the dimension n.
-func (c *Cholesky) Size() int { return c.n }
-
 // Append extends the factorization of A to that of the bordered matrix
 //
 //	A' = | A    col |

@@ -48,18 +48,6 @@ func (m *Matrix) At(i, j int) float64 {
 	return m.data[i*m.cols+j]
 }
 
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) {
-	m.check(i, j)
-	m.data[i*m.cols+j] = v
-}
-
-// Add increments element (i, j) by v.
-func (m *Matrix) Add(i, j int, v float64) {
-	m.check(i, j)
-	m.data[i*m.cols+j] += v
-}
-
 func (m *Matrix) check(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("mat: index (%d,%d) out of range %dx%d", i, j, m.rows, m.cols))
@@ -73,11 +61,6 @@ func (m *Matrix) RawRow(i int) []float64 {
 		panic(fmt.Sprintf("mat: row %d out of range", i))
 	}
 	return m.data[i*m.cols : (i+1)*m.cols]
-}
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	return &Matrix{rows: m.rows, cols: m.cols, data: append([]float64(nil), m.data...)}
 }
 
 // String renders the matrix for debugging.

@@ -26,6 +26,15 @@ func NewMatrixFrom(rows, cols int, data []float64) *Matrix {
 	return m
 }
 
+// Set assigns element (i, j).
+func (m *Matrix) Set(i, j int, v float64) {
+	m.check(i, j)
+	m.data[i*m.cols+j] = v
+}
+
+// Size returns the dimension n of the factored matrix.
+func (c *Cholesky) Size() int { return c.n }
+
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
