@@ -84,30 +84,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// HistogramSnapshot is a consistent copy of a histogram's state.
-// CumulativeCounts[i] counts observations <= the i-th sorted bound; the
-// final entry (the +Inf bucket) counts every observation.
-type HistogramSnapshot struct {
-	CumulativeCounts []uint64
-	Sum              float64
-}
-
-// Snapshot returns the cumulative view WriteExposition renders.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	snap := HistogramSnapshot{
-		CumulativeCounts: make([]uint64, len(h.counts)),
-		Sum:              h.sum,
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		snap.CumulativeCounts[i] = cum
-	}
-	return snap
-}
-
 // Counter returns (creating on first use) the counter with the given
 // name and tags. Existing instruments resolve with a lock-free read.
 func (s *Store) Counter(name string, tags map[string]string) *Counter {

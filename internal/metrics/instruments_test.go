@@ -6,6 +6,30 @@ import (
 	"testing"
 )
 
+// HistogramSnapshot is a consistent copy of a histogram's state.
+// CumulativeCounts[i] counts observations <= the i-th sorted bound; the
+// final entry (the +Inf bucket) counts every observation.
+type HistogramSnapshot struct {
+	CumulativeCounts []uint64
+	Sum              float64
+}
+
+// Snapshot returns the cumulative view WriteExposition renders.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	snap := HistogramSnapshot{
+		CumulativeCounts: make([]uint64, len(h.counts)),
+		Sum:              h.sum,
+	}
+	var cum uint64
+	for i, c := range h.counts {
+		cum += c
+		snap.CumulativeCounts[i] = cum
+	}
+	return snap
+}
+
 func TestCounter(t *testing.T) {
 	s := NewStore()
 	c := s.Counter("autrascale.rescales", map[string]string{"job": "wc"})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"autrascale/internal/cluster"
@@ -292,11 +293,14 @@ func TestPolicyDecisionsCounted(t *testing.T) {
 	if want := float64(len(ctl.Decisions())); counted != want {
 		t.Fatalf(`autrascale.decisions{action="policy"} = %v, want %v`, counted, want)
 	}
-	tags := map[string]string{"job": job}
-	for _, name := range []string{"autrascale.bo.iterations", "autrascale.decision.margin"} {
-		cum := store.Histogram(name, tags, nil).Snapshot().CumulativeCounts
-		if n := cum[len(cum)-1]; n != 0 {
-			t.Fatalf("%s holds %d observations from a non-BO policy", name, n)
+	var expo strings.Builder
+	if err := store.WriteExposition(&expo); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"autrascale_bo_iterations", "autrascale_decision_margin"} {
+		count := name + `_count{job="` + job + `"} `
+		if strings.Contains(expo.String(), count) && !strings.Contains(expo.String(), count+"0\n") {
+			t.Fatalf("%s holds observations from a non-BO policy:\n%s", name, expo.String())
 		}
 	}
 }
