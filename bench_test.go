@@ -181,10 +181,10 @@ func BenchmarkCholesky(b *testing.B) {
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			v := rng.Float64() - 0.5
-			a.Set(i, j, v)
-			a.Set(j, i, v)
+			a.RawRow(i)[j] = v
+			a.RawRow(j)[i] = v
 		}
-		a.Add(i, i, float64(n))
+		a.RawRow(i)[i] += float64(n)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
