@@ -159,13 +159,16 @@ func TestBorrowedSignatureStartsCold(t *testing.T) {
 			if len(f.SharedModelRates()["wordcount"]) == 0 {
 				t.Fatal("donor published no model")
 			}
-			tracer.Reset()
+			var donorSpans uint64 // span ids run up: the borrower's come after
+			for _, sp := range tracer.Snapshot(0) {
+				donorSpans = max(donorSpans, sp.ID)
+			}
 			if err := f.Submit(JobSpec{Name: "borrower", Workload: w, Signature: "wordcount"}); err != nil {
 				t.Fatal(err)
 			}
 			var sawSpan bool
 			for _, sp := range tracer.Snapshot(0) {
-				if sp.Name != "fleet.warmstart" {
+				if sp.ID <= donorSpans || sp.Name != "fleet.warmstart" {
 					continue
 				}
 				sawSpan = true

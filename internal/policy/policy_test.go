@@ -338,14 +338,17 @@ func TestEveryPlanningWindowIsAccounted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tr.Reset()
+				var before uint64 // span ids run up: this plan's come after
+				for _, sp := range tr.Snapshot(0) {
+					before = max(before, sp.ID)
+				}
 				res, err := pol.Plan(e, core.PlanRequest{Trigger: core.TriggerRateChange, RateRPS: rate, Window: m, TimeSec: e.Now()})
 				if err != nil {
 					t.Fatal(err)
 				}
 				measured := 0
 				for _, sp := range tr.Snapshot(0) {
-					if sp.Name == "flink.measure_steady" {
+					if sp.ID > before && sp.Name == "flink.measure_steady" {
 						measured++
 					}
 				}

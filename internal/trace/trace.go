@@ -245,16 +245,6 @@ func (t *Tracer) Snapshot(limit int) []Span {
 	return out
 }
 
-// Len returns the number of retained spans.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.buf)
-}
-
 // Dropped returns how many spans the ring has evicted.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
@@ -263,19 +253,6 @@ func (t *Tracer) Dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
-}
-
-// Reset drops all retained spans (the id sequence keeps counting).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.buf = t.buf[:0]
-	t.next = 0
-	t.full = false
-	t.dropped = 0
 }
 
 // ActiveSpan is a span under construction. It is owned by one goroutine
