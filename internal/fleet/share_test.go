@@ -32,7 +32,7 @@ func TestModelsAreSharedByPointer(t *testing.T) {
 		t.Fatal("cold job fitted no model")
 	}
 	for _, e := range own {
-		if got, ok := shared.Get(e.RateRPS); !ok || got != e.Model {
+		if got, ok := shared.Nearest(e.RateRPS); !ok || got.RateRPS != e.RateRPS || got.Model != e.Model {
 			t.Fatalf("shared entry at %v rps is not the publishing job's model", e.RateRPS)
 		}
 	}
@@ -44,9 +44,9 @@ func TestModelsAreSharedByPointer(t *testing.T) {
 	if !warm.warmStarted {
 		t.Fatal("second job did not warm-start")
 	}
-	got, ok := warm.ctl.Library().Get(warm.warmSourceRate)
-	want, _ := shared.Get(warm.warmSourceRate)
-	if !ok || got != want {
+	got, ok := warm.ctl.Library().Nearest(warm.warmSourceRate)
+	want, _ := shared.Nearest(warm.warmSourceRate)
+	if !ok || got.RateRPS != warm.warmSourceRate || got.Model != want.Model {
 		t.Fatalf("warm job's model at the donor rate %v is not the shared entry", warm.warmSourceRate)
 	}
 }

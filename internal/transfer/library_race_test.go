@@ -46,7 +46,6 @@ func TestModelLibraryConcurrentPutNearest(t *testing.T) {
 					t.Error("Nearest returned an entry with a nil model")
 					return
 				}
-				lib.Get(rate)
 				lib.Len()
 				lib.Rates()
 				lib.Entries()

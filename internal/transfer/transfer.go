@@ -190,16 +190,6 @@ func merge(cur, add []Entry) []Entry {
 // Len returns the number of stored models.
 func (l *ModelLibrary) Len() int { return len(l.snapshot()) }
 
-// Get returns the model trained exactly at rateRPS.
-func (l *ModelLibrary) Get(rateRPS float64) (Predictor, bool) {
-	entries := l.snapshot()
-	i := searchRate(entries, rateRPS)
-	if i < len(entries) && entries[i].RateRPS == rateRPS {
-		return entries[i].Model, true
-	}
-	return nil, false
-}
-
 // Nearest returns the stored model whose rate is closest to rateRPS
 // (Algorithm 2's M_{c−1}); ok is false when the library is empty. The
 // lookup is a lock-free binary search; an exact tie between two

@@ -140,12 +140,6 @@ func TestModelLibrary(t *testing.T) {
 	if e.RateRPS != 80e3 {
 		t.Fatalf("Nearest(75k) = %v", e.RateRPS)
 	}
-	if _, ok := l.Get(20e3); !ok {
-		t.Fatal("Get exact rate failed")
-	}
-	if _, ok := l.Get(30e3); ok {
-		t.Fatal("Get missing rate should be false")
-	}
 	rates := l.Rates()
 	if len(rates) != 2 || rates[0] != 20e3 || rates[1] != 80e3 {
 		t.Fatalf("Rates = %v", rates)
@@ -157,8 +151,7 @@ func TestModelLibrary(t *testing.T) {
 	if l.Len() != 2 {
 		t.Fatalf("replace changed Len to %d", l.Len())
 	}
-	got, _ := l.Get(20e3)
-	if got.PredictMean(nil) != 80 {
+	if got, _ := l.Nearest(20e3); got.RateRPS != 20e3 || got.Model.PredictMean(nil) != 80 {
 		t.Fatal("Put did not replace the model")
 	}
 }
