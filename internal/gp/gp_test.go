@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -32,7 +33,7 @@ func TestKernelBasics(t *testing.T) {
 		if v <= 0 || v > 2 {
 			t.Fatalf("%s: k(x,y) = %v out of (0, variance]", k, v)
 		}
-		if k.String() == "" {
+		if s, ok := k.(fmt.Stringer); !ok || s.String() == "" {
 			t.Fatalf("empty String for %T", k)
 		}
 	}

@@ -20,8 +20,6 @@ import (
 type Kernel interface {
 	// Eval returns k(x, y).
 	Eval(x, y []float64) float64
-	// String describes the kernel and its hyperparameters.
-	String() string
 }
 
 // radialKernel is a stationary kernel whose value depends only on the
