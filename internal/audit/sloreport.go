@@ -43,7 +43,6 @@ func SLOAudit(j *Journal) SLOReport {
 	rep := SLOReport{StartSec: start, EndSec: end}
 
 	type jobAgg struct {
-		firstSec float64
 		report   JobSLOReport
 		curState string
 		curSince float64
@@ -54,7 +53,6 @@ func SLOAudit(j *Journal) SLOReport {
 		a, ok := aggs[job]
 		if !ok {
 			a = &jobAgg{
-				firstSec: tSec,
 				report:   JobSLOReport{Job: job, WorstState: string(slo.StateHealthy), FinalState: string(slo.StateHealthy)},
 				curState: string(slo.StateHealthy),
 				curSince: tSec,

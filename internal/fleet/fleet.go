@@ -270,10 +270,9 @@ type job struct {
 	// allocated at the first step and reused after, its Par vector too.
 	last []core.Event
 
-	// health and burn mirror the job's slot in the fleet's incremental
-	// health aggregate (health.go), updated only on transitions.
+	// health mirrors the job's slot in the fleet's incremental health
+	// aggregate (health.go), updated only on transitions.
 	health healthClass
-	burn   float64
 
 	warmStarted    bool
 	warmSourceRate float64

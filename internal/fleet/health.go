@@ -142,7 +142,6 @@ func (f *Fleet) healthReclass(j *job, c healthClass) {
 // at the round barrier. Caller holds f.mu.
 func (f *Fleet) healthObserve(j *job) {
 	h := j.ctl.SLOHealth()
-	j.burn = h.BurnRate
 	f.healthReclass(j, classOf(h.State))
 	f.health.top.update(j.spec.Name, h.BurnRate)
 }
