@@ -35,7 +35,6 @@ func chaosControllerRun(t *testing.T, profile chaos.Profile, seed uint64) ([]Eve
 		// likely somewhere in a planning session's many trials — the
 		// degraded path must fire, not just the retry path.
 		RescaleMaxAttempts: 2,
-		RescaleBackoffSec:  5,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -275,11 +275,10 @@ type EngineOptions struct {
 	Tracer *trace.Tracer
 	// Chaos injects faults into the engine (optional; nil disables).
 	Chaos *chaos.Injector
-	// RescaleMaxAttempts / RescaleBackoffSec tune the engine's
-	// retry-with-backoff rescale path (0 keeps the flink defaults).
-	// Mostly useful under chaos injection.
+	// RescaleMaxAttempts bounds the engine's retry-with-backoff rescale
+	// path (0 keeps the flink default). Mostly useful under chaos
+	// injection.
 	RescaleMaxAttempts int
-	RescaleBackoffSec  float64
 }
 
 // NewEngine assembles a simulator for the workload on the paper's
@@ -309,6 +308,5 @@ func NewEngine(spec Spec, opts EngineOptions) (*flink.Engine, error) {
 		Tracer:             opts.Tracer,
 		Chaos:              opts.Chaos,
 		RescaleMaxAttempts: opts.RescaleMaxAttempts,
-		RescaleBackoffSec:  opts.RescaleBackoffSec,
 	})
 }
