@@ -1,10 +1,18 @@
 package autrascale_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -21,12 +29,13 @@ const module = "autrascale/"
 // it or give it a caller.
 var unearned = map[string]string{}
 
-// unearnedExports lists exported identifiers ("internal/pkg.Name",
-// "internal/pkg.Type.Method" or "internal/pkg.Type.Field") allowed
-// without a non-test user, each with the test that compares against it.
+// unearnedExports lists identifiers TestNoUnearnedExports checks
+// ("internal/pkg.Name", "internal/pkg.Type.Method" or
+// "internal/pkg.Type.Field") allowed without a non-test user, each with
+// the test that needs it.
 var unearnedExports = map[string]string{
-	"internal/policy/ds2.MaxIterations": "TestBaselinePoliciesPropertyRandomDAGs bounds ds2's Report.Iterations by it",
-	"internal/policy/drs.MaxIterations": "TestBaselinePoliciesPropertyRandomDAGs bounds drs's Report.Iterations by it",
+	"internal/metrics.Store.Latest":       "TestGaugeContract's by-name path, flink's TestMetricsRecorded and TestCompiledTickMatchesReference and fleet's telemetry tests read a series' newest sample by name",
+	"internal/fleet.Fleet.barrierVisited": "TestFleetBarrierIsODue counts the jobs each round barrier visits",
 }
 
 // goFile is one parsed Go file of the module, comments included.
@@ -157,84 +166,198 @@ func TestNoOrphanInternalPackages(t *testing.T) {
 	}
 }
 
-// Every exported identifier under internal/ and of the root facade is
-// earned by a non-test user (see unearnedIdents); none is kept alive by
-// tests or for a future consumer. The facade's only non-test importers
-// are the programs under examples/, so it cannot regrow dead aliases.
-func TestNoUnearnedExports(t *testing.T) {
-	src := sourceFiles(t)
-	flagged := map[string]bool{}
-	for _, id := range unearnedIdents(src.files) {
-		k := id.key()
-		flagged[k] = true
-		if why, ok := unearnedExports[k]; ok {
-			t.Logf("%s has no non-test user, allowed: %s", k, why)
+// typedPackage is one non-test package of the module, type-checked.
+type typedPackage struct {
+	dir   string // from the module root: "." for the root facade
+	types *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+type typedModule struct {
+	fset *token.FileSet
+	pkgs []*typedPackage // in dependency order
+	// std imports a standard-library package by path from export data.
+	std func(path string) (*types.Package, error)
+}
+
+// loadTyped type-checks the module's non-test packages from source, in
+// the dependency order `go list -deps` prints them, each against the
+// packages already checked: every object is one pointer in every package
+// that uses it. The standard library comes from its export data.
+var loadTyped = sync.OnceValues(func() (*typedModule, error) {
+	var stderr bytes.Buffer
+	cmd := exec.Command("go", "list", "-export", "-deps", "-json", "./...")
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export -deps -json ./...: %v\n%s", err, stderr.Bytes())
+	}
+	m := &typedModule{fset: token.NewFileSet()}
+	exports := map[string]string{}
+	gc := importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("go list printed no export data for %s", path)
+		}
+		return os.Open(exports[path])
+	})
+	m.std = gc.Import
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return gc.Import(path)
+	})}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p struct {
+			ImportPath, Dir, Export string
+			GoFiles                 []string
+		}
+		if err := dec.Decode(&p); err != nil {
+			return nil, err
+		}
+		dir, ok := moduleDir(p.ImportPath)
+		if !ok {
+			exports[p.ImportPath] = p.Export
 			continue
 		}
-		t.Errorf("%s: %s has no non-test user: delete it, unexport it, or move it into a _test.go file",
-			src.fset.Position(id.pos), k)
+		tp := &typedPackage{dir: dir, info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}}
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(m.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			tp.files = append(tp.files, f)
+		}
+		if tp.types, err = conf.Check(p.ImportPath, m.fset, tp.files, tp.info); err != nil {
+			return nil, err
+		}
+		checked[p.ImportPath] = tp.types
+		m.pkgs = append(m.pkgs, tp)
 	}
-	for k, why := range unearnedExports {
-		if !flagged[k] {
-			t.Errorf("%s is earned or gone; drop it from the allow-list (%s)", k, why)
+	return m, nil
+})
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+func typedSource(t *testing.T) *typedModule {
+	t.Helper()
+	m, err := loadTyped()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// stdInterfaces are the standard-library interfaces, beside error, whose
+// methods the standard library calls on the values handed to it.
+var stdInterfaces = [][2]string{
+	{"fmt", "Stringer"}, {"encoding/json", "Marshaler"}, {"encoding/json", "Unmarshaler"},
+	{"encoding", "TextMarshaler"}, {"encoding", "TextUnmarshaler"}, {"sort", "Interface"},
+	{"container/heap", "Interface"}, {"io", "Reader"}, {"io", "Writer"}, {"io", "Closer"},
+	{"io", "WriterTo"}, {"io", "ReaderFrom"}, {"net/http", "Handler"}, {"flag", "Value"},
+}
+
+// earnedObjects returns the module's objects that non-test code reaches
+// from its roots: each main and init function and each blank var
+// declaration. An earned declaration earns every object its signature,
+// type, value or body uses, with two exceptions:
+//   - a field is earned only when earned code reads it through a
+//     selector (an assignment target is written, not read, and a
+//     composite-literal key is not a selector), or when its struct is
+//     earned and a JSON wire type: one with a json tag;
+//   - a method called through an interface earns the interface's
+//     method, and the same-named method of each earned type that
+//     implements that interface; the standard library calls through
+//     error and stdInterfaces.
+func earnedObjects(m *typedModule) map[types.Object]bool {
+	type decl struct {
+		p *typedPackage
+		n ast.Node
+	}
+	decls := map[types.Object]decl{}
+	var roots []decl
+	for _, p := range m.pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.types.Name() == "main") {
+						roots = append(roots, decl{p, d})
+					}
+					decls[p.info.Defs[d.Name]] = decl{p, d}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							decls[p.info.Defs[s.Name]] = decl{p, s}
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								if n.Name == "_" {
+									roots = append(roots, decl{p, s})
+								} else {
+									decls[p.info.Defs[n]] = decl{p, s}
+								}
+							}
+						}
+					}
+				}
+			}
 		}
 	}
-}
+	inModule := map[*types.Package]bool{}
+	for _, p := range m.pkgs {
+		inModule[p.types] = true
+	}
 
-// stdMethods are the method names standard-library interfaces call:
-// fmt.Stringer, error, JSON and text marshalling, sort and heap, io,
-// http.Handler.
-var stdMethods = map[string]bool{
-	"String": true, "GoString": true, "Format": true, "Error": true, "Unwrap": true, "Is": true, "As": true,
-	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"Read": true, "Write": true, "Close": true, "WriteTo": true, "ReadFrom": true, "ServeHTTP": true,
-}
-
-// exportedIdent is one exported top-level declaration under internal/:
-// a function, type, const or var, or a method or struct field of an
-// exported type.
-type exportedIdent struct {
-	pkg, name string // name is "Type.Method" for a method, "Type.Field" for a field
-	isFunc    bool
-	pos       token.Pos
-	decl      []ast.Node     // the declaration proper: signature, type, value
-	body      *ast.BlockStmt // a function's body
-}
-
-func (id *exportedIdent) key() string { return id.pkg + "." + id.name }
-
-// unearnedIdents returns the exported identifiers declared in non-test
-// code under internal/ or in the root facade (package dir ".") that are
-// not earned, sorted by key. An identifier is earned when any one of
-// these holds:
-//   - non-test code outside its package names it (the root facade, cmd/,
-//     examples/ and bench/ all count);
-//   - it is a type, const or var named in the declaration (a signature,
-//     a field, an embedded type, a value) of an earned identifier of its
-//     own package, or a const or var of an earned type;
-//   - it is an Err* sentinel that an earned function returns, itself or
-//     through an unexported function of its package that it calls;
-//   - it is a method of an earned type, and some non-test code selects
-//     its name or it implements a standard-library interface;
-//   - it is a field ("Type.Field") of an earned struct type, and some
-//     non-test code reads its name through a selector (an assignment
-//     target is written, not read, and a composite-literal key is not a
-//     selector) or the struct is a JSON wire type: one with a json tag.
-func unearnedIdents(files []goFile) []*exportedIdent {
-	idents := map[string]*exportedIdent{} // key → declaration
-	methods := map[string][]string{}      // type key → its method keys
-	fields := map[string][]string{}       // type key → its exported field keys
-	wire := map[string]bool{}             // type keys of JSON wire structs
-	values := map[string][]string{}       // type key → keys of the consts and vars of that type
-	named := map[string]bool{}            // keys named outside their package
-	selected := map[string]bool{}         // names read through a selector on a value (not a package) anywhere
-	// key → body of an unexported plain function, whose sentinels its callers return
-	helpers := map[string]*ast.BlockStmt{}
-	for _, gf := range files {
-		imports := importNames(gf.f)
+	earned := map[types.Object]bool{}
+	called := map[string]map[*types.Interface]bool{} // method name → interfaces it is called through
+	callThrough := func(name string, iface *types.Interface) {
+		if called[name] == nil {
+			called[name] = map[*types.Interface]bool{}
+		}
+		called[name][iface] = true
+	}
+	var work []types.Object
+	var earn func(obj types.Object)
+	earn = func(obj types.Object) {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+			if recv := o.Type().(*types.Signature).Recv(); recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+					callThrough(o.Name(), iface)
+				}
+			}
+		case *types.Var:
+			obj = o.Origin()
+		}
+		if obj == nil || earned[obj] || !inModule[obj.Pkg()] {
+			return
+		}
+		earned[obj] = true
+		work = append(work, obj)
+		if tn, ok := obj.(*types.TypeName); ok {
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok && isWire(st) {
+				for i := 0; i < st.NumFields(); i++ {
+					if st.Field(i).Exported() {
+						earn(st.Field(i))
+					}
+				}
+			}
+		}
+	}
+	walk := func(d decl) {
 		written := map[*ast.SelectorExpr]bool{}
-		ast.Inspect(gf.f, func(n ast.Node) bool {
+		ast.Inspect(d.n, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for _, l := range n.Lhs {
@@ -247,223 +370,161 @@ func unearnedIdents(files []goFile) []*exportedIdent {
 					written[sel] = true
 				}
 			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if p, ok := imports[x.Name]; ok { // a qualified identifier
-						if dir, ok := moduleDir(p); ok && dir != gf.dir {
-							named[dir+"."+n.Sel.Name] = true
-						}
-						return false
-					}
+				sel := d.p.info.Selections[n]
+				if sel == nil {
+					break
 				}
-				if !written[n] {
-					selected[n.Sel.Name] = true
+				// A promoted field or method reads the embedded fields
+				// on its way.
+				typ := sel.Recv()
+				for _, i := range sel.Index()[:len(sel.Index())-1] {
+					if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+						typ = ptr.Elem()
+					}
+					f := typ.Underlying().(*types.Struct).Field(i)
+					earn(f)
+					typ = f.Type()
+				}
+				if sel.Kind() == types.FieldVal && !written[n] {
+					earn(sel.Obj())
+				}
+			case *ast.Ident:
+				if v, ok := d.p.info.Uses[n].(*types.Var); !ok || !v.IsField() {
+					earn(d.p.info.Uses[n])
 				}
 			}
 			return true
 		})
-		if gf.dir != "." && !strings.HasPrefix(gf.dir, "internal/") {
-			continue
-		}
-		declare := func(id *exportedIdent) {
-			id.pkg = gf.dir
-			idents[id.key()] = id
-		}
-		for _, d := range gf.f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if !d.Name.IsExported() {
-					if d.Recv == nil && d.Body != nil {
-						helpers[gf.dir+"."+d.Name.Name] = d.Body
-					}
-					continue
-				}
-				id := &exportedIdent{name: d.Name.Name, isFunc: true, pos: d.Pos(), decl: []ast.Node{d.Type}, body: d.Body}
-				if d.Recv != nil {
-					recv := recvTypeName(d.Recv.List[0].Type)
-					if !ast.IsExported(recv) {
-						continue
-					}
-					id.name = recv + "." + id.name
-					id.decl = append(id.decl, d.Recv)
-					methods[gf.dir+"."+recv] = append(methods[gf.dir+"."+recv], gf.dir+"."+id.name)
-				}
-				declare(id)
-			case *ast.GenDecl:
-				var typ ast.Expr // a const group repeats the last explicit type
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						if !s.Name.IsExported() {
-							continue
-						}
-						declare(&exportedIdent{name: s.Name.Name, pos: s.Pos(), decl: []ast.Node{s}})
-						st, ok := s.Type.(*ast.StructType)
-						if !ok {
-							continue
-						}
-						typeKey := gf.dir + "." + s.Name.Name
-						for _, fld := range st.Fields.List {
-							if fld.Tag != nil && strings.Contains(fld.Tag.Value, `json:"`) {
-								wire[typeKey] = true
-							}
-							for _, n := range fld.Names {
-								if n.IsExported() {
-									declare(&exportedIdent{name: s.Name.Name + "." + n.Name, pos: n.Pos()})
-									fields[typeKey] = append(fields[typeKey], gf.dir+"."+s.Name.Name+"."+n.Name)
-								}
-							}
-						}
-					case *ast.ValueSpec:
-						if s.Type != nil || len(s.Values) > 0 {
-							typ = s.Type
-						}
-						for _, n := range s.Names {
-							if !n.IsExported() {
-								continue
-							}
-							declare(&exportedIdent{name: n.Name, pos: n.Pos(), decl: []ast.Node{s}})
-							if t, ok := typ.(*ast.Ident); ok {
-								values[gf.dir+"."+t.Name] = append(values[gf.dir+"."+t.Name], gf.dir+"."+n.Name)
-							}
-						}
-					}
-				}
-			}
-		}
 	}
 
-	earned := map[string]bool{}
-	var work []string
-	earn := func(k string) {
-		if idents[k] != nil && !earned[k] {
-			earned[k] = true
-			work = append(work, k)
+	std := []types.Object{types.Universe.Lookup("error")}
+	for _, name := range stdInterfaces {
+		if pkg, err := m.std(name[0]); err == nil {
+			std = append(std, pkg.Scope().Lookup(name[1]))
 		}
 	}
-	for k := range named {
-		earn(k)
+	for _, obj := range std {
+		iface := obj.Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			callThrough(iface.Method(i).Name(), iface)
+		}
+	}
+	for _, d := range roots {
+		walk(d)
 	}
 	for len(work) > 0 {
-		id := idents[work[len(work)-1]]
-		work = work[:len(work)-1]
-		for _, n := range id.decl {
-			for _, name := range referencedNames(n) {
-				if dep := idents[id.pkg+"."+name]; dep != nil && !dep.isFunc {
-					earn(dep.key())
-				}
+		for len(work) > 0 {
+			obj := work[len(work)-1]
+			work = work[:len(work)-1]
+			if d, ok := decls[obj]; ok {
+				walk(d)
 			}
 		}
-		if id.body != nil {
-			earnSentinels(id.pkg, id.body, helpers, map[string]bool{}, earn)
-		}
-		if !id.isFunc {
-			for _, v := range values[id.key()] {
-				earn(v)
-			}
-			for _, m := range methods[id.key()] {
-				if name := m[strings.LastIndex(m, ".")+1:]; selected[name] || stdMethods[name] {
-					earn(m)
-				}
-			}
-			for _, f := range fields[id.key()] {
-				if selected[f[strings.LastIndex(f, ".")+1:]] || wire[id.key()] {
-					earn(f)
-				}
+		var named []*types.TypeName
+		for obj := range earned {
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() && !types.IsInterface(tn.Type()) {
+				named = append(named, tn)
 			}
 		}
-	}
-
-	var out []*exportedIdent
-	for k, id := range idents {
-		if !earned[k] {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key() < out[j].key() })
-	return out
-}
-
-// recvTypeName returns the type name of a method receiver: T for T, *T,
-// T[P] and *T[P].
-func recvTypeName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
-}
-
-// referencedNames returns the unqualified identifiers n refers to,
-// leaving out the names it declares (fields, parameters, the declared
-// name itself) and the names it selects (x.Name).
-// earnSentinels earns each Err* sentinel that a return statement in
-// body names, or in the body of an unexported function of the package
-// that body calls, transitively: an exported reader that hands its bytes
-// to an unexported decode returns decode's sentinels.
-func earnSentinels(pkg string, body *ast.BlockStmt, helpers map[string]*ast.BlockStmt, seen map[string]bool, earn func(string)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				for _, name := range referencedNames(r) {
-					if strings.HasPrefix(name, "Err") {
-						earn(pkg + "." + name)
+		for _, tn := range named {
+			ptr := types.NewPointer(tn.Type())
+			methods := types.NewMethodSet(ptr)
+			for i := 0; i < methods.Len(); i++ {
+				fn := methods.At(i).Obj()
+				for iface := range called[fn.Name()] {
+					if !earned[fn] && (types.Implements(tn.Type(), iface) || types.Implements(ptr, iface)) {
+						earn(fn)
 					}
 				}
 			}
-		case *ast.CallExpr:
-			if fn, ok := n.Fun.(*ast.Ident); ok {
-				if k := pkg + "." + fn.Name; helpers[k] != nil && !seen[k] {
-					seen[k] = true
-					earnSentinels(pkg, helpers[k], helpers, seen, earn)
+		}
+	}
+	return earned
+}
+
+// isWire reports whether st is a JSON wire type: one with a json tag.
+func isWire(st *types.Struct) bool {
+	for i := 0; i < st.NumFields(); i++ {
+		if strings.Contains(st.Tag(i), `json:"`) {
+			return true
+		}
+	}
+	return false
+}
+
+// Every exported identifier under internal/ and of the root facade is
+// earned (see earnedObjects): non-test code reaches it from a main, an
+// init or a blank var. None is kept alive by tests or for a future
+// consumer. The facade's only non-test importers are the programs under
+// examples/, so it cannot regrow dead aliases. A field of an earned
+// struct, exported or not, is earned only by a read.
+func TestNoUnearnedExports(t *testing.T) {
+	m := typedSource(t)
+	earned := earnedObjects(m)
+	unearnedAt := map[string]token.Pos{}
+	for _, p := range m.pkgs {
+		if p.dir != "." && !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		flag := func(obj types.Object, key string) {
+			if !earned[obj] {
+				unearnedAt[p.dir+"."+key] = obj.Pos()
+			}
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			if obj := scope.Lookup(name); obj.Exported() {
+				flag(obj, name)
+			}
+		}
+		// The members of each earned type declared here, local types too.
+		for _, obj := range p.info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() || !earned[tn] {
+				continue
+			}
+			name := tn.Name()
+			switch u := tn.Type().Underlying().(type) {
+			case *types.Struct:
+				for i := 0; i < u.NumFields(); i++ {
+					if f := u.Field(i); f.Name() != "_" {
+						flag(f, name+"."+f.Name())
+					}
+				}
+			case *types.Interface:
+				for i := 0; i < u.NumExplicitMethods(); i++ {
+					if fn := u.ExplicitMethod(i); fn.Exported() && tn.Exported() {
+						flag(fn, name+"."+fn.Name())
+					}
+				}
+			}
+			if named, ok := tn.Type().(*types.Named); ok && tn.Exported() {
+				for i := 0; i < named.NumMethods(); i++ {
+					if fn := named.Method(i); fn.Exported() {
+						flag(fn, name+"."+fn.Name())
+					}
 				}
 			}
 		}
-		return true
-	})
-}
-
-func referencedNames(n ast.Node) []string {
-	var names []string
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			names = append(names, n.Name)
-		case *ast.SelectorExpr:
-			ast.Inspect(n.X, walk)
-			return false
-		case *ast.Field:
-			ast.Inspect(n.Type, walk)
-			return false
-		case *ast.TypeSpec:
-			if n.TypeParams != nil {
-				ast.Inspect(n.TypeParams, walk)
-			}
-			ast.Inspect(n.Type, walk)
-			return false
-		case *ast.ValueSpec:
-			if n.Type != nil {
-				ast.Inspect(n.Type, walk)
-			}
-			for _, v := range n.Values {
-				ast.Inspect(v, walk)
-			}
-			return false
-		}
-		return true
 	}
-	ast.Inspect(n, walk)
-	return names
+	keys := make([]string, 0, len(unearnedAt))
+	for k := range unearnedAt {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if why, ok := unearnedExports[k]; ok {
+			t.Logf("%s has no non-test user, allowed: %s", k, why)
+			continue
+		}
+		t.Errorf("%s: %s has no non-test user: delete it, unexport it, or move it into a _test.go file",
+			m.fset.Position(unearnedAt[k]), k)
+	}
+	for k, why := range unearnedExports {
+		if _, ok := unearnedAt[k]; !ok {
+			t.Errorf("%s is earned or gone; drop it from the allow-list (%s)", k, why)
+		}
+	}
 }
 
 // unsetOptions lists option fields ("internal/pkg.Type.Field") allowed
@@ -476,167 +537,99 @@ var unsetOptions = map[string]string{
 	"internal/flink.Config.RescaleDeadlineSec":            "TestRescaleDeadlineBoundsRetries bounds retries by a short deadline",
 	"internal/workloads.EngineOptions.NoNoise":            "the workloads calibration tests (TestThroughputOptimizationMatchesPaperOperatingPoints and others) pin the paper operating points noise-free",
 	"internal/workloads.EngineOptions.RescaleMaxAttempts": "TestControllerChaosHeavySoak allows 2 attempts so a double rescale failure reaches the degraded path",
-	"internal/workloads.EngineOptions.RescaleBackoffSec":  "TestControllerChaosHeavySoak sets it beside RescaleMaxAttempts, at flink's own 5 s",
+	"internal/flink.Config.RescaleBackoffSec":             "TestRescaleRetriesThenFails and TestRescaleDeadlineBoundsRetries back off 4 s and 10 s, not the default 5 s",
 }
 
 // Every exported field of an exported *Config or *Options struct under
 // internal/, and of core.PolicyEnv, is set by some non-test code (bench/,
 // cmd/, examples/ and the root facade count): a field nobody sets is a
 // constant with plumbing, so make it one. A field is set when it is a
-// key of a composite literal of its type, or the target of a selector
-// assignment outside a defaults method and outside an if whose condition
-// reads the same field (the `if o.F <= 0 { o.F = v }` idiom). Selector
-// assignments are matched by field name alone, since the rule reads
-// syntax, not types: an assignment to any field of that name counts, so
-// the rule is a floor and a hand check can still find more.
+// key of a composite literal of its type, or the target of an assignment
+// outside a defaults method and outside an if whose condition reads the
+// same field (the `if o.F <= 0 { o.F = v }` idiom).
 func TestNoUnsetOptions(t *testing.T) {
-	src := sourceFiles(t)
-	fieldPos := map[string]token.Pos{} // "dir.Type.Field" → declaration
-	structs := map[string][]string{}   // "dir.Type" → its exported field names
-	for _, gf := range src.files {
-		if !strings.HasPrefix(gf.dir, "internal/") {
+	m := typedSource(t)
+	options := map[*types.Var]string{} // option field → "dir.Type.Field"
+	for _, p := range m.pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
 			continue
 		}
-		for _, d := range gf.f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, s := range gd.Specs {
-				ts, ok := s.(*ast.TypeSpec)
-				if !ok || !isOptionType(gf.dir, ts.Name.Name) {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				typeKey := gf.dir + "." + ts.Name.Name
-				for _, fld := range st.Fields.List {
-					for _, n := range fld.Names {
-						if n.IsExported() {
-							fieldPos[typeKey+"."+n.Name] = n.Pos()
-							structs[typeKey] = append(structs[typeKey], n.Name)
-						}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			if st, ok := scope.Lookup(name).Type().Underlying().(*types.Struct); ok && isOptionType(p.dir, name) {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						options[f] = p.dir + "." + name + "." + f.Name()
 					}
 				}
 			}
 		}
 	}
 
-	aliases := map[string]string{} // "dir.Alias" → the type expression it stands for
-	for _, gf := range src.files {
-		imports := importNames(gf.f)
-		for _, d := range gf.f.Decls {
-			if gd, ok := d.(*ast.GenDecl); ok {
-				for _, s := range gd.Specs {
-					if ts, ok := s.(*ast.TypeSpec); ok && ts.Assign.IsValid() {
-						aliases[gf.dir+"."+ts.Name.Name] = typeKey(gf.dir, imports, ts.Type)
-					}
-				}
+	set := map[*types.Var]bool{}
+	for _, p := range m.pkgs {
+		assigned := func(stack []ast.Node, e ast.Expr) {
+			if sel, ok := e.(*ast.SelectorExpr); ok && p.info.Selections[sel] != nil && !defaulting(stack, sel.Sel.Name) {
+				set[p.info.Selections[sel].Obj().(*types.Var).Origin()] = true
 			}
 		}
-	}
-
-	keyed := map[string]bool{}    // "dir.Type.Field" set by a composite literal
-	assigned := map[string]bool{} // field names set by a selector assignment
-	for _, gf := range src.files {
-		imports := importNames(gf.f)
-		typeOf := func(e ast.Expr) string {
-			k := typeKey(gf.dir, imports, e)
-			for aliases[k] != "" {
-				k = aliases[k]
-			}
-			return k
-		}
-		elided := map[*ast.CompositeLit]string{} // element literals that omit their type
-		var stack []ast.Node
-		ast.Inspect(gf.f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			stack = append(stack, n)
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				typ := elided[n]
-				switch lt := n.Type.(type) {
-				case nil:
-				case *ast.ArrayType:
-					markElided(n, typeOf(lt.Elt), elided)
-				case *ast.MapType:
-					markElided(n, typeOf(lt.Value), elided)
-				default:
-					typ = typeOf(lt)
-				}
-				if structs[typ] == nil {
+		for _, f := range p.files {
+			var stack []ast.Node
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
 					return true
 				}
-				for _, el := range n.Elts {
-					kv, ok := el.(*ast.KeyValueExpr)
-					if !ok { // a positional literal sets every field
-						for _, f := range structs[typ] {
-							keyed[typ+"."+f] = true
-						}
+				stack = append(stack, n)
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := p.info.TypeOf(n).Underlying().(*types.Struct)
+					if !ok {
 						break
 					}
-					if k, ok := kv.Key.(*ast.Ident); ok {
-						keyed[typ+"."+k.Name] = true
+					for i, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if v, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								set[v.Origin()] = true
+							}
+						} else { // a positional literal
+							set[st.Field(i).Origin()] = true
+						}
 					}
-				}
-			case *ast.AssignStmt:
-				for _, l := range n.Lhs {
-					if sel, ok := l.(*ast.SelectorExpr); ok && !defaulting(stack, sel.Sel.Name) {
-						assigned[sel.Sel.Name] = true
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						assigned(stack, l)
 					}
+				case *ast.IncDecStmt:
+					assigned(stack, n.X)
 				}
-			case *ast.IncDecStmt:
-				if sel, ok := n.X.(*ast.SelectorExpr); ok && !defaulting(stack, sel.Sel.Name) {
-					assigned[sel.Sel.Name] = true
-				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 
 	var unset []string
-	for k := range fieldPos {
-		if !keyed[k] && !assigned[k[strings.LastIndex(k, ".")+1:]] {
+	at := map[string]token.Pos{}
+	for f, k := range options {
+		if !set[f] {
 			unset = append(unset, k)
+			at[k] = f.Pos()
 		}
 	}
 	sort.Strings(unset)
-	flagged := map[string]bool{}
 	for _, k := range unset {
-		flagged[k] = true
 		if why, ok := unsetOptions[k]; ok {
 			t.Logf("%s has no non-test setter, allowed: %s", k, why)
 			continue
 		}
 		t.Errorf("%s: %s is set by no non-test code: make it a constant, or set it where it has a second value",
-			src.fset.Position(fieldPos[k]), k)
+			m.fset.Position(at[k]), k)
 	}
 	for k, why := range unsetOptions {
-		if !flagged[k] {
+		if _, ok := at[k]; !ok {
 			t.Errorf("%s is set or gone; drop it from the allow-list (%s)", k, why)
 		}
 	}
-}
-
-// typeKey resolves a type expression of a file in package dir to
-// "dir.Type", or "" when it names no type of this module.
-func typeKey(dir string, imports map[string]string, e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return dir + "." + e.Name
-	case *ast.SelectorExpr:
-		if x, ok := e.X.(*ast.Ident); ok {
-			if d, ok := moduleDir(imports[x.Name]); ok {
-				return d + "." + e.Sel.Name
-			}
-		}
-	}
-	return ""
 }
 
 // isOptionType reports whether the type named name in package dir is
@@ -646,26 +639,6 @@ func isOptionType(dir, name string) bool {
 		return true
 	}
 	return ast.IsExported(name) && (strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options"))
-}
-
-// markElided records typ as the type of every element (or map value) of
-// lit that is a composite literal with its type left out, as in
-// []T{{A: 1}} or []*T{{A: 1}}.
-func markElided(lit *ast.CompositeLit, typ string, elided map[*ast.CompositeLit]string) {
-	if typ == "" {
-		return
-	}
-	for _, el := range lit.Elts {
-		if kv, ok := el.(*ast.KeyValueExpr); ok {
-			el = kv.Value
-		}
-		if u, ok := el.(*ast.UnaryExpr); ok && u.Op == token.AND {
-			el = u.X
-		}
-		if cl, ok := el.(*ast.CompositeLit); ok && cl.Type == nil {
-			elided[cl] = typ
-		}
-	}
 }
 
 // defaulting reports whether an assignment to field, reached through
