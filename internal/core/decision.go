@@ -70,7 +70,6 @@ type DecisionReport struct {
 	TransferSourceRate float64   `json:"transfer_source_rate,omitempty"`
 	TransferDistance   float64   `json:"transfer_distance,omitempty"`
 	LibraryRates       []float64 `json:"library_rates,omitempty"`
-	RealRuns           int       `json:"real_runs,omitempty"`
 	EstimatedSamples   int       `json:"estimated_samples,omitempty"`
 	SwitchedToA1       bool      `json:"switched_to_a1,omitempty"`
 }
@@ -93,9 +92,6 @@ func (r *DecisionReport) FillFromAlgorithm1(res *Algorithm1Result) {
 	r.Iters = append([]IterationReport(nil), res.Iters...)
 	r.EstimatedSamples = res.EstimatedSamples
 	r.SwitchedToA1 = res.SwitchedToA1
-	if r.Action == ActionAlgorithm2 {
-		r.RealRuns = len(res.Trials)
-	}
 }
 
 // Explain renders the "why this configuration" report the -explain flag
@@ -124,7 +120,7 @@ func (r DecisionReport) Explain() string {
 	}
 	if r.Action == ActionAlgorithm2 {
 		fmt.Fprintf(&b, "  transfer: reused model trained at %.0f records/s (Δrate %.0f); %d estimated sample(s), %d real run(s)",
-			r.TransferSourceRate, r.TransferDistance, r.EstimatedSamples, r.RealRuns)
+			r.TransferSourceRate, r.TransferDistance, r.EstimatedSamples, r.Trials)
 		if r.SwitchedToA1 {
 			b.WriteString("; switched to Algorithm 1")
 		}

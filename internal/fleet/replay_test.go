@@ -248,8 +248,8 @@ func TestCrashReplayDeterministic(t *testing.T) {
 				}
 				if d.Action == core.ActionAlgorithm2 {
 					sawTransfer = true
-					if d.RealRuns > 3 {
-						t.Fatalf("job %s transfer replan took %d real runs, want <= 3", name, d.RealRuns)
+					if d.Trials > 3 {
+						t.Fatalf("job %s transfer replan took %d real runs, want <= 3", name, d.Trials)
 					}
 				}
 			}
