@@ -58,6 +58,33 @@ func TestRestoreAllocations(t *testing.T) {
 	}
 }
 
+// A status page allocates the page and nothing per job: a /status or
+// /api/v1/jobs read of a large fleet costs O(1) allocations.
+func TestJobsPageAllocatesPerPageNotPerJob(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the program's")
+	}
+	const jobs = 64
+	f, err := New(Config{TotalCores: jobs * 32, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, js := range StaggeredJobs(workloads.WordCount(), jobs, 0) {
+		if err := f.Submit(js); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.RunUntil(600)
+	got := testing.AllocsPerRun(20, func() {
+		if page, total := f.JobsPage(0, 0); len(page) != jobs || total != jobs {
+			t.Fatalf("JobsPage(0, 0) = %d of %d jobs, want %d", len(page), total, jobs)
+		}
+	})
+	if got > 1 {
+		t.Fatalf("JobsPage(0, 0) over %d jobs: %v allocs, want 1 (the page)", jobs, got)
+	}
+}
+
 // A steady job's step allocates nothing on the fleet's side either: its
 // last-event slot keeps one Par vector and copies each step's into it.
 func TestIdleStepJobAllocatesNothing(t *testing.T) {

@@ -317,6 +317,9 @@ type Fleet struct {
 	// health is the incremental aggregate (health.go) Snapshot and
 	// /debug/health answer from without walking jobs.
 	health healthAgg
+	// par is jobStatusLocked's copy of a job's configuration, reused so
+	// a status page sums each job's vector without allocating.
+	par dataflow.ParallelismVector
 	// barrierVisited counts jobs handled at round barriers, cumulatively —
 	// the observable that proves the per-round cost is O(due), not
 	// O(jobs) (see TestFleetBarrierIsODue).

@@ -76,6 +76,7 @@ func (f *Fleet) Snapshot() Status {
 
 // jobStatusLocked builds one job's status. Caller holds f.mu.
 func (f *Fleet) jobStatusLocked(j *job) JobStatus {
+	f.par = j.engine.AppendParallelism(f.par[:0])
 	js := JobStatus{
 		Name:           j.spec.Name,
 		State:          j.state,
@@ -87,7 +88,7 @@ func (f *Fleet) jobStatusLocked(j *job) JobStatus {
 		SimulatedSec:   j.engine.Now(),
 		Steps:          j.steps,
 		Decisions:      j.ctl.NumDecisions(),
-		Parallelism:    j.engine.Parallelism().Total(),
+		Parallelism:    f.par.Total(),
 		Restarts:       j.engine.Restarts(),
 		LagRecords:     j.engine.Topic().Lag(),
 		WarmStarted:    j.warmStarted,
