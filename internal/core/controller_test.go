@@ -168,10 +168,16 @@ func TestControllerRunUntil(t *testing.T) {
 // Steady steps at a healthy rate must leave the live heap where it was.
 // The window is 400 steps, so even a per-step log bounded at 512 entries
 // fails it.
+//
+// The window runs on one P. With two, a runtime.GC that wakes the idle P
+// while the machine is busy can start an OS thread, and the runtime keeps
+// that thread's m and g structs (~5.2 KB) on the Go heap for good: the
+// window then grew by 5.2-5.6 KB exactly when the thread count went up.
 func TestControllerStepRetainsNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations are not the program's")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	e := controllerEngine(t, kafka.ConstantRate(1500))
 	ctl, err := NewController(e, ControllerConfig{TargetLatencyMS: 160, Seed: 5})
 	if err != nil {
