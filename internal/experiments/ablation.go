@@ -24,6 +24,7 @@ type AblationResult struct {
 // on one workload: Algorithm 1 from scratch, Algorithm 2 transfer, and
 // the rate-unified joint model (the paper's future work).
 type TransferAblationRow struct {
+	Workload  string
 	Strategy  string
 	RealRuns  int // configurations actually executed at the new rate
 	FinalPar  dataflow.ParallelismVector
@@ -36,6 +37,7 @@ type TransferAblationRow struct {
 // observed processing-rate metric from an over-provisioned start — the
 // paper's motivation for instrumenting true rates.
 type MetricAblationRow struct {
+	Workload      string
 	Metric        string
 	Recommended   dataflow.ParallelismVector
 	Total         int
@@ -119,7 +121,7 @@ func (r *AblationResult) runTransferAblation(seed uint64) error {
 		return err
 	}
 	r.Transfer = append(r.Transfer, TransferAblationRow{
-		Strategy: "Algorithm1 (scratch)",
+		Workload: spec.Name, Strategy: "Algorithm1 (scratch)",
 		RealRuns: scratch.BootstrapRuns + scratch.Iterations,
 		FinalPar: scratch.Best.Par, Total: scratch.Best.Par.Total(),
 		LatencyMS: scratch.Best.ProcLatencyMS, Met: scratch.Best.LatencyMet,
@@ -135,7 +137,7 @@ func (r *AblationResult) runTransferAblation(seed uint64) error {
 		return err
 	}
 	r.Transfer = append(r.Transfer, TransferAblationRow{
-		Strategy: "Algorithm2 (transfer)",
+		Workload: spec.Name, Strategy: "Algorithm2 (transfer)",
 		RealRuns: len(a2.Trials),
 		FinalPar: a2.Best.Par, Total: a2.Best.Par.Total(),
 		LatencyMS: a2.Best.ProcLatencyMS, Met: a2.Best.LatencyMet,
@@ -153,7 +155,7 @@ func (r *AblationResult) runTransferAblation(seed uint64) error {
 		return err
 	}
 	r.Transfer = append(r.Transfer, TransferAblationRow{
-		Strategy: "UnifiedModel (future work)",
+		Workload: spec.Name, Strategy: "UnifiedModel (future work)",
 		RealRuns: len(a2u.Trials),
 		FinalPar: a2u.Best.Par, Total: a2u.Best.Par.Total(),
 		LatencyMS: a2u.Best.ProcLatencyMS, Met: a2u.Best.LatencyMet,
@@ -215,7 +217,7 @@ func (r *AblationResult) runMetricAblation(seed uint64) error {
 	} {
 		rec := size(c.rates)
 		r.Metric = append(r.Metric, MetricAblationRow{
-			Metric:      c.name,
+			Workload: spec.Name, Metric: c.name,
 			Recommended: rec, Total: rec.Total(), OptimalTotal: optimal.Total(),
 			OverProvision: float64(rec.Total()-optimal.Total()) / float64(optimal.Total()),
 		})

@@ -37,6 +37,7 @@ type MethodResult struct {
 // ElasticityJob is one workload's comparison across methods.
 type ElasticityJob struct {
 	Workload        string
+	TargetRPS       float64
 	TargetLatencyMS float64
 	Methods         []MethodResult
 }
@@ -95,6 +96,7 @@ func RunElasticity(scenario Scenario, opts ElasticityOptions) (*ElasticityResult
 		}
 		jr := ElasticityJob{
 			Workload:        job.spec.Name,
+			TargetRPS:       job.targetRPS,
 			TargetLatencyMS: job.spec.TargetLatencyMS,
 		}
 		newEngine := func(seedOffset uint64) (*flink.Engine, error) {
