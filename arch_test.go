@@ -2,11 +2,16 @@ package autrascale_test
 
 import (
 	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"path"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -195,4 +200,81 @@ func imports(paths ...string) func(*ast.File) []ast.Node {
 		}
 		return found
 	}
+}
+
+// goFile is one parsed Go file of the module, comments included.
+type goFile struct {
+	path string // slash path from the module root
+	dir  string // its package directory
+	f    *ast.File
+}
+
+type moduleSource struct {
+	fset  *token.FileSet
+	files []goFile // non-test files
+	tests []goFile // _test.go files
+}
+
+var parseModule = sync.OnceValues(func() (moduleSource, error) {
+	src := moduleSource{fset: token.NewFileSet()}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(src.fset, path, nil, parser.SkipObjectResolution|parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		gf := goFile{path: path, dir: filepath.Dir(path), f: f}
+		if strings.HasSuffix(path, "_test.go") {
+			src.tests = append(src.tests, gf)
+		} else {
+			src.files = append(src.files, gf)
+		}
+		return nil
+	})
+	return src, err
+})
+
+// sourceFiles parses every Go file of the module, once per test binary.
+func sourceFiles(t *testing.T) moduleSource {
+	t.Helper()
+	src, err := parseModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gf := range src.files {
+		if strings.HasPrefix(gf.dir, "internal/") {
+			return src
+		}
+	}
+	t.Fatal("found no packages under internal/; the test must run from the module root")
+	return src
+}
+
+// importNames maps the name each import of f is known by to its path.
+func importNames(f *ast.File) map[string]string {
+	names := map[string]string{}
+	for _, imp := range f.Imports {
+		p, err := strconv.Unquote(imp.Path.Value)
+		if err != nil {
+			continue
+		}
+		name := p[strings.LastIndex(p, "/")+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		names[name] = p
+	}
+	return names
 }

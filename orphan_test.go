@@ -10,12 +10,10 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -34,68 +32,10 @@ var unearned = map[string]string{}
 // "internal/pkg.Type.Field") allowed without a non-test user, each with
 // the test that needs it.
 var unearnedExports = map[string]string{
+	"internal/policy/ds2.MaxIterations":   "TestBaselinePoliciesPropertyRandomDAGs bounds ds2's Report.Iterations by it",
+	"internal/policy/drs.MaxIterations":   "TestBaselinePoliciesPropertyRandomDAGs bounds drs's Report.Iterations by it",
 	"internal/metrics.Store.Latest":       "TestGaugeContract's by-name path, flink's TestMetricsRecorded and TestCompiledTickMatchesReference and fleet's telemetry tests read a series' newest sample by name",
 	"internal/fleet.Fleet.barrierVisited": "TestFleetBarrierIsODue counts the jobs each round barrier visits",
-}
-
-// goFile is one parsed Go file of the module, comments included.
-type goFile struct {
-	path string // slash path from the module root
-	dir  string // its package directory
-	f    *ast.File
-}
-
-type moduleSource struct {
-	fset  *token.FileSet
-	files []goFile // non-test files
-	tests []goFile // _test.go files
-}
-
-var parseModule = sync.OnceValues(func() (moduleSource, error) {
-	src := moduleSource{fset: token.NewFileSet()}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(src.fset, path, nil, parser.SkipObjectResolution|parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		path = filepath.ToSlash(path)
-		gf := goFile{path: path, dir: filepath.Dir(path), f: f}
-		if strings.HasSuffix(path, "_test.go") {
-			src.tests = append(src.tests, gf)
-		} else {
-			src.files = append(src.files, gf)
-		}
-		return nil
-	})
-	return src, err
-})
-
-// sourceFiles parses every Go file of the module, once per test binary.
-func sourceFiles(t *testing.T) moduleSource {
-	t.Helper()
-	src, err := parseModule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, gf := range src.files {
-		if strings.HasPrefix(gf.dir, "internal/") {
-			return src
-		}
-	}
-	t.Fatal("found no packages under internal/; the test must run from the module root")
-	return src
 }
 
 // moduleDir maps an import path of this module to its directory from
@@ -107,62 +47,26 @@ func moduleDir(p string) (string, bool) {
 	return strings.CutPrefix(p, module)
 }
 
-// importNames maps the name each import of f is known by to its path.
-func importNames(f *ast.File) map[string]string {
-	names := map[string]string{}
-	for _, imp := range f.Imports {
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			continue
-		}
-		name := p[strings.LastIndex(p, "/")+1:]
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		names[name] = p
-	}
-	return names
-}
-
-// Every package under internal/ has at least one non-test importer
-// outside itself.
+// Every package under internal/ has at least one non-test importer.
 func TestNoOrphanInternalPackages(t *testing.T) {
-	packages := map[string]bool{}              // internal dirs holding non-test Go
-	importedBy := map[string]map[string]bool{} // package dir → importing dirs
-	for _, gf := range sourceFiles(t).files {
-		if strings.HasPrefix(gf.dir, "internal/") {
-			packages[gf.dir] = true
-		}
-		for _, p := range importNames(gf.f) {
-			dir, ok := moduleDir(p)
-			if !ok {
-				continue
-			}
-			if importedBy[dir] == nil {
-				importedBy[dir] = map[string]bool{}
-			}
-			importedBy[dir][gf.dir] = true
+	m := typedSource(t)
+	imported := map[*types.Package]bool{}
+	for _, p := range m.pkgs {
+		for _, imp := range p.types.Imports() {
+			imported[imp] = true
 		}
 	}
-	var orphans []string
-	for pkg := range packages {
-		importers := importedBy[pkg]
-		delete(importers, pkg)
-		why, allowed := unearned[pkg]
+	for _, p := range m.pkgs {
+		why, allowed := unearned[p.dir]
 		switch {
-		case len(importers) > 0:
-			if allowed {
-				t.Errorf("%s now has an importer; drop it from the allow-list (%s)", pkg, why)
-			}
+		case !strings.HasPrefix(p.dir, "internal/") || imported[p.types] && !allowed:
+		case imported[p.types]:
+			t.Errorf("%s now has an importer; drop it from the allow-list (%s)", p.dir, why)
 		case allowed:
-			t.Logf("%s has no importer yet, allowed: %s", pkg, why)
+			t.Logf("%s has no importer yet, allowed: %s", p.dir, why)
 		default:
-			orphans = append(orphans, pkg)
+			t.Errorf("%s has no non-test importer: delete it or give it a caller", p.dir)
 		}
-	}
-	sort.Strings(orphans)
-	for _, pkg := range orphans {
-		t.Errorf("%s has no non-test importer outside itself: delete it or give it a caller", pkg)
 	}
 }
 
@@ -254,6 +158,12 @@ func typedSource(t *testing.T) *typedModule {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, p := range m.pkgs {
+		if strings.HasPrefix(p.dir, "internal/") {
+			return m
+		}
+	}
+	t.Fatal("go list found no packages under internal/; the test must run from the module root")
 	return m
 }
 
@@ -269,42 +179,60 @@ var stdInterfaces = [][2]string{
 // earnedObjects returns the module's objects that non-test code reaches
 // from its roots: each main and init function and each blank var
 // declaration. An earned declaration earns every object its signature,
-// type, value or body uses, with two exceptions:
-//   - a field is earned only when earned code reads it through a
-//     selector (an assignment target is written, not read, and a
-//     composite-literal key is not a selector), or when its struct is
-//     earned and a JSON wire type: one with a json tag;
-//   - a method called through an interface earns the interface's
-//     method, and the same-named method of each earned type that
-//     implements that interface; the standard library calls through
-//     error and stdInterfaces.
+// type, value or body uses, except that:
+//   - an exported package-level object also needs a user in another
+//     package, or a mention in the signature, type or value of an
+//     earned exported declaration, unless it is an error sentinel or a
+//     value of a type that passes this rule. One that only its own
+//     package's bodies use is to be unexported;
+//   - a field is earned only by a read: through a selector (not as an
+//     assignment target; a literal key is no selector), or with its
+//     whole struct by ==, as a map key, by fmt or by a JSON encode
+//     (exported fields only; an interface stands for each earned type
+//     that implements it), or by a json tag on its earned struct;
+//   - a method called through an interface earns the same-named method
+//     of each earned type that implements it; the standard library
+//     calls through error and stdInterfaces.
 func earnedObjects(m *typedModule) map[types.Object]bool {
 	type decl struct {
-		p *typedPackage
-		n ast.Node
+		p        *typedPackage
+		n        ast.Node
+		exported bool // its signature, type and value vouch for what they name
 	}
 	decls := map[types.Object]decl{}
 	var roots []decl
+	inModule := map[*types.Package]bool{}
 	for _, p := range m.pkgs {
+		inModule[p.types] = true
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
 					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.types.Name() == "main") {
-						roots = append(roots, decl{p, d})
+						roots = append(roots, decl{p: p, n: d})
+						continue
 					}
-					decls[p.info.Defs[d.Name]] = decl{p, d}
+					obj := p.info.Defs[d.Name]
+					exported := obj.Exported()
+					if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
+						t := types.Unalias(recv.Type())
+						if ptr, ok := t.(*types.Pointer); ok {
+							t = ptr.Elem()
+						}
+						exported = exported && t.(*types.Named).Obj().Exported()
+					}
+					decls[obj] = decl{p, d, exported}
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
 						switch s := s.(type) {
 						case *ast.TypeSpec:
-							decls[p.info.Defs[s.Name]] = decl{p, s}
+							decls[p.info.Defs[s.Name]] = decl{p, s, s.Name.IsExported()}
 						case *ast.ValueSpec:
 							for _, n := range s.Names {
 								if n.Name == "_" {
-									roots = append(roots, decl{p, s})
+									roots = append(roots, decl{p: p, n: s})
 								} else {
-									decls[p.info.Defs[n]] = decl{p, s}
+									decls[p.info.Defs[n]] = decl{p, s, n.IsExported()}
 								}
 							}
 						}
@@ -313,12 +241,9 @@ func earnedObjects(m *typedModule) map[types.Object]bool {
 			}
 		}
 	}
-	inModule := map[*types.Package]bool{}
-	for _, p := range m.pkgs {
-		inModule[p.types] = true
-	}
 
 	earned := map[types.Object]bool{}
+	vouched := map[types.Object]bool{}               // used in another package or named by an exported declaration
 	called := map[string]map[*types.Interface]bool{} // method name → interfaces it is called through
 	callThrough := func(name string, iface *types.Interface) {
 		if called[name] == nil {
@@ -326,9 +251,14 @@ func earnedObjects(m *typedModule) map[types.Object]bool {
 		}
 		called[name][iface] = true
 	}
+	type read struct {
+		t   types.Type
+		how string // "==" (a map key too), "fmt" or "json"
+	}
+	reads := map[read]bool{} // the types whose values earned code reads whole
 	var work []types.Object
-	var earn func(obj types.Object)
-	earn = func(obj types.Object) {
+	var earn func(obj types.Object) types.Object
+	earn = func(obj types.Object) types.Object {
 		switch o := obj.(type) {
 		case *types.Func:
 			obj = o.Origin()
@@ -341,24 +271,34 @@ func earnedObjects(m *typedModule) map[types.Object]bool {
 			obj = o.Origin()
 		}
 		if obj == nil || earned[obj] || !inModule[obj.Pkg()] {
-			return
+			return obj
 		}
 		earned[obj] = true
 		work = append(work, obj)
 		if tn, ok := obj.(*types.TypeName); ok {
 			if st, ok := tn.Type().Underlying().(*types.Struct); ok && isWire(st) {
-				for i := 0; i < st.NumFields(); i++ {
+				for i := range st.NumFields() {
 					if st.Field(i).Exported() {
 						earn(st.Field(i))
 					}
 				}
 			}
 		}
+		return obj
 	}
-	walk := func(d decl) {
+	// inspect earns what root uses and vouches for what it uses from
+	// another package, or all it names when root is an exported
+	// declaration outside a body.
+	var inspect func(p *typedPackage, root ast.Node, exported bool)
+	inspect = func(p *typedPackage, root ast.Node, exported bool) {
 		written := map[*ast.SelectorExpr]bool{}
-		ast.Inspect(d.n, func(n ast.Node) bool {
+		ast.Inspect(root, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.BlockStmt:
+				if exported { // a body vouches for nothing
+					inspect(p, n, false)
+					return false
+				}
 			case *ast.AssignStmt:
 				for _, l := range n.Lhs {
 					if sel, ok := l.(*ast.SelectorExpr); ok {
@@ -369,8 +309,36 @@ func earnedObjects(m *typedModule) map[types.Object]bool {
 				if sel, ok := n.X.(*ast.SelectorExpr); ok {
 					written[sel] = true
 				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					reads[read{p.info.TypeOf(n.X), "=="}] = true
+				}
+			case *ast.MapType:
+				reads[read{p.info.TypeOf(n.Key), "=="}] = true
+			case *ast.CallExpr:
+				fun := ast.Unparen(n.Fun)
+				if sel, ok := fun.(*ast.SelectorExpr); ok {
+					fun = sel.Sel
+				}
+				id, _ := fun.(*ast.Ident)
+				name := ""
+				if fn, ok := p.info.Uses[id].(*types.Func); ok {
+					name = fn.FullName()
+				}
+				switch {
+				case strings.HasPrefix(name, "fmt."): // which prints what a pointer argument points to
+					for _, a := range n.Args {
+						t := p.info.TypeOf(a)
+						if ptr, ok := t.(*types.Pointer); ok {
+							t = ptr.Elem()
+						}
+						reads[read{t, "fmt"}] = true
+					}
+				case name == "encoding/json.Marshal" || name == "encoding/json.MarshalIndent" || name == "(*encoding/json.Encoder).Encode":
+					reads[read{p.info.TypeOf(n.Args[0]), "json"}] = true
+				}
 			case *ast.SelectorExpr:
-				sel := d.p.info.Selections[n]
+				sel := p.info.Selections[n]
 				if sel == nil {
 					break
 				}
@@ -389,8 +357,13 @@ func earnedObjects(m *typedModule) map[types.Object]bool {
 					earn(sel.Obj())
 				}
 			case *ast.Ident:
-				if v, ok := d.p.info.Uses[n].(*types.Var); !ok || !v.IsField() {
-					earn(d.p.info.Uses[n])
+				obj := p.info.Uses[n]
+				if v, ok := obj.(*types.Var); ok && v.IsField() {
+					break
+				}
+				obj = earn(obj)
+				if _, isFunc := obj.(*types.Func); obj != nil && (obj.Pkg() != p.types || exported && !isFunc) {
+					vouched[obj] = true
 				}
 			}
 			return true
@@ -410,14 +383,14 @@ func earnedObjects(m *typedModule) map[types.Object]bool {
 		}
 	}
 	for _, d := range roots {
-		walk(d)
+		inspect(d.p, d.n, d.exported)
 	}
 	for len(work) > 0 {
 		for len(work) > 0 {
 			obj := work[len(work)-1]
 			work = work[:len(work)-1]
 			if d, ok := decls[obj]; ok {
-				walk(d)
+				inspect(d.p, d.n, d.exported)
 			}
 		}
 		var named []*types.TypeName
@@ -426,17 +399,66 @@ func earnedObjects(m *typedModule) map[types.Object]bool {
 				named = append(named, tn)
 			}
 		}
+		implements := func(tn *types.TypeName, iface *types.Interface) bool {
+			return types.Implements(tn.Type(), iface) || types.Implements(types.NewPointer(tn.Type()), iface)
+		}
 		for _, tn := range named {
-			ptr := types.NewPointer(tn.Type())
-			methods := types.NewMethodSet(ptr)
+			methods := types.NewMethodSet(types.NewPointer(tn.Type()))
 			for i := 0; i < methods.Len(); i++ {
 				fn := methods.At(i).Obj()
 				for iface := range called[fn.Name()] {
-					if !earned[fn] && (types.Implements(tn.Type(), iface) || types.Implements(ptr, iface)) {
+					if !earned[fn] && implements(tn, iface) {
 						earn(fn)
 					}
 				}
 			}
+		}
+		seen := map[read]bool{}
+		var readWhole func(r read)
+		readWhole = func(r read) {
+			if seen[r] {
+				return
+			}
+			seen[r] = true
+			switch t := types.Unalias(r.t).(type) {
+			case *types.Named:
+				if inModule[t.Obj().Pkg()] {
+					readWhole(read{t.Underlying(), r.how})
+				}
+			case *types.Struct:
+				for i := range t.NumFields() {
+					if f := t.Field(i); r.how != "json" || f.Exported() || f.Embedded() {
+						earn(f)
+						readWhole(read{f.Type(), r.how})
+					}
+				}
+			case *types.Interface:
+				for _, tn := range named {
+					if r.how == "json" && !t.Empty() && implements(tn, t) {
+						readWhole(read{tn.Type(), r.how})
+					}
+				}
+			case interface{ Elem() types.Type }: // == compares a pointer, and a slice or map to nil, as itself; fmt prints a nested pointer as an address
+				_, array := t.(*types.Array)
+				_, ptr := t.(*types.Pointer)
+				if array || r.how == "json" || r.how == "fmt" && !ptr {
+					readWhole(read{t.Elem(), r.how})
+				}
+			}
+		}
+		for r := range reads {
+			readWhole(r)
+		}
+	}
+
+	errorType := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
+	for obj := range earned {
+		v, isVar := obj.(*types.Var)
+		if named, ok := obj.Type().(*types.Named); ok && vouched[named.Obj()] || isVar && types.Implements(v.Type(), errorType) {
+			continue // a value of a vouched type, or a sentinel
+		}
+		if obj.Exported() && obj.Parent() == obj.Pkg().Scope() && !vouched[obj] {
+			delete(earned, obj)
 		}
 	}
 	return earned
@@ -508,22 +530,28 @@ func TestNoUnearnedExports(t *testing.T) {
 			}
 		}
 	}
-	keys := make([]string, 0, len(unearnedAt))
-	for k := range unearnedAt {
+	report(t, m, unearnedAt, unearnedExports, "has no non-test user",
+		"delete it, unexport it, or move it into a _test.go file", "is earned or gone")
+}
+
+// report fails t on each key of found that allowed does not list, and on
+// each key allowed lists that found lacks; it logs the allowed finds.
+func report(t *testing.T, m *typedModule, found map[string]token.Pos, allowed map[string]string, what, fix, stale string) {
+	keys := make([]string, 0, len(found))
+	for k := range found {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if why, ok := unearnedExports[k]; ok {
-			t.Logf("%s has no non-test user, allowed: %s", k, why)
-			continue
+		if why, ok := allowed[k]; ok {
+			t.Logf("%s %s, allowed: %s", k, what, why)
+		} else {
+			t.Errorf("%s: %s %s: %s", m.fset.Position(found[k]), k, what, fix)
 		}
-		t.Errorf("%s: %s has no non-test user: delete it, unexport it, or move it into a _test.go file",
-			m.fset.Position(unearnedAt[k]), k)
 	}
-	for k, why := range unearnedExports {
-		if _, ok := unearnedAt[k]; !ok {
-			t.Errorf("%s is earned or gone; drop it from the allow-list (%s)", k, why)
+	for k, why := range allowed {
+		if _, ok := found[k]; !ok {
+			t.Errorf("%s %s; drop it from the allow-list (%s)", k, stale, why)
 		}
 	}
 }
@@ -609,28 +637,14 @@ func TestNoUnsetOptions(t *testing.T) {
 		}
 	}
 
-	var unset []string
-	at := map[string]token.Pos{}
+	unset := map[string]token.Pos{}
 	for f, k := range options {
 		if !set[f] {
-			unset = append(unset, k)
-			at[k] = f.Pos()
+			unset[k] = f.Pos()
 		}
 	}
-	sort.Strings(unset)
-	for _, k := range unset {
-		if why, ok := unsetOptions[k]; ok {
-			t.Logf("%s has no non-test setter, allowed: %s", k, why)
-			continue
-		}
-		t.Errorf("%s: %s is set by no non-test code: make it a constant, or set it where it has a second value",
-			m.fset.Position(at[k]), k)
-	}
-	for k, why := range unsetOptions {
-		if _, ok := at[k]; !ok {
-			t.Errorf("%s is set or gone; drop it from the allow-list (%s)", k, why)
-		}
-	}
+	report(t, m, unset, unsetOptions, "is set by no non-test code",
+		"make it a constant, or set it where it has a second value", "is set or gone")
 }
 
 // isOptionType reports whether the type named name in package dir is
