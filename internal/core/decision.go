@@ -75,8 +75,7 @@ type DecisionReport struct {
 }
 
 // FillFromAlgorithm1 copies a planning session's outcome (Algorithm 1 or
-// 2) into the report; an ActionAlgorithm2 report also counts its real
-// runs.
+// 2) into the report.
 func (r *DecisionReport) FillFromAlgorithm1(res *Algorithm1Result) {
 	r.Chosen = res.Best.Par.Clone()
 	r.Score = res.Best.Score
