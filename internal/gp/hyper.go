@@ -18,7 +18,7 @@ const (
 )
 
 // makeKernel constructs a kernel of the family with the given parameters.
-func (f KernelFamily) makeKernel(variance, lengthScale float64) radialKernel {
+func (f KernelFamily) makeKernel(variance, lengthScale float64) Kernel {
 	switch f {
 	case FamilyMatern32:
 		return matern32{Variance: variance, LengthScale: lengthScale}

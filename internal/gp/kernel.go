@@ -22,17 +22,6 @@ type Kernel interface {
 	Eval(x, y []float64) float64
 }
 
-// radialKernel is a stationary kernel whose value depends only on the
-// squared distance ‖x−y‖². All built-in kernels implement it; gram and the
-// hyperparameter grid search use it to evaluate many kernels over one
-// precomputed distance matrix instead of recomputing pairwise distances
-// per hyperparameter candidate.
-type radialKernel interface {
-	Kernel
-	// EvalDist2 returns k(x, y) for ‖x−y‖² = d2.
-	EvalDist2(d2 float64) float64
-}
-
 // Matern52 is the Matérn covariance with smoothness ν = 5/2:
 //
 //	k(r) = σ²·(1 + √5 r/ℓ + 5r²/(3ℓ²))·exp(−√5 r/ℓ)
