@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -349,6 +350,36 @@ func TestOperatorKindString(t *testing.T) {
 	for _, k := range []OperatorKind{KindSource, KindTransform, KindWindow, KindSink, OperatorKind(42)} {
 		if k.String() == "" {
 			t.Fatal("empty kind string")
+		}
+	}
+}
+
+// TestParallelismVectorString pins the paper's "(k1, k2, ..., kN)" text,
+// the same text fmt and strings.Join built, and holds it to one
+// allocation.
+func TestParallelismVectorString(t *testing.T) {
+	reference := func(p ParallelismVector) string {
+		parts := make([]string, len(p))
+		for i, k := range p {
+			parts[i] = fmt.Sprintf("%d", k)
+		}
+		return "(" + strings.Join(parts, ", ") + ")"
+	}
+	for _, c := range []struct {
+		p    ParallelismVector
+		want string
+	}{
+		{ParallelismVector{}, "()"},
+		{ParallelismVector{1}, "(1)"},
+		{ParallelismVector{3, 4, 11, 9}, "(3, 4, 11, 9)"},
+		{ParallelismVector{10, 128, 4096, 7, 65536}, "(10, 128, 4096, 7, 65536)"},
+		{ParallelismVector{-3, 0, 9223372036854775807}, "(-3, 0, 9223372036854775807)"},
+	} {
+		if got := c.p.String(); got != c.want || got != reference(c.p) {
+			t.Errorf("%#v.String() = %q, want %q", []int(c.p), got, c.want)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _ = c.p.String() }); len(c.p) > 0 && allocs != 1 {
+			t.Errorf("%v.String() made %.0f allocations, want 1", c.p, allocs)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -96,11 +97,27 @@ func (p ParallelismVector) Max() int {
 	return m
 }
 
-// String renders like the paper: (k1, k2, ..., kN).
+// String renders like the paper: (k1, k2, ..., kN). It sizes the text
+// first and builds it in one allocation: every traced span's "par"
+// attribute goes through here.
 func (p ParallelismVector) String() string {
-	parts := make([]string, len(p))
+	var digits [20]byte
+	n := len("()")
 	for i, k := range p {
-		parts[i] = fmt.Sprintf("%d", k)
+		if i > 0 {
+			n += len(", ")
+		}
+		n += len(strconv.AppendInt(digits[:0], int64(k), 10))
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteByte('(')
+	for i, k := range p {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.Write(strconv.AppendInt(digits[:0], int64(k), 10))
+	}
+	b.WriteByte(')')
+	return b.String()
 }
