@@ -27,8 +27,20 @@
 //
 // TestDisabledPathZeroAlloc locks this in: the disabled-path calls on
 // the Suggest loop run at 0 allocs/op. BenchmarkTraceOverhead (repo
-// root) times them, and the ledger's trace.overhead_share watches the
-// enabled path end to end.
+// root) times them.
+//
+// # Enabled path
+//
+// An enabled span costs one allocation, the *ActiveSpan, whatever its
+// attribute count. Its attributes are built in a pooled buffer that End
+// hands back; End copies them into storage the ring slot (or a buffered
+// conduit's pending slot) owns and keeps across reuse, so a warm ring
+// allocates nothing per span. Snapshot therefore returns copies: a
+// reader never aliases storage the ring will overwrite. Once a span has
+// ended, its Set* calls are no-ops, as is a second End.
+// TestEnabledSpanAllocatesOnce holds the one allocation, and the
+// BenchmarkFleetTickTraced row of the repo root's allocation contracts
+// holds a traced fleet round.
 //
 // # Concurrency
 //
@@ -40,6 +52,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,13 +128,15 @@ type Tracer struct {
 
 	root *Tracer // non-nil on buffered conduits; spans flush to root
 
+	// buf and pending keep each slot's Attrs backing array when the slot
+	// is reused: a span's attributes are copied in, never aliased.
 	mu      sync.Mutex
 	buf     []Span // ring storage, len == capacity once full
 	next    int    // write position
 	full    bool
 	dropped uint64 // spans evicted by the ring
 
-	pending []Span // buffered-conduit accumulation, moved by Flush
+	pending []Span // buffered-conduit accumulation, copied out by Flush
 
 	// Flight-recorder state (flight.go): the root's journal, the
 	// conduit's accumulated records, and the correlation ID stamped
@@ -189,11 +204,13 @@ func (t *Tracer) nextID() uint64 {
 
 // push adds a completed span to the ring (or, on a buffered conduit, to
 // the local accumulation).
-func (t *Tracer) push(s Span) {
+func (t *Tracer) push(s *Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.root != nil {
-		t.pending = append(t.pending, s)
+		// Grow keeps the slots past len, whose Attrs storage is reused.
+		t.pending = slices.Grow(t.pending, 1)[:len(t.pending)+1]
+		copySpan(&t.pending[len(t.pending)-1], s)
 		return
 	}
 	t.pushOneLocked(s)
@@ -206,41 +223,65 @@ func (t *Tracer) pushBatch(spans []Span) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, s := range spans {
-		t.pushOneLocked(s)
+	for i := range spans {
+		t.pushOneLocked(&spans[i])
 	}
 }
 
-func (t *Tracer) pushOneLocked(s Span) {
+func (t *Tracer) pushOneLocked(s *Span) {
 	if !t.full {
-		t.buf = append(t.buf, s)
+		t.buf = t.buf[:len(t.buf)+1]
+		copySpan(&t.buf[len(t.buf)-1], s)
 		if len(t.buf) == cap(t.buf) {
 			t.full = true
 		}
 		return
 	}
-	t.buf[t.next] = s
+	copySpan(&t.buf[t.next], s)
 	t.next = (t.next + 1) % len(t.buf)
 	t.dropped++
 }
 
-// Snapshot returns the retained spans oldest-first. limit > 0 keeps only
-// the most recent limit spans.
+// copySpan overwrites slot with s, copying s's attributes into the
+// slot's own backing array.
+func copySpan(slot, s *Span) {
+	attrs := append(slot.Attrs[:0], s.Attrs...)
+	*slot = *s
+	slot.Attrs = attrs
+}
+
+// Snapshot returns copies of the retained spans oldest-first, their
+// attributes included. limit > 0 keeps only the most recent limit spans.
 func (t *Tracer) Snapshot(limit int) []Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	out := make([]Span, 0, len(t.buf))
-	if t.full {
-		out = append(out, t.buf[t.next:]...)
-		out = append(out, t.buf[:t.next]...)
-	} else {
-		out = append(out, t.buf...)
+	defer t.mu.Unlock()
+	n := len(t.buf)
+	if limit > 0 && n > limit {
+		n = limit
 	}
-	t.mu.Unlock()
-	if limit > 0 && len(out) > limit {
-		out = out[len(out)-limit:]
+	out := make([]Span, n)
+	// Oldest-first, the ring's i-th retained span is buf[(start+i)%len].
+	start := 0
+	if t.full {
+		start = t.next
+	}
+	start += len(t.buf) - n
+	nattrs := 0
+	for i := range out {
+		out[i] = t.buf[(start+i)%len(t.buf)]
+		nattrs += len(out[i].Attrs)
+	}
+	attrs := make([]Attr, 0, nattrs)
+	for i := range out {
+		if a := out[i].Attrs; len(a) > 0 {
+			attrs = append(attrs, a...)
+			out[i].Attrs = attrs[len(attrs)-len(a) : len(attrs) : len(attrs)]
+		} else {
+			out[i].Attrs = nil
+		}
 	}
 	return out
 }
@@ -256,12 +297,18 @@ func (t *Tracer) Dropped() uint64 {
 }
 
 // ActiveSpan is a span under construction. It is owned by one goroutine
-// until End. The nil *ActiveSpan swallows every call.
+// until End. The nil *ActiveSpan, and an ended one, swallow every call.
 type ActiveSpan struct {
 	tracer *Tracer
 	span   Span
+	attrs  *[]Attr // from attrPool at the first Set*, handed back at End
 	ended  bool
 }
+
+// attrPool recycles the buffers spans build their attributes in: End
+// copies them into the ring's storage, so a buffer outlives its span
+// only in the pool.
+var attrPool = sync.Pool{New: func() any { return new([]Attr) }}
 
 // StartSpan opens a root span. Returns nil (the no-op span) on the
 // disabled tracer.
@@ -302,7 +349,7 @@ func (s *ActiveSpan) SetStr(key, v string) *ActiveSpan {
 	if s == nil {
 		return nil
 	}
-	s.span.Attrs = append(s.span.Attrs, Attr{Key: key, Kind: KindString, Str: v})
+	s.add(Attr{Key: key, Kind: KindString, Str: v})
 	return s
 }
 
@@ -311,7 +358,7 @@ func (s *ActiveSpan) SetFloat(key string, v float64) *ActiveSpan {
 	if s == nil {
 		return nil
 	}
-	s.span.Attrs = append(s.span.Attrs, Attr{Key: key, Kind: KindFloat, Num: v})
+	s.add(Attr{Key: key, Kind: KindFloat, Num: v})
 	return s
 }
 
@@ -320,7 +367,7 @@ func (s *ActiveSpan) SetInt(key string, v int) *ActiveSpan {
 	if s == nil {
 		return nil
 	}
-	s.span.Attrs = append(s.span.Attrs, Attr{Key: key, Kind: KindInt, Num: float64(v)})
+	s.add(Attr{Key: key, Kind: KindInt, Num: float64(v)})
 	return s
 }
 
@@ -333,17 +380,38 @@ func (s *ActiveSpan) SetBool(key string, v bool) *ActiveSpan {
 	if v {
 		n = 1
 	}
-	s.span.Attrs = append(s.span.Attrs, Attr{Key: key, Kind: KindBool, Num: n})
+	s.add(Attr{Key: key, Kind: KindBool, Num: n})
 	return s
 }
 
-// End completes the span and commits it to the ring. Ending twice is a
-// no-op, as is ending the nil span.
+// add appends a to the span's pooled buffer; a no-op once it has ended.
+func (s *ActiveSpan) add(a Attr) {
+	if s.ended {
+		return
+	}
+	if s.attrs == nil {
+		s.attrs = attrPool.Get().(*[]Attr)
+	}
+	*s.attrs = append(*s.attrs, a)
+}
+
+// End completes the span, copies it into the ring and hands its
+// attribute buffer back to the pool. Ending twice is a no-op, as is
+// ending the nil span.
 func (s *ActiveSpan) End() {
 	if s == nil || s.ended {
 		return
 	}
 	s.ended = true
 	s.span.DurationNanos = time.Now().UnixNano() - s.span.StartUnixNano
-	s.tracer.push(s.span)
+	if s.attrs != nil {
+		s.span.Attrs = *s.attrs
+	}
+	s.tracer.push(&s.span)
+	if s.attrs != nil {
+		clear(*s.attrs)
+		*s.attrs = (*s.attrs)[:0]
+		attrPool.Put(s.attrs)
+		s.attrs, s.span.Attrs = nil, nil
+	}
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"encoding/json"
+	"reflect"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -221,5 +223,186 @@ func TestAttrJSON(t *testing.T) {
 	}
 	if got := sp.Attrs[0].String(); got != "action=algorithm2" {
 		t.Errorf("Attr.String() = %q", got)
+	}
+}
+
+// sevenAttrSpan records one span with seven attributes, a Suggest-sized
+// span such as the ones the fleet's decisions emit.
+func sevenAttrSpan(tr *Tracer, i int) {
+	tr.StartSpan("mape.step").
+		SetStr("action", "algorithm1").
+		SetFloat("rate_rps", 300000).
+		SetInt("iter", i).
+		SetBool("met", i%2 == 0).
+		SetFloat("ei", 0.042).
+		SetFloat("margin", 0.05).
+		SetStr("par", "(3, 4, 11, 9)").
+		End()
+}
+
+// TestEnabledSpanAllocatesOnce holds an enabled span to one allocation,
+// its *ActiveSpan, once the ring's slots (or a conduit's pending slots)
+// hold attribute storage of their own. Growing a span's attribute slice
+// one append at a time made five for seven attributes.
+func TestEnabledSpanAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race: sync.Pool drops items at random")
+	}
+	// A collection empties the attribute pool, and the refill would be
+	// charged to the span that ran next.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const capacity = 64
+
+	root := New(capacity)
+	for i := 0; i < 2*capacity; i++ {
+		sevenAttrSpan(root, i)
+	}
+	if got := testing.AllocsPerRun(200, func() { sevenAttrSpan(root, 1) }); got > 1 {
+		t.Errorf("a span on a warm root makes %.1f allocations, want <= 1", got)
+	}
+
+	conduit := New(capacity).Buffered()
+	const perFlush = 8
+	round := func() {
+		for i := 0; i < perFlush; i++ {
+			sevenAttrSpan(conduit, i)
+		}
+		conduit.Flush()
+	}
+	for i := 0; i < 2*capacity/perFlush; i++ {
+		round()
+	}
+	if got := testing.AllocsPerRun(50, round) / perFlush; got > 1 {
+		t.Errorf("a span on a warm conduit, Flush included, makes %.2f allocations, want <= 1", got)
+	}
+}
+
+// TestSnapshotOwnsItsAttrs takes a snapshot and then overwrites every
+// ring slot three times with spans of other attributes and other counts:
+// the snapshot must read as it did, so it cannot share storage with the
+// ring.
+func TestSnapshotOwnsItsAttrs(t *testing.T) {
+	const capacity = 8
+	tr := New(capacity)
+	for i := 0; i < capacity+3; i++ { // wrapped, so Snapshot reads both halves
+		tr.StartSpan("before").SetInt("i", i).SetStr("s", "old").End()
+	}
+	snap, last := tr.Snapshot(0), tr.Snapshot(3)
+	want, wantLast := cloneSpans(snap), cloneSpans(last)
+	if len(want) != capacity || len(wantLast) != 3 {
+		t.Fatalf("snapshot holds %d and %d spans, want %d and 3", len(want), len(wantLast), capacity)
+	}
+	// Same-sized spans first, which fit the slots' storage, then larger.
+	for i := 0; i < 3*capacity; i++ {
+		if i < capacity {
+			tr.StartSpan("after").SetInt("i", 100+i).SetStr("s", "new").End()
+		} else {
+			sevenAttrSpan(tr, 100+i)
+		}
+	}
+	if !reflect.DeepEqual(snap, want) || !reflect.DeepEqual(last, wantLast) {
+		t.Fatalf("the ring's later spans changed an earlier snapshot:\n%v\nwant\n%v", snap, want)
+	}
+	for j, sp := range snap {
+		if got := int(sp.Attrs[0].Num); got != 3+j {
+			t.Errorf("snapshot span %d has i=%d, want %d (oldest-first order)", j, got, 3+j)
+		}
+	}
+	// One span's attributes end where its neighbour's begin: appending to
+	// them must not write into the neighbour.
+	_ = append(snap[0].Attrs, Attr{Key: "extra"})
+	if !reflect.DeepEqual(snap, want) {
+		t.Fatal("appending to one snapshot span's attributes changed another span")
+	}
+}
+
+func cloneSpans(spans []Span) []Span {
+	out := make([]Span, len(spans))
+	for i, s := range spans {
+		out[i] = s
+		out[i].Attrs = append([]Attr(nil), s.Attrs...)
+	}
+	return out
+}
+
+// TestSetAfterEndIsNoOp: an ended span has handed its attribute buffer
+// back to the pool, where the next span may take it, so a Set* on the
+// ended span must change no recorded span, that next one included.
+func TestSetAfterEndIsNoOp(t *testing.T) {
+	for _, buffered := range []bool{false, true} {
+		root := New(8)
+		tr := root
+		if buffered {
+			tr = root.Buffered()
+		}
+		a := tr.StartSpan("a").SetInt("i", 1)
+		a.End()
+		if got := a.SetStr("late", "x").SetFloat("f", 2).SetInt("n", 3).SetBool("b", true); got != a {
+			t.Fatal("Set* on an ended span must still return the span for chaining")
+		}
+		b := tr.StartSpan("b").SetInt("j", 2)
+		a.SetStr("later", "y").SetInt("n", 4)
+		b.End()
+		a.End()
+		a.SetBool("after_second_end", true)
+		tr.Flush()
+
+		spans := root.Snapshot(0)
+		want := []Attr{{Key: "i", Kind: KindInt, Num: 1}, {Key: "j", Kind: KindInt, Num: 2}}
+		if len(spans) != 2 {
+			t.Fatalf("buffered=%v: recorded %d spans, want 2", buffered, len(spans))
+		}
+		for k, sp := range spans {
+			if !reflect.DeepEqual(sp.Attrs, want[k:k+1]) {
+				t.Errorf("buffered=%v: span %s has attrs %v, want %v", buffered, sp.Name, sp.Attrs, want[k:k+1])
+			}
+		}
+	}
+}
+
+// TestConcurrentFlushWhileSnapshot flushes conduits into a small,
+// wrapping ring while readers snapshot it. Every span carries i and 2i,
+// so a snapshot that aliased a slot being overwritten would read a torn
+// pair; under -race (make race) it would also report the data race.
+func TestConcurrentFlushWhileSnapshot(t *testing.T) {
+	root := New(32)
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, sp := range root.Snapshot(0) {
+					if len(sp.Attrs) != 2 || sp.Attrs[1].Num != 2*sp.Attrs[0].Num {
+						t.Errorf("snapshot read a torn span: %v", sp.Attrs)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		writers.Add(1)
+		go func(c *Tracer) {
+			defer writers.Done()
+			for i := 0; i < 300; i++ {
+				c.StartSpan("job").SetInt("i", i).SetInt("twice", 2*i).End()
+				if i%10 == 9 {
+					c.Flush()
+				}
+			}
+		}(root.Buffered())
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if root.Dropped() != 4*300-32 {
+		t.Fatalf("dropped = %d, want %d", root.Dropped(), 4*300-32)
 	}
 }
