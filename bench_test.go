@@ -438,8 +438,9 @@ func BenchmarkStoreAppend(b *testing.B) {
 // tracer is configured. Each op performs 64 full span lifecycles —
 // StartSpan, typed attribute sets, a child span, End — against a nil
 // *trace.Tracer. trace.TestDisabledPathZeroAlloc holds the disabled path
-// at 0 allocs/op, so instrumentation can never allocate on it, and the
-// ledger's trace.overhead_share watches the enabled path's time.
+// at 0 allocs/op, so instrumentation can never allocate on it; the
+// enabled path's allocations are held by the BenchmarkFleetTickTraced
+// row of allocContracts.
 func BenchmarkTraceOverhead(b *testing.B) {
 	var tracer *trace.Tracer
 	benchOp(b, func() {
@@ -465,7 +466,12 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // steadyFleet is an 8-job fleet run past every job's initial Algorithm 1
 // session, so a round measures steady-state stepping, not planning.
 func steadyFleet(tb testing.TB) *fleet.Fleet {
-	fl, err := fleet.New(fleet.Config{TotalCores: 256, Seed: 9})
+	return steadyFleetTraced(tb, nil)
+}
+
+// steadyFleetTraced is steadyFleet with tracer (nil: none) attached.
+func steadyFleetTraced(tb testing.TB, tracer *trace.Tracer) *fleet.Fleet {
+	fl, err := fleet.New(fleet.Config{TotalCores: 256, Seed: 9, Tracer: tracer})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -493,6 +499,23 @@ func BenchmarkFleetTick(b *testing.B) {
 			b.Fatalf("job %s left running state: %s (%s)", j.Name, j.State, j.Error)
 		}
 	}
+}
+
+// tracedSteadyFleet is steadyFleet with a default-capacity tracer and
+// flight recorder attached, as cmd/metricsd attaches them.
+func tracedSteadyFleet(tb testing.TB) *fleet.Fleet {
+	tracer := trace.New(trace.DefaultCapacity)
+	tracer.AttachFlight(trace.NewFlightRecorder(0))
+	return steadyFleetTraced(tb, tracer)
+}
+
+// BenchmarkFleetTickTraced is BenchmarkFleetTick with the tracer and
+// flight recorder attached: the steady round's spans, written through
+// each job's conduit and flushed into the ring at the barrier.
+// TestAllocationContracts holds its allocs/op.
+func BenchmarkFleetTickTraced(b *testing.B) {
+	fl := tracedSteadyFleet(b)
+	benchOp(b, func() { fl.Round() })
 }
 
 // fleet10k lazily builds and warms the 10,000-job fleet shared by every
@@ -853,6 +876,14 @@ var allocContracts = []struct {
 	// 4.
 	{"BenchmarkFleetTick", 4, 20, shared(func(tb testing.TB) func() {
 		fl := steadyFleet(tb)
+		return func() { fl.Round() }
+	})},
+	// The same round traced as cmd/metricsd traces it: 27 spans, one
+	// allocation each, 18 "par" texts, one allocation each, the
+	// GOMAXPROCS worker closures and 4 more (50 at 1, 53 at 4). Spans
+	// whose attribute slices grew one append at a time made 200 at 1.
+	{"BenchmarkFleetTickTraced", 53, 20, shared(func(tb testing.TB) func() {
+		fl := tracedSteadyFleet(tb)
 		return func() { fl.Round() }
 	})},
 	// A planning session is a serial, seeded loop: 178 at any GOMAXPROCS.
