@@ -464,13 +464,9 @@ func BenchmarkTraceOverhead(b *testing.B) {
 }
 
 // steadyFleet is an 8-job fleet run past every job's initial Algorithm 1
-// session, so a round measures steady-state stepping, not planning.
-func steadyFleet(tb testing.TB) *fleet.Fleet {
-	return steadyFleetTraced(tb, nil)
-}
-
-// steadyFleetTraced is steadyFleet with tracer (nil: none) attached.
-func steadyFleetTraced(tb testing.TB, tracer *trace.Tracer) *fleet.Fleet {
+// session, so a round measures steady-state stepping, not planning. tracer
+// may be nil (untraced).
+func steadyFleet(tb testing.TB, tracer *trace.Tracer) *fleet.Fleet {
 	fl, err := fleet.New(fleet.Config{TotalCores: 256, Seed: 9, Tracer: tracer})
 	if err != nil {
 		tb.Fatal(err)
@@ -490,7 +486,7 @@ func steadyFleetTraced(tb testing.TB, tracer *trace.Tracer) *fleet.Fleet {
 // seconds. TestAllocationContracts holds its allocs/op; fleet-steady-10k
 // watches the per-round time.
 func BenchmarkFleetTick(b *testing.B) {
-	fl := steadyFleet(b)
+	fl := steadyFleet(b, nil)
 	benchOp(b, func() { fl.Round() })
 	b.StopTimer()
 	jobs, _ := fl.JobsPage(0, 0)
@@ -506,7 +502,7 @@ func BenchmarkFleetTick(b *testing.B) {
 func tracedSteadyFleet(tb testing.TB) *fleet.Fleet {
 	tracer := trace.New(trace.DefaultCapacity)
 	tracer.AttachFlight(trace.NewFlightRecorder(0))
-	return steadyFleetTraced(tb, tracer)
+	return steadyFleet(tb, tracer)
 }
 
 // BenchmarkFleetTickTraced is BenchmarkFleetTick with the tracer and
@@ -875,7 +871,7 @@ var allocContracts = []struct {
 	// its steps and scheduling allocate nothing. The ceiling admits up to
 	// 4.
 	{"BenchmarkFleetTick", 4, 20, shared(func(tb testing.TB) func() {
-		fl := steadyFleet(tb)
+		fl := steadyFleet(tb, nil)
 		return func() { fl.Round() }
 	})},
 	// The same round traced as cmd/metricsd traces it: 27 spans, one

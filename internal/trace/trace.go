@@ -258,21 +258,21 @@ func (t *Tracer) Snapshot(limit int) []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := len(t.buf)
-	if limit > 0 && n > limit {
-		n = limit
-	}
-	out := make([]Span, n)
-	// Oldest-first, the ring's i-th retained span is buf[(start+i)%len].
-	start := 0
+	out := make([]Span, 0, len(t.buf))
 	if t.full {
-		start = t.next
+		out = append(out, t.buf[t.next:]...)
+		out = append(out, t.buf[:t.next]...)
+	} else {
+		out = append(out, t.buf...)
 	}
-	start += len(t.buf) - n
+	if limit > 0 && len(out) > limit {
+		out = out[len(out)-limit:]
+	}
+	// The slices still alias the ring's storage: copy the attributes out
+	// into one array, each span's slice capped at its own length.
 	nattrs := 0
-	for i := range out {
-		out[i] = t.buf[(start+i)%len(t.buf)]
-		nattrs += len(out[i].Attrs)
+	for _, s := range out {
+		nattrs += len(s.Attrs)
 	}
 	attrs := make([]Attr, 0, nattrs)
 	for i := range out {
