@@ -96,6 +96,23 @@ func TestArchitectureRules(t *testing.T) {
 	}
 }
 
+// Every program under cmd/ and examples/ runs in tier-1: a directory
+// there that holds package main has a _test.go file beside it.
+func TestEveryProgramHasATest(t *testing.T) {
+	src := sourceFiles(t)
+	tested := map[string]bool{}
+	for _, gf := range src.tests {
+		tested[gf.dir] = true
+	}
+	for _, gf := range src.files {
+		top, _, _ := strings.Cut(gf.dir, "/")
+		if gf.f.Name.Name == "main" && (top == "cmd" || top == "examples") && !tested[gf.dir] {
+			t.Errorf("%s is a program with no _test.go file: give it a test that runs it, or delete it", gf.dir)
+			tested[gf.dir] = true // one error per directory
+		}
+	}
+}
+
 // in allows the listed package directories and files.
 func in(paths ...string) func(string) bool {
 	return func(file string) bool {

@@ -9,34 +9,37 @@
 //
 // # Quick start
 //
-//	spec := autrascale.WordCount()
-//	engine, err := autrascale.NewEngine(spec, autrascale.EngineOptions{Seed: 1})
-//	if err != nil { ... }
+// Bring a topology, size it for an input rate, then tune it for a
+// latency target (examples/custom_workload is this flow, end to end):
+//
+//	g := autrascale.NewGraph("my-job")
+//	// g.AddOperator(autrascale.Operator{...}) per operator, then g.Connect(from, to)
+//	topic, err := autrascale.NewTopic(autrascale.ConstantRate(rate))
+//	engine, err := autrascale.NewCustomEngine(autrascale.EngineConfig{
+//	    Graph: g, Cluster: autrascale.PaperTestbed(), Topic: topic, Seed: 1,
+//	})
 //
 //	// Phase 1 (§III-C): find the minimum parallelism that sustains the
 //	// input rate, using true processing rates (Eq. 3).
 //	tr, err := autrascale.OptimizeThroughput(engine, autrascale.ThroughputOptions{
-//	    TargetRate: spec.DefaultRateRPS,
+//	    TargetRate: rate,
 //	})
 //
 //	// Phase 2 (Algorithm 1): Bayesian optimization of the benefit score
 //	// until the latency target is met within the resource tolerance.
 //	res, err := autrascale.RunAlgorithm1(engine, tr.Base, autrascale.Algorithm1Config{
-//	    TargetRate:      spec.DefaultRateRPS,
-//	    TargetLatencyMS: spec.TargetLatencyMS,
+//	    TargetRate:      rate,
+//	    TargetLatencyMS: latencyMS,
 //	})
 //	fmt.Println(res.Best.Par) // the recommended parallelism vector
 //
-// Controller runs the full MAPE loop (§IV) continuously: when the input
-// rate changes it transfers the trained benefit model to the new rate
-// (Algorithm 2) instead of re-learning from scratch.
-//
-// The package is a facade over what the programs under examples/ use:
+// The package is a facade over what examples/custom_workload uses:
 // implementation lives in internal/ packages (internal/core for the
 // algorithms, internal/flink for the simulator, internal/gp + internal/bo
 // for the learning stack, internal/policy for the scaling policies and
 // the DS2 and DRS baselines, internal/experiments for the paper's tables
-// and figures).
+// and figures). The MAPE controller, Algorithm 2 and the paper's
+// workloads are driven by the commands under cmd/.
 package autrascale
 
 import (
@@ -45,7 +48,6 @@ import (
 	"autrascale/internal/dataflow"
 	"autrascale/internal/flink"
 	"autrascale/internal/kafka"
-	"autrascale/internal/workloads"
 )
 
 // ---- Job graphs and configurations (internal/dataflow) ----
@@ -84,20 +86,13 @@ type (
 	RateSchedule = kafka.RateSchedule
 	// ConstantRate is a fixed-rate schedule.
 	ConstantRate = kafka.ConstantRate
-	// StepSchedule changes rate at fixed boundaries.
-	StepSchedule = kafka.StepSchedule
-	// RateStep is one segment of a StepSchedule.
-	RateStep = kafka.Step
 )
 
 // PaperTestbed returns the paper's 3×20-core evaluation cluster.
 func PaperTestbed() *Cluster { return cluster.PaperTestbed() }
 
-// NewTopic creates a source topic with the given partition count and
-// producer schedule.
-func NewTopic(name string, partitions int, schedule RateSchedule) (*Topic, error) {
-	return kafka.NewTopic(name, partitions, schedule)
-}
+// NewTopic creates a source topic fed by the producer schedule.
+func NewTopic(schedule RateSchedule) (*Topic, error) { return kafka.NewTopic(schedule) }
 
 // ---- Simulator (internal/flink) ----
 
@@ -111,26 +106,6 @@ type (
 // NewCustomEngine assembles a simulator from explicit parts.
 func NewCustomEngine(cfg EngineConfig) (*Engine, error) { return flink.New(cfg) }
 
-// ---- Workloads (internal/workloads) ----
-
-type (
-	// WorkloadSpec describes a benchmark workload.
-	WorkloadSpec = workloads.Spec
-	// EngineOptions customizes NewEngine.
-	EngineOptions = workloads.EngineOptions
-)
-
-// The paper's benchmark workloads (§V-A) the examples run.
-var (
-	WordCount  = workloads.WordCount
-	NexmarkQ11 = workloads.NexmarkQ11
-)
-
-// NewEngine assembles a ready-to-run simulator for a workload.
-func NewEngine(spec WorkloadSpec, opts EngineOptions) (*Engine, error) {
-	return workloads.NewEngine(spec, opts)
-}
-
 // ---- AuTraScale policies (internal/core) ----
 
 type (
@@ -143,10 +118,6 @@ type (
 	Algorithm1Config = core.Algorithm1Config
 	// Algorithm1Result is its outcome.
 	Algorithm1Result = core.Algorithm1Result
-	// Controller is the MAPE control loop (§IV).
-	Controller = core.Controller
-	// ControllerConfig parameterizes it.
-	ControllerConfig = core.ControllerConfig
 )
 
 // OptimizeThroughput runs the Eq. 3 iteration with AuTraScale's
@@ -158,9 +129,4 @@ func OptimizeThroughput(e *Engine, opts ThroughputOptions) (ThroughputResult, er
 // RunAlgorithm1 runs Bayesian optimization at a steady input rate.
 func RunAlgorithm1(e *Engine, base ParallelismVector, cfg Algorithm1Config) (*Algorithm1Result, error) {
 	return core.RunAlgorithm1(e, base, cfg)
-}
-
-// NewController builds the MAPE controller for an engine.
-func NewController(e *Engine, cfg ControllerConfig) (*Controller, error) {
-	return core.NewController(e, cfg)
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -49,6 +51,35 @@ func TestDumpFlight(t *testing.T) {
 	bad := filepath.Join(t.TempDir(), "no-such-dir", "out.jsonl")
 	if err := dumpFlight(io.Discard, tr, bad); err == nil {
 		t.Fatal("unwritable path should error")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/once_wordcount.txt from this build")
+
+const onceGolden = "testdata/once_wordcount.txt"
+
+// testdata/once_wordcount.txt is what `autrascale -workload wordcount
+// -mode once -seed 1` prints: the Eq. 3 base k' and Algorithm 1's
+// recommendation for WordCount. Bless a deliberate change with
+// `go test ./cmd/autrascale -run TestOnceGolden -update`.
+func TestOnceGolden(t *testing.T) {
+	var out bytes.Buffer
+	if code := run([]string{"-workload", "wordcount", "-mode", "once", "-seed", "1"}, &out); code != 0 {
+		t.Fatalf("autrascale -workload wordcount -mode once -seed 1 exited %d", code)
+	}
+	if *update {
+		if err := os.WriteFile(onceGolden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(onceGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Fatalf("%s drifted from the command (bless with -update if intentional):\n got:\n%s\nwant:\n%s",
+			onceGolden, got, want)
 	}
 }
 

@@ -14,12 +14,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"autrascale"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run sizes the fraud-detection pipeline and writes the report to w.
+func run(w io.Writer) error {
 	g := autrascale.NewGraph("fraud-detection")
 	ops := []autrascale.Operator{
 		{Name: "Source", Kind: autrascale.KindSource, Selectivity: 1,
@@ -57,21 +66,21 @@ func main() {
 	}
 	for _, op := range ops {
 		if err := g.AddOperator(op); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	for _, e := range [][2]string{
 		{"Source", "Parse"}, {"Parse", "Enrich"}, {"Enrich", "Score"}, {"Score", "Alert"},
 	} {
 		if err := g.Connect(e[0], e[1]); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	const inputRate = 60e3
-	topic, err := autrascale.NewTopic("transactions", 12, autrascale.ConstantRate(inputRate))
+	topic, err := autrascale.NewTopic(autrascale.ConstantRate(inputRate))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	engine, err := autrascale.NewCustomEngine(autrascale.EngineConfig{
 		Graph:   g,
@@ -80,17 +89,17 @@ func main() {
 		Seed:    11,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("custom pipeline:\n%s\n", g)
+	fmt.Fprintf(w, "custom pipeline:\n%s\n", g)
 	tr, err := autrascale.OptimizeThroughput(engine, autrascale.ThroughputOptions{
 		TargetRate: inputRate,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("throughput-optimal parallelism k' = %v (%.0f records/s)\n",
+	fmt.Fprintf(w, "throughput-optimal parallelism k' = %v (%.0f records/s)\n",
 		tr.Base, tr.BestThroughputRPS)
 
 	const targetLatency = 250
@@ -100,11 +109,12 @@ func main() {
 		Seed:            11,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("with a %.0f ms latency target: %v (total %d slots)\n",
+	fmt.Fprintf(w, "with a %.0f ms latency target: %v (total %d slots)\n",
 		float64(targetLatency), res.Best.Par, res.Best.Par.Total())
-	fmt.Printf("  latency %.0f ms (met=%v), score %.3f, %d bootstrap + %d BO runs\n",
+	fmt.Fprintf(w, "  latency %.0f ms (met=%v), score %.3f, %d bootstrap + %d BO runs\n",
 		res.Best.ProcLatencyMS, res.Best.LatencyMet, res.Best.Score,
 		res.BootstrapRuns, res.Iterations)
+	return nil
 }

@@ -19,7 +19,7 @@ func engineAtRate(t testing.TB, rate float64, seed uint64) *flink.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topic, err := kafka.NewTopic("in", 4, kafka.ConstantRate(rate))
+	topic, err := kafka.NewTopic(kafka.ConstantRate(rate))
 	if err != nil {
 		t.Fatal(err)
 	}

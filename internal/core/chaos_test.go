@@ -20,7 +20,7 @@ func acceptProfile() chaos.Profile {
 	}
 }
 
-// chaosControllerRun drives the quickstart WordCount job through one
+// chaosControllerRun drives the WordCount job through one
 // simulated hour of the MAPE loop under a chaos profile and returns the
 // full decision record.
 func chaosControllerRun(t *testing.T, profile chaos.Profile, seed uint64) ([]Event, []DecisionReport, *metrics.Store) {

@@ -21,7 +21,7 @@ func controllerEngine(t testing.TB, sched kafka.RateSchedule) *flink.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topic, err := kafka.NewTopic("in", 4, sched)
+	topic, err := kafka.NewTopic(sched)
 	if err != nil {
 		t.Fatal(err)
 	}

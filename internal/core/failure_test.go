@@ -28,7 +28,7 @@ func TestAlgorithm1SurvivesRateSpikeMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topic, err := kafka.NewTopic("in", 4, sched)
+	topic, err := kafka.NewTopic(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestOptimizeThroughputAtResourceCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topic, err := kafka.NewTopic("in", 2, kafka.ConstantRate(1e6))
+	topic, err := kafka.NewTopic(kafka.ConstantRate(1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestMachineKillVictimSelectionDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		topic, err := kafka.NewTopic("in", 4, kafka.ConstantRate(1500))
+		topic, err := kafka.NewTopic(kafka.ConstantRate(1500))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func TestControllerFlightChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topic, err := kafka.NewTopic("in", 4, kafka.ConstantRate(1500))
+	topic, err := kafka.NewTopic(kafka.ConstantRate(1500))
 	if err != nil {
 		t.Fatal(err)
 	}

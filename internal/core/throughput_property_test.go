@@ -78,7 +78,7 @@ func TestOptimizeThroughputPropertyRandomDAGs(t *testing.T) {
 				t.Fatal(err)
 			}
 			rate := 500 + 4500*rng.Float64()
-			topic, err := kafka.NewTopic("in", 4, kafka.ConstantRate(rate))
+			topic, err := kafka.NewTopic(kafka.ConstantRate(rate))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,7 +42,7 @@ func engineFor(t testing.TB, g *dataflow.Graph, rate float64) *flink.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topic, err := kafka.NewTopic("in", 4, kafka.ConstantRate(rate))
+	topic, err := kafka.NewTopic(kafka.ConstantRate(rate))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -942,8 +942,8 @@ func (f *Fleet) SharedModelRates() map[string][]float64 {
 
 // StaggeredJobs builds n copies of a workload with input rates spread
 // ±15% around baseRate (the workload default when baseRate <= 0), named
-// <workload>-01..n — the canonical multi-job setup the commands and
-// examples use. Staggering matters: identical rates would make every
+// <workload>-01..n — the canonical multi-job setup the commands and the
+// benchmark use. Staggering matters: identical rates would make every
 // warm start an exact-rate hit, hiding the nearest-model transfer path.
 func StaggeredJobs(spec workloads.Spec, n int, baseRate float64) []JobSpec {
 	if baseRate <= 0 {

@@ -57,7 +57,7 @@ func testWorkload(t testing.TB) workloads.Spec {
 		t.Fatal(err)
 	}
 	return workloads.Spec{Name: "lat-chain", Graph: g,
-		DefaultRateRPS: 1500, TargetLatencyMS: 160, Partitions: 4}
+		DefaultRateRPS: 1500, TargetLatencyMS: 160}
 }
 
 func testJob(t testing.TB, name string, rate float64) JobSpec {

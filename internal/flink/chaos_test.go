@@ -14,7 +14,7 @@ import (
 
 func chaosEngine(t testing.TB, profile chaos.Profile, seed uint64, cfg func(*Config)) (*Engine, *metrics.Store) {
 	t.Helper()
-	topic, err := kafka.NewTopic("in", 8, kafka.ConstantRate(1000))
+	topic, err := kafka.NewTopic(kafka.ConstantRate(1000))
 	if err != nil {
 		t.Fatal(err)
 	}

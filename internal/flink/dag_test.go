@@ -51,7 +51,7 @@ func TestDiamondArrivalRates(t *testing.T) {
 	// With selectivities 0.5 and 0.25, the join sees 0.75x the source
 	// rate; both branches see the full source rate.
 	g := diamondGraph(t, 0.5, 0.25)
-	topic, err := kafka.NewTopic("in", 4, kafka.ConstantRate(1000))
+	topic, err := kafka.NewTopic(kafka.ConstantRate(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestDiamondBottleneckOnJoin(t *testing.T) {
 	// source rate r the join sees 2r, so its capacity (4000/inst) caps
 	// the job at 2000 rps with everything at parallelism 1.
 	g := diamondGraph(t, 1, 1)
-	topic, err := kafka.NewTopic("in", 4, kafka.ConstantRate(1e9))
+	topic, err := kafka.NewTopic(kafka.ConstantRate(1e9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,7 @@ func diffProfile() chaos.Profile {
 
 func (c diffCase) config(t *testing.T, seed uint64, noise, faults bool, tickSec float64, store *metrics.Store) flink.Config {
 	t.Helper()
-	topic, err := kafka.NewTopic("in", 8, c.schedule)
+	topic, err := kafka.NewTopic(c.schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestTickAllocatesNothing(t *testing.T) {
 
 func mustTopic(t *testing.T, rate float64) *kafka.Topic {
 	t.Helper()
-	topic, err := kafka.NewTopic("in", 8, kafka.ConstantRate(rate))
+	topic, err := kafka.NewTopic(kafka.ConstantRate(rate))
 	if err != nil {
 		t.Fatal(err)
 	}

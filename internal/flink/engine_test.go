@@ -54,7 +54,7 @@ func testCluster(t testing.TB) *cluster.Cluster {
 
 func newEngine(t testing.TB, rate float64, par dataflow.ParallelismVector) *Engine {
 	t.Helper()
-	topic, err := kafka.NewTopic("in", 8, kafka.ConstantRate(rate))
+	topic, err := kafka.NewTopic(kafka.ConstantRate(rate))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("expected error for missing components")
 	}
-	topic, _ := kafka.NewTopic("in", 1, kafka.ConstantRate(1))
+	topic, _ := kafka.NewTopic(kafka.ConstantRate(1))
 	// Two sources are rejected.
 	g := dataflow.NewGraph("two-src")
 	p := dataflow.Profile{BaseRatePerInstance: 100, CPUPerInstance: 1}
@@ -113,7 +113,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	topic, _ := kafka.NewTopic("in", 1, kafka.ConstantRate(100))
+	topic, _ := kafka.NewTopic(kafka.ConstantRate(100))
 	e, err := New(Config{Graph: testGraph(t), Cluster: testCluster(t), Topic: topic})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestExternalCap(t *testing.T) {
 	_ = g.AddOperator(dataflow.Operator{Name: "src", Selectivity: 1, Profile: p})
 	_ = g.AddOperator(dataflow.Operator{Name: "join", Selectivity: 0, Profile: capped})
 	_ = g.Connect("src", "join")
-	topic, _ := kafka.NewTopic("in", 1, kafka.ConstantRate(5000))
+	topic, _ := kafka.NewTopic(kafka.ConstantRate(5000))
 	e, err := New(Config{Graph: g, Cluster: testCluster(t), Topic: topic, NoNoise: true,
 		InitialParallelism: dataflow.ParallelismVector{8, 8}})
 	if err != nil {
@@ -275,7 +275,7 @@ func TestMeasureEmptyWindow(t *testing.T) {
 }
 
 func TestMetricsRecorded(t *testing.T) {
-	topic, _ := kafka.NewTopic("in", 8, kafka.ConstantRate(1000))
+	topic, _ := kafka.NewTopic(kafka.ConstantRate(1000))
 	store := metrics.NewStore()
 	e, err := New(Config{Graph: testGraph(t), Cluster: testCluster(t), Topic: topic,
 		Store: store, NoNoise: true, InitialParallelism: dataflow.ParallelismVector{2, 3, 2}})
@@ -305,7 +305,7 @@ func TestFlowConservationProperty(t *testing.T) {
 		r := stat.NewRNG(seed)
 		rate := 200 + r.Float64()*3000
 		par := dataflow.ParallelismVector{1 + r.Intn(4), 1 + r.Intn(8), 1 + r.Intn(4)}
-		topic, err := kafka.NewTopic("in", 4, kafka.ConstantRate(rate))
+		topic, err := kafka.NewTopic(kafka.ConstantRate(rate))
 		if err != nil {
 			return false
 		}
@@ -333,7 +333,7 @@ func TestFlowConservationProperty(t *testing.T) {
 
 func TestDeterminismWithSeed(t *testing.T) {
 	run := func() Measurement {
-		topic, _ := kafka.NewTopic("in", 8, kafka.ConstantRate(1500))
+		topic, _ := kafka.NewTopic(kafka.ConstantRate(1500))
 		e, err := New(Config{Graph: testGraph(t), Cluster: testCluster(t), Topic: topic,
 			Seed: 99, InitialParallelism: dataflow.ParallelismVector{2, 4, 2}})
 		if err != nil {
@@ -359,7 +359,7 @@ func TestInterferenceSlowsOversubscribed(t *testing.T) {
 		_ = g.AddOperator(dataflow.Operator{Name: "heavy", Kind: dataflow.KindSink, Selectivity: 0,
 			Profile: dataflow.Profile{BaseRatePerInstance: 100, CPUPerInstance: 2}})
 		_ = g.Connect("src", "heavy")
-		topic, err := kafka.NewTopic("in", 4, kafka.ConstantRate(1e9))
+		topic, err := kafka.NewTopic(kafka.ConstantRate(1e9))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +385,7 @@ func TestInterferenceSlowsOversubscribed(t *testing.T) {
 		_ = g.AddOperator(dataflow.Operator{Name: "heavy", Kind: dataflow.KindSink, Selectivity: 0,
 			Profile: dataflow.Profile{BaseRatePerInstance: 100, CPUPerInstance: 2}})
 		_ = g.Connect("src", "heavy")
-		topic, _ := kafka.NewTopic("in", 4, kafka.ConstantRate(50))
+		topic, _ := kafka.NewTopic(kafka.ConstantRate(50))
 		e, err := New(Config{Graph: g, Cluster: testCluster(t), Topic: topic, NoNoise: true,
 			InitialParallelism: dataflow.ParallelismVector{2, heavyK}})
 		if err != nil {
@@ -442,7 +442,7 @@ func TestSelectivityPropagation(t *testing.T) {
 	_ = g.AddOperator(dataflow.Operator{Name: "src", Selectivity: 2, Profile: p})
 	_ = g.AddOperator(dataflow.Operator{Name: "sink", Selectivity: 0, Profile: p})
 	_ = g.Connect("src", "sink")
-	topic, _ := kafka.NewTopic("in", 1, kafka.ConstantRate(1000))
+	topic, _ := kafka.NewTopic(kafka.ConstantRate(1000))
 	e, err := New(Config{Graph: g, Cluster: testCluster(t), Topic: topic, NoNoise: true})
 	if err != nil {
 		t.Fatal(err)

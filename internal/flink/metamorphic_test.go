@@ -86,7 +86,7 @@ func linearCase(c diffCase) diffCase {
 // already in the topic.
 func lawEngine(t *testing.T, c diffCase, par dataflow.ParallelismVector, rateScale float64, noise bool, seed uint64, tickSec, preload float64) *flink.Engine {
 	t.Helper()
-	topic, err := kafka.NewTopic("in", 8, scaledRate{c.schedule, rateScale})
+	topic, err := kafka.NewTopic(scaledRate{c.schedule, rateScale})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ package kafka
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -86,12 +85,8 @@ type Topic struct {
 }
 
 // NewTopic creates a topic fed by the producer schedule. The log is one
-// stream of records (a stall takes a fraction of it), so name and
-// partitions are only checked: partitions must be positive.
-func NewTopic(name string, partitions int, schedule RateSchedule) (*Topic, error) {
-	if partitions <= 0 {
-		return nil, fmt.Errorf("kafka: topic %q needs partitions > 0", name)
-	}
+// stream of records; a stall takes a fraction of it.
+func NewTopic(schedule RateSchedule) (*Topic, error) {
 	if schedule == nil {
 		return nil, errors.New("kafka: nil schedule")
 	}

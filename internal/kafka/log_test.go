@@ -9,10 +9,7 @@ import (
 )
 
 func TestNewTopicValidation(t *testing.T) {
-	if _, err := NewTopic("t", 0, ConstantRate(1)); err == nil {
-		t.Fatal("expected error for 0 partitions")
-	}
-	if _, err := NewTopic("t", 1, nil); err == nil {
+	if _, err := NewTopic(nil); err == nil {
 		t.Fatal("expected error for nil schedule")
 	}
 }
@@ -57,7 +54,7 @@ func TestIncreasingRateMatchesPaperCase1(t *testing.T) {
 }
 
 func TestProduceConsumeLag(t *testing.T) {
-	tp, err := NewTopic("events", 4, ConstantRate(1000))
+	tp, err := NewTopic(ConstantRate(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +83,7 @@ func TestProduceConsumeLag(t *testing.T) {
 func TestConservationProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := stat.NewRNG(seed)
-		tp, err := NewTopic("t", 1, ConstantRate(500+r.Float64()*1000))
+		tp, err := NewTopic(ConstantRate(500 + r.Float64()*1000))
 		if err != nil {
 			return false
 		}
@@ -111,7 +108,7 @@ func TestConservationProperty(t *testing.T) {
 }
 
 func TestPendingTime(t *testing.T) {
-	tp, _ := NewTopic("t", 1, ConstantRate(100))
+	tp, _ := NewTopic(ConstantRate(100))
 	tp.Produce(0, 10) // 1000 records
 	if got := tp.PendingTimeSec(500); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("PendingTimeSec = %v, want 2", got)
@@ -126,7 +123,7 @@ func TestPendingTime(t *testing.T) {
 }
 
 func TestInputRateAt(t *testing.T) {
-	tp, _ := NewTopic("t", 2, ConstantRate(42))
+	tp, _ := NewTopic(ConstantRate(42))
 	if tp.InputRateAt(123) != 42 {
 		t.Fatal("InputRateAt should report the schedule")
 	}

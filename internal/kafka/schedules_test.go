@@ -171,7 +171,7 @@ func TestTopicWithNewSchedules(t *testing.T) {
 		"sawtooth":    SawtoothRate{MinRate: 600, MaxRate: 1800, PeriodSec: 90},
 	}
 	for name, sched := range schedules {
-		topic, err := NewTopic(name, 4, sched)
+		topic, err := NewTopic(sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestNoisyRate(t *testing.T) {
 
 // A topic driven by a sinusoidal schedule conserves flow like any other.
 func TestTopicWithSinusoid(t *testing.T) {
-	topic, err := NewTopic("diurnal", 4, SinusoidalRate{Mean: 1000, Amplitude: 500, PeriodSec: 120})
+	topic, err := NewTopic(SinusoidalRate{Mean: 1000, Amplitude: 500, PeriodSec: 120})
 	if err != nil {
 		t.Fatal(err)
 	}

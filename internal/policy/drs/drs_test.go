@@ -40,7 +40,7 @@ func newEngine(t testing.TB, g *dataflow.Graph, rate float64, par dataflow.Paral
 	if err != nil {
 		t.Fatal(err)
 	}
-	topic, err := kafka.NewTopic("in", 8, kafka.ConstantRate(rate))
+	topic, err := kafka.NewTopic(kafka.ConstantRate(rate))
 	if err != nil {
 		t.Fatal(err)
 	}

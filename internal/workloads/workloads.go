@@ -46,8 +46,6 @@ type Spec struct {
 	DefaultRateRPS float64
 	// TargetLatencyMS is the latency requirement used in §V-C/D.
 	TargetLatencyMS float64
-	// Partitions is the Kafka partition count.
-	Partitions int
 }
 
 // mustGraph builds and validates a built-in graph, panicking on an
@@ -97,7 +95,7 @@ var wordCount = Spec{Name: "wordcount",
 			CPUPerInstance: 1, MemPerInstanceMB: 1024,
 		}},
 	}, [][2]string{{"Source", "FlatMap"}, {"FlatMap", "Count"}, {"Count", "Sink"}}),
-	DefaultRateRPS: 350e3, TargetLatencyMS: 180, Partitions: 16}
+	DefaultRateRPS: 350e3, TargetLatencyMS: 180}
 
 // WordCountCaseStudy is the §II motivation configuration: a balanced
 // pipeline whose uniform-parallelism sweep shows the non-linear
@@ -127,7 +125,7 @@ var (
 			{Name: "Count", Kind: dataflow.KindWindow, Selectivity: 1, Profile: caseBottleneck},
 			{Name: "Sink", Kind: dataflow.KindSink, Selectivity: 0, Profile: caseFast},
 		}, [][2]string{{"Source", "FlatMap"}, {"FlatMap", "Count"}, {"Count", "Sink"}}),
-		DefaultRateRPS: 300e3, TargetLatencyMS: 180, Partitions: 16}
+		DefaultRateRPS: 300e3, TargetLatencyMS: 180}
 )
 
 // Yahoo is the extended Yahoo Streaming Benchmark (§V-A, Fig. 4): an ad
@@ -168,7 +166,7 @@ var yahoo = Spec{Name: "yahoo",
 		{"Source", "Deserialize"}, {"Deserialize", "Filter"},
 		{"Filter", "Projection"}, {"Projection", "JoinSink"},
 	}),
-	DefaultRateRPS: 60e3, TargetLatencyMS: 300, Partitions: 8}
+	DefaultRateRPS: 60e3, TargetLatencyMS: 300}
 
 // NexmarkQ5 is Nexmark Query 5 (hot items, sliding window), evaluated at
 // 30k records/s with a 500 ms latency target; the transfer-learning
@@ -193,7 +191,7 @@ var nexmarkQ5 = Spec{Name: "nexmark-q5",
 			CPUPerInstance: 1, MemPerInstanceMB: 1024,
 		}},
 	}, [][2]string{{"Source", "SlidingWindow"}, {"SlidingWindow", "Sink"}}),
-	DefaultRateRPS: 30e3, TargetLatencyMS: 500, Partitions: 8}
+	DefaultRateRPS: 30e3, TargetLatencyMS: 500}
 
 // NexmarkQ11 is Nexmark Query 11 (user sessions, session window),
 // evaluated at 100k records/s with a 150 ms latency target; the transfer
@@ -218,7 +216,7 @@ var nexmarkQ11 = Spec{Name: "nexmark-q11",
 			CPUPerInstance: 1, MemPerInstanceMB: 1024,
 		}},
 	}, [][2]string{{"Source", "SessionWindow"}, {"SessionWindow", "Sink"}}),
-	DefaultRateRPS: 100e3, TargetLatencyMS: 150, Partitions: 8}
+	DefaultRateRPS: 100e3, TargetLatencyMS: 150}
 
 // registry is the one table of built-in workloads, in registry order:
 // the four evaluation workloads, then the case-study variant.
@@ -288,7 +286,7 @@ func NewEngine(spec Spec, opts EngineOptions) (*flink.Engine, error) {
 	if sched == nil {
 		sched = kafka.ConstantRate(spec.DefaultRateRPS)
 	}
-	topic, err := kafka.NewTopic(spec.Name+"-events", spec.Partitions, sched)
+	topic, err := kafka.NewTopic(sched)
 	if err != nil {
 		return nil, err
 	}

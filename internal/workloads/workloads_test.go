@@ -18,7 +18,7 @@ func TestAllSpecsBuildAndValidate(t *testing.T) {
 	specs := append(All(), WordCountCaseStudy())
 	names := map[string]bool{}
 	for _, spec := range specs {
-		if spec.Name == "" || spec.DefaultRateRPS <= 0 || spec.TargetLatencyMS <= 0 || spec.Partitions <= 0 {
+		if spec.Name == "" || spec.DefaultRateRPS <= 0 || spec.TargetLatencyMS <= 0 {
 			t.Fatalf("incomplete spec %+v", spec)
 		}
 		if names[spec.Name] {

@@ -477,10 +477,10 @@ func isWire(st *types.Struct) bool {
 // Every exported identifier under internal/ and of the root facade is
 // earned (see earnedObjects): non-test code reaches it from a main, an
 // init or a blank var. None is kept alive by tests or for a future
-// consumer. The facade's only non-test importers are the programs under
-// examples/, so it cannot regrow dead aliases. Every field of a struct
-// type declared there, exported or not, local types included, is
-// checked too: it is earned only by a read.
+// consumer. The facade's only non-test importer is
+// examples/custom_workload, so it cannot regrow dead aliases. Every
+// field of a struct type declared there, exported or not, local types
+// included, is checked too: it is earned only by a read.
 func TestNoUnearnedExports(t *testing.T) {
 	m := typedSource(t)
 	earned := earnedObjects(m)
