@@ -16,9 +16,11 @@ race:
 	$(GO) test -race ./internal/metrics/ ./internal/core/ ./internal/bo/ ./internal/gp/ ./internal/mat/ ./internal/transfer/ ./internal/flink/ ./internal/trace/ ./internal/chaos/ ./internal/fleet/ ./internal/slo/ ./internal/policy/... ./internal/experiments/ ./internal/persist/ ./internal/audit/ ./internal/workloads/ ./internal/dataflow/ ./cmd/metricsd/
 
 # Fuzz every byte-parsing boundary the daemons trust, one target after
-# another for FUZZTIME each: the snapshot decoder (differential against
-# encoding/json wherever its typed pass takes an input), restore from
-# arbitrary snapshot bytes, and the decision-journal record decoder.
+# another for FUZZTIME each: the snapshot decoder and encoder (both
+# differential against encoding/json: the typed pass wherever it takes
+# an input, the typed writer on every state json.Unmarshal reads),
+# restore from arbitrary snapshot bytes, and the decision-journal record
+# decoder.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/persist/
@@ -39,6 +41,8 @@ bench:
 #   make profile PROFILE_BENCH='BenchmarkEngineTickStore$$' PROFILE_BENCHTIME=2000000x
 # or one decode + restore of the 10,000-job snapshot (the read side):
 #   make profile PROFILE_BENCH='BenchmarkRestore10k$$' PROFILE_BENCHTIME=3x
+# or one capture + encode of it (the write side):
+#   make profile PROFILE_BENCH='BenchmarkSnapshot10k$$' PROFILE_BENCHTIME=3x
 # or one BO suggestion (refit, candidate pool, sweep and climbs):
 #   make profile PROFILE_BENCH='BenchmarkBOSuggest$$' PROFILE_BENCHTIME=2000x
 PROFILE_BENCH = BenchmarkFleetTick10k$$

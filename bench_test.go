@@ -781,11 +781,14 @@ func BenchmarkPolicyStepDRS(b *testing.B) { benchRuns(b, policyStepRuns("drs-tru
 // checksummed serialization. This is the cost the periodic checkpointer
 // pays per checkpoint — the capture half on the tick path, the encode
 // half in the background — and snapshot-cycle-10k watches it end to end.
+// The encode half streams and allocates a constant few objects
+// (persist.TestEncodeAllocations); the capture's copies are what remain.
 // Declared after the other fleet benchmarks on purpose: each capture
-// churns a fleet-sized JSON payload, and the grown heap would tax every
+// copies a fleet's control state, and the grown heap would tax every
 // benchmark that runs behind it in the same process.
 func BenchmarkSnapshot10k(b *testing.B) {
 	fl := fleet10kFixture(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := fl.PersistState()
@@ -875,10 +878,12 @@ var allocContracts = []struct {
 		return func() { fl.Round() }
 	})},
 	// The same round traced as cmd/metricsd traces it: 27 spans, one
-	// allocation each, 18 "par" texts, one allocation each, the
-	// GOMAXPROCS worker closures and 4 more (50 at 1, 53 at 4). Spans
-	// whose attribute slices grew one append at a time made 200 at 1.
-	{"BenchmarkFleetTickTraced", 53, 20, shared(func(tb testing.TB) func() {
+	// allocation each, the GOMAXPROCS worker closures and 6 more (34 at
+	// 1, 37 at 4). A job's "par" text is formatted once per rescale
+	// (flink.Engine.ParallelismText); formatted on every traced window,
+	// its 16 texts made 50 at 1, and spans whose attribute slices grew
+	// one append at a time made 200.
+	{"BenchmarkFleetTickTraced", 37, 20, shared(func(tb testing.TB) func() {
 		fl := tracedSteadyFleet(tb)
 		return func() { fl.Round() }
 	})},

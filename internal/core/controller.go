@@ -396,7 +396,8 @@ func (c *Controller) Step() (Event, error) {
 		sp.SetBool("qos_ok", c.qosOK(m))
 	}
 
-	if rateChanged || !c.qosOK(m) {
+	replan := rateChanged || !c.qosOK(m)
+	if replan {
 		trigger := TriggerQoS
 		if rateChanged {
 			trigger = TriggerRateChange
@@ -420,7 +421,13 @@ func (c *Controller) Step() (Event, error) {
 		if ev.Reason != "" {
 			sp.SetStr("reason", ev.Reason)
 		}
-		sp.SetStr("par", ev.Par.String())
+		if replan {
+			sp.SetStr("par", ev.Par.String())
+		} else {
+			// Only planning rescales, so ev.Par is still the engine's
+			// active configuration, whose text the engine keeps.
+			sp.SetStr("par", e.ParallelismText())
+		}
 	}
 	return ev, nil
 }

@@ -122,6 +122,7 @@ type Engine struct {
 	rescaleDeadlineSec float64
 
 	par          dataflow.ParallelismVector
+	parText      string // par's text, formatted on the first read after a rescale
 	nowSec       float64
 	restartUntil float64
 	restarts     int
@@ -387,6 +388,17 @@ func (e *Engine) RestoreRestarts(n int) {
 // Parallelism returns the active configuration.
 func (e *Engine) Parallelism() dataflow.ParallelismVector { return e.par.Clone() }
 
+// ParallelismText is the active configuration as its String method
+// renders it. The text is formatted on the first call after a rescale and
+// kept until the next one, so a traced steady job formats its vector once,
+// not once per window, and an untraced engine never formats it.
+func (e *Engine) ParallelismText() string {
+	if e.parText == "" {
+		e.parText = e.par.String()
+	}
+	return e.parText
+}
+
 // AppendParallelism appends the active configuration to dst and returns
 // the extended vector: Parallelism into storage the caller owns.
 func (e *Engine) AppendParallelism(dst dataflow.ParallelismVector) dataflow.ParallelismVector {
@@ -484,6 +496,7 @@ func (e *Engine) applyRescale(p dataflow.ParallelismVector, attempt int) {
 	}
 	e.count(&e.met.rescales, "flink.rescales")
 	copy(e.par, p)
+	e.parText = ""
 	e.compile()
 	e.restartUntil = e.nowSec + down
 	e.restarts++
@@ -978,7 +991,7 @@ func (e *Engine) traceWindow(name string, warmupSec, measureSec float64, m Measu
 	}
 	sp := e.tracer.StartSpan(name)
 	sp.SetFloat("t_sec", e.nowSec)
-	sp.SetStr("par", e.par.String())
+	sp.SetStr("par", e.ParallelismText())
 	sp.SetFloat("warmup_sec", warmupSec)
 	sp.SetFloat("measure_sec", measureSec)
 	sp.SetFloat("throughput_rps", m.ThroughputRPS)

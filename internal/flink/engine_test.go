@@ -266,6 +266,25 @@ func TestSetParallelismNoChangeNoRestart(t *testing.T) {
 	}
 }
 
+// ParallelismText is the active configuration's String text, formatted
+// once per rescale: reads between rescales allocate nothing, and a
+// rescale's new configuration is what the next read renders.
+func TestParallelismTextFollowsRescales(t *testing.T) {
+	e := newEngine(t, 1000, dataflow.ParallelismVector{2, 3, 2})
+	if got := e.ParallelismText(); got != "(2, 3, 2)" {
+		t.Fatalf("ParallelismText = %q, want (2, 3, 2)", got)
+	}
+	if n := testing.AllocsPerRun(10, func() { e.ParallelismText() }); n != 0 {
+		t.Fatalf("a read between rescales made %v allocations, want 0", n)
+	}
+	if err := e.SetParallelism(dataflow.ParallelismVector{4, 3, 12}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.ParallelismText(), e.Parallelism().String(); got != want || got != "(4, 3, 12)" {
+		t.Fatalf("after a rescale ParallelismText = %q, want %q", got, want)
+	}
+}
+
 func TestMeasureEmptyWindow(t *testing.T) {
 	e := newEngine(t, 1000, nil)
 	m := e.Measure()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -208,5 +210,39 @@ func TestDecodeAllocations(t *testing.T) {
 		}
 	}); got > max {
 		t.Errorf("Decode of %d jobs: %v allocs, contract is <= %d", jobs, got, max)
+	}
+}
+
+// TestEncodeAllocations pins the allocations of WriteFile and Encode:
+// the typed writer streams the payload through one scratch buffer, so
+// each makes the same few allocations whatever the payload's size — 19
+// for WriteFile (the temp file, its 64 KB buffer, the hash, the
+// scratch) and 3 for Encode — at 100 jobs as at 1,000. json.Marshal
+// grew a buffer to the payload's size by doubling, then copied it out.
+func TestEncodeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the program's")
+	}
+	const maxWrite, maxEncode = 20, 3
+	path := filepath.Join(t.TempDir(), "snap.json")
+	var write, encode [2]float64
+	for i, jobs := range []int{100, 1000} {
+		st := fleetOfJobs(jobs)
+		write[i] = testing.AllocsPerRun(3, func() {
+			if err := WriteFile(path, st); err != nil {
+				t.Fatal(err)
+			}
+		})
+		encode[i] = testing.AllocsPerRun(3, func() {
+			if err := Encode(io.Discard, st); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if write[i] > maxWrite || encode[i] > maxEncode {
+			t.Errorf("%d jobs: WriteFile %v allocs, Encode %v; contract is <= %d and <= %d", jobs, write[i], encode[i], maxWrite, maxEncode)
+		}
+	}
+	if write[0] != write[1] || encode[0] != encode[1] {
+		t.Errorf("allocations grow with the payload: WriteFile %v, Encode %v at 100 and 1,000 jobs", write, encode)
 	}
 }

@@ -17,7 +17,9 @@ import (
 // omitted list from an empty one. An input Decode rejects yields no state.
 // And the typed pass is differential against its definition: whatever
 // version 2 payload it takes, json.Unmarshal reads to a reflect.DeepEqual
-// state, which tells a nil slice from an empty one.
+// state, which tells a nil slice from an empty one. So is the typed
+// writer: whatever state json.Unmarshal reads from an input, the writer
+// writes as json.Marshal's bytes.
 //
 // Each input is tried as a whole snapshot and as a payload sealed in a
 // valid envelope, so mutations reach the payload decoder instead of
@@ -53,6 +55,10 @@ func FuzzDecode(f *testing.F) {
 			if version, payload, err := envelope(in); err == nil && version == formatVersion {
 				checkTypedPass(t, payload)
 			}
+		}
+		var st FleetState
+		if json.Unmarshal(data, &st) == nil {
+			checkWriter(t, &st)
 		}
 	})
 }

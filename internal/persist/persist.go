@@ -22,9 +22,17 @@
 // verifies the payload's bytes, and only then parses them, once, from
 // the one buffer the snapshot was read into.
 //
-// encoding/json is the payload's definition: a payload means what
-// json.Unmarshal into FleetState makes of it. A version 2 payload is
-// parsed by a typed pass (decode.go) that takes only what it can prove
+// encoding/json is the payload's definition: a payload is the bytes
+// json.Marshal writes for a FleetState, and means what json.Unmarshal
+// into FleetState makes of it. Both directions are typed passes that
+// hold to that definition. The payload is written by a typed writer
+// (encode.go) whose bytes are json.Marshal's, streamed through a small
+// scratch buffer: WriteFile writes the file in one pass and then writes
+// the checksum over its placeholder in the header, and Encode, whose
+// writer cannot seek, runs the writer once into the hash and once into
+// the writer, so a state json.Marshal refuses (a NaN, an infinity)
+// fails before a byte is written. A version 2 payload is parsed by a
+// typed pass (decode.go) that takes only what it can prove
 // json.Unmarshal reads to the same state — every payload Encode writes
 // whose strings are printable ASCII — and hands anything else whole to
 // json.Unmarshal, so results and errors never depend on which of the two
@@ -56,6 +64,7 @@
 package persist
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -100,21 +109,23 @@ func verified(payload []byte, sum string) bool {
 }
 
 // Encode writes the state to w as a versioned, checksummed snapshot, in
-// one line. json.Marshal's output is already compact, so it is hashed and
-// written as is: the envelope is spelled out around it rather than
-// re-encoded, which would compact the payload a second time.
+// one line. w need not seek, so the checksum the header carries is
+// learned first: the typed writer (encode.go) runs twice, once into the
+// hash alone and once into w. A state that cannot be encoded — a NaN,
+// say — fails the first run, and w receives nothing.
 func Encode(w io.Writer, st *FleetState) error {
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("persist: marshal payload: %w", err)
+	e := newEncoder(nil)
+	sum := sha256.New()
+	e.payload(st, sum)
+	if e.err != nil {
+		return e.err
 	}
-	head := fmt.Sprintf(`{"version":%d,"sha256":%q,"payload":`, formatVersion, sha256Hex(payload))
-	for _, b := range [][]byte{[]byte(head), payload, []byte("}\n")} {
-		if _, err := w.Write(b); err != nil {
-			return fmt.Errorf("persist: encode snapshot: %w", err)
-		}
-	}
-	return nil
+	var digest [sha256.Size]byte
+	var checksum [2 * sha256.Size]byte
+	hex.Encode(checksum[:], sum.Sum(digest[:0]))
+	e.w = w
+	e.envelope(st, checksum[:], nil)
+	return e.err
 }
 
 // Decode reads and verifies a snapshot: the envelope's leading fields,
@@ -212,7 +223,7 @@ func WriteFile(path string, st *FleetState) error {
 		return fmt.Errorf("persist: create temp snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := Encode(tmp, st); err != nil {
+	if err := writeSnapshot(tmp, st); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -225,6 +236,37 @@ func WriteFile(path string, st *FleetState) error {
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("persist: publish snapshot: %w", err)
+	}
+	return nil
+}
+
+// checksumAt is where the header's checksum starts in a snapshot.
+var checksumAt = int64(len(header(nil)))
+
+// writeSnapshot streams the snapshot into f in one pass, hashing the
+// payload as it goes. The header's checksum is known only at the end,
+// so a placeholder of as many zeros stands in for it until the payload
+// is written, and the checksum is then written over it: the bytes are
+// Encode's.
+func writeSnapshot(f *os.File, st *FleetState) error {
+	bw := bufio.NewWriterSize(f, 64<<10)
+	e := newEncoder(bw)
+	sum := sha256.New()
+	var checksum [2 * sha256.Size]byte
+	for i := range checksum {
+		checksum[i] = '0'
+	}
+	e.envelope(st, checksum[:], sum)
+	if e.err != nil {
+		return e.err
+	}
+	var digest [sha256.Size]byte
+	hex.Encode(checksum[:], sum.Sum(digest[:0]))
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("persist: encode snapshot: %w", err)
+	}
+	if _, err := f.WriteAt(checksum[:], checksumAt); err != nil {
+		return fmt.Errorf("persist: encode snapshot: %w", err)
 	}
 	return nil
 }

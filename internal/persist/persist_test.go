@@ -241,6 +241,25 @@ func TestWriteFileAtomic(t *testing.T) {
 		}
 		t.Fatalf("directory holds %v, want only snap.json", names)
 	}
+	// A state that cannot be encoded fails the write, also when most of
+	// it had reached the temp file: the previous snapshot stays as it was
+	// and no temp file is left behind.
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range nonFiniteStates() {
+		if err := WriteFile(path, bad); err == nil || !strings.Contains(err.Error(), "persist: marshal payload: json: unsupported value") {
+			t.Fatalf("%s: WriteFile error %v, want json.Marshal's refusal", name, err)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("%s: a refused write changed the previous snapshot (%v)", name, err)
+		}
+		if tmps, _ := filepath.Glob(path + ".tmp-*"); len(tmps) != 0 {
+			t.Fatalf("%s: a refused write left %v behind", name, tmps)
+		}
+	}
 }
 
 func TestScheduleDescribeBuildRoundTrip(t *testing.T) {
