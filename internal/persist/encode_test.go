@@ -99,9 +99,8 @@ func TestTypedWriterMatchesMarshal(t *testing.T) {
 	}
 }
 
-// The snapshot Encode writes, and the file WriteFile writes, are the
-// envelope json.Marshal's payload was sealed in: the bytes of the format
-// did not change with the writer.
+// The snapshot Encode writes, and the file WriteFile writes, are
+// json.Marshal's payload sealed in its envelope, byte for byte.
 func TestSnapshotBytesUnchanged(t *testing.T) {
 	st := fleetOfJobs(300)
 	payload, err := json.Marshal(st)
