@@ -69,6 +69,14 @@ var architectureRules = []struct {
 		find: methodCalls("MeasureSteady", "MeasureSteadySampled", "RunAndMeasure"),
 	},
 	{
+		// A monitor window is judged once, by slo.Judge, and every reader
+		// combines its Verdict; Eq. 9's acceptance (bo/score.go) and the
+		// DRS rule are the paper's own and judge a trial, not a window.
+		what:    "compares a latency with a target",
+		allowed: in("internal/slo", "internal/bo/score.go", "internal/policy/drs"),
+		find:    latencyTargetComparisons,
+	},
+	{
 		// ROADMAP renumbers its items at every re-anchor, so a number
 		// soon names another item: cite an item by its title.
 		what:    "cites a ROADMAP item by number",
@@ -201,6 +209,44 @@ func goStatements(f *ast.File) []ast.Node {
 		return true
 	})
 	return found
+}
+
+// latencyTargetComparisons finds the ordered comparisons (<, <=, >, >=)
+// of a latency with a target: one operand is an identifier or selector
+// whose text contains "atency", the other one whose text contains
+// "arget". A comparison with a literal (TargetLatencyMS <= 0) is a
+// validation, not a judgement, and is not found.
+func latencyTargetComparisons(f *ast.File) []ast.Node {
+	judges := func(lat, tgt string) bool {
+		return strings.Contains(lat, "atency") && strings.Contains(tgt, "arget")
+	}
+	var found []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		b, ok := n.(*ast.BinaryExpr)
+		if !ok || (b.Op != token.LSS && b.Op != token.LEQ && b.Op != token.GTR && b.Op != token.GEQ) {
+			return true
+		}
+		x, y := exprName(b.X), exprName(b.Y)
+		if judges(x, y) || judges(y, x) {
+			found = append(found, b)
+		}
+		return true
+	})
+	return found
+}
+
+// exprName is the text of an identifier or a selector chain over one
+// (c.targetLatencyMS), and "" for any other expression.
+func exprName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		if x := exprName(e.X); x != "" {
+			return x + "." + e.Sel.Name
+		}
+	}
+	return ""
 }
 
 // imports finds the import specs of the given paths.

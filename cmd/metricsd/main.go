@@ -36,9 +36,9 @@
 // Usage:
 //
 //	metricsd [-addr :9090] [-workload wordcount] [-latency ms]
-//	         [-tick-interval 10ms] [-seed N] [-trace-capacity 2048]
-//	         [-flight-cap 4096] [-jobs N] [-restore snapshot.json]
-//	         [-snapshot path.json] [-checkpoint-every N]
+//	         [-tick-interval 10ms] [-seed N] [-flight-cap 4096]
+//	         [-jobs N] [-restore snapshot.json] [-snapshot path.json]
+//	         [-checkpoint-every N]
 package main
 
 import (
@@ -83,9 +83,8 @@ type server struct {
 type serverConfig struct {
 	Workload string
 	// LatencyMS is every submitted job's target (0: the workload's).
-	LatencyMS     float64
-	Seed          uint64
-	TraceCapacity int
+	LatencyMS float64
+	Seed      uint64
 	// FlightCap sizes the flight recorder's record ring (default: the
 	// recorder's own default).
 	FlightCap int
@@ -115,7 +114,7 @@ func newServer(cfg serverConfig) (*server, workloads.Spec, error) {
 	}
 
 	store := metrics.NewStore()
-	tracer := trace.New(cfg.TraceCapacity)
+	tracer := trace.New(trace.DefaultCapacity)
 	flight := trace.NewFlightRecorder(cfg.FlightCap)
 	tracer.AttachFlight(flight)
 
@@ -218,7 +217,6 @@ func run(args []string) error {
 		latency   = fs.Float64("latency", 0, "target latency ms (default: the workload's)")
 		tick      = fs.Duration("tick-interval", 10*time.Millisecond, "wall time per simulated second")
 		seed      = fs.Uint64("seed", 1, "random seed")
-		traceCap  = fs.Int("trace-capacity", trace.DefaultCapacity, "span ring-buffer capacity")
 		flightCap = fs.Int("flight-cap", 0, "flight recorder ring capacity (0: default)")
 		jobs      = fs.Int("jobs", 1, "run N staggered-rate copies of the workload (at least 1)")
 		restore   = fs.String("restore", "", "boot from a fleet snapshot file (-jobs is ignored)")
@@ -231,7 +229,6 @@ func run(args []string) error {
 		Workload:        *workload,
 		LatencyMS:       *latency,
 		Seed:            *seed,
-		TraceCapacity:   *traceCap,
 		FlightCap:       *flightCap,
 		Jobs:            *jobs,
 		Restore:         *restore,

@@ -89,6 +89,9 @@ type Event struct {
 	// accounting) need no second measurement pass.
 	LagRecords   float64
 	CPUUsedCores float64
+	// QoS is the window's verdict against the job's objectives, judged
+	// once per step; every reader of "was this window OK?" reads it.
+	QoS slo.Verdict
 }
 
 // Controller is the paper's Scaling Manager + Policy Controller + System
@@ -220,7 +223,7 @@ func NewController(e *flink.Engine, cfg ControllerConfig) (*Controller, error) {
 		inst:            newCtlInstruments(e.Store(), e.JobName()),
 		// SLO tracking is always on — a handful of float ops per step, no
 		// randomness — with the slo package's constant windows and thresholds.
-		slo:     slo.New(cfg.TargetLatencyMS),
+		slo:     slo.New(),
 		lastSLO: slo.StateHealthy,
 		// Smooth the observed input rate (half-life one policy window) so the
 		// controller re-plans on sustained shifts, not window jitter.
@@ -311,8 +314,8 @@ func (c *Controller) pushReport(r DecisionReport) {
 // miss) so scrape-side alerting does not need to parse events. The same
 // call feeds the SLO tracker — one observation per policy window, so the
 // burn-rate pipeline costs O(steps), never a separate walk.
-func (c *Controller) recordStepMetrics(m flink.Measurement) {
-	c.slo.Observe(c.engine.Now(), m.ProcLatencyMS, m.LagRecords, m.InputRateRPS)
+func (c *Controller) recordStepMetrics(v slo.Verdict) {
+	c.slo.Observe(c.engine.Now(), v)
 	if h := c.slo.Health(); h.State != c.lastSLO {
 		if c.tracer.FlightEnabled() {
 			c.tracer.Emit(trace.Record{
@@ -332,7 +335,7 @@ func (c *Controller) recordStepMetrics(m flink.Measurement) {
 		return
 	}
 	c.inst.steps.Inc()
-	if m.ProcLatencyMS > c.targetLatencyMS {
+	if !v.LatencyOK {
 		c.inst.violations.Inc()
 	}
 }
@@ -379,8 +382,9 @@ func (c *Controller) Step() (Event, error) {
 		LagRecords:    m.LagRecords,
 		CPUUsedCores:  m.CPUUsedCores,
 		Action:        ActionNone,
+		QoS:           slo.Judge(c.targetLatencyMS, m.ProcLatencyMS, m.ThroughputRPS, m.InputRateRPS, m.LagRecords),
 	}
-	c.recordStepMetrics(m)
+	c.recordStepMetrics(ev.QoS)
 
 	// Analyze: detect sustained rate shifts on the smoothed signal, but
 	// plan for the currently measured rate.
@@ -388,15 +392,18 @@ func (c *Controller) Step() (Event, error) {
 	rate := m.InputRateRPS
 	rateChanged := c.curRate == 0 ||
 		math.Abs(smoothed-c.curRate) > rateChangeFraction*c.curRate
+	// The trigger reads latency and throughput: a backlog over the SLO's
+	// horizon (BacklogOK) alone does not replan.
+	qosOK := ev.QoS.LatencyOK && ev.QoS.ThroughputOK
 	if c.tracer.Enabled() {
 		sp.SetFloat("t_sec", ev.TimeSec)
 		sp.SetFloat("rate_rps", rate)
 		sp.SetFloat("smoothed_rps", smoothed)
 		sp.SetBool("rate_changed", rateChanged)
-		sp.SetBool("qos_ok", c.qosOK(m))
+		sp.SetBool("qos_ok", qosOK)
 	}
 
-	replan := rateChanged || !c.qosOK(m)
+	replan := rateChanged || !qosOK
 	if replan {
 		trigger := TriggerQoS
 		if rateChanged {
@@ -494,17 +501,6 @@ func (c *Controller) degrade(ev *Event, rate float64, cause error) {
 func (c *Controller) settle() {
 	c.engine.Run(30)
 	c.engine.SeekToLatest()
-}
-
-// qosOK checks latency and throughput against targets.
-func (c *Controller) qosOK(m flink.Measurement) bool {
-	if m.ProcLatencyMS > c.targetLatencyMS {
-		return false
-	}
-	if m.InputRateRPS > 0 && m.ThroughputRPS < m.InputRateRPS*0.95 && m.LagRecords > m.InputRateRPS {
-		return false
-	}
-	return true
 }
 
 // Run executes Steps until the simulation clock passes untilSec and

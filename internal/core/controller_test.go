@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"autrascale/internal/cluster"
 	"autrascale/internal/flink"
 	"autrascale/internal/kafka"
+	"autrascale/internal/slo"
 	"autrascale/internal/transfer"
 	"autrascale/internal/workloads"
 )
@@ -322,5 +325,48 @@ func TestControllerPlansInExhaustedSpace(t *testing.T) {
 	}
 	if !strings.Contains(first.Explain(), "space-exhausted") {
 		t.Fatalf("Explain does not name the termination:\n%s", first.Explain())
+	}
+}
+
+// referenceQoSOK is the replan trigger's rule as the controller applied
+// it before slo.Judge existed, kept as the reference the verdict must
+// reproduce bit for bit.
+func referenceQoSOK(targetLatencyMS float64, m flink.Measurement) bool {
+	if m.ProcLatencyMS > targetLatencyMS {
+		return false
+	}
+	if m.InputRateRPS > 0 && m.ThroughputRPS < m.InputRateRPS*0.95 && m.LagRecords > m.InputRateRPS {
+		return false
+	}
+	return true
+}
+
+// The trigger's reading of the verdict, LatencyOK && ThroughputOK,
+// agrees with the reference rule on every edge of its clauses and on
+// seeded random windows around them.
+func TestTriggerVerdictMatchesReference(t *testing.T) {
+	up, down := math.Inf(1), math.Inf(-1)
+	rng := rand.New(rand.NewPCG(56, 1))
+	near := func(x float64) []float64 {
+		return []float64{x, math.Nextafter(x, down), math.Nextafter(x, up), x * (0.5 + rng.Float64())}
+	}
+	for _, target := range []float64{180, 300, 500 * rng.Float64()} {
+		for _, rate := range []float64{0, -1, 1000, 60000, 1e6 * rng.Float64()} {
+			lats := append(near(target), math.NaN(), 0)
+			thrs := append(near(0.95*rate), rate, 0)
+			lags := append(near(1*rate), near(60*rate)...)
+			lags = append(lags, 0)
+			for _, lat := range lats {
+				for _, thr := range thrs {
+					for _, lag := range lags {
+						m := flink.Measurement{ProcLatencyMS: lat, ThroughputRPS: thr, InputRateRPS: rate, LagRecords: lag}
+						v := slo.Judge(target, lat, thr, rate, lag)
+						if got, want := v.LatencyOK && v.ThroughputOK, referenceQoSOK(target, m); got != want {
+							t.Errorf("target %v, window %+v: verdict %+v reads %v, reference %v", target, m, v, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

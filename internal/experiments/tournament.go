@@ -283,7 +283,7 @@ func runTournamentCell(cell *TournamentCell, spec workloads.Spec, opts Tournamen
 		dt := ev.TimeSec - prev
 		prev = ev.TimeSec
 		cell.Steps++
-		if ev.ProcLatencyMS > spec.TargetLatencyMS {
+		if !ev.QoS.LatencyOK {
 			cell.Violations++
 		}
 		cell.LagIntegral += ev.LagRecords * dt

@@ -1,9 +1,10 @@
-// Package slo tracks per-job service-level objectives for the fleet's
-// observability pipeline: a latency-violation budget and a lag budget,
-// each watched through a pair of exponentially decayed windows (a fast
-// window that reacts within minutes and a slow window that remembers an
-// hour), reduced to SRE-style *burn rates* — how many times faster than
-// the budget allows the job is spending its error budget.
+// Package slo judges each monitor window against the job's objectives
+// (Judge) and tracks them for the fleet's observability pipeline: a
+// latency-violation budget and a lag budget, each watched through a pair
+// of exponentially decayed windows (a fast window that reacts within
+// minutes and a slow window that remembers an hour), reduced to SRE-style
+// *burn rates* — how many times faster than the budget allows the job is
+// spending its error budget.
 //
 // The design follows the multi-window, multi-burn-rate alerting pattern
 // from the Google SRE workbook: a job is *burning* only when both the
@@ -14,9 +15,10 @@
 //
 // # Cost model
 //
-// A tracker is fed one observation per MAPE step — the same call path
-// that increments the `autrascale.latency.violations` counter — so the
-// fleet pays O(due jobs) per round for SLO tracking, never O(jobs).
+// A tracker is fed one Verdict per MAPE step — the judgement the
+// controller's replan trigger and the `autrascale.latency.violations`
+// counter read too — so the fleet pays O(due jobs) per round for SLO
+// tracking, never O(jobs).
 // Observe is a handful of float operations, draws no randomness, and
 // therefore cannot perturb a seeded run: the golden traces pass
 // unchanged with tracking enabled.
@@ -69,6 +71,12 @@ const (
 	// input: lag above lagBudgetSec × input-rate counts as a lag
 	// violation (one policy interval of backlog).
 	lagBudgetSec = 60
+	// catchUpShare and catchUpLagSec make the throughput objective: a
+	// window falls behind its input when throughput is under
+	// catchUpShare × input-rate and the backlog exceeds catchUpLagSec
+	// of input.
+	catchUpShare  = 0.95
+	catchUpLagSec = 1
 	// fastWindowSec and slowWindowSec are the decay time constants of
 	// the two observation windows, in simulated seconds.
 	fastWindowSec = 300
@@ -80,6 +88,31 @@ const (
 	burnDegraded = 1
 	burnPage     = 14.4
 )
+
+// Verdict is the one judgement of a monitor window. Each reader combines
+// the fields it needs: the replan trigger LatencyOK and ThroughputOK, the
+// violation counter LatencyOK, the tracker LatencyOK and BacklogOK.
+type Verdict struct {
+	// LatencyOK: the window's processing latency is not over the target
+	// (a NaN latency is not over it).
+	LatencyOK bool
+	// ThroughputOK: the job keeps up with its input — it is not both
+	// under catchUpShare of the rate and catchUpLagSec of input behind.
+	ThroughputOK bool
+	// BacklogOK: the backlog is within lagBudgetSec of input.
+	BacklogOK bool
+}
+
+// Judge judges one monitor window. A window with no input (rate ≤ 0)
+// cannot fall behind it.
+func Judge(targetLatencyMS, latencyMS, throughputRPS, inputRateRPS, lagRecords float64) Verdict {
+	return Verdict{
+		LatencyOK: !(latencyMS > targetLatencyMS),
+		ThroughputOK: !(inputRateRPS > 0 && throughputRPS < catchUpShare*inputRateRPS &&
+			lagRecords > catchUpLagSec*inputRateRPS),
+		BacklogOK: !(inputRateRPS > 0 && lagRecords > lagBudgetSec*inputRateRPS),
+	}
+}
 
 // classify maps a governing burn rate to its state; both thresholds are
 // inclusive.
@@ -152,11 +185,6 @@ type Health struct {
 // stepping that job (and read at the round barrier, after workers
 // joined).
 type Tracker struct {
-	// targetLatencyMS is the latency objective; a monitor window whose
-	// processing latency exceeds it is one violation (0 disables
-	// latency violations).
-	targetLatencyMS float64
-
 	latFast, latSlow window
 	lagFast, lagSlow window
 
@@ -164,30 +192,29 @@ type Tracker struct {
 	lastSec      float64
 }
 
-// New builds a tracker for a latency objective of targetLatencyMS.
-func New(targetLatencyMS float64) *Tracker {
+// New builds a tracker.
+func New() *Tracker {
 	return &Tracker{
-		targetLatencyMS: targetLatencyMS,
-		latFast:         window{tau: fastWindowSec},
-		latSlow:         window{tau: slowWindowSec},
-		lagFast:         window{tau: fastWindowSec},
-		lagSlow:         window{tau: slowWindowSec},
+		latFast: window{tau: fastWindowSec},
+		latSlow: window{tau: slowWindowSec},
+		lagFast: window{tau: fastWindowSec},
+		lagSlow: window{tau: slowWindowSec},
 	}
 }
 
-// Observe folds one monitor window's outcome in: the measured processing
-// latency, backlog, and input rate at simulated time tSec. No-op on the
-// nil tracker.
-func (t *Tracker) Observe(tSec, latencyMS, lagRecords, inputRateRPS float64) {
+// Observe folds in the verdict of the monitor window that ended at
+// simulated time tSec: its LatencyOK and BacklogOK. No-op on the nil
+// tracker.
+func (t *Tracker) Observe(tSec float64, v Verdict) {
 	if t == nil {
 		return
 	}
 	latViolated := 0.0
-	if t.targetLatencyMS > 0 && latencyMS > t.targetLatencyMS {
+	if !v.LatencyOK {
 		latViolated = 1
 	}
 	lagViolated := 0.0
-	if inputRateRPS > 0 && lagRecords > lagBudgetSec*inputRateRPS {
+	if !v.BacklogOK {
 		lagViolated = 1
 	}
 	t.latFast.observe(tSec, latViolated)
@@ -262,8 +289,7 @@ func (t *Tracker) State() TrackerState {
 }
 
 // RestoreState overwrites the tracker's position with a previously
-// captured state; the latency objective is kept.
-// No-op on the nil tracker.
+// captured state. No-op on the nil tracker.
 func (t *Tracker) RestoreState(s TrackerState) {
 	if t == nil {
 		return

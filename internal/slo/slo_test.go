@@ -5,17 +5,61 @@ import (
 	"testing"
 )
 
+// testTargetMS is the latency target the tracker tests judge windows
+// against.
+const testTargetMS = 200
+
+// observe judges a window that kept up with its input and feeds the
+// verdict to the tracker.
+func observe(t *Tracker, tSec, latencyMS, lag, rate float64) {
+	t.Observe(tSec, Judge(testTargetMS, latencyMS, rate, rate, lag))
+}
+
 // steadyObserve feeds n windows at interval dt, all with the same
 // latency/lag outcome.
 func steadyObserve(t *Tracker, n int, dtSec, latencyMS, lag, rate float64) {
 	for i := 1; i <= n; i++ {
-		t.Observe(float64(i)*dtSec, latencyMS, lag, rate)
+		observe(t, float64(i)*dtSec, latencyMS, lag, rate)
+	}
+}
+
+// Judge at each boundary of its three clauses: the comparisons are
+// strict, a NaN latency is not over the target, and a window with no
+// input cannot fall behind it.
+func TestJudge(t *testing.T) {
+	const target = 200.0
+	rate := 1000.0
+	up, down := math.Inf(1), math.Inf(-1)
+	behind := 30 * rate // between the trigger's 1 s and the budget's 60 s
+	for _, c := range []struct {
+		name                string
+		latency, thr, lag   float64
+		rate                float64
+		latOK, thrOK, lagOK bool
+	}{
+		{"latency at the target", target, rate, 0, rate, true, true, true},
+		{"latency one ulp under", math.Nextafter(target, down), rate, 0, rate, true, true, true},
+		{"latency one ulp over", math.Nextafter(target, up), rate, 0, rate, false, true, true},
+		{"NaN latency", math.NaN(), rate, 0, rate, true, true, true},
+		{"no input", 0, 0, 1e12, 0, true, true, true},
+		{"throughput at 0.95 of the rate", 0, 0.95 * rate, behind, rate, true, true, true},
+		{"throughput one ulp under 0.95", 0, math.Nextafter(0.95*rate, down), behind, rate, true, false, true},
+		{"lag at 1 s of input", 0, 0, 1 * rate, rate, true, true, true},
+		{"lag one ulp over 1 s", 0, 0, math.Nextafter(1*rate, up), rate, true, false, true},
+		{"lag at 60 s of input", 0, rate, 60 * rate, rate, true, true, true},
+		{"lag one ulp over 60 s", 0, rate, math.Nextafter(60*rate, up), rate, true, true, false},
+		{"behind on every clause", 2 * target, 0, 100 * rate, rate, false, false, false},
+	} {
+		want := Verdict{LatencyOK: c.latOK, ThroughputOK: c.thrOK, BacklogOK: c.lagOK}
+		if got := Judge(target, c.latency, c.thr, c.rate, c.lag); got != want {
+			t.Errorf("%s: Judge = %+v, want %+v", c.name, got, want)
+		}
 	}
 }
 
 func TestNilTrackerIsHealthyNoOp(t *testing.T) {
 	var tr *Tracker
-	tr.Observe(60, 500, 1e9, 1000) // must not panic
+	observe(tr, 60, 500, 1e9, 1000) // must not panic
 	h := tr.Health()
 	if h.State != StateHealthy || h.BurnRate != 0 || h.Observations != 0 {
 		t.Fatalf("nil tracker health = %+v, want zero healthy", h)
@@ -23,7 +67,7 @@ func TestNilTrackerIsHealthyNoOp(t *testing.T) {
 }
 
 func TestHealthyUnderBudget(t *testing.T) {
-	tr := New(200)
+	tr := New()
 	steadyObserve(tr, 100, 60, 150, 0, 1000) // always under target, no lag
 	h := tr.Health()
 	if h.State != StateHealthy {
@@ -38,7 +82,7 @@ func TestHealthyUnderBudget(t *testing.T) {
 }
 
 func TestSustainedViolationsBurn(t *testing.T) {
-	tr := New(200)
+	tr := New()
 	// Every window violates: violation fraction → 1, burn → 1/0.01 = 100
 	// on both windows once they saturate — far past the page threshold.
 	steadyObserve(tr, 200, 60, 500, 0, 1000)
@@ -58,11 +102,11 @@ func TestSustainedViolationsBurn(t *testing.T) {
 // multi-window rule must keep the governing burn low, so no page fires
 // on transient noise.
 func TestShortSpikeDoesNotPage(t *testing.T) {
-	tr := New(200)
+	tr := New()
 	steadyObserve(tr, 120, 60, 100, 0, 1000) // 2h healthy history
 	// 3 violating windows (~3 minutes).
 	for i := 1; i <= 3; i++ {
-		tr.Observe(120*60+float64(i)*60, 500, 0, 1000)
+		observe(tr, 120*60+float64(i)*60, 500, 0, 1000)
 	}
 	h := tr.Health()
 	if h.State == StateBurning {
@@ -75,7 +119,7 @@ func TestShortSpikeDoesNotPage(t *testing.T) {
 }
 
 func TestLagBudgetIndependentOfLatency(t *testing.T) {
-	tr := New(200)
+	tr := New()
 	// Latency fine, but backlog is 10 minutes of input — lag violation.
 	steadyObserve(tr, 200, 60, 100, 600*1000, 1000)
 	h := tr.Health()
@@ -96,7 +140,7 @@ func TestLagBudgetIndependentOfLatency(t *testing.T) {
 // Irregular step spacing (a planning session burning simulated hours)
 // must decay by elapsed time, not by sample count.
 func TestTimeDecayOverGaps(t *testing.T) {
-	tr := New(200)
+	tr := New()
 	// Saturate with violations...
 	steadyObserve(tr, 100, 60, 500, 0, 1000)
 	burning := tr.Health()
@@ -105,7 +149,7 @@ func TestTimeDecayOverGaps(t *testing.T) {
 	}
 	// ...then one healthy observation after a 10-hour gap: both windows
 	// must have decayed almost completely.
-	tr.Observe(100*60+36000, 100, 0, 1000)
+	observe(tr, 100*60+36000, 100, 0, 1000)
 	h := tr.Health()
 	if h.State != StateHealthy {
 		t.Fatalf("after 10h gap + healthy sample: state %s (%+v)", h.State, h)
@@ -120,13 +164,13 @@ func TestDegradedBetweenThresholds(t *testing.T) {
 	// One violation in every 10 windows burns at about 10 times the 1%
 	// budget — above sustainable, below the page threshold — in every
 	// window once the slow window has warmed up.
-	tr := New(200)
+	tr := New()
 	for i := 1; i <= 400; i++ {
 		lat := 100.0
 		if i%10 == 0 {
 			lat = 500
 		}
-		tr.Observe(float64(i)*60, lat, 0, 1000)
+		observe(tr, float64(i)*60, lat, 0, 1000)
 		if h := tr.Health(); i > 200 && h.State != StateDegraded {
 			t.Fatalf("window %d: state = %s, want degraded (burn %v)", i, h.State, h.BurnRate)
 		}
@@ -153,7 +197,7 @@ func TestStateThresholdsAreInclusive(t *testing.T) {
 	}
 	// Health classifies through the same function: both latency windows
 	// at exactly the budget fraction burn at exactly 1.0.
-	tr := New(100)
+	tr := New()
 	at := WindowState{Value: violationBudget, LastSec: 60, Started: true}
 	tr.RestoreState(TrackerState{LatFast: at, LatSlow: at, Observations: 1, LastSec: 60})
 	if h := tr.Health(); h.BurnRate != 1.0 || h.State != StateDegraded {
@@ -166,7 +210,7 @@ func TestStateThresholdsAreInclusive(t *testing.T) {
 // the slow window still remembers the incident, and min(fast, slow)
 // must side with the fast one.
 func TestFastSlowCrossoverOnRecovery(t *testing.T) {
-	tr := New(200)
+	tr := New()
 	steadyObserve(tr, 100, 60, 500, 0, 1000)
 	if h := tr.Health(); h.State != StateBurning {
 		t.Fatalf("setup: want burning, got %s", h.State)
@@ -175,7 +219,7 @@ func TestFastSlowCrossoverOnRecovery(t *testing.T) {
 	// its saturated value; slow (tau 3600s) barely moves.
 	last := 100.0 * 60
 	for i := 1; i <= 20; i++ {
-		tr.Observe(last+float64(i)*60, 100, 0, 1000)
+		observe(tr, last+float64(i)*60, 100, 0, 1000)
 	}
 	h := tr.Health()
 	if h.Latency.FastBurn >= h.Latency.SlowBurn {
@@ -205,11 +249,11 @@ func TestSeverityOrdering(t *testing.T) {
 // tracking enabled.
 func TestTrackerDeterminism(t *testing.T) {
 	feed := func() Health {
-		tr := New(200)
+		tr := New()
 		for i := 1; i <= 500; i++ {
 			lat := 100 + 300*math.Sin(float64(i)/7)
 			lag := 1000 * math.Abs(math.Cos(float64(i)/11)) * 200
-			tr.Observe(float64(i)*60, lat, lag, 1000)
+			observe(tr, float64(i)*60, lat, lag, 1000)
 		}
 		return tr.Health()
 	}
