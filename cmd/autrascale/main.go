@@ -21,7 +21,8 @@
 // first half is submitted cold at t=0; the second half joins halfway
 // through -duration and warm-starts from the shared model library (see
 // docs/fleet.md). The final table shows each job's state and how many
-// configuration trials its first planning session cost.
+// trial windows its first plan measured: Eq. 3's, the bootstrap set's,
+// Algorithm 2's run at the base and every BO iteration's.
 //
 // With -chaos (none, light, heavy) a seeded fault injector fails and
 // delays rescales, drops/corrupts measurement windows, kills machines
@@ -242,7 +243,7 @@ func runOnce(w io.Writer, engine *flink.Engine, spec workloads.Spec, rate, laten
 		return err
 	}
 	fmt.Fprintf(w, "throughput optimization: k' = %v (%.0f records/s, %d iterations, reached=%v)\n",
-		tr.Base, tr.BestThroughputRPS, tr.Iterations, tr.ReachedTarget)
+		tr.Base, tr.BestThroughputRPS, tr.Iterations(), tr.ReachedTarget)
 
 	res, err := core.RunAlgorithm1(engine, tr.Base, core.Algorithm1Config{
 		TargetRate:      rate,
@@ -253,7 +254,7 @@ func runOnce(w io.Writer, engine *flink.Engine, spec workloads.Spec, rate, laten
 		return err
 	}
 	fmt.Fprintf(w, "algorithm 1: %d bootstrap runs + %d BO iterations (terminated=%v, threshold %.3f)\n",
-		res.BootstrapRuns, res.Iterations, res.Met, res.Threshold)
+		res.BootstrapRuns(), res.Iterations(), res.Met, res.Threshold)
 	fmt.Fprintf(w, "recommended configuration: %v (total %d slots)\n",
 		res.Best.Par, res.Best.Par.Total())
 	fmt.Fprintf(w, "  latency   %.0f ms (met=%v)\n", res.Best.ProcLatencyMS, res.Best.LatencyMet)
@@ -267,7 +268,7 @@ func runOnce(w io.Writer, engine *flink.Engine, spec workloads.Spec, rate, laten
 			Reason:             "one-shot run",
 			RateRPS:            rate,
 			Base:               tr.Base,
-			ThroughputIters:    tr.Iterations,
+			ThroughputIters:    tr.Iterations(),
 			ReachedTarget:      tr.ReachedTarget,
 			TerminatedByRepeat: tr.TerminatedByRepeat,
 		}
@@ -371,7 +372,7 @@ func runFleet(w io.Writer, spec workloads.Spec, jobs, workers int, rate, latency
 		if len(decisions) > 0 {
 			d := decisions[0]
 			firstPlan = string(d.Action)
-			trials = fmt.Sprintf("%d", d.Iterations+d.BootstrapRuns)
+			trials = fmt.Sprintf("%d", d.Windows)
 			if js.WarmStarted {
 				firstPlan += fmt.Sprintf(" (warm from %.0f rps)", js.WarmSourceRate)
 			}

@@ -22,6 +22,7 @@ var (
 	makeRule   = regexp.MustCompile(`(?m)^([a-zA-Z][\w-]*)\s*:(?:[^=]|$)`)
 	flagToken  = regexp.MustCompile(`^--?([a-zA-Z][\w-]*)(=.*)?$`)
 	pathRef    = regexp.MustCompile(`(?:^|[^\w])(internal/[\w./<>…-]*)`)
+	memberRef  = regexp.MustCompile(`^(?:[a-z]\w*\.)?(\w+)\.(\w+)(?:\(.*\))?$`)
 )
 
 // flagDefiners maps each flag-defining function of package flag (and
@@ -119,12 +120,119 @@ func internalPathProblems(code string) []string {
 	return out
 }
 
+// typeMembers maps each type name the module's non-test code declares to
+// the names of its methods, struct fields and interface methods. A type
+// reaches the members of the types it embeds or aliases too, so a type
+// name maps to every member a selector on it can name.
+func typeMembers(files []goFile) map[string]map[string]bool {
+	own := map[string]map[string]bool{}
+	embeds := map[string][]string{}
+	declare := func(typ string) map[string]bool {
+		if own[typ] == nil {
+			own[typ] = map[string]bool{}
+		}
+		return own[typ]
+	}
+	for _, gf := range files {
+		for _, d := range gf.f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && len(fn.Recv.List) == 1 {
+				declare(baseTypeName(fn.Recv.List[0].Type))[fn.Name.Name] = true
+			}
+			gd, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				name, m := ts.Name.Name, declare(ts.Name.Name)
+				var fields *ast.FieldList
+				switch t := ts.Type.(type) {
+				case *ast.StructType:
+					fields = t.Fields
+				case *ast.InterfaceType:
+					fields = t.Methods
+				}
+				if ts.Assign != 0 {
+					embeds[name] = append(embeds[name], baseTypeName(ts.Type))
+				}
+				if fields == nil {
+					continue
+				}
+				for _, f := range fields.List {
+					if len(f.Names) == 0 {
+						m[baseTypeName(f.Type)] = true
+						embeds[name] = append(embeds[name], baseTypeName(f.Type))
+					}
+					for _, n := range f.Names {
+						m[n.Name] = true
+					}
+				}
+			}
+		}
+	}
+	all := map[string]map[string]bool{}
+	var collect func(typ string, into map[string]bool, seen map[string]bool)
+	collect = func(typ string, into, seen map[string]bool) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		for member := range own[typ] {
+			into[member] = true
+		}
+		for _, e := range embeds[typ] {
+			collect(e, into, seen)
+		}
+	}
+	for typ := range own {
+		all[typ] = map[string]bool{}
+		collect(typ, all[typ], map[string]bool{})
+	}
+	return all
+}
+
+// baseTypeName is the name of the type a receiver, embedded field or
+// alias target expression denotes: T for T, *T, pkg.T and T[P].
+func baseTypeName(e ast.Expr) string {
+	switch t := e.(type) {
+	case *ast.StarExpr:
+		return baseTypeName(t.X)
+	case *ast.SelectorExpr:
+		return t.Sel.Name
+	case *ast.IndexExpr:
+		return baseTypeName(t.X)
+	case *ast.IndexListExpr:
+		return baseTypeName(t.X)
+	case *ast.Ident:
+		return t.Name
+	}
+	return ""
+}
+
+// memberProblem reports a code span that is a `Type.member` or
+// `pkg.Type.member` name (a call's parentheses allowed) whose Type the
+// module declares but whose member no type of that name has. A span
+// whose Type is no declared type (`slo.Judge`, `Report.Iterations`) is
+// not a member name and passes.
+func memberProblem(code string, members map[string]map[string]bool) string {
+	m := memberRef.FindStringSubmatch(code)
+	if m == nil || members[m[1]] == nil || members[m[1]][m[2]] {
+		return ""
+	}
+	return fmt.Sprintf("`%s`: type %s has no method or field %s", code, m[1], m[2])
+}
+
 // Every backticked make invocation in the docs and Go comments names a
 // Makefile rule, and every backticked `go run ./<path>` names a main
 // package of this module and passes only flags that package defines.
 // Every backticked `internal/...` path in the docs (but not ROADMAP.md,
-// which names deleted packages on purpose) names a real package or file.
-// CHANGES.md is history and is not scanned.
+// which names deleted packages on purpose) names a real package or file,
+// and every backticked `Type.member` in README.md, DESIGN.md,
+// EXPERIMENTS.md and docs/ names a method or field of a type the module
+// declares under that name. CHANGES.md is history and is not scanned.
 func TestDocsNameRealTargets(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -141,6 +249,12 @@ func TestDocsNameRealTargets(t *testing.T) {
 	}
 	if got := internalPathProblems("internal/queueing, ./internal/trace.FlightRecorder, internal/<pkg>/x.go, internal/persist/v1.go."); len(got) != 1 {
 		t.Fatalf("only the deleted package should be a problem, got %q", got)
+	}
+	members := typeMembers(src.files)
+	for code, want := range map[string]bool{"Controller.replan": true, "core.Controller.plan": false, "Policy.Plan()": false, "BOConfig.Seed": false, "Report.Iterations": false} {
+		if got := memberProblem(code, members) != ""; got != want {
+			t.Fatalf("memberProblem(%q) flagged %v, want %v", code, got, want)
+		}
 	}
 	check := func(where, code string) {
 		code = strings.Join(strings.Fields(code), " ")
@@ -178,6 +292,9 @@ func TestDocsNameRealTargets(t *testing.T) {
 				continue
 			}
 			for _, p := range internalPathProblems(s.code) {
+				t.Errorf("%s: %s", where, p)
+			}
+			if p := memberProblem(s.code, members); p != "" && !strings.HasPrefix(path, ".claude") {
 				t.Errorf("%s: %s", where, p)
 			}
 		}

@@ -115,6 +115,6 @@ func run(w io.Writer) error {
 		float64(targetLatency), res.Best.Par, res.Best.Par.Total())
 	fmt.Fprintf(w, "  latency %.0f ms (met=%v), score %.3f, %d bootstrap + %d BO runs\n",
 		res.Best.ProcLatencyMS, res.Best.LatencyMet, res.Best.Score,
-		res.BootstrapRuns, res.Iterations)
+		res.BootstrapRuns(), res.Iterations())
 	return nil
 }

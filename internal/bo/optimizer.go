@@ -122,16 +122,17 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 // -explain report are built from this.
 type SuggestionStats struct {
 	// Mean/Std are the GP posterior at the suggestion when it was chosen.
-	Mean, Std float64
+	Mean float64 `json:"posterior_mean"`
+	Std  float64 `json:"posterior_std"`
 	// AcqValue is the acquisition value there (EI; posterior mean when
 	// the suggestion came from pure exploitation).
-	AcqValue float64
+	AcqValue float64 `json:"acq_value"`
 	// Acquisition is the function the suggestion maximized: "ei"
 	// (expected improvement) or "mean" (pure exploitation).
-	Acquisition string
+	Acquisition string `json:"acquisition,omitempty"`
 	// Reason labels the selection path: "acq-max", "exploit-mean",
 	// "fallback-mean" (every candidate had zero acquisition value).
-	Reason string
+	Reason string `json:"selection,omitempty"`
 }
 
 // LastSuggestion returns the stats of the most recent Suggest call; ok

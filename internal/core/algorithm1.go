@@ -53,17 +53,6 @@ func (c *Algorithm1Config) defaults() error {
 	return nil
 }
 
-// Trial is one evaluated configuration with its QoS outcome.
-type Trial struct {
-	Par           dataflow.ParallelismVector
-	Score         float64
-	ProcLatencyMS float64
-	ThroughputRPS float64
-	LatencyMet    bool
-	CPUUsedCores  float64
-	MemUsedMB     float64
-}
-
 // Algorithm1Result is the outcome of one planning session, RunAlgorithm1
 // or RunAlgorithm2.
 type Algorithm1Result struct {
@@ -80,13 +69,9 @@ type Algorithm1Result struct {
 	Exhausted bool
 	// Threshold is the Eq. 9 benefit threshold that applied.
 	Threshold float64
-	// Iterations counts BO iterations (excluding bootstrap runs).
-	Iterations int
-	// BootstrapRuns counts configurations evaluated during bootstrap
-	// (Algorithm 2 runs none: it estimates them).
-	BootstrapRuns int
-	// Trials are the configurations run for real, in order; Algorithm 2's
-	// transfer saving is how few there are.
+	// Trials logs the configurations run for real, in order, as
+	// PhaseBootstrap, PhaseSeed and PhaseBO trials; Algorithm 2's transfer
+	// saving is how few there are.
 	Trials []Trial
 	// EstimatedSamples is the number of pseudo-samples Algorithm 2's
 	// transferred model predicted per iteration (0 for Algorithm 1).
@@ -94,10 +79,6 @@ type Algorithm1Result struct {
 	// SwitchedToA1 reports that Algorithm 2 reached N_num real samples
 	// and finished under Algorithm 1's loop on real data only.
 	SwitchedToA1 bool
-	// Iters explains each BO iteration: the posterior/acquisition values
-	// that selected the configuration plus its measured outcome — the
-	// raw material for decision reports and trace spans.
-	Iters []IterationReport
 	// Model is the fitted benefit model, ready to be stored in the model
 	// library for later transfer learning.
 	Model *gp.Regressor
@@ -122,10 +103,9 @@ func RunAlgorithm1(e *flink.Engine, base dataflow.ParallelismVector, cfg Algorit
 	// sample can satisfy Eq. 9's *average* resource ratio while wildly
 	// over-provisioning a single operator.
 	for _, p := range s.bootstrap {
-		if _, err := s.observe(opt, p); err != nil {
+		if err := s.run(opt, PhaseBootstrap, p); err != nil {
 			return nil, err
 		}
-		s.res.BootstrapRuns++
 	}
 	if err := s.loop(opt); err != nil {
 		return nil, err
@@ -187,34 +167,20 @@ func (s *session) optimizer(exploit bool) (*bo.Optimizer, error) {
 	return bo.NewOptimizer(bo.OptimizerConfig{Space: s.space, Seed: s.cfg.Seed, Exploit: exploit, Tracer: s.cfg.Tracer})
 }
 
-// run runs configuration p for one policy-running window, scores it and
-// records it as a trial — the one way a session evaluates a configuration
-// for real.
-func (s *session) run(p dataflow.ParallelismVector) (Trial, error) {
-	m, err := MeasureTrial(s.e, p)
+// run runs configuration p for one policy-running window and logs it,
+// scored, as a phase ph trial — the one way a session evaluates a
+// configuration for real. A non-nil opt observes the outcome.
+func (s *session) run(opt *bo.Optimizer, ph Phase, p dataflow.ParallelismVector) error {
+	tr, err := MeasureTrial(&s.res.Trials, s.e, ph, p)
 	if err != nil {
-		return Trial{}, err
+		return err
 	}
-	tr := Trial{
-		Par:           p.Clone(),
-		Score:         s.scorer.Score(m.ProcLatencyMS, p),
-		ProcLatencyMS: m.ProcLatencyMS,
-		ThroughputRPS: m.ThroughputRPS,
-		LatencyMet:    s.scorer.LatencyMet(m.ProcLatencyMS),
-		CPUUsedCores:  m.CPUUsedCores,
-		MemUsedMB:     m.MemUsedMB,
+	tr.Score = s.scorer.Score(tr.ProcLatencyMS, p)
+	tr.LatencyMet = s.scorer.LatencyMet(tr.ProcLatencyMS)
+	if opt == nil {
+		return nil
 	}
-	s.res.Trials = append(s.res.Trials, tr)
-	return tr, nil
-}
-
-// observe runs p for real and adds the outcome to opt.
-func (s *session) observe(opt *bo.Optimizer, p dataflow.ParallelismVector) (Trial, error) {
-	tr, err := s.run(p)
-	if err != nil {
-		return Trial{}, err
-	}
-	return tr, opt.Add(bo.Observation{Par: p, Score: tr.Score})
+	return opt.Add(bo.Observation{Par: p, Score: tr.Score})
 }
 
 // met is Eq. 9's termination test: latency met and the benefit score at
@@ -223,32 +189,31 @@ func (s *session) met(tr Trial) bool {
 	return tr.LatencyMet && tr.Score >= s.res.Threshold
 }
 
-// judge counts one BO iteration that ran trial tr on opt's suggestion:
-// Eq. 9, then the iteration's explanation — opt's suggestion stats and
-// the measured trial — and its span.
-func (s *session) judge(opt *bo.Optimizer, tr Trial, spanName string) {
-	s.res.Iterations++
-	s.res.Met = s.met(tr)
-	it := IterationReport{
-		Iter:          s.res.Iterations,
-		Par:           tr.Par,
-		Score:         tr.Score,
-		ProcLatencyMS: tr.ProcLatencyMS,
-		LatencyMet:    tr.LatencyMet,
-		Eq9Margin:     tr.Score - s.res.Threshold,
-		Terminated:    s.res.Met,
+// judge judges the BO iteration the session logged last, on opt's
+// suggestion: the trial keeps the suggestion's stats, then Eq. 9 and,
+// when tracing, the iteration's span.
+func (s *session) judge(opt *bo.Optimizer, spanName string) {
+	tr := &s.res.Trials[len(s.res.Trials)-1]
+	st, _ := opt.LastSuggestion()
+	tr.SuggestionStats = &st
+	s.res.Met = s.met(*tr)
+	if !s.cfg.Tracer.Enabled() {
+		return
 	}
-	if st, ok := opt.LastSuggestion(); ok {
-		it.PosteriorMean = st.Mean
-		it.PosteriorStd = st.Std
-		it.AcqValue = st.AcqValue
-		it.Acquisition = st.Acquisition
-		it.Selection = st.Reason
-	}
-	s.res.Iters = append(s.res.Iters, it)
-	if s.cfg.Tracer.Enabled() {
-		emitIterationSpan(s.sp.Child(spanName), it)
-	}
+	sp := s.sp.Child(spanName)
+	sp.SetInt("iter", s.res.Iterations())
+	sp.SetStr("par", tr.Par.String())
+	sp.SetFloat("score", tr.Score)
+	sp.SetFloat("eq9_margin", tr.Score-s.res.Threshold)
+	sp.SetFloat("latency_ms", tr.ProcLatencyMS)
+	sp.SetBool("latency_met", tr.LatencyMet)
+	sp.SetFloat("posterior_mean", tr.Mean)
+	sp.SetFloat("posterior_std", tr.Std)
+	sp.SetFloat("acq_value", tr.AcqValue)
+	sp.SetStr("acquisition", tr.Acquisition)
+	sp.SetStr("selection", tr.Reason)
+	sp.SetBool("terminated", s.res.Met)
+	sp.End()
 }
 
 // loop is Algorithm 1's recommend-run-judge loop on opt, until Eq. 9
@@ -258,7 +223,7 @@ func (s *session) judge(opt *bo.Optimizer, tr Trial, spanName string) {
 // drives the iterate onto the feasible score maximum near the base
 // corner, EI covers the space.
 func (s *session) loop(opt *bo.Optimizer) error {
-	for k := 0; !s.res.Met && s.res.Iterations < s.cfg.MaxIterations; k++ {
+	for k := 0; !s.res.Met && s.res.Iterations() < s.cfg.MaxIterations; k++ {
 		p, err := opt.SuggestWith(k%3 != 2)
 		if errors.Is(err, bo.ErrSpaceExhausted) {
 			s.res.Exhausted = true
@@ -267,11 +232,10 @@ func (s *session) loop(opt *bo.Optimizer) error {
 		if err != nil {
 			return err
 		}
-		tr, err := s.observe(opt, p)
-		if err != nil {
+		if err := s.run(opt, PhaseBO, p); err != nil {
 			return err
 		}
-		s.judge(opt, tr, "algorithm1.iteration")
+		s.judge(opt, "algorithm1.iteration")
 	}
 	return nil
 }
@@ -290,8 +254,8 @@ func (s *session) finish() (*Algorithm1Result, error) {
 			reason = "space-exhausted"
 		}
 		s.sp.SetStr("termination", reason)
-		s.sp.SetInt("bootstrap_runs", res.BootstrapRuns)
-		s.sp.SetInt("iterations", res.Iterations)
+		s.sp.SetInt("bootstrap_runs", res.BootstrapRuns())
+		s.sp.SetInt("iterations", res.Iterations())
 		s.sp.SetInt("real_runs", len(res.Trials))
 		s.sp.SetInt("estimated_samples", res.EstimatedSamples)
 		s.sp.SetBool("switched_to_a1", res.SwitchedToA1)
@@ -311,46 +275,16 @@ func (s *session) finish() (*Algorithm1Result, error) {
 }
 
 // selectBest prefers latency-meeting trials by score; with none, the best
-// score overall.
+// score overall. A tie keeps the earlier trial.
 func selectBest(trials []Trial) Trial {
 	var best Trial
-	found := false
 	for _, tr := range trials {
-		if !tr.LatencyMet {
-			continue
-		}
-		if !found || tr.Score > best.Score {
-			best, found = tr, true
-		}
-	}
-	if found {
-		return best
-	}
-	for _, tr := range trials {
-		if tr.Score > best.Score || best.Par == nil {
+		if best.Par == nil || tr.LatencyMet && !best.LatencyMet ||
+			tr.LatencyMet == best.LatencyMet && tr.Score > best.Score {
 			best = tr
 		}
 	}
 	return best
-}
-
-// emitIterationSpan writes one IterationReport as a child span. Callers
-// guard with Tracer.Enabled() so attribute formatting never runs on the
-// disabled path.
-func emitIterationSpan(sp *trace.ActiveSpan, it IterationReport) {
-	sp.SetInt("iter", it.Iter)
-	sp.SetStr("par", it.Par.String())
-	sp.SetFloat("score", it.Score)
-	sp.SetFloat("eq9_margin", it.Eq9Margin)
-	sp.SetFloat("latency_ms", it.ProcLatencyMS)
-	sp.SetBool("latency_met", it.LatencyMet)
-	sp.SetFloat("posterior_mean", it.PosteriorMean)
-	sp.SetFloat("posterior_std", it.PosteriorStd)
-	sp.SetFloat("acq_value", it.AcqValue)
-	sp.SetStr("acquisition", it.Acquisition)
-	sp.SetStr("selection", it.Selection)
-	sp.SetBool("terminated", it.Terminated)
-	sp.End()
 }
 
 // fitFinalModel fits the benefit model on the distinct real trials so it

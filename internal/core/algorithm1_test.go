@@ -82,7 +82,7 @@ func TestRunAlgorithm1MeetsQoS(t *testing.T) {
 		}
 	}
 	// Bootstrap design ran before BO: M uniform + N one-hot (deduped).
-	if res.BootstrapRuns == 0 {
+	if res.BootstrapRuns() == 0 {
 		t.Fatal("bootstrap phase did not run")
 	}
 	// Model is available for the library.
@@ -135,8 +135,8 @@ func TestRunAlgorithm1InfeasibleTargetStillReturnsBestEffort(t *testing.T) {
 	if res.Best.Par == nil {
 		t.Fatal("must still return the best-effort trial")
 	}
-	if res.Iterations != 6 {
-		t.Fatalf("should exhaust the budget: %d", res.Iterations)
+	if res.Iterations() != 6 {
+		t.Fatalf("should exhaust the budget: %d", res.Iterations())
 	}
 }
 

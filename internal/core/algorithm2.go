@@ -40,13 +40,12 @@ func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transf
 
 	// Line 1 equivalent: one real sample at the base configuration seeds
 	// the residual model.
-	tr, err := s.run(base)
-	if err != nil {
+	if err := s.run(nil, PhaseSeed, base); err != nil {
 		return nil, err
 	}
-	res.Met = s.met(tr)
+	res.Met = s.met(res.Trials[0])
 
-	for !res.Met && len(res.Trials) < nNum && res.Iterations < s.cfg.MaxIterations {
+	for !res.Met && len(res.Trials) < nNum && res.Iterations() < s.cfg.MaxIterations {
 		// Lines 2–5: fit the residual model on the real samples so far.
 		samples := make([]transfer.Sample, len(res.Trials))
 		for i, t := range res.Trials {
@@ -85,16 +84,16 @@ func RunAlgorithm2(e *flink.Engine, base dataflow.ParallelismVector, prev transf
 		if err != nil {
 			return nil, err
 		}
-		tr, err := s.run(p)
-		if err != nil {
+		// The next iteration's optimizer observes it with the rest.
+		if err := s.run(nil, PhaseBO, p); err != nil {
 			return nil, err
 		}
-		s.judge(opt, tr, "algorithm2.iteration")
+		s.judge(opt, "algorithm2.iteration")
 	}
 
 	// Lines 17–19: enough real samples — continue with Algorithm 1's loop
 	// on real data only.
-	if !res.Met && !res.Exhausted && res.Iterations < s.cfg.MaxIterations {
+	if !res.Met && !res.Exhausted && res.Iterations() < s.cfg.MaxIterations {
 		res.SwitchedToA1 = true
 		opt, err := s.optimizer(false)
 		if err != nil {

@@ -77,7 +77,7 @@ func TestRunAlgorithm2TransfersToNewRate(t *testing.T) {
 	// The transfer saving: estimated samples replace bootstrap runs, so
 	// real runs must be well below (bootstrap set size + BO iterations)
 	// that Algorithm 1 from scratch would need.
-	a1Runs := prev.BootstrapRuns + prev.Iterations
+	a1Runs := prev.BootstrapRuns() + prev.Iterations()
 	if len(res.Trials) >= a1Runs {
 		t.Fatalf("transfer ran %d real configs, from-scratch ran %d — no saving", len(res.Trials), a1Runs)
 	}
@@ -96,13 +96,10 @@ func TestRunAlgorithm2TransfersToNewRate(t *testing.T) {
 }
 
 // A transfer decision counts its real runs once, as trials: the JSON
-// carries "trials" alone and -explain prints the same count.
+// carries "trials" alone and -explain prints the same count. (The
+// controller counts them off the plan's log: TestBOPlanLogsItsPhasesInOrder.)
 func TestTransferReportCountsTrialsOnce(t *testing.T) {
-	rep := DecisionReport{Action: ActionAlgorithm2, TransferSourceRate: 1600}
-	rep.FillFromAlgorithm1(&Algorithm1Result{Trials: make([]Trial, 3)})
-	if rep.Trials != 3 {
-		t.Fatalf("report trials = %d, session ran 3", rep.Trials)
-	}
+	rep := DecisionReport{Action: ActionAlgorithm2, TransferSourceRate: 1600, Trials: 3}
 	js, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)

@@ -272,18 +272,18 @@ func (c *Controller) pushReport(r DecisionReport) {
 				"chosen":   r.Chosen.String(),
 			},
 		})
-		for _, it := range r.Iters {
+		for i, it := range r.Iters {
 			c.tracer.Emit(trace.Record{
 				TimeSec: r.TimeSec,
 				Kind:    trace.KindBOIteration,
 				Job:     c.engine.JobName(),
 				Attrs: map[string]any{
-					"iter":       it.Iter,
+					"iter":       i + 1,
 					"par":        it.Par.String(),
 					"score":      it.Score,
-					"eq9_margin": it.Eq9Margin,
+					"eq9_margin": it.Score - r.Threshold,
 					"acq_value":  it.AcqValue,
-					"terminated": it.Terminated,
+					"terminated": r.Met && i == len(r.Iters)-1,
 				},
 			})
 		}
@@ -467,6 +467,8 @@ func (c *Controller) plan(trigger PlanTrigger, rate float64, m flink.Measurement
 	if res.Par != nil {
 		ev.Par = res.Par
 	}
+	res.Report.Trials = len(res.Trials) - countPhase(res.Trials, PhaseEq3)
+	res.Report.Windows = len(res.Trials)
 	c.pushReport(res.Report)
 	return nil
 }

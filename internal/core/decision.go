@@ -1,37 +1,12 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 
 	"autrascale/internal/dataflow"
 )
-
-// IterationReport explains one BO iteration: the posterior and
-// acquisition value that made the optimizer pick the configuration, and
-// the measured outcome that judged it against the Eq. 9 bound.
-type IterationReport struct {
-	Iter          int                        `json:"iter"`
-	Par           dataflow.ParallelismVector `json:"par"`
-	Score         float64                    `json:"score"`
-	ProcLatencyMS float64                    `json:"proc_latency_ms"`
-	LatencyMet    bool                       `json:"latency_met"`
-	// Eq9Margin is Score − threshold: ≥ 0 with LatencyMet terminates
-	// Algorithm 1 (Eq. 9).
-	Eq9Margin float64 `json:"eq9_margin"`
-	// PosteriorMean/Std are the GP posterior at Par when it was
-	// suggested; AcqValue is the acquisition value it won with.
-	PosteriorMean float64 `json:"posterior_mean"`
-	PosteriorStd  float64 `json:"posterior_std"`
-	AcqValue      float64 `json:"acq_value"`
-	// Acquisition names the acquisition function ("ei", "mean");
-	// Selection the optimizer's selection path ("acq-max",
-	// "exploit-mean", "fallback-mean").
-	Acquisition string `json:"acquisition,omitempty"`
-	Selection   string `json:"selection,omitempty"`
-	// Terminated reports whether this iteration fired Eq. 9.
-	Terminated bool `json:"terminated"`
-}
 
 // DecisionReport is the full record of one controller decision — the
 // paper's Analyze+Plan stages made inspectable. metricsd serves these at
@@ -63,8 +38,14 @@ type DecisionReport struct {
 	Exhausted     bool                       `json:"space_exhausted,omitempty"`
 	Iterations    int                        `json:"bo_iterations"`
 	BootstrapRuns int                        `json:"bootstrap_runs"`
-	Trials        int                        `json:"trials"`
-	Iters         []IterationReport          `json:"iteration_log,omitempty"`
+	// Trials counts the plan's windows outside Eq. 3 and Windows all of
+	// them: Controller.plan counts them off PlanResult.Trials.
+	Trials  int `json:"trials"`
+	Windows int `json:"windows"`
+	// Iters are the plan's PhaseBO trials, one per BO iteration. Entry i
+	// is iteration i+1, its Eq. 9 margin is Score − Threshold, and it fired
+	// Eq. 9 when it is the last and the session met (see MarshalJSON).
+	Iters []Trial `json:"iteration_log,omitempty"`
 
 	// Transfer (Algorithm 2) specifics; zero when transfer did not fire.
 	TransferSourceRate float64   `json:"transfer_source_rate,omitempty"`
@@ -85,10 +66,10 @@ func (r *DecisionReport) FillFromAlgorithm1(res *Algorithm1Result) {
 	r.LatencyMet = res.Best.LatencyMet
 	r.Met = res.Met
 	r.Exhausted = res.Exhausted
-	r.Iterations = res.Iterations
-	r.BootstrapRuns = res.BootstrapRuns
-	r.Trials = len(res.Trials)
-	r.Iters = append([]IterationReport(nil), res.Iters...)
+	r.Iterations = res.Iterations()
+	r.BootstrapRuns = res.BootstrapRuns()
+	// The BO iterations end the session's log.
+	r.Iters = append([]Trial(nil), res.Trials[len(res.Trials)-r.Iterations:]...)
 	r.EstimatedSamples = res.EstimatedSamples
 	r.SwitchedToA1 = res.SwitchedToA1
 }
@@ -142,14 +123,34 @@ func (r DecisionReport) Explain() string {
 		fmt.Fprintf(&b, "  search: %d bootstrap run(s) + %d BO iteration(s); %s\n",
 			r.BootstrapRuns, r.Iterations, term)
 	}
-	for _, it := range r.Iters {
+	for i, it := range r.Iters {
 		fmt.Fprintf(&b, "    iter %2d: %v  score %.3f  margin %+.3f  lat %.0fms(met=%v)  acq=%s/%s μ=%.3f σ=%.3f a=%.4f",
-			it.Iter, it.Par, it.Score, it.Eq9Margin, it.ProcLatencyMS, it.LatencyMet,
-			it.Acquisition, it.Selection, it.PosteriorMean, it.PosteriorStd, it.AcqValue)
-		if it.Terminated {
+			i+1, it.Par, it.Score, it.Score-r.Threshold, it.ProcLatencyMS, it.LatencyMet,
+			it.Acquisition, it.Reason, it.Mean, it.Std, it.AcqValue)
+		if r.Met && i == len(r.Iters)-1 {
 			b.WriteString("  ← terminated")
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// MarshalJSON writes the report with each iteration log entry's number,
+// Eq. 9 margin and termination.
+func (r DecisionReport) MarshalJSON() ([]byte, error) {
+	type entry struct {
+		Iter int `json:"iter"`
+		Trial
+		Eq9Margin  float64 `json:"eq9_margin"`
+		Terminated bool    `json:"terminated"`
+	}
+	type report DecisionReport // without this method
+	out := struct {
+		report
+		Iters []entry `json:"iteration_log,omitempty"`
+	}{report: report(r)}
+	for i, tr := range r.Iters {
+		out.Iters = append(out.Iters, entry{i + 1, tr, tr.Score - r.Threshold, r.Met && i == len(r.Iters)-1})
+	}
+	return json.Marshal(out)
 }

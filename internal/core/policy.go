@@ -52,6 +52,10 @@ type PlanResult struct {
 	// Report documents the decision. TimeSec/RateRPS/Action/Reason must
 	// be set; the outcome fields are policy-specific.
 	Report DecisionReport
+	// Trials logs every window the plan measured, in order: each went
+	// through MeasureTrial. The controller counts it into Report.Trials
+	// and Report.Windows and keeps no more of it.
+	Trials []Trial
 }
 
 // Policy is a pluggable scaling policy: monitor window and current state

@@ -84,7 +84,7 @@ func (p *BOPolicy) planRateChange(e *flink.Engine, req PlanRequest) (PlanResult,
 	}
 	p.base = tr.Base
 	rep.Base = tr.Base.Clone()
-	rep.ThroughputIters = tr.Iterations
+	rep.ThroughputIters = tr.Iterations()
 	rep.ReachedTarget = tr.ReachedTarget
 	rep.TerminatedByRepeat = tr.TerminatedByRepeat
 
@@ -107,7 +107,7 @@ func (p *BOPolicy) planRateChange(e *flink.Engine, req PlanRequest) (PlanResult,
 		if err != nil {
 			return PlanResult{}, err
 		}
-		return p.adopt(rate, a2, rep), nil
+		return p.adopt(rate, a2, rep, append(tr.History, a2.Trials...)), nil
 	}
 	rep.Action = ActionAlgorithm1
 	rep.Reason = fmt.Sprintf("rate changed to %.0f rps; no prior model", rate)
@@ -115,7 +115,7 @@ func (p *BOPolicy) planRateChange(e *flink.Engine, req PlanRequest) (PlanResult,
 	if err != nil {
 		return PlanResult{}, err
 	}
-	return p.adopt(rate, a1, rep), nil
+	return p.adopt(rate, a1, rep, append(tr.History, a1.Trials...)), nil
 }
 
 // planQoS handles a latency/throughput violation at a steady rate: a
@@ -133,15 +133,16 @@ func (p *BOPolicy) planQoS(e *flink.Engine, req PlanRequest) (PlanResult, error)
 	if err != nil {
 		return PlanResult{}, err
 	}
-	return p.adopt(req.RateRPS, a1, rep), nil
+	return p.adopt(req.RateRPS, a1, rep, a1.Trials), nil
 }
 
 // adopt ends every planning session the same way: the session's benefit
-// model goes into the library under rate and its outcome completes rep.
-func (p *BOPolicy) adopt(rate float64, res *Algorithm1Result, rep DecisionReport) PlanResult {
+// model goes into the library under rate, its outcome completes rep, and
+// log is the plan's: Eq. 3's windows, if it ran, then the session's.
+func (p *BOPolicy) adopt(rate float64, res *Algorithm1Result, rep DecisionReport, log []Trial) PlanResult {
 	p.storeModel(rate, res.Model)
 	rep.FillFromAlgorithm1(res)
-	return PlanResult{Par: res.Best.Par.Clone(), Report: rep}
+	return PlanResult{Par: res.Best.Par.Clone(), Report: rep, Trials: log}
 }
 
 func (p *BOPolicy) algorithm1Config(rate float64) Algorithm1Config {

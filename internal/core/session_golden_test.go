@@ -80,13 +80,18 @@ func writeSession(b *strings.Builder, label string, res *Algorithm1Result) {
 		fmt.Fprintf(b, "%s trial %d %v %016x %016x %v\n", label, i, tr.Par,
 			math.Float64bits(tr.Score), math.Float64bits(tr.ProcLatencyMS), tr.LatencyMet)
 	}
-	for _, it := range res.Iters {
-		fmt.Fprintf(b, "%s iter %d %v %016x %016x %016x %s %s %v\n", label, it.Iter, it.Par,
-			math.Float64bits(it.PosteriorMean), math.Float64bits(it.PosteriorStd),
-			math.Float64bits(it.AcqValue), it.Acquisition, it.Selection, it.Terminated)
+	n := 0
+	for _, it := range res.Trials {
+		if it.Phase != PhaseBO {
+			continue
+		}
+		n++
+		fmt.Fprintf(b, "%s iter %d %v %016x %016x %016x %s %s %v\n", label, n, it.Par,
+			math.Float64bits(it.Mean), math.Float64bits(it.Std),
+			math.Float64bits(it.AcqValue), it.Acquisition, it.Reason, res.Met && n == res.Iterations())
 	}
 	fmt.Fprintf(b, "%s end met=%v exhausted=%v iterations=%d bootstrap=%d estimated=%d switched=%v threshold=%016x best=%v\n",
-		label, res.Met, res.Exhausted, res.Iterations, res.BootstrapRuns, res.EstimatedSamples, res.SwitchedToA1,
+		label, res.Met, res.Exhausted, res.Iterations(), res.BootstrapRuns(), res.EstimatedSamples, res.SwitchedToA1,
 		math.Float64bits(res.Threshold), res.Best.Par)
 	if res.Model == nil {
 		fmt.Fprintf(b, "%s model none\n", label)

@@ -52,13 +52,6 @@ func (o *ThroughputOptions) defaults() error {
 	return nil
 }
 
-// ThroughputIter records one iteration of the optimizer.
-type ThroughputIter struct {
-	Par           dataflow.ParallelismVector
-	ThroughputRPS float64
-	ProcLatencyMS float64
-}
-
 // ThroughputResult is the outcome of OptimizeThroughput.
 type ThroughputResult struct {
 	// Base is the selected configuration k' — the minimum parallelism
@@ -73,8 +66,10 @@ type ThroughputResult struct {
 	// consecutive iterations recommended the same configuration —
 	// AuTraScale's addition over DS2.
 	TerminatedByRepeat bool
-	Iterations         int
-	History            []ThroughputIter
+	// History logs every window the optimizer measured, in order, as
+	// PhaseEq3 trials: its first re-measures the configuration in force,
+	// and on reaching MaxIterations its last goes unjudged.
+	History []Trial
 }
 
 // OptimizeThroughput runs the paper's §III-C procedure: iterate the true
@@ -93,32 +88,29 @@ func OptimizeThroughput(e *flink.Engine, opts ThroughputOptions) (ThroughputResu
 	if opts.Tracer.Enabled() {
 		sp.SetFloat("target_rate", opts.TargetRate)
 	}
-	m, err := measureWindow(e, nil, opts.WarmupSec, opts.MeasureSec)
-	if err != nil {
-		return res, err
-	}
 	// rates is the measured window's per-operator detail, refilled after
-	// every window; each history entry keeps its own copy of the vector.
+	// every window.
 	var rates flink.OperatorRates
-	e.OperatorRates(&rates)
-	for iter := 0; iter < opts.MaxIterations; iter++ {
-		res.Iterations = iter + 1
-		res.History = append(res.History, ThroughputIter{
-			Par:           rates.Par.Clone(),
-			ThroughputRPS: m.ThroughputRPS,
-			ProcLatencyMS: m.ProcLatencyMS,
-		})
-		thrMet := m.ThroughputRPS >= opts.TargetRate*(1-throughputSlack)
-		next, err := eq3Step(g, &rates, opts.TargetRate, pmax)
+	var next dataflow.ParallelismVector // nil: the configuration in force
+	for iter := 0; ; iter++ {
+		tr, err := measureWindow(&res.History, e, PhaseEq3, next, opts.WarmupSec, opts.MeasureSec)
 		if err != nil {
+			return res, err
+		}
+		if iter == opts.MaxIterations {
+			break // the bound: this window is logged but never judged
+		}
+		e.OperatorRates(&rates)
+		thrMet := tr.ThroughputRPS >= opts.TargetRate*(1-throughputSlack)
+		if next, err = eq3Step(g, &rates, opts.TargetRate, pmax); err != nil {
 			return res, err
 		}
 		if opts.Tracer.Enabled() {
 			it := sp.Child("throughput.eq3_iteration")
-			it.SetInt("iter", res.Iterations)
+			it.SetInt("iter", iter+1)
 			it.SetStr("par", rates.Par.String())
-			it.SetFloat("throughput_rps", m.ThroughputRPS)
-			it.SetFloat("latency_ms", m.ProcLatencyMS)
+			it.SetFloat("throughput_rps", tr.ThroughputRPS)
+			it.SetFloat("latency_ms", tr.ProcLatencyMS)
 			it.SetBool("throughput_met", thrMet)
 			it.SetStr("eq3_next", next.String())
 			it.End()
@@ -138,18 +130,14 @@ func OptimizeThroughput(e *flink.Engine, opts ThroughputOptions) (ThroughputResu
 			res.ReachedTarget = thrMet
 			break
 		}
-		if m, err = measureWindow(e, next, opts.WarmupSec, opts.MeasureSec); err != nil {
-			return res, err
-		}
-		e.OperatorRates(&rates)
 	}
-	res.Base, res.BestThroughputRPS = reviewHistory(res.History)
+	res.Base, res.BestThroughputRPS = reviewHistory(res.History[:res.Iterations()])
 	if opts.Tracer.Enabled() {
 		// The history review is the paper's "why this k'": maximum
 		// throughput, near-ties broken toward fewer slots.
 		sp.SetStr("base", res.Base.String())
 		sp.SetFloat("best_throughput_rps", res.BestThroughputRPS)
-		sp.SetInt("iterations", res.Iterations)
+		sp.SetInt("iterations", res.Iterations())
 		sp.SetBool("reached_target", res.ReachedTarget)
 		sp.SetBool("terminated_by_repeat", res.TerminatedByRepeat)
 	}
@@ -207,7 +195,7 @@ func eq3Step(g *dataflow.Graph, m *flink.OperatorRates, targetRate float64, pmax
 // near-ties (within 2%) toward fewer total resources — the paper's review
 // step that selects p2=(4,2,1,1,34) over larger capped configurations in
 // Fig. 5(b).
-func reviewHistory(hist []ThroughputIter) (dataflow.ParallelismVector, float64) {
+func reviewHistory(hist []Trial) (dataflow.ParallelismVector, float64) {
 	if len(hist) == 0 {
 		return nil, 0
 	}

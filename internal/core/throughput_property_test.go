@@ -95,8 +95,8 @@ func TestOptimizeThroughputPropertyRandomDAGs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Iterations > 2*pmax {
-				t.Fatalf("optimizer ran %d iterations, bound is %d", res.Iterations, 2*pmax)
+			if res.Iterations() > 2*pmax {
+				t.Fatalf("optimizer ran %d iterations, bound is %d", res.Iterations(), 2*pmax)
 			}
 			if !res.ReachedTarget && !res.TerminatedByRepeat {
 				t.Fatalf("optimizer exhausted its %d-iteration budget without terminating naturally "+

@@ -69,8 +69,8 @@ func TestOptimizeThroughputReachesTarget(t *testing.T) {
 	if !res.ReachedTarget {
 		t.Fatalf("should reach target: %+v", res)
 	}
-	if res.Iterations > 4 {
-		t.Fatalf("iterations = %d, paper observes <= 4", res.Iterations)
+	if res.Iterations() > 4 {
+		t.Fatalf("iterations = %d, paper observes <= 4", res.Iterations())
 	}
 	if res.BestThroughputRPS < 2000*0.98 {
 		t.Fatalf("best throughput = %v", res.BestThroughputRPS)
@@ -116,9 +116,10 @@ func TestOptimizeThroughputTerminatesOnRepeatWithExternalCap(t *testing.T) {
 }
 
 // At its bound Eq. 3 rescales to its last recommendation and measures
-// one more window that it never records or judges: a session's windows
-// are its Iterations plus that one.
-func TestOptimizeThroughputMeasuresOneUnrecordedWindowAtItsBound(t *testing.T) {
+// one more window. The log keeps it, but it is never judged: it is no
+// iteration, and the review that selects Base does not see it, although
+// it outran every judged window.
+func TestOptimizeThroughputLogsItsUnjudgedBoundWindow(t *testing.T) {
 	e := engineFor(t, chain(t, [3]float64{1000, 500, 800}, 0), 2000)
 	start := e.Now()
 	res, err := OptimizeThroughput(e, ThroughputOptions{TargetRate: 2000, MaxIterations: 1})
@@ -128,13 +129,24 @@ func TestOptimizeThroughputMeasuresOneUnrecordedWindowAtItsBound(t *testing.T) {
 	if res.ReachedTarget || res.TerminatedByRepeat {
 		t.Fatalf("one iteration from all-ones should end on the bound: %+v", res)
 	}
-	if windows := (e.Now() - start) / (trialWarmupSec + trialMeasureSec); windows != float64(res.Iterations+1) {
-		t.Fatalf("%v windows measured, want Iterations+1 = %d", windows, res.Iterations+1)
+	if windows := (e.Now() - start) / (trialWarmupSec + trialMeasureSec); windows != float64(len(res.History)) {
+		t.Fatalf("%v windows measured, %d logged", windows, len(res.History))
+	}
+	if len(res.History) != 2 || res.Iterations() != 1 {
+		t.Fatalf("logged %d windows with %d judged, want 2 with 1", len(res.History), res.Iterations())
+	}
+	judged, bound := res.History[0], res.History[1]
+	if bound.ThroughputRPS <= judged.ThroughputRPS {
+		t.Fatalf("bound window %v rps does not outrun the judged %v rps", bound.ThroughputRPS, judged.ThroughputRPS)
+	}
+	if !res.Base.Equal(judged.Par) || res.BestThroughputRPS != judged.ThroughputRPS {
+		t.Fatalf("base %v (%v rps), want the judged window's %v (%v rps)",
+			res.Base, res.BestThroughputRPS, judged.Par, judged.ThroughputRPS)
 	}
 }
 
 func TestReviewHistory(t *testing.T) {
-	hist := []ThroughputIter{
+	hist := []Trial{
 		{Par: dataflow.ParallelismVector{1, 1}, ThroughputRPS: 100},
 		{Par: dataflow.ParallelismVector{4, 4}, ThroughputRPS: 500},
 		{Par: dataflow.ParallelismVector{2, 3}, ThroughputRPS: 495}, // within 2% but cheaper

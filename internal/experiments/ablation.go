@@ -122,7 +122,7 @@ func (r *AblationResult) runTransferAblation(seed uint64) error {
 	}
 	r.Transfer = append(r.Transfer, TransferAblationRow{
 		Workload: spec.Name, Strategy: "Algorithm1 (scratch)",
-		RealRuns: scratch.BootstrapRuns + scratch.Iterations,
+		RealRuns: len(scratch.Trials),
 		FinalPar: scratch.Best.Par, Total: scratch.Best.Par.Total(),
 		LatencyMS: scratch.Best.ProcLatencyMS, Met: scratch.Best.LatencyMet,
 	})
@@ -175,9 +175,7 @@ func (r *AblationResult) runMetricAblation(seed uint64) error {
 	if err != nil {
 		return err
 	}
-	if _, err := core.MeasureTrial(e, nil); err != nil {
-		return err
-	}
+	e.MeasureSteady(30, 120) // one trial window, as core.MeasureTrial measures it
 	var m flink.OperatorRates
 	e.OperatorRates(&m)
 	optimal := dataflow.ParallelismVector{3, 4, 12, 10}

@@ -128,7 +128,7 @@ func RunElasticity(scenario Scenario, opts ElasticityOptions) (*ElasticityResult
 			Method:             "AuTraScale",
 			Final:              a1.Best.Par.Clone(),
 			TotalParallelism:   a1.Best.Par.Total(),
-			Iterations:         a1.Iterations,
+			Iterations:         a1.Iterations(),
 			FinalLatencyMS:     a1.Best.ProcLatencyMS,
 			FinalThroughputRPS: a1.Best.ThroughputRPS,
 			LatencyMet:         a1.Best.LatencyMet,
@@ -170,18 +170,16 @@ func RunElasticity(scenario Scenario, opts ElasticityOptions) (*ElasticityResult
 }
 
 // planBaseline runs a registry contender's one planning loop the way the
-// controller would at a trigger: measure a trial window on the engine,
-// then Plan from it for rate. The engine is left on the plan's choice,
+// controller would at a trigger: measure a trial window on the engine (30 s
+// of warm-up, 120 s measured, as core.MeasureTrial does), then Plan from it
+// for rate. The engine is left on the plan's choice,
 // its window the last one the plan measured.
 func planBaseline(e *flink.Engine, name string, trigger core.PlanTrigger, rate, targetLatencyMS float64) (core.PlanResult, error) {
 	pol, err := policy.Build(name, policy.Env{TargetLatencyMS: targetLatencyMS})
 	if err != nil {
 		return core.PlanResult{}, err
 	}
-	m, err := core.MeasureTrial(e, nil)
-	if err != nil {
-		return core.PlanResult{}, err
-	}
+	m := e.MeasureSteady(30, 120)
 	return pol.Plan(e, core.PlanRequest{Trigger: trigger, RateRPS: rate, Window: m, TimeSec: e.Now()})
 }
 

@@ -15,8 +15,8 @@ type Fig5Workload struct {
 	Iterations        int
 	ReachedTarget     bool
 	TerminatedRepeat  bool
-	// Trace is the per-iteration history (Fig. 5b plots Yahoo's).
-	Trace []core.ThroughputIter
+	// Trace is the per-window history (Fig. 5b plots Yahoo's).
+	Trace []core.Trial
 }
 
 // Fig5Result reproduces Fig. 5: the throughput optimizer on WordCount,
@@ -53,7 +53,7 @@ func RunFig5(opts Fig5Options) (*Fig5Result, error) {
 			TargetRPS:         spec.DefaultRateRPS,
 			Base:              tr.Base,
 			BestThroughputRPS: tr.BestThroughputRPS,
-			Iterations:        tr.Iterations,
+			Iterations:        tr.Iterations(),
 			ReachedTarget:     tr.ReachedTarget,
 			TerminatedRepeat:  tr.TerminatedByRepeat,
 			Trace:             tr.History,

@@ -56,17 +56,18 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 	target := p.cfg.TargetLatencyMS
 	lambdas := arrivals(e.Graph(), req.RateRPS)
 	fit := &latencyFit{}
-	m := req.Window
+	lat := req.Window.ProcLatencyMS
 	// rates is the judged window's per-operator detail: the trigger
 	// window's first (the engine has not ticked since), then each trial's.
 	var rates flink.OperatorRates
 	e.OperatorRates(&rates)
-	iters, rescales, escapes := 0, 0, 0
-	for iters < MaxIterations {
+	var log []core.Trial
+	escapes := 0
+	// Each pass judges a window: the trigger window, then each logged one.
+	for len(log) < MaxIterations {
 		mus := p.cfg.Variant.serviceRates(&rates)
-		fit.add(congestionIndex(lambdas, mus, rates.Par), m.ProcLatencyMS)
-		iters++
-		latencyMet := m.ProcLatencyMS <= target
+		fit.add(congestionIndex(lambdas, mus, rates.Par), lat)
+		latencyMet := lat <= target
 		next := allocate(lambdas, mus, rates.Par, pmax, target, fit)
 		if latencyMet && next.Total() >= rates.Par.Total() {
 			// QoS holds and the model offers nothing cheaper — done.
@@ -83,31 +84,31 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 			next[worst]++
 			escapes++
 		}
-		var err error
-		if m, err = core.MeasureTrial(e, next); err != nil {
+		tr, err := core.MeasureTrial(&log, e, core.PhaseDRS, next)
+		if err != nil {
 			return core.PlanResult{}, err // ErrRescaleFailed → controller degrades
 		}
+		lat = tr.ProcLatencyMS
 		e.OperatorRates(&rates)
-		rescales++
 	}
+	iters := min(len(log)+1, MaxIterations)
 	req.Span.SetStr("policy", p.Name())
 	req.Span.SetInt("policy_iterations", iters)
-	req.Span.SetInt("policy_rescales", rescales)
+	req.Span.SetInt("policy_rescales", len(log))
 	req.Span.SetInt("policy_escapes", escapes)
-	latencyMet := m.ProcLatencyMS <= target
+	latencyMet := lat <= target
 	chosen := rates.Par.Clone()
 	rep := core.DecisionReport{
 		TimeSec: req.TimeSec,
 		Action:  core.ActionPolicy,
 		Reason: fmt.Sprintf("%s: calibrated M/M/c plan for %.0f rps (%d iteration(s), %d rescale(s), %d escape(s), trigger %s)",
-			p.Name(), req.RateRPS, iters, rescales, escapes, req.Trigger),
+			p.Name(), req.RateRPS, iters, len(log), escapes, req.Trigger),
 		RateRPS:    req.RateRPS,
 		Chosen:     chosen,
-		LatencyMS:  m.ProcLatencyMS,
+		LatencyMS:  lat,
 		LatencyMet: latencyMet,
 		Met:        latencyMet,
 		Iterations: iters,
-		Trials:     rescales,
 	}
-	return core.PlanResult{Par: chosen, Report: rep}, nil
+	return core.PlanResult{Par: chosen, Report: rep, Trials: log}, nil
 }

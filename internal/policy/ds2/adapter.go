@@ -50,18 +50,18 @@ func (p *Adapter) Name() string {
 // the trigger window. DS2 has no latency model, so rate-change and QoS
 // triggers take the same path — the rule either prescribes a new
 // configuration or it has nothing to offer. Report.Iterations counts the
-// windows judged, the trigger window included.
+// windows judged: the trigger window and every logged one but a window
+// measured on the budget's last rescale.
 func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, error) {
 	pmax := e.Cluster().MaxParallelism()
-	m := req.Window
+	lat, thr := req.Window.ProcLatencyMS, req.Window.ThroughputRPS
 	// rates is the judged window's per-operator detail: the trigger
 	// window's first (the engine has not ticked since), then each trial's.
 	var rates flink.OperatorRates
 	e.OperatorRates(&rates)
 	chosen := rates.Par.Clone()
-	iters, rescales := 0, 0
+	var log []core.Trial
 	for {
-		iters++
 		next, err := step(e.Graph(), &rates, pmax, req.RateRPS)
 		if err != nil {
 			return core.PlanResult{}, err
@@ -69,7 +69,6 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 		if next.Equal(rates.Par) {
 			break // the rule's fixed point: more iterations change nothing
 		}
-		rescales++
 		chosen = next.Clone()
 		if p.cfg.Online {
 			// One shot; the next monitoring window judges it.
@@ -78,17 +77,19 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 			}
 			break
 		}
-		if m, err = core.MeasureTrial(e, next); err != nil {
+		tr, err := core.MeasureTrial(&log, e, core.PhaseDS2, next)
+		if err != nil {
 			return core.PlanResult{}, err // ErrRescaleFailed → controller degrades
 		}
+		lat, thr = tr.ProcLatencyMS, tr.ThroughputRPS
 		e.OperatorRates(&rates)
-		if iters == MaxIterations {
-			break // the budget is spent; this last window goes unjudged
+		if len(log) == MaxIterations || targetMet(thr, req.RateRPS) {
+			break // the budget is spent, or the target is met
 		}
-		if targetMet(m.ThroughputRPS, req.RateRPS) {
-			iters++ // the window that met the target was judged too
-			break
-		}
+	}
+	iters, rescales := min(len(log)+1, MaxIterations), len(log)
+	if p.cfg.Online && !chosen.Equal(rates.Par) {
+		rescales = 1 // the one shot, which measures no window
 	}
 	req.Span.SetStr("policy", p.Name())
 	req.Span.SetInt("policy_iterations", iters)
@@ -100,10 +101,9 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 			p.Name(), req.RateRPS, iters, rescales, req.Trigger),
 		RateRPS:    req.RateRPS,
 		Chosen:     chosen,
-		LatencyMS:  m.ProcLatencyMS,
-		Met:        !p.cfg.Online && targetMet(m.ThroughputRPS, req.RateRPS),
+		LatencyMS:  lat,
+		Met:        !p.cfg.Online && targetMet(thr, req.RateRPS),
 		Iterations: iters,
-		Trials:     rescales,
 	}
-	return core.PlanResult{Par: chosen, Report: rep}, nil
+	return core.PlanResult{Par: chosen, Report: rep, Trials: log}, nil
 }

@@ -122,10 +122,7 @@ func TestStepEdgeCases(t *testing.T) {
 // plan runs the offline adapter once from a trial window at rate.
 func plan(t *testing.T, e *flink.Engine, rate float64) core.PlanResult {
 	t.Helper()
-	m, err := core.MeasureTrial(e, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := e.MeasureSteady(30, 120) // a trial window, as core.MeasureTrial measures it
 	res, err := New(Config{}).Plan(e, core.PlanRequest{
 		Trigger: core.TriggerRateChange,
 		RateRPS: rate,
@@ -167,9 +164,9 @@ func TestRunHitsIterationBoundOnCappedJob(t *testing.T) {
 	if res.Report.Met {
 		t.Fatal("DS2 must not converge on an externally capped job")
 	}
-	if res.Report.Iterations != MaxIterations || res.Report.Trials != MaxIterations {
+	if res.Report.Iterations != MaxIterations || len(res.Trials) != MaxIterations {
 		t.Fatalf("iterations = %d, rescales = %d, want the full budget %d",
-			res.Report.Iterations, res.Report.Trials, MaxIterations)
+			res.Report.Iterations, len(res.Trials), MaxIterations)
 	}
 	// The capped operator's parallelism must have been inflated.
 	if last := res.Par[2]; last <= first {

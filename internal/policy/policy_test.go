@@ -306,11 +306,10 @@ func TestPolicyDecisionsCounted(t *testing.T) {
 }
 
 // Every window a planner measures goes through core.MeasureTrial and is
-// accounted for by its report: per policy, a rate step on WordCount is
+// in its plan's trial log: per policy, a rate step on WordCount is
 // planned twice (for BO, Algorithm 1 then Algorithm 2) and each Plan's
-// flink.measure_steady spans must equal the windows its DecisionReport
-// derives — DS2 offline and DRS one per trial, ds2-online none, BO its
-// trials plus Eq. 3's.
+// flink.measure_steady spans must equal the length of its PlanResult's
+// Trials.
 func TestEveryPlanningWindowIsAccounted(t *testing.T) {
 	spec := workloads.WordCount()
 	const stepSec = 20000 // after the first session, before the second
@@ -334,11 +333,8 @@ func TestEveryPlanningWindowIsAccounted(t *testing.T) {
 				if i > 0 {
 					e.Run(stepSec - e.Now())
 				}
-				m, err := core.MeasureTrial(e, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var before uint64 // span ids run up: this plan's come after
+				m := e.MeasureSteady(30, 120) // the trigger window
+				var before uint64             // span ids run up: this plan's come after
 				for _, sp := range tr.Snapshot(0) {
 					before = max(before, sp.ID)
 				}
@@ -355,27 +351,11 @@ func TestEveryPlanningWindowIsAccounted(t *testing.T) {
 				if tr.Dropped() != 0 {
 					t.Fatalf("plan %d: the span ring dropped %d spans", i, tr.Dropped())
 				}
-				if want := accountedWindows(name, res.Report); measured != want {
-					t.Fatalf("plan %d at %.0f rps: %d windows measured, report accounts for %d (%+v)",
-						i, rate, measured, want, res.Report)
+				if measured != len(res.Trials) {
+					t.Fatalf("plan %d at %.0f rps: %d windows measured, %d logged (%+v)",
+						i, rate, measured, len(res.Trials), res.Report)
 				}
 			}
 		})
 	}
-}
-
-// accountedWindows is the number of trial windows a report says its
-// session measured.
-func accountedWindows(name string, r core.DecisionReport) int {
-	switch name {
-	case "ds2-online":
-		return 0 // one shot, judged by the controller's next monitor window
-	case "bo":
-		eq3 := r.ThroughputIters
-		if !r.ReachedTarget && !r.TerminatedByRepeat {
-			eq3++ // at its bound Eq. 3 measures one window it never records
-		}
-		return r.Trials + eq3
-	}
-	return r.Trials
 }

@@ -186,8 +186,8 @@ func TestThroughputOptimizationMatchesPaperOperatingPoints(t *testing.T) {
 		if res.TerminatedByRepeat != c.wantRepeat {
 			t.Fatalf("%s: TerminatedByRepeat = %v, want %v", c.spec.Name, res.TerminatedByRepeat, c.wantRepeat)
 		}
-		if res.Iterations > 4 {
-			t.Fatalf("%s: %d iterations, paper reports at most 4", c.spec.Name, res.Iterations)
+		if res.Iterations() > 4 {
+			t.Fatalf("%s: %d iterations, paper reports at most 4", c.spec.Name, res.Iterations())
 		}
 	}
 }
