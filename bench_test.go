@@ -890,10 +890,11 @@ var allocContracts = []struct {
 	// A planning session is a serial, seeded loop: 165 at any GOMAXPROCS.
 	// A trial keeps the vector it ran, so logging a window copies none.
 	{"BenchmarkPolicyStepBO", 165, 5, policyStepRuns("bo")},
-	// Ceilings measured on the loops Fig. 8 and Tables II/III run; each
-	// growth of the plan's trial log is one of them.
-	{"BenchmarkPolicyStepDS2", 18, 5, policyStepRuns("ds2")},
-	{"BenchmarkPolicyStepDRS", 24, 5, policyStepRuns("drs-true")},
+	// Ceilings measured on the loops Fig. 8 and Tables II/III run: 16
+	// and 22 at any GOMAXPROCS. DS2's choice is its last logged trial's
+	// vector, and DRS's log is sized for its iteration budget up front.
+	{"BenchmarkPolicyStepDS2", 16, 5, policyStepRuns("ds2")},
+	{"BenchmarkPolicyStepDRS", 22, 5, policyStepRuns("drs-true")},
 	{"BenchmarkJournalDecode", 83222, 3, shared(func(tb testing.TB) func() {
 		op, _ := journalDecodeOp(tb)
 		return op

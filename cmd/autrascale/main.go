@@ -273,6 +273,7 @@ func runOnce(w io.Writer, engine *flink.Engine, spec workloads.Spec, rate, laten
 			TerminatedByRepeat: tr.TerminatedByRepeat,
 		}
 		rep.FillFromAlgorithm1(res)
+		rep = core.Planned(res.Best.Par, rep, append(tr.History, res.Trials...)).Report
 		fmt.Fprint(w, "\n"+rep.Explain())
 	}
 	return nil

@@ -122,17 +122,16 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 // -explain report are built from this.
 type SuggestionStats struct {
 	// Mean/Std are the GP posterior at the suggestion when it was chosen.
-	Mean float64 `json:"posterior_mean"`
-	Std  float64 `json:"posterior_std"`
+	Mean, Std float64
 	// AcqValue is the acquisition value there (EI; posterior mean when
 	// the suggestion came from pure exploitation).
-	AcqValue float64 `json:"acq_value"`
+	AcqValue float64
 	// Acquisition is the function the suggestion maximized: "ei"
 	// (expected improvement) or "mean" (pure exploitation).
-	Acquisition string `json:"acquisition,omitempty"`
+	Acquisition string
 	// Reason labels the selection path: "acq-max", "exploit-mean",
 	// "fallback-mean" (every candidate had zero acquisition value).
-	Reason string `json:"selection,omitempty"`
+	Reason string
 }
 
 // LastSuggestion returns the stats of the most recent Suggest call; ok

@@ -195,7 +195,7 @@ func (s *session) met(tr Trial) bool {
 func (s *session) judge(opt *bo.Optimizer, spanName string) {
 	tr := &s.res.Trials[len(s.res.Trials)-1]
 	st, _ := opt.LastSuggestion()
-	tr.SuggestionStats = &st
+	tr.Suggestion = &st
 	s.res.Met = s.met(*tr)
 	if !s.cfg.Tracer.Enabled() {
 		return
@@ -207,11 +207,11 @@ func (s *session) judge(opt *bo.Optimizer, spanName string) {
 	sp.SetFloat("eq9_margin", tr.Score-s.res.Threshold)
 	sp.SetFloat("latency_ms", tr.ProcLatencyMS)
 	sp.SetBool("latency_met", tr.LatencyMet)
-	sp.SetFloat("posterior_mean", tr.Mean)
-	sp.SetFloat("posterior_std", tr.Std)
-	sp.SetFloat("acq_value", tr.AcqValue)
-	sp.SetStr("acquisition", tr.Acquisition)
-	sp.SetStr("selection", tr.Reason)
+	sp.SetFloat("posterior_mean", tr.Suggestion.Mean)
+	sp.SetFloat("posterior_std", tr.Suggestion.Std)
+	sp.SetFloat("acq_value", tr.Suggestion.AcqValue)
+	sp.SetStr("acquisition", tr.Suggestion.Acquisition)
+	sp.SetStr("selection", tr.Suggestion.Reason)
 	sp.SetBool("terminated", s.res.Met)
 	sp.End()
 }
@@ -275,12 +275,23 @@ func (s *session) finish() (*Algorithm1Result, error) {
 }
 
 // selectBest prefers latency-meeting trials by score; with none, the best
-// score overall. A tie keeps the earlier trial.
+// score overall.
 func selectBest(trials []Trial) Trial {
 	var best Trial
+	found := false
 	for _, tr := range trials {
-		if best.Par == nil || tr.LatencyMet && !best.LatencyMet ||
-			tr.LatencyMet == best.LatencyMet && tr.Score > best.Score {
+		if !tr.LatencyMet {
+			continue
+		}
+		if !found || tr.Score > best.Score {
+			best, found = tr, true
+		}
+	}
+	if found {
+		return best
+	}
+	for _, tr := range trials {
+		if tr.Score > best.Score || best.Par == nil {
 			best = tr
 		}
 	}

@@ -95,11 +95,15 @@ func TestRunAlgorithm2TransfersToNewRate(t *testing.T) {
 	}
 }
 
-// A transfer decision counts its real runs once, as trials: the JSON
-// carries "trials" alone and -explain prints the same count. (The
-// controller counts them off the plan's log: TestBOPlanLogsItsPhasesInOrder.)
+// A transfer decision counts its real runs once, as trials: Planned
+// counts the session's windows off the plan's log, the JSON carries
+// "trials" alone and -explain prints the same count.
 func TestTransferReportCountsTrialsOnce(t *testing.T) {
-	rep := DecisionReport{Action: ActionAlgorithm2, TransferSourceRate: 1600, Trials: 3}
+	log := []Trial{{Phase: PhaseEq3}, {Phase: PhaseSeed}, {Phase: PhaseBO}, {Phase: PhaseBO}}
+	rep := Planned(nil, DecisionReport{Action: ActionAlgorithm2, TransferSourceRate: 1600}, log).Report
+	if rep.Trials != 3 || rep.Windows != 4 {
+		t.Fatalf("report trials = %d, windows = %d; the plan measured 4, the session 3", rep.Trials, rep.Windows)
+	}
 	js, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)

@@ -282,7 +282,7 @@ func (c *Controller) pushReport(r DecisionReport) {
 					"par":        it.Par.String(),
 					"score":      it.Score,
 					"eq9_margin": it.Score - r.Threshold,
-					"acq_value":  it.AcqValue,
+					"acq_value":  it.Suggestion.AcqValue,
 					"terminated": r.Met && i == len(r.Iters)-1,
 				},
 			})
@@ -467,8 +467,6 @@ func (c *Controller) plan(trigger PlanTrigger, rate float64, m flink.Measurement
 	if res.Par != nil {
 		ev.Par = res.Par
 	}
-	res.Report.Trials = len(res.Trials) - countPhase(res.Trials, PhaseEq3)
-	res.Report.Windows = len(res.Trials)
 	c.pushReport(res.Report)
 	return nil
 }

@@ -38,8 +38,9 @@ type DecisionReport struct {
 	Exhausted     bool                       `json:"space_exhausted,omitempty"`
 	Iterations    int                        `json:"bo_iterations"`
 	BootstrapRuns int                        `json:"bootstrap_runs"`
-	// Trials counts the plan's windows outside Eq. 3 and Windows all of
-	// them: Controller.plan counts them off PlanResult.Trials.
+	// Trials counts the plan's windows outside Eq. 3 (ds2-online: its one
+	// shot, which the next monitor window judges) and Windows all of
+	// them; Planned counts them off the plan's trial log.
 	Trials  int `json:"trials"`
 	Windows int `json:"windows"`
 	// Iters are the plan's PhaseBO trials, one per BO iteration. Entry i
@@ -126,7 +127,7 @@ func (r DecisionReport) Explain() string {
 	for i, it := range r.Iters {
 		fmt.Fprintf(&b, "    iter %2d: %v  score %.3f  margin %+.3f  lat %.0fms(met=%v)  acq=%s/%s μ=%.3f σ=%.3f a=%.4f",
 			i+1, it.Par, it.Score, it.Score-r.Threshold, it.ProcLatencyMS, it.LatencyMet,
-			it.Acquisition, it.Reason, it.Mean, it.Std, it.AcqValue)
+			it.Suggestion.Acquisition, it.Suggestion.Reason, it.Suggestion.Mean, it.Suggestion.Std, it.Suggestion.AcqValue)
 		if r.Met && i == len(r.Iters)-1 {
 			b.WriteString("  ← terminated")
 		}
@@ -135,22 +136,40 @@ func (r DecisionReport) Explain() string {
 	return b.String()
 }
 
-// MarshalJSON writes the report with each iteration log entry's number,
-// Eq. 9 margin and termination.
+// iterationJSON is the wire shape of one iteration_log entry: its
+// trial, numbered, with its Eq. 9 margin and termination.
+type iterationJSON struct {
+	Iter          int                        `json:"iter"`
+	Par           dataflow.ParallelismVector `json:"par"`
+	Score         float64                    `json:"score"`
+	ProcLatencyMS float64                    `json:"proc_latency_ms"`
+	LatencyMet    bool                       `json:"latency_met"`
+	Eq9Margin     float64                    `json:"eq9_margin"`
+	PosteriorMean float64                    `json:"posterior_mean"`
+	PosteriorStd  float64                    `json:"posterior_std"`
+	AcqValue      float64                    `json:"acq_value"`
+	Acquisition   string                     `json:"acquisition,omitempty"`
+	Selection     string                     `json:"selection,omitempty"`
+	Terminated    bool                       `json:"terminated"`
+}
+
+// MarshalJSON writes the report with its iteration log in the wire
+// shape of iterationJSON.
 func (r DecisionReport) MarshalJSON() ([]byte, error) {
-	type entry struct {
-		Iter int `json:"iter"`
-		Trial
-		Eq9Margin  float64 `json:"eq9_margin"`
-		Terminated bool    `json:"terminated"`
-	}
 	type report DecisionReport // without this method
 	out := struct {
 		report
-		Iters []entry `json:"iteration_log,omitempty"`
+		Iters []iterationJSON `json:"iteration_log,omitempty"`
 	}{report: report(r)}
 	for i, tr := range r.Iters {
-		out.Iters = append(out.Iters, entry{i + 1, tr, tr.Score - r.Threshold, r.Met && i == len(r.Iters)-1})
+		st := tr.Suggestion
+		out.Iters = append(out.Iters, iterationJSON{
+			Iter: i + 1, Par: tr.Par, Score: tr.Score, ProcLatencyMS: tr.ProcLatencyMS,
+			LatencyMet: tr.LatencyMet, Eq9Margin: tr.Score - r.Threshold,
+			PosteriorMean: st.Mean, PosteriorStd: st.Std, AcqValue: st.AcqValue,
+			Acquisition: st.Acquisition, Selection: st.Reason,
+			Terminated: r.Met && i == len(r.Iters)-1,
+		})
 	}
 	return json.Marshal(out)
 }

@@ -53,9 +53,17 @@ type PlanResult struct {
 	// be set; the outcome fields are policy-specific.
 	Report DecisionReport
 	// Trials logs every window the plan measured, in order: each went
-	// through MeasureTrial. The controller counts it into Report.Trials
-	// and Report.Windows and keeps no more of it.
+	// through MeasureTrial. The controller keeps no more of it than the
+	// report.
 	Trials []Trial
+}
+
+// Planned is how every policy ends a plan: it settled on par, and rep's
+// Trials and Windows are counted off log, the plan's whole trial log.
+func Planned(par dataflow.ParallelismVector, rep DecisionReport, log []Trial) PlanResult {
+	rep.Trials = len(log) - countPhase(log, PhaseEq3)
+	rep.Windows = len(log)
+	return PlanResult{Par: par, Report: rep, Trials: log}
 }
 
 // Policy is a pluggable scaling policy: monitor window and current state

@@ -142,7 +142,7 @@ func (p *BOPolicy) planQoS(e *flink.Engine, req PlanRequest) (PlanResult, error)
 func (p *BOPolicy) adopt(rate float64, res *Algorithm1Result, rep DecisionReport, log []Trial) PlanResult {
 	p.storeModel(rate, res.Model)
 	rep.FillFromAlgorithm1(res)
-	return PlanResult{Par: res.Best.Par.Clone(), Report: rep, Trials: log}
+	return Planned(res.Best.Par.Clone(), rep, log)
 }
 
 func (p *BOPolicy) algorithm1Config(rate float64) Algorithm1Config {

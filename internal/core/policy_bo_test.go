@@ -41,8 +41,8 @@ func (p *recordingPolicy) Plan(e *flink.Engine, req PlanRequest) (PlanResult, er
 // A BO plan's trial log runs in its phases' order — Algorithm 1: Eq. 3's
 // windows (none on a QoS replan), the bootstrap set, then the BO
 // iterations; Algorithm 2: Eq. 3's windows, the run at the base, then
-// the BO iterations — and every count on the retained report is that
-// count's view of the log.
+// the BO iterations — and every count on the report Plan returns, and on
+// the one the controller retains, is that count's view of the log.
 func TestBOPlanLogsItsPhasesInOrder(t *testing.T) {
 	sched := kafka.StepSchedule{Steps: []kafka.Step{{FromSec: 0, Rate: 1500}, {FromSec: 1200, Rate: 2000}}}
 	e := controllerEngine(t, sched)
@@ -69,6 +69,10 @@ func TestBOPlanLogsItsPhasesInOrder(t *testing.T) {
 	seen := map[ActionKind]bool{}
 	for i, r := range reports {
 		log := pol.plans[i].Trials
+		if planned := pol.plans[i].Report; planned.Trials != r.Trials || planned.Windows != r.Windows {
+			t.Errorf("plan %d: Plan's report counts %d trials in %d windows, the retained one %d in %d",
+				i, planned.Trials, planned.Windows, r.Trials, r.Windows)
+		}
 		var phases strings.Builder
 		for _, tr := range log {
 			phases.WriteString([]string{"eq3 ", "bootstrap ", "seed ", "bo ", "ds2 ", "drs "}[tr.Phase])

@@ -86,9 +86,10 @@ func writeSession(b *strings.Builder, label string, res *Algorithm1Result) {
 			continue
 		}
 		n++
+		st := *it.Suggestion
 		fmt.Fprintf(b, "%s iter %d %v %016x %016x %016x %s %s %v\n", label, n, it.Par,
-			math.Float64bits(it.Mean), math.Float64bits(it.Std),
-			math.Float64bits(it.AcqValue), it.Acquisition, it.Reason, res.Met && n == res.Iterations())
+			math.Float64bits(st.Mean), math.Float64bits(st.Std),
+			math.Float64bits(st.AcqValue), st.Acquisition, st.Reason, res.Met && n == res.Iterations())
 	}
 	fmt.Fprintf(b, "%s end met=%v exhausted=%v iterations=%d bootstrap=%d estimated=%d switched=%v threshold=%016x best=%v\n",
 		label, res.Met, res.Exhausted, res.Iterations(), res.BootstrapRuns(), res.EstimatedSamples, res.SwitchedToA1,

@@ -30,18 +30,19 @@ const (
 // Trial is the one record of a measured planner window: the phase that
 // ran it, the configuration and its QoS outcome. Score and LatencyMet are
 // the Eq. 4 score and latency verdict where a BO session judged the
-// window; other phases leave them zero. A PhaseBO trial points at the
-// stats of the suggestion that picked it; other phases hold nil.
+// window; other phases leave them zero. Suggestion points at the stats of
+// the suggestion that picked a PhaseBO trial and is nil on every other
+// phase, so the rest of a plan's log does not carry them.
 type Trial struct {
-	Par           dataflow.ParallelismVector `json:"par"`
-	Score         float64                    `json:"score"`
-	ProcLatencyMS float64                    `json:"proc_latency_ms"`
-	LatencyMet    bool                       `json:"latency_met"`
-	Phase         Phase                      `json:"-"`
-	*bo.SuggestionStats
-	ThroughputRPS float64 `json:"throughput_rps"`
-	CPUUsedCores  float64 `json:"cpu_used_cores"`
-	MemUsedMB     float64 `json:"mem_used_mb"`
+	Phase         Phase
+	LatencyMet    bool
+	Par           dataflow.ParallelismVector
+	Score         float64
+	ProcLatencyMS float64
+	ThroughputRPS float64
+	CPUUsedCores  float64
+	MemUsedMB     float64
+	Suggestion    *bo.SuggestionStats
 }
 
 // MeasureTrial is the one trial protocol every planner window goes
@@ -53,6 +54,13 @@ type Trial struct {
 // rescale returns unmeasured and logs nothing.
 func MeasureTrial(log *[]Trial, e *flink.Engine, ph Phase, par dataflow.ParallelismVector) (*Trial, error) {
 	return measureWindow(log, e, ph, par, trialWarmupSec, trialMeasureSec)
+}
+
+// TrialWindow measures one trial-length window of the configuration in
+// force outside any plan, and so logs it nowhere: the trigger window a
+// caller hands Policy.Plan when no controller measured one.
+func TrialWindow(e *flink.Engine) flink.Measurement {
+	return e.MeasureSteady(trialWarmupSec, trialMeasureSec)
 }
 
 // measureWindow is MeasureTrial at a caller's window (Eq. 3's options).

@@ -175,7 +175,7 @@ func (r *AblationResult) runMetricAblation(seed uint64) error {
 	if err != nil {
 		return err
 	}
-	e.MeasureSteady(30, 120) // one trial window, as core.MeasureTrial measures it
+	core.TrialWindow(e)
 	var m flink.OperatorRates
 	e.OperatorRates(&m)
 	optimal := dataflow.ParallelismVector{3, 4, 12, 10}

@@ -170,16 +170,15 @@ func RunElasticity(scenario Scenario, opts ElasticityOptions) (*ElasticityResult
 }
 
 // planBaseline runs a registry contender's one planning loop the way the
-// controller would at a trigger: measure a trial window on the engine (30 s
-// of warm-up, 120 s measured, as core.MeasureTrial does), then Plan from it
-// for rate. The engine is left on the plan's choice,
+// controller would at a trigger: measure a trial window on the engine,
+// then Plan from it for rate. The engine is left on the plan's choice,
 // its window the last one the plan measured.
 func planBaseline(e *flink.Engine, name string, trigger core.PlanTrigger, rate, targetLatencyMS float64) (core.PlanResult, error) {
 	pol, err := policy.Build(name, policy.Env{TargetLatencyMS: targetLatencyMS})
 	if err != nil {
 		return core.PlanResult{}, err
 	}
-	m := e.MeasureSteady(30, 120)
+	m := core.TrialWindow(e)
 	return pol.Plan(e, core.PlanRequest{Trigger: trigger, RateRPS: rate, Window: m, TimeSec: e.Now()})
 }
 

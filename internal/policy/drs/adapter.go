@@ -61,7 +61,7 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 	// window's first (the engine has not ticked since), then each trial's.
 	var rates flink.OperatorRates
 	e.OperatorRates(&rates)
-	var log []core.Trial
+	log := make([]core.Trial, 0, MaxIterations)
 	escapes := 0
 	// Each pass judges a window: the trigger window, then each logged one.
 	for len(log) < MaxIterations {
@@ -97,7 +97,7 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 	req.Span.SetInt("policy_rescales", len(log))
 	req.Span.SetInt("policy_escapes", escapes)
 	latencyMet := lat <= target
-	chosen := rates.Par.Clone()
+	chosen := rates.Par // rates is refilled no more
 	rep := core.DecisionReport{
 		TimeSec: req.TimeSec,
 		Action:  core.ActionPolicy,
@@ -110,5 +110,5 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 		Met:        latencyMet,
 		Iterations: iters,
 	}
-	return core.PlanResult{Par: chosen, Report: rep, Trials: log}, nil
+	return core.Planned(chosen, rep, log), nil
 }

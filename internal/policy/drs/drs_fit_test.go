@@ -146,7 +146,7 @@ func TestRunMaxIterationsExhaustion(t *testing.T) {
 	if res.Report.LatencyMet {
 		t.Fatal("2 ms cannot be met")
 	}
-	it, tr := res.Report.Iterations, len(res.Trials)
+	it, tr := res.Report.Iterations, res.Report.Trials
 	if it < 1 || it > MaxIterations || (tr != it && tr != it-1) {
 		t.Fatalf("iterations = %d, rescales = %d", it, tr)
 	}

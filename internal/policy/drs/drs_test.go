@@ -55,7 +55,7 @@ func newEngine(t testing.TB, g *dataflow.Graph, rate float64, par dataflow.Paral
 // plan runs one DRS planning session from a trial window at rate.
 func plan(t *testing.T, v Variant, e *flink.Engine, rate, targetMS float64) core.PlanResult {
 	t.Helper()
-	m := e.MeasureSteady(30, 120) // a trial window, as core.MeasureTrial measures it
+	m := core.TrialWindow(e)
 	p, err := New(Config{Variant: v, TargetLatencyMS: targetMS})
 	if err != nil {
 		t.Fatal(err)

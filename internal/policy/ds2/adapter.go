@@ -59,7 +59,10 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 	// window's first (the engine has not ticked since), then each trial's.
 	var rates flink.OperatorRates
 	e.OperatorRates(&rates)
-	chosen := rates.Par.Clone()
+	// chosen is the configuration in force until the rule replaces it
+	// (rates is refilled only after that), and then the rule's output,
+	// which its logged trial shares; nothing writes to either.
+	chosen := rates.Par
 	var log []core.Trial
 	for {
 		next, err := step(e.Graph(), &rates, pmax, req.RateRPS)
@@ -69,7 +72,7 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 		if next.Equal(rates.Par) {
 			break // the rule's fixed point: more iterations change nothing
 		}
-		chosen = next.Clone()
+		chosen = next
 		if p.cfg.Online {
 			// One shot; the next monitoring window judges it.
 			if err := e.SetParallelism(next); err != nil {
@@ -88,7 +91,8 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 		}
 	}
 	iters, rescales := min(len(log)+1, MaxIterations), len(log)
-	if p.cfg.Online && !chosen.Equal(rates.Par) {
+	oneShot := p.cfg.Online && !chosen.Equal(rates.Par)
+	if oneShot {
 		rescales = 1 // the one shot, which measures no window
 	}
 	req.Span.SetStr("policy", p.Name())
@@ -105,5 +109,9 @@ func (p *Adapter) Plan(e *flink.Engine, req core.PlanRequest) (core.PlanResult, 
 		Met:        !p.cfg.Online && targetMet(thr, req.RateRPS),
 		Iterations: iters,
 	}
-	return core.PlanResult{Par: chosen, Report: rep, Trials: log}, nil
+	res := core.Planned(chosen, rep, log)
+	if oneShot {
+		res.Report.Trials = 1 // tried, though the next monitor window judges it
+	}
+	return res, nil
 }

@@ -122,7 +122,7 @@ func TestStepEdgeCases(t *testing.T) {
 // plan runs the offline adapter once from a trial window at rate.
 func plan(t *testing.T, e *flink.Engine, rate float64) core.PlanResult {
 	t.Helper()
-	m := e.MeasureSteady(30, 120) // a trial window, as core.MeasureTrial measures it
+	m := core.TrialWindow(e)
 	res, err := New(Config{}).Plan(e, core.PlanRequest{
 		Trigger: core.TriggerRateChange,
 		RateRPS: rate,
@@ -164,13 +164,36 @@ func TestRunHitsIterationBoundOnCappedJob(t *testing.T) {
 	if res.Report.Met {
 		t.Fatal("DS2 must not converge on an externally capped job")
 	}
-	if res.Report.Iterations != MaxIterations || len(res.Trials) != MaxIterations {
+	if res.Report.Iterations != MaxIterations || res.Report.Trials != MaxIterations {
 		t.Fatalf("iterations = %d, rescales = %d, want the full budget %d",
-			res.Report.Iterations, len(res.Trials), MaxIterations)
+			res.Report.Iterations, res.Report.Trials, MaxIterations)
 	}
 	// The capped operator's parallelism must have been inflated.
 	if last := res.Par[2]; last <= first {
 		t.Fatalf("capped operator parallelism should inflate: %d -> %d", first, last)
+	}
+}
+
+// The online adapter's one shot is the one configuration its plan tries:
+// the report counts it as a trial, though it measures no window and logs
+// none, and the engine runs it for the next monitor window to judge.
+func TestOnlineCountsItsOneShot(t *testing.T) {
+	g := chainGraph(t, 0)
+	e := newEngine(t, g, 3000, 32)
+	res, err := New(Config{Online: true}).Plan(e, core.PlanRequest{
+		Trigger: core.TriggerRateChange,
+		RateRPS: 3000,
+		Window:  core.TrialWindow(e),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.Trials != 1 || res.Report.Windows != 0 || len(res.Trials) != 0 {
+		t.Fatalf("one shot: trials = %d, windows = %d, log = %d; want 1, 0, 0",
+			res.Report.Trials, res.Report.Windows, len(res.Trials))
+	}
+	if !e.Parallelism().Equal(res.Par) {
+		t.Fatalf("engine runs %v, the plan chose %v", e.Parallelism(), res.Par)
 	}
 }
 

@@ -333,8 +333,8 @@ func TestEveryPlanningWindowIsAccounted(t *testing.T) {
 				if i > 0 {
 					e.Run(stepSec - e.Now())
 				}
-				m := e.MeasureSteady(30, 120) // the trigger window
-				var before uint64             // span ids run up: this plan's come after
+				m := core.TrialWindow(e) // the trigger window
+				var before uint64        // span ids run up: this plan's come after
 				for _, sp := range tr.Snapshot(0) {
 					before = max(before, sp.ID)
 				}

@@ -36,6 +36,7 @@ var unearnedExports = map[string]string{
 	"internal/policy/drs.MaxIterations":   "TestBaselinePoliciesPropertyRandomDAGs bounds drs's Report.Iterations by it",
 	"internal/metrics.Store.Latest":       "TestGaugeContract's by-name path, flink's TestMetricsRecorded and TestCompiledTickMatchesReference and fleet's telemetry tests read a series' newest sample by name",
 	"internal/fleet.Fleet.barrierVisited": "TestFleetBarrierIsODue counts the jobs each round barrier visits",
+	"internal/core.PlanResult.Trials":     "TestEveryPlanningWindowIsAccounted holds it to the windows each policy's plan measured, TestBOPlanLogsItsPhasesInOrder to its phases and its report's counts",
 }
 
 // moduleDir maps an import path of this module to its directory from
